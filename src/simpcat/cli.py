@@ -3,7 +3,7 @@ constructions, emit deterministic reports, witnesses, and graph exports.
 
 Exit codes: 0 verdict true / construction succeeded; 1 verdict false
 (with a machine-readable witness); 2 not decidable or fuel exhausted;
-3 malformed input.
+3 malformed input or a usage error.
 """
 
 import argparse
@@ -407,12 +407,27 @@ COMMANDS = {
 }
 
 
+def _int_at_least(low):
+    """An argparse type for integers >= low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                "expected an integer >= %d, got %r" % (low, text))
+        return value
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="simpcat",
         description="exact checks and constructions for finite "
                     "simplicial sets and categories")
     sub = parser.add_subparsers(dest="command", required=True)
+    nonnegative, positive = _int_at_least(0), _int_at_least(1)
     for name, (fn, positionals) in sorted(COMMANDS.items()):
         p = sub.add_parser(name)
         for pos in positionals:
@@ -420,22 +435,24 @@ def build_parser():
         if name == "frak-c":
             p.add_argument("n", type=int)
         if name == "pin":
-            p.add_argument("--n", type=int, required=True)
-        p.add_argument("--dim", type=int, default=3)
-        p.add_argument("--dim2", type=int, default=None)
-        p.add_argument("--fuel", type=int, default=8)
+            p.add_argument("--n", type=positive, required=True)
+        p.add_argument("--dim", type=nonnegative, default=3)
+        p.add_argument("--dim2", type=nonnegative, default=None)
+        p.add_argument("--fuel", type=positive, default=8)
         p.add_argument("--mode", default=None)
         p.add_argument("--base", default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="format", default="structured",
-                       choices=["report-text", "structured", "dot"])
         p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; usage errors exit 3 like malformed input, and
+    --help exits 0."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        return 3 if e.code else 0
     try:
         return args.fn(args)
     except (InputError, FileNotFoundError, json.JSONDecodeError,
@@ -451,13 +468,12 @@ def run(job):
     """Programmatic job runner.
 
     job: {"command": str, "inputs": [paths], "parameters": {dim, dim2,
-    fuel, mode, base, n}, "out": path, "format": str}.  Returns the exit
-    status (0 ok, 1 false verdict, 2 refusal, 3 input error)."""
+    fuel, mode, base, n}, "out": path}.  Parameters are checked by the
+    same parser as the command line.  Returns the exit status (0 ok, 1
+    false verdict, 2 refusal, 3 input error or bad parameter)."""
     if job.get("command") not in COMMANDS:
         return 3
     params = job.get("parameters", {})
-    if params.get("dim", 0) < 0 or params.get("fuel", 1) < 1:
-        return 3
     argv = [job["command"]] + [str(p) for p in job.get("inputs", ())]
     for key in ("dim", "dim2", "fuel", "n"):
         if key in params:
@@ -467,8 +483,6 @@ def run(job):
             argv += ["--%s" % key, str(params[key])]
     if job.get("out"):
         argv += ["--out", job["out"]]
-    if job.get("format"):
-        argv += ["--format", job["format"]]
     return main(argv)
 
 

@@ -1,163 +1,88 @@
 """The combinatorial simplex category: finite ordinals and monotone maps.
 
-Ordinals are 0-indexed, [n] = {0, ..., n} has n+1 elements.  Maps are stored
-as dense value tables, never as generator words; face/degeneracy
-decompositions are computed on demand.
+Ordinals are 0-indexed, [n] = {0, ..., n} has n+1 elements.  A monotone
+map [m] -> [n] is its value tuple (f(0), ..., f(m)); the source is
+len - 1, and a target the tuple does not determine is passed as an
+explicit argument.  Maps are never stored as generator words;
+face/degeneracy decompositions are computed on demand.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 
 class DeltaError(ValueError):
-    """Raised on malformed or non-composable ordinal maps."""
+    """Raised on malformed ordinal maps or generator arguments."""
 
 
-class OrdinalMap:
-    """A monotone map [m] -> [n], stored as its tuple of values."""
-
-    __slots__ = ("source", "target", "values")
-
-    def __init__(self, source, target, values):
-        values = tuple(values)
-        if source < 0 or target < 0:
-            raise DeltaError("ordinals must be nonnegative")
-        if len(values) != source + 1:
-            raise DeltaError(
-                "map [%d]->[%d] needs %d values, got %d"
-                % (source, target, source + 1, len(values)))
-        prev = 0
-        for v in values:
-            if v < prev or v > target:
-                raise DeltaError("values %r not weakly increasing into [%d]"
-                                 % (values, target))
-            prev = v
-        self.source = source
-        self.target = target
-        self.values = values
-
-    def __call__(self, k):
-        return self.values[k]
-
-    def __eq__(self, other):
-        return (isinstance(other, OrdinalMap)
-                and self.source == other.source
-                and self.target == other.target
-                and self.values == other.values)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.values))
-
-    def __repr__(self):
-        return "OrdinalMap([%d]->[%d], %r)" % (self.source, self.target,
-                                               self.values)
-
-    def is_identity(self):
-        return self.source == self.target and self.values == tuple(
-            range(self.source + 1))
-
-    def is_injective(self):
-        return all(a < b for a, b in zip(self.values, self.values[1:]))
-
-    def is_surjective(self):
-        return set(self.values) == set(range(self.target + 1))
+def tidentity(n):
+    return tuple(range(n + 1))
 
 
-def identity(n):
-    return OrdinalMap(n, n, range(n + 1))
+def tcompose(g, f):
+    """Value tuple of g after f; no validation."""
+    return tuple(g[v] for v in f)
 
 
+def tfactorize(values):
+    """The unique epi-mono factorization f = mono . epi.
+
+    Returns (epi, image): epi collapses [m] onto the image of f, and the
+    sorted image is the value tuple of the mono."""
+    image = sorted(set(values))
+    index = {v: j for j, v in enumerate(image)}
+    return tuple(index[v] for v in values), tuple(image)
+
+
+@lru_cache(maxsize=None)
 def face(n, i):
     """The injection [n-1] -> [n] missing the value i."""
     if n < 1 or not 0 <= i <= n:
         raise DeltaError("face(%d, %d) out of range" % (n, i))
-    return OrdinalMap(n - 1, n, [v for v in range(n + 1) if v != i])
+    return tuple(v for v in range(n + 1) if v != i)
 
 
+@lru_cache(maxsize=None)
 def degeneracy(n, i):
     """The surjection [n] -> [n-1] repeating the value i."""
     if n < 1 or not 0 <= i <= n - 1:
         raise DeltaError("degeneracy(%d, %d) out of range" % (n, i))
-    return OrdinalMap(n, n - 1, [min(v, i) if v <= i else v - 1
-                                 for v in range(n + 1)])
+    return tuple(v if v <= i else v - 1 for v in range(n + 1))
 
 
-def generator(kind, n, i):
-    """Dispatch on kind in {'face', 'degeneracy'}."""
-    if kind == "face":
-        return face(n, i)
-    if kind == "degeneracy":
-        return degeneracy(n, i)
-    raise DeltaError("unknown generator kind %r" % (kind,))
+def opposite(f, n):
+    """Order reversal of f: [m] -> [n]; carries faces d_i to d_{n-i}."""
+    return tuple(n - v for v in reversed(f))
 
 
-def compose(g, f):
-    """g after f; requires f.target == g.source."""
-    if f.target != g.source:
-        raise DeltaError("cannot compose [%d]->[%d] after [%d]->[%d]"
-                         % (g.source, g.target, f.source, f.target))
-    return OrdinalMap(f.source, g.target, [g.values[v] for v in f.values])
+def join(f, n, g):
+    """The ordinal join [m]*[m'] = [m+m'+1] applied to f: [m] -> [n] and
+    g: f on the initial block, g shifted onto the final block."""
+    return f + tuple(v + n + 1 for v in g)
 
 
-def epi_mono_factorize(f):
-    """The unique factorization f = mono . epi with epi surjective, mono
-    injective.  The mono is the inclusion of the image, the epi collapses
-    to it."""
-    image = sorted(set(f.values))
-    k = len(image) - 1
-    index = {v: j for j, v in enumerate(image)}
-    epi = OrdinalMap(f.source, k, [index[v] for v in f.values])
-    mono = OrdinalMap(k, f.target, image)
-    return epi, mono
-
-
-def opposite(f):
-    """Order reversal: carries [n] to [n] but faces d_i to d_{n-i}."""
-    m, n = f.source, f.target
-    return OrdinalMap(m, n, [n - f.values[m - k] for k in range(m + 1)])
-
-
-def join(f, g):
-    """The ordinal join [m]*[m'] = [m+m'+1] applied to a pair of maps:
-    f on the initial block, g shifted onto the final block."""
-    shift = f.target + 1
-    values = list(f.values) + [v + shift for v in g.values]
-    return OrdinalMap(f.source + g.source + 1, f.target + g.target + 1,
-                      values)
-
-
-def face_decomposition(f):
-    """Write an injection as a composite of faces, outermost first,
-    indices strictly decreasing.  Returns the list of (n, i) arguments so
-    that f = face(n_1, i_1) . face(n_2, i_2) . ... applied right to left."""
-    if not f.is_injective():
-        raise DeltaError("face decomposition needs an injective map")
-    missing = sorted(set(range(f.target + 1)) - set(f.values), reverse=True)
+def face_decomposition(f, n):
+    """Write an injection f: [m] -> [n] as a composite of faces,
+    outermost first, indices strictly decreasing.  Returns the list of
+    (n, i) arguments so that f = face(n_1, i_1) . face(n_2, i_2) . ...
+    applied right to left."""
+    if any(a >= b for a, b in zip(f, f[1:])) or f[0] < 0 or f[-1] > n:
+        raise DeltaError("face decomposition needs an injection into [%d]"
+                         % n)
+    missing = sorted(set(range(n + 1)) - set(f), reverse=True)
     # Stripping the largest missing value first keeps later indices valid
     # without shifting.
-    out = []
-    n = f.target
-    for i in missing:
-        out.append((n, i))
-        n -= 1
-    return out
+    return [(n - t, i) for t, i in enumerate(missing)]
 
 
 def degeneracy_decomposition(f):
     """Write a surjection as a composite of degeneracies, outermost first,
     indices strictly increasing: f = deg(n_1, i_1) . deg(n_2, i_2) . ..."""
-    if not f.is_surjective():
+    if f[0] != 0 or any(b - a not in (0, 1) for a, b in zip(f, f[1:])):
         raise DeltaError("degeneracy decomposition needs a surjective map")
-    doubled = [j for j in range(f.source) if f.values[j] == f.values[j + 1]]
+    doubled = [j for j in range(len(f) - 1) if f[j] == f[j + 1]]
     # sigma^{j_1} . ... . sigma^{j_s} with j_1 < ... < j_s, outermost first.
-    return [(f.target + 1 + t, i) for t, i in enumerate(doubled)]
-
-
-def compose_word(word):
-    """Compose a list of OrdinalMaps given outermost-first."""
-    result = word[0]
-    for f in word[1:]:
-        result = compose(result, f)
-    return result
+    return [(f[-1] + 1 + t, i) for t, i in enumerate(doubled)]
 
 
 def normalize_ordered_set(labels):
@@ -173,19 +98,20 @@ def normalize_ordered_set(labels):
 
 def all_maps(m, n):
     """All monotone maps [m] -> [n], in lexicographic order of values."""
-    out = []
-    for comb in combinations(range(m + n + 1), m + 1):
-        # weakly increasing sequences of length m+1 in [0, n] correspond
-        # to (m+1)-subsets of [0, m+n] via values[j] = comb[j] - j
-        out.append(OrdinalMap(m, n, [comb[j] - j for j in range(m + 1)]))
-    return out
+    # weakly increasing sequences of length m+1 in [0, n] correspond to
+    # (m+1)-subsets of [0, m+n] via values[j] = comb[j] - j
+    return tuple(tuple(c - j for j, c in enumerate(comb))
+                 for comb in combinations(range(m + n + 1), m + 1))
 
 
+@lru_cache(maxsize=None)
 def all_surjections(m, n):
-    """All surjective monotone maps [m] ->> [n]."""
-    if n > m:
-        return []
+    """All surjective monotone maps [m] ->> [n], lexicographic."""
+    if not 0 <= n <= m:
+        return ()
     out = []
+    # the doubled positions j (f(j) = f(j+1)) run through the (m-n)-subsets
+    # of [0, m-1] in lexicographic order, which orders the maps the same way
     for doubled in combinations(range(m), m - n):
         values = []
         v = 0
@@ -193,37 +119,10 @@ def all_surjections(m, n):
             values.append(v)
             if j not in doubled:
                 v += 1
-        out.append(OrdinalMap(m, n, values))
-    return out
+        out.append(tuple(values))
+    return tuple(out)
 
 
 def all_injections(m, n):
-    """All injective monotone maps [m] -> [n]."""
-    if m > n:
-        return []
-    return [OrdinalMap(m, n, comb)
-            for comb in combinations(range(n + 1), m + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Raw tuple arithmetic used by hot loops elsewhere in the package.  An
-# ordinal map [m] -> [n] appears here as just its value tuple; the target
-# has to be carried by the caller.
-
-def tcompose(g, f):
-    """Value tuple of g after f; no validation."""
-    return tuple(g[v] for v in f)
-
-
-def tidentity(n):
-    return tuple(range(n + 1))
-
-
-def tfactorize(values):
-    """Epi-mono factorization on a raw value tuple.
-
-    Returns (epi_values, image) where image is the sorted value tuple of
-    the mono."""
-    image = sorted(set(values))
-    index = {v: j for j, v in enumerate(image)}
-    return tuple(index[v] for v in values), tuple(image)
+    """All injective monotone maps [m] -> [n], lexicographic."""
+    return tuple(combinations(range(n + 1), m + 1))

@@ -294,6 +294,8 @@ class SimplicialAbGroup:
 
     def validate(self):
         D = self.truncation
+        if D < 0:
+            raise InputError("negative truncation")
         for n in range(1, D + 1):
             for i in range(n + 1):
                 F = self.face.get((n, i))
@@ -378,11 +380,11 @@ def free_simplicial_abelian_group(X, D, ring="Z"):
     for n in range(1, D + 1):
         for i in range(n + 1):
             face[(n, i)] = operator_matrix(
-                delta.face(n, i).values, n, n - 1)
+                delta.face(n, i), n, n - 1)
     for n in range(D):
         for i in range(n + 1):
             degen[(n, i)] = operator_matrix(
-                delta.degeneracy(n + 1, i).values, n, n + 1)
+                delta.degeneracy(n + 1, i), n, n + 1)
     coeffs = {n: tuple(0 for _ in bases[n]) for n in range(D + 1)}
     return SimplicialAbGroup(modulus, D, coeffs, face, degen)
 
@@ -492,7 +494,7 @@ def dold_kan_gamma(C, D, return_layout=False):
         level = []
         for k in range(C.lo, min(n, C.hi) + 1):
             for s in delta.all_surjections(n, k):
-                level.append((s.values, k))
+                level.append((s, k))
         level.sort(key=lambda t: (t[1], t[0]))
         summands[n] = level
         offs = {}
@@ -532,11 +534,11 @@ def dold_kan_gamma(C, D, return_layout=False):
     for n in range(1, D + 1):
         for i in range(n + 1):
             face[(n, i)] = structure_matrix(
-                delta.face(n, i).values, n - 1, n)
+                delta.face(n, i), n - 1, n)
     for n in range(D):
         for i in range(n + 1):
             degen[(n, i)] = structure_matrix(
-                delta.degeneracy(n + 1, i).values, n + 1, n)
+                delta.degeneracy(n + 1, i), n + 1, n)
     A = SimplicialAbGroup(C.modulus, D, coeffs, face, degen)
     if return_layout:
         return A, offsets

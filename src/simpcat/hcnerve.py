@@ -6,10 +6,10 @@ pi_0 homotopy category of a simplicial category.
 from itertools import combinations
 
 from . import sset
-from .delta import tcompose, tidentity
+from .delta import degeneracy, face, tcompose, tidentity
 from .errors import InputError
 from .nerve_cat import FinCategory
-from .sset import SimplicialSet, face_tuple, degeneracy_tuple
+from .sset import SimplicialSet
 
 
 class CompositionInconsistency(Exception):
@@ -84,7 +84,7 @@ class SimplicialCategory:
                 # simpliciality on faces and degeneracies
                 if q >= 1:
                     for i in range(q + 1):
-                        alpha = face_tuple(q, i)
+                        alpha = face(q, i)
                         lhs = hspace.apply(alpha, h)
                         rhs = table[(gspace.apply(alpha, g),
                                      fspace.apply(alpha, f))]
@@ -94,7 +94,7 @@ class SimplicialCategory:
                                 % q)
                 if q < B:
                     for i in range(q + 1):
-                        alpha = degeneracy_tuple(q + 1, i)
+                        alpha = degeneracy(q + 1, i)
                         lhs = hspace.apply(alpha, h)
                         rhs = table[(gspace.apply(alpha, g),
                                      fspace.apply(alpha, f))]

@@ -8,8 +8,8 @@ matching Hom(y,z) x Hom(x,y) -> Hom(x,z).
 from itertools import product as iproduct
 
 from . import sset
+from .delta import degeneracy, face, tcompose
 from .errors import FuelExhausted, InputError
-from .sset import face_tuple
 
 
 class FinCategory:
@@ -449,9 +449,9 @@ def category_from_nerve(X):
     # composition via the unique 2-simplex with d_2 = f, d_0 = g
     by_faces = {}
     for w in X.simplices(2):
-        f2 = X.apply(face_tuple(2, 2), w)
-        f0 = X.apply(face_tuple(2, 0), w)
-        f1 = X.apply(face_tuple(2, 1), w)
+        f2 = X.apply(face(2, 2), w)
+        f0 = X.apply(face(2, 0), w)
+        f1 = X.apply(face(2, 1), w)
         by_faces.setdefault((f2, f0), set()).add(f1)
     comp = {}
     simplex_of_arrow = {v: k for k, v in arrow_of_simplex.items()}
@@ -489,15 +489,13 @@ def nerve_functor_map(F, d, NC=None, ND=None):
 
 def _nerve_simplex_of_chain(C, NC, chain, source_obj):
     """E-Z form in the nerve of a possibly degenerate chain of arrows."""
-    from .delta import tcompose
-    from .sset import degeneracy_tuple
     word = tuple(range(len(chain) + 1))
     core = list(chain)
     n = len(core)
     while True:
         for i, a in enumerate(core):
             if C.is_identity(a):
-                word = tcompose(degeneracy_tuple(n, i), word)
+                word = tcompose(degeneracy(n, i), word)
                 del core[i]
                 n -= 1
                 break

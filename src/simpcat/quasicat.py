@@ -7,10 +7,10 @@ unbounded lifting.
 """
 
 from . import sset
-from .delta import tidentity
+from .delta import face, tidentity
 from .errors import InputError
 from .nerve_cat import FinCategory
-from .sset import face_tuple, is_degenerate, simplex_dim
+from .sset import is_degenerate, simplex_dim
 
 MODES = {
     "inner": lambda n: range(1, n),
@@ -237,9 +237,9 @@ def _ho_classes(X):
     edges = list(X.simplices(1))
     related = {e: {e} for e in edges}
     for u in X.simplices(2):
-        if is_degenerate(X.apply(face_tuple(2, 2), u)):
-            f = X.apply(face_tuple(2, 0), u)
-            g = X.apply(face_tuple(2, 1), u)
+        if is_degenerate(X.apply(face(2, 2), u)):
+            f = X.apply(face(2, 0), u)
+            g = X.apply(face(2, 1), u)
             related[f].add(g)
     # the raw relation must already be symmetric and transitive on a
     # quasicategory; check rather than assume
@@ -269,8 +269,8 @@ def _lambda21_fillers(X, f, g):
     if index is None or index[0] is not X:
         table = {}
         for u in X.simplices(2):
-            pair = (X.apply(face_tuple(2, 2), u),
-                    X.apply(face_tuple(2, 0), u))
+            pair = (X.apply(face(2, 2), u),
+                    X.apply(face(2, 0), u))
             table.setdefault(pair, []).append(u)
         index = (X, table)
         _filler_index_cache[key] = index
@@ -313,7 +313,7 @@ def homotopy_category(X, _return_classes=False):
             for f in by_rep[frep]:
                 for g in by_rep[grep]:
                     for u in _lambda21_fillers(X, f, g):
-                        c = classes[X.apply(face_tuple(2, 1), u)]
+                        c = classes[X.apply(face(2, 1), u)]
                         if value is None:
                             value = c
                         elif c != value:
@@ -338,7 +338,7 @@ def equivalences(X):
     iso_arrows = {a for a in Ho.arrows if Ho.is_iso(a)}
     eqs = {e for e, rep in classes.items() if arrow_name[rep] in iso_arrows}
     for u in X.simplices(2):
-        sides = [X.apply(face_tuple(2, i), u) for i in range(3)]
+        sides = [X.apply(face(2, i), u) for i in range(3)]
         flags = [e in eqs for e in sides]
         if sum(flags) == 2:
             if not all(flags):
@@ -545,6 +545,8 @@ def homotopy_group(X, x, n, budget=100000):
     """pi_n(X, x) for a finite Kan object: n = 0 gives the set of vertex
     classes; n >= 1 gives homotopy classes of spheres with horn-filler
     multiplication.  Kan-ness up to dimension n+2 is certified first."""
+    if n < 0:
+        raise InputError("pi_%d: the degree must be nonnegative" % n)
     if n == 0:
         return SetReport(sset.pi0(X))
     bound = n + 2
@@ -558,7 +560,7 @@ def homotopy_group(X, x, n, budget=100000):
     deg = (tuple(0 for _ in range(n)), xi)
     spheres = []
     for z in X.simplices(n):
-        if all(X.apply(face_tuple(n, i), z) == deg for i in range(n + 1)):
+        if all(X.apply(face(n, i), z) == deg for i in range(n + 1)):
             spheres.append(z)
     # homotopy relation via (n+1)-simplices, then symmetric-transitive
     # closure

@@ -8,9 +8,8 @@ Index convention: a cell sits in bidegree (p, q) with p the outer
 """
 
 from . import sset
-from .delta import (face as delta_face, degeneracy as delta_degeneracy,
-                    face_decomposition, degeneracy_decomposition,
-                    epi_mono_factorize, OrdinalMap)
+from .delta import (all_maps, degeneracy, degeneracy_decomposition, face,
+                    face_decomposition, tcompose, tfactorize)
 from .errors import InputError, NotDecidable
 from .nerve_cat import (FinCategory, Functor, category_from_nerve,
                         full_subcategory, nerve)
@@ -36,27 +35,16 @@ class BisimplicialSet:
     def level(self, p, q):
         return self.cells.get((p, q), ())
 
-    def h_map(self, alpha, q, x):
-        """Action of alpha: [m] -> [p] on the outer index."""
-        p = alpha.target
-        epi, mono = epi_mono_factorize(alpha)
-        for (_, i) in face_decomposition(mono):
-            x = self.h_face[(p, q, i)][x]
-            p -= 1
-        for (_, j) in degeneracy_decomposition(epi):
-            x = self.h_degen[(p, q, j)][x]
-            p += 1
+    def h_map(self, alpha, p, q, x):
+        """Action of alpha: [m] -> [p] on the outer index of x at (p, q)."""
+        for is_face, k, i in _generator_walk(alpha, p):
+            x = (self.h_face if is_face else self.h_degen)[(k, q, i)][x]
         return x
 
-    def v_map(self, alpha, p, x):
-        q = alpha.target
-        epi, mono = epi_mono_factorize(alpha)
-        for (_, i) in face_decomposition(mono):
-            x = self.v_face[(p, q, i)][x]
-            q -= 1
-        for (_, j) in degeneracy_decomposition(epi):
-            x = self.v_degen[(p, q, j)][x]
-            q += 1
+    def v_map(self, alpha, p, q, x):
+        """Action of alpha: [m] -> [q] on the inner index of x at (p, q)."""
+        for is_face, k, j in _generator_walk(alpha, q):
+            x = (self.v_face if is_face else self.v_degen)[(p, k, j)][x]
         return x
 
     def row(self, p):
@@ -67,15 +55,15 @@ class BisimplicialSet:
             for x in self.level(p, q):
                 position[x] = q
 
-        def action(alpha_values, x):
-            alpha = OrdinalMap(len(alpha_values) - 1, position[x],
-                               alpha_values)
-            return self.v_map(alpha, p, x)
+        def action(alpha, x):
+            return self.v_map(alpha, p, position[x], x)
 
         return sset.from_presheaf(self.n_trunc, levels, action,
                                   name_fn=lambda q, x: str(x))
 
     def validate(self):
+        if self.m_trunc < 0 or self.n_trunc < 0:
+            raise InputError("negative truncation")
         for p in range(self.m_trunc + 1):
             for q in range(self.n_trunc + 1):
                 if (p, q) not in self.cells:
@@ -212,6 +200,15 @@ class BisimplicialSet:
         return "BisimplicialSet(%dx%d)" % (self.m_trunc, self.n_trunc)
 
 
+def _generator_walk(alpha, n):
+    """The generator steps (is_face, level, index) that apply alpha:
+    [m] -> [n] to a cell at level n, in the order they act: the faces of
+    the image inclusion, then the degeneracies of the collapse."""
+    epi, image = tfactorize(alpha)
+    return ([(True, k, i) for k, i in face_decomposition(image, n)]
+            + [(False, k - 1, j) for k, j in degeneracy_decomposition(epi)])
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -238,17 +235,15 @@ def embed(kind, X, N):
             for q in range(N + 1):
                 if p >= 1:
                     for i in range(p + 1):
-                        from .sset import face_tuple
                         h_face[(p, q, i)] = {
                             X.describe(s): X.describe(
-                                X.apply(face_tuple(p, i), s))
+                                X.apply(face(p, i), s))
                             for s in X.simplices(p)}
                 if p < M:
                     for i in range(p + 1):
-                        from .sset import degeneracy_tuple
                         h_degen[(p, q, i)] = {
                             X.describe(s): X.describe(
-                                X.apply(degeneracy_tuple(p + 1, i), s))
+                                X.apply(degeneracy(p + 1, i), s))
                             for s in X.simplices(p)}
         return BisimplicialSet(M, N, cells, h_face, h_degen, v_face,
                                v_degen)
@@ -274,17 +269,15 @@ def embed(kind, X, N):
             for q in range(inner + 1):
                 if q >= 1:
                     for j in range(q + 1):
-                        from .sset import face_tuple
                         v_face[(p, q, j)] = {
                             X.describe(s): X.describe(
-                                X.apply(face_tuple(q, j), s))
+                                X.apply(face(q, j), s))
                             for s in X.simplices(q)}
                 if q < inner:
                     for j in range(q + 1):
-                        from .sset import degeneracy_tuple
                         v_degen[(p, q, j)] = {
                             X.describe(s): X.describe(
-                                X.apply(degeneracy_tuple(q + 1, j), s))
+                                X.apply(degeneracy(q + 1, j), s))
                             for s in X.simplices(q)}
         return BisimplicialSet(M, inner, cells, h_face, h_degen, v_face,
                                v_degen)
@@ -294,7 +287,6 @@ def embed(kind, X, N):
 def standard_bisimplex(m, n, M, N):
     """The representable presheaf at ([m], [n]), truncated at (M, N):
     cells (p, q) are pairs of monotone maps."""
-    from .delta import all_maps
     cells = {}
     h_face = {}
     h_degen = {}
@@ -309,8 +301,7 @@ def standard_bisimplex(m, n, M, N):
     level_elems = {}
     for p in range(M + 1):
         for q in range(N + 1):
-            elems = [(f.values, g.values) for f in all_maps(p, m)
-                     for g in all_maps(q, n)]
+            elems = [(f, g) for f in all_maps(p, m) for g in all_maps(q, n)]
             level_elems[(p, q)] = elems
             cells[(p, q)] = tuple(name(e) for e in elems)
     for p in range(M + 1):
@@ -318,26 +309,22 @@ def standard_bisimplex(m, n, M, N):
             for (f, g) in level_elems[(p, q)]:
                 if p >= 1:
                     for i in range(p + 1):
-                        nf = tuple(f[v] for v in
-                                   delta_face(p, i).values)
+                        nf = tcompose(f, face(p, i))
                         h_face.setdefault((p, q, i), {})[
                             name((f, g))] = name((nf, g))
                 if p < M:
                     for i in range(p + 1):
-                        nf = tuple(f[v] for v in
-                                   delta_degeneracy(p + 1, i).values)
+                        nf = tcompose(f, degeneracy(p + 1, i))
                         h_degen.setdefault((p, q, i), {})[
                             name((f, g))] = name((nf, g))
                 if q >= 1:
                     for j in range(q + 1):
-                        ng = tuple(g[v] for v in
-                                   delta_face(q, j).values)
+                        ng = tcompose(g, face(q, j))
                         v_face.setdefault((p, q, j), {})[
                             name((f, g))] = name((f, ng))
                 if q < N:
                     for j in range(q + 1):
-                        ng = tuple(g[v] for v in
-                                   delta_degeneracy(q + 1, j).values)
+                        ng = tcompose(g, degeneracy(q + 1, j))
                         v_degen.setdefault((p, q, j), {})[
                             name((f, g))] = name((f, ng))
     return BisimplicialSet(M, N, cells, h_face, h_degen, v_face, v_degen)
@@ -440,7 +427,7 @@ def rezk_nerve(R, M, N):
         for row in rows:
             x, chain = row
             vx = row_vertices(row)
-            alpha = delta_face(p, i).values
+            alpha = face(p, i)
             new_chain = tuple(chain_segment(row, alpha[t - 1], alpha[t])
                               for t in range(1, p))
             new_rows.append((vx[alpha[0]], new_chain))
@@ -610,12 +597,12 @@ def strict_segal_check(X):
         raise InputError("need outer truncation >= 2")
     failures = []
     for p in range(2, X.m_trunc + 1):
-        spine_maps = [OrdinalMap(1, p, (i, i + 1)) for i in range(p)]
+        spine_maps = [(i, i + 1) for i in range(p)]
         for q in range(X.n_trunc + 1):
             image = {}
             injective = True
             for x in X.level(p, q):
-                key = tuple(X.h_map(a, q, x) for a in spine_maps)
+                key = tuple(X.h_map(a, p, q, x) for a in spine_maps)
                 if key in image:
                     failures.append({"p": p, "q": q,
                                      "reason": "not injective"})
@@ -634,19 +621,17 @@ def strict_segal_check(X):
 
 def _spine_tuples(X, p, q):
     """All compatible p-tuples of level-(1, q) cells."""
-    d_target = OrdinalMap(0, 1, (1,))
-    d_source = OrdinalMap(0, 1, (0,))
     levels1 = X.level(1, q)
     by_source = {}
     for e in levels1:
-        by_source.setdefault(X.h_map(d_source, q, e), []).append(e)
+        by_source.setdefault(X.h_map((0,), 1, q, e), []).append(e)
 
     def rec(acc, tail):
         if len(acc) == p:
             yield tuple(acc)
             return
         for e in (levels1 if tail is None else by_source.get(tail, [])):
-            yield from rec(acc + [e], X.h_map(d_target, q, e))
+            yield from rec(acc + [e], X.h_map((1,), 1, q, e))
 
     yield from rec([], None)
 
@@ -706,10 +691,8 @@ def completeness_check(X):
         return NotDecidable("row 0: %s" % why)
     # homotopy category of the Segal object: objects X_{0,0}, arrows
     # pi_0 of the strict mapping fibers inside row 1
-    d1 = OrdinalMap(0, 1, (0,))
-    d0 = OrdinalMap(0, 1, (1,))
     vertices1 = X.level(1, 0)
-    endpoints = {f: (X.h_map(d1, 0, f), X.h_map(d0, 0, f))
+    endpoints = {f: (X.h_map((0,), 1, 0, f), X.h_map((1,), 1, 0, f))
                  for f in vertices1}
     parent = {f: f for f in vertices1}
 
@@ -723,24 +706,20 @@ def completeness_check(X):
     # vertically degenerate edges of row 0 (identity shadows)
     degenerate_edges0 = set(X.v_degen[(0, 0, 0)].values())
     for e in X.level(1, 1):
-        h1 = X.h_map(d1, 1, e)
-        h0 = X.h_map(d0, 1, e)
+        h1 = X.h_map((0,), 1, 1, e)
+        h0 = X.h_map((1,), 1, 1, e)
         if h1 in degenerate_edges0 and h0 in degenerate_edges0:
-            j1 = OrdinalMap(0, 1, (0,))
-            j0 = OrdinalMap(0, 1, (1,))
-            f = X.v_map(j1, 1, e)
-            g = X.v_map(j0, 1, e)
+            f = X.v_map((0,), 1, 1, e)
+            g = X.v_map((1,), 1, 1, e)
             ra, rb = find(f), find(g)
             if ra != rb:
                 parent[ra] = rb
     # composition through the strict Segal bijection at (2, 0)
-    spine = [OrdinalMap(1, 2, (0, 1)), OrdinalMap(1, 2, (1, 2))]
-    d_mid = OrdinalMap(1, 2, (0, 2))
     comp_table = {}
     for sigma in X.level(2, 0):
-        f = X.h_map(spine[0], 0, sigma)
-        g = X.h_map(spine[1], 0, sigma)
-        h = X.h_map(d_mid, 0, sigma)
+        f = X.h_map((0, 1), 2, 0, sigma)
+        g = X.h_map((1, 2), 2, 0, sigma)
+        h = X.h_map((0, 2), 2, 0, sigma)
         key = (find(f), find(g))
         if key in comp_table and comp_table[key] != find(h):
             return NotDecidable("composition not single-valued on "
@@ -783,7 +762,7 @@ def completeness_check(X):
         name when nondegenerate, the identity at its vertex otherwise."""
         if element in C1.arrows:
             return element
-        vertex = X.v_map(OrdinalMap(0, 1, (0,)), 1, element)
+        vertex = X.v_map((0,), 1, 1, element)
         return C1.ident[vertex]
 
     arr_map = {}

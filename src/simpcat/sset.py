@@ -11,38 +11,11 @@ bisimplicial sets) reduces to ``SimplicialSet.apply``, which evaluates an
 arbitrary operator of the simplex category on an E-Z pair.
 """
 
-from functools import lru_cache
 from itertools import combinations
 
-from .delta import tcompose, tfactorize, tidentity
+from .delta import (all_surjections, degeneracy, face, tcompose, tfactorize,
+                    tidentity)
 from .errors import InputError
-
-
-@lru_cache(maxsize=None)
-def surjection_tuples(n, k):
-    """Value tuples of all surjections [n] ->> [k], lexicographic."""
-    if k > n or k < 0:
-        return ()
-    out = []
-    for doubled in combinations(range(n), n - k):
-        values = []
-        v = 0
-        for j in range(n + 1):
-            values.append(v)
-            if j not in doubled:
-                v += 1
-        out.append(tuple(values))
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def face_tuple(n, i):
-    return tuple(v for v in range(n + 1) if v != i)
-
-
-@lru_cache(maxsize=None)
-def degeneracy_tuple(n, i):
-    return tuple(min(v, i) if v <= i else v - 1 for v in range(n + 1))
 
 
 def simplex_dim(simplex):
@@ -157,7 +130,7 @@ class SimplicialSet:
         self._require_dim(n)
         out = []
         for k in range(min(n, len(self.names) - 1) + 1):
-            for s in surjection_tuples(n, k):
+            for s in all_surjections(n, k):
                 for idx in range(len(self.names[k])):
                     out.append((s, idx))
         out = tuple(out)
@@ -166,7 +139,7 @@ class SimplicialSet:
 
     def simplex_faces(self, simplex):
         n = simplex_dim(simplex)
-        return tuple(self.apply(face_tuple(n, i), simplex)
+        return tuple(self.apply(face(n, i), simplex)
                      for i in range(n + 1))
 
     def face_index(self, n):
@@ -233,11 +206,11 @@ class SimplicialSet:
             for idx in range(len(self.names[k])):
                 x = (tidentity(k), idx)
                 for j in range(1, k + 1):
-                    dj = self.apply(face_tuple(k, j), x)
+                    dj = self.apply(face(k, j), x)
                     for i in range(j):
-                        di = self.apply(face_tuple(k, i), x)
-                        lhs = self.apply(face_tuple(k - 1, i), dj)
-                        rhs = self.apply(face_tuple(k - 1, j - 1), di)
+                        di = self.apply(face(k, i), x)
+                        lhs = self.apply(face(k - 1, i), dj)
+                        rhs = self.apply(face(k - 1, j - 1), di)
                         if lhs != rhs:
                             raise InputError(
                                 "simplicial identity fails at cell %s "
@@ -302,7 +275,7 @@ def from_presheaf(D, levels, action, name_fn=None, truncation="auto"):
                 continue
             entry = []
             for i in range(n + 1):
-                y = action(face_tuple(n, i), x)
+                y = action(face(n, i), x)
                 entry.append(_normalize_element(action, index, n - 1, y))
             level_faces.append(tuple(entry))
         faces.append(level_faces)
@@ -315,8 +288,8 @@ def _degeneracy_collapse(action, n, x):
     """Return (i, d_i(x)) for the smallest i with x = s_i(d_i(x)), or
     None when x is nondegenerate."""
     for i in range(n):
-        y = action(face_tuple(n, i), x)
-        if action(degeneracy_tuple(n, i), y) == x:
+        y = action(face(n, i), x)
+        if action(degeneracy(n, i), y) == x:
             return i, y
     return None
 
@@ -332,7 +305,7 @@ def _normalize_element(action, index, n, x):
         if hit is None:
             return (word, index[n][x])
         i, y = hit
-        word = tcompose(degeneracy_tuple(n, i), word)
+        word = tcompose(degeneracy(n, i), word)
         n -= 1
         x = y
 
@@ -488,7 +461,7 @@ class SimplicialMap:
                 for i in range(k + 1) if k else ():
                     fs, fsub = src.faces[k][idx][i]
                     expected = self.apply((fs, fsub))
-                    got = tgt.apply(face_tuple(k, i), value)
+                    got = tgt.apply(face(k, i), value)
                     if expected != got:
                         raise InputError(
                             "map does not commute with face %d of %s"

@@ -15,8 +15,8 @@ from simpcat.chain_model import (ChainMap, FactorizationCertificate,
                                  is_quasi_iso,
                                  quasi_iso_by_homology_comparison,
                                  surjective_on_cycles)
-from simpcat.delta import (all_injections, all_maps, all_surjections,
-                           compose, epi_mono_factorize, face, identity)
+from simpcat.delta import (all_injections, all_maps, all_surjections, face,
+                           tcompose, tfactorize)
 from simpcat.doldkan import (ChainComplex, FGAbGroup, dold_kan_roundtrip,
                              free_complex, homology)
 from simpcat.errors import NotDecidable
@@ -93,10 +93,11 @@ def test_criterion_1_simplicial_identities_and_factorization():
     for n in range(2, 9):
         for j in range(1, n + 1):
             for i in range(j):
-                assert compose(face(n, j), face(n - 1, i)) == \
-                    compose(face(n, i), face(n - 1, j - 1))
+                assert tcompose(face(n, j), face(n - 1, i)) == \
+                    tcompose(face(n, i), face(n - 1, j - 1))
                 checked += 1
-    from test_delta import simplicial_identities_hold
+    from test_delta import (is_injective, is_surjective,
+                            simplicial_identities_hold)
     for n in range(1, 9):
         assert simplicial_identities_hold(n)
     # epi-mono factorization unique for all maps with m, n <= 6:
@@ -107,15 +108,16 @@ def test_criterion_1_simplicial_identities_and_factorization():
             for n in range(k, 7):
                 for epi in all_surjections(m, k):
                     for mono in all_injections(k, n):
-                        assert epi_mono_factorize(
-                            compose(mono, epi)) == (epi, mono)
+                        assert tfactorize(
+                            tcompose(mono, epi)) == (epi, mono)
                         pairs += 1
     for m in range(7):
         for n in range(7):
             for f in all_maps(m, n):
-                epi, mono = epi_mono_factorize(f)
-                assert epi.is_surjective() and mono.is_injective()
-                assert compose(mono, epi) == f
+                epi, mono = tfactorize(f)
+                assert is_surjective(epi, len(mono) - 1)
+                assert is_injective(mono) and mono[-1] <= n
+                assert tcompose(mono, epi) == f
     ok("criterion-1", "5 identity families exhaustive to n=8; "
        "%d generator-identity composites; %d epi-mono pairs unique"
        % (checked, pairs))

@@ -106,6 +106,12 @@ def test_gamma_rejects_negative_degrees():
         dold_kan_gamma(C, 2)
 
 
+def test_gamma_rejects_negative_truncation():
+    C = free_complex("Z", (0, 0), {0: 1}, {})
+    with pytest.raises(InputError):
+        dold_kan_gamma(C, -1)
+
+
 def random_complex(rng, modulus=0, max_rank=3, lo=0, span=3, free=False):
     hi = lo + rng.randint(0, span)
     ranks = {n: rng.randint(0, max_rank) for n in range(lo, hi + 1)}

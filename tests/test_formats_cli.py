@@ -259,6 +259,26 @@ def test_cli_input_error(tmp_path):
     assert run_cli(tmp_path, "homology", missing) == 3
 
 
+def test_cli_usage_errors_exit_3(tmp_path, capsys):
+    C = iso_pair_category()
+    W = {a for a in C.arrows if C.is_iso(a)}
+    rpath = write(tmp_path, "rel.cat", formats.category_to_dict(C, weak=W))
+    cx = free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])})
+    xpath = write(tmp_path, "c.cx", formats.complex_to_dict(cx))
+    spath = write(tmp_path, "bz2.sset",
+                  formats.sset_to_dict(nerve(bg(cyclic_table(2)), 3)))
+    for argv in [("rezk-nerve", rpath, "--dim2", "-1"),
+                 ("dold-kan", xpath, "--dim", "-1"),
+                 ("pin", spath, "--n", "0", "--base", "*"),
+                 ("pin", spath, "--n", "-1", "--base", "*"),
+                 ("nerve",),
+                 ("nerve", rpath, "--dim", "abc"),
+                 ("localize", rpath, "--fuel", "0")]:
+        assert run_cli(tmp_path, *argv) == 3, argv
+    assert "Traceback" not in capsys.readouterr().err
+    assert run_cli(tmp_path, "nerve", "--help") == 0
+
+
 def test_cli_determinism(tmp_path):
     C = iso_pair_category()
     cpath = write(tmp_path, "c.cat", formats.category_to_dict(C))
@@ -278,6 +298,11 @@ def test_run_job_api(tmp_path):
     assert run({"command": "no-such-command", "inputs": []}) == 3
     assert run({"command": "localize", "inputs": [path],
                 "parameters": {"fuel": 0}}) == 3
+    assert run({"command": "check-quasicategory", "inputs": [path],
+                "parameters": {"dim": "2"}}) == 0
+    assert run({"command": "check-quasicategory", "inputs": [path],
+                "parameters": {"dim": -1}}) == 3
+    assert run({"command": "nerve", "inputs": []}) == 3
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

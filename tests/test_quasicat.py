@@ -181,6 +181,12 @@ def test_pi0():
     assert report.count == 2
 
 
+def test_homotopy_group_rejects_negative_degree():
+    N = nerve(bg(cyclic_table(2)), 3)
+    with pytest.raises(InputError):
+        homotopy_group(N, "*", -1)
+
+
 def test_pi1_z2():
     N = nerve(bg(cyclic_table(2)), 3)
     pi1 = homotopy_group(N, "*", 1)

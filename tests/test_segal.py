@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from simpcat import sset
@@ -40,6 +42,35 @@ def test_standard_bisimplex_counts():
         for q in range(3):
             assert len(X.level(p, q)) == comb(p + 3, p + 1) * \
                 comb(q + 2, q + 1)
+
+
+def test_generator_maps_on_standard_bisimplices():
+    # a cell f|g of the representable at ([m], [n]) is a pair of value
+    # tuples; alpha acts by precomposition, f o alpha computed by indexing
+    def parse(cell):
+        return tuple(tuple(int(c) for c in part) for part in cell.split("|"))
+
+    def name(f, g):
+        return "%s|%s" % ("".join(map(str, f)), "".join(map(str, g)))
+
+    def maps_into(p, top):
+        return [a for k in range(top + 1)
+                for a in combinations_with_replacement(range(p + 1), k + 1)]
+
+    for m in range(3):
+        for n in range(3):
+            M = N = 3
+            X = standard_bisimplex(m, n, M, N)
+            for p in range(M + 1):
+                for q in range(N + 1):
+                    for cell in X.level(p, q):
+                        f, g = parse(cell)
+                        for a in maps_into(p, M):
+                            fa = tuple(f[v] for v in a)
+                            assert X.h_map(a, p, q, cell) == name(fa, g)
+                        for a in maps_into(q, N):
+                            ga = tuple(g[v] for v in a)
+                            assert X.v_map(a, p, q, cell) == name(f, ga)
 
 
 def test_rows_of_embeddings():
@@ -125,6 +156,15 @@ def test_rezk_nerve_identity_isos_collapse():
     for p in range(3):
         for q in range(3):
             assert len(B.level(p, q)) == len(D.level(p, q))
+
+
+def test_rezk_nerve_rejects_negative_truncation():
+    C = ordinal_category(1)
+    R = iso_relative(C)
+    with pytest.raises(InputError):
+        rezk_nerve(R, 2, -1)
+    with pytest.raises(InputError):
+        rezk_nerve(R, -1, 2)
 
 
 def test_rezk_nerve_point():

@@ -328,7 +328,7 @@ def test_apply_against_nerve_closed_form():
         n = rng.choice([1, 2, 3])
         simplex = rng.choice(N.simplices(n))
         m = rng.choice([0, 1, 2, 3])
-        alpha = rng.choice(all_maps(m, n)).values
+        alpha = rng.choice(all_maps(m, n))
         image = N.apply(alpha, simplex)
         start, links = chain_of(simplex)
         istart, ilinks = chain_of(image)
