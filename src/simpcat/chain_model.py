@@ -144,57 +144,6 @@ def is_quasi_iso(f):
     return QuasiIsoReport(verdict, hom, conclusive, inconclusive)
 
 
-def _h_map_surjective(f, n):
-    X, Y = f.source, f.target
-    ZX = cycles_matrix(X, n)
-    ZY = cycles_matrix(Y, n)
-    if ZY.cols == 0:
-        return True
-    F = f.at(n)
-    cols = [F.apply(ZX.column(j)) for j in range(ZX.cols)] + \
-        boundaries_matrix(Y, n).columns()
-    span = from_columns(cols, Y.rank(n)) if cols else Mat(Y.rank(n), 0)
-    return solve_matrix(span, ZY) is not None
-
-
-def _h_map_injective(f, n):
-    X, Y = f.source, f.target
-    ZX = cycles_matrix(X, n)
-    if ZX.cols == 0:
-        return True
-    BX = boundaries_matrix(X, n)
-    BY = boundaries_matrix(Y, n)
-    F = f.at(n)
-    fZ = from_columns([F.apply(ZX.column(j)) for j in range(ZX.cols)],
-                      Y.rank(n))
-    big = fZ.hstack(BY) if BY.cols else fZ
-    for col in kernel_basis(big):
-        x = ZX.apply(col[:ZX.cols])
-        if not any(x):
-            continue
-        target = from_columns([x], X.rank(n))
-        if BX.cols == 0 or solve_matrix(BX, target) is None:
-            return False
-    return True
-
-
-def quasi_iso_by_homology_comparison(f):
-    """Independent verdict via direct kernel/image computation: the
-    induced map on homology must be surjective in degrees lo+2 .. hi-1
-    and injective in degrees lo+1 .. hi-2, the exact content (by the
-    cone long exact sequence) of cone vanishing on its determined
-    range."""
-    X = f.source
-    lo, hi = X.lo, X.hi
-    for n in range(lo + 2, hi):
-        if not _h_map_surjective(f, n):
-            return False
-    for n in range(lo + 1, hi - 1):
-        if not _h_map_injective(f, n):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # joining variables
 

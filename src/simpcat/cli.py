@@ -16,8 +16,12 @@ from .errors import FuelExhausted, InputError, NotDecidable
 from .quasicat import LiftingObstruction
 
 
-def emit(args, payload, default_name=None):
-    text = formats.dumps(payload)
+def emit(args, payload):
+    write_out(args, formats.dumps(payload))
+
+
+def write_out(args, text):
+    """Write text to the --out file, or to stdout without one."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -364,43 +368,40 @@ def cmd_export_dot(args):
         raise InputError("export-dot supports categories, simplicial "
                          "sets and cocart analyses, not %r" % (kind,))
     lines.append("}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_out(args, "\n".join(lines) + "\n")
     return 0
 
 
+# name: (function, the arguments it reads besides --out)
 COMMANDS = {
-    "check-quasicategory": (cmd_check_quasicategory, ["input"]),
-    "check-kan": (cmd_check_kan, ["input"]),
+    "check-quasicategory": (cmd_check_quasicategory, ["input", "--dim"]),
+    "check-kan": (cmd_check_kan, ["input", "--dim"]),
     "ho": (cmd_ho, ["input"]),
     "equivalences": (cmd_equivalences, ["input"]),
     "max-kan": (cmd_max_kan, ["input"]),
-    "hom-space": (cmd_hom_space, ["input", "source", "target"]),
+    "hom-space": (cmd_hom_space,
+                  ["input", "source", "target", "--mode", "--dim"]),
     "pi0": (cmd_pi0, ["input"]),
-    "pi1": (lambda a: cmd_pin(a, 1), ["input"]),
-    "pin": (cmd_pin, ["input"]),
-    "nerve": (cmd_nerve, ["input"]),
+    "pi1": (lambda a: cmd_pin(a, 1), ["input", "--base"]),
+    "pin": (cmd_pin, ["input", "--n", "--base"]),
+    "nerve": (cmd_nerve, ["input", "--dim"]),
     "bg": (cmd_bg, ["input"]),
-    "localize": (cmd_localize, ["input"]),
-    "coherent-nerve": (cmd_coherent_nerve, ["input"]),
-    "frak-c": (cmd_frak_c, []),
+    "localize": (cmd_localize, ["input", "--fuel"]),
+    "coherent-nerve": (cmd_coherent_nerve, ["input", "--dim"]),
+    "frak-c": (cmd_frak_c, ["n"]),
     "normalized-chains": (cmd_normalized_chains, ["input"]),
-    "dold-kan": (cmd_dold_kan, ["input"]),
+    "dold-kan": (cmd_dold_kan, ["input", "--dim"]),
     "homology": (cmd_homology, ["input"]),
     "quasi-iso": (cmd_quasi_iso, ["input"]),
     "factor-4a": (cmd_factor_4a, ["input"]),
-    "factor-4b": (cmd_factor_4b, ["input"]),
+    "factor-4b": (cmd_factor_4b, ["input", "--fuel"]),
     "left-fibration": (cmd_left_fibration, ["input"]),
     "cocart-analyze": (cmd_cocart_analyze, ["input"]),
     "grothendieck-build": (cmd_grothendieck_build, ["input"]),
     "grothendieck-read": (cmd_grothendieck_read, ["input"]),
     "join": (cmd_join, ["input", "second"]),
     "twisted-arrows": (cmd_twisted_arrows, ["input"]),
-    "rezk-nerve": (cmd_rezk_nerve, ["input"]),
+    "rezk-nerve": (cmd_rezk_nerve, ["input", "--dim", "--dim2"]),
     "segal-check": (cmd_segal_check, ["input"]),
     "completeness": (cmd_completeness, ["input"]),
     "export-dot": (cmd_export_dot, ["input"]),
@@ -428,20 +429,15 @@ def build_parser():
                     "simplicial sets and categories")
     sub = parser.add_subparsers(dest="command", required=True)
     nonnegative, positive = _int_at_least(0), _int_at_least(1)
-    for name, (fn, positionals) in sorted(COMMANDS.items()):
+    settings = {"n": {"type": int},
+                "--n": {"type": positive, "required": True},
+                "--dim": {"type": nonnegative, "default": 3},
+                "--dim2": {"type": nonnegative},
+                "--fuel": {"type": positive, "default": 8}}
+    for name, (fn, arguments) in sorted(COMMANDS.items()):
         p = sub.add_parser(name)
-        for pos in positionals:
-            p.add_argument(pos)
-        if name == "frak-c":
-            p.add_argument("n", type=int)
-        if name == "pin":
-            p.add_argument("--n", type=positive, required=True)
-        p.add_argument("--dim", type=nonnegative, default=3)
-        p.add_argument("--dim2", type=nonnegative, default=None)
-        p.add_argument("--fuel", type=positive, default=8)
-        p.add_argument("--mode", default=None)
-        p.add_argument("--base", default=None)
-        p.add_argument("--out", default=None)
+        for arg in arguments + ["--out"]:
+            p.add_argument(arg, **settings.get(arg, {}))
         p.set_defaults(fn=fn)
     return parser
 
@@ -469,16 +465,14 @@ def run(job):
 
     job: {"command": str, "inputs": [paths], "parameters": {dim, dim2,
     fuel, mode, base, n}, "out": path}.  Parameters are checked by the
-    same parser as the command line.  Returns the exit status (0 ok, 1
-    false verdict, 2 refusal, 3 input error or bad parameter)."""
+    same parser as the command line, so a parameter the command does not
+    read is rejected.  Returns the exit status (0 ok, 1 false verdict, 2
+    refusal, 3 input error or bad parameter)."""
     if job.get("command") not in COMMANDS:
         return 3
     params = job.get("parameters", {})
     argv = [job["command"]] + [str(p) for p in job.get("inputs", ())]
-    for key in ("dim", "dim2", "fuel", "n"):
-        if key in params:
-            argv += ["--%s" % key, str(params[key])]
-    for key in ("mode", "base"):
+    for key in ("dim", "dim2", "fuel", "n", "mode", "base"):
         if key in params:
             argv += ["--%s" % key, str(params[key])]
     if job.get("out"):

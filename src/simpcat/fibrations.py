@@ -283,93 +283,6 @@ def cocart_analyze(F):
 
 
 # ---------------------------------------------------------------------------
-# independent oracle: definition unfolding through base changes
-
-
-def locally_cocartesian_oracle(F, alpha):
-    """Definition unfolding: alpha is locally cocartesian iff in the
-    base change over [1] its target corepresents lifting-with-shadow:
-    maps out of the target biject with maps out of the source lying over
-    the unique composite.  Enumerated as raw sets, independently of the
-    Hom-square route."""
-    C, D = F.source, F.target
-    falpha = F.arr_map[alpha]
-    x, y = C.src[alpha], C.dst[alpha]
-    if D.is_identity(falpha):
-        fiber = fiber_category(F, D.src[falpha])
-        for z in fiber.objects:
-            pairs = {}
-            for c in fiber.hom(y, z):
-                comp = fiber.compose(c, alpha)
-                pairs.setdefault(comp, []).append(c)
-            hom_xz = fiber.hom(x, z)
-            if sorted(pairs) != sorted(hom_xz):
-                return False
-            if any(len(v) != 1 for v in pairs.values()):
-                return False
-        return True
-    P, proj, omap = base_change_to_ordinal(F, [falpha])
-    a_lift = "(%s@0->1)" % alpha
-    x1 = P.src[a_lift]
-    y1 = P.dst[a_lift]
-    # objects of the fiber over 1
-    fiber1 = [o for o in P.objects if omap[o][1] == 1]
-    for z in fiber1:
-        mapping = {}
-        for c in P.hom(y1, z):
-            mapping.setdefault(P.compose(c, a_lift), []).append(c)
-        hom_xz = P.hom(x1, z)
-        if sorted(mapping) != sorted(hom_xz):
-            return False
-        if any(len(v) != 1 for v in mapping.values()):
-            return False
-    return True
-
-
-def cocart_analyze_oracle(F):
-    """Independent re-derivation of the analysis: per-arrow local flags
-    via the raw unique-lifting unfolding above, cocartesian fibration
-    via the base-change-to-[2] criterion: every base change over a
-    composable pair must be a locally cocartesian fibration whose
-    flagged arrows are closed under composition."""
-    C, D = F.source, F.target
-    local_flags = {a: locally_cocartesian_oracle(F, a) for a in C.arrows}
-    loc_fib = True
-    for x in C.objects:
-        fx = F.obj_map[x]
-        for phi in D.arrows:
-            if D.src[phi] != fx:
-                continue
-            if not any(C.src[a] == x and F.arr_map[a] == phi and
-                       local_flags[a] for a in C.arrows):
-                loc_fib = False
-    coc_fib = loc_fib
-    if loc_fib:
-        for b, a in D.composable_pairs():
-            P, proj, omap = base_change_to_ordinal(F, [a, b])
-            flags = {ar: locally_cocartesian_oracle(proj, ar)
-                     for ar in P.arrows}
-            for o in P.objects:
-                i = omap[o][1]
-                for j in range(i, 3):
-                    base_arrow = "%d<=%d" % (i, j)
-                    if not any(P.src[ar] == o and
-                               proj.arr_map[ar] == base_arrow and
-                               flags[ar] for ar in P.arrows):
-                        coc_fib = False
-            for g, f in P.composable_pairs():
-                if flags[g] and flags[f] and \
-                        not flags[P.compose(g, f)]:
-                    coc_fib = False
-            if not coc_fib:
-                break
-    return {"locally_cocartesian_arrows":
-            sorted(a for a, v in local_flags.items() if v),
-            "is_locally_cocartesian_fibration": loc_fib,
-            "is_cocartesian_fibration": coc_fib}
-
-
-# ---------------------------------------------------------------------------
 # Grothendieck construction
 
 

@@ -24,8 +24,13 @@ def save(path, payload):
 
 
 def load(path):
+    """The JSON document at path, which must be an object."""
     with open(path) as fh:
-        return json.load(fh)
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise InputError("a document must be a JSON object, not %s"
+                         % type(d).__name__)
+    return d
 
 
 # -- simplicial sets ---------------------------------------------------------
@@ -40,27 +45,42 @@ def sset_to_dict(X):
 def sset_from_dict(d):
     if d.get("kind") not in (None, "simplicial-set"):
         raise InputError("expected a simplicial-set document")
-    cells = d["cells"]
+    cells, face_doc = d["cells"], d.get("faces", {})
+    truncation = d.get("truncation")
+    if not (isinstance(cells, dict) and isinstance(face_doc, dict) and all(
+            k.isdecimal() and isinstance(v, list)
+            and all(isinstance(n, (str, int)) for n in v)
+            for k, v in cells.items()) and (
+                truncation is None or isinstance(truncation, int))):
+        raise InputError("malformed simplicial-set document: cells must "
+                         "map dimensions to name lists, faces must be an "
+                         "object, truncation an integer or null")
     dims = sorted(int(k) for k in cells)
     depth = (dims[-1] + 1) if dims else 0
     names = [tuple(cells.get(str(k), ())) for k in range(depth)]
     index = [{n: i for i, n in enumerate(level)} for level in names]
-    faces = [[None] * len(level) for level in names]
-    for k in range(depth):
+    faces = [[()] * len(level) for level in names]
+    for k in range(1, depth):
         for idx, name in enumerate(names[k]):
-            if k == 0:
-                faces[0][idx] = ()
-                continue
             key = "%d:%s" % (k, name)
-            if key not in d["faces"]:
-                raise InputError("missing face entry for %s" % key)
-            entry = []
-            for svals, sub in d["faces"][key]:
-                svals = tuple(svals)
-                p = svals[-1]
-                entry.append((svals, index[p][sub]))
-            faces[k][idx] = tuple(entry)
-    return SimplicialSet(d.get("truncation"), names, faces)
+            entry = face_doc.get(key)
+            if not isinstance(entry, list) or \
+                    not all(_is_face(item, index) for item in entry):
+                raise InputError("missing or malformed face entry for %s"
+                                 % key)
+            faces[k][idx] = tuple((tuple(s), index[s[-1]][sub])
+                                  for s, sub in entry)
+    return SimplicialSet(truncation, names, faces)
+
+
+def _is_face(item, index):
+    """Whether item is [surjection values, name of a cell they reach]."""
+    return (isinstance(item, list) and len(item) == 2
+            and isinstance(item[0], list) and len(item[0]) > 0
+            and all(isinstance(v, int) for v in item[0])
+            and isinstance(item[1], (str, int))
+            and 0 <= item[0][-1] < len(index)
+            and item[1] in index[item[0][-1]])
 
 
 # -- categories --------------------------------------------------------------

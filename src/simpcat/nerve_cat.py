@@ -573,40 +573,6 @@ def find_category_isomorphism(C, D):
     return try_obj(0, {}, set())
 
 
-def functors_naturally_isomorphic(F, G):
-    """Search for a natural isomorphism between two parallel functors;
-    returns the component dict or None."""
-    if F.source is not G.source or F.target is not G.target:
-        return None
-    A, B = F.source, F.target
-    objs = list(A.objects)
-
-    def rec(pos, eta):
-        if pos == len(objs):
-            return dict(eta)
-        x = objs[pos]
-        for comp in B.hom(F.obj_map[x], G.obj_map[x]):
-            if not B.is_iso(comp):
-                continue
-            eta[x] = comp
-            ok = True
-            for a in A.arrows:
-                sx, tx = A.src[a], A.dst[a]
-                if sx in eta and tx in eta:
-                    if B.compose(G.arr_map[a], eta[sx]) != \
-                            B.compose(eta[tx], F.arr_map[a]):
-                        ok = False
-                        break
-            if ok:
-                result = rec(pos + 1, eta)
-                if result is not None:
-                    return result
-            del eta[x]
-        return None
-
-    return rec(0, {})
-
-
 def all_functors(C, D):
     """Every functor C -> D, by backtracking over objects and generating
     arrows; exponential, intended for very small categories."""

@@ -259,22 +259,17 @@ def _ho_classes(X):
     return classes
 
 
-_filler_index_cache = {}
-
-
 def _lambda21_fillers(X, f, g):
     """All u in X_2 with d_2 u = f and d_0 u = g, in enumeration order."""
-    key = id(X)
-    index = _filler_index_cache.get(key)
-    if index is None or index[0] is not X:
-        table = {}
-        for u in X.simplices(2):
-            pair = (X.apply(face(2, 2), u),
-                    X.apply(face(2, 0), u))
-            table.setdefault(pair, []).append(u)
-        index = (X, table)
-        _filler_index_cache[key] = index
-    return index[1].get((f, g), [])
+    return X.memo("lambda21", _lambda21_table).get((f, g), [])
+
+
+def _lambda21_table(X):
+    table = {}
+    for u in X.simplices(2):
+        pair = (X.apply(face(2, 2), u), X.apply(face(2, 0), u))
+        table.setdefault(pair, []).append(u)
+    return table
 
 
 def homotopy_category(X, _return_classes=False):

@@ -48,6 +48,7 @@ class SimplicialSet:
         self._apply_cache = {}
         self._simplices_cache = {}
         self._face_index_cache = {}
+        self._memo = {}
         if validate:
             self.validate()
 
@@ -74,18 +75,11 @@ class SimplicialSet:
             else self._index[k][name_or_idx]
         return (tidentity(k), idx)
 
-    def available_dim(self):
-        """Largest n for which the set of n-simplices is known."""
-        return self.truncation if self.truncation is not None else None
-
     def _require_dim(self, n):
         if self.truncation is not None and n > self.truncation:
             raise InputError(
                 "need simplices of dimension %d but object is truncated "
                 "at %d" % (n, self.truncation))
-
-    def face_entry(self, k, idx, i):
-        return self.faces[k][idx][i]
 
     # -- operator action -------------------------------------------------
 
@@ -152,6 +146,12 @@ class SimplicialSet:
             index.setdefault(self.simplex_faces(w), []).append(w)
         self._face_index_cache[n] = index
         return index
+
+    def memo(self, key, build):
+        """build(self), computed once and kept on this object."""
+        if key not in self._memo:
+            self._memo[key] = build(self)
+        return self._memo[key]
 
     def describe(self, simplex):
         s, idx = simplex
@@ -434,9 +434,6 @@ class SimplicialMap:
     def __repr__(self):
         return "SimplicialMap(%r -> %r)" % (self.source, self.target)
 
-    def cell_image(self, k, idx):
-        return self.assignment[k][idx]
-
     def apply(self, simplex):
         """Image of an arbitrary E-Z simplex of the source."""
         s, idx = simplex
@@ -525,7 +522,14 @@ def map_from_cells(A, X, images, validate=True):
 
 
 def product(X, Y, truncation=None):
-    """Pointwise product, E-Z normalized by shuffle analysis."""
+    """Pointwise product, built directly in Eilenberg-Zilber form.
+
+    A pair of n-simplices (s, x), (t, y) is nondegenerate exactly when s
+    and t share no doubled index; the face (d_i a, d_i b) normalizes by
+    splitting off the coarsest common surjection (Goerss-Jardine,
+    Simplicial Homotopy Theory, IV.1).  Cells are named "(a|b)" and
+    listed in the order of X.simplices(n) x Y.simplices(n).  Returns the
+    product with its two projections."""
     if truncation is None:
         if X.truncation is None and Y.truncation is None:
             truncation = X.dim_max + Y.dim_max if X.dim_max >= 0 and \
@@ -537,45 +541,54 @@ def product(X, Y, truncation=None):
     X._require_dim(truncation)
     Y._require_dim(truncation)
     D = truncation
-    levels = [[(a, b) for a in X.simplices(n) for b in Y.simplices(n)]
-              for n in range(D + 1)]
-
-    def action(alpha, pair):
-        a, b = pair
-        return (X.apply(alpha, a), Y.apply(alpha, b))
-
-    def name_fn(n, pair):
-        a, b = pair
-        return "(%s|%s)" % (X.describe(a), Y.describe(b))
-
+    cells, index = [], []
+    for n in range(D + 1):
+        ys = [(b, _doubled(b[0])) for b in Y.simplices(n)]
+        level = [(a, b) for a in X.simplices(n) for mask in [_doubled(a[0])]
+                 for b, other in ys if not mask & other]
+        cells.append(level)
+        index.append({pair: j for j, pair in enumerate(level)})
+    names = [tuple("(%s|%s)" % (X.describe(a), Y.describe(b))
+                   for a, b in level) for level in cells]
+    faces = [[()] * len(cells[0])]
+    for n in range(1, D + 1):
+        level_faces = []
+        for a, b in cells[n]:
+            entry = []
+            for i in range(n + 1):
+                d = face(n, i)
+                (s, x), (t, y) = X.apply(d, a), Y.apply(d, b)
+                sigma, s, t = _split_common(s, t)
+                entry.append((sigma, index[sigma[-1]][((s, x), (t, y))]))
+            level_faces.append(tuple(entry))
+        faces.append(level_faces)
     result_trunc = None if (X.truncation is None and Y.truncation is None
                             and D >= X.dim_max + Y.dim_max) else D
-    P = from_presheaf(D, levels, action, name_fn=name_fn,
-                      truncation=result_trunc)
-    legs = _product_projections(P, X, Y, levels)
-    return P, legs
+    P = SimplicialSet(result_trunc, names, faces)
+    cells = cells[:len(P.names)]
+    return P, (
+        SimplicialMap(P, X, [[a for a, _ in lv] for lv in cells],
+                      validate=False),
+        SimplicialMap(P, Y, [[b for _, b in lv] for lv in cells],
+                      validate=False))
 
 
-def _product_projections(P, X, Y, levels):
-    proj_x = []
-    proj_y = []
-    # P's cells are jointly nondegenerate pairs; recover them by matching
-    # names, which embed the describe() of both components.
-    lookup = {}
-    for n, level in enumerate(levels):
-        for pair in level:
-            a, b = pair
-            lookup[(n, "(%s|%s)" % (X.describe(a), Y.describe(b)))] = pair
-    for k in range(len(P.names)):
-        lx, ly = [], []
-        for name in P.names[k]:
-            a, b = lookup[(k, name)]
-            lx.append(a)
-            ly.append(b)
-        proj_x.append(lx)
-        proj_y.append(ly)
-    return (SimplicialMap(P, X, proj_x, validate=False),
-            SimplicialMap(P, Y, proj_y, validate=False))
+def _doubled(s):
+    """Bit mask of the indices i with s(i) = s(i+1)."""
+    return sum(1 << i for i in range(len(s) - 1) if s[i] == s[i + 1])
+
+
+def _split_common(s, t):
+    """Factor the surjections s and t through their coarsest common
+    surjection sigma: returns (sigma, s', t') with s = s' sigma and
+    t = t' sigma, where s' and t' share no doubled index."""
+    sigma, starts = [], []
+    for j in range(len(s)):
+        if j == 0 or s[j - 1] != s[j] or t[j - 1] != t[j]:
+            starts.append(j)
+        sigma.append(len(starts) - 1)
+    return (tuple(sigma), tuple(s[j] for j in starts),
+            tuple(t[j] for j in starts))
 
 
 def disjoint_union(X, Y):
@@ -819,54 +832,67 @@ def enumerate_maps(B, X, limit=None, pin_vertices=None):
 
 def find_isomorphism(X, Y):
     """Search for a levelwise bijection commuting with faces; None when
-    the objects are not isomorphic.  Cells are matched dimension by
-    dimension with face-constraint filtering."""
-    if X.truncation != Y.truncation and not (
-            X.truncation is None and Y.truncation is None):
-        if X.truncation is None or Y.truncation is None:
-            return None
+    the objects are not isomorphic.
+
+    Y's cells are indexed once by their face tuples, so the candidates
+    for an X-cell whose faces are placed come from one lookup, in
+    ascending order.  Each X-cell is placed right after the last of its
+    faces, which prunes a wrong vertex choice early."""
+    if (X.truncation is None) != (Y.truncation is None):
+        return None
     dims = max(len(X.names), len(Y.names))
-    for k in range(dims):
-        if X.n_cells(k) != Y.n_cells(k):
-            return None
+    if any(X.n_cells(k) != Y.n_cells(k) for k in range(dims)):
+        return None
+    by_faces = [{(): list(range(Y.n_cells(0)))}] + [{} for _ in range(1, dims)]
+    for k in range(1, dims):
+        for j in range(Y.n_cells(k)):
+            by_faces[k].setdefault(Y.simplex_faces((tidentity(k), j)),
+                                   []).append(j)
+
+    # a cell is ready once every cell under its faces is placed
+    cofaces, missing = {}, {}
+    for k in range(1, dims):
+        for idx in range(X.n_cells(k)):
+            under = {(s[-1], sub) for s, sub in X.faces[k][idx]}
+            missing[(k, idx)] = len(under)
+            for c in under:
+                cofaces.setdefault(c, []).append((k, idx))
+    order = []
+    for v in range(X.n_cells(0)):
+        stack = [(0, v)]
+        while stack:
+            c = stack.pop()
+            order.append(c)
+            for d in reversed(cofaces.get(c, ())):
+                missing[d] -= 1
+                if not missing[d]:
+                    stack.append(d)
+
     assign = {}
     used = [set() for _ in range(dims)]
-
-    todo = [(k, idx) for k in range(dims) for idx in range(X.n_cells(k))]
-
-    def forced_faces(k, idx):
-        out = []
-        for s, sub in X.faces[k][idx]:
-            t, w = assign[(s[-1], sub)]
-            out.append((tcompose(t, s), w))
-        return tuple(out)
-
-    def search(pos):
-        if pos == len(todo):
-            return True
-        k, idx = todo[pos]
-        if k == 0:
-            cands = [j for j in range(Y.n_cells(0)) if j not in used[0]]
+    pending = [None] * len(order)
+    pos = 0
+    while 0 <= pos < len(order):
+        k, idx = cell = order[pos]
+        if pending[pos] is None:
+            want = tuple((tuple(s), assign[(s[-1], sub)])
+                         for s, sub in X.faces[k][idx])
+            pending[pos] = iter(by_faces[k].get(want, ()))
         else:
-            want = forced_faces(k, idx)
-            cands = []
-            for j in range(Y.n_cells(k)):
-                if j in used[k]:
-                    continue
-                if tuple(Y.simplex_faces((tidentity(k), j))) == want:
-                    cands.append(j)
-        for j in cands:
-            assign[(k, idx)] = (tidentity(k), j)
-            used[k].add(j)
-            if search(pos + 1):
-                return True
-            used[k].remove(j)
-            del assign[(k, idx)]
-        return False
-
-    if not search(0):
+            used[k].discard(assign.pop(cell))
+        for j in pending[pos]:
+            if j not in used[k]:
+                assign[cell] = j
+                used[k].add(j)
+                pos += 1
+                break
+        else:
+            pending[pos] = None
+            pos -= 1
+    if pos < 0:
         return None
-    assignment = [[assign[(k, idx)] for idx in range(X.n_cells(k))]
+    assignment = [[(tidentity(k), assign[(k, idx)])
+                   for idx in range(X.n_cells(k))]
                   for k in range(len(X.names))]
     return SimplicialMap(X, Y, assignment, validate=False)
 

@@ -12,16 +12,14 @@ from simpcat.chain_model import (ChainMap, FactorizationCertificate,
                                  degreewise_surjective, extend_window,
                                  factor_cofib_trivfib,
                                  factor_trivcofib_fib, identity_chain_map,
-                                 is_quasi_iso,
-                                 quasi_iso_by_homology_comparison,
-                                 surjective_on_cycles)
+                                 is_quasi_iso, surjective_on_cycles)
 from simpcat.delta import (all_injections, all_maps, all_surjections, face,
                            tcompose, tfactorize)
 from simpcat.doldkan import (ChainComplex, FGAbGroup, dold_kan_roundtrip,
                              free_complex, homology)
 from simpcat.errors import NotDecidable
 from simpcat.fibrations import (SplitFunctorToCat, cocart_analyze,
-                                cocart_analyze_oracle, fiber_category,
+                                fiber_category,
                                 grothendieck_build, grothendieck_read,
                                 is_left_fibration, twisted_arrows)
 from simpcat.hcnerve import (coherent_nerve, frak_c, from_fincategory,
@@ -31,7 +29,6 @@ from simpcat.intlinalg import Mat
 from simpcat.nerve_cat import (Functor, RelativeCategory, all_functors,
                                bg, cyclic_table, discrete_category,
                                find_category_isomorphism,
-                               functors_naturally_isomorphic,
                                identity_functor, nerve, ordinal_category,
                                poset_category, symmetric3_table)
 from simpcat.quasicat import classify, homotopy_category, homotopy_group
@@ -41,6 +38,8 @@ from simpcat.sset import (enumerate_maps, from_presheaf, is_isomorphic,
                           product, spine, standard_simplex)
 
 from families import category_family, functor_family
+from oracles import (cocart_analyze_oracle, functors_naturally_isomorphic,
+                     quasi_iso_by_homology_comparison)
 from test_doldkan import random_complex
 
 

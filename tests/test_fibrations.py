@@ -2,7 +2,7 @@ import pytest
 
 from simpcat.errors import InputError
 from simpcat.fibrations import (SplitFunctorToCat, base_change_to_ordinal,
-                                cocart_analyze, cocart_analyze_oracle,
+                                cocart_analyze,
                                 fiber_category, grothendieck_build,
                                 grothendieck_read, is_left_fibration,
                                 join, twisted_arrows)
@@ -12,6 +12,7 @@ from simpcat.nerve_cat import (FinCategory, Functor, bg, cyclic_table,
                                identity_functor, ordinal_category,
                                poset_category, product_category)
 
+from oracles import cocart_analyze_oracle
 from test_nerve_cat import iso_pair_category
 
 

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import simpcat
 from simpcat import formats, quasicat, sset
 from simpcat.chain_model import ChainMap, identity_chain_map
 from simpcat.doldkan import free_complex, free_simplicial_abelian_group
@@ -279,6 +281,31 @@ def test_cli_usage_errors_exit_3(tmp_path, capsys):
     assert run_cli(tmp_path, "nerve", "--help") == 0
 
 
+def test_cli_malformed_documents_exit_3(tmp_path, capsys):
+    not_object = write(tmp_path, "list.json", [1, 2])
+    d = formats.sset_to_dict(sset.standard_simplex(1))
+    d["faces"]["1:0-1"] = 5
+    bad_entry = write(tmp_path, "entry.sset", d)
+    d["faces"]["1:0-1"] = [5, [[0], "0"]]
+    bad_face = write(tmp_path, "face.sset", d)
+    d["cells"] = [["0"]]
+    bad_cells = write(tmp_path, "cells.sset", d)
+    for path in (not_object, bad_entry, bad_face, bad_cells):
+        assert run_cli(tmp_path, "check-kan", path) == 3, path
+    assert run_cli(tmp_path, "export-dot", not_object) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_rejects_options_the_command_ignores(tmp_path):
+    cpath = write(tmp_path, "c.cat",
+                  formats.category_to_dict(ordinal_category(1)))
+    assert run_cli(tmp_path, "nerve", cpath, "--fuel", "3") == 3
+    assert run_cli(tmp_path, "ho", cpath, "--dim", "3") == 3
+    from simpcat.cli import run
+    assert run({"command": "nerve", "inputs": [cpath],
+                "parameters": {"base": "*"}}) == 3
+
+
 def test_cli_determinism(tmp_path):
     C = iso_pair_category()
     cpath = write(tmp_path, "c.cat", formats.category_to_dict(C))
@@ -306,11 +333,15 @@ def test_run_job_api(tmp_path):
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
-    # the installed console script runs end to end
+    # the installed console script runs end to end; the child imports
+    # simpcat from where this process found it
     N = nerve(ordinal_category(2), 3)
     path = write(tmp_path, "n2.sset", formats.sset_to_dict(N))
+    src = os.path.dirname(os.path.dirname(simpcat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "simpcat.cli", "check-quasicategory",
-         path, "--dim", "3"], capture_output=True, text=True)
+         path, "--dim", "3"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "quasicategory" in proc.stdout

@@ -28,7 +28,7 @@ def test_frak_c_small():
 
 def test_frak_c_cube_mapspaces():
     # Map(0, n) is the (n-1)-cube
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         cube = standard_simplex(1)
         for _ in range(n - 2):
             cube, _ = product(cube, standard_simplex(1))

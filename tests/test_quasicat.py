@@ -260,3 +260,14 @@ def test_witness_roundtrip_map_valid():
     w = report.first_witness()
     f = witness_to_map(N, w)
     f.validate()
+
+
+def test_homotopy_category_keeps_no_reference_to_its_input():
+    import gc
+    import weakref
+    X = nerve(ordinal_category(2), 3)
+    homotopy_category(X)
+    ref = weakref.ref(X)
+    del X
+    gc.collect()
+    assert ref() is None

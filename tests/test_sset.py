@@ -1,7 +1,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from simpcat import sset
 from simpcat.delta import tidentity
@@ -386,3 +386,73 @@ def test_serialization_dict():
     d = X.as_dict()
     assert d["truncation"] is None
     assert set(d["cells"]["1"]) == {"0-1", "1-2"}
+
+
+def _product_cases():
+    from simpcat.nerve_cat import bg, cyclic_table, nerve
+    S = standard_simplex
+    cases = [(S(n), S(total - n), None)
+             for total in range(2, 6) for n in range(1, total)]
+    bz2 = nerve(bg(cyclic_table(2)), 3)
+    bz3 = nerve(bg(cyclic_table(3)), 3)
+    d3 = boundary(3)
+    d3_trunc = SimplicialSet(2, d3.names, d3.faces)
+    return cases + [(bz2, S(1), None), (S(2), bz3, None), (bz2, bz3, 2),
+                    (horn(2, 1), horn(3, 0), None), (d3_trunc, S(2), None),
+                    (spine(3), spine(2), None), (S(2), S(1), 5)]
+
+
+@pytest.mark.parametrize("X, Y, truncation", _product_cases())
+def test_product_matches_presheaf_oracle(X, Y, truncation):
+    from oracles import product_by_presheaf
+    P, (px, py) = product(X, Y, truncation)
+    D = truncation if truncation is not None else \
+        X.dim_max + Y.dim_max if P.truncation is None else P.truncation
+    Q, (qx, qy) = product_by_presheaf(X, Y, D)
+    assert P.as_dict() == Q.as_dict()
+    assert px.assignment == qx.assignment
+    assert py.assignment == qy.assignment
+
+
+def test_find_isomorphism_negative_cases():
+    # same cell counts, different shapes
+    assert find_isomorphism(horn(2, 0), horn(2, 1)) is None
+    a, b = ((0,), 0), ((0,), 1)
+    parallel = SimplicialSet(None, [("a", "b"), ("e", "f")],
+                             [[(), ()], [(b, a), (b, a)]])
+    loop = SimplicialSet(None, [("a", "b"), ("e", "f")],
+                         [[(), ()], [(a, a), (b, a)]])
+    assert find_isomorphism(parallel, loop) is None
+    assert find_isomorphism(loop, parallel) is None
+    assert find_isomorphism(parallel, parallel) is not None
+
+
+def _permuted_copy(X, perms):
+    """X with the cells of each dimension k listed in the order perms[k]
+    (new position p holds the old cell perms[k][p])."""
+    new = [{old: p for p, old in enumerate(perm)} for perm in perms]
+    names = [[X.names[k][old] for old in perm] for k, perm in enumerate(perms)]
+    faces = [[tuple((s, new[s[-1]][sub]) for s, sub in X.faces[k][old])
+              for old in perm] for k, perm in enumerate(perms)]
+    return SimplicialSet(X.truncation, names, faces)
+
+
+@st.composite
+def permuted_pairs(draw):
+    from simpcat.nerve_cat import bg, cyclic_table, nerve
+    X = draw(st.sampled_from([
+        horn(3, 1), boundary(3), spine(4), product(spine(2), horn(2, 0))[0],
+        nerve(bg(cyclic_table(2)), 3), standard_simplex(3)]))
+    perms = [draw(st.permutations(range(X.n_cells(k))))
+             for k in range(len(X.names))]
+    return X, _permuted_copy(X, perms)
+
+
+@settings(deadline=None)
+@given(permuted_pairs())
+def test_find_isomorphism_of_permuted_copy(pair):
+    X, Y = pair
+    f = find_isomorphism(X, Y)
+    assert f is not None
+    SimplicialMap(X, Y, f.assignment, validate=True)
+    assert f.is_injective()
