@@ -9,6 +9,7 @@ Exit codes: 0 verdict true / construction succeeded; 1 verdict false
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import (chain_model, doldkan, fibrations, formats, hcnerve,
                nerve_cat, quasicat, segal)
@@ -422,7 +423,10 @@ def _int_at_least(low):
     return parse
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The command-line parser, built on the first call and shared after
+    that: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="simpcat",
         description="exact checks and constructions for finite "

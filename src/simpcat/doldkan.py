@@ -17,7 +17,7 @@ from .intlinalg import (Mat, from_columns, kernel_basis,
 def parse_ring(ring):
     if ring == "Z":
         return 0
-    if ring.startswith("Z/"):
+    if ring.startswith("Z/") and ring[2:].isdecimal():
         m = int(ring[2:])
         if m < 2:
             raise InputError("modulus must be >= 2")

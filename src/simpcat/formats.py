@@ -48,15 +48,16 @@ def sset_from_dict(d):
     cells, face_doc = d["cells"], d.get("faces", {})
     truncation = d.get("truncation")
     if not (isinstance(cells, dict) and isinstance(face_doc, dict) and all(
-            k.isdecimal() and isinstance(v, list)
-            and all(isinstance(n, (str, int)) for n in v)
-            for k, v in cells.items()) and (
+            k.isdecimal() and _is_names(v) for k, v in cells.items()) and (
                 truncation is None or isinstance(truncation, int))):
         raise InputError("malformed simplicial-set document: cells must "
                          "map dimensions to name lists, faces must be an "
                          "object, truncation an integer or null")
-    dims = sorted(int(k) for k in cells)
-    depth = (dims[-1] + 1) if dims else 0
+    # the levels SimplicialSet keeps: up to the last nonempty one, or up
+    # to the truncation when that is higher and the document lists them
+    depth = max([int(k) + 1 for k, v in cells.items() if v], default=0)
+    if truncation is not None and cells:
+        depth = max(depth, min(truncation, max(map(int, cells))) + 1)
     names = [tuple(cells.get(str(k), ())) for k in range(depth)]
     index = [{n: i for i, n in enumerate(level)} for level in names]
     faces = [[()] * len(level) for level in names]
@@ -71,6 +72,27 @@ def sset_from_dict(d):
             faces[k][idx] = tuple((tuple(s), index[s[-1]][sub])
                                   for s, sub in entry)
     return SimplicialSet(truncation, names, faces)
+
+
+def _is_name(v):
+    """Whether v can name a cell, an object or an arrow."""
+    return isinstance(v, (str, int))
+
+
+def _is_names(v):
+    return isinstance(v, list) and all(map(_is_name, v))
+
+
+def _is_ints(v):
+    return isinstance(v, list) and all(isinstance(n, int) for n in v)
+
+
+def _index_key(key, n):
+    """The n nonnegative integers of a table key "a,b,...", or None."""
+    parts = key.split(",")
+    if len(parts) != n or not all(part.isdecimal() for part in parts):
+        return None
+    return tuple(map(int, parts))
 
 
 def _is_face(item, index):
@@ -97,13 +119,27 @@ def category_to_dict(C, weak=None):
 def category_from_dict(d):
     if d.get("kind") not in (None, "category"):
         raise InputError("expected a category document")
-    arrows = [a["name"] for a in d["arrows"]]
-    src = {a["name"]: a["src"] for a in d["arrows"]}
-    dst = {a["name"]: a["dst"] for a in d["arrows"]}
-    comp = {(g, f): c for g, f, c in d["compose"]}
-    C = FinCategory(d["objects"], arrows, src, dst, comp,
-                    d["identities"])
-    weak = d.get("weak")
+    arrow_doc, comp_doc = d.get("arrows"), d.get("compose")
+    ident, weak = d.get("identities"), d.get("weak")
+    if not (_is_names(d.get("objects")) and isinstance(arrow_doc, list)
+            and all(isinstance(a, dict) and all(
+                _is_name(a.get(k)) for k in ("name", "src", "dst"))
+                for a in arrow_doc)
+            and isinstance(comp_doc, list)
+            and all(_is_names(t) and len(t) == 3 for t in comp_doc)
+            and isinstance(ident, dict)
+            and all(_is_name(e) for e in ident.values())
+            and (weak is None or _is_names(weak))):
+        raise InputError("malformed category document: objects must be a "
+                         "name list, arrows a list of {name, src, dst}, "
+                         "compose a list of [g, f, composite] name "
+                         "triples, identities an object of names, weak a "
+                         "name list or absent")
+    arrows = [a["name"] for a in arrow_doc]
+    src = {a["name"]: a["src"] for a in arrow_doc}
+    dst = {a["name"]: a["dst"] for a in arrow_doc}
+    comp = {(g, f): c for g, f, c in comp_doc}
+    C = FinCategory(d["objects"], arrows, src, dst, comp, ident)
     if weak is not None:
         return RelativeCategory(C, set(weak))
     return C
@@ -141,20 +177,40 @@ def complex_to_dict(C):
 def complex_from_dict(d):
     if d.get("kind") not in (None, "chain-complex"):
         raise InputError("expected a chain-complex document")
-    lo, hi = d["window"]
-    coeffs = {}
-    if "coefficients" in d:
-        coeffs = {int(k): tuple(v) for k, v in d["coefficients"].items()}
+    window = d.get("window")
+    ranked = "coefficients" not in d
+    levels = d.get("ranks") if ranked else d["coefficients"]
+    diff_doc = d.get("differentials", {})
+    if not (isinstance(d.get("ring"), str) and _is_ints(window)
+            and len(window) == 2 and isinstance(levels, dict)
+            and all(_is_degree(k) and (isinstance(v, int) if ranked
+                                       else _is_ints(v))
+                    for k, v in levels.items())
+            and isinstance(diff_doc, dict)
+            and all(_is_degree(k) and isinstance(rows, list)
+                    and all(_is_ints(r) for r in rows)
+                    for k, rows in diff_doc.items())):
+        raise InputError("malformed chain-complex document: ring must be "
+                         "a string, window two integers, coefficients "
+                         "(integer lists) or ranks (integers) and "
+                         "differentials (integer matrices) objects keyed "
+                         "by degree")
+    if ranked:
+        coeffs = {int(k): (0,) * v for k, v in levels.items()}
     else:
-        coeffs = {int(k): tuple(0 for _ in range(v))
-                  for k, v in d["ranks"].items()}
+        coeffs = {int(k): tuple(v) for k, v in levels.items()}
     diff = {}
-    for k, rows in d.get("differentials", {}).items():
+    for k, rows in diff_doc.items():
         n = int(k)
         r_out = len(coeffs.get(n - 1, ()))
         r_in = len(coeffs.get(n, ()))
         diff[n] = Mat(r_out, r_in, rows)
-    return ChainComplex(d["ring"], (lo, hi), coeffs, diff)
+    return ChainComplex(d["ring"], tuple(window), coeffs, diff)
+
+
+def _is_degree(key):
+    """Whether an object key is an integer, as degrees are written."""
+    return key[1:].isdecimal() if key.startswith("-") else key.isdecimal()
 
 
 def chain_map_to_dict(f):
@@ -224,19 +280,25 @@ def bisimplicial_to_dict(X):
 def bisimplicial_from_dict(d):
     if d.get("kind") not in (None, "bisimplicial-set"):
         raise InputError("expected a bisimplicial-set document")
-    M, N = d["truncation"]
-    cells = {tuple(map(int, k.split(","))): tuple(v)
-             for k, v in d["cells"].items()}
-
-    def tbl(key):
-        out = {}
-        for k, mapping in d[key].items():
-            p, q, i = map(int, k.split(","))
-            out[(p, q, i)] = dict(mapping)
-        return out
-
-    return BisimplicialSet(M, N, cells, tbl("h_faces"), tbl("h_degens"),
-                           tbl("v_faces"), tbl("v_degens"))
+    truncation, cell_doc = d.get("truncation"), d.get("cells")
+    table_keys = ("h_faces", "h_degens", "v_faces", "v_degens")
+    if not (_is_ints(truncation) and len(truncation) == 2
+            and isinstance(cell_doc, dict)
+            and all(_index_key(k, 2) and _is_names(v)
+                    for k, v in cell_doc.items())
+            and all(isinstance(d.get(t), dict) and all(
+                _index_key(k, 3) and isinstance(m, dict)
+                and all(map(_is_name, m.values()))
+                for k, m in d[t].items()) for t in table_keys)):
+        raise InputError("malformed bisimplicial-set document: truncation "
+                         "must be two integers, cells an object from "
+                         "\"p,q\" to name lists, and %s objects from "
+                         "\"p,q,i\" to name tables" % ", ".join(table_keys))
+    cells = {_index_key(k, 2): v for k, v in cell_doc.items()}
+    h_face, h_degen, v_face, v_degen = (
+        {_index_key(k, 3): m for k, m in d[t].items()} for t in table_keys)
+    return BisimplicialSet(truncation[0], truncation[1], cells, h_face,
+                           h_degen, v_face, v_degen)
 
 
 # -- simplicial categories ---------------------------------------------------

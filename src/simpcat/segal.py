@@ -7,6 +7,8 @@ Index convention: a cell sits in bidegree (p, q) with p the outer
 (space) direction; row p is the simplicial set q -> X_{p,q}.
 """
 
+from functools import lru_cache
+
 from . import sset
 from .delta import (all_maps, degeneracy, degeneracy_decomposition, face,
                     face_decomposition, tcompose, tfactorize)
@@ -64,124 +66,113 @@ class BisimplicialSet:
     def validate(self):
         if self.m_trunc < 0 or self.n_trunc < 0:
             raise InputError("negative truncation")
+        members = {}  # (p, q) -> set of the cells there, for O(1) lookups
         for p in range(self.m_trunc + 1):
             for q in range(self.n_trunc + 1):
                 if (p, q) not in self.cells:
                     raise InputError("missing level (%d, %d)" % (p, q))
                 level = self.cells[(p, q)]
-                if len(set(level)) != len(level):
+                members[(p, q)] = set(level)
+                if len(members[(p, q)]) != len(level):
                     raise InputError("duplicate cells at (%d, %d)"
                                      % (p, q))
-        self._validate_direction(True)
-        self._validate_direction(False)
-        # the two directions commute, on faces and degeneracies alike
-        for p in range(self.m_trunc + 1):
-            for q in range(self.n_trunc + 1):
-                for x in self.level(p, q):
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            if p >= 1 and q >= 1:
-                                a = self.v_face[(p - 1, q, j)][
-                                    self.h_face[(p, q, i)][x]]
-                                b = self.h_face[(p, q - 1, i)][
-                                    self.v_face[(p, q, j)][x]]
-                                if a != b:
-                                    raise InputError(
-                                        "face directions do not commute "
-                                        "at (%d, %d)" % (p, q))
-                            if p < self.m_trunc and q < self.n_trunc:
-                                a = self.v_degen[(p + 1, q, j)][
-                                    self.h_degen[(p, q, i)][x]]
-                                b = self.h_degen[(p, q + 1, i)][
-                                    self.v_degen[(p, q, j)][x]]
-                                if a != b:
-                                    raise InputError(
-                                        "degeneracy directions do not "
-                                        "commute at (%d, %d)" % (p, q))
-                            if p >= 1 and q < self.n_trunc:
-                                a = self.v_degen[(p - 1, q, j)][
-                                    self.h_face[(p, q, i)][x]]
-                                b = self.h_face[(p, q + 1, i)][
-                                    self.v_degen[(p, q, j)][x]]
-                                if a != b:
-                                    raise InputError(
-                                        "mixed structure maps do not "
-                                        "commute at (%d, %d)" % (p, q))
+        self._validate_direction(True, members)
+        self._validate_direction(False, members)
+        # the two directions commute, on faces and degeneracies alike:
+        # for each (p, q) the squares a[b[x]] == c[d[x]] to check, in the
+        # order (i, j, faces / degeneracies / mixed), then every cell
+        M, N = self.m_trunc, self.n_trunc
+        hf, hd, vf, vd = self.h_face, self.h_degen, self.v_face, self.v_degen
+        for p in range(M + 1):
+            for q in range(N + 1):
+                squares = []
+                for i in range(p + 1):
+                    for j in range(q + 1):
+                        if p >= 1 and q >= 1:
+                            squares.append((
+                                vf[(p - 1, q, j)], hf[(p, q, i)],
+                                hf[(p, q - 1, i)], vf[(p, q, j)],
+                                "face directions do not commute"))
+                        if p < M and q < N:
+                            squares.append((
+                                vd[(p + 1, q, j)], hd[(p, q, i)],
+                                hd[(p, q + 1, i)], vd[(p, q, j)],
+                                "degeneracy directions do not commute"))
+                        if p >= 1 and q < N:
+                            squares.append((
+                                vd[(p - 1, q, j)], hf[(p, q, i)],
+                                hf[(p, q + 1, i)], vd[(p, q, j)],
+                                "mixed structure maps do not commute"))
+                for x in self.cells[(p, q)]:
+                    for a, b, c, d, what in squares:
+                        if a[b[x]] != c[d[x]]:
+                            raise InputError("%s at (%d, %d)"
+                                             % (what, p, q))
 
-    def _validate_direction(self, horizontal):
+    def _validate_direction(self, horizontal, members):
         faces = self.h_face if horizontal else self.v_face
         degens = self.h_degen if horizontal else self.v_degen
         M = self.m_trunc if horizontal else self.n_trunc
         N = self.n_trunc if horizontal else self.m_trunc
 
-        def lvl(a, b):
-            return self.level(a, b) if horizontal else self.level(b, a)
-
         for other in range(N + 1):
+            def pos(p):
+                return (p, other) if horizontal else (other, p)
+
+            # the tables of this row or column, fetched once: d[(p, i)]
+            # and s[(p, i)] are the face and degeneracy i at pos(p)
+            d, s = {}, {}
             for p in range(1, M + 1):
+                cells, target = self.cells[pos(p)], members[pos(p - 1)]
                 for i in range(p + 1):
-                    table = faces.get((p, other, i) if horizontal
-                                      else (other, p, i))
+                    table = d[(p, i)] = faces.get(pos(p) + (i,))
                     if table is None:
                         raise InputError("missing face table")
-                    for x in lvl(p, other):
-                        if x not in table or table[x] not in \
-                                lvl(p - 1, other):
+                    for x in cells:
+                        if x not in table or table[x] not in target:
                             raise InputError("face table broken at level "
                                              "%d" % p)
             for p in range(M):
+                cells, target = self.cells[pos(p)], members[pos(p + 1)]
                 for i in range(p + 1):
-                    table = degens.get((p, other, i) if horizontal
-                                       else (other, p, i))
+                    table = s[(p, i)] = degens.get(pos(p) + (i,))
                     if table is None:
                         raise InputError("missing degeneracy table")
-                    for x in lvl(p, other):
-                        if table[x] not in lvl(p + 1, other):
+                    for x in cells:
+                        if x not in table or table[x] not in target:
                             raise InputError("degeneracy table broken")
             # simplicial identities via the tables directly
-
-            def fkey(p, i):
-                return (p, other, i) if horizontal else (other, p, i)
-
             for p in range(2, M + 1):
+                cells = self.cells[pos(p)]
                 for j in range(1, p + 1):
                     for i in range(j):
-                        for x in lvl(p, other):
-                            lhs = faces[fkey(p - 1, i)][
-                                faces[fkey(p, j)][x]]
-                            rhs = faces[fkey(p - 1, j - 1)][
-                                faces[fkey(p, i)][x]]
-                            if lhs != rhs:
-                                raise InputError(
-                                    "face identity fails")
+                        if not _commutes(d[(p - 1, i)], d[(p, j)],
+                                         d[(p - 1, j - 1)], d[(p, i)],
+                                         cells):
+                            raise InputError("face identity fails")
             for p in range(M - 1):
+                cells = self.cells[pos(p)]
                 for j in range(p + 1):
                     for i in range(j + 1):
-                        for x in lvl(p, other):
-                            lhs = degens[fkey(p + 1, i)][
-                                degens[fkey(p, j)][x]]
-                            rhs = degens[fkey(p + 1, j + 1)][
-                                degens[fkey(p, i)][x]]
-                            if lhs != rhs:
-                                raise InputError(
-                                    "degeneracy identity fails")
+                        if not _commutes(s[(p + 1, i)], s[(p, j)],
+                                         s[(p + 1, j + 1)], s[(p, i)],
+                                         cells):
+                            raise InputError("degeneracy identity fails")
             for p in range(M):
+                cells = self.cells[pos(p)]
                 for j in range(p + 1):
                     for i in range(p + 2):
-                        for x in lvl(p, other):
-                            got = faces[fkey(p + 1, i)][
-                                degens[fkey(p, j)][x]]
-                            if i == j or i == j + 1:
-                                want = x
-                            elif i < j:
-                                want = degens[fkey(p - 1, j - 1)][
-                                    faces[fkey(p, i)][x]]
-                            else:
-                                want = degens[fkey(p - 1, j)][
-                                    faces[fkey(p, i - 1)][x]]
-                            if got != want:
-                                raise InputError(
-                                    "mixed identity fails")
+                        di, sj = d[(p + 1, i)], s[(p, j)]
+                        if i == j or i == j + 1:
+                            ok = all(di[sj[x]] == x for x in cells)
+                        elif i < j:
+                            ok = _commutes(di, sj, s[(p - 1, j - 1)],
+                                           d[(p, i)], cells)
+                        else:
+                            ok = _commutes(di, sj, s[(p - 1, j)],
+                                           d[(p, i - 1)], cells)
+                        if not ok:
+                            raise InputError("mixed identity fails")
 
     def as_dict(self):
         def tbl(d):
@@ -200,13 +191,20 @@ class BisimplicialSet:
         return "BisimplicialSet(%dx%d)" % (self.m_trunc, self.n_trunc)
 
 
+@lru_cache(maxsize=None)
 def _generator_walk(alpha, n):
     """The generator steps (is_face, level, index) that apply alpha:
     [m] -> [n] to a cell at level n, in the order they act: the faces of
     the image inclusion, then the degeneracies of the collapse."""
     epi, image = tfactorize(alpha)
-    return ([(True, k, i) for k, i in face_decomposition(image, n)]
-            + [(False, k - 1, j) for k, j in degeneracy_decomposition(epi)])
+    return tuple([(True, k, i) for k, i in face_decomposition(image, n)]
+                 + [(False, k - 1, j)
+                    for k, j in degeneracy_decomposition(epi)])
+
+
+def _commutes(a, b, c, d, cells):
+    """Whether the tables agree on every cell: a[b[x]] == c[d[x]]."""
+    return all(a[b[x]] == c[d[x]] for x in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -344,158 +342,130 @@ def rezk_nerve(R, M, N):
                          "for the classification diagram")
     W = R.weak
 
-    # a grid is (rows, verts): rows = tuple of (src, chain); verts =
-    # tuple (per gap) of tuples (per column) of W-arrows
-    def chains(p):
-        out = [(x, ()) for x in C.objects] if p == 0 else []
-        if p == 0:
-            return out
-        shorter = chains(p - 1)
-        for x, chain in shorter:
-            tail = C.dst[chain[-1]] if chain else x
-            for a in C.arrows:
-                if C.src[a] == tail:
-                    out.append((x, chain + (a,)))
-        return out
-
-    def row_vertices(row):
-        x, chain = row
-        verts = [x]
-        for a in chain:
-            verts.append(C.dst[a])
-        return verts
+    # A row is a p-chain (source, arrows); a grid is (rows, verts): rows
+    # are q+1 rows, verts one tuple of W-arrows (one per column) for each
+    # gap between consecutive rows.  Everything a grid's structure maps
+    # need is computed once per row or per pair of rows, in the memo
+    # dicts below, which live only as long as this call.
+    rows = [[(x, ()) for x in C.objects]]
+    for p in range(1, M + 1):
+        rows.append([(x, chain + (a,)) for x, chain in rows[-1]
+                     for a in C.arrows
+                     if C.src[a] == (C.dst[chain[-1]] if chain else x)])
+    vertices = {row: (row[0],) + tuple(C.dst[a] for a in row[1])
+                for level in rows for row in level}
+    # per row and index i: the row's i-th face and i-th degeneracy
+    row_faces = {row: tuple(_chain_face(C, row, vertices[row], i)
+                            for i in range(p + 1))
+                 for p in range(1, M + 1) for row in rows[p]}
+    row_degens = {row: tuple((row[0], row[1][:i] + (C.ident[v],)
+                              + row[1][i:])
+                             for i, v in enumerate(vertices[row]))
+                  for level in rows[:M] for row in level}
+    id_verts = {row: tuple(C.ident[v] for v in vx)
+                for row, vx in vertices.items()}
+    weak_homs = {}
 
     def compatible_verticals(top, bottom):
-        """All W-vertical tuples making the square commute."""
-        tv = row_vertices(top)
-        bv = row_vertices(bottom)
-        p = len(tv) - 1
-        results = []
-
-        def rec(i, acc):
-            if i == p + 1:
-                results.append(tuple(acc))
-                return
-            for w in C.hom(tv[i], bv[i]):
-                if w not in W:
-                    continue
-                if i > 0:
-                    # commutation of the square in columns i-1, i
-                    lhs = C.compose(w, top[1][i - 1])
-                    rhs = C.compose(bottom[1][i - 1], acc[-1])
-                    if lhs != rhs:
-                        continue
-                rec(i + 1, acc + [w])
-
-        rec(0, [])
-        return results
-
-    grids = {}
-    for p in range(M + 1):
-        rows_p = chains(p)
-        grids[(p, 0)] = [((row,), ()) for row in rows_p]
-        for q in range(1, N + 1):
-            out = []
-            for rows, verts in grids[(p, q - 1)]:
-                last = rows[-1]
-                for bottom in rows_p:
-                    for vert in compatible_verticals(last, bottom):
-                        out.append((rows + (bottom,),
-                                    verts + (vert,)))
-            grids[(p, q)] = out
+        """All W-vertical tuples making the squares commute."""
+        partial = [()]
+        for i, (a, b) in enumerate(zip(vertices[top], vertices[bottom])):
+            if (a, b) not in weak_homs:
+                weak_homs[(a, b)] = [w for w in C.hom(a, b) if w in W]
+            partial = [acc + (w,) for acc in partial
+                       for w in weak_homs[(a, b)]
+                       if i == 0 or C.compose(w, top[1][i - 1])
+                       == C.compose(bottom[1][i - 1], acc[-1])]
+        return partial
 
     def gname(grid):
-        rows, verts = grid
-        row_part = ";".join(
-            "%s:%s" % (r[0], ",".join(r[1])) for r in rows)
-        vert_part = ";".join(",".join(v) for v in verts)
+        rs, vs = grid
+        row_part = ";".join("%s:%s" % (x, ",".join(chain))
+                            for x, chain in rs)
+        vert_part = ";".join(",".join(v) for v in vs)
         return "[%s|%s]" % (row_part, vert_part)
 
-    def chain_segment(row, a, b):
-        x, chain = row
-        verts = row_vertices(row)
-        if a == b:
-            return C.ident[verts[a]]
-        out = chain[a]
-        for t in range(a + 1, b):
-            out = C.compose(chain[t], out)
-        return out
+    names = {}  # (p, q) -> {grid: its cell name}, in enumeration order
+    for p in range(M + 1):
+        level = [((row,), ()) for row in rows[p]]
+        names[(p, 0)] = {g: gname(g) for g in level}
+        if N < 1:
+            continue
+        below = {top: [(bottom, vert) for bottom in rows[p]
+                       for vert in compatible_verticals(top, bottom)]
+                 for top in rows[p]}
+        for q in range(1, N + 1):
+            level = [(rs + (bottom,), vs + (vert,))
+                     for rs, vs in level for bottom, vert in below[rs[-1]]]
+            names[(p, q)] = {g: gname(g) for g in level}
 
-    def h_apply_face(grid, p, i):
-        rows, verts = grid
-        new_rows = []
-        for row in rows:
-            x, chain = row
-            vx = row_vertices(row)
-            alpha = face(p, i)
-            new_chain = tuple(chain_segment(row, alpha[t - 1], alpha[t])
-                              for t in range(1, p))
-            new_rows.append((vx[alpha[0]], new_chain))
-        new_verts = tuple(tuple(v[c] for c in range(p + 1) if c != i)
-                          for v in verts)
-        return (tuple(new_rows), new_verts)
+    def h_face_of(grid, i):
+        rs, vs = grid
+        return (tuple(row_faces[r][i] for r in rs),
+                tuple(v[:i] + v[i + 1:] for v in vs))
 
-    def h_apply_degen(grid, p, i):
-        rows, verts = grid
-        new_rows = []
-        for row in rows:
-            x, chain = row
-            vx = row_vertices(row)
-            new_chain = (chain[:i] + (C.ident[vx[i]],) + chain[i:])
-            new_rows.append((x, new_chain))
-        new_verts = tuple(v[:i + 1] + (v[i],) + v[i + 1:] for v in verts)
-        return (tuple(new_rows), new_verts)
+    def h_degen_of(grid, i):
+        rs, vs = grid
+        return (tuple(row_degens[r][i] for r in rs),
+                tuple(v[:i + 1] + v[i:] for v in vs))
 
-    def v_apply_face(grid, q, j):
-        rows, verts = grid
-        new_rows = tuple(r for t, r in enumerate(rows) if t != j)
-        verts = list(verts)
+    def v_face_of(grid, q, j):
+        rs, vs = grid
         if j == 0:
-            new_verts = tuple(verts[1:])
+            vs = vs[1:]
         elif j == q:
-            new_verts = tuple(verts[:-1])
+            vs = vs[:-1]
         else:
-            merged = tuple(C.compose(verts[j][c], verts[j - 1][c])
-                           for c in range(len(verts[0])))
-            new_verts = tuple(verts[:j - 1] + [merged] + verts[j + 1:])
-        return (new_rows, new_verts)
+            merged = tuple(C.compose(b, a)
+                           for a, b in zip(vs[j - 1], vs[j]))
+            vs = vs[:j - 1] + (merged,) + vs[j + 1:]
+        return (rs[:j] + rs[j + 1:], vs)
 
-    def v_apply_degen(grid, q, j):
-        rows, verts = grid
-        x, chain = rows[j]
-        vx = row_vertices(rows[j])
-        idvert = tuple(C.ident[v] for v in vx)
-        new_rows = rows[:j + 1] + (rows[j],) + rows[j + 1:]
-        new_verts = tuple(list(verts[:j]) + [idvert] + list(verts[j:]))
-        return (new_rows, new_verts)
+    def v_degen_of(grid, j):
+        rs, vs = grid
+        return (rs[:j + 1] + rs[j:], vs[:j] + (id_verts[rs[j]],) + vs[j:])
 
-    cells = {}
+    cells = {key: tuple(named.values()) for key, named in names.items()}
     h_face = {}
     h_degen = {}
     v_face = {}
     v_degen = {}
-    for (p, q), gs in grids.items():
-        cells[(p, q)] = tuple(gname(g) for g in gs)
-    for (p, q), gs in grids.items():
-        for g in gs:
-            n0 = gname(g)
-            if p >= 1:
-                for i in range(p + 1):
-                    h_face.setdefault((p, q, i), {})[n0] = \
-                        gname(h_apply_face(g, p, i))
-            if p < M:
-                for i in range(p + 1):
-                    h_degen.setdefault((p, q, i), {})[n0] = \
-                        gname(h_apply_degen(g, p, i))
-            if q >= 1:
-                for j in range(q + 1):
-                    v_face.setdefault((p, q, j), {})[n0] = \
-                        gname(v_apply_face(g, q, j))
-            if q < N:
-                for j in range(q + 1):
-                    v_degen.setdefault((p, q, j), {})[n0] = \
-                        gname(v_apply_degen(g, q, j))
+    for (p, q), named in names.items():
+        if not named:
+            continue
+        if p >= 1:
+            target = names[(p - 1, q)]
+            for i in range(p + 1):
+                h_face[(p, q, i)] = {n: target[h_face_of(g, i)]
+                                     for g, n in named.items()}
+        if p < M:
+            target = names[(p + 1, q)]
+            for i in range(p + 1):
+                h_degen[(p, q, i)] = {n: target[h_degen_of(g, i)]
+                                      for g, n in named.items()}
+        if q >= 1:
+            target = names[(p, q - 1)]
+            for j in range(q + 1):
+                v_face[(p, q, j)] = {n: target[v_face_of(g, q, j)]
+                                     for g, n in named.items()}
+        if q < N:
+            target = names[(p, q + 1)]
+            for j in range(q + 1):
+                v_degen[(p, q, j)] = {n: target[v_degen_of(g, j)]
+                                      for g, n in named.items()}
     return BisimplicialSet(M, N, cells, h_face, h_degen, v_face, v_degen)
+
+
+def _chain_face(C, row, vertices, i):
+    """The i-th face of the chain row = (source, arrows) of a category C:
+    drop the first or last vertex, or compose across vertex i."""
+    x, chain = row
+    if i == 0:
+        return (vertices[1], chain[1:])
+    if i == len(chain):
+        return (x, chain[:-1])
+    return (x, chain[:i - 1] + (C.compose(chain[i], chain[i - 1]),)
+            + chain[i + 1:])
 
 
 def chain_transformation_category(R, n):
@@ -620,20 +590,20 @@ def strict_segal_check(X):
 
 
 def _spine_tuples(X, p, q):
-    """All compatible p-tuples of level-(1, q) cells."""
-    levels1 = X.level(1, q)
+    """All compatible p-tuples of level-(1, q) cells, generated lazily
+    in lexicographic order."""
+    level1 = X.level(1, q)
     by_source = {}
-    for e in levels1:
+    for e in level1:
         by_source.setdefault(X.h_map((0,), 1, q, e), []).append(e)
-
-    def rec(acc, tail):
-        if len(acc) == p:
-            yield tuple(acc)
-            return
-        for e in (levels1 if tail is None else by_source.get(tail, [])):
-            yield from rec(acc + [e], X.h_map((1,), 1, q, e))
-
-    yield from rec([], None)
+    # a chain of generators, not a recursive closure: a closure that
+    # calls itself is a reference cycle, which would keep X alive until
+    # the cyclic garbage collector runs
+    tuples = ((e,) for e in level1)
+    for _ in range(p - 1):
+        tuples = (t + (e,) for t in tuples
+                  for e in by_source.get(X.h_map((1,), 1, q, t[-1]), ()))
+    return tuples
 
 
 class CompletenessReport:

@@ -14,6 +14,7 @@ from simpcat.intlinalg import Mat
 from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table, nerve,
                                ordinal_category)
 from simpcat.segal import embed, rezk_nerve
+from simpcat.sset import SimplicialSet
 
 from test_nerve_cat import iso_pair_category
 
@@ -293,7 +294,58 @@ def test_cli_malformed_documents_exit_3(tmp_path, capsys):
     for path in (not_object, bad_entry, bad_face, bad_cells):
         assert run_cli(tmp_path, "check-kan", path) == 3, path
     assert run_cli(tmp_path, "export-dot", not_object) == 3
+    bis = formats.bisimplicial_to_dict(
+        embed("discrete", nerve(ordinal_category(1), 2), 2))
+    for key, value in [("truncation", 5), ("v_degens", []),
+                       ("cells", dict(bis["cells"], **{"0,0": [["a"]]}))]:
+        path = write(tmp_path, "bad.bis", dict(bis, **{key: value}))
+        for command in ("segal-check", "completeness"):
+            assert run_cli(tmp_path, command, path) == 3, (key, command)
+    cat = formats.category_to_dict(ordinal_category(1))
+    path = write(tmp_path, "bad.cat", dict(cat, arrows=5))
+    assert run_cli(tmp_path, "nerve", path) == 3
+    cx = formats.complex_to_dict(
+        free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])}))
+    for key, value in [("window", 5), ("ring", "Z/x")]:
+        path = write(tmp_path, "bad.cx", dict(cx, **{key: value}))
+        assert run_cli(tmp_path, "homology", path) == 3, key
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_sset_loader_skips_empty_levels():
+    # an empty level far above the cells builds nothing: the document
+    # loads as the same simplicial set as without it
+    point = {"kind": "simplicial-set", "truncation": None,
+             "cells": {"0": ["p"]}, "faces": {}}
+    padded = dict(point, cells={"0": ["p"], "200000": []})
+    assert formats.sset_from_dict(padded).as_dict() == \
+        formats.sset_from_dict(point).as_dict()
+    # up to a declared truncation the empty levels are kept, as
+    # SimplicialSet itself keeps them
+    for truncation in (0, 2):
+        doc = dict(point, truncation=truncation,
+                   cells={"0": ["p"], "1": [], "2": [], "3": []})
+        want = SimplicialSet(truncation, [("p",), (), (), ()],
+                             [[()], [], [], []])
+        assert formats.sset_from_dict(doc).as_dict() == want.as_dict()
+
+
+def test_cli_parser_reused_after_a_failed_parse(tmp_path, capsys):
+    # the parser is built once per process; a parse that fails must not
+    # leave anything behind that the next call sees
+    from simpcat.cli import build_parser
+    assert build_parser() is build_parser()
+    cpath = write(tmp_path, "c.cat",
+                  formats.category_to_dict(ordinal_category(1)))
+    out = str(tmp_path / "n.sset")
+    assert run_cli(tmp_path, "nerve", cpath, "--dim", "abc") == 3
+    assert run_cli(tmp_path, "nerve", cpath, "--dim", "1",
+                   "--out", out) == 0
+    assert formats.load_object(out).truncation == 1
+    assert run_cli(tmp_path, "nerve") == 3
+    assert run_cli(tmp_path, "homology", cpath, "--dim", "2") == 3
+    assert run_cli(tmp_path, "nerve", cpath, "--out", out) == 0
+    assert formats.load_object(out).truncation == 3
 
 
 def test_cli_rejects_options_the_command_ignores(tmp_path):

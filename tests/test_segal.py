@@ -1,8 +1,11 @@
+import gc
+import hashlib
+import weakref
 from itertools import combinations_with_replacement
 
 import pytest
 
-from simpcat import sset
+from simpcat import formats, sset
 from simpcat.errors import InputError, NotDecidable
 from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table,
                                find_category_isomorphism, nerve,
@@ -220,6 +223,24 @@ def test_completeness_not_decidable_off_class():
     assert isinstance(result, NotDecidable)
 
 
+def test_segal_checks_leave_no_cycle_holding_their_input():
+    # with the cyclic collector off, the input must go as soon as the
+    # last reference to it does: a reference cycle through the checks
+    # would keep a multi-megabyte document alive until a collection
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for check in (strict_segal_check, completeness_check):
+            X = rezk_nerve(iso_relative(iso_pair_category()), 3, 2)
+            check(X)
+            ref = weakref.ref(X)
+            del X
+            assert ref() is None, check.__name__
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_completeness_invariant_under_renaming():
     C = iso_pair_category()
     R = iso_relative(C)
@@ -254,3 +275,103 @@ def test_completeness_invariant_under_renaming():
     r1 = completeness_check(B)
     r2 = completeness_check(Y)
     assert bool(r1) == bool(r2)
+
+
+def _structure(X):
+    """The constructor arguments of X, as fresh dicts to corrupt."""
+    tables = {t: {k: dict(v) for k, v in getattr(X, t).items()}
+              for t in ("h_face", "h_degen", "v_face", "v_degen")}
+    return dict(tables, m_trunc=X.m_trunc, n_trunc=X.n_trunc,
+                cells=dict(X.cells))
+
+
+# one corruption per check of BisimplicialSet.validate, each of a valid
+# standard bisimplex (m, n) truncated at (M, N), and the message it gives
+VALIDATION_CASES = [
+    ((1, 1, 1, 1), lambda s: s.update(n_trunc=-1), "negative truncation"),
+    ((1, 1, 1, 1), lambda s: s["cells"].pop((1, 1)),
+     "missing level (1, 1)"),
+    ((1, 1, 1, 1),
+     lambda s: s["cells"].update({(1, 1): s["cells"][(1, 1)] + ("00|00",)}),
+     "duplicate cells at (1, 1)"),
+    ((1, 1, 1, 1), lambda s: s["h_face"].pop((1, 1, 0)),
+     "missing face table"),
+    ((1, 1, 1, 1), lambda s: s["h_face"][(1, 0, 0)].update({"01|0": "01|0"}),
+     "face table broken at level 1"),
+    ((1, 1, 1, 1), lambda s: s["h_face"][(1, 0, 0)].pop("01|0"),
+     "face table broken at level 1"),
+    ((1, 1, 1, 1), lambda s: s["v_face"].pop((0, 1, 1)),
+     "missing face table"),
+    ((1, 1, 1, 1), lambda s: s["h_degen"].pop((0, 0, 0)),
+     "missing degeneracy table"),
+    ((1, 1, 1, 1), lambda s: s["h_degen"][(0, 0, 0)].update({"0|0": "0|0"}),
+     "degeneracy table broken"),
+    ((1, 0, 2, 0),
+     lambda s: s["h_face"][(2, 0, 0)].update({"001|0": "11|0"}),
+     "face identity fails"),
+    ((1, 0, 2, 0),
+     lambda s: s["h_degen"][(1, 0, 0)].update({"00|0": "001|0"}),
+     "degeneracy identity fails"),
+    ((1, 0, 1, 0), lambda s: s["h_degen"][(0, 0, 0)].update({"0|0": "01|0"}),
+     "mixed identity fails"),
+    ((1, 1, 1, 1),
+     lambda s: s["h_face"][(1, 1, 0)].update({"01|01": "0|01"}),
+     "face directions do not commute at (1, 1)"),
+    ((1, 1, 1, 1),
+     lambda s: s["h_face"][(1, 1, 0)].update({"01|00": "0|00"}),
+     "mixed structure maps do not commute at (1, 0)"),
+]
+
+
+@pytest.mark.parametrize("shape, corrupt, message", VALIDATION_CASES)
+def test_validate_names_each_broken_check(shape, corrupt, message):
+    structure = _structure(standard_bisimplex(*shape))
+    BisimplicialSet(**structure)  # valid before the corruption
+    corrupt(structure)
+    with pytest.raises(InputError) as info:
+        BisimplicialSet(**structure)
+    assert str(info.value) == message
+
+
+def test_validate_degeneracy_directions_commute():
+    # in a representable the simplicial identities already pin every
+    # degeneracy, so this square is broken on d(N(BZ/2)) instead, where
+    # the arrow g1 has the faces of the identity s00(*)
+    structure = _structure(embed("discrete", nerve(bg(cyclic_table(2)), 1),
+                                 1))
+    structure["h_degen"][(0, 0, 0)]["*"] = "g1"
+    with pytest.raises(InputError) as info:
+        BisimplicialSet(**structure)
+    assert str(info.value) == "degeneracy directions do not commute at " \
+        "(0, 0)"
+
+
+def test_validate_rejects_missing_table_entries():
+    for table, key, cell in [("h_degen", (0, 1, 0), "1|01"),
+                             ("v_degen", (1, 0, 0), "01|1"),
+                             ("v_face", (1, 1, 1), "01|01")]:
+        structure = _structure(standard_bisimplex(1, 1, 1, 1))
+        del structure[table][key][cell]
+        with pytest.raises(InputError, match="table broken"):
+            BisimplicialSet(**structure)
+
+
+def test_rezk_nerve_output_bytes_pinned():
+    # SHA-256 of the canonical documents, computed before the per-row
+    # rewrite of rezk_nerve; any change to a name, table or order shows
+    thin = poset_category(["a", "b", "c"],
+                          lambda x, y: x == y or x == "a")
+    B2 = bg(cyclic_table(2))
+    O2 = ordinal_category(2)
+    cases = [
+        (RelativeCategory(O2, set(O2.arrows)),
+         "fd21a5c0d5d68d8e6499bc0939f5cf78940ba08b9bdfd0c715631ae53c83a29a"),
+        (RelativeCategory(B2, {B2.ident[x] for x in B2.objects}),
+         "f4c34556472b30adaeb4692f73aae34fc94c874cb3d4154d75dde99f89d8adc8"),
+        (RelativeCategory(thin, {thin.ident[x] for x in thin.objects}),
+         "cf69c513aa8b145e32aa0076ce82d3de0aa9e54ca577161615f37e0d9acee57c"),
+    ]
+    for R, digest in cases:
+        text = formats.dumps(formats.bisimplicial_to_dict(
+            rezk_nerve(R, 3, 2)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
