@@ -138,6 +138,10 @@ def category_from_dict(d):
     arrows = [a["name"] for a in arrow_doc]
     src = {a["name"]: a["src"] for a in arrow_doc}
     dst = {a["name"]: a["dst"] for a in arrow_doc}
+    for x, e in ident.items():
+        if e not in src:
+            raise InputError("the identity of object %s is %s, which is not "
+                             "an arrow" % (x, e))
     comp = {(g, f): c for g, f, c in comp_doc}
     C = FinCategory(d["objects"], arrows, src, dst, comp, ident)
     if weak is not None:
@@ -156,6 +160,13 @@ def functor_to_dict(F):
 def functor_from_dict(d):
     if d.get("kind") != "functor":
         raise InputError("expected a functor document")
+    if not (all(isinstance(d.get(k), dict) for k in (
+            "source", "target", "objects", "arrows"))
+            and all(map(_is_name, d["objects"].values()))
+            and all(map(_is_name, d["arrows"].values()))):
+        raise InputError("malformed functor document: source and target "
+                         "must be category documents, objects and arrows "
+                         "objects of names")
     C = category_from_dict(d["source"])
     D = category_from_dict(d["target"])
     if isinstance(C, RelativeCategory):
@@ -187,8 +198,7 @@ def complex_from_dict(d):
                                        else _is_ints(v))
                     for k, v in levels.items())
             and isinstance(diff_doc, dict)
-            and all(_is_degree(k) and isinstance(rows, list)
-                    and all(_is_ints(r) for r in rows)
+            and all(_is_degree(k) and _is_matrix(rows)
                     for k, rows in diff_doc.items())):
         raise InputError("malformed chain-complex document: ring must be "
                          "a string, window two integers, coefficients "
@@ -213,6 +223,11 @@ def _is_degree(key):
     return key[1:].isdecimal() if key.startswith("-") else key.isdecimal()
 
 
+def _is_matrix(v):
+    """Whether v is a list of integer rows."""
+    return isinstance(v, list) and all(map(_is_ints, v))
+
+
 def chain_map_to_dict(f):
     return {"kind": "chain-map",
             "source": complex_to_dict(f.source),
@@ -226,10 +241,19 @@ def chain_map_from_dict(d):
     from .chain_model import ChainMap
     if d.get("kind") != "chain-map":
         raise InputError("expected a chain-map document")
+    comp_doc = d.get("components")
+    if not (isinstance(d.get("source"), dict)
+            and isinstance(d.get("target"), dict)
+            and isinstance(comp_doc, dict)
+            and all(_is_degree(k) and _is_matrix(rows)
+                    for k, rows in comp_doc.items())):
+        raise InputError("malformed chain-map document: source and target "
+                         "must be chain-complex documents, components an "
+                         "object of integer matrices keyed by degree")
     X = complex_from_dict(d["source"])
     Y = complex_from_dict(d["target"])
     comps = {}
-    for k, rows in d["components"].items():
+    for k, rows in comp_doc.items():
         n = int(k)
         comps[n] = Mat(Y.rank(n), X.rank(n), rows)
     return ChainMap(X, Y, comps)
@@ -251,19 +275,32 @@ def simplicial_ab_to_dict(A):
 def simplicial_ab_from_dict(d):
     if d.get("kind") != "simplicial-abelian-group":
         raise InputError("expected a simplicial-abelian-group document")
-    D = d["truncation"]
-    coeffs = {int(k): tuple(v) for k, v in d["coefficients"].items()}
+    D, coeff_doc = d.get("truncation"), d.get("coefficients")
+    table_keys = ("faces", "degeneracies")
+    if not (isinstance(d.get("ring"), str) and isinstance(D, int)
+            and isinstance(coeff_doc, dict)
+            and all(_is_degree(k) and _is_ints(v)
+                    for k, v in coeff_doc.items())
+            and all(isinstance(d.get(t), dict) and all(
+                _index_key(k, 2) and _is_matrix(rows)
+                for k, rows in d[t].items()) for t in table_keys)):
+        raise InputError("malformed simplicial-abelian-group document: "
+                         "ring must be a string, truncation an integer, "
+                         "coefficients integer lists keyed by degree, and "
+                         "faces and degeneracies objects from \"n,i\" to "
+                         "integer matrices")
+    coeffs = {int(k): tuple(v) for k, v in coeff_doc.items()}
 
     def shape(n):
         return len(coeffs.get(n, ()))
 
     face = {}
     for k, rows in d["faces"].items():
-        n, i = map(int, k.split(","))
+        n, i = _index_key(k, 2)
         face[(n, i)] = Mat(shape(n - 1), shape(n), rows)
     degen = {}
     for k, rows in d["degeneracies"].items():
-        n, i = map(int, k.split(","))
+        n, i = _index_key(k, 2)
         degen[(n, i)] = Mat(shape(n + 1), shape(n), rows)
     return SimplicialAbGroup(d["ring"], D, coeffs, face, degen)
 
@@ -326,12 +363,31 @@ def simplicial_category_to_dict(C):
 def simplicial_category_from_dict(d):
     if d.get("kind") != "simplicial-category":
         raise InputError("expected a simplicial-category document")
+    space_doc, comp_doc = d.get("map_spaces"), d.get("compositions")
+    if not (_is_names(d.get("objects"))
+            and isinstance(d.get("level_bound"), int)
+            and isinstance(d.get("identities"), dict)
+            and all(map(_is_name, d["identities"].values()))
+            and isinstance(space_doc, dict)
+            and all(k.count("|") == 1 and isinstance(v, dict)
+                    for k, v in space_doc.items())
+            and isinstance(comp_doc, dict)
+            and all(k.count("|") == 2 and isinstance(entries, list)
+                    and all(isinstance(e, list) and len(e) == 3
+                            and all(map(_is_simplex, e)) for e in entries)
+                    for k, entries in comp_doc.items())):
+        raise InputError("malformed simplicial-category document: objects "
+                         "must be a name list, level_bound an integer, "
+                         "identities an object of names, map_spaces an "
+                         "object from \"x|y\" to simplicial-set documents, "
+                         "compositions an object from \"x|y|z\" to lists "
+                         "of [g, f, g.f] simplex triples")
     mapspaces = {}
-    for k, sub in d["map_spaces"].items():
+    for k, sub in space_doc.items():
         x, y = k.split("|")
         mapspaces[(x, y)] = sset_from_dict(sub)
     tables = {}
-    for k, entries in d["compositions"].items():
+    for k, entries in comp_doc.items():
         x, y, z = k.split("|")
         tables[(x, y, z)] = {
             ((tuple(g[0]), g[1]), (tuple(f[0]), f[1])):
@@ -342,6 +398,13 @@ def simplicial_category_from_dict(d):
 
     return SimplicialCategory(d["objects"], mapspaces, d["identities"],
                               compose_fn, d["level_bound"])
+
+
+def _is_simplex(v):
+    """Whether v is [surjection values, cell index], a simplex in E-Z
+    form as compositions are written."""
+    return (isinstance(v, list) and len(v) == 2 and _is_ints(v[0])
+            and len(v[0]) > 0 and isinstance(v[1], int))
 
 
 # -- dispatch ----------------------------------------------------------------

@@ -6,7 +6,7 @@ pi_0 homotopy category of a simplicial category.
 from itertools import combinations
 
 from . import sset
-from .delta import degeneracy, face, tcompose, tidentity
+from .delta import degeneracy, tcompose, tidentity
 from .errors import InputError
 from .nerve_cat import FinCategory
 from .sset import SimplicialSet
@@ -84,10 +84,9 @@ class SimplicialCategory:
                 # simpliciality on faces and degeneracies
                 if q >= 1:
                     for i in range(q + 1):
-                        alpha = face(q, i)
-                        lhs = hspace.apply(alpha, h)
-                        rhs = table[(gspace.apply(alpha, g),
-                                     fspace.apply(alpha, f))]
+                        lhs = hspace.face_of(i, h)
+                        rhs = table[(gspace.face_of(i, g),
+                                     fspace.face_of(i, f))]
                         if lhs != rhs:
                             raise InputError(
                                 "composition is not simplicial at level %d"

@@ -8,7 +8,7 @@ matching Hom(y,z) x Hom(x,y) -> Hom(x,z).
 from itertools import product as iproduct
 
 from . import sset
-from .delta import degeneracy, face, tcompose
+from .delta import degeneracy, tcompose
 from .errors import FuelExhausted, InputError
 
 
@@ -429,8 +429,8 @@ def category_from_nerve(X):
     dst = {}
     for idx, name in enumerate(X.cells(1)):
         e = X.cell_simplex(1, name)
-        (s1, v1) = X.apply((0,), e)
-        (s0, v0) = X.apply((1,), e)
+        (s1, v1) = X.face_of(1, e)
+        (s0, v0) = X.face_of(0, e)
         arrows.append(name)
         src[name] = X.names[0][v1]
         dst[name] = X.names[0][v0]
@@ -449,9 +449,9 @@ def category_from_nerve(X):
     # composition via the unique 2-simplex with d_2 = f, d_0 = g
     by_faces = {}
     for w in X.simplices(2):
-        f2 = X.apply(face(2, 2), w)
-        f0 = X.apply(face(2, 0), w)
-        f1 = X.apply(face(2, 1), w)
+        f2 = X.face_of(2, w)
+        f0 = X.face_of(0, w)
+        f1 = X.face_of(1, w)
         by_faces.setdefault((f2, f0), set()).add(f1)
     comp = {}
     simplex_of_arrow = {v: k for k, v in arrow_of_simplex.items()}

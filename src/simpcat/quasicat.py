@@ -7,7 +7,7 @@ unbounded lifting.
 """
 
 from . import sset
-from .delta import face, tidentity
+from .delta import tidentity
 from .errors import InputError
 from .nerve_cat import FinCategory
 from .sset import is_degenerate, simplex_dim
@@ -77,12 +77,8 @@ def _facet_tuples(X, n, k):
     """All horn maps Lambda^n_k -> X for n >= 2, each given by the tuple
     of its facet images (d_j for j != k), pairwise compatible."""
     J = [j for j in range(n + 1) if j != k]
-    simp = X.simplices(n - 1)
-    faces_of = {w: X.simplex_faces(w) for w in simp}
-    index = {}
-    for w in simp:
-        for i, v in enumerate(faces_of[w]):
-            index.setdefault((i, v), set()).add(w)
+    faces_of = X.face_table(n - 1)
+    index = X.memo(("cofaces", n - 1), lambda X: _coface_index(faces_of))
     results = []
     assignment = {}
 
@@ -100,7 +96,7 @@ def _facet_tuples(X, n, k):
             cands = set(got) if cands is None else cands & got
             if not cands:
                 break
-        pool = simp if cands is None else sorted(cands)
+        pool = faces_of if cands is None else sorted(cands)
         for w in pool:
             assignment[j] = w
             rec(p + 1)
@@ -108,6 +104,15 @@ def _facet_tuples(X, n, k):
 
     rec(0)
     return J, results
+
+
+def _coface_index(faces_of):
+    """{(i, v): the set of simplices w with d_i w = v}."""
+    index = {}
+    for w, fw in faces_of.items():
+        for i, v in enumerate(fw):
+            index.setdefault((i, v), set()).add(w)
+    return index
 
 
 def _witness(X, n, k, facets):
@@ -140,7 +145,7 @@ def classify(X, d, mode):
                 tested = unfillable = nonunique = 0
                 fillers = {}
                 for e in X.simplices(1):
-                    key = X.apply((k,), e)
+                    key = X.face_of(1 - k, e)  # vertex k of e
                     fillers[key] = fillers.get(key, 0) + 1
                 for idx in range(X.n_cells(0)):
                     v = (tidentity(0), idx)
@@ -156,10 +161,9 @@ def classify(X, d, mode):
                 continue
             J, horns = _facet_tuples(X, n, k)
             counter = {}
-            for w in X.simplices(n):
-                fw = X.simplex_faces(w)
+            for fw, ws in X.face_index(n).items():
                 key = tuple(fw[j] for j in J)
-                counter[key] = counter.get(key, 0) + 1
+                counter[key] = counter.get(key, 0) + len(ws)
             tested = len(horns)
             unfillable = nonunique = 0
             for h in horns:
@@ -227,7 +231,7 @@ def require_quasicategory(X, d=3):
 
 
 def _edge_endpoints(X, e):
-    return X.apply((0,), e), X.apply((1,), e)
+    return X.face_of(1, e), X.face_of(0, e)
 
 
 def _ho_classes(X):
@@ -237,9 +241,9 @@ def _ho_classes(X):
     edges = list(X.simplices(1))
     related = {e: {e} for e in edges}
     for u in X.simplices(2):
-        if is_degenerate(X.apply(face(2, 2), u)):
-            f = X.apply(face(2, 0), u)
-            g = X.apply(face(2, 1), u)
+        if is_degenerate(X.face_of(2, u)):
+            f = X.face_of(0, u)
+            g = X.face_of(1, u)
             related[f].add(g)
     # the raw relation must already be symmetric and transitive on a
     # quasicategory; check rather than assume
@@ -267,7 +271,7 @@ def _lambda21_fillers(X, f, g):
 def _lambda21_table(X):
     table = {}
     for u in X.simplices(2):
-        pair = (X.apply(face(2, 2), u), X.apply(face(2, 0), u))
+        pair = (X.face_of(2, u), X.face_of(0, u))
         table.setdefault(pair, []).append(u)
     return table
 
@@ -308,7 +312,7 @@ def homotopy_category(X, _return_classes=False):
             for f in by_rep[frep]:
                 for g in by_rep[grep]:
                     for u in _lambda21_fillers(X, f, g):
-                        c = classes[X.apply(face(2, 1), u)]
+                        c = classes[X.face_of(1, u)]
                         if value is None:
                             value = c
                         elif c != value:
@@ -333,7 +337,7 @@ def equivalences(X):
     iso_arrows = {a for a in Ho.arrows if Ho.is_iso(a)}
     eqs = {e for e, rep in classes.items() if arrow_name[rep] in iso_arrows}
     for u in X.simplices(2):
-        sides = [X.apply(face(2, i), u) for i in range(3)]
+        sides = X.simplex_faces(u)
         flags = [e in eqs for e in sides]
         if sum(flags) == 2:
             if not all(flags):
@@ -555,7 +559,7 @@ def homotopy_group(X, x, n, budget=100000):
     deg = (tuple(0 for _ in range(n)), xi)
     spheres = []
     for z in X.simplices(n):
-        if all(X.apply(face(n, i), z) == deg for i in range(n + 1)):
+        if all(f == deg for f in X.simplex_faces(z)):
             spheres.append(z)
     # homotopy relation via (n+1)-simplices, then symmetric-transitive
     # closure

@@ -235,7 +235,7 @@ def embed(kind, X, N):
                     for i in range(p + 1):
                         h_face[(p, q, i)] = {
                             X.describe(s): X.describe(
-                                X.apply(face(p, i), s))
+                                X.face_of(i, s))
                             for s in X.simplices(p)}
                 if p < M:
                     for i in range(p + 1):
@@ -269,7 +269,7 @@ def embed(kind, X, N):
                     for j in range(q + 1):
                         v_face[(p, q, j)] = {
                             X.describe(s): X.describe(
-                                X.apply(face(q, j), s))
+                                X.face_of(j, s))
                             for s in X.simplices(q)}
                 if q < inner:
                     for j in range(q + 1):

@@ -7,10 +7,13 @@ is recoverable as ``s[-1]``.  Face data of a nondegenerate cell is stored
 as one such pair per face index.
 
 Everything downstream (horn classification, nerves, hom spaces, rows of
-bisimplicial sets) reduces to ``SimplicialSet.apply``, which evaluates an
-arbitrary operator of the simplex category on an E-Z pair.
+bisimplicial sets) reduces to ``SimplicialSet.face_of``, one face of an
+E-Z pair read off the stored faces, and ``SimplicialSet.apply``, which
+evaluates an arbitrary operator of the simplex category through face
+steps.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from .delta import (all_surjections, degeneracy, face, tcompose, tfactorize,
@@ -45,9 +48,6 @@ class SimplicialSet:
             self.faces.pop()
         self._index = [
             {name: j for j, name in enumerate(level)} for level in self.names]
-        self._apply_cache = {}
-        self._simplices_cache = {}
-        self._face_index_cache = {}
         self._memo = {}
         if validate:
             self.validate()
@@ -83,69 +83,59 @@ class SimplicialSet:
 
     # -- operator action -------------------------------------------------
 
+    def face_of(self, i, simplex):
+        """d_i of an n-simplex (s, idx) in E-Z form, n >= 1.
+
+        Dropping position i of s leaves a surjection when the value s[i]
+        occurs twice; otherwise the result is the stored face d_{s[i]} of
+        the cell, degenerated along s with that value removed
+        (Eilenberg-Zilber; Goerss-Jardine, Simplicial Homotopy Theory,
+        IV.1)."""
+        s, idx = simplex
+        v, rest = _dropped(s, i)
+        if v < 0:
+            return (rest, idx)
+        t, sub = self.faces[s[-1]][idx][v]
+        if t[-1] == len(t) - 1:
+            return (rest, sub)
+        return (tuple([t[u] for u in rest]), sub)
+
     def apply(self, alpha, simplex):
         """alpha^*(x) for alpha: [m] -> [n] (a value tuple) and x an
-        n-simplex in E-Z form."""
-        key = (alpha, simplex)
-        cached = self._apply_cache.get(key)
-        if cached is not None:
-            return cached
+        n-simplex in E-Z form: one face step per value alpha misses,
+        then the surjective part of alpha."""
+        epi, missing = _factored(alpha, len(simplex[0]) - 1)
+        for i in missing:
+            simplex = self.face_of(i, simplex)
         s, idx = simplex
-        epi, image = tfactorize(tcompose(s, alpha))
-        u, w = self._restrict(image, s[-1], idx)
-        result = (tcompose(u, epi), w)
-        self._apply_cache[key] = result
-        return result
-
-    def _restrict(self, image, k, idx):
-        """mu^*(y) in E-Z form for the injection mu: [p] -> [k] with the
-        given image tuple and y the nondegenerate k-cell idx.
-
-        Strips the largest missing value i, so that mu factors as
-        face(k, i) composed with a smaller injection, and reroutes through
-        the stored face d_i(y)."""
-        if len(image) == k + 1:
-            return (tidentity(k), idx)
-        i = k
-        present = set(image)
-        while i in present:
-            i -= 1
-        rest = tuple(v if v < i else v - 1 for v in image)
-        t, sub = self.faces[k][idx][i]
-        epi, image2 = tfactorize(tcompose(t, rest))
-        u, w = self._restrict(image2, t[-1], sub)
-        return (tcompose(u, epi), w)
+        if len(epi) == len(s):
+            return simplex
+        return (tcompose(s, epi), idx)
 
     def simplices(self, n):
         """All n-simplices (E-Z pairs), degenerate included."""
-        cached = self._simplices_cache.get(n)
-        if cached is not None:
-            return cached
         self._require_dim(n)
-        out = []
-        for k in range(min(n, len(self.names) - 1) + 1):
-            for s in all_surjections(n, k):
-                for idx in range(len(self.names[k])):
-                    out.append((s, idx))
-        out = tuple(out)
-        self._simplices_cache[n] = out
-        return out
+        return self.memo(("simplices", n), lambda X: tuple(
+            (s, idx) for k in range(min(n, len(X.names) - 1) + 1)
+            for s in all_surjections(n, k)
+            for idx in range(len(X.names[k]))))
 
     def simplex_faces(self, simplex):
-        n = simplex_dim(simplex)
-        return tuple(self.apply(face(n, i), simplex)
-                     for i in range(n + 1))
+        return tuple(self.face_of(i, simplex) for i in range(len(simplex[0])))
+
+    def face_table(self, n):
+        """{w: simplex_faces(w)} over all n-simplices w, n >= 1."""
+        return self.memo(("faces", n), lambda X: {
+            w: X.simplex_faces(w) for w in X.simplices(n)})
 
     def face_index(self, n):
         """Map from face tuples to the n-simplices with those faces."""
-        cached = self._face_index_cache.get(n)
-        if cached is not None:
-            return cached
-        index = {}
-        for w in self.simplices(n):
-            index.setdefault(self.simplex_faces(w), []).append(w)
-        self._face_index_cache[n] = index
-        return index
+        def build(X):
+            index = {}
+            for w, fw in X.face_table(n).items():
+                index.setdefault(fw, []).append(w)
+            return index
+        return self.memo(("face_index", n), build)
 
     def memo(self, key, build):
         """build(self), computed once and kept on this object."""
@@ -159,10 +149,6 @@ class SimplicialSet:
         if len(s) - 1 == s[-1]:
             return name
         return "s%s(%s)" % ("".join(str(v) for v in s), name)
-
-    def vertices(self, simplex):
-        n = simplex_dim(simplex)
-        return tuple(self.apply((j,), simplex) for j in range(n + 1))
 
     # -- verification ----------------------------------------------------
 
@@ -201,17 +187,13 @@ class SimplicialSet:
         self.check_identities()
 
     def check_identities(self):
-        """d_i d_j = d_{j-1} d_i for i < j, expanded through E-Z pairs."""
+        """d_i d_j = d_{j-1} d_i for i < j, read off the stored faces."""
         for k in range(2, len(self.names)):
-            for idx in range(len(self.names[k])):
-                x = (tidentity(k), idx)
+            for idx, entry in enumerate(self.faces[k]):
                 for j in range(1, k + 1):
-                    dj = self.apply(face(k, j), x)
                     for i in range(j):
-                        di = self.apply(face(k, i), x)
-                        lhs = self.apply(face(k - 1, i), dj)
-                        rhs = self.apply(face(k - 1, j - 1), di)
-                        if lhs != rhs:
+                        if self.face_of(i, entry[j]) != \
+                                self.face_of(j - 1, entry[i]):
                             raise InputError(
                                 "simplicial identity fails at cell %s "
                                 "(i=%d, j=%d)" % (self.names[k][idx], i, j))
@@ -233,6 +215,26 @@ class SimplicialSet:
                           for k in range(len(self.names)))
         t = "inf" if self.truncation is None else str(self.truncation)
         return "SimplicialSet(cells=[%s], truncation=%s)" % (counts, t)
+
+
+@lru_cache(maxsize=4096)
+def _dropped(s, i):
+    """(v, rest) for the surjection s without position i: v = -1 when the
+    value s[i] occurs twice, else v = s[i] and rest is lowered past it."""
+    v = s[i]
+    rest = s[:i] + s[i + 1:]
+    if v in rest:
+        return -1, rest
+    return v, tuple(u if u < v else u - 1 for u in rest)
+
+
+@lru_cache(maxsize=4096)
+def _factored(alpha, n):
+    """alpha: [m] -> [n] as (epi, missing): its surjective part and the
+    values of [n] it misses, largest first."""
+    epi, image = tfactorize(alpha)
+    present = set(image)
+    return epi, tuple(i for i in range(n, -1, -1) if i not in present)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +458,8 @@ class SimplicialMap:
                 if not 0 <= w < tgt.n_cells(s[-1]):
                     raise InputError("image cell missing from target")
                 for i in range(k + 1) if k else ():
-                    fs, fsub = src.faces[k][idx][i]
-                    expected = self.apply((fs, fsub))
-                    got = tgt.apply(face(k, i), value)
+                    expected = self.apply(src.faces[k][idx][i])
+                    got = tgt.face_of(i, value)
                     if expected != got:
                         raise InputError(
                             "map does not commute with face %d of %s"
@@ -481,15 +482,6 @@ def identity_map(X):
     assignment = [[(tidentity(k), idx) for idx in range(X.n_cells(k))]
                   for k in range(len(X.names))]
     return SimplicialMap(X, X, assignment, validate=False)
-
-
-def compose_maps(g, f):
-    if f.target is not g.source:
-        raise InputError("maps do not compose")
-    assignment = [[g.apply(f.assignment[k][idx])
-                   for idx in range(f.source.n_cells(k))]
-                  for k in range(len(f.source.names))]
-    return SimplicialMap(f.source, g.target, assignment, validate=False)
 
 
 def inclusion_by_names(A, X):
@@ -556,8 +548,7 @@ def product(X, Y, truncation=None):
         for a, b in cells[n]:
             entry = []
             for i in range(n + 1):
-                d = face(n, i)
-                (s, x), (t, y) = X.apply(d, a), Y.apply(d, b)
+                (s, x), (t, y) = X.face_of(i, a), Y.face_of(i, b)
                 sigma, s, t = _split_common(s, t)
                 entry.append((sigma, index[sigma[-1]][((s, x), (t, y))]))
             level_faces.append(tuple(entry))
@@ -737,7 +728,7 @@ def pi0(X):
 
     for idx in range(X.n_cells(1)):
         x = (tidentity(1), idx)
-        (s0, v0), (s1, v1) = X.apply((0,), x), X.apply((1,), x)
+        (s0, v0), (s1, v1) = X.face_of(1, x), X.face_of(0, x)
         ra, rb = find(v0), find(v1)
         if ra != rb:
             parent[ra] = rb

@@ -4,6 +4,7 @@ Each oracle computes the same object as a library function by a
 different route, and must not call the code it checks.
 """
 
+from simpcat.delta import tcompose, tfactorize, tidentity
 from simpcat.doldkan import boundaries_matrix, cycles_matrix
 from simpcat.fibrations import base_change_to_ordinal, fiber_category
 from simpcat.intlinalg import Mat, from_columns, kernel_basis, solve_matrix
@@ -36,6 +37,36 @@ def product_by_presheaf(X, Y, truncation):
              for k in range(len(P.names))]
     return P, (SimplicialMap(P, X, [[a for a, _ in lv] for lv in pairs]),
                SimplicialMap(P, Y, [[b for _, b in lv] for lv in pairs]))
+
+
+def apply_by_factorization(X, alpha, simplex):
+    """alpha^*(x) for an E-Z simplex x = (s, idx) of X: factor s . alpha
+    into epi and mono, restrict the cell along the mono, then precompose
+    the epi.  Reads only the stored faces X.faces."""
+    s, idx = simplex
+    epi, image = tfactorize(tcompose(s, alpha))
+    u, w = _restrict(X, image, s[-1], idx)
+    return (tcompose(u, epi), w)
+
+
+def _restrict(X, image, k, idx):
+    """mu^*(y) in E-Z form for the injection mu: [p] -> [k] with the
+    given image tuple and y the nondegenerate k-cell idx.
+
+    Strips the largest missing value i, so that mu factors as face(k, i)
+    composed with a smaller injection, reroutes through the stored face
+    d_i(y) and factors again."""
+    if len(image) == k + 1:
+        return (tidentity(k), idx)
+    i = k
+    present = set(image)
+    while i in present:
+        i -= 1
+    rest = tuple(v if v < i else v - 1 for v in image)
+    t, sub = X.faces[k][idx][i]
+    epi, image2 = tfactorize(tcompose(t, rest))
+    u, w = _restrict(X, image2, t[-1], sub)
+    return (tcompose(u, epi), w)
 
 
 # -- cocartesian analysis: definition unfolding through base changes

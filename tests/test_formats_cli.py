@@ -309,7 +309,37 @@ def test_cli_malformed_documents_exit_3(tmp_path, capsys):
     for key, value in [("window", 5), ("ring", "Z/x")]:
         path = write(tmp_path, "bad.cx", dict(cx, **{key: value}))
         assert run_cli(tmp_path, "homology", path) == 3, key
+    from test_fibrations import z4_to_z2
+    C = free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])})
+    # each document runs as given and exits 3 once one field is 5
+    for command, doc, key in [
+            ("left-fibration", formats.functor_to_dict(z4_to_z2()[2]),
+             "source"),
+            ("quasi-iso", formats.chain_map_to_dict(identity_chain_map(C)),
+             "components"),
+            ("normalized-chains", formats.simplicial_ab_to_dict(
+                free_simplicial_abelian_group(sset.standard_simplex(1), 2)),
+             "coefficients"),
+            ("coherent-nerve", formats.simplicial_category_to_dict(
+                frak_c(2)), "map_spaces")]:
+        dim = ["--dim", "2"] if command == "coherent-nerve" else []
+        path = write(tmp_path, "doc.json", doc)
+        assert run_cli(tmp_path, command, path, *dim) == 0, command
+        path = write(tmp_path, "bad.json", dict(doc, **{key: 5}))
+        assert run_cli(tmp_path, command, path, *dim) == 3, command
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_category_identity_must_be_an_arrow(tmp_path, capsys):
+    cat = formats.category_to_dict(ordinal_category(1))
+    cat["identities"]["0"] = "nope"
+    with pytest.raises(formats.InputError) as err:
+        formats.category_from_dict(cat)
+    assert str(err.value) == \
+        "the identity of object 0 is nope, which is not an arrow"
+    assert run_cli(tmp_path, "nerve", write(tmp_path, "c.cat", cat)) == 3
+    assert capsys.readouterr().err == "input error: the identity of " \
+        "object 0 is nope, which is not an arrow\n"
 
 
 def test_sset_loader_skips_empty_levels():

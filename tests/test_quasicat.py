@@ -271,3 +271,28 @@ def test_homotopy_category_keeps_no_reference_to_its_input():
     del X
     gc.collect()
     assert ref() is None
+
+
+def test_loading_and_kan_classification_never_factor(monkeypatch):
+    # validation and horn classification read faces off the stored
+    # faces; no Delta map is factored on the way
+    import json
+    from simpcat import formats
+    text = formats.dumps(formats.sset_to_dict(
+        nerve(bg(symmetric3_table()), 4)))
+    calls = []
+    real = sset.tfactorize
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+    sset._factored.cache_clear()
+    monkeypatch.setattr(sset, "tfactorize", counted)
+    X = formats.sset_from_dict(json.loads(text))
+    X.validate()
+    report = classify(X, 4, "kan")
+    assert report.passed() and report.stats[(4, 2)][0] > 0
+    assert calls == []
+    # the count sees a factorization when one happens
+    X.apply((0, 0, 2), X.simplices(2)[-1])
+    assert calls == [(0, 0, 2)]

@@ -9,9 +9,9 @@ from simpcat.sset import (InputError, boundary, disjoint_union,
                           empty_sset, enumerate_maps, find_isomorphism,
                           from_presheaf, horn, identity_map,
                           inclusion_by_names, is_isomorphic, lift_extensions,
-                          opposite, pi0, point, product, pushout, skeleton,
-                          spine, standard_object, standard_simplex,
-                          SimplicialMap, SimplicialSet)
+                          opposite, pi0, point, product, pushout,
+                          simplex_dim, skeleton, spine, standard_object,
+                          standard_simplex, SimplicialMap, SimplicialSet)
 
 
 def cell_counts(X):
@@ -456,3 +456,172 @@ def test_find_isomorphism_of_permuted_copy(pair):
     assert f is not None
     SimplicialMap(X, Y, f.assignment, validate=True)
     assert f.is_injective()
+
+
+# -- validation names the check that fails
+
+
+def _corrupted(X, change):
+    """The tables of X, copied, with change(names, faces) applied."""
+    names = [list(level) for level in X.names]
+    faces = [list(level) for level in X.faces]
+    change(names, faces)
+    return names, faces
+
+
+def _set_face(k, idx, i, value):
+    def change(names, faces):
+        entry = list(faces[k][idx])
+        entry[i] = value
+        faces[k][idx] = tuple(entry)
+    return change
+
+
+def _validation_cases():
+    from simpcat.nerve_cat import bg, cyclic_table, nerve
+    S3 = standard_simplex(3)
+    B = nerve(bg(cyclic_table(2)), 3)
+
+    def rename(k, idx, name):
+        def change(names, faces):
+            names[k][idx] = name
+        return change
+
+    def drop_cell_faces(k):
+        def change(names, faces):
+            faces[k].pop()
+        return change
+
+    def truncate_entry(k, idx):
+        def change(names, faces):
+            faces[k][idx] = faces[k][idx][:-1]
+        return change
+
+    def duplicate_cell(names, faces):
+        names[1].append("g1")
+        faces[1].append(faces[1][0])
+
+    return [
+        (S3, rename(1, 1, "0-1"), "duplicate cell names in dimension 1"),
+        (S3, drop_cell_faces(2), "face entries missing in dimension 2"),
+        (S3, truncate_entry(2, 1), "cell 0-1-3 needs 3 faces"),
+        (S3, _set_face(2, 0, 1, ((0, 2), 1)),
+         "face entry (0, 2) is not a surjection"),
+        (S3, _set_face(3, 0, 0, ((0, 1, 2), 7)),
+         "face of 0-1-2-3 points at a missing cell"),
+        # d_0 of 0-1-2 made 0-1: d_0 d_1 is vertex 2, d_0 d_0 vertex 1
+        (S3, _set_face(2, 0, 0, ((0, 1), 0)),
+         "simplicial identity fails at cell 0-1-2 (i=0, j=1)"),
+        # d_2 of 0-1-2 made 1-2: the first pair to differ is (0, 2)
+        (S3, _set_face(2, 0, 2, ((0, 1), 3)),
+         "simplicial identity fails at cell 0-1-2 (i=0, j=2)"),
+        # d_3 of 0-1-2-3 made 0-1-3: d_0 d_3 = 1-3 but d_2 d_0 = 1-2
+        (S3, _set_face(3, 0, 3, ((0, 1, 2), 1)),
+         "simplicial identity fails at cell 0-1-2-3 (i=0, j=3)"),
+        (B, duplicate_cell, "duplicate cell names in dimension 1"),
+        (B, drop_cell_faces(3), "face entries missing in dimension 3"),
+        (B, truncate_entry(2, 0), "cell g1|g1 needs 3 faces"),
+        (B, _set_face(2, 0, 1, ((1, 1), 0)),
+         "face entry (1, 1) is not a surjection"),
+        (B, _set_face(3, 0, 0, ((0, 1, 2), 1)),
+         "face of g1|g1|g1 points at a missing cell"),
+        # degenerate faces: the identities of BZ/2 fail only through
+        # the degeneracies stored as faces of the 3-cell
+        (B, _set_face(3, 0, 1, ((0, 1, 1), 0)),
+         "simplicial identity fails at cell g1|g1|g1 (i=0, j=1)"),
+        (B, _set_face(3, 0, 2, ((0, 0, 1), 0)),
+         "simplicial identity fails at cell g1|g1|g1 (i=0, j=2)"),
+        (B, _set_face(3, 0, 3, ((0, 1, 1), 0)),
+         "simplicial identity fails at cell g1|g1|g1 (i=0, j=3)"),
+    ]
+
+
+@pytest.mark.parametrize("X, change, message", _validation_cases())
+def test_validate_names_each_broken_check(X, change, message):
+    SimplicialSet(X.truncation, X.names, X.faces)
+    names, faces = _corrupted(X, change)
+    with pytest.raises(InputError) as err:
+        SimplicialSet(X.truncation, names, faces)
+    assert str(err.value) == message
+
+
+# -- face steps against the factorization route
+
+
+def _agreement_objects():
+    from families import category_family
+    from simpcat.nerve_cat import bg, cyclic_table, nerve
+    for name, C in category_family():
+        # nerves of the categories with more than three arrows stop at
+        # dimension 3, which keeps the whole check within seconds
+        yield name, nerve(C, 4 if len(C.arrows) <= 3 else 3)
+    for n, k in [(2, 0), (3, 1), (3, 3), (4, 2)]:
+        yield "horn(%d,%d)" % (n, k), horn(n, k)
+    yield "boundary(3)", boundary(3)
+    yield "spine(4)", spine(4)
+    S = standard_simplex
+    for name, X, Y in [("D1xD2", S(1), S(2)),
+                       ("horn(2,1)xspine(2)", horn(2, 1), spine(2)),
+                       ("BZ2xD1", nerve(bg(cyclic_table(2)), 4), S(1))]:
+        yield name, product(X, Y)[0]
+
+
+def test_apply_matches_factorization_oracle():
+    # every map [m] -> [n] with m <= n on every n-simplex, n <= 4
+    from oracles import apply_by_factorization
+    from simpcat.delta import all_maps
+    for name, X in _agreement_objects():
+        top = 4 if X.truncation is None else min(4, X.truncation)
+        for n in range(top + 1):
+            maps = [a for m in range(n + 1) for a in all_maps(m, n)]
+            for x in X.simplices(n):
+                for alpha in maps:
+                    assert X.apply(alpha, x) == \
+                        apply_by_factorization(X, alpha, x), (name, alpha, x)
+
+
+@st.composite
+def subsets_and_products(draw):
+    """A random simplicial subset of Delta^n (n <= 3), spanned by a few
+    vertex sets, or the product of two smaller ones."""
+    def subset(top):
+        n = draw(st.integers(1, top))
+        spans = draw(st.lists(st.frozensets(st.integers(0, n), min_size=1),
+                              min_size=1, max_size=3))
+        return sset._subset_complex(
+            n, lambda c: any(span.issuperset(c) for span in spans))
+    if draw(st.booleans()):
+        return subset(3)
+    return product(subset(2), subset(2))[0]
+
+
+@settings(deadline=None, max_examples=40)
+@given(subsets_and_products())
+def test_simplicial_identities_through_both_routes(X):
+    from oracles import apply_by_factorization
+    from simpcat.delta import degeneracy, face
+    for act in (X.apply,
+                lambda alpha, x: apply_by_factorization(X, alpha, x)):
+        def d(i, y, act=act):
+            return act(face(simplex_dim(y), i), y)
+
+        def s(j, y, act=act):
+            return act(degeneracy(simplex_dim(y) + 1, j), y)
+
+        for n in range(4):
+            for x in X.simplices(n):
+                for j in range(1, n + 1) if n >= 2 else ():
+                    for i in range(j):
+                        assert d(i, d(j, x)) == d(j - 1, d(i, x))
+                for j in range(n + 1) if n < 3 else ():
+                    y = s(j, x)
+                    for i in range(j + 1):
+                        assert s(i, y) == s(j + 1, s(i, x))
+                    for i in range(n + 2):
+                        if i < j:
+                            want = s(j - 1, d(i, x))
+                        elif i <= j + 1:
+                            want = x
+                        else:
+                            want = s(j, d(i - 1, x))
+                        assert d(i, y) == want
