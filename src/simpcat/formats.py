@@ -142,6 +142,10 @@ def category_from_dict(d):
         if e not in src:
             raise InputError("the identity of object %s is %s, which is not "
                              "an arrow" % (x, e))
+    unknown = [e for triple in comp_doc for e in triple if e not in src]
+    if unknown:
+        raise InputError("the composition table names %s, which is not "
+                         "an arrow" % unknown[0])
     comp = {(g, f): c for g, f, c in comp_doc}
     C = FinCategory(d["objects"], arrows, src, dst, comp, ident)
     if weak is not None:
@@ -382,6 +386,9 @@ def simplicial_category_from_dict(d):
                          "object from \"x|y\" to simplicial-set documents, "
                          "compositions an object from \"x|y|z\" to lists "
                          "of [g, f, g.f] simplex triples")
+    for pair in (x + "|" + y for x in d["objects"] for y in d["objects"]):
+        if pair not in space_doc:
+            raise InputError("the map space %s is missing" % pair)
     mapspaces = {}
     for k, sub in space_doc.items():
         x, y = k.split("|")
@@ -394,7 +401,13 @@ def simplicial_category_from_dict(d):
             (tuple(h[0]), h[1]) for g, f, h in entries}
 
     def compose_fn(x, y, z, q, g, f):
-        return tables[(x, y, z)][(g, f)]
+        h = tables.get((x, y, z), {}).get((g, f))
+        if h is None:
+            raise InputError("the composition table %s|%s|%s lacks the "
+                             "entry for g = %s, f = %s" % (
+                                 x, y, z, [list(g[0]), g[1]],
+                                 [list(f[0]), f[1]]))
+        return h
 
     return SimplicialCategory(d["objects"], mapspaces, d["identities"],
                               compose_fn, d["level_bound"])

@@ -303,10 +303,6 @@ def _all_vectors(m):
 # coherent nerve
 
 
-def _functor_key(objs, images):
-    return (tuple(objs), tuple(sorted(images.items())))
-
-
 def simplicial_functors(F, C):
     """All simplicial functors from frak_c(n) (given) to C, as pairs
     (object assignment, cell image dict)."""
@@ -316,6 +312,7 @@ def simplicial_functors(F, C):
     out = []
     obj_names = list(C.objects)
     map_cache = {}
+    triples = {}
 
     def space_maps(i, j, x, y):
         key = (i, j, x, y)
@@ -324,6 +321,39 @@ def simplicial_functors(F, C):
                                        C.mapspaces[(x, y)])
             map_cache[key] = [m.assignment for m in maps]
         return map_cache[key]
+
+    def nondegenerate_triples(a, b, c):
+        """(g, f, g.f) in frak_c(n) for the nondegenerate simplices (g, f)
+        of Map(b, c) x Map(a, b) up to the level bound: the two
+        composites compared are simplicial maps out of that product, so
+        they agree once they agree there."""
+        if (a, b, c) not in triples:
+            gspace = F.mapspaces[(str(b), str(c))]
+            fspace = F.mapspaces[(str(a), str(b))]
+            triples[(a, b, c)] = [
+                (g, f, F.compose(str(a), str(b), str(c), g, f))
+                for q in range(min(C.level_bound, F.level_bound) + 1)
+                for g in gspace.simplices(q) for f in fspace.simplices(q)
+                if not sset._doubled(g[0]) & sset._doubled(f[0])]
+        return triples[(a, b, c)]
+
+    def composition_ok(objs, images, pos):
+        """Check every composition constraint whose participating pairs
+        are all assigned (those at positions <= pos)."""
+        done = set(pairs[:pos + 1])
+        i, j = pairs[pos]
+        for k in range(n + 1):
+            for a, b, c in [(i, j, k), (k, i, j), (i, k, j)]:
+                if not (a < b < c) or (a, b) not in done or \
+                        (b, c) not in done or (a, c) not in done:
+                    continue
+                for g, f, h in nondegenerate_triples(a, b, c):
+                    if _functor_apply(images, (a, c), h) != C.compose(
+                            objs[a], objs[b], objs[c],
+                            _functor_apply(images, (b, c), g),
+                            _functor_apply(images, (a, b), f)):
+                        return False
+        return True
 
     def assign_objects(pos, objs):
         if pos == n + 1:
@@ -345,7 +375,7 @@ def simplicial_functors(F, C):
             for k in range(len(source.names)):
                 for idx in range(source.n_cells(k)):
                     images2[((i, j), k, idx)] = assignment[k][idx]
-            if _composition_ok(F, C, objs, images2, pos, pairs):
+            if composition_ok(objs, images2, pos):
                 assign_pairs(pos + 1, objs, images2)
 
     assign_objects(0, [])
@@ -360,45 +390,25 @@ def _functor_apply(images, pair, simplex):
     return (tcompose(t, s), w)
 
 
-def _composition_ok(F, C, objs, images, pos, pairs):
-    """Check every composition constraint whose participating pairs are
-    all assigned (those at positions <= pos)."""
-    done = set(pairs[:pos + 1])
-    i, j = pairs[pos]
-    for k in range(len(F.objects)):
-        for trip in [(i, j, k), (k, i, j), (i, k, j)]:
-            a, b, c = trip
-            if not (a < b < c):
-                continue
-            if (a, b) not in done or (b, c) not in done or \
-                    (a, c) not in done:
-                continue
-            if not _check_triple(F, C, objs, images, a, b, c):
-                return False
-    return True
-
-
-def _check_triple(F, C, objs, images, a, b, c):
-    gspace = F.mapspaces[(str(b), str(c))]
-    fspace = F.mapspaces[(str(a), str(b))]
-    bound = min(C.level_bound, F.level_bound)
-    for q in range(bound + 1):
-        for g in gspace.simplices(q):
-            for f in fspace.simplices(q):
-                h = F.compose(str(a), str(b), str(c), g, f)
-                lhs = _functor_apply(images, (a, c), h)
-                rhs = C.compose(
-                    objs[a], objs[b], objs[c],
-                    _functor_apply(images, (b, c), g),
-                    _functor_apply(images, (a, b), f))
-                if lhs != rhs:
-                    return False
-    return True
+def _gadget_cells(F):
+    """The nondegenerate map-space cells ((i, j), k, idx) of frak_c(n),
+    i < j, in the order an n-cell lists their images."""
+    n = len(F.objects) - 1
+    return [((i, j), k, idx)
+            for i in range(n + 1) for j in range(i + 1, n + 1)
+            for k, level in enumerate(F.mapspaces[(str(i), str(j))].names)
+            for idx in range(len(level))]
 
 
 def coherent_nerve(C, d):
     """The homotopy-coherent nerve, truncated at dimension d: n-cells are
-    simplicial functors from frak_c(n) to C."""
+    simplicial functors from frak_c(n) to C.
+
+    An n-cell is held as (objects, images), with images listing the
+    image of each cell of _gadget_cells(frak_c(n)) in that order.
+    frak_c(alpha) for alpha: [m] -> [n] is tabulated once per (alpha, n)
+    on the cells of frak_c(m), so the action is one lookup and one
+    tcompose per cell."""
     if d < 0:
         raise InputError("truncation must be nonnegative")
     needed = max(0, d - 1)
@@ -410,45 +420,49 @@ def coherent_nerve(C, d):
             raise InputError("map space (%s, %s) truncated below %d"
                              % (x, y, needed))
     gadgets = [frak_c(n) for n in range(d + 1)]
-    levels = []
-    for n in range(d + 1):
-        fs = simplicial_functors(gadgets[n], C)
-        levels.append([_functor_key(objs, images) for objs, images in fs])
+    cells = [_gadget_cells(F) for F in gadgets]
+    position = [{key: p for p, key in enumerate(c)} for c in cells]
+    levels = [[(objs, tuple(images[key] for key in cells[n]))
+               for objs, images in simplicial_functors(gadgets[n], C)]
+              for n in range(d + 1)]
+    tables = {}
+
+    def table(alpha, n):
+        """Rows (t_i, k, s, p) for the cells ((i, j), k, idx) of
+        frak_c(m): the cell goes to the simplex (s, cell p) of
+        frak_c(n), or, when t_i = alpha[i] = alpha[j], to the point
+        Map(t_i, t_i) (s and p are None)."""
+        if (alpha, n) not in tables:
+            Fm = gadgets[len(alpha) - 1]
+            rows = []
+            for (i, j), k, idx in cells[len(alpha) - 1]:
+                ti, tj = alpha[i], alpha[j]
+                if ti == tj:
+                    rows.append((ti, k, None, None))
+                    continue
+                chain = _chain_from_name(
+                    Fm.mapspaces[(str(i), str(j))].names[k][idx])
+                s, w = _poset_simplex_of_chain(
+                    gadgets[n], ti, tj,
+                    [frozenset(alpha[v] for v in U) for U in chain])
+                rows.append((ti, k, s, position[n][((ti, tj), s[-1], w)]))
+            tables[(alpha, n)] = rows
+        return tables[(alpha, n)]
 
     def action(alpha, element):
-        m = len(alpha) - 1
-        n = len(element[0]) - 1
         objs, images = element
-        images = dict(images)
-        Fm = gadgets[m]
-        new_objs = tuple(objs[alpha[j]] for j in range(m + 1))
-        new_images = {}
-        for i in range(m + 1):
-            for j in range(i + 1, m + 1):
-                source = Fm.mapspaces[(str(i), str(j))]
-                ti, tj = alpha[i], alpha[j]
-                for k in range(len(source.names)):
-                    for idx in range(source.n_cells(k)):
-                        chain = _chain_from_name(source.names[k][idx])
-                        mapped = tuple(frozenset(alpha[v] for v in U)
-                                       for U in chain)
-                        if ti == tj:
-                            # target map space is a point; the image is
-                            # the identity, possibly degenerate
-                            value = C.identity_simplex(new_objs[i], k)
-                        else:
-                            simplex = _poset_simplex_of_chain(
-                                gadgets[n], ti, tj, mapped)
-                            value = _functor_apply(images, (ti, tj),
-                                                   simplex)
-                        new_images[((i, j), k, idx)] = value
-        return _functor_key(new_objs, new_images)
+        out = []
+        for ti, k, s, p in table(alpha, len(objs) - 1):
+            if s is None:
+                out.append(C.identity_simplex(objs[ti], k))
+            else:
+                t, w = images[p]
+                out.append((tcompose(t, s), w))
+        return tuple(objs[v] for v in alpha), tuple(out)
 
-    def name_fn(n, element):
-        return "F%d" % levels[n].index(element)
-
-    result = sset.from_presheaf(d, levels, action, name_fn=name_fn)
-    return result
+    index = [{x: j for j, x in enumerate(level)} for level in levels]
+    return sset.from_presheaf(d, levels, action,
+                              name_fn=lambda n, x: "F%d" % index[n][x])
 
 
 def _chain_from_name(name):

@@ -16,8 +16,7 @@ steps.
 from functools import lru_cache
 from itertools import combinations
 
-from .delta import (all_surjections, degeneracy, face, tcompose, tfactorize,
-                    tidentity)
+from .delta import all_surjections, face, tcompose, tfactorize, tidentity
 from .errors import InputError
 
 
@@ -249,67 +248,39 @@ def from_presheaf(D, levels, action, name_fn=None, truncation="auto"):
     action(alpha, x): the contravariant action, alpha a value tuple
     [m] -> [n] and x in levels[n]; returns an element of levels[m].
 
-    Elements that are degeneracies are identified by the retraction test
-    x == s_i(d_i(x)) and collapsed greedily.
+    Level n pushes every nondegenerate k-cell y, k < n, along every
+    surjection s: [n] ->> [k] and records s^*(y) as (s, y).  By the
+    Eilenberg-Zilber lemma each degenerate element is recorded exactly
+    once, so the unrecorded elements are the nondegenerate n-cells (kept
+    in level order) and each face is normalized by one lookup.  That is
+    one action per degenerate element and one per face of a
+    nondegenerate cell; the tables are local to the call.
     """
-    levels = [list(lv) for lv in levels]
-    nondeg = []
-    index = []
-    for n in range(D + 1):
-        nd = []
-        for x in levels[n]:
-            if _degeneracy_collapse(action, n, x) is None:
-                nd.append(x)
-        nondeg.append(nd)
-        index.append({x: j for j, x in enumerate(nd)})
-
     names = []
     faces = []
+    nondeg = []
+    below = None  # E-Z form of every element of level n - 1
     for n in range(D + 1):
+        table = {}
+        for k in range(n):
+            for s in all_surjections(n, k):
+                for j, y in enumerate(nondeg[k]):
+                    table[action(s, y)] = (s, j)
+        nd = [x for x in levels[n] if x not in table]
+        ident = tidentity(n)
+        table.update((x, (ident, j)) for j, x in enumerate(nd))
+        nondeg.append(nd)
         if name_fn is None:
-            names.append(tuple(str(j) for j in range(len(nondeg[n]))))
+            names.append(tuple(str(j) for j in range(len(nd))))
         else:
-            names.append(tuple(name_fn(n, x) for x in nondeg[n]))
-        level_faces = []
-        for x in nondeg[n]:
-            if n == 0:
-                level_faces.append(())
-                continue
-            entry = []
-            for i in range(n + 1):
-                y = action(face(n, i), x)
-                entry.append(_normalize_element(action, index, n - 1, y))
-            level_faces.append(tuple(entry))
-        faces.append(level_faces)
+            names.append(tuple(name_fn(n, x) for x in nd))
+        faces.append([tuple(below[action(face(n, i), x)]
+                            for i in range(n + 1)) if n else ()
+                      for x in nd])
+        below = table
     if truncation == "auto":
         truncation = D
     return SimplicialSet(truncation, names, faces)
-
-
-def _degeneracy_collapse(action, n, x):
-    """Return (i, d_i(x)) for the smallest i with x = s_i(d_i(x)), or
-    None when x is nondegenerate."""
-    for i in range(n):
-        y = action(face(n, i), x)
-        if action(degeneracy(n, i), y) == x:
-            return i, y
-    return None
-
-
-def _normalize_element(action, index, n, x):
-    """E-Z normal form (s, idx) of an element x of abstract level n.
-
-    Greedy collapse: while x = s_i(y), pass to y and precompose the word
-    with sigma^i, so the accumulated word is the E-Z surjection."""
-    word = tidentity(n)
-    while True:
-        hit = _degeneracy_collapse(action, n, x)
-        if hit is None:
-            return (word, index[n][x])
-        i, y = hit
-        word = tcompose(degeneracy(n, i), word)
-        n -= 1
-        x = y
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,83 @@ Each oracle computes the same object as a library function by a
 different route, and must not call the code it checks.
 """
 
-from simpcat.delta import tcompose, tfactorize, tidentity
+from itertools import combinations, product
+
+from simpcat.delta import degeneracy, face, tcompose, tfactorize, tidentity
 from simpcat.doldkan import boundaries_matrix, cycles_matrix
 from simpcat.fibrations import base_change_to_ordinal, fiber_category
 from simpcat.intlinalg import Mat, from_columns, kernel_basis, solve_matrix
-from simpcat.sset import SimplicialMap, from_presheaf
+from simpcat.sset import SimplicialMap, SimplicialSet, enumerate_maps
+
+
+def from_presheaf_by_collapse(D, levels, action, name_fn=None,
+                              truncation="auto"):
+    """The E-Z normal form of a truncated presheaf by retraction tests:
+    an element x of level n is degenerate when x == s_i(d_i(x)) for some
+    i, and a face is normalized by collapsing greedily.  Same arguments
+    and result as sset.from_presheaf."""
+    levels = [list(lv) for lv in levels]
+    nondeg = []
+    index = []
+    for n in range(D + 1):
+        nd = []
+        for x in levels[n]:
+            if _degeneracy_collapse(action, n, x) is None:
+                nd.append(x)
+        nondeg.append(nd)
+        index.append({x: j for j, x in enumerate(nd)})
+
+    names = []
+    faces = []
+    for n in range(D + 1):
+        if name_fn is None:
+            names.append(tuple(str(j) for j in range(len(nondeg[n]))))
+        else:
+            names.append(tuple(name_fn(n, x) for x in nondeg[n]))
+        level_faces = []
+        for x in nondeg[n]:
+            if n == 0:
+                level_faces.append(())
+                continue
+            entry = []
+            for i in range(n + 1):
+                y = action(face(n, i), x)
+                entry.append(_normalize_element(action, index, n - 1, y))
+            level_faces.append(tuple(entry))
+        faces.append(level_faces)
+    if truncation == "auto":
+        truncation = D
+    return SimplicialSet(truncation, names, faces)
+
+
+def _degeneracy_collapse(action, n, x):
+    """Return (i, d_i(x)) for the smallest i with x = s_i(d_i(x)), or
+    None when x is nondegenerate."""
+    for i in range(n):
+        y = action(face(n, i), x)
+        if action(degeneracy(n, i), y) == x:
+            return i, y
+    return None
+
+
+def _normalize_element(action, index, n, x):
+    """E-Z normal form (s, idx) of an element x of abstract level n.
+
+    Greedy collapse: while x = s_i(y), pass to y and precompose the word
+    with sigma^i, so the accumulated word is the E-Z surjection."""
+    word = tidentity(n)
+    while True:
+        hit = _degeneracy_collapse(action, n, x)
+        if hit is None:
+            return (word, index[n][x])
+        i, y = hit
+        word = tcompose(degeneracy(n, i), word)
+        n -= 1
+        x = y
 
 
 def product_by_presheaf(X, Y, truncation):
-    """X x Y through the generic presheaf normalizer: every pair of
+    """X x Y through the collapse normalizer: every pair of
     n-simplices, degenerate ones included, is collapsed by retraction
     tests, and the legs are recovered by matching the "(a|b)" names."""
     levels = [[(a, b) for a in X.simplices(n) for b in Y.simplices(n)]
@@ -28,9 +96,9 @@ def product_by_presheaf(X, Y, truncation):
 
     full = (X.truncation is None and Y.truncation is None
             and truncation >= X.dim_max + Y.dim_max)
-    P = from_presheaf(truncation, levels, action,
-                      name_fn=lambda n, pair: name(pair),
-                      truncation=None if full else truncation)
+    P = from_presheaf_by_collapse(truncation, levels, action,
+                                  name_fn=lambda n, pair: name(pair),
+                                  truncation=None if full else truncation)
     lookup = {(n, name(pair)): pair
               for n, level in enumerate(levels) for pair in level}
     pairs = [[lookup[(k, cell)] for cell in P.names[k]]
@@ -67,6 +135,56 @@ def _restrict(X, image, k, idx):
     epi, image2 = tfactorize(tcompose(t, rest))
     u, w = _restrict(X, image2, t[-1], sub)
     return (tcompose(u, epi), w)
+
+
+# -- coherent nerve: composition checked on every pair of simplices
+
+
+def simplicial_functors_all_pairs(F, C):
+    """hcnerve.simplicial_functors by filtering every choice of map-space
+    maps, with the composition law checked on every pair (g, f) of
+    simplices up to the level bound, degenerate ones included."""
+    n = len(F.objects) - 1
+    pairs = sorted(((i, j) for i in range(n + 1) for j in range(i + 1, n + 1)),
+                   key=lambda p: (p[1] - p[0], p[0]))
+    out = []
+    for objs in product(C.objects, repeat=n + 1):
+        choices = [enumerate_maps(F.mapspaces[(str(i), str(j))],
+                                  C.mapspaces[(objs[i], objs[j])])
+                   for i, j in pairs]
+        for maps in product(*choices):
+            images = {(pair, k, idx): value
+                      for pair, m in zip(pairs, maps)
+                      for k, level in enumerate(m.assignment)
+                      for idx, value in enumerate(level)}
+            if all(_check_triple(F, C, objs, images, a, b, c)
+                   for a, b, c in combinations(range(n + 1), 3)):
+                out.append((objs, images))
+    return out
+
+
+def _functor_apply(images, pair, simplex):
+    s, idx = simplex
+    t, w = images[(pair, s[-1], idx)]
+    return (tcompose(t, s), w)
+
+
+def _check_triple(F, C, objs, images, a, b, c):
+    gspace = F.mapspaces[(str(b), str(c))]
+    fspace = F.mapspaces[(str(a), str(b))]
+    bound = min(C.level_bound, F.level_bound)
+    for q in range(bound + 1):
+        for g in gspace.simplices(q):
+            for f in fspace.simplices(q):
+                h = F.compose(str(a), str(b), str(c), g, f)
+                lhs = _functor_apply(images, (a, c), h)
+                rhs = C.compose(
+                    objs[a], objs[b], objs[c],
+                    _functor_apply(images, (b, c), g),
+                    _functor_apply(images, (a, b), f))
+                if lhs != rhs:
+                    return False
+    return True
 
 
 # -- cocartesian analysis: definition unfolding through base changes

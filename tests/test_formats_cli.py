@@ -328,6 +328,17 @@ def test_cli_malformed_documents_exit_3(tmp_path, capsys):
         path = write(tmp_path, "bad.json", dict(doc, **{key: 5}))
         assert run_cli(tmp_path, command, path, *dim) == 3, command
     assert "Traceback" not in capsys.readouterr().err
+    # a simplicial category without a map space or a composition entry
+    scat = formats.simplicial_category_to_dict(frak_c(2))
+    spaces = {k: v for k, v in scat["map_spaces"].items() if k != "0|0"}
+    tables = dict(scat["compositions"], **{"0|0|0": []})
+    for key, value, message in [
+            ("map_spaces", spaces, "the map space 0|0 is missing"),
+            ("compositions", tables, "the composition table 0|0|0 lacks "
+             "the entry for g = [[0], 0], f = [[0], 0]")]:
+        path = write(tmp_path, "bad.scat", dict(scat, **{key: value}))
+        assert run_cli(tmp_path, "coherent-nerve", path, "--dim", "2") == 3
+        assert capsys.readouterr().err == "input error: %s\n" % message
 
 
 def test_category_identity_must_be_an_arrow(tmp_path, capsys):
@@ -340,6 +351,18 @@ def test_category_identity_must_be_an_arrow(tmp_path, capsys):
     assert run_cli(tmp_path, "nerve", write(tmp_path, "c.cat", cat)) == 3
     assert capsys.readouterr().err == "input error: the identity of " \
         "object 0 is nope, which is not an arrow\n"
+
+
+def test_category_composite_must_be_an_arrow(tmp_path, capsys):
+    cat = formats.category_to_dict(ordinal_category(1))
+    cat["compose"].append(["0<=0", "0<=0", "nope"])
+    with pytest.raises(formats.InputError) as err:
+        formats.category_from_dict(cat)
+    assert str(err.value) == \
+        "the composition table names nope, which is not an arrow"
+    assert run_cli(tmp_path, "nerve", write(tmp_path, "c.cat", cat)) == 3
+    assert capsys.readouterr().err == "input error: the composition " \
+        "table names nope, which is not an arrow\n"
 
 
 def test_sset_loader_skips_empty_levels():

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from simpcat import hcnerve, sset
+from simpcat import formats, hcnerve, sset
 from simpcat.errors import InputError
 from simpcat.hcnerve import (coherent_nerve, frak_c, from_fincategory,
                              horn_mapspace, one_object_from_abelian_group,
@@ -10,6 +12,8 @@ from simpcat.nerve_cat import (bg, cyclic_table, find_category_isomorphism,
 from simpcat.quasicat import classify
 from simpcat.sset import (find_isomorphism, is_isomorphic, product,
                           standard_simplex)
+
+from oracles import simplicial_functors_all_pairs
 
 
 def test_frak_c_small():
@@ -166,3 +170,38 @@ def test_coherent_nerve_truncation_guard():
     SC = from_fincategory(ordinal_category(1), level_bound=0)
     with pytest.raises(InputError):
         coherent_nerve(SC, 3)
+
+
+def _composition_cases():
+    return [("bz3", from_fincategory(bg(cyclic_table(3)))),
+            ("ord2", from_fincategory(ordinal_category(2))),
+            ("arrow", two_object_arrow_space(standard_simplex(1))),
+            ("z2", one_object_from_abelian_group(cyclic_table(2)))]
+
+
+def test_simplicial_functors_match_all_pairs_check():
+    # composition checked on nondegenerate pairs only gives the same
+    # functors, in the same order, as the check on every pair
+    for name, C in _composition_cases():
+        for n in range(4):
+            F = frak_c(n)
+            functors = hcnerve.simplicial_functors(F, C)
+            assert functors == simplicial_functors_all_pairs(F, C), (name, n)
+            assert functors, (name, n)
+
+
+def test_coherent_nerve_bytes_pinned():
+    # SHA-256 of the canonical coherent_nerve(C, 3) document
+    pins = {
+        "bz3": "afdd48b14f8465facc31ae5eb0fc9651"
+               "d7fbe681bb6ead2d87a655991fdbaec8",
+        "ord2": "7b17932f992bc0fa09e1b394b583d176"
+                "4653064f769da10e9dc4553beb48879a",
+        "arrow": "733be92924f822c38de40730ab333143"
+                 "1ca93c049dafde4d12195d9d7c42131d",
+        "z2": "8dfca457a18634d28647a8eaf30665a7"
+              "85dbe771fbb75220a110acfc9f618c56",
+    }
+    for name, C in _composition_cases():
+        text = formats.dumps(formats.sset_to_dict(coherent_nerve(C, 3)))
+        assert hashlib.sha256(text.encode()).hexdigest() == pins[name], name
