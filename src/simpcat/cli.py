@@ -3,7 +3,8 @@ constructions, emit deterministic reports, witnesses, and graph exports.
 
 Exit codes: 0 verdict true / construction succeeded; 1 verdict false
 (with a machine-readable witness); 2 not decidable or fuel exhausted;
-3 malformed input or a usage error.
+3 malformed input or a usage error; 4 internal error (a bug in simpcat,
+reported in one line).
 """
 
 import argparse
@@ -447,8 +448,9 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; usage errors exit 3 like malformed input, and
-    --help exits 0."""
+    """Run one command; usage errors exit 3 like malformed input,
+    --help exits 0, and any unplanned exception exits 4 with one line
+    instead of a traceback, so that it never reads as a false verdict."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
@@ -462,6 +464,10 @@ def main(argv=None):
     except LiftingObstruction as e:
         sys.stderr.write("precondition failed: %s\n" % (e,))
         return 1
+    except Exception as e:
+        sys.stderr.write("internal error: %s: %s\n"
+                         % (type(e).__name__, e))
+        return 4
 
 
 def run(job):
@@ -471,7 +477,7 @@ def run(job):
     fuel, mode, base, n}, "out": path}.  Parameters are checked by the
     same parser as the command line, so a parameter the command does not
     read is rejected.  Returns the exit status (0 ok, 1 false verdict, 2
-    refusal, 3 input error or bad parameter)."""
+    refusal, 3 input error or bad parameter, 4 internal error)."""
     if job.get("command") not in COMMANDS:
         return 3
     params = job.get("parameters", {})

@@ -441,7 +441,7 @@ def load_object(path, expect=None):
     if expect is not None and kind != expect:
         raise InputError("expected a %s document, found %r"
                          % (expect, kind))
-    loader = LOADERS.get(kind)
+    loader = LOADERS.get(kind) if isinstance(kind, str) else None
     if loader is None:
         raise InputError("unknown document kind %r" % (kind,))
     return loader(d)

@@ -73,46 +73,94 @@ class HornReport:
             self.mode, self.dimension_bound, self.passed())
 
 
-def _facet_tuples(X, n, k):
-    """All horn maps Lambda^n_k -> X for n >= 2, each given by the tuple
-    of its facet images (d_j for j != k), pairwise compatible."""
+def _ranked(X, m):
+    """Dense ids for the m-simplices of X: (order, rank, faces, natural).
+
+    order lists the m-simplices in sorted E-Z tuple order and rank is
+    its inverse, so sorting ranks sorts the simplices; faces[i][r] is
+    the rank of d_i order[r] among the (m-1)-simplices; natural lists
+    the ranks in simplices(m) order."""
+    def build(X):
+        simplices = X.simplices(m)
+        order = sorted(simplices)
+        rank = {w: r for r, w in enumerate(order)}
+        faces = []
+        if m:
+            below = _ranked(X, m - 1)[1]
+            faces = [[below[X.face_of(i, w)] for w in order]
+                     for i in range(m + 1)]
+        return order, rank, faces, [rank[w] for w in simplices]
+    return X.memo(("ranked", m), build)
+
+
+def _join_index(X, m, positions):
+    """{(d_i w for i in positions): the ranks w, ascending} over the
+    m-simplices w of X."""
+    def build(X):
+        faces = _ranked(X, m)[2]
+        index = {}
+        for w, key in enumerate(zip(*[faces[i] for i in positions])):
+            index.setdefault(key, []).append(w)
+        return index
+    return X.memo(("join", m, positions), build)
+
+
+def _horn_stats(X, n, k):
+    """(tested, unfillable, nonunique, first unfillable horn) over the
+    horn maps Lambda^n_k -> X, n >= 2.
+
+    A horn is the tuple of its facet images (d_j for j != k), pairwise
+    compatible: d_i w_j = d_{j-1} w_i for i < j.  The first facet runs
+    over simplices(n-1); each later facet j is one join-index lookup
+    keyed by the faces d_{j-1} of the facets already chosen, and its
+    candidates come in ascending rank.  Horns are counted against the
+    fillers as their last facet comes, never listed."""
     J = [j for j in range(n + 1) if j != k]
-    faces_of = X.face_table(n - 1)
-    index = X.memo(("cofaces", n - 1), lambda X: _coface_index(faces_of))
-    results = []
-    assignment = {}
+    order, _, faces, natural = _ranked(X, n - 1)
+    steps = [(faces[J[p] - 1].__getitem__,
+              _join_index(X, n - 1, tuple(J[:p])).get)
+             for p in range(1, n)]
+    # fillers[facets but the last] = {last facet: number of n-simplices}
+    fillers = {}
+    top = _ranked(X, n)[2]
+    for key, w in zip(zip(*[top[j] for j in J[:-1]]), top[J[-1]]):
+        row = fillers.setdefault(key, {})
+        row[w] = row.get(w, 0) + 1
+    face_last, join_last = steps[-1]
+    tested = unfillable = nonunique = 0
+    witness = None
+    chosen = []
 
-    def rec(p):
-        if p == len(J):
-            results.append(tuple(assignment[j] for j in J))
+    def search(p, cands):
+        # chooses facet p among cands, then looks the next one up
+        nonlocal tested, unfillable, nonunique, witness
+        if p < n - 2:
+            face, join = steps[p]
+            for w in cands:
+                chosen.append(w)
+                after = join(tuple(map(face, chosen)))
+                if after:
+                    search(p + 1, after)
+                chosen.pop()
             return
-        j = J[p]
-        cands = None
-        for q in range(p):
-            i = J[q]
-            # d_i(w_j) = d_{j-1}(w_i) for i < j
-            want = faces_of[assignment[i]][j - 1]
-            got = index.get((i, want), set())
-            cands = set(got) if cands is None else cands & got
-            if not cands:
-                break
-        pool = faces_of if cands is None else sorted(cands)
-        for w in pool:
-            assignment[j] = w
-            rec(p + 1)
-            del assignment[j]
+        for w in cands:
+            chosen.append(w)
+            last = join_last(tuple(map(face_last, chosen)))
+            if last:
+                tested += len(last)
+                row = fillers.get(tuple(chosen), {})
+                for x in last:
+                    c = row.get(x, 0)
+                    if c == 0:
+                        unfillable += 1
+                        if witness is None:
+                            witness = tuple(order[v] for v in chosen + [x])
+                    elif c > 1:
+                        nonunique += 1
+            chosen.pop()
 
-    rec(0)
-    return J, results
-
-
-def _coface_index(faces_of):
-    """{(i, v): the set of simplices w with d_i w = v}."""
-    index = {}
-    for w, fw in faces_of.items():
-        for i, v in enumerate(fw):
-            index.setdefault((i, v), set()).add(w)
-    return index
+    search(0, natural)
+    return tested, unfillable, nonunique, witness
 
 
 def _witness(X, n, k, facets):
@@ -159,20 +207,9 @@ def classify(X, d, mode):
                         nonunique += 1
                 stats[(n, k)] = (tested, unfillable, nonunique)
                 continue
-            J, horns = _facet_tuples(X, n, k)
-            counter = {}
-            for fw, ws in X.face_index(n).items():
-                key = tuple(fw[j] for j in J)
-                counter[key] = counter.get(key, 0) + len(ws)
-            tested = len(horns)
-            unfillable = nonunique = 0
-            for h in horns:
-                c = counter.get(h, 0)
-                if c == 0:
-                    unfillable += 1
-                    witnesses.setdefault((n, k), _witness(X, n, k, h))
-                elif c > 1:
-                    nonunique += 1
+            tested, unfillable, nonunique, first = _horn_stats(X, n, k)
+            if first is not None:
+                witnesses[(n, k)] = _witness(X, n, k, first)
             stats[(n, k)] = (tested, unfillable, nonunique)
     return HornReport(mode, d, stats, witnesses)
 

@@ -67,6 +67,8 @@ class SimplicialSet:
         return self.names[k] if 0 <= k < len(self.names) else ()
 
     def cell_index(self, k, name):
+        if not 0 <= k < len(self._index) or name not in self._index[k]:
+            raise InputError("no %d-cell named %r" % (k, name))
         return self._index[k][name]
 
     def cell_simplex(self, k, name_or_idx):
@@ -159,6 +161,7 @@ class SimplicialSet:
             raise InputError("cells above the declared truncation")
         if len(self.faces) != len(self.names):
             raise InputError("face table does not match cell table")
+        sizes = [len(level) for level in self.names]
         for k, level in enumerate(self.names):
             if len(set(level)) != len(level):
                 raise InputError("duplicate cell names in dimension %d" % k)
@@ -169,30 +172,37 @@ class SimplicialSet:
                     if entry != ():
                         raise InputError("vertices cannot have faces")
                 continue
+            accepted = set()  # surjections [k-1] ->> [p] already checked
             for idx, entry in enumerate(self.faces[k]):
                 if len(entry) != k + 1:
                     raise InputError("cell %s needs %d faces"
                                      % (level[idx], k + 1))
                 for s, sub in entry:
-                    p = s[-1]
-                    ok = (len(s) == k and s[0] == 0 and all(
-                        0 <= b - a <= 1 for a, b in zip(s, s[1:])))
-                    if not ok:
-                        raise InputError("face entry %r is not a surjection"
-                                         % (s,))
-                    if not 0 <= sub < self.n_cells(p):
+                    if s not in accepted:
+                        if not (len(s) == k and s[0] == 0 and all(
+                                0 <= b - a <= 1 for a, b in zip(s, s[1:]))):
+                            raise InputError(
+                                "face entry %r is not a surjection" % (s,))
+                        accepted.add(s)
+                    if not 0 <= sub < sizes[s[-1]]:
                         raise InputError("face of %s points at a missing "
                                          "cell" % (level[idx],))
         self.check_identities()
 
     def check_identities(self):
-        """d_i d_j = d_{j-1} d_i for i < j, read off the stored faces."""
+        """d_i d_j = d_{j-1} d_i for i < j, read off the stored faces.
+
+        The faces of each face are read once: the stored tuple of a
+        nondegenerate face, or one face step per index of a degenerate
+        one."""
         for k in range(2, len(self.names)):
+            below = self.faces[k - 1]
             for idx, entry in enumerate(self.faces[k]):
+                ff = [below[sub] if s[-1] == k - 1
+                      else self.simplex_faces((s, sub)) for s, sub in entry]
                 for j in range(1, k + 1):
                     for i in range(j):
-                        if self.face_of(i, entry[j]) != \
-                                self.face_of(j - 1, entry[i]):
+                        if ff[j][i] != ff[i][j - 1]:
                             raise InputError(
                                 "simplicial identity fails at cell %s "
                                 "(i=%d, j=%d)" % (self.names[k][idx], i, j))

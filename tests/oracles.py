@@ -137,6 +137,74 @@ def _restrict(X, image, k, idx):
     return (tcompose(u, epi), w)
 
 
+# -- horn search: candidates by intersecting single-face indexes
+
+
+def facet_tuples_by_intersection(X, n, k):
+    """All horn maps Lambda^n_k -> X for n >= 2, each given by the tuple
+    of its facet images (d_j for j != k), pairwise compatible."""
+    J = [j for j in range(n + 1) if j != k]
+    faces_of = X.face_table(n - 1)
+    index = X.memo(("cofaces", n - 1), lambda X: _coface_index(faces_of))
+    results = []
+    assignment = {}
+
+    def rec(p):
+        if p == len(J):
+            results.append(tuple(assignment[j] for j in J))
+            return
+        j = J[p]
+        cands = None
+        for q in range(p):
+            i = J[q]
+            # d_i(w_j) = d_{j-1}(w_i) for i < j
+            want = faces_of[assignment[i]][j - 1]
+            got = index.get((i, want), set())
+            cands = set(got) if cands is None else cands & got
+            if not cands:
+                break
+        pool = faces_of if cands is None else sorted(cands)
+        for w in pool:
+            assignment[j] = w
+            rec(p + 1)
+            del assignment[j]
+
+    rec(0)
+    return J, results
+
+
+def _coface_index(faces_of):
+    """{(i, v): the set of simplices w with d_i w = v}."""
+    index = {}
+    for w, fw in faces_of.items():
+        for i, v in enumerate(fw):
+            index.setdefault((i, v), set()).add(w)
+    return index
+
+
+def horn_stats_by_intersection(X, n, k):
+    """(tested, unfillable, nonunique, first unfillable horn) for the
+    horn maps Lambda^n_k -> X, n >= 2: every horn from
+    facet_tuples_by_intersection, its fillers counted through the index
+    of n-simplices by face tuple.  Same result as quasicat._horn_stats."""
+    J, horns = facet_tuples_by_intersection(X, n, k)
+    counter = {}
+    for fw, ws in X.face_index(n).items():
+        key = tuple(fw[j] for j in J)
+        counter[key] = counter.get(key, 0) + len(ws)
+    unfillable = nonunique = 0
+    first = None
+    for h in horns:
+        c = counter.get(h, 0)
+        if c == 0:
+            unfillable += 1
+            if first is None:
+                first = h
+        elif c > 1:
+            nonunique += 1
+    return len(horns), unfillable, nonunique, first
+
+
 # -- coherent nerve: composition checked on every pair of simplices
 
 

@@ -304,6 +304,8 @@ def test_cli_malformed_documents_exit_3(tmp_path, capsys):
     cat = formats.category_to_dict(ordinal_category(1))
     path = write(tmp_path, "bad.cat", dict(cat, arrows=5))
     assert run_cli(tmp_path, "nerve", path) == 3
+    path = write(tmp_path, "kind.cat", {"kind": [0], "objects": []})
+    assert run_cli(tmp_path, "nerve", path) == 3
     cx = formats.complex_to_dict(
         free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])}))
     for key, value in [("window", 5), ("ring", "Z/x")]:
@@ -339,6 +341,33 @@ def test_cli_malformed_documents_exit_3(tmp_path, capsys):
         path = write(tmp_path, "bad.scat", dict(scat, **{key: value}))
         assert run_cli(tmp_path, "coherent-nerve", path, "--dim", "2") == 3
         assert capsys.readouterr().err == "input error: %s\n" % message
+
+
+def test_cli_missing_cell_exits_3(tmp_path, capsys):
+    # a set with no vertices has no level 0; a named cell may be absent
+    empty = write(tmp_path, "empty.sset",
+                  {"kind": "simplicial-set", "cells": {}})
+    point = write(tmp_path, "point.sset",
+                  formats.sset_to_dict(sset.standard_simplex(0)))
+    for path, message in [(empty, "no 0-cell named 'x'"),
+                          (point, "no 0-cell named 'x'")]:
+        assert run_cli(tmp_path, "pi1", path, "--base", "x") == 3
+        assert capsys.readouterr().err == "input error: %s\n" % message
+        assert run_cli(tmp_path, "hom-space", path, "x", "0") == 3
+        assert capsys.readouterr().err == "input error: %s\n" % message
+    with pytest.raises(simpcat.errors.InputError,
+                       match="no 2-cell named '0-1-2'"):
+        sset.standard_simplex(1).cell_index(2, "0-1-2")
+
+
+def test_cli_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(quasicat, "classify", broken)
+    path = write(tmp_path, "point.sset",
+                 formats.sset_to_dict(sset.standard_simplex(0)))
+    assert run_cli(tmp_path, "check-kan", path) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_category_identity_must_be_an_arrow(tmp_path, capsys):

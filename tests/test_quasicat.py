@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simpcat import quasicat, sset
 from simpcat.errors import InputError
@@ -12,6 +13,7 @@ from simpcat.quasicat import (LiftingObstruction, classify,
 from simpcat.sset import is_isomorphic, opposite, standard_simplex
 
 from test_nerve_cat import iso_pair_category
+from test_sset import subsets_and_products
 
 
 def test_classify_nerve_inner_unique():
@@ -296,3 +298,48 @@ def test_loading_and_kan_classification_never_factor(monkeypatch):
     # the count sees a factorization when one happens
     X.apply((0, 0, 2), X.simplices(2)[-1])
     assert calls == [(0, 0, 2)]
+
+
+# -- the dense-id horn search against the intersection oracle
+
+
+def _classify_both_ways(X, d, mode):
+    """classify(X, d, mode) as its dict and its witness for every (n, k),
+    from the library search and from a classify whose horn search is
+    the intersection oracle."""
+    from unittest import mock
+    from oracles import horn_stats_by_intersection
+    fast = classify(X, d, mode)
+    with mock.patch.object(quasicat, "_horn_stats",
+                           horn_stats_by_intersection):
+        slow = classify(X, d, mode)
+    return ((fast.as_dict(), fast.witnesses),
+            (slow.as_dict(), slow.witnesses))
+
+
+def _horn_search_objects():
+    from families import category_family
+    for name, C in category_family():
+        yield name, nerve(C, 4)
+    for n in range(1, 5):
+        for k in range(n + 1):
+            yield "horn(%d,%d)" % (n, k), sset.horn(n, k)
+        yield "boundary(%d)" % n, sset.boundary(n)
+        yield "spine(%d)" % n, sset.spine(n)
+    yield "boundary(3)xboundary(2)", sset.product(
+        sset.boundary(3), sset.boundary(2), truncation=3)[0]
+
+
+def test_classify_matches_intersection_oracle():
+    for name, X in _horn_search_objects():
+        d = 4 if X.truncation is None else X.truncation
+        for mode in ("inner", "kan", "left", "right"):
+            fast, slow = _classify_both_ways(X, d, mode)
+            assert fast == slow, (name, mode)
+
+
+@settings(deadline=None, max_examples=40)
+@given(subsets_and_products(), st.sampled_from(sorted(quasicat.MODES)))
+def test_classify_matches_intersection_oracle_on_random_subsets(X, mode):
+    fast, slow = _classify_both_ways(X, 4, mode)
+    assert fast == slow

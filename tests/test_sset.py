@@ -545,6 +545,16 @@ def test_validate_names_each_broken_check(X, change, message):
     assert str(err.value) == message
 
 
+def test_validate_checks_each_dimensions_surjections():
+    # (0, 1) is the face surjection of a 2-cell's nondegenerate faces,
+    # already accepted at dimension 2; on a 3-cell it is too short
+    names, faces = _corrupted(standard_simplex(3),
+                              _set_face(3, 0, 0, ((0, 1), 0)))
+    with pytest.raises(InputError) as err:
+        SimplicialSet(None, names, faces)
+    assert str(err.value) == "face entry (0, 1) is not a surjection"
+
+
 # -- face steps against the factorization route
 
 
