@@ -51,28 +51,6 @@ def load_relative(path):
     raise InputError("expected a category document with a weak list")
 
 
-def load_monoid_table(path):
-    d = formats.load(path)
-    if d.get("kind") != "monoid-table":
-        raise InputError("expected a monoid-table document")
-    return {(g, h): v for g, h, v in d["table"]}
-
-
-def load_split(path):
-    d = formats.load(path)
-    if d.get("kind") != "split-functor":
-        raise InputError("expected a split-functor document")
-    base = formats.category_from_dict(d["base"])
-    fibers = {k: formats.category_from_dict(v)
-              for k, v in d["fibers"].items()}
-    transports = {}
-    for phi, maps in d["transports"].items():
-        transports[phi] = nerve_cat.Functor(
-            fibers[base.src[phi]], fibers[base.dst[phi]],
-            maps["objects"], maps["arrows"])
-    return fibrations.SplitFunctorToCat(base, fibers, transports)
-
-
 # -- commands ----------------------------------------------------------------
 
 
@@ -164,7 +142,7 @@ def cmd_nerve(args):
 
 
 def cmd_bg(args):
-    table = load_monoid_table(args.input)
+    table = formats.load_object(args.input, "monoid-table")
     B = nerve_cat.bg(table)
     emit(args, formats.category_to_dict(B))
     return 0
@@ -264,7 +242,7 @@ def cmd_cocart_analyze(args):
 
 
 def cmd_grothendieck_build(args):
-    S = load_split(args.input)
+    S = formats.load_object(args.input, "split-functor")
     proj = fibrations.grothendieck_build(S)
     emit(args, formats.functor_to_dict(proj))
     return 0
@@ -359,7 +337,12 @@ def cmd_export_dot(args):
         for t in X.cells(2):
             lines.append('  // triangle %s' % t)
     elif kind == "cocart-analysis":
-        for a, flags in sorted(d["arrows"].items()):
+        arrows = d.get("arrows")
+        if not (isinstance(arrows, dict)
+                and all(isinstance(f, dict) for f in arrows.values())):
+            raise InputError("malformed cocart-analysis document: arrows "
+                             "must be an object of flag objects")
+        for a, flags in sorted(arrows.items()):
             attrs = []
             if flags.get("cocartesian"):
                 attrs.append("cocartesian")
@@ -457,8 +440,7 @@ def main(argv=None):
         return 3 if e.code else 0
     try:
         return args.fn(args)
-    except (InputError, FileNotFoundError, json.JSONDecodeError,
-            KeyError) as e:
+    except (InputError, FileNotFoundError, json.JSONDecodeError) as e:
         sys.stderr.write("input error: %s\n" % (e,))
         return 3
     except LiftingObstruction as e:

@@ -619,7 +619,9 @@ def chain_map_between(C1, C2, matrices):
     matrices."""
     out = {}
     for n in range(C1.lo, C1.hi + 1):
-        F = matrices[n]
+        F = matrices.get(n)
+        if F is None:
+            raise InputError("component %d missing" % n)
         if F.rows != C2.rank(n) or F.cols != C1.rank(n):
             raise InputError("component %d misshaped" % n)
         if not map_respects_relations(F, C1.coeffs[n], C2.coeffs[n]):

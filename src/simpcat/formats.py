@@ -7,6 +7,7 @@ import json
 
 from .doldkan import ChainComplex, SimplicialAbGroup
 from .errors import InputError
+from .fibrations import SplitFunctorToCat
 from .hcnerve import SimplicialCategory
 from .intlinalg import Mat
 from .nerve_cat import FinCategory, Functor, RelativeCategory
@@ -45,7 +46,7 @@ def sset_to_dict(X):
 def sset_from_dict(d):
     if d.get("kind") not in (None, "simplicial-set"):
         raise InputError("expected a simplicial-set document")
-    cells, face_doc = d["cells"], d.get("faces", {})
+    cells, face_doc = d.get("cells"), d.get("faces", {})
     truncation = d.get("truncation")
     if not (isinstance(cells, dict) and isinstance(face_doc, dict) and all(
             k.isdecimal() and _is_names(v) for k, v in cells.items()) and (
@@ -171,13 +172,56 @@ def functor_from_dict(d):
         raise InputError("malformed functor document: source and target "
                          "must be category documents, objects and arrows "
                          "objects of names")
-    C = category_from_dict(d["source"])
-    D = category_from_dict(d["target"])
-    if isinstance(C, RelativeCategory):
-        C = C.category
-    if isinstance(D, RelativeCategory):
-        D = D.category
-    return Functor(C, D, d["objects"], d["arrows"])
+    return Functor(_category(d["source"]), _category(d["target"]),
+                   d["objects"], d["arrows"])
+
+
+def _category(d):
+    """The category of a category document, without its weak list."""
+    C = category_from_dict(d)
+    return C.category if isinstance(C, RelativeCategory) else C
+
+
+def monoid_table_from_dict(d):
+    """The multiplication table {(g, h): g then h} of a monoid-table
+    document; bg checks that it is a monoid."""
+    if d.get("kind") != "monoid-table":
+        raise InputError("expected a monoid-table document")
+    table = d.get("table")
+    if not (isinstance(table, list) and all(
+            isinstance(t, list) and len(t) == 3
+            and all(isinstance(v, str) for v in t) for t in table)):
+        raise InputError("malformed monoid-table document: table must be "
+                         "a list of [g, h, product] string triples")
+    return {(g, h): v for g, h, v in table}
+
+
+def split_functor_from_dict(d):
+    if d.get("kind") != "split-functor":
+        raise InputError("expected a split-functor document")
+    fibers, transports = d.get("fibers"), d.get("transports")
+    if not (isinstance(d.get("base"), dict) and isinstance(fibers, dict)
+            and all(isinstance(v, dict) for v in fibers.values())
+            and isinstance(transports, dict)
+            and all(isinstance(m, dict) and all(
+                isinstance(m.get(k), dict) and all(map(_is_name,
+                                                       m[k].values()))
+                for k in ("objects", "arrows"))
+                for m in transports.values())):
+        raise InputError("malformed split-functor document: base must be a "
+                         "category document, fibers an object of category "
+                         "documents, transports an object of {objects, "
+                         "arrows} name tables")
+    base = _category(d["base"])
+    fibers = {x: _category(v) for x, v in fibers.items()}
+    for phi in transports:
+        if base.src.get(phi) not in fibers or base.dst[phi] not in fibers:
+            raise InputError("transport %s is not along a base arrow "
+                             "between fibers" % phi)
+    return SplitFunctorToCat(base, fibers, {
+        phi: Functor(fibers[base.src[phi]], fibers[base.dst[phi]],
+                     m["objects"], m["arrows"])
+        for phi, m in transports.items()})
 
 
 # -- chain complexes ---------------------------------------------------------
@@ -368,7 +412,9 @@ def simplicial_category_from_dict(d):
     if d.get("kind") != "simplicial-category":
         raise InputError("expected a simplicial-category document")
     space_doc, comp_doc = d.get("map_spaces"), d.get("compositions")
-    if not (_is_names(d.get("objects"))
+    objects = d.get("objects")
+    if not (isinstance(objects, list)
+            and all(isinstance(x, str) for x in objects)
             and isinstance(d.get("level_bound"), int)
             and isinstance(d.get("identities"), dict)
             and all(map(_is_name, d["identities"].values()))
@@ -381,7 +427,7 @@ def simplicial_category_from_dict(d):
                             and all(map(_is_simplex, e)) for e in entries)
                     for k, entries in comp_doc.items())):
         raise InputError("malformed simplicial-category document: objects "
-                         "must be a name list, level_bound an integer, "
+                         "must be a string list, level_bound an integer, "
                          "identities an object of names, map_spaces an "
                          "object from \"x|y\" to simplicial-set documents, "
                          "compositions an object from \"x|y|z\" to lists "
@@ -432,6 +478,8 @@ LOADERS = {
     "simplicial-abelian-group": simplicial_ab_from_dict,
     "bisimplicial-set": bisimplicial_from_dict,
     "simplicial-category": simplicial_category_from_dict,
+    "monoid-table": monoid_table_from_dict,
+    "split-functor": split_functor_from_dict,
 }
 
 

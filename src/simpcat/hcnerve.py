@@ -3,7 +3,7 @@ necklace posets, the homotopy-coherent nerve at bounded dimension, and the
 pi_0 homotopy category of a simplicial category.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from . import sset
 from .delta import degeneracy, tcompose, tidentity
@@ -242,7 +242,7 @@ def horn_mapspace(n, i):
     if not 0 < i < n:
         raise InputError("inner index required: 0 < i < n")
     m = n - 1
-    vectors = [tuple(v) for v in _all_vectors(m)]
+    vectors = list(product((0, 1), repeat=m))
 
     def leq(a, b):
         return all(p <= q for p, q in zip(a, b))
@@ -287,16 +287,6 @@ def horn_mapspace(n, i):
     sub = SimplicialSet(None, names, faces)
     incl = sset.inclusion_by_names(sub, ambient)
     return sub, ambient, incl
-
-
-def _all_vectors(m):
-    if m == 0:
-        return [()]
-    out = []
-    for v in _all_vectors(m - 1):
-        out.append(v + (0,))
-        out.append(v + (1,))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

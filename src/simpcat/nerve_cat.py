@@ -276,9 +276,12 @@ def bg(table, names=None):
     elements = sorted({g for g, _ in table} | {h for _, h in table})
     if names is not None:
         elements = list(names)
+    members = set(elements)
     for g, h in iproduct(elements, repeat=2):
         if (g, h) not in table:
             raise InputError("multiplication table is not total")
+        if table[(g, h)] not in members:
+            raise InputError("multiplication table is not closed")
     unit = None
     for e in elements:
         if all(table[(e, g)] == g and table[(g, e)] == g
@@ -518,59 +521,25 @@ def max_subgroupoid(C):
 
 
 def find_category_isomorphism(C, D):
-    """Backtracking search for an isomorphism of categories."""
+    """An isomorphism of categories C -> D, or None.
+
+    The nerve is fully faithful and a category is determined by its
+    2-skeleton, so this is an isomorphism of the 2-truncated nerves,
+    read back as a functor: vertices name objects and nondegenerate
+    edges name the non-identity arrows."""
     if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
         return None
-    c_homs = {}
-    for a in C.arrows:
-        c_homs.setdefault((C.src[a], C.dst[a]), []).append(a)
-    objs = list(C.objects)
-
-    def try_obj(pos, omap, used):
-        if pos == len(objs):
-            return match_arrows(omap)
-        x = objs[pos]
-        for y in D.objects:
-            if y in used:
-                continue
-            omap[x] = y
-            used.add(y)
-            result = try_obj(pos + 1, omap, used)
-            if result is not None:
-                return result
-            used.remove(y)
-            del omap[x]
+    NC, ND = nerve(C, 2), nerve(D, 2)
+    f = sset.find_isomorphism(NC, ND)
+    if f is None:
         return None
-
-    def match_arrows(omap):
-        amap = {}
-        order = sorted(C.arrows)
-
-        def rec(pos):
-            if pos == len(order):
-                F = Functor(C, D, dict(omap), dict(amap), validate=False)
-                try:
-                    F.validate()
-                except InputError:
-                    return None
-                return F if F.is_isomorphism() else None
-            a = order[pos]
-            want = (omap[C.src[a]], omap[C.dst[a]])
-            for b in D.hom(*want):
-                if b in amap.values():
-                    continue
-                if C.is_identity(a) != D.is_identity(b):
-                    continue
-                amap[a] = b
-                result = rec(pos + 1)
-                if result is not None:
-                    return result
-                del amap[a]
-            return None
-
-        return rec(0)
-
-    return try_obj(0, {}, set())
+    omap, amap = ({NC.names[k][i]: ND.names[k][j]
+                   for i, (_, j) in enumerate(f.assignment[k])}
+                  for k in (0, 1))
+    for x in C.objects:
+        amap[C.ident[x]] = D.ident[omap[x]]
+    F = Functor(C, D, omap, amap)
+    return F if F.is_isomorphism() else None
 
 
 def all_functors(C, D):

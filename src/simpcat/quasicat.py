@@ -9,7 +9,7 @@ unbounded lifting.
 from . import sset
 from .delta import tidentity
 from .errors import InputError
-from .nerve_cat import FinCategory
+from .nerve_cat import FinCategory, bg, find_category_isomorphism
 from .sset import is_degenerate, simplex_dim
 
 MODES = {
@@ -385,33 +385,27 @@ def equivalences(X):
 
 def max_kan_subset(X):
     """The simplicial subset spanned by simplices all of whose edges are
-    equivalences."""
+    equivalences.
+
+    Every edge of a k-cell, k >= 2, is an edge of one of its faces, so
+    a vertex is always kept, an edge when it is an equivalence, and a
+    higher cell when the cells under all its stored faces are kept."""
     eqs = equivalences(X)
-
-    def cell_ok(k, idx):
-        cell = (tidentity(k), idx)
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                if X.apply((i, j), cell) not in eqs:
-                    return False
-        return True
-
-    keep = []
+    new_index, names, faces = [], [], []
     for k in range(len(X.names)):
-        keep.append([idx for idx in range(X.n_cells(k)) if cell_ok(k, idx)])
-    new_index = [{idx: j for j, idx in enumerate(level)} for level in keep]
-    names = [tuple(X.names[k][idx] for idx in keep[k])
-             for k in range(len(keep))]
-    faces = []
-    for k in range(len(keep)):
-        entry = []
-        for idx in keep[k]:
-            if k == 0:
-                entry.append(())
-            else:
-                entry.append(tuple((s, new_index[s[-1]][sub])
-                                   for s, sub in X.faces[k][idx]))
-        faces.append(entry)
+        if k == 0:
+            keep = range(X.n_cells(0))
+        elif k == 1:
+            keep = [idx for idx in range(X.n_cells(1))
+                    if (tidentity(1), idx) in eqs]
+        else:
+            keep = [idx for idx, entry in enumerate(X.faces[k])
+                    if all(sub in new_index[s[-1]] for s, sub in entry)]
+        new_index.append({idx: j for j, idx in enumerate(keep)})
+        names.append(tuple(X.names[k][idx] for idx in keep))
+        faces.append([tuple((s, new_index[s[-1]][sub])
+                            for s, sub in X.faces[k][idx])
+                      for idx in keep])
     return sset.SimplicialSet(X.truncation, names, faces)
 
 
@@ -467,17 +461,13 @@ class SetReport:
 
 class GroupPresentation:
     """A finite group read off a multiplication table of homotopy
-    classes; generators and table-relations, plus a recognized-structure
-    tag."""
+    classes, plus a recognized-structure tag."""
 
     def __init__(self, elements, unit, table, verified=True):
         self.elements = list(elements)
         self.unit = unit
         self.table = dict(table)
         self.verified = verified
-        self.generators = [e for e in self.elements if e != unit]
-        self.relations = ["%s*%s=%s" % (a, b, c)
-                          for (a, b), c in sorted(self.table.items())]
         self.structure = self._recognize()
 
     @property
@@ -488,21 +478,14 @@ class GroupPresentation:
         return self.table[(a, b)]
 
     def is_group(self):
-        els = self.elements
-        for a in els:
-            if self.table[(a, self.unit)] != a or \
-                    self.table[(self.unit, a)] != a:
-                return False
-            if not any(self.table[(a, b)] == self.unit and
-                       self.table[(b, a)] == self.unit for b in els):
-                return False
-        for a in els:
-            for b in els:
-                for c in els:
-                    if self.table[(self.table[(a, b)], c)] != \
-                            self.table[(a, self.table[(b, c)])]:
-                        return False
-        return True
+        """Whether the table is a group law with unit self.unit: its
+        delooping is a category whose one identity is self.unit and
+        whose arrows are all invertible."""
+        try:
+            G = bg(self.table, self.elements)
+        except InputError:
+            return False
+        return G.ident["*"] == self.unit and G.is_groupoid()
 
     def is_abelian(self):
         return all(self.table[(a, b)] == self.table[(b, a)]
@@ -529,48 +512,11 @@ class GroupPresentation:
         return "unrecognized"
 
     def isomorphic_to_table(self, table):
-        """Search for a table isomorphism onto another multiplication
-        table given as a dict on pairs of names."""
-        other_els = sorted({a for a, _ in table})
-        if len(other_els) != self.order:
-            return False
-        unit2 = None
-        for e in other_els:
-            if all(table[(e, g)] == g and table[(g, e)] == g
-                   for g in other_els):
-                unit2 = e
-        orders2 = {}
-        for a in other_els:
-            k, acc = 1, a
-            while acc != unit2:
-                acc = table[(acc, a)]
-                k += 1
-            orders2[a] = k
-
-        mine = sorted(self.elements, key=lambda a: (self.element_order(a),
-                                                    str(a)))
-
-        def rec(pos, mapping, used):
-            if pos == len(mine):
-                return True
-            a = mine[pos]
-            for b in other_els:
-                if b in used or orders2[b] != self.element_order(a):
-                    continue
-                mapping[a] = b
-                used.add(b)
-                ok = all(
-                    table.get((mapping[p], mapping[q]))
-                    == mapping.get(self.table[(p, q)], None)
-                    for p in mapping for q in mapping
-                    if self.table[(p, q)] in mapping)
-                if ok and rec(pos + 1, mapping, used):
-                    return True
-                used.remove(b)
-                del mapping[a]
-            return False
-
-        return rec(0, {}, set())
+        """Whether this group is isomorphic to the monoid of another
+        multiplication table, given as a dict on pairs of names: an
+        isomorphism of the two deloopings."""
+        return find_category_isomorphism(
+            bg(self.table, self.elements), bg(table)) is not None
 
     def __repr__(self):
         return "GroupPresentation(order=%d, %s)" % (self.order,

@@ -8,8 +8,11 @@ from itertools import combinations, product
 
 from simpcat.delta import degeneracy, face, tcompose, tfactorize, tidentity
 from simpcat.doldkan import boundaries_matrix, cycles_matrix
+from simpcat.errors import InputError
 from simpcat.fibrations import base_change_to_ordinal, fiber_category
 from simpcat.intlinalg import Mat, from_columns, kernel_basis, solve_matrix
+from simpcat.nerve_cat import Functor
+from simpcat.quasicat import equivalences
 from simpcat.sset import SimplicialMap, SimplicialSet, enumerate_maps
 
 
@@ -430,3 +433,84 @@ def functors_naturally_isomorphic(F, G):
         return None
 
     return rec(0, {})
+
+
+# -- isomorphisms of categories by backtracking
+
+
+def category_isomorphism_by_backtracking(C, D):
+    """Search for an isomorphism of categories object by object, then
+    arrow by arrow within the matching hom-sets; returns the functor or
+    None."""
+    if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
+        return None
+    objs = list(C.objects)
+
+    def try_obj(pos, omap, used):
+        if pos == len(objs):
+            return match_arrows(omap)
+        x = objs[pos]
+        for y in D.objects:
+            if y in used:
+                continue
+            omap[x] = y
+            used.add(y)
+            result = try_obj(pos + 1, omap, used)
+            if result is not None:
+                return result
+            used.remove(y)
+            del omap[x]
+        return None
+
+    def match_arrows(omap):
+        amap = {}
+        order = sorted(C.arrows)
+
+        def rec(pos):
+            if pos == len(order):
+                F = Functor(C, D, dict(omap), dict(amap), validate=False)
+                try:
+                    F.validate()
+                except InputError:
+                    return None
+                return F if F.is_isomorphism() else None
+            a = order[pos]
+            want = (omap[C.src[a]], omap[C.dst[a]])
+            for b in D.hom(*want):
+                if b in amap.values():
+                    continue
+                if C.is_identity(a) != D.is_identity(b):
+                    continue
+                amap[a] = b
+                result = rec(pos + 1)
+                if result is not None:
+                    return result
+                del amap[a]
+            return None
+
+        return rec(0)
+
+    return try_obj(0, {}, set())
+
+
+# -- the maximal Kan subset by testing every edge of every cell
+
+
+def max_kan_subset_by_edges(X):
+    """The simplicial subset of the cells all of whose edges, each
+    restricted by apply, are equivalences."""
+    eqs = equivalences(X)
+
+    def cell_ok(k, idx):
+        cell = (tidentity(k), idx)
+        return all(X.apply((i, j), cell) in eqs
+                   for i in range(k + 1) for j in range(i + 1, k + 1))
+
+    keep = [[idx for idx in range(X.n_cells(k)) if cell_ok(k, idx)]
+            for k in range(len(X.names))]
+    new_index = [{idx: j for j, idx in enumerate(level)} for level in keep]
+    names = [tuple(X.names[k][idx] for idx in level)
+             for k, level in enumerate(keep)]
+    faces = [[tuple((s, new_index[s[-1]][sub]) for s, sub in X.faces[k][idx])
+              for idx in level] for k, level in enumerate(keep)]
+    return SimplicialSet(X.truncation, names, faces)

@@ -11,8 +11,8 @@ from simpcat.chain_model import ChainMap, identity_chain_map
 from simpcat.doldkan import free_complex, free_simplicial_abelian_group
 from simpcat.hcnerve import frak_c
 from simpcat.intlinalg import Mat
-from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table, nerve,
-                               ordinal_category)
+from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table,
+                               discrete_category, nerve, ordinal_category)
 from simpcat.segal import embed, rezk_nerve
 from simpcat.sset import SimplicialSet
 
@@ -341,6 +341,60 @@ def test_cli_malformed_documents_exit_3(tmp_path, capsys):
         path = write(tmp_path, "bad.scat", dict(scat, **{key: value}))
         assert run_cli(tmp_path, "coherent-nerve", path, "--dim", "2") == 3
         assert capsys.readouterr().err == "input error: %s\n" % message
+    path = write(tmp_path, "bad.scat", dict(scat, objects=[0, 1, 2]))
+    assert run_cli(tmp_path, "coherent-nerve", path, "--dim", "2") == 3
+    # the command-local kinds check their shape like the loaders
+    z2 = [[g, h, v] for (g, h), v in sorted(cyclic_table(2).items())]
+    unclosed = [[g, h, "g2" if (g, h) == ("g1", "g1") else v]
+                for g, h, v in z2]
+    for doc in ({"kind": "monoid-table", "table": [1]},
+                {"kind": "monoid-table"},
+                {"kind": "monoid-table", "table": unclosed}):
+        path = write(tmp_path, "bad.monoid", doc)
+        assert run_cli(tmp_path, "bg", path) == 3, doc
+    split = split_functor_doc()
+    transports = dict(split["transports"], nope=split["transports"]["0<=1"])
+    for key, value in [("fibers", []), ("transports", transports),
+                       ("base", dict(split["base"], objects=5))]:
+        path = write(tmp_path, "bad.split", dict(split, **{key: value}))
+        assert run_cli(tmp_path, "grothendieck-build", path) == 3, key
+    for arrows in ([], {"f": 5}, None):
+        doc = {"kind": "cocart-analysis", "arrows": arrows}
+        path = write(tmp_path, "bad.json",
+                     {k: v for k, v in doc.items() if v is not None})
+        assert run_cli(tmp_path, "export-dot", path) == 3, arrows
+    cmap = formats.chain_map_to_dict(identity_chain_map(C))
+    del cmap["components"]["1"]
+    path = write(tmp_path, "bad.json", cmap)
+    assert "Traceback" not in capsys.readouterr().err
+    assert run_cli(tmp_path, "quasi-iso", path) == 3
+    assert capsys.readouterr().err == "input error: component 1 missing\n"
+
+
+def split_functor_doc():
+    """A split-functor document over [1]: the point over 0, the discrete
+    category on two objects over 1, the transport picking one of them."""
+    base = ordinal_category(1)
+    fibers = {"0": discrete_category(["p"]),
+              "1": discrete_category(["q", "r"])}
+    maps = {"0<=0": ({"p": "p"}, {"id_p": "id_p"}),
+            "1<=1": ({"q": "q", "r": "r"}, {"id_q": "id_q", "id_r": "id_r"}),
+            "0<=1": ({"p": "r"}, {"id_p": "id_r"})}
+    return {"kind": "split-functor",
+            "base": formats.category_to_dict(base),
+            "fibers": {x: formats.category_to_dict(F)
+                       for x, F in fibers.items()},
+            "transports": {phi: {"objects": objects, "arrows": arrows}
+                           for phi, (objects, arrows) in maps.items()}}
+
+
+def test_cli_grothendieck_build(tmp_path):
+    path = write(tmp_path, "s.split", split_functor_doc())
+    out = str(tmp_path / "proj.functor")
+    assert run_cli(tmp_path, "grothendieck-build", path, "--out", out) == 0
+    proj = formats.load_object(out, "functor")
+    assert len(proj.source.objects) == 3
+    assert len(proj.target.objects) == 2
 
 
 def test_cli_missing_cell_exits_3(tmp_path, capsys):
@@ -368,6 +422,13 @@ def test_cli_internal_error_exits_4(tmp_path, capsys, monkeypatch):
                  formats.sset_to_dict(sset.standard_simplex(0)))
     assert run_cli(tmp_path, "check-kan", path) == 4
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    # a KeyError inside a command is a bug, not malformed input
+    def lookup(*args):
+        return {}["nope"]
+    monkeypatch.setattr(quasicat, "classify", lookup)
+    assert run_cli(tmp_path, "check-kan", path) == 4
+    assert capsys.readouterr().err == "internal error: KeyError: 'nope'\n"
 
 
 def test_category_identity_must_be_an_arrow(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simpcat import nerve_cat, sset
 from simpcat.errors import FuelExhausted, InputError
@@ -254,3 +255,59 @@ def test_opposite_category():
     Cop.validate()
     assert Cop.src["u"] == "b"
     assert find_category_isomorphism(C.opposite().opposite(), C) is not None
+
+
+# -- isomorphisms of categories as isomorphisms of 2-truncated nerves
+
+
+def _renamed_copy(C, objects, arrows):
+    """C with its objects and arrows renamed o0, o1, ... and a0, a1, ...
+    in the given orders, listed in those orders."""
+    obj = {x: "o%d" % i for i, x in enumerate(objects)}
+    arr = {a: "a%d" % i for i, a in enumerate(arrows)}
+    return FinCategory([obj[x] for x in objects], [arr[a] for a in arrows],
+                       {arr[a]: obj[C.src[a]] for a in arrows},
+                       {arr[a]: obj[C.dst[a]] for a in arrows},
+                       {(arr[g], arr[f]): arr[c]
+                        for (g, f), c in C.comp.items()},
+                       {obj[x]: arr[e] for x, e in C.ident.items()})
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_find_category_isomorphism_reads_back_a_renamed_copy(data):
+    from families import category_family
+    name, C = data.draw(st.sampled_from(category_family()))
+    D = _renamed_copy(C, data.draw(st.permutations(C.objects)),
+                      data.draw(st.permutations(C.arrows)))
+    F = find_category_isomorphism(C, D)
+    assert F is not None, name
+    assert F.source is C and F.target is D
+    F.validate()
+    assert F.is_isomorphism()
+
+
+def test_find_category_isomorphism_matches_backtracking():
+    from families import category_family
+    from oracles import category_isomorphism_by_backtracking
+    family = category_family()
+    found = 0
+    for c_name, C in family:
+        for d_name, D in family:
+            fast = find_category_isomorphism(C, D)
+            slow = category_isomorphism_by_backtracking(C, D)
+            assert (fast is None) == (slow is None), (c_name, d_name)
+            found += fast is not None
+    assert found > len(family)
+
+
+def test_find_category_isomorphism_negative_cases():
+    # same object and arrow counts, not isomorphic
+    assert find_category_isomorphism(bg(cyclic_table(4)),
+                                     bg(klein_table())) is None
+    C = ordinal_category(2)
+    assert find_category_isomorphism(C, C.opposite()) is not None
+    assert find_category_isomorphism(
+        poset_category(["r", "s", "t"], lambda x, y: x == y or x == "r"),
+        poset_category(["r", "s", "t"],
+                       lambda x, y: x == y or y == "t")) is None

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from simpcat import quasicat, sset
 from simpcat.errors import InputError
 from simpcat.nerve_cat import (bg, cyclic_table, find_category_isomorphism,
-                               max_subgroupoid, nerve, ordinal_category,
-                               symmetric3_table)
+                               klein_table, max_subgroupoid, nerve,
+                               ordinal_category, symmetric3_table)
 from simpcat.quasicat import (LiftingObstruction, classify,
                               count_extensions, equivalences, hom_space,
                               homotopy_category, homotopy_group,
@@ -136,6 +136,16 @@ def test_max_kan_subset():
     assert classify(M, 3, "kan").passed()
 
 
+def test_max_kan_subset_matches_edge_oracle():
+    from oracles import max_kan_subset_by_edges
+    for X in [nerve(ordinal_category(1), 3), nerve(ordinal_category(2), 3),
+              nerve(bg(cyclic_table(2)), 3), nerve(iso_pair_category(), 3),
+              nerve(bg(symmetric3_table()), 3),
+              opposite(nerve(iso_pair_category(), 3))]:
+        assert max_kan_subset(X).as_dict() == \
+            max_kan_subset_by_edges(X).as_dict()
+
+
 def test_hom_space_pi0_matches_ho():
     C = iso_pair_category()
     N = nerve(C, 3)
@@ -218,6 +228,36 @@ def test_pi1_table_is_group_law():
         pi1 = homotopy_group(N, "*", 1)
         assert pi1.is_group()
         assert pi1.isomorphic_to_table(cyclic_table(m))
+
+
+def test_pi1_not_isomorphic_to_another_group_of_its_order():
+    pi1 = homotopy_group(nerve(bg(cyclic_table(4)), 3), "*", 1)
+    assert pi1.isomorphic_to_table(cyclic_table(4))
+    assert not pi1.isomorphic_to_table(klein_table())
+
+
+def test_pi1_against_a_table_without_unit_raises():
+    # the left-zero table x * y = x has no unit; comparing against it
+    # must refuse rather than search for an element order forever
+    pi1 = homotopy_group(nerve(bg(cyclic_table(2)), 3), "*", 1)
+    left_zero = {(x, y): x for x in "ab" for y in "ab"}
+    with pytest.raises(InputError, match="has no unit"):
+        pi1.isomorphic_to_table(left_zero)
+
+
+def test_group_presentation_is_group_checks_the_law():
+    z3 = cyclic_table(3)
+    assert quasicat.GroupPresentation(["g0", "g1", "g2"], "g0",
+                                      z3).is_group()
+    # a wrong unit, a table that is not total, and a monoid that is not
+    # a group
+    assert not quasicat.GroupPresentation(["g0", "g1", "g2"], "g1",
+                                          z3).is_group()
+    partial = {k: v for k, v in z3.items() if k != ("g1", "g2")}
+    P = quasicat.GroupPresentation(["g0", "g1", "g2"], "g0", partial)
+    assert not P.is_group() and P.structure == "unrecognized"
+    mins = {(a, b): min(a, b) for a in "01" for b in "01"}
+    assert not quasicat.GroupPresentation(["0", "1"], "1", mins).is_group()
 
 
 def test_pi2_of_bg_trivial():
