@@ -450,7 +450,7 @@ def normalized_chains(A, return_inclusions=False):
         KerL = kernel_basis(L)
         rel_big = from_columns(Y.columns() + KerL, L.cols) \
             if (Y.cols + len(KerL)) else Mat(L.cols, 0)
-        Dm, P, Q, Pinv, Qinv = smith_normal_form(rel_big)
+        Dm, _, _, Pinv, _ = smith_normal_form(rel_big, sinv=True)
         gens = L * Pinv
         factors = []
         for i in range(L.cols):

@@ -50,7 +50,7 @@ def sset_from_dict(d):
     truncation = d.get("truncation")
     if not (isinstance(cells, dict) and isinstance(face_doc, dict) and all(
             k.isdecimal() and _is_names(v) for k, v in cells.items()) and (
-                truncation is None or isinstance(truncation, int))):
+                truncation is None or type(truncation) is int)):
         raise InputError("malformed simplicial-set document: cells must "
                          "map dimensions to name lists, faces must be an "
                          "object, truncation an integer or null")
@@ -85,7 +85,8 @@ def _is_names(v):
 
 
 def _is_ints(v):
-    return isinstance(v, list) and all(isinstance(n, int) for n in v)
+    """Whether v is a list of integers; JSON booleans are not."""
+    return isinstance(v, list) and all(type(n) is int for n in v)
 
 
 def _index_key(key, n):
@@ -100,7 +101,7 @@ def _is_face(item, index):
     """Whether item is [surjection values, name of a cell they reach]."""
     return (isinstance(item, list) and len(item) == 2
             and isinstance(item[0], list) and len(item[0]) > 0
-            and all(isinstance(v, int) for v in item[0])
+            and all(type(v) is int for v in item[0])
             and isinstance(item[1], (str, int))
             and 0 <= item[0][-1] < len(index)
             and item[1] in index[item[0][-1]])
@@ -242,7 +243,7 @@ def complex_from_dict(d):
     diff_doc = d.get("differentials", {})
     if not (isinstance(d.get("ring"), str) and _is_ints(window)
             and len(window) == 2 and isinstance(levels, dict)
-            and all(_is_degree(k) and (isinstance(v, int) if ranked
+            and all(_is_degree(k) and (type(v) is int if ranked
                                        else _is_ints(v))
                     for k, v in levels.items())
             and isinstance(diff_doc, dict)
@@ -325,7 +326,7 @@ def simplicial_ab_from_dict(d):
         raise InputError("expected a simplicial-abelian-group document")
     D, coeff_doc = d.get("truncation"), d.get("coefficients")
     table_keys = ("faces", "degeneracies")
-    if not (isinstance(d.get("ring"), str) and isinstance(D, int)
+    if not (isinstance(d.get("ring"), str) and type(D) is int
             and isinstance(coeff_doc, dict)
             and all(_is_degree(k) and _is_ints(v)
                     for k, v in coeff_doc.items())
@@ -415,7 +416,7 @@ def simplicial_category_from_dict(d):
     objects = d.get("objects")
     if not (isinstance(objects, list)
             and all(isinstance(x, str) for x in objects)
-            and isinstance(d.get("level_bound"), int)
+            and type(d.get("level_bound")) is int
             and isinstance(d.get("identities"), dict)
             and all(map(_is_name, d["identities"].values()))
             and isinstance(space_doc, dict)
@@ -463,7 +464,7 @@ def _is_simplex(v):
     """Whether v is [surjection values, cell index], a simplex in E-Z
     form as compositions are written."""
     return (isinstance(v, list) and len(v) == 2 and _is_ints(v[0])
-            and len(v[0]) > 0 and isinstance(v[1], int))
+            and len(v[0]) > 0 and type(v[1]) is int)
 
 
 # -- dispatch ----------------------------------------------------------------

@@ -32,22 +32,6 @@ class Mat:
             M.data[i][i] = 1
         return M
 
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        if not rows:
-            raise InputError("shape needed for an empty matrix")
-        return cls(len(rows), len(rows[0]), rows)
-
-    @classmethod
-    def diagonal(cls, entries, rows=None, cols=None):
-        n = len(entries)
-        M = cls(rows if rows is not None else n,
-                cols if cols is not None else n)
-        for i, e in enumerate(entries):
-            M.data[i][i] = e
-        return M
-
     def copy(self):
         return Mat(self.rows, self.cols, self.data)
 
@@ -79,20 +63,6 @@ class Mat:
             return out
         raise TypeError
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InputError("shape mismatch in sum")
-        return Mat(self.rows, self.cols,
-                   [[a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, k):
-        return Mat(self.rows, self.cols,
-                   [[k * a for a in r] for r in self.data])
-
     def is_zero(self):
         return all(a == 0 for r in self.data for a in r)
 
@@ -122,11 +92,6 @@ class Mat:
                    [[a % m if m else a for a in row]
                     for row, m in zip(self.data, moduli)])
 
-    def transpose(self):
-        return Mat(self.cols, self.rows,
-                   [[self.data[i][j] for i in range(self.rows)]
-                    for j in range(self.cols)])
-
 
 def from_columns(cols, rows):
     M = Mat(rows, len(cols))
@@ -138,135 +103,154 @@ def from_columns(cols, rows):
     return M
 
 
-def smith_normal_form(A):
+def smith_normal_form(A, s=False, t=False, sinv=False, tinv=False):
     """(D, S, T, Sinv, Tinv) with D = S * A * T diagonal in divisor-chain
-    form, S and T unimodular, and their inverses tracked alongside."""
+    form and S, T unimodular.  Only the transforms asked for (s, t, sinv,
+    tinv) are built and updated; the others are returned as None.
+
+    The pivot at each step is an entry of least absolute value, first in
+    row-major order, so D and every transform do not depend on which
+    transforms are asked for.  The scan stops at the first unit, and a
+    unit pivot skips the divisibility scan."""
+    m, n = A.rows, A.cols
     D = A.copy()
-    m, n = D.rows, D.cols
-    S = Mat.identity(m)
-    Sinv = Mat.identity(m)
-    T = Mat.identity(n)
-    Tinv = Mat.identity(n)
-
-    def swap_rows(i, j):
-        D.data[i], D.data[j] = D.data[j], D.data[i]
-        S.data[i], S.data[j] = S.data[j], S.data[i]
-        for r in Sinv.data:
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        for r in D.data:
-            r[i], r[j] = r[j], r[i]
-        for r in T.data:
-            r[i], r[j] = r[j], r[i]
-        Tinv.data[i], Tinv.data[j] = Tinv.data[j], Tinv.data[i]
-
-    def add_row(i, j, k):
-        # row_i += k * row_j ; inverse: column j of Sinv -= k * column i
-        D.data[i] = [a + k * b for a, b in zip(D.data[i], D.data[j])]
-        S.data[i] = [a + k * b for a, b in zip(S.data[i], S.data[j])]
-        for r in Sinv.data:
-            r[j] -= k * r[i]
-
-    def add_col(j, i, k):
-        # col_j += k * col_i ; inverse: row i of Tinv -= k * row j
-        for r in D.data:
-            r[j] += k * r[i]
-        for r in T.data:
-            r[j] += k * r[i]
-        Tinv.data[i] = [a - k * b
-                        for a, b in zip(Tinv.data[i], Tinv.data[j])]
-
-    def negate_row(i):
-        D.data[i] = [-a for a in D.data[i]]
-        S.data[i] = [-a for a in S.data[i]]
-        for r in Sinv.data:
-            r[i] = -r[i]
-
-    s = 0
-    while s < min(m, n):
-        # find pivot of least absolute value
-        piv = None
-        best = None
-        for i in range(s, m):
-            for j in range(s, n):
-                a = D.data[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    piv = (i, j)
+    d = D.data
+    S = Mat.identity(m) if s else None
+    Sinv = Mat.identity(m) if sinv else None
+    T = Mat.identity(n) if t else None
+    Tinv = Mat.identity(n) if tinv else None
+    sd = S.data if s else None
+    sid = Sinv.data if sinv else None
+    td = T.data if t else None
+    tid = Tinv.data if tinv else None
+    # rows and columns before the step index are zero off the diagonal,
+    # so the operations on D only touch rows and columns from it on
+    k = 0
+    while k < min(m, n):
+        piv = _pivot(d, k, m)
         if piv is None:
             break
         i, j = piv
-        if i != s:
-            swap_rows(s, i)
-        if j != s:
-            swap_cols(s, j)
-        # clear the pivot row and column
+        if i != k:
+            d[i], d[k] = d[k], d[i]
+            if s:
+                sd[i], sd[k] = sd[k], sd[i]
+            if sinv:
+                for r in sid:
+                    r[i], r[k] = r[k], r[i]
+        if j != k:
+            for r in d[k:]:
+                r[j], r[k] = r[k], r[j]
+            if t:
+                for r in td:
+                    r[j], r[k] = r[k], r[j]
+            if tinv:
+                tid[j], tid[k] = tid[k], tid[j]
+        # clear the pivot column: row_i -= q * row_k
+        dk = d[k]
+        p = dk[k]
+        support = [(c, dk[c]) for c in range(k, n) if dk[c]]
         dirty = False
-        for i in range(s + 1, m):
-            a = D.data[i][s]
+        for i in range(k + 1, m):
+            di = d[i]
+            a = di[k]
             if a:
-                add_row(i, s, -(a // D.data[s][s]))
-                if D.data[i][s]:
+                q = a // p
+                for c, b in support:
+                    di[c] -= q * b
+                if di[k]:
                     dirty = True
-        for j in range(s + 1, n):
-            a = D.data[s][j]
+                if s:
+                    sd[i] = [x - q * y for x, y in zip(sd[i], sd[k])]
+                if sinv:
+                    for r in sid:
+                        if r[i]:
+                            r[k] += q * r[i]
+        # clear the pivot row: col_j -= q * col_k
+        below = [r for r in d[k:] if r[k]]
+        tbelow = [r for r in td if r[k]] if t else None
+        for j in range(k + 1, n):
+            a = dk[j]
             if a:
-                add_col(j, s, -(a // D.data[s][s]))
-                if D.data[s][j]:
+                q = a // p
+                for r in below:
+                    r[j] -= q * r[k]
+                if dk[j]:
                     dirty = True
+                if t:
+                    for r in tbelow:
+                        r[j] -= q * r[k]
+                if tinv:
+                    tid[k] = [x + q * y for x, y in zip(tid[k], tid[j])]
         if dirty:
             continue
-        if any(D.data[i][s] for i in range(s + 1, m)) or \
-                any(D.data[s][j] for j in range(s + 1, n)):
-            continue
-        # enforce divisibility of the remaining block by the pivot
-        p = D.data[s][s]
-        offender = None
-        for i in range(s + 1, m):
-            for j in range(s + 1, n):
-                if D.data[i][j] % p != 0:
-                    offender = (i, j)
+        if p != 1 and p != -1:
+            # enforce divisibility of the remaining block by the pivot
+            offender = None
+            for i in range(k + 1, m):
+                di = d[i]
+                for j in range(k + 1, n):
+                    if di[j] % p:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender:
-                break
-        if offender:
-            add_row(s, offender[0], 1)
-            continue
+            if offender is not None:
+                # row_k += row_offender
+                do = d[offender]
+                for c in range(k, n):
+                    dk[c] += do[c]
+                if s:
+                    sd[k] = [x + y for x, y in zip(sd[k], sd[offender])]
+                if sinv:
+                    for r in sid:
+                        r[offender] -= r[k]
+                continue
         if p < 0:
-            negate_row(s)
-        s += 1
+            dk[k] = -p
+            if s:
+                sd[k] = [-x for x in sd[k]]
+            if sinv:
+                for r in sid:
+                    r[k] = -r[k]
+        k += 1
     return D, S, T, Sinv, Tinv
 
 
-def rank(A):
-    D, _, _, _, _ = smith_normal_form(A)
-    return sum(1 for i in range(min(D.rows, D.cols)) if D.data[i][i] != 0)
-
-
-def invariant_factors(A):
-    """Nonzero diagonal entries of the Smith form, in divisor order."""
-    D, _, _, _, _ = smith_normal_form(A)
-    return [D.data[i][i] for i in range(min(D.rows, D.cols))
-            if D.data[i][i] != 0]
-
-
-def solve(A, b):
-    """One integer solution x of A x = b, or None."""
-    X = solve_matrix(A, from_columns([list(b)], A.rows))
-    return X.column(0) if X is not None else None
+def _pivot(d, k, m):
+    """(i, j) of an entry of least absolute value in the block from
+    (k, k) on, first in row-major order; None when the block is zero.
+    The scan stops at the first row holding a unit."""
+    # entries left of column k are zero in these rows
+    best = 0
+    for i in range(k, m):
+        b = min(map(abs, filter(None, d[i])), default=0)
+        if b and (not best or b < best):
+            best, bi = b, i
+            if b == 1:
+                break
+    if not best:
+        return None
+    row = d[bi]
+    return bi, min(row.index(v) for v in (best, -best) if v in row)
 
 
 def solve_matrix(A, B):
     """Integer X with A X = B, or None.  Uses D = S A T."""
-    if A.rows != B.rows:
+    D, S, T, _, _ = smith_normal_form(A, s=True, t=True)
+    return _solve(D, S, T, B)
+
+
+def _solve(D, S, T, B):
+    """solve_matrix(A, B) from the Smith form D = S A T."""
+    rows, cols = D.rows, D.cols
+    if rows != B.rows:
         raise InputError("shape mismatch in solve")
-    D, S, T, _, _ = smith_normal_form(A)
     SB = S * B
-    Y = Mat(A.cols, B.cols)
-    r = min(A.rows, A.cols)
+    Y = Mat(cols, B.cols)
+    r = min(rows, cols)
     for j in range(B.cols):
-        for i in range(A.rows):
+        for i in range(rows):
             d = D.data[i][i] if i < r else 0
             v = SB.data[i][j]
             if d == 0:
@@ -275,23 +259,23 @@ def solve_matrix(A, B):
             else:
                 if v % d != 0:
                     return None
-                if i < A.cols:
+                if i < cols:
                     Y.data[i][j] = v // d
     return T * Y
 
 
 def kernel_basis(A):
     """Columns generating the integer kernel of A."""
-    D, _, T, _, _ = smith_normal_form(A)
-    r = min(A.rows, A.cols)
-    free = [j for j in range(A.cols)
+    D, _, T, _, _ = smith_normal_form(A, t=True)
+    return _kernel(D, T)
+
+
+def _kernel(D, T):
+    """kernel_basis(A) from the Smith form D = S A T."""
+    r = min(D.rows, D.cols)
+    free = [j for j in range(D.cols)
             if j >= r or D.data[j][j] == 0]
     return [T.column(j) for j in free]
-
-
-def in_span(L, v):
-    """Is v in the column span of L over the integers?"""
-    return solve(L, v) is not None
 
 
 def quotient_invariant_factors(G, N):
@@ -304,14 +288,16 @@ def quotient_invariant_factors(G, N):
         if N.cols and not N.is_zero():
             raise InputError("relations outside the lattice")
         return []
-    X = solve_matrix(G, N)
+    # one form of G serves both the solve and the kernel
+    D, S, T, _, _ = smith_normal_form(G, s=True, t=True)
+    X = _solve(D, S, T, N)
     if X is None:
         raise InputError("relation lattice is not inside the module "
                          "lattice")
-    K = kernel_basis(G)
+    K = _kernel(D, T)
     R = from_columns(X.columns() + K, G.cols) if (X.cols + len(K)) else \
         Mat(G.cols, 0)
-    D, _, _, _, _ = smith_normal_form(R)
+    D = smith_normal_form(R)[0]
     r = min(D.rows, D.cols)
     factors = []
     for i in range(G.cols):

@@ -396,7 +396,7 @@ def nerve(C, d):
 
     def name_fn(n, element):
         x, chain = element
-        return x if n == 0 else "|".join(chain)
+        return x if n == 0 else _chain_name(chain)
 
     return sset.from_presheaf(d, levels, action, name_fn=name_fn)
 
@@ -506,7 +506,13 @@ def _nerve_simplex_of_chain(C, NC, chain, source_obj):
             break
     if not core:
         return (word, NC.cell_index(0, source_obj))
-    return (word, NC.cell_index(len(core), "|".join(core)))
+    return (word, NC.cell_index(len(core), _chain_name(core)))
+
+
+def _chain_name(chain):
+    """The name of a nondegenerate simplex of a nerve: its arrows, which
+    may be named by strings or integers, joined by "|"."""
+    return "|".join(map(str, chain))
 
 
 def max_subgroupoid(C):

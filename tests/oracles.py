@@ -514,3 +514,107 @@ def max_kan_subset_by_edges(X):
     faces = [[tuple((s, new_index[s[-1]][sub]) for s, sub in X.faces[k][idx])
               for idx in level] for k, level in enumerate(keep)]
     return SimplicialSet(X.truncation, names, faces)
+
+
+def smith_normal_form_all_transforms(A):
+    """(D, S, T, Sinv, Tinv) with D = S * A * T diagonal in divisor-chain
+    form, S and T unimodular, and their inverses tracked alongside.  The
+    full-scan elimination that builds and updates all four transforms on
+    every step; intlinalg.smith_normal_form must agree with it on D and
+    on every transform it is asked for."""
+    D = A.copy()
+    m, n = D.rows, D.cols
+    S = Mat.identity(m)
+    Sinv = Mat.identity(m)
+    T = Mat.identity(n)
+    Tinv = Mat.identity(n)
+
+    def swap_rows(i, j):
+        D.data[i], D.data[j] = D.data[j], D.data[i]
+        S.data[i], S.data[j] = S.data[j], S.data[i]
+        for r in Sinv.data:
+            r[i], r[j] = r[j], r[i]
+
+    def swap_cols(i, j):
+        for r in D.data:
+            r[i], r[j] = r[j], r[i]
+        for r in T.data:
+            r[i], r[j] = r[j], r[i]
+        Tinv.data[i], Tinv.data[j] = Tinv.data[j], Tinv.data[i]
+
+    def add_row(i, j, k):
+        # row_i += k * row_j ; inverse: column j of Sinv -= k * column i
+        D.data[i] = [a + k * b for a, b in zip(D.data[i], D.data[j])]
+        S.data[i] = [a + k * b for a, b in zip(S.data[i], S.data[j])]
+        for r in Sinv.data:
+            r[j] -= k * r[i]
+
+    def add_col(j, i, k):
+        # col_j += k * col_i ; inverse: row i of Tinv -= k * row j
+        for r in D.data:
+            r[j] += k * r[i]
+        for r in T.data:
+            r[j] += k * r[i]
+        Tinv.data[i] = [a - k * b
+                        for a, b in zip(Tinv.data[i], Tinv.data[j])]
+
+    def negate_row(i):
+        D.data[i] = [-a for a in D.data[i]]
+        S.data[i] = [-a for a in S.data[i]]
+        for r in Sinv.data:
+            r[i] = -r[i]
+
+    s = 0
+    while s < min(m, n):
+        # find pivot of least absolute value
+        piv = None
+        best = None
+        for i in range(s, m):
+            for j in range(s, n):
+                a = D.data[i][j]
+                if a != 0 and (best is None or abs(a) < best):
+                    best = abs(a)
+                    piv = (i, j)
+        if piv is None:
+            break
+        i, j = piv
+        if i != s:
+            swap_rows(s, i)
+        if j != s:
+            swap_cols(s, j)
+        # clear the pivot row and column
+        dirty = False
+        for i in range(s + 1, m):
+            a = D.data[i][s]
+            if a:
+                add_row(i, s, -(a // D.data[s][s]))
+                if D.data[i][s]:
+                    dirty = True
+        for j in range(s + 1, n):
+            a = D.data[s][j]
+            if a:
+                add_col(j, s, -(a // D.data[s][s]))
+                if D.data[s][j]:
+                    dirty = True
+        if dirty:
+            continue
+        if any(D.data[i][s] for i in range(s + 1, m)) or \
+                any(D.data[s][j] for j in range(s + 1, n)):
+            continue
+        # enforce divisibility of the remaining block by the pivot
+        p = D.data[s][s]
+        offender = None
+        for i in range(s + 1, m):
+            for j in range(s + 1, n):
+                if D.data[i][j] % p != 0:
+                    offender = (i, j)
+                    break
+            if offender:
+                break
+        if offender:
+            add_row(s, offender[0], 1)
+            continue
+        if p < 0:
+            negate_row(s)
+        s += 1
+    return D, S, T, Sinv, Tinv

@@ -116,6 +116,25 @@ def test_cli_ho_and_nerve(tmp_path):
     assert len(Ho.objects) == 3
 
 
+def test_cli_nerve_and_ho_with_integer_arrow_names(tmp_path):
+    doc = {"kind": "category", "objects": ["a", "b"],
+           "arrows": [{"name": 10, "src": "a", "dst": "a"},
+                      {"name": 11, "src": "b", "dst": "b"},
+                      {"name": 12, "src": "a", "dst": "b"}],
+           "compose": [[10, 10, 10], [11, 11, 11], [12, 10, 12],
+                       [11, 12, 12]],
+           "identities": {"a": 10, "b": 11}}
+    cpath = write(tmp_path, "int.cat", doc)
+    npath = str(tmp_path / "n.sset")
+    assert run_cli(tmp_path, "nerve", cpath, "--dim", "3",
+                   "--out", npath) == 0
+    N = formats.load_object(npath)
+    assert N.names[1] == ("12",)
+    hpath = str(tmp_path / "ho.cat")
+    assert run_cli(tmp_path, "ho", npath, "--out", hpath) == 0
+    assert len(formats.load_object(hpath).arrows) == 3
+
+
 def test_cli_pi1(tmp_path):
     N = nerve(bg(cyclic_table(3)), 3)
     path = write(tmp_path, "bz3.sset", formats.sset_to_dict(N))
@@ -293,6 +312,10 @@ def test_cli_malformed_documents_exit_3(tmp_path, capsys):
     bad_cells = write(tmp_path, "cells.sset", d)
     for path in (not_object, bad_entry, bad_face, bad_cells):
         assert run_cli(tmp_path, "check-kan", path) == 3, path
+    d = formats.sset_to_dict(sset.standard_simplex(1))
+    for truncation, code in [(1, 0), (True, 3)]:
+        path = write(tmp_path, "t.sset", dict(d, truncation=truncation))
+        assert run_cli(tmp_path, "check-kan", path, "--dim", "1") == code
     assert run_cli(tmp_path, "export-dot", not_object) == 3
     bis = formats.bisimplicial_to_dict(
         embed("discrete", nerve(ordinal_category(1), 2), 2))
@@ -308,9 +331,31 @@ def test_cli_malformed_documents_exit_3(tmp_path, capsys):
     assert run_cli(tmp_path, "nerve", path) == 3
     cx = formats.complex_to_dict(
         free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])}))
-    for key, value in [("window", 5), ("ring", "Z/x")]:
+    for key, value in [("window", 5), ("ring", "Z/x"), ("window", [0, True]),
+                       ("differentials", {"1": [[True]]}),
+                       ("coefficients", {"0": [0], "1": [False]})]:
         path = write(tmp_path, "bad.cx", dict(cx, **{key: value}))
+        assert run_cli(tmp_path, "homology", path) == 3, (key, value)
+    ranked = {"kind": "chain-complex", "ring": "Z", "window": [0, 1],
+              "ranks": {"0": 1, "1": 1}, "differentials": {"1": [[2]]}}
+    path = write(tmp_path, "ranked.cx", ranked)
+    assert run_cli(tmp_path, "homology", path) == 0
+    for key, value in [("ranks", {"0": True, "1": 1}),
+                       ("differentials", {"1": [[True]]})]:
+        path = write(tmp_path, "bad.cx", dict(ranked, **{key: value}))
         assert run_cli(tmp_path, "homology", path) == 3, key
+    cmap = formats.chain_map_to_dict(identity_chain_map(
+        free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])})))
+    path = write(tmp_path, "bad.cm", dict(cmap, components=dict(
+        cmap["components"], **{"0": [[True]]})))
+    assert run_cli(tmp_path, "quasi-iso", path) == 3
+    sab = formats.simplicial_ab_to_dict(
+        free_simplicial_abelian_group(sset.standard_simplex(1), 2))
+    for key, value in [("truncation", True),
+                       ("coefficients", dict(sab["coefficients"],
+                                             **{"0": [0, True]}))]:
+        path = write(tmp_path, "bad.sab", dict(sab, **{key: value}))
+        assert run_cli(tmp_path, "normalized-chains", path) == 3, key
     from test_fibrations import z4_to_z2
     C = free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])})
     # each document runs as given and exits 3 once one field is 5
