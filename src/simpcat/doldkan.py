@@ -9,7 +9,7 @@ the ring Z/m every annihilator divides m; the ring Z is modulus 0.
 
 from . import delta
 from .errors import InputError
-from .intlinalg import (Mat, from_columns, kernel_basis,
+from .intlinalg import (Mat, from_columns, kernel_basis, preimage_lattice,
                         quotient_invariant_factors, smith_normal_form,
                         solve_matrix)
 
@@ -444,13 +444,10 @@ def normalized_chains(A, return_inclusions=False):
             new_coeffs[n] = ()
             inclusions[n] = Mat(g, 0)
             continue
-        Y = solve_matrix(L, R_n) if R_n.cols else Mat(L.cols, 0)
-        if Y is None:
+        rel_big = preimage_lattice(L, R_n)
+        if rel_big is None:
             raise InputError("level relations escape the Moore kernel")
-        KerL = kernel_basis(L)
-        rel_big = from_columns(Y.columns() + KerL, L.cols) \
-            if (Y.cols + len(KerL)) else Mat(L.cols, 0)
-        Dm, _, _, Pinv, _ = smith_normal_form(rel_big, sinv=True)
+        Dm, _, _, Pinv = smith_normal_form(rel_big, sinv=True)
         gens = L * Pinv
         factors = []
         for i in range(L.cols):

@@ -76,8 +76,9 @@ def sset_from_dict(d):
 
 
 def _is_name(v):
-    """Whether v can name a cell, an object or an arrow."""
-    return isinstance(v, (str, int))
+    """Whether v can name a cell, an object or an arrow; JSON booleans
+    cannot."""
+    return isinstance(v, str) or type(v) is int
 
 
 def _is_names(v):
@@ -102,7 +103,7 @@ def _is_face(item, index):
     return (isinstance(item, list) and len(item) == 2
             and isinstance(item[0], list) and len(item[0]) > 0
             and all(type(v) is int for v in item[0])
-            and isinstance(item[1], (str, int))
+            and (isinstance(item[1], str) or type(item[1]) is int)
             and 0 <= item[0][-1] < len(index)
             and item[1] in index[item[0][-1]])
 

@@ -103,10 +103,10 @@ def from_columns(cols, rows):
     return M
 
 
-def smith_normal_form(A, s=False, t=False, sinv=False, tinv=False):
-    """(D, S, T, Sinv, Tinv) with D = S * A * T diagonal in divisor-chain
-    form and S, T unimodular.  Only the transforms asked for (s, t, sinv,
-    tinv) are built and updated; the others are returned as None.
+def smith_normal_form(A, s=False, t=False, sinv=False):
+    """(D, S, T, Sinv) with D = S * A * T diagonal in divisor-chain form
+    and S, T unimodular.  Only the transforms asked for (s, t, sinv) are
+    built and updated; the others are returned as None.
 
     The pivot at each step is an entry of least absolute value, first in
     row-major order, so D and every transform do not depend on which
@@ -118,11 +118,9 @@ def smith_normal_form(A, s=False, t=False, sinv=False, tinv=False):
     S = Mat.identity(m) if s else None
     Sinv = Mat.identity(m) if sinv else None
     T = Mat.identity(n) if t else None
-    Tinv = Mat.identity(n) if tinv else None
     sd = S.data if s else None
     sid = Sinv.data if sinv else None
     td = T.data if t else None
-    tid = Tinv.data if tinv else None
     # rows and columns before the step index are zero off the diagonal,
     # so the operations on D only touch rows and columns from it on
     k = 0
@@ -144,8 +142,6 @@ def smith_normal_form(A, s=False, t=False, sinv=False, tinv=False):
             if t:
                 for r in td:
                     r[j], r[k] = r[k], r[j]
-            if tinv:
-                tid[j], tid[k] = tid[k], tid[j]
         # clear the pivot column: row_i -= q * row_k
         dk = d[k]
         p = dk[k]
@@ -180,8 +176,6 @@ def smith_normal_form(A, s=False, t=False, sinv=False, tinv=False):
                 if t:
                     for r in tbelow:
                         r[j] -= q * r[k]
-                if tinv:
-                    tid[k] = [x + q * y for x, y in zip(tid[k], tid[j])]
         if dirty:
             continue
         if p != 1 and p != -1:
@@ -214,7 +208,7 @@ def smith_normal_form(A, s=False, t=False, sinv=False, tinv=False):
                 for r in sid:
                     r[k] = -r[k]
         k += 1
-    return D, S, T, Sinv, Tinv
+    return D, S, T, Sinv
 
 
 def _pivot(d, k, m):
@@ -237,7 +231,7 @@ def _pivot(d, k, m):
 
 def solve_matrix(A, B):
     """Integer X with A X = B, or None.  Uses D = S A T."""
-    D, S, T, _, _ = smith_normal_form(A, s=True, t=True)
+    D, S, T, _ = smith_normal_form(A, s=True, t=True)
     return _solve(D, S, T, B)
 
 
@@ -266,7 +260,7 @@ def _solve(D, S, T, B):
 
 def kernel_basis(A):
     """Columns generating the integer kernel of A."""
-    D, _, T, _, _ = smith_normal_form(A, t=True)
+    D, _, T, _ = smith_normal_form(A, t=True)
     return _kernel(D, T)
 
 
@@ -276,6 +270,25 @@ def _kernel(D, T):
     free = [j for j in range(D.cols)
             if j >= r or D.data[j][j] == 0]
     return [T.column(j) for j in free]
+
+
+def preimage_lattice(G, N):
+    """Columns spanning {x : G x in span(N)}: the solutions of G X = N
+    followed by a kernel basis of G, both read off one Smith form of G.
+    None when some column of N is not in the column span of G."""
+    if G.rows != N.rows:
+        raise InputError("shape mismatch in solve")
+    D, S, T, _ = smith_normal_form(G, s=bool(N.cols), t=True)
+    if N.cols:
+        X = _solve(D, S, T, N)
+        if X is None:
+            return None
+    else:
+        X = Mat(G.cols, 0)
+    K = _kernel(D, T)
+    if X.cols + len(K) == 0:
+        return Mat(G.cols, 0)
+    return from_columns(X.columns() + K, G.cols)
 
 
 def quotient_invariant_factors(G, N):
@@ -288,15 +301,10 @@ def quotient_invariant_factors(G, N):
         if N.cols and not N.is_zero():
             raise InputError("relations outside the lattice")
         return []
-    # one form of G serves both the solve and the kernel
-    D, S, T, _, _ = smith_normal_form(G, s=True, t=True)
-    X = _solve(D, S, T, N)
-    if X is None:
+    R = preimage_lattice(G, N)
+    if R is None:
         raise InputError("relation lattice is not inside the module "
                          "lattice")
-    K = _kernel(D, T)
-    R = from_columns(X.columns() + K, G.cols) if (X.cols + len(K)) else \
-        Mat(G.cols, 0)
     D = smith_normal_form(R)[0]
     r = min(D.rows, D.cols)
     factors = []

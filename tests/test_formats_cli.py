@@ -329,6 +329,19 @@ def test_cli_malformed_documents_exit_3(tmp_path, capsys):
     assert run_cli(tmp_path, "nerve", path) == 3
     path = write(tmp_path, "kind.cat", {"kind": [0], "objects": []})
     assert run_cli(tmp_path, "nerve", path) == 3
+    # a boolean is not a name, though True == 1 would find the arrow 1
+    for name, code in [(1, 0), (True, 3)]:
+        doc = {"kind": "category", "objects": ["a"],
+               "arrows": [{"name": 1, "src": "a", "dst": "a"}],
+               "identities": {"a": name}, "compose": [[1, 1, 1]]}
+        path = write(tmp_path, "named.cat", doc)
+        assert run_cli(tmp_path, "nerve", path) == code, name
+        doc = {"kind": "simplicial-set", "truncation": None,
+               "cells": {"0": [0, 1], "1": ["e"]},
+               "faces": {"1:e": [[[0], 1], [[0], name]]}}
+        path = write(tmp_path, "named.sset", doc)
+        assert run_cli(tmp_path, "check-kan", path, "--dim", "1") == code, \
+            name
     cx = formats.complex_to_dict(
         free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])}))
     for key, value in [("window", 5), ("ring", "Z/x"), ("window", [0, True]),
