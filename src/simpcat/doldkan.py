@@ -162,11 +162,6 @@ class ChainComplex:
         dst = self.rank(n - 1) if self.lo <= n - 1 <= self.hi else 0
         return Mat(dst, src)
 
-    def is_free(self):
-        free_value = self.modulus
-        return all(c == free_value or (self.modulus == 0 and c == 0)
-                   for cs in self.coeffs.values() for c in cs)
-
     def validate(self):
         for n in range(self.lo + 1, self.hi + 1):
             d = self.diff[n]
@@ -207,10 +202,6 @@ def free_complex(ring, window, ranks, diff):
     modulus = parse_ring(ring) if isinstance(ring, str) else ring
     coeffs = {n: tuple(0 for _ in range(r)) for n, r in ranks.items()}
     return ChainComplex(modulus, window, coeffs, diff)
-
-
-def zero_complex(ring, window):
-    return ChainComplex(ring, window, {}, {})
 
 
 # ---------------------------------------------------------------------------

@@ -214,10 +214,6 @@ class CocartAnalysis:
         return sorted(a for a, flags in self.arrow_flags.items()
                       if flags["locally_cocartesian"])
 
-    def cocartesian_arrows(self):
-        return sorted(a for a, flags in self.arrow_flags.items()
-                      if flags["cocartesian"])
-
     def as_dict(self):
         return {
             "arrows": {a: dict(flags)

@@ -4,7 +4,9 @@ separators, no floats, no timestamps.
 """
 
 import json
+from itertools import product
 
+from .delta import all_surjections, tcompose
 from .doldkan import ChainComplex, SimplicialAbGroup
 from .errors import InputError
 from .fibrations import SplitFunctorToCat
@@ -17,11 +19,6 @@ from .sset import SimplicialSet
 
 def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def save(path, payload):
-    with open(path, "w") as fh:
-        fh.write(dumps(payload))
 
 
 def load(path):
@@ -392,13 +389,28 @@ def bisimplicial_from_dict(d):
 
 
 def simplicial_category_to_dict(C):
+    """Every pair of simplices up to the level bound, degenerate ones
+    included: the pairs sigma^*(g, f) = (g sigma, f sigma) for each
+    stored nondegenerate (g, f) and each surjection sigma, composing to
+    (g.f) sigma."""
     comp = {}
     for (x, y, z), table in sorted(C.comp.items()):
-        entries = []
-        for (g, f), h in sorted(table.items()):
-            entries.append([[list(g[0]), g[1]], [list(f[0]), f[1]],
-                            [list(h[0]), h[1]]])
-        comp["%s|%s|%s" % (x, y, z)] = entries
+        shapes = {}
+        for ((s, gi), (t, fi)), (u, hi) in table.items():
+            shapes.setdefault((s, t, u), []).append((gi, fi, hi))
+        rows = []
+        for (s, t, u), cells in shapes.items():
+            k = len(s) - 1
+            for q in range(k, C.level_bound + 1):
+                for sigma in all_surjections(q, k):
+                    g, f, h = (tcompose(s, sigma), tcompose(t, sigma),
+                               tcompose(u, sigma))
+                    rows.extend((g, gi, f, fi, h, hi)
+                                for gi, fi, hi in cells)
+        rows.sort()
+        comp["%s|%s|%s" % (x, y, z)] = [
+            [[list(g), gi], [list(f), fi], [list(h), hi]]
+            for g, gi, f, fi, h, hi in rows]
     return {
         "kind": "simplicial-category",
         "objects": list(C.objects),
@@ -447,18 +459,34 @@ def simplicial_category_from_dict(d):
         tables[(x, y, z)] = {
             ((tuple(g[0]), g[1]), (tuple(f[0]), f[1])):
             (tuple(h[0]), h[1]) for g, f, h in entries}
-
-    def compose_fn(x, y, z, q, g, f):
-        h = tables.get((x, y, z), {}).get((g, f))
-        if h is None:
-            raise InputError("the composition table %s|%s|%s lacks the "
-                             "entry for g = %s, f = %s" % (
-                                 x, y, z, [list(g[0]), g[1]],
-                                 [list(f[0]), f[1]]))
-        return h
-
-    return SimplicialCategory(d["objects"], mapspaces, d["identities"],
-                              compose_fn, d["level_bound"])
+    # every pair up to the level bound must be listed; the degenerate
+    # ones are compared with the composites the nondegenerate ones fix
+    listed = []
+    for x, y, z in product(d["objects"], repeat=3):
+        gspace, fspace = mapspaces[(y, z)], mapspaces[(x, y)]
+        if gspace.n_cells(0) == 0 or fspace.n_cells(0) == 0:
+            continue
+        table = tables.get((x, y, z), {})
+        for q in range(d["level_bound"] + 1):
+            for g in gspace.simplices(q):
+                for f in fspace.simplices(q):
+                    h = table.get((g, f))
+                    if h is None:
+                        raise InputError(
+                            "the composition table %s|%s|%s lacks the "
+                            "entry for g = %s, f = %s" % (
+                                x, y, z, [list(g[0]), g[1]],
+                                [list(f[0]), f[1]]))
+                    listed.append(((x, y, z), g, f, h))
+    C = SimplicialCategory(
+        d["objects"], mapspaces, d["identities"],
+        lambda x, y, z, q, g, f: tables[(x, y, z)][(g, f)],
+        d["level_bound"])
+    for key, g, f, h in listed:
+        if (g, f) not in C.comp[key] and C.compose(*key, g, f) != h:
+            raise InputError("composition is not simplicial at level %d"
+                             % (len(g[0]) - 1))
+    return C
 
 
 def _is_simplex(v):

@@ -6,7 +6,7 @@ pi_0 homotopy category of a simplicial category.
 from itertools import combinations, product
 
 from . import sset
-from .delta import degeneracy, tcompose, tidentity
+from .delta import tcompose, tidentity
 from .errors import InputError
 from .nerve_cat import FinCategory
 from .sset import SimplicialSet
@@ -23,7 +23,16 @@ class CompositionInconsistency(Exception):
 
 class SimplicialCategory:
     """A category enriched in truncated simplicial sets with strictly
-    associative composition, stored as levelwise tables on simplices."""
+    associative composition.
+
+    Composition Map(y, z) x Map(x, y) -> Map(x, z) is a simplicial map
+    out of a product, so it is fixed by its values on the product's
+    nondegenerate cells: the pairs (g, f) of q-simplices whose
+    surjections share no doubled index (Eilenberg-Zilber; Goerss-Jardine,
+    Simplicial Homotopy Theory, IV.1).  comp holds compose_fn on those
+    pairs, q <= level_bound, in the order of simplices(q) x simplices(q).
+    Any other pair is sigma^*(g', f') for a nondegenerate (g', f') and
+    the common surjection sigma, and composes to sigma^*(g'.f')."""
 
     def __init__(self, objects, mapspaces, identities, compose_fn,
                  level_bound, validate=True):
@@ -32,19 +41,19 @@ class SimplicialCategory:
         self.identities = dict(identities)
         self.level_bound = level_bound
         self.comp = {}
-        for x in self.objects:
-            for y in self.objects:
-                for z in self.objects:
-                    gspace = self.mapspaces[(y, z)]
-                    fspace = self.mapspaces[(x, y)]
-                    if gspace.n_cells(0) == 0 or fspace.n_cells(0) == 0:
-                        continue
-                    table = {}
-                    for q in range(level_bound + 1):
-                        for g in gspace.simplices(q):
-                            for f in fspace.simplices(q):
-                                table[(g, f)] = compose_fn(x, y, z, q, g, f)
-                    self.comp[(x, y, z)] = table
+        for x, y, z in product(self.objects, repeat=3):
+            gspace = self.mapspaces[(y, z)]
+            fspace = self.mapspaces[(x, y)]
+            if gspace.n_cells(0) == 0 or fspace.n_cells(0) == 0:
+                continue
+            self.comp[(x, y, z)] = {
+                (g, f): compose_fn(x, y, z, q, g, f)
+                for q in range(level_bound + 1)
+                for g, f in _nondegenerate_pairs(gspace, fspace, q)}
+        # every composite computed so far; filled only by compose, with
+        # values fixed by comp
+        self._composites = {key: dict(table)
+                            for key, table in self.comp.items()}
         if validate:
             self.validate()
 
@@ -52,7 +61,13 @@ class SimplicialCategory:
         return self.mapspaces[(x, y)]
 
     def compose(self, x, y, z, g, f):
-        return self.comp[(x, y, z)][(g, f)]
+        table = self._composites[(x, y, z)]
+        h = table.get((g, f))
+        if h is None:
+            sigma, s, t = sset._split_common(g[0], f[0])
+            u, w = table[((s, g[1]), (t, f[1]))]
+            h = table[(g, f)] = (tcompose(u, sigma), w)
+        return h
 
     def identity_simplex(self, x, q):
         """The identity of x, degenerated up to level q."""
@@ -61,18 +76,20 @@ class SimplicialCategory:
         return (tuple(0 for _ in range(q + 1)), idx)
 
     def validate(self):
+        """Identity vertices, then the unit laws and the faces d_i on the
+        nondegenerate pairs, then associativity on the nondegenerate
+        triples (no index doubled in all three).  Degeneracies commute
+        with composition by construction."""
         for x in self.objects:
             space = self.mapspaces.get((x, x))
             if space is None or self.identities.get(x) not in space.cells(0):
                 raise InputError("object %s lacks an identity vertex" % x)
-        B = self.level_bound
         for (x, y, z), table in self.comp.items():
             gspace = self.mapspaces[(y, z)]
             fspace = self.mapspaces[(x, y)]
             hspace = self.mapspaces[(x, z)]
             for (g, f), h in table.items():
                 q = len(g[0]) - 1
-                # unit laws
                 if x == y and f == self.identity_simplex(x, q):
                     if h != g:
                         raise InputError("right unit law fails at %s"
@@ -81,45 +98,38 @@ class SimplicialCategory:
                     if h != f:
                         raise InputError("left unit law fails at %s"
                                          % (f,))
-                # simpliciality on faces and degeneracies
-                if q >= 1:
-                    for i in range(q + 1):
-                        lhs = hspace.face_of(i, h)
-                        rhs = table[(gspace.face_of(i, g),
-                                     fspace.face_of(i, f))]
-                        if lhs != rhs:
-                            raise InputError(
-                                "composition is not simplicial at level %d"
-                                % q)
-                if q < B:
-                    for i in range(q + 1):
-                        alpha = degeneracy(q + 1, i)
-                        lhs = hspace.apply(alpha, h)
-                        rhs = table[(gspace.apply(alpha, g),
-                                     fspace.apply(alpha, f))]
-                        if lhs != rhs:
-                            raise InputError(
-                                "composition is not simplicial at level %d"
-                                % q)
-        # associativity: for f: w->x, g: x->y, h: y->z compare
-        # (h.g).f with h.(g.f)
-        for w in self.objects:
-            for x in self.objects:
-                for y in self.objects:
-                    for z in self.objects:
-                        t_gf = self.comp.get((w, x, y))
-                        t_hg = self.comp.get((x, y, z))
-                        t_h_gf = self.comp.get((w, y, z))
-                        t_hg_f = self.comp.get((w, x, z))
-                        if None in (t_gf, t_hg, t_h_gf, t_hg_f):
-                            continue
-                        for q in range(B + 1):
-                            for h in self.mapspaces[(y, z)].simplices(q):
-                                for g in self.mapspaces[(x, y)].simplices(q):
-                                    for f in self.mapspaces[(w, x)] \
-                                            .simplices(q):
-                                        if t_hg_f[(t_hg[(h, g)], f)] != \
-                                                t_h_gf[(h, t_gf[(g, f)])]:
+                if q == 0:
+                    continue
+                for i in range(q + 1):
+                    if hspace.face_of(i, h) != self.compose(
+                            x, y, z, gspace.face_of(i, g),
+                            fspace.face_of(i, f)):
+                        raise InputError(
+                            "composition is not simplicial at level %d" % q)
+        # for f: w->x, g: x->y, h: y->z compare (h.g).f with h.(g.f)
+        compose = self.compose
+        for w, x, y, z in product(self.objects, repeat=4):
+            if not {(w, x, y), (x, y, z), (w, y, z), (w, x, z)} <= \
+                    self.comp.keys():
+                continue
+            hspace = self.mapspaces[(y, z)]
+            gspace = self.mapspaces[(x, y)]
+            fspace = self.mapspaces[(w, x)]
+            for q in range(self.level_bound + 1):
+                fblocks = _doubled_blocks(fspace, q)
+                for hmask, hs in _doubled_blocks(hspace, q):
+                    for gmask, gs in _doubled_blocks(gspace, q):
+                        both = hmask & gmask
+                        for fmask, fs in fblocks:
+                            if both & fmask:
+                                continue
+                            for h in hs:
+                                for g in gs:
+                                    hg = compose(x, y, z, h, g)
+                                    for f in fs:
+                                        if compose(w, x, z, hg, f) != \
+                                                compose(w, y, z, h, compose(
+                                                    w, x, y, g, f)):
                                             raise InputError(
                                                 "composition is not "
                                                 "associative at level %d"
@@ -130,21 +140,42 @@ class SimplicialCategory:
             len(self.objects), self.level_bound)
 
 
+def _doubled_blocks(space, q):
+    """The q-simplices of space as (doubled-index mask, simplices) blocks,
+    one per surjection, in the order of simplices(q)."""
+    def build(X):
+        blocks = {}
+        for x in X.simplices(q):
+            blocks.setdefault(sset._doubled(x[0]), []).append(x)
+        return list(blocks.items())
+    return space.memo(("doubled_blocks", q), build)
+
+
+def _nondegenerate_pairs(gspace, fspace, q):
+    """The nondegenerate q-simplices (g, f) of gspace x fspace, in the
+    order of simplices(q) x simplices(q)."""
+    fblocks = _doubled_blocks(fspace, q)
+    return [(g, f) for gmask, gs in _doubled_blocks(gspace, q)
+            for g in gs
+            for fmask, fs in fblocks if not gmask & fmask
+            for f in fs]
+
+
 # ---------------------------------------------------------------------------
 # poset nerves and the cosimplicial simplicial category
 
 
 def poset_nerve(elements, leq, name_of):
     """The finite nerve of a poset: k-cells are strict chains."""
-    elements = list(elements)
+    elements = sorted(elements, key=name_of)
     levels = []
     index = []
-    level0 = [tuple([e]) for e in sorted(elements, key=name_of)]
+    level0 = [tuple([e]) for e in elements]
     levels.append(level0)
     while levels[-1]:
         nxt = []
         for c in levels[-1]:
-            for e in sorted(elements, key=name_of):
+            for e in elements:
                 if c[-1] != e and leq(c[-1], e):
                     nxt.append(c + (e,))
         if not nxt:
@@ -318,13 +349,11 @@ def simplicial_functors(F, C):
         composites compared are simplicial maps out of that product, so
         they agree once they agree there."""
         if (a, b, c) not in triples:
-            gspace = F.mapspaces[(str(b), str(c))]
-            fspace = F.mapspaces[(str(a), str(b))]
+            bound = min(C.level_bound, F.level_bound)
             triples[(a, b, c)] = [
-                (g, f, F.compose(str(a), str(b), str(c), g, f))
-                for q in range(min(C.level_bound, F.level_bound) + 1)
-                for g in gspace.simplices(q) for f in fspace.simplices(q)
-                if not sset._doubled(g[0]) & sset._doubled(f[0])]
+                (g, f, h)
+                for (g, f), h in F.comp[(str(a), str(b), str(c))].items()
+                if len(g[0]) <= bound + 1]
         return triples[(a, b, c)]
 
     def composition_ok(objs, images, pos):

@@ -126,12 +126,6 @@ class Functor:
         if validate:
             self.validate()
 
-    def on_obj(self, x):
-        return self.obj_map[x]
-
-    def on_arr(self, a):
-        return self.arr_map[a]
-
     def validate(self):
         C, D = self.source, self.target
         for x in C.objects:
@@ -186,11 +180,6 @@ def compose_functors(G, F):
                    {x: G.obj_map[F.obj_map[x]] for x in F.source.objects},
                    {a: G.arr_map[F.arr_map[a]] for a in F.source.arrows},
                    validate=False)
-
-
-def opposite_functor(F):
-    return Functor(F.source.opposite(), F.target.opposite(), F.obj_map,
-                   F.arr_map, validate=False)
 
 
 class RelativeCategory:

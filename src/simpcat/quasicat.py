@@ -474,9 +474,6 @@ class GroupPresentation:
     def order(self):
         return len(self.elements)
 
-    def multiply(self, a, b):
-        return self.table[(a, b)]
-
     def is_group(self):
         """Whether the table is a group law with unit self.unit: its
         delooping is a category whose one identity is self.unit and

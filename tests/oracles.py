@@ -10,6 +10,7 @@ from simpcat.delta import degeneracy, face, tcompose, tfactorize, tidentity
 from simpcat.doldkan import boundaries_matrix, cycles_matrix
 from simpcat.errors import InputError
 from simpcat.fibrations import base_change_to_ordinal, fiber_category
+from simpcat.formats import sset_to_dict
 from simpcat.intlinalg import Mat, from_columns, kernel_basis, solve_matrix
 from simpcat.nerve_cat import Functor
 from simpcat.quasicat import equivalences
@@ -256,6 +257,142 @@ def _check_triple(F, C, objs, images, a, b, c):
                 if lhs != rhs:
                     return False
     return True
+
+
+# -- simplicial categories: composition tabulated and checked on every pair
+
+
+class SimplicialCategoryAllPairs:
+    """hcnerve.SimplicialCategory with compose_fn tabulated on every pair
+    (g, f) of q-simplices, degenerate ones included, and validated on
+    all of them: q+1 face and q+1 degeneracy checks per pair, and
+    associativity on every triple.  Same arguments as the library
+    class."""
+
+    def __init__(self, objects, mapspaces, identities, compose_fn,
+                 level_bound, validate=True):
+        self.objects = tuple(objects)
+        self.mapspaces = dict(mapspaces)
+        self.identities = dict(identities)
+        self.level_bound = level_bound
+        self.comp = {}
+        for x in self.objects:
+            for y in self.objects:
+                for z in self.objects:
+                    gspace = self.mapspaces[(y, z)]
+                    fspace = self.mapspaces[(x, y)]
+                    if gspace.n_cells(0) == 0 or fspace.n_cells(0) == 0:
+                        continue
+                    table = {}
+                    for q in range(level_bound + 1):
+                        for g in gspace.simplices(q):
+                            for f in fspace.simplices(q):
+                                table[(g, f)] = compose_fn(x, y, z, q, g, f)
+                    self.comp[(x, y, z)] = table
+        if validate:
+            self.validate()
+
+    def mapspace(self, x, y):
+        return self.mapspaces[(x, y)]
+
+    def compose(self, x, y, z, g, f):
+        return self.comp[(x, y, z)][(g, f)]
+
+    def identity_simplex(self, x, q):
+        """The identity of x, degenerated up to level q."""
+        space = self.mapspaces[(x, x)]
+        idx = space.cell_index(0, self.identities[x])
+        return (tuple(0 for _ in range(q + 1)), idx)
+
+    def validate(self):
+        for x in self.objects:
+            space = self.mapspaces.get((x, x))
+            if space is None or self.identities.get(x) not in space.cells(0):
+                raise InputError("object %s lacks an identity vertex" % x)
+        B = self.level_bound
+        for (x, y, z), table in self.comp.items():
+            gspace = self.mapspaces[(y, z)]
+            fspace = self.mapspaces[(x, y)]
+            hspace = self.mapspaces[(x, z)]
+            for (g, f), h in table.items():
+                q = len(g[0]) - 1
+                # unit laws
+                if x == y and f == self.identity_simplex(x, q):
+                    if h != g:
+                        raise InputError("right unit law fails at %s"
+                                         % (g,))
+                if y == z and g == self.identity_simplex(y, q):
+                    if h != f:
+                        raise InputError("left unit law fails at %s"
+                                         % (f,))
+                # simpliciality on faces and degeneracies
+                if q >= 1:
+                    for i in range(q + 1):
+                        lhs = hspace.face_of(i, h)
+                        rhs = table[(gspace.face_of(i, g),
+                                     fspace.face_of(i, f))]
+                        if lhs != rhs:
+                            raise InputError(
+                                "composition is not simplicial at level %d"
+                                % q)
+                if q < B:
+                    for i in range(q + 1):
+                        alpha = degeneracy(q + 1, i)
+                        lhs = hspace.apply(alpha, h)
+                        rhs = table[(gspace.apply(alpha, g),
+                                     fspace.apply(alpha, f))]
+                        if lhs != rhs:
+                            raise InputError(
+                                "composition is not simplicial at level %d"
+                                % q)
+        # associativity: for f: w->x, g: x->y, h: y->z compare
+        # (h.g).f with h.(g.f)
+        for w in self.objects:
+            for x in self.objects:
+                for y in self.objects:
+                    for z in self.objects:
+                        t_gf = self.comp.get((w, x, y))
+                        t_hg = self.comp.get((x, y, z))
+                        t_h_gf = self.comp.get((w, y, z))
+                        t_hg_f = self.comp.get((w, x, z))
+                        if None in (t_gf, t_hg, t_h_gf, t_hg_f):
+                            continue
+                        for q in range(B + 1):
+                            for h in self.mapspaces[(y, z)].simplices(q):
+                                for g in self.mapspaces[(x, y)].simplices(q):
+                                    for f in self.mapspaces[(w, x)] \
+                                            .simplices(q):
+                                        if t_hg_f[(t_hg[(h, g)], f)] != \
+                                                t_h_gf[(h, t_gf[(g, f)])]:
+                                            raise InputError(
+                                                "composition is not "
+                                                "associative at level %d"
+                                                % q)
+
+    def __repr__(self):
+        return "SimplicialCategoryAllPairs(%d objects, level_bound=%d)" % (
+            len(self.objects), self.level_bound)
+
+
+def all_pairs_to_dict(C):
+    """formats.simplicial_category_to_dict for SimplicialCategoryAllPairs:
+    every stored entry written as it is, in sorted order."""
+    comp = {}
+    for (x, y, z), table in sorted(C.comp.items()):
+        entries = []
+        for (g, f), h in sorted(table.items()):
+            entries.append([[list(g[0]), g[1]], [list(f[0]), f[1]],
+                            [list(h[0]), h[1]]])
+        comp["%s|%s|%s" % (x, y, z)] = entries
+    return {
+        "kind": "simplicial-category",
+        "objects": list(C.objects),
+        "level_bound": C.level_bound,
+        "map_spaces": {"%s|%s" % k: sset_to_dict(v)
+                       for k, v in sorted(C.mapspaces.items())},
+        "identities": dict(C.identities),
+        "compositions": comp,
+    }
 
 
 # -- cocartesian analysis: definition unfolding through base changes

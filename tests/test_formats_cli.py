@@ -8,6 +8,7 @@ import pytest
 import simpcat
 from simpcat import formats, quasicat, sset
 from simpcat.chain_model import ChainMap, identity_chain_map
+from simpcat.delta import all_surjections
 from simpcat.doldkan import free_complex, free_simplicial_abelian_group
 from simpcat.hcnerve import frak_c
 from simpcat.intlinalg import Mat
@@ -258,6 +259,71 @@ def test_cli_frak_c_and_coherent_nerve(tmp_path):
                    "--out", npath) == 0
     N = formats.load_object(npath)
     assert N.n_cells(0) == 3
+
+
+def _broken_frak3_documents():
+    """frak_c(3) as a document, broken in one way per failure kind of a
+    simplicial category: (what is broken, document, failure kind)."""
+    doc = formats.simplicial_category_to_dict(frak_c(3))
+
+    def cell(pair, name):
+        # the index of a cell, named by its chain of subsets
+        return doc["map_spaces"][pair]["cells"][str(name.count("<"))] \
+            .index(name)
+
+    def constant(pair, name):
+        # every composite of the table becomes the vertex `name`
+        return lambda g, f, h: [[0] * len(h[0]), cell(pair, name)]
+
+    def replace(g_name, f_name, h, degeneracies):
+        # the entry of table 0|1|3 at (g, f), given as (surjection, name),
+        # becomes h; with degeneracies, each sigma^*(g, f) up to the
+        # level bound 2 becomes sigma^*(h) too
+        g = [g_name[0], cell("1|3", g_name[1])]
+        f = [f_name[0], cell("0|1", f_name[1])]
+        k = len(g[0]) - 1
+        new = {}
+        for q in range(k, 3 if degeneracies else k + 1):
+            for sigma in all_surjections(q, k):
+                g2, f2, h2 = ([[s[v] for v in sigma], i] for s, i in (g, f, h))
+                new[repr([g2, f2])] = h2
+        return lambda g2, f2, h2: new.get(repr([g2, f2]), h2)
+
+    def retable(key, fn):
+        table = [[g, f, fn(g, f, h)] for g, f, h in doc["compositions"][key]]
+        assert table != doc["compositions"][key]
+        return dict(doc, compositions=dict(doc["compositions"],
+                                           **{key: table}))
+
+    return [
+        # consistent with its degeneracies, but d_0 of 013 = 013 is not
+        # d_0 of 13<123 composed with 01, which is 0123
+        ("nondegenerate face", retable("0|1|3", replace(
+            ([0, 1], "13<123"), ([0, 0], "01"),
+            [[0, 0], cell("0|3", "013")], True)), "not simplicial"),
+        ("degenerate entry", retable("0|1|3", replace(
+            ([0, 0], "13"), ([0, 0], "01"),
+            [[0, 1], cell("0|3", "013<0123")], False)),
+         "not simplicial"),
+        # a constant map is simplicial, but (23 . 12) . 01 = 0123 while
+        # 23 . (12 . 01) is now 023
+        ("associativity", retable("0|2|3", constant("0|3", "023")),
+         "not associative"),
+        ("unit law", retable("0|0|2", constant("0|2", "02")), "unit law"),
+        ("identity", dict(doc, identities=dict(doc["identities"],
+                                               **{"1": "nope"})),
+         "identity vertex"),
+    ]
+
+
+def test_cli_coherent_nerve_names_each_failure_kind(tmp_path, capsys):
+    for what, doc, kind in _broken_frak3_documents():
+        path = write(tmp_path, "bad.scat", doc)
+        assert run_cli(tmp_path, "coherent-nerve", path, "--dim", "2") == 3, \
+            what
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, what
+        assert kind in err, (what, err)
 
 
 def test_cli_dold_kan_pipeline(tmp_path):

@@ -1,8 +1,11 @@
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simpcat import formats, hcnerve, sset
+from simpcat.delta import all_surjections, tcompose
 from simpcat.errors import InputError
 from simpcat.hcnerve import (coherent_nerve, frak_c, from_fincategory,
                              horn_mapspace, one_object_from_abelian_group,
@@ -13,7 +16,9 @@ from simpcat.quasicat import classify
 from simpcat.sset import (find_isomorphism, is_isomorphic, product,
                           standard_simplex)
 
-from oracles import simplicial_functors_all_pairs
+from families import category_family, random_thin_category
+from oracles import (SimplicialCategoryAllPairs, all_pairs_to_dict,
+                     simplicial_functors_all_pairs)
 
 
 def test_frak_c_small():
@@ -111,10 +116,10 @@ def test_pi0_category_discrete():
     assert find_category_isomorphism(P, C) is not None
 
 
-def test_pi0_category_two_component_monoid():
-    # one object, Map = Delta^1 disjoint union a point: pi_0 has 2
-    # elements.  Composition: pointwise max on the interval component
-    # (unit = vertex 0), the extra point absorbing.
+def _two_component_monoid():
+    """One object, Map = Delta^1 disjoint union a point.  Composition:
+    pointwise max on the interval component (unit = vertex 0), the extra
+    point absorbing."""
     space = sset.disjoint_union(standard_simplex(1), sset.point())
     extra = space.cell_index(0, "Y.0")
     v = {space.cell_index(0, "X.0"): 0, space.cell_index(0, "X.1"): 1}
@@ -143,10 +148,14 @@ def test_pi0_category_two_component_monoid():
             return (tuple(0 for _ in g[0]), extra)
         return of_chain([max(v[a], v[b]) for a, b in zip(cg, cf)])
 
-    SC = hcnerve.SimplicialCategory(("*",), {("*", "*"): space},
-                                    {"*": "X.0"}, compose_fn,
-                                    level_bound=1)
-    P = pi0_category(SC)
+    return hcnerve.SimplicialCategory(("*",), {("*", "*"): space},
+                                      {"*": "X.0"}, compose_fn,
+                                      level_bound=1)
+
+
+def test_pi0_category_two_component_monoid():
+    # pi_0 has 2 elements: the interval component and the extra point
+    P = pi0_category(_two_component_monoid())
     assert len(P.objects) == 1
     assert len(P.arrows) == 2
 
@@ -172,11 +181,15 @@ def test_coherent_nerve_truncation_guard():
         coherent_nerve(SC, 3)
 
 
+_COMPOSITION_BUILDERS = [
+    ("bz3", lambda: from_fincategory(bg(cyclic_table(3)))),
+    ("ord2", lambda: from_fincategory(ordinal_category(2))),
+    ("arrow", lambda: two_object_arrow_space(standard_simplex(1))),
+    ("z2", lambda: one_object_from_abelian_group(cyclic_table(2)))]
+
+
 def _composition_cases():
-    return [("bz3", from_fincategory(bg(cyclic_table(3)))),
-            ("ord2", from_fincategory(ordinal_category(2))),
-            ("arrow", two_object_arrow_space(standard_simplex(1))),
-            ("z2", one_object_from_abelian_group(cyclic_table(2)))]
+    return [(name, build()) for name, build in _COMPOSITION_BUILDERS]
 
 
 def test_simplicial_functors_match_all_pairs_check():
@@ -205,3 +218,56 @@ def test_coherent_nerve_bytes_pinned():
     for name, C in _composition_cases():
         text = formats.dumps(formats.sset_to_dict(coherent_nerve(C, 3)))
         assert hashlib.sha256(text.encode()).hexdigest() == pins[name], name
+
+
+def test_simplicial_category_dicts_match_all_pairs_oracle(monkeypatch):
+    # composition stored on nondegenerate pairs writes the same document
+    # as the table of every pair, and reads it back to the same document
+    builders = [("frak%d" % n, lambda n=n: frak_c(n)) for n in range(6)]
+    builders += _COMPOSITION_BUILDERS
+    builders.append(("two-component", _two_component_monoid))
+    for name, build in builders:
+        doc = formats.simplicial_category_to_dict(build())
+        loaded = formats.simplicial_category_from_dict(doc)
+        assert formats.simplicial_category_to_dict(loaded) == doc, name
+        with monkeypatch.context() as m:
+            m.setattr(hcnerve, "SimplicialCategory",
+                      SimplicialCategoryAllPairs)
+            m.setattr(formats, "SimplicialCategory",
+                      SimplicialCategoryAllPairs)
+            assert all_pairs_to_dict(build()) == doc, name
+            oracle = formats.simplicial_category_from_dict(doc)
+        assert all_pairs_to_dict(oracle) == doc, name
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_composition_is_simplicial_on_random_pairs(data):
+    kind = data.draw(st.sampled_from(["frak", "family", "thin"]))
+    if kind == "frak":
+        C = frak_c(data.draw(st.integers(0, 4)))
+    else:
+        if kind == "family":
+            _, D = data.draw(st.sampled_from(
+                category_family(max_objects=3, max_arrows=8)))
+        else:
+            D = random_thin_category(
+                random.Random(data.draw(st.integers(0, 10 ** 6))),
+                data.draw(st.integers(1, 3)))
+        C = from_fincategory(D, level_bound=data.draw(st.integers(0, 3)))
+    for q in range(C.level_bound + 1):
+        x, y, z = data.draw(st.sampled_from(sorted(C.comp)))
+        g = data.draw(st.sampled_from(C.mapspace(y, z).simplices(q)))
+        f = data.draw(st.sampled_from(C.mapspace(x, y).simplices(q)))
+        h = C.compose(x, y, z, g, f)
+        # Eilenberg-Zilber: composition commutes with every degeneracy
+        p = data.draw(st.integers(q, C.level_bound))
+        sigma = data.draw(st.sampled_from(all_surjections(p, q)))
+        assert C.compose(x, y, z, (tcompose(g[0], sigma), g[1]),
+                         (tcompose(f[0], sigma), f[1])) == \
+            (tcompose(h[0], sigma), h[1])
+        # and with every face
+        for i in range(q + 1) if q else ():
+            assert C.mapspace(x, z).face_of(i, h) == C.compose(
+                x, y, z, C.mapspace(y, z).face_of(i, g),
+                C.mapspace(x, y).face_of(i, f))
