@@ -11,9 +11,11 @@ from simpcat.doldkan import boundaries_matrix, cycles_matrix
 from simpcat.errors import InputError
 from simpcat.fibrations import base_change_to_ordinal, fiber_category
 from simpcat.formats import sset_to_dict
+from simpcat.hcnerve import SimplicialCategory
 from simpcat.intlinalg import Mat, from_columns, kernel_basis, solve_matrix
 from simpcat.nerve_cat import Functor
 from simpcat.quasicat import equivalences
+from simpcat.segal import BisimplicialSet
 from simpcat.sset import SimplicialMap, SimplicialSet, enumerate_maps
 
 
@@ -755,3 +757,176 @@ def smith_normal_form_all_transforms(A):
             negate_row(s)
         s += 1
     return D, S, T, Sinv, Tinv
+
+
+# -- document loaders that shape-check every item ------------------------------
+#
+# The loaders of simplicial sets, bisimplicial sets and simplicial
+# categories as they were when formats checked the shape of every item of
+# a document before the constructor validated the same values again.
+# formats must agree with them: both raise InputError, or both build
+# equal objects.  They accept any key made of decimal digits ("01",
+# "٢"), where formats wants canonical integers.
+
+
+def sset_from_dict_by_shape_check(d):
+    if d.get("kind") not in (None, "simplicial-set"):
+        raise InputError("expected a simplicial-set document")
+    cells, face_doc = d.get("cells"), d.get("faces", {})
+    truncation = d.get("truncation")
+    if not (isinstance(cells, dict) and isinstance(face_doc, dict) and all(
+            k.isdecimal() and _is_names(v) for k, v in cells.items()) and (
+                truncation is None or type(truncation) is int)):
+        raise InputError("malformed simplicial-set document: cells must "
+                         "map dimensions to name lists, faces must be an "
+                         "object, truncation an integer or null")
+    # the levels SimplicialSet keeps: up to the last nonempty one, or up
+    # to the truncation when that is higher and the document lists them
+    depth = max([int(k) + 1 for k, v in cells.items() if v], default=0)
+    if truncation is not None and cells:
+        depth = max(depth, min(truncation, max(map(int, cells))) + 1)
+    names = [tuple(cells.get(str(k), ())) for k in range(depth)]
+    index = [{n: i for i, n in enumerate(level)} for level in names]
+    faces = [[()] * len(level) for level in names]
+    for k in range(1, depth):
+        for idx, name in enumerate(names[k]):
+            key = "%d:%s" % (k, name)
+            entry = face_doc.get(key)
+            if not isinstance(entry, list) or \
+                    not all(_is_face(item, index) for item in entry):
+                raise InputError("missing or malformed face entry for %s"
+                                 % key)
+            faces[k][idx] = tuple((tuple(s), index[s[-1]][sub])
+                                  for s, sub in entry)
+    return SimplicialSet(truncation, names, faces)
+
+
+def _is_name(v):
+    """Whether v can name a cell, an object or an arrow; JSON booleans
+    cannot."""
+    return isinstance(v, str) or type(v) is int
+
+
+def _is_names(v):
+    return isinstance(v, list) and all(map(_is_name, v))
+
+
+def _is_ints(v):
+    """Whether v is a list of integers; JSON booleans are not."""
+    return isinstance(v, list) and all(type(n) is int for n in v)
+
+
+def _index_key(key, n):
+    """The n nonnegative integers of a table key "a,b,...", or None."""
+    parts = key.split(",")
+    if len(parts) != n or not all(part.isdecimal() for part in parts):
+        return None
+    return tuple(map(int, parts))
+
+
+def _is_face(item, index):
+    """Whether item is [surjection values, name of a cell they reach]."""
+    return (isinstance(item, list) and len(item) == 2
+            and isinstance(item[0], list) and len(item[0]) > 0
+            and all(type(v) is int for v in item[0])
+            and (isinstance(item[1], str) or type(item[1]) is int)
+            and 0 <= item[0][-1] < len(index)
+            and item[1] in index[item[0][-1]])
+
+
+def bisimplicial_from_dict_by_shape_check(d):
+    if d.get("kind") not in (None, "bisimplicial-set"):
+        raise InputError("expected a bisimplicial-set document")
+    truncation, cell_doc = d.get("truncation"), d.get("cells")
+    table_keys = ("h_faces", "h_degens", "v_faces", "v_degens")
+    if not (_is_ints(truncation) and len(truncation) == 2
+            and isinstance(cell_doc, dict)
+            and all(_index_key(k, 2) and _is_names(v)
+                    for k, v in cell_doc.items())
+            and all(isinstance(d.get(t), dict) and all(
+                _index_key(k, 3) and isinstance(m, dict)
+                and all(map(_is_name, m.values()))
+                for k, m in d[t].items()) for t in table_keys)):
+        raise InputError("malformed bisimplicial-set document: truncation "
+                         "must be two integers, cells an object from "
+                         "\"p,q\" to name lists, and %s objects from "
+                         "\"p,q,i\" to name tables" % ", ".join(table_keys))
+    cells = {_index_key(k, 2): v for k, v in cell_doc.items()}
+    h_face, h_degen, v_face, v_degen = (
+        {_index_key(k, 3): m for k, m in d[t].items()} for t in table_keys)
+    return BisimplicialSet(truncation[0], truncation[1], cells, h_face,
+                           h_degen, v_face, v_degen)
+
+
+def simplicial_category_from_dict_by_shape_check(d):
+    if d.get("kind") != "simplicial-category":
+        raise InputError("expected a simplicial-category document")
+    space_doc, comp_doc = d.get("map_spaces"), d.get("compositions")
+    objects = d.get("objects")
+    if not (isinstance(objects, list)
+            and all(isinstance(x, str) for x in objects)
+            and type(d.get("level_bound")) is int
+            and isinstance(d.get("identities"), dict)
+            and all(map(_is_name, d["identities"].values()))
+            and isinstance(space_doc, dict)
+            and all(k.count("|") == 1 and isinstance(v, dict)
+                    for k, v in space_doc.items())
+            and isinstance(comp_doc, dict)
+            and all(k.count("|") == 2 and isinstance(entries, list)
+                    and all(isinstance(e, list) and len(e) == 3
+                            and all(map(_is_simplex, e)) for e in entries)
+                    for k, entries in comp_doc.items())):
+        raise InputError("malformed simplicial-category document: objects "
+                         "must be a string list, level_bound an integer, "
+                         "identities an object of names, map_spaces an "
+                         "object from \"x|y\" to simplicial-set documents, "
+                         "compositions an object from \"x|y|z\" to lists "
+                         "of [g, f, g.f] simplex triples")
+    for pair in (x + "|" + y for x in d["objects"] for y in d["objects"]):
+        if pair not in space_doc:
+            raise InputError("the map space %s is missing" % pair)
+    mapspaces = {}
+    for k, sub in space_doc.items():
+        x, y = k.split("|")
+        mapspaces[(x, y)] = sset_from_dict_by_shape_check(sub)
+    tables = {}
+    for k, entries in comp_doc.items():
+        x, y, z = k.split("|")
+        tables[(x, y, z)] = {
+            ((tuple(g[0]), g[1]), (tuple(f[0]), f[1])):
+            (tuple(h[0]), h[1]) for g, f, h in entries}
+    # every pair up to the level bound must be listed; the degenerate
+    # ones are compared with the composites the nondegenerate ones fix
+    listed = []
+    for x, y, z in product(d["objects"], repeat=3):
+        gspace, fspace = mapspaces[(y, z)], mapspaces[(x, y)]
+        if gspace.n_cells(0) == 0 or fspace.n_cells(0) == 0:
+            continue
+        table = tables.get((x, y, z), {})
+        for q in range(d["level_bound"] + 1):
+            for g in gspace.simplices(q):
+                for f in fspace.simplices(q):
+                    h = table.get((g, f))
+                    if h is None:
+                        raise InputError(
+                            "the composition table %s|%s|%s lacks the "
+                            "entry for g = %s, f = %s" % (
+                                x, y, z, [list(g[0]), g[1]],
+                                [list(f[0]), f[1]]))
+                    listed.append(((x, y, z), g, f, h))
+    C = SimplicialCategory(
+        d["objects"], mapspaces, d["identities"],
+        lambda x, y, z, q, g, f: tables[(x, y, z)][(g, f)],
+        d["level_bound"])
+    for key, g, f, h in listed:
+        if (g, f) not in C.comp[key] and C.compose(*key, g, f) != h:
+            raise InputError("composition is not simplicial at level %d"
+                             % (len(g[0]) - 1))
+    return C
+
+
+def _is_simplex(v):
+    """Whether v is [surjection values, cell index], a simplex in E-Z
+    form as compositions are written."""
+    return (isinstance(v, list) and len(v) == 2 and _is_ints(v[0])
+            and len(v[0]) > 0 and type(v[1]) is int)
