@@ -54,29 +54,16 @@ def load_relative(path):
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_check_quasicategory(args):
+def cmd_check_horns(args, mode):
+    """check-quasicategory (inner horns) and check-kan (all horns)."""
     X = formats.load_object(args.input, "simplicial-set")
-    report = quasicat.classify(X, args.dim, "inner")
-    for (n, k), (t, u, m) in sorted(report.stats.items()):
-        report_line("horn(%d,%d): tested=%d unfillable=%d nonunique=%d"
-                    % (n, k, t, u, m))
-    if report.is_quasicategory():
-        report_line("quasicategory up to dimension %d" % args.dim)
-        return 0
-    witness = {"kind": "horn-witness", "witness": report.first_witness(),
-               "object": formats.sset_to_dict(X)}
-    emit(args, witness)
-    return 1
-
-
-def cmd_check_kan(args):
-    X = formats.load_object(args.input, "simplicial-set")
-    report = quasicat.classify(X, args.dim, "kan")
+    report = quasicat.classify(X, args.dim, mode)
     for (n, k), (t, u, m) in sorted(report.stats.items()):
         report_line("horn(%d,%d): tested=%d unfillable=%d nonunique=%d"
                     % (n, k, t, u, m))
     if report.passed():
-        report_line("Kan up to dimension %d" % args.dim)
+        report_line("%s up to dimension %d" % (
+            "quasicategory" if mode == "inner" else "Kan", args.dim))
         return 0
     witness = {"kind": "horn-witness", "witness": report.first_witness(),
                "object": formats.sset_to_dict(X)}
@@ -359,8 +346,9 @@ def cmd_export_dot(args):
 
 # name: (function, the arguments it reads besides --out)
 COMMANDS = {
-    "check-quasicategory": (cmd_check_quasicategory, ["input", "--dim"]),
-    "check-kan": (cmd_check_kan, ["input", "--dim"]),
+    "check-quasicategory": (lambda a: cmd_check_horns(a, "inner"),
+                            ["input", "--dim"]),
+    "check-kan": (lambda a: cmd_check_horns(a, "kan"), ["input", "--dim"]),
     "ho": (cmd_ho, ["input"]),
     "equivalences": (cmd_equivalences, ["input"]),
     "max-kan": (cmd_max_kan, ["input"]),

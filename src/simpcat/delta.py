@@ -21,7 +21,7 @@ def tidentity(n):
 
 def tcompose(g, f):
     """Value tuple of g after f; no validation."""
-    return tuple(g[v] for v in f)
+    return tuple([g[v] for v in f])
 
 
 def tfactorize(values):

@@ -35,41 +35,49 @@ def load(path):
 
 
 def sset_to_dict(X):
-    d = X.as_dict()
-    d["kind"] = "simplicial-set"
-    return d
+    return dict(X.as_dict(), kind="simplicial-set")
 
 
 def sset_from_dict(d):
     if d.get("kind") not in (None, "simplicial-set"):
         raise InputError("expected a simplicial-set document")
-    cells, face_doc = d.get("cells"), d.get("faces", {})
+    levels, face_doc = _keyed(d.get("cells"), _int_key), d.get("faces", {})
     truncation = d.get("truncation")
-    if not (isinstance(cells, dict) and isinstance(face_doc, dict) and all(
-            k.isdecimal() and _is_names(v) for k, v in cells.items()) and (
+    if not (levels is not None and isinstance(face_doc, dict) and all(
+            k >= 0 and _is_names(v) for k, v in levels.items()) and (
                 truncation is None or type(truncation) is int)):
         raise InputError("malformed simplicial-set document: cells must "
                          "map dimensions to name lists, faces must be an "
                          "object, truncation an integer or null")
     # the levels SimplicialSet keeps: up to the last nonempty one, or up
     # to the truncation when that is higher and the document lists them
-    depth = max([int(k) + 1 for k, v in cells.items() if v], default=0)
-    if truncation is not None and cells:
-        depth = max(depth, min(truncation, max(map(int, cells))) + 1)
-    names = [tuple(cells.get(str(k), ())) for k in range(depth)]
+    depth = max([k + 1 for k, v in levels.items() if v], default=0)
+    if truncation is not None and levels:
+        depth = max(depth, min(truncation, max(levels)) + 1)
+    names = [tuple(levels.get(k, ())) for k in range(depth)]
     index = [{n: i for i, n in enumerate(level)} for level in names]
     faces = [[()] * len(level) for level in names]
     for k in range(1, depth):
         for idx, name in enumerate(names[k]):
             key = "%d:%s" % (k, name)
-            entry = face_doc.get(key)
-            if not isinstance(entry, list) or \
-                    not all(_is_face(item, index) for item in entry):
+            try:
+                faces[k][idx] = tuple([_face(item, index)
+                                       for item in face_doc[key]])
+            except (TypeError, ValueError, LookupError):
                 raise InputError("missing or malformed face entry for %s"
-                                 % key)
-            faces[k][idx] = tuple((tuple(s), index[s[-1]][sub])
-                                  for s, sub in entry)
+                                 % key) from None
     return SimplicialSet(truncation, names, faces)
+
+
+def _face(item, index):
+    """[surjection values, cell name] as (tuple, cell index), integers
+    and names only, as a JSON true or 1.0 would find 1 in any lookup;
+    SimplicialSet.validate refuses values that are not a surjection (a
+    negative one included).  Raises TypeError, ValueError or LookupError."""
+    s, sub = item
+    if not (_is_ints(s) and _is_name(sub)):
+        raise ValueError("not a face")
+    return tuple(s), index[s[-1]][sub]
 
 
 def _is_name(v):
@@ -84,25 +92,37 @@ def _is_names(v):
 
 def _is_ints(v):
     """Whether v is a list of integers; JSON booleans are not."""
-    return isinstance(v, list) and all(type(n) is int for n in v)
+    return isinstance(v, list) and _INT.issuperset(map(type, v))
+
+
+_INT = frozenset([int])
+
+
+def _int_key(key):
+    """The integer a key writes as str writes it ("7", "-1"), or None;
+    "07", "+7", " 7" and "٧" would name 7 too."""
+    try:
+        n = int(key)
+    except ValueError:
+        return None
+    return n if str(n) == key else None
 
 
 def _index_key(key, n):
     """The n nonnegative integers of a table key "a,b,...", or None."""
-    parts = key.split(",")
-    if len(parts) != n or not all(part.isdecimal() for part in parts):
+    parts = tuple(map(_int_key, key.split(",")))
+    if len(parts) != n or not all(p is not None and p >= 0 for p in parts):
         return None
-    return tuple(map(int, parts))
+    return parts
 
 
-def _is_face(item, index):
-    """Whether item is [surjection values, name of a cell they reach]."""
-    return (isinstance(item, list) and len(item) == 2
-            and isinstance(item[0], list) and len(item[0]) > 0
-            and all(type(v) is int for v in item[0])
-            and (isinstance(item[1], str) or type(item[1]) is int)
-            and 0 <= item[0][-1] < len(index)
-            and item[1] in index[item[0][-1]])
+def _keyed(doc, read):
+    """The JSON object doc with each key k read as read(k), or None when
+    doc is not an object or read refuses a key."""
+    if not isinstance(doc, dict):
+        return None
+    out = {read(k): v for k, v in doc.items()}
+    return None if None in out else out
 
 
 # -- categories --------------------------------------------------------------
@@ -227,9 +247,7 @@ def split_functor_from_dict(d):
 
 
 def complex_to_dict(C):
-    d = C.as_dict()
-    d["kind"] = "chain-complex"
-    return d
+    return dict(C.as_dict(), kind="chain-complex")
 
 
 def complex_from_dict(d):
@@ -237,37 +255,23 @@ def complex_from_dict(d):
         raise InputError("expected a chain-complex document")
     window = d.get("window")
     ranked = "coefficients" not in d
-    levels = d.get("ranks") if ranked else d["coefficients"]
-    diff_doc = d.get("differentials", {})
+    levels = _keyed(d.get("ranks") if ranked else d["coefficients"],
+                    _int_key)
+    diffs = _keyed(d.get("differentials", {}), _int_key)
     if not (isinstance(d.get("ring"), str) and _is_ints(window)
-            and len(window) == 2 and isinstance(levels, dict)
-            and all(_is_degree(k) and (type(v) is int if ranked
-                                       else _is_ints(v))
-                    for k, v in levels.items())
-            and isinstance(diff_doc, dict)
-            and all(_is_degree(k) and _is_matrix(rows)
-                    for k, rows in diff_doc.items())):
+            and len(window) == 2 and levels is not None
+            and all(type(v) is int if ranked else _is_ints(v)
+                    for v in levels.values())
+            and diffs is not None and all(map(_is_matrix, diffs.values()))):
         raise InputError("malformed chain-complex document: ring must be "
                          "a string, window two integers, coefficients "
                          "(integer lists) or ranks (integers) and "
                          "differentials (integer matrices) objects keyed "
                          "by degree")
-    if ranked:
-        coeffs = {int(k): (0,) * v for k, v in levels.items()}
-    else:
-        coeffs = {int(k): tuple(v) for k, v in levels.items()}
-    diff = {}
-    for k, rows in diff_doc.items():
-        n = int(k)
-        r_out = len(coeffs.get(n - 1, ()))
-        r_in = len(coeffs.get(n, ()))
-        diff[n] = Mat(r_out, r_in, rows)
+    coeffs = {n: (0,) * v if ranked else tuple(v) for n, v in levels.items()}
+    diff = {n: Mat(len(coeffs.get(n - 1, ())), len(coeffs.get(n, ())), rows)
+            for n, rows in diffs.items()}
     return ChainComplex(d["ring"], tuple(window), coeffs, diff)
-
-
-def _is_degree(key):
-    """Whether an object key is an integer, as degrees are written."""
-    return key[1:].isdecimal() if key.startswith("-") else key.isdecimal()
 
 
 def _is_matrix(v):
@@ -288,22 +292,17 @@ def chain_map_from_dict(d):
     from .chain_model import ChainMap
     if d.get("kind") != "chain-map":
         raise InputError("expected a chain-map document")
-    comp_doc = d.get("components")
+    comps = _keyed(d.get("components"), _int_key)
     if not (isinstance(d.get("source"), dict)
             and isinstance(d.get("target"), dict)
-            and isinstance(comp_doc, dict)
-            and all(_is_degree(k) and _is_matrix(rows)
-                    for k, rows in comp_doc.items())):
+            and comps is not None and all(map(_is_matrix, comps.values()))):
         raise InputError("malformed chain-map document: source and target "
                          "must be chain-complex documents, components an "
                          "object of integer matrices keyed by degree")
     X = complex_from_dict(d["source"])
     Y = complex_from_dict(d["target"])
-    comps = {}
-    for k, rows in comp_doc.items():
-        n = int(k)
-        comps[n] = Mat(Y.rank(n), X.rank(n), rows)
-    return ChainMap(X, Y, comps)
+    return ChainMap(X, Y, {n: Mat(Y.rank(n), X.rank(n), rows)
+                           for n, rows in comps.items()})
 
 
 def simplicial_ab_to_dict(A):
@@ -322,33 +321,27 @@ def simplicial_ab_to_dict(A):
 def simplicial_ab_from_dict(d):
     if d.get("kind") != "simplicial-abelian-group":
         raise InputError("expected a simplicial-abelian-group document")
-    D, coeff_doc = d.get("truncation"), d.get("coefficients")
-    table_keys = ("faces", "degeneracies")
+    D, coeffs = d.get("truncation"), _keyed(d.get("coefficients"), _int_key)
+    face, degen = (_keyed(d.get(t), lambda k: _index_key(k, 2))
+                   for t in ("faces", "degeneracies"))
     if not (isinstance(d.get("ring"), str) and type(D) is int
-            and isinstance(coeff_doc, dict)
-            and all(_is_degree(k) and _is_ints(v)
-                    for k, v in coeff_doc.items())
-            and all(isinstance(d.get(t), dict) and all(
-                _index_key(k, 2) and _is_matrix(rows)
-                for k, rows in d[t].items()) for t in table_keys)):
+            and coeffs is not None and all(map(_is_ints, coeffs.values()))
+            and face is not None and degen is not None
+            and all(map(_is_matrix, [*face.values(), *degen.values()]))):
         raise InputError("malformed simplicial-abelian-group document: "
                          "ring must be a string, truncation an integer, "
                          "coefficients integer lists keyed by degree, and "
                          "faces and degeneracies objects from \"n,i\" to "
                          "integer matrices")
-    coeffs = {int(k): tuple(v) for k, v in coeff_doc.items()}
+    coeffs = {n: tuple(v) for n, v in coeffs.items()}
 
     def shape(n):
         return len(coeffs.get(n, ()))
 
-    face = {}
-    for k, rows in d["faces"].items():
-        n, i = _index_key(k, 2)
-        face[(n, i)] = Mat(shape(n - 1), shape(n), rows)
-    degen = {}
-    for k, rows in d["degeneracies"].items():
-        n, i = _index_key(k, 2)
-        degen[(n, i)] = Mat(shape(n + 1), shape(n), rows)
+    face = {(n, i): Mat(shape(n - 1), shape(n), rows)
+            for (n, i), rows in face.items()}
+    degen = {(n, i): Mat(shape(n + 1), shape(n), rows)
+             for (n, i), rows in degen.items()}
     return SimplicialAbGroup(d["ring"], D, coeffs, face, degen)
 
 
@@ -356,33 +349,27 @@ def simplicial_ab_from_dict(d):
 
 
 def bisimplicial_to_dict(X):
-    d = X.as_dict()
-    d["kind"] = "bisimplicial-set"
-    return d
+    return dict(X.as_dict(), kind="bisimplicial-set")
 
 
 def bisimplicial_from_dict(d):
     if d.get("kind") not in (None, "bisimplicial-set"):
         raise InputError("expected a bisimplicial-set document")
-    truncation, cell_doc = d.get("truncation"), d.get("cells")
+    truncation = d.get("truncation")
+    cells = _keyed(d.get("cells"), lambda k: _index_key(k, 2))
     table_keys = ("h_faces", "h_degens", "v_faces", "v_degens")
+    tables = [_keyed(d.get(t), lambda k: _index_key(k, 3))
+              for t in table_keys]
     if not (_is_ints(truncation) and len(truncation) == 2
-            and isinstance(cell_doc, dict)
-            and all(_index_key(k, 2) and _is_names(v)
-                    for k, v in cell_doc.items())
-            and all(isinstance(d.get(t), dict) and all(
-                _index_key(k, 3) and isinstance(m, dict)
-                and all(map(_is_name, m.values()))
-                for k, m in d[t].items()) for t in table_keys)):
+            and cells is not None and all(map(_is_names, cells.values()))
+            and all(t is not None and all(isinstance(m, dict)
+                                          for m in t.values())
+                    for t in tables)):
         raise InputError("malformed bisimplicial-set document: truncation "
                          "must be two integers, cells an object from "
                          "\"p,q\" to name lists, and %s objects from "
                          "\"p,q,i\" to name tables" % ", ".join(table_keys))
-    cells = {_index_key(k, 2): v for k, v in cell_doc.items()}
-    h_face, h_degen, v_face, v_degen = (
-        {_index_key(k, 3): m for k, m in d[t].items()} for t in table_keys)
-    return BisimplicialSet(truncation[0], truncation[1], cells, h_face,
-                           h_degen, v_face, v_degen)
+    return BisimplicialSet(truncation[0], truncation[1], cells, *tables)
 
 
 # -- simplicial categories ---------------------------------------------------
@@ -427,6 +414,11 @@ def simplicial_category_from_dict(d):
         raise InputError("expected a simplicial-category document")
     space_doc, comp_doc = d.get("map_spaces"), d.get("compositions")
     objects = d.get("objects")
+    malformed = ("malformed simplicial-category document: objects must be "
+                 "a string list, level_bound an integer, identities an "
+                 "object of names, map_spaces an object from \"x|y\" to "
+                 "simplicial-set documents, compositions an object from "
+                 "\"x|y|z\" to lists of [g, f, g.f] simplex triples")
     if not (isinstance(objects, list)
             and all(isinstance(x, str) for x in objects)
             and type(d.get("level_bound")) is int
@@ -437,32 +429,27 @@ def simplicial_category_from_dict(d):
                     for k, v in space_doc.items())
             and isinstance(comp_doc, dict)
             and all(k.count("|") == 2 and isinstance(entries, list)
-                    and all(isinstance(e, list) and len(e) == 3
-                            and all(map(_is_simplex, e)) for e in entries)
                     for k, entries in comp_doc.items())):
-        raise InputError("malformed simplicial-category document: objects "
-                         "must be a string list, level_bound an integer, "
-                         "identities an object of names, map_spaces an "
-                         "object from \"x|y\" to simplicial-set documents, "
-                         "compositions an object from \"x|y|z\" to lists "
-                         "of [g, f, g.f] simplex triples")
-    for pair in (x + "|" + y for x in d["objects"] for y in d["objects"]):
+        raise InputError(malformed)
+    tables = {}
+    for k, entries in comp_doc.items():
+        x, y, z = k.split("|")
+        try:
+            tables[(x, y, z)] = {(_simplex(g), _simplex(f)): _simplex(h)
+                                 for g, f, h in entries}
+        except (TypeError, ValueError):
+            raise InputError(malformed) from None
+    for pair in (x + "|" + y for x in objects for y in objects):
         if pair not in space_doc:
             raise InputError("the map space %s is missing" % pair)
     mapspaces = {}
     for k, sub in space_doc.items():
         x, y = k.split("|")
         mapspaces[(x, y)] = sset_from_dict(sub)
-    tables = {}
-    for k, entries in comp_doc.items():
-        x, y, z = k.split("|")
-        tables[(x, y, z)] = {
-            ((tuple(g[0]), g[1]), (tuple(f[0]), f[1])):
-            (tuple(h[0]), h[1]) for g, f, h in entries}
     # every pair up to the level bound must be listed; the degenerate
     # ones are compared with the composites the nondegenerate ones fix
     listed = []
-    for x, y, z in product(d["objects"], repeat=3):
+    for x, y, z in product(objects, repeat=3):
         gspace, fspace = mapspaces[(y, z)], mapspaces[(x, y)]
         if gspace.n_cells(0) == 0 or fspace.n_cells(0) == 0:
             continue
@@ -479,7 +466,7 @@ def simplicial_category_from_dict(d):
                                 [list(f[0]), f[1]]))
                     listed.append(((x, y, z), g, f, h))
     C = SimplicialCategory(
-        d["objects"], mapspaces, d["identities"],
+        objects, mapspaces, d["identities"],
         lambda x, y, z, q, g, f: tables[(x, y, z)][(g, f)],
         d["level_bound"])
     for key, g, f, h in listed:
@@ -489,11 +476,14 @@ def simplicial_category_from_dict(d):
     return C
 
 
-def _is_simplex(v):
-    """Whether v is [surjection values, cell index], a simplex in E-Z
-    form as compositions are written."""
-    return (isinstance(v, list) and len(v) == 2 and _is_ints(v[0])
-            and len(v[0]) > 0 and type(v[1]) is int)
+def _simplex(v):
+    """[surjection values, cell index] as (tuple, index), integers only;
+    SimplicialCategory.validate checks that composites are simplices.
+    Raises TypeError or ValueError for anything else."""
+    s, idx = v
+    if not (_is_ints(s) and s and type(idx) is int):
+        raise ValueError("not a simplex")
+    return tuple(s), idx
 
 
 # -- dispatch ----------------------------------------------------------------

@@ -76,10 +76,11 @@ class SimplicialCategory:
         return (tuple(0 for _ in range(q + 1)), idx)
 
     def validate(self):
-        """Identity vertices, then the unit laws and the faces d_i on the
-        nondegenerate pairs, then associativity on the nondegenerate
-        triples (no index doubled in all three).  Degeneracies commute
-        with composition by construction."""
+        """Identity vertices, then on the nondegenerate pairs that each
+        composite is a simplex of its map space, the unit laws and the
+        faces d_i, then associativity on the nondegenerate triples (no
+        index doubled in all three).  Degeneracies commute with
+        composition by construction."""
         for x in self.objects:
             space = self.mapspaces.get((x, x))
             if space is None or self.identities.get(x) not in space.cells(0):
@@ -90,6 +91,10 @@ class SimplicialCategory:
             hspace = self.mapspaces[(x, z)]
             for (g, f), h in table.items():
                 q = len(g[0]) - 1
+                if h not in _simplex_set(hspace, q):
+                    raise InputError(
+                        "the composite of %s and %s is not a %d-simplex "
+                        "of Map(%s, %s)" % (g, f, q, x, z))
                 if x == y and f == self.identity_simplex(x, q):
                     if h != g:
                         raise InputError("right unit law fails at %s"
@@ -138,6 +143,12 @@ class SimplicialCategory:
     def __repr__(self):
         return "SimplicialCategory(%d objects, level_bound=%d)" % (
             len(self.objects), self.level_bound)
+
+
+def _simplex_set(space, q):
+    """The q-simplices of space, as a set."""
+    return space.memo(("simplex_set", q),
+                      lambda X: frozenset(X.simplices(q)))
 
 
 def _doubled_blocks(space, q):

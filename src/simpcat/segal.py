@@ -128,19 +128,17 @@ class BisimplicialSet:
                     table = d[(p, i)] = faces.get(pos(p) + (i,))
                     if table is None:
                         raise InputError("missing face table")
-                    for x in cells:
-                        if x not in table or table[x] not in target:
-                            raise InputError("face table broken at level "
-                                             "%d" % p)
+                    if not _maps_into(table, cells, target):
+                        raise InputError("face table broken at level %d"
+                                         % p)
             for p in range(M):
                 cells, target = self.cells[pos(p)], members[pos(p + 1)]
                 for i in range(p + 1):
                     table = s[(p, i)] = degens.get(pos(p) + (i,))
                     if table is None:
                         raise InputError("missing degeneracy table")
-                    for x in cells:
-                        if x not in table or table[x] not in target:
-                            raise InputError("degeneracy table broken")
+                    if not _maps_into(table, cells, target):
+                        raise InputError("degeneracy table broken")
             # simplicial identities via the tables directly
             for p in range(2, M + 1):
                 cells = self.cells[pos(p)]
@@ -200,6 +198,17 @@ def _generator_walk(alpha, n):
     return tuple([(True, k, i) for k, i in face_decomposition(image, n)]
                  + [(False, k - 1, j)
                     for k, j in degeneracy_decomposition(epi)])
+
+
+def _maps_into(table, cells, target):
+    """Whether table sends every cell to a member of target.  A boolean
+    is refused, as True == 1 would find the cell 1, and so is an
+    unhashable value."""
+    try:
+        return all(type(table[x]) is not bool and table[x] in target
+                   for x in cells)
+    except (KeyError, TypeError):  # a cell missing, an unhashable value
+        return False
 
 
 def _commutes(a, b, c, d, cells):

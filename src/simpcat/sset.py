@@ -71,10 +71,9 @@ class SimplicialSet:
             raise InputError("no %d-cell named %r" % (k, name))
         return self._index[k][name]
 
-    def cell_simplex(self, k, name_or_idx):
-        idx = name_or_idx if isinstance(name_or_idx, int) \
-            else self._index[k][name_or_idx]
-        return (tidentity(k), idx)
+    def cell_simplex(self, k, name):
+        """The k-cell called name (an integer name too) as a simplex."""
+        return (tidentity(k), self.cell_index(k, name))
 
     def _require_dim(self, n):
         if self.truncation is not None and n > self.truncation:

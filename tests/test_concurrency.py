@@ -1,0 +1,71 @@
+"""The library is safe to use from concurrent callers: jobs run from a
+thread pool on shared objects write the same bytes as a sequential run.
+The simplicial sets are shared, so their per-object tables
+(SimplicialSet.memo) are filled from several threads at once."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+from simpcat import formats, quasicat, segal
+from simpcat.doldkan import free_complex, homology
+from simpcat.intlinalg import Mat
+from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table, nerve,
+                               ordinal_category, symmetric3_table)
+
+from test_nerve_cat import iso_pair_category
+
+
+def _objects():
+    """Fresh objects, none of their tables filled yet."""
+    C = iso_pair_category()
+    return {
+        "bz5": nerve(bg(cyclic_table(5)), 3),
+        "bs3": nerve(bg(symmetric3_table()), 3),
+        "o4": nerve(ordinal_category(4), 4),
+        "iso": nerve(C, 3),
+        "rel": RelativeCategory(C, {a for a in C.arrows if C.is_iso(a)}),
+        "bis": segal.rezk_nerve(RelativeCategory(
+            ordinal_category(2), set(ordinal_category(2).arrows)), 2, 1),
+        "cx": free_complex("Z", (0, 2), {0: 2, 1: 3, 2: 1},
+                           {1: Mat(2, 3, [[2, 0, 4], [0, 3, 0]]),
+                            2: Mat(3, 1, [[2], [0], [-1]])}),
+    }
+
+
+def _jobs(obj):
+    """(name, thunk returning the job's output document) per job."""
+    jobs = []
+    for x in ("bz5", "bs3", "o4", "iso"):
+        X = obj[x]
+        for mode in ("inner", "kan"):
+            jobs.append(("classify/%s/%s" % (x, mode),
+                         lambda X=X, mode=mode:
+                         quasicat.classify(X, 3, mode).as_dict()))
+        jobs.append(("ho/" + x, lambda X=X: formats.category_to_dict(
+            quasicat.homotopy_category(X))))
+        jobs.append(("max-kan/" + x, lambda X=X: formats.sset_to_dict(
+            quasicat.max_kan_subset(X))))
+    jobs.append(("rezk-nerve", lambda: formats.bisimplicial_to_dict(
+        segal.rezk_nerve(obj["rel"], 2, 2))))
+    jobs.append(("segal-check", lambda: vars(
+        segal.strict_segal_check(obj["bis"]))))
+    jobs.append(("homology", lambda: {
+        str(n): list(H.invariant_factors)
+        for n, H in homology(obj["cx"]).items()}))
+    return jobs
+
+
+def test_threads_on_shared_objects_match_a_sequential_run():
+    want = {name: formats.dumps(job()) for name, job in _jobs(_objects())}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the jobs
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(4):  # fresh objects, so fresh tables, each round
+                futures = [(name, pool.submit(job))
+                           for name, job in _jobs(_objects()) * 2]
+                for name, f in futures:
+                    assert formats.dumps(f.result(timeout=60)) == \
+                        want[name], name
+    finally:
+        sys.setswitchinterval(switch)

@@ -53,10 +53,11 @@ def _documents():
                         ["equivalences", "IN"], ["max-kan", "IN"],
                         ["pi0", "IN"], ["export-dot", "IN"]]
 
-    # integer vertex names, which the command line cannot name
+    # integer cell names; the command line cannot name these vertices
     int_named = {"kind": "simplicial-set", "truncation": None,
-                 "cells": {"0": [0, 1], "1": ["e"]},
-                 "faces": {"1:e": [[[0], 1], [[0], 0]]}}
+                 "cells": {"0": [0, 1], "1": ["e", 2]},
+                 "faces": {"1:e": [[[0], 1], [[0], 0]],
+                           "1:2": [[[0], 0], [[0], 0]]}}
     return [
         (formats.sset_to_dict(nerve(bg(cyclic_table(2)), 3)),
          sset_commands("*", "*")),

@@ -386,7 +386,11 @@ def test_cli_malformed_documents_exit_3(tmp_path, capsys):
     bis = formats.bisimplicial_to_dict(
         embed("discrete", nerve(ordinal_category(1), 2), 2))
     for key, value in [("truncation", 5), ("v_degens", []),
-                       ("cells", dict(bis["cells"], **{"0,0": [["a"]]}))]:
+                       ("cells", dict(bis["cells"], **{"0,0": [["a"]]})),
+                       ("cells", dict(bis["cells"], **{"0,01": []})),
+                       ("h_faces", dict(bis["h_faces"], **{
+                           "1,0,0": {k: [v] for k, v in
+                                     bis["h_faces"]["1,0,0"].items()}}))]:
         path = write(tmp_path, "bad.bis", dict(bis, **{key: value}))
         for command in ("segal-check", "completeness"):
             assert run_cli(tmp_path, command, path) == 3, (key, command)
@@ -408,10 +412,19 @@ def test_cli_malformed_documents_exit_3(tmp_path, capsys):
         path = write(tmp_path, "named.sset", doc)
         assert run_cli(tmp_path, "check-kan", path, "--dim", "1") == code, \
             name
+    # integer keys are written as str writes them: "01" and "٢" would
+    # name a level beside "1" and "2"
+    d = formats.sset_to_dict(sset.standard_simplex(1))
+    for cells in ({"0": d["cells"]["0"], "01": d["cells"]["1"]},
+                  dict(d["cells"], **{"٢": ["x"]})):
+        path = write(tmp_path, "key.sset", dict(d, cells=cells))
+        for command in ("export-dot", "check-kan"):
+            assert run_cli(tmp_path, command, path) == 3, (cells, command)
     cx = formats.complex_to_dict(
         free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])}))
     for key, value in [("window", 5), ("ring", "Z/x"), ("window", [0, True]),
                        ("differentials", {"1": [[True]]}),
+                       ("differentials", {"1": [[2]], "01": [[0]]}),
                        ("coefficients", {"0": [0], "1": [False]})]:
         path = write(tmp_path, "bad.cx", dict(cx, **{key: value}))
         assert run_cli(tmp_path, "homology", path) == 3, (key, value)
@@ -519,6 +532,34 @@ def test_cli_grothendieck_build(tmp_path):
     proj = formats.load_object(out, "functor")
     assert len(proj.source.objects) == 3
     assert len(proj.target.objects) == 2
+
+
+def test_cli_integer_edge_names(tmp_path, capsys):
+    # an integer cell name is a name, not the index of a cell: edge 0 runs
+    # from vertex 1 to vertex 2 and edge 2 from vertex 2 to vertex 1
+    doc = {"kind": "simplicial-set", "truncation": None,
+           "cells": {"0": [1, 2], "1": [0, 2]},
+           "faces": {"1:0": [[[0], 2], [[0], 1]],
+                     "1:2": [[[0], 1], [[0], 2]]}}
+    path = write(tmp_path, "int.sset", doc)
+    assert run_cli(tmp_path, "export-dot", path) == 0
+    out = capsys.readouterr().out
+    assert '"1" -> "2" [label="0"];' in out
+    assert '"2" -> "1" [label="2"];' in out
+
+
+def test_cli_composite_outside_its_map_space_exits_3(tmp_path, capsys):
+    # g.f of the nondegenerate pair (02<012, 0) names a cell that Map(0, 2)
+    # lacks
+    doc = formats.simplicial_category_to_dict(frak_c(2))
+    table = [[g, f, [h[0], 99] if g == [[0, 1], 0] else h]
+             for g, f, h in doc["compositions"]["0|0|2"]]
+    path = write(tmp_path, "bad.scat", dict(doc, compositions=dict(
+        doc["compositions"], **{"0|0|2": table})))
+    assert run_cli(tmp_path, "coherent-nerve", path, "--dim", "2") == 3
+    assert capsys.readouterr().err == (
+        "input error: the composite of ((0, 1), 0) and ((0, 0), 0) is not "
+        "a 1-simplex of Map(0, 2)\n")
 
 
 def test_cli_missing_cell_exits_3(tmp_path, capsys):
