@@ -15,10 +15,13 @@ from .intlinalg import (Mat, from_columns, kernel_basis, preimage_lattice,
 
 
 def parse_ring(ring):
+    """0 for "Z", m for "Z/m" with m written as str writes it: "Z/02"
+    and "Z/٢" would name Z/2 too."""
     if ring == "Z":
         return 0
-    if ring.startswith("Z/") and ring[2:].isdecimal():
-        m = int(ring[2:])
+    digits = ring[2:] if ring.startswith("Z/") else ""
+    if digits.isdecimal() and str(int(digits)) == digits:
+        m = int(digits)
         if m < 2:
             raise InputError("modulus must be >= 2")
         return m

@@ -515,63 +515,49 @@ def max_subgroupoid(C):
                        validate=False)
 
 
+def _functor_of_nerve_map(f, C, D):
+    """Read a map N(C) -> N(D) of nerves back as a functor C -> D: a
+    vertex is an object, a nondegenerate edge the non-identity arrow it
+    is named after, and a degenerate edge an identity."""
+    NC, ND = f.source, f.target
+    src_arrow, dst_arrow = ({_chain_name((a,)): a
+                             for a in E.nonidentity_arrows()} for E in (C, D))
+    omap = {x: ND.names[0][j]
+            for x, (_, j) in zip(NC.names[0], f.assignment[0])}
+    amap = {C.ident[x]: D.ident[y] for x, y in omap.items()}
+    for name, (t, j) in zip(NC.names[1], f.assignment[1]):
+        amap[src_arrow[name]] = (dst_arrow[ND.names[1][j]] if t[-1]
+                                 else D.ident[ND.names[0][j]])
+    return Functor(C, D, omap, amap, validate=False)
+
+
 def find_category_isomorphism(C, D):
     """An isomorphism of categories C -> D, or None.
 
     The nerve is fully faithful and a category is determined by its
     2-skeleton, so this is an isomorphism of the 2-truncated nerves,
-    read back as a functor: vertices name objects and nondegenerate
-    edges name the non-identity arrows."""
+    read back as a functor."""
     if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
         return None
-    NC, ND = nerve(C, 2), nerve(D, 2)
-    f = sset.find_isomorphism(NC, ND)
+    f = sset.find_isomorphism(nerve(C, 2), nerve(D, 2))
     if f is None:
         return None
-    omap, amap = ({NC.names[k][i]: ND.names[k][j]
-                   for i, (_, j) in enumerate(f.assignment[k])}
-                  for k in (0, 1))
-    for x in C.objects:
-        amap[C.ident[x]] = D.ident[omap[x]]
-    F = Functor(C, D, omap, amap)
+    F = _functor_of_nerve_map(f, C, D)
+    F.validate()
     return F if F.is_isomorphism() else None
 
 
 def all_functors(C, D):
-    """Every functor C -> D, by backtracking over objects and generating
-    arrows; exponential, intended for very small categories."""
-    objs = list(C.objects)
+    """Every functor C -> D: the maps of 2-truncated nerves, read back.
+    Ordered by the images of C's objects, then of its sorted non-identity
+    arrows, each image by its position in D."""
+    obj_pos = {y: p for p, y in enumerate(D.objects)}
+    arr_pos = {b: p for p, b in enumerate(D.arrows)}
     arrows = sorted(C.nonidentity_arrows())
-    out = []
-
-    def close(omap, amap, pos):
-        if pos == len(arrows):
-            full = dict(amap)
-            for x in objs:
-                full[C.ident[x]] = D.ident[omap[x]]
-            F = Functor(C, D, dict(omap), full, validate=False)
-            try:
-                F.validate()
-            except InputError:
-                return
-            out.append(F)
-            return
-        a = arrows[pos]
-        for b in D.hom(omap[C.src[a]], omap[C.dst[a]]):
-            amap[a] = b
-            close(omap, amap, pos + 1)
-            del amap[a]
-
-    def pick(pos, omap):
-        if pos == len(objs):
-            close(omap, {}, 0)
-            return
-        for y in D.objects:
-            omap[objs[pos]] = y
-            pick(pos + 1, omap)
-            del omap[objs[pos]]
-
-    pick(0, {})
+    out = [_functor_of_nerve_map(f, C, D)
+           for f in sset.enumerate_maps(nerve(C, 2), nerve(D, 2))]
+    out.sort(key=lambda F: ([obj_pos[F.obj_map[x]] for x in C.objects],
+                            [arr_pos[F.arr_map[a]] for a in arrows]))
     return out
 
 

@@ -255,40 +255,21 @@ def embed(kind, X, N):
         return BisimplicialSet(M, N, cells, h_face, h_degen, v_face,
                                v_degen)
     if kind == "constant":
-        M = N  # outer truncation chosen by the caller through N
-        inner = X.truncation if X.truncation is not None else X.dim_max
-        cells = {}
-        h_face = {}
-        h_degen = {}
-        v_face = {}
-        v_degen = {}
-        for q in range(inner + 1):
-            names = [X.describe(s) for s in X.simplices(q)]
-            for p in range(M + 1):
-                cells[(p, q)] = tuple(names)
-                if p >= 1:
-                    for i in range(p + 1):
-                        h_face[(p, q, i)] = {n: n for n in names}
-                if p < M:
-                    for i in range(p + 1):
-                        h_degen[(p, q, i)] = {n: n for n in names}
-        for p in range(M + 1):
-            for q in range(inner + 1):
-                if q >= 1:
-                    for j in range(q + 1):
-                        v_face[(p, q, j)] = {
-                            X.describe(s): X.describe(
-                                X.face_of(j, s))
-                            for s in X.simplices(q)}
-                if q < inner:
-                    for j in range(q + 1):
-                        v_degen[(p, q, j)] = {
-                            X.describe(s): X.describe(
-                                X.apply(degeneracy(q + 1, j), s))
-                            for s in X.simplices(q)}
-        return BisimplicialSet(M, inner, cells, h_face, h_degen, v_face,
-                               v_degen)
+        return _transposed(embed("discrete", X, N))
     raise InputError("embed kind must be 'discrete' or 'constant'")
+
+
+def _transposed(X):
+    """X with its two directions swapped: the cell at (p, q) moves to
+    (q, p), and the horizontal tables trade places with the vertical
+    ones.  The transpose of a bisimplicial set is one, so it is not
+    validated again."""
+    def swap(table):
+        return {(q, p, i): m for (p, q, i), m in table.items()}
+    return BisimplicialSet(
+        X.n_trunc, X.m_trunc, {(q, p): c for (p, q), c in X.cells.items()},
+        swap(X.v_face), swap(X.v_degen), swap(X.h_face), swap(X.h_degen),
+        validate=False)
 
 
 def standard_bisimplex(m, n, M, N):

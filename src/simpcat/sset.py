@@ -719,151 +719,121 @@ def pi0(X):
 
 
 # ---------------------------------------------------------------------------
-# lifting / extension engine
+# maps that commute with faces
 
 
-def lift_extensions(i, f, limit=None, _candidate_order=None):
+def _placements(B, X, fixed, iso):
+    """Every way to send the nondegenerate cells of B to simplices of X,
+    commuting with faces and extending fixed ({(k, idx): E-Z image}),
+    as {(k, idx): image} dicts in search order.
+
+    Each cell is placed right after the last cell under its faces, which
+    prunes a wrong vertex choice early, and its candidates are one
+    X.face_index(k) lookup by the images of its faces.  With iso, images
+    are nondegenerate and pairwise distinct."""
+    # a cell is ready once every cell under its faces is placed
+    cofaces, missing = {}, {}
+    for k in range(1, len(B.names)):
+        for idx in range(B.n_cells(k)):
+            under = {(s[-1], sub) for s, sub in B.faces[k][idx]}
+            missing[(k, idx)] = len(under)
+            for c in under:
+                cofaces.setdefault(c, []).append((k, idx))
+    order = []
+    for v in range(B.n_cells(0)):
+        stack = [(0, v)]
+        while stack:
+            c = stack.pop()
+            if c not in fixed:
+                order.append(c)
+            for d in reversed(cofaces.get(c, ())):
+                missing[d] -= 1
+                if not missing[d]:
+                    stack.append(d)
+
+    # per placement: the cell, the index its candidates come from, and
+    # its faces as (surjection, cell under the face)
+    steps = [((k, idx), X.face_index(k) if k else None,
+              [(s, (s[-1], sub)) for s, sub in B.faces[k][idx]] if k else ())
+             for k, idx in order]
+    assign = dict(fixed)
+    used = set()
+    pending = [None] * len(order)
+    pos = 0
+    while pos >= 0:
+        if pos == len(order):
+            yield dict(assign)
+            pos -= 1
+            continue
+        cell, index, under = steps[pos]
+        if pending[pos] is None:
+            if index is None:
+                cands = X.simplices(0)
+            else:
+                want = []
+                for s, c in under:
+                    t, w = assign[c]
+                    want.append((tcompose(t, s), w))
+                cands = index.get(tuple(want), ())
+            pending[pos] = iter(cands)
+        elif iso:
+            used.discard(assign[cell])
+        for w in pending[pos]:
+            if iso and (w[0][-1] != cell[0] or w in used):
+                continue
+            assign[cell] = w
+            if iso:
+                used.add(w)
+            pos += 1
+            break
+        else:
+            pending[pos] = None
+            pos -= 1
+
+
+def lift_extensions(i, f):
     """All extensions g: B -> X of f: A -> X along an injective
-    i: A -> B, in a deterministic order; at most `limit` of them.
-
-    Backtracking over the nondegenerate cells of B outside i(A) in
-    dimension order; candidate images are filtered by the already-forced
-    faces through an index of X's simplices by face tuple.
-    """
-    if limit is not None and limit <= 0:
-        raise InputError("limit must be positive (or None for all)")
+    i: A -> B, ordered lexicographically by the images of B's cells in
+    (k, idx) order, each image by its position in X.simplices(k)."""
     if not i.is_injective():
         raise InputError("extension problems need an injective inclusion")
     if i.source is not f.source:
         raise InputError("inclusion and partial map must share a source")
     A, B, X = i.source, i.target, f.target
     X._require_dim(B.dim_max)
-    assigned = {}
+    fixed = {}
     for k in range(len(A.names)):
         for idx in range(A.n_cells(k)):
             s, w = i.assignment[k][idx]
-            assigned[(k, w)] = f.assignment[k][idx]
-    todo = [(k, idx) for k in range(len(B.names))
-            for idx in range(B.n_cells(k)) if (k, idx) not in assigned]
-    todo.sort()
-    results = []
-
-    def candidates_for(k, idx, current):
-        if k == 0:
-            cands = X.simplices(0)
-        else:
-            forced = []
-            for s, sub in B.faces[k][idx]:
-                t, w = current[(s[-1], sub)]
-                forced.append((tcompose(t, s), w))
-            cands = X.face_index(k).get(tuple(forced), ())
-        if _candidate_order is not None:
-            cands = list(cands)
-            _candidate_order.shuffle(cands)
-        return cands
-
-    def extend(pos, current):
-        if limit is not None and len(results) >= limit:
-            return
-        if pos == len(todo):
-            assignment = [
-                [current[(k, idx)] for idx in range(B.n_cells(k))]
-                for k in range(len(B.names))]
-            results.append(SimplicialMap(B, X, assignment, validate=False))
-            return
-        k, idx = todo[pos]
-        for w in candidates_for(k, idx, current):
-            current[(k, idx)] = w
-            extend(pos + 1, current)
-            del current[(k, idx)]
-            if limit is not None and len(results) >= limit:
-                return
-
-    extend(0, dict(assigned))
-    return results
+            fixed[(k, w)] = f.assignment[k][idx]
+    found = [[[p[(k, idx)] for idx in range(B.n_cells(k))]
+              for k in range(len(B.names))]
+             for p in _placements(B, X, fixed, False)]
+    # X.simplices(k) lists (t, w) by cell dimension, then t, then w
+    found.sort(key=lambda a: [(t[-1], t, w) for level in a for t, w in level])
+    return [SimplicialMap(B, X, a, validate=False) for a in found]
 
 
-def enumerate_maps(B, X, limit=None, pin_vertices=None):
-    """All simplicial maps B -> X, optionally pinning named vertices of B
-    to vertex simplices of X."""
+def enumerate_maps(B, X):
+    """All simplicial maps B -> X, in the order of lift_extensions."""
     A = empty_sset()
-    if pin_vertices:
-        pins = sorted(pin_vertices.items())
-        names = [tuple(name for name, _ in pins)]
-        A = SimplicialSet(None, names, [[() for _ in pins]])
-        incl = SimplicialMap(A, B, [
-            [(tidentity(0), B.cell_index(0, name)) for name, _ in pins]],
-            validate=False)
-        part = SimplicialMap(A, X, [[v for _, v in pins]], validate=False)
-        return lift_extensions(incl, part, limit=limit)
     incl = SimplicialMap(A, B, [[]], validate=False)
     part = SimplicialMap(A, X, [[]], validate=False)
-    return lift_extensions(incl, part, limit=limit)
+    return lift_extensions(incl, part)
 
 
 def find_isomorphism(X, Y):
     """Search for a levelwise bijection commuting with faces; None when
-    the objects are not isomorphic.
-
-    Y's cells are indexed once by their face tuples, so the candidates
-    for an X-cell whose faces are placed come from one lookup, in
-    ascending order.  Each X-cell is placed right after the last of its
-    faces, which prunes a wrong vertex choice early."""
+    the objects are not isomorphic."""
     if (X.truncation is None) != (Y.truncation is None):
         return None
     dims = max(len(X.names), len(Y.names))
     if any(X.n_cells(k) != Y.n_cells(k) for k in range(dims)):
         return None
-    by_faces = [{(): list(range(Y.n_cells(0)))}] + [{} for _ in range(1, dims)]
-    for k in range(1, dims):
-        for j in range(Y.n_cells(k)):
-            by_faces[k].setdefault(Y.simplex_faces((tidentity(k), j)),
-                                   []).append(j)
-
-    # a cell is ready once every cell under its faces is placed
-    cofaces, missing = {}, {}
-    for k in range(1, dims):
-        for idx in range(X.n_cells(k)):
-            under = {(s[-1], sub) for s, sub in X.faces[k][idx]}
-            missing[(k, idx)] = len(under)
-            for c in under:
-                cofaces.setdefault(c, []).append((k, idx))
-    order = []
-    for v in range(X.n_cells(0)):
-        stack = [(0, v)]
-        while stack:
-            c = stack.pop()
-            order.append(c)
-            for d in reversed(cofaces.get(c, ())):
-                missing[d] -= 1
-                if not missing[d]:
-                    stack.append(d)
-
-    assign = {}
-    used = [set() for _ in range(dims)]
-    pending = [None] * len(order)
-    pos = 0
-    while 0 <= pos < len(order):
-        k, idx = cell = order[pos]
-        if pending[pos] is None:
-            want = tuple((tuple(s), assign[(s[-1], sub)])
-                         for s, sub in X.faces[k][idx])
-            pending[pos] = iter(by_faces[k].get(want, ()))
-        else:
-            used[k].discard(assign.pop(cell))
-        for j in pending[pos]:
-            if j not in used[k]:
-                assign[cell] = j
-                used[k].add(j)
-                pos += 1
-                break
-        else:
-            pending[pos] = None
-            pos -= 1
-    if pos < 0:
+    p = next(_placements(X, Y, {}, True), None)
+    if p is None:
         return None
-    assignment = [[(tidentity(k), assign[(k, idx)])
-                   for idx in range(X.n_cells(k))]
+    assignment = [[p[(k, idx)] for idx in range(X.n_cells(k))]
                   for k in range(len(X.names))]
     return SimplicialMap(X, Y, assignment, validate=False)
 

@@ -16,7 +16,8 @@ from simpcat.intlinalg import Mat, from_columns, kernel_basis, solve_matrix
 from simpcat.nerve_cat import Functor
 from simpcat.quasicat import equivalences
 from simpcat.segal import BisimplicialSet
-from simpcat.sset import SimplicialMap, SimplicialSet, enumerate_maps
+from simpcat.sset import (SimplicialMap, SimplicialSet, empty_sset,
+                          enumerate_maps)
 
 
 def from_presheaf_by_collapse(D, levels, action, name_fn=None,
@@ -630,6 +631,104 @@ def category_isomorphism_by_backtracking(C, D):
         return rec(0)
 
     return try_obj(0, {}, set())
+
+
+# -- maps and extensions by backtracking in dimension order
+
+
+def lift_extensions_by_dimension_order(i, f):
+    """sset.lift_extensions by recursing over the cells of B outside
+    i(A) in (k, idx) order, each candidate image looked up by the images
+    of its faces in X.face_index(k), in the order listed there."""
+    if not i.is_injective():
+        raise InputError("extension problems need an injective inclusion")
+    if i.source is not f.source:
+        raise InputError("inclusion and partial map must share a source")
+    A, B, X = i.source, i.target, f.target
+    X._require_dim(B.dim_max)
+    assigned = {}
+    for k in range(len(A.names)):
+        for idx in range(A.n_cells(k)):
+            s, w = i.assignment[k][idx]
+            assigned[(k, w)] = f.assignment[k][idx]
+    todo = [(k, idx) for k in range(len(B.names))
+            for idx in range(B.n_cells(k)) if (k, idx) not in assigned]
+    todo.sort()
+    results = []
+
+    def candidates_for(k, idx, current):
+        if k == 0:
+            return X.simplices(0)
+        forced = []
+        for s, sub in B.faces[k][idx]:
+            t, w = current[(s[-1], sub)]
+            forced.append((tcompose(t, s), w))
+        return X.face_index(k).get(tuple(forced), ())
+
+    def extend(pos, current):
+        if pos == len(todo):
+            assignment = [
+                [current[(k, idx)] for idx in range(B.n_cells(k))]
+                for k in range(len(B.names))]
+            results.append(SimplicialMap(B, X, assignment, validate=False))
+            return
+        k, idx = todo[pos]
+        for w in candidates_for(k, idx, current):
+            current[(k, idx)] = w
+            extend(pos + 1, current)
+            del current[(k, idx)]
+
+    extend(0, dict(assigned))
+    return results
+
+
+def maps_by_dimension_order(B, X):
+    """sset.enumerate_maps: the extensions along the empty subobject."""
+    A = empty_sset()
+    return lift_extensions_by_dimension_order(
+        SimplicialMap(A, B, [[]], validate=False),
+        SimplicialMap(A, X, [[]], validate=False))
+
+
+# -- functors by backtracking over objects, then arrows
+
+
+def all_functors_by_backtracking(C, D):
+    """nerve_cat.all_functors by backtracking over objects and then the
+    sorted non-identity arrows, keeping the assignments that validate."""
+    objs = list(C.objects)
+    arrows = sorted(C.nonidentity_arrows())
+    out = []
+
+    def close(omap, amap, pos):
+        if pos == len(arrows):
+            full = dict(amap)
+            for x in objs:
+                full[C.ident[x]] = D.ident[omap[x]]
+            F = Functor(C, D, dict(omap), full, validate=False)
+            try:
+                F.validate()
+            except InputError:
+                return
+            out.append(F)
+            return
+        a = arrows[pos]
+        for b in D.hom(omap[C.src[a]], omap[C.dst[a]]):
+            amap[a] = b
+            close(omap, amap, pos + 1)
+            del amap[a]
+
+    def pick(pos, omap):
+        if pos == len(objs):
+            close(omap, {}, 0)
+            return
+        for y in D.objects:
+            omap[objs[pos]] = y
+            pick(pos + 1, omap)
+            del omap[objs[pos]]
+
+    pick(0, {})
+    return out
 
 
 # -- the maximal Kan subset by testing every edge of every cell

@@ -6,7 +6,7 @@ The simplicial sets are shared, so their per-object tables
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from simpcat import formats, quasicat, segal
+from simpcat import formats, hcnerve, quasicat, segal, sset
 from simpcat.doldkan import free_complex, homology
 from simpcat.intlinalg import Mat
 from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table, nerve,
@@ -24,6 +24,10 @@ def _objects():
         "o4": nerve(ordinal_category(4), 4),
         "iso": nerve(C, 3),
         "rel": RelativeCategory(C, {a for a in C.arrows if C.is_iso(a)}),
+        "cube": sset.product(sset.standard_simplex(1),
+                             sset.standard_simplex(1))[0],
+        "gadget": hcnerve.frak_c(3).mapspaces[("0", "3")],
+        "z3": hcnerve.one_object_from_abelian_group(cyclic_table(3), 3, 3),
         "bis": segal.rezk_nerve(RelativeCategory(
             ordinal_category(2), set(ordinal_category(2).arrows)), 2, 1),
         "cx": free_complex("Z", (0, 2), {0: 2, 1: 3, 2: 1},
@@ -45,6 +49,14 @@ def _jobs(obj):
             quasicat.homotopy_category(X))))
         jobs.append(("max-kan/" + x, lambda X=X: formats.sset_to_dict(
             quasicat.max_kan_subset(X))))
+    # the map searches read the targets' face_index and simplices tables
+    for x in ("bz5", "iso"):
+        jobs.append(("maps/" + x, lambda X=obj[x]: [
+            m.assignment for m in sset.enumerate_maps(sset.horn(3, 1), X)]))
+    jobs.append(("find-isomorphism", lambda: sset.find_isomorphism(
+        obj["gadget"], obj["cube"]).assignment))
+    jobs.append(("coherent-nerve", lambda: formats.sset_to_dict(
+        hcnerve.coherent_nerve(obj["z3"], 3))))
     jobs.append(("rezk-nerve", lambda: formats.bisimplicial_to_dict(
         segal.rezk_nerve(obj["rel"], 2, 2))))
     jobs.append(("segal-check", lambda: vars(

@@ -428,6 +428,11 @@ def test_cli_malformed_documents_exit_3(tmp_path, capsys):
                        ("coefficients", {"0": [0], "1": [False]})]:
         path = write(tmp_path, "bad.cx", dict(cx, **{key: value}))
         assert run_cli(tmp_path, "homology", path) == 3, (key, value)
+    # a modulus is written as str writes it: "02" and "٢" would name 2
+    for ring, code in [("Z/2", 0), ("Z/02", 3), ("Z/٢", 3)]:
+        path = write(tmp_path, "ring.cx", dict(cx, ring=ring))
+        for command in ("homology", "dold-kan"):
+            assert run_cli(tmp_path, command, path) == code, (ring, command)
     ranked = {"kind": "chain-complex", "ring": "Z", "window": [0, 1],
               "ranks": {"0": 1, "1": 1}, "differentials": {"1": [[2]]}}
     path = write(tmp_path, "ranked.cx", ranked)

@@ -100,8 +100,9 @@ def test_nerve_fully_faithful():
         (discrete_category(["x", "y"]), ordinal_category(1)),
         (ordinal_category(2), bg(cyclic_table(2))),
     ]
+    from oracles import all_functors_by_backtracking
     for C, D in pairs:
-        functors = all_functors(C, D)
+        functors = all_functors_by_backtracking(C, D)
         NC, ND = nerve(C, 3), nerve(D, 3)
         maps = enumerate_maps(NC, ND)
         assert len(maps) == len(functors)
@@ -311,3 +312,34 @@ def test_find_category_isomorphism_negative_cases():
         poset_category(["r", "s", "t"], lambda x, y: x == y or x == "r"),
         poset_category(["r", "s", "t"],
                        lambda x, y: x == y or y == "t")) is None
+
+
+def _functor_tables(functors):
+    return [(F.obj_map, F.arr_map) for F in functors]
+
+
+def test_all_functors_match_backtracking():
+    from families import category_family
+    from oracles import all_functors_by_backtracking
+    family = category_family(max_objects=3, max_arrows=6)
+    for c_name, C in family:
+        for d_name, D in family:
+            assert _functor_tables(all_functors(C, D)) == _functor_tables(
+                all_functors_by_backtracking(C, D)), (c_name, d_name)
+
+
+def test_integer_names_read_back_through_the_nerve():
+    # nerve edges are named by str(arrow); reading a map of nerves back
+    # as a functor turns those names into the arrows again
+    from oracles import all_functors_by_backtracking
+    C = FinCategory([0, 1], [10, 11, 12], {10: 0, 11: 1, 12: 0},
+                    {10: 0, 11: 1, 12: 1},
+                    {(10, 10): 10, (11, 11): 11, (12, 10): 12,
+                     (11, 12): 12}, {0: 10, 1: 11})
+    F = find_category_isomorphism(C, C)
+    assert (F.obj_map, F.arr_map) == ({0: 0, 1: 1},
+                                      {10: 10, 11: 11, 12: 12})
+    functors = all_functors(C, C)
+    assert len(functors) == 3
+    assert _functor_tables(functors) == _functor_tables(
+        all_functors_by_backtracking(C, C))

@@ -82,7 +82,7 @@ def test_normalizer_action_count(monkeypatch):
 
 
 def test_oracles_do_not_import_the_normalizer():
-    # the collapse oracle must stay independent of the code it checks
+    # the oracles must stay independent of the code they check
     path = pathlib.Path(__file__).with_name("oracles.py")
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and \
@@ -90,3 +90,18 @@ def test_oracles_do_not_import_the_normalizer():
             assert "from_presheaf" not in [a.name for a in node.names]
         if isinstance(node, ast.Attribute):
             assert node.attr != "from_presheaf"
+    # nor may the backtracking oracles for maps, extensions and functors
+    # reach the face-ordered search they check
+    engine = {"lift_extensions", "enumerate_maps", "find_isomorphism",
+              "_placements", "all_functors"}
+    oracles = {"lift_extensions_by_dimension_order",
+               "maps_by_dimension_order", "all_functors_by_backtracking"}
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name in oracles:
+            found.add(node.name)
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else \
+                    sub.attr if isinstance(sub, ast.Attribute) else None
+                assert name not in engine, (node.name, name)
+    assert found == oracles

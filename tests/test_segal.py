@@ -38,6 +38,20 @@ def test_embed_constant_levels():
         assert len(X.level(p, 1)) == 3
 
 
+def test_embed_constant_bytes():
+    # c(X) is built as the transpose of d(X); these are the SHA-256 sums
+    # of the documents the hand-written construction wrote
+    for X, want in [
+            (sset.standard_simplex(1), "0c0ea86231804a023dc85500b7a82389"
+             "2fb2f8414afb4114d577ae0681055148"),
+            (nerve(ordinal_category(2), 3), "1e6f157f7651e3b3fe4848d9f10bd9"
+             "724afa0f4874cfca1672e3bfbba2c056ff")]:
+        Y = embed("constant", X, 2)
+        Y.validate()
+        doc = formats.dumps(formats.bisimplicial_to_dict(Y))
+        assert hashlib.sha256(doc.encode()).hexdigest() == want
+
+
 def test_standard_bisimplex_counts():
     from math import comb
     X = standard_bisimplex(2, 1, 2, 2)

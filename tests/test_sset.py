@@ -1,7 +1,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from simpcat import sset
 from simpcat.delta import tidentity
@@ -230,34 +230,6 @@ def test_lift_extensions_terminal_target():
     exts = lift_extensions(i, f)
     assert len(exts) == 1
     exts[0].validate()
-
-
-def test_lift_extensions_limit_validation():
-    B = standard_simplex(1)
-    A = boundary(1)
-    i = inclusion_by_names(A, B)
-    f = SimplicialMap(A, point(), [[(tidentity(0), 0), (tidentity(0), 0)]])
-    with pytest.raises(InputError):
-        lift_extensions(i, f, limit=0)
-
-
-def test_lift_extensions_determinism_under_reordering():
-    import random
-    B = standard_simplex(2)
-    A = horn(2, 1)
-    i = inclusion_by_names(A, B)
-    X, _ = product(standard_simplex(1), standard_simplex(1))
-    maps = enumerate_maps(A, X)
-    baseline = None
-    for f in maps[:6]:
-        exts = lift_extensions(i, f)
-        for seed in (1, 2):
-            shuffled = lift_extensions(
-                i, f, _candidate_order=random.Random(seed))
-            assert sorted(m.assignment for m in shuffled) == \
-                sorted(m.assignment for m in exts)
-        baseline = exts
-    assert baseline is not None
 
 
 def test_enumerate_maps_counts():
@@ -635,3 +607,41 @@ def test_simplicial_identities_through_both_routes(X):
                         else:
                             want = s(j, d(i - 1, x))
                         assert d(i, y) == want
+
+
+def _assignments(maps):
+    return [m.assignment for m in maps]
+
+
+@settings(deadline=None, max_examples=40)
+@given(subsets_and_products(), subsets_and_products())
+def test_maps_and_extensions_follow_the_dimension_order_oracle(B, X):
+    # the search places cells in face order, then sorts into the order in
+    # which a backtracker over the cells in (k, idx) order finds them
+    from oracles import (lift_extensions_by_dimension_order,
+                         maps_by_dimension_order)
+    assume(X.n_cells(0) ** B.n_cells(0) <= 4096)
+    assert _assignments(enumerate_maps(B, X)) == \
+        _assignments(maps_by_dimension_order(B, X))
+    i = inclusion_by_names(skeleton(B, 0), B)
+    for f in maps_by_dimension_order(i.source, X)[:4]:
+        assert _assignments(lift_extensions(i, f)) == \
+            _assignments(lift_extensions_by_dimension_order(i, f))
+
+
+def test_horn_extensions_follow_the_dimension_order_oracle():
+    from families import category_family
+    from oracles import (lift_extensions_by_dimension_order,
+                         maps_by_dimension_order)
+    from simpcat.nerve_cat import nerve
+    for _, C in category_family(max_objects=3, max_arrows=6):
+        N = nerve(C, 3)
+        for n in (2, 3):
+            for k in range(n + 1):
+                i = inclusion_by_names(horn(n, k), standard_simplex(n))
+                horns = enumerate_maps(i.source, N)
+                assert _assignments(horns) == \
+                    _assignments(maps_by_dimension_order(i.source, N))
+                for f in horns:
+                    assert _assignments(lift_extensions(i, f)) == \
+                        _assignments(lift_extensions_by_dimension_order(i, f))
