@@ -498,6 +498,12 @@ def _nerve_simplex_of_chain(C, NC, chain, source_obj):
     return (word, NC.cell_index(len(core), _chain_name(core)))
 
 
+def _name_key(name):
+    """A sort key for names that may be strings or integers, mixed in one
+    category: integers first, each kind in its own order."""
+    return (type(name) is str, name)
+
+
 def _chain_name(chain):
     """The name of a nondegenerate simplex of a nerve: its arrows, which
     may be named by strings or integers, joined by "|"."""
@@ -553,7 +559,7 @@ def all_functors(C, D):
     arrows, each image by its position in D."""
     obj_pos = {y: p for p, y in enumerate(D.objects)}
     arr_pos = {b: p for p, b in enumerate(D.arrows)}
-    arrows = sorted(C.nonidentity_arrows())
+    arrows = sorted(C.nonidentity_arrows(), key=_name_key)
     out = [_functor_of_nerve_map(f, C, D)
            for f in sset.enumerate_maps(nerve(C, 2), nerve(D, 2))]
     out.sort(key=lambda F: ([obj_pos[F.obj_map[x]] for x in C.objects],
@@ -591,7 +597,7 @@ def localize(R, fuel):
     for a in C.arrows:
         if not C.is_identity(a):
             letters.append(("a", a))
-    for w in sorted(R.weak):
+    for w in sorted(R.weak, key=_name_key):
         if not C.is_identity(w):
             letters.append(("i", w))
     lsrc = {}
@@ -627,7 +633,7 @@ def localize(R, fuel):
         c = C.compose(g, f)
         rhs = () if C.is_identity(c) else (("a", c),)
         add_rule((("a", f), ("a", g)), rhs)  # f then g
-    for w in sorted(R.weak):
+    for w in sorted(R.weak, key=_name_key):
         if C.is_identity(w):
             continue
         add_rule((("a", w), ("i", w)), ())
@@ -717,7 +723,7 @@ def localize(R, fuel):
     def word_name(word, x):
         if not word:
             return "id_%s" % x
-        return ".".join(a if kind == "a" else a + "~"
+        return ".".join(str(a) if kind == "a" else "%s~" % a
                         for kind, a in word)
 
     arrows = []

@@ -20,17 +20,30 @@ from .quasicat import classify
 
 class BisimplicialSet:
     """Bidegree-truncated levelwise-finite presheaf on a product of two
-    simplex categories, stored as raw cell sets with generator maps."""
+    simplex categories, stored as cell names per level with generator
+    maps on cell indices.
+
+    cells[(p, q)] is the tuple of cell names at bidegree (p, q).  Each
+    structure map h_face[(p, q, i)], h_degen[(p, q, i)], v_face[(p, q, j)]
+    and v_degen[(p, q, j)] holds one entry per cell at (p, q): the index
+    of its image in the target level.  The constructor takes such index
+    sequences or name tables (dicts from cell names to cell names);
+    validate checks each and keeps it as a tuple of indices, so with
+    validate=False every table must be an index table already.  Names
+    come back in h_map, v_map, row and as_dict.
+    """
 
     def __init__(self, m_trunc, n_trunc, cells, h_face, h_degen, v_face,
                  v_degen, validate=True):
         self.m_trunc = m_trunc
         self.n_trunc = n_trunc
         self.cells = {k: tuple(v) for k, v in cells.items()}
-        self.h_face = {k: dict(v) for k, v in h_face.items()}
-        self.h_degen = {k: dict(v) for k, v in h_degen.items()}
-        self.v_face = {k: dict(v) for k, v in v_face.items()}
-        self.v_degen = {k: dict(v) for k, v in v_degen.items()}
+        self._index = {k: dict(zip(v, range(len(v))))
+                       for k, v in self.cells.items()}
+        self.h_face = dict(h_face)
+        self.h_degen = dict(h_degen)
+        self.v_face = dict(v_face)
+        self.v_degen = dict(v_degen)
         if validate:
             self.validate()
 
@@ -39,48 +52,75 @@ class BisimplicialSet:
 
     def h_map(self, alpha, p, q, x):
         """Action of alpha: [m] -> [p] on the outer index of x at (p, q)."""
-        for is_face, k, i in _generator_walk(alpha, p):
-            x = (self.h_face if is_face else self.h_degen)[(k, q, i)][x]
-        return x
+        j = self._index[(p, q)][x]
+        for table in self._steps(alpha, True, p, q):
+            j = table[j]
+        return self.cells[(len(alpha) - 1, q)][j]
 
     def v_map(self, alpha, p, q, x):
         """Action of alpha: [m] -> [q] on the inner index of x at (p, q)."""
-        for is_face, k, j in _generator_walk(alpha, q):
-            x = (self.v_face if is_face else self.v_degen)[(p, k, j)][x]
-        return x
+        j = self._index[(p, q)][x]
+        for table in self._steps(alpha, False, p, q):
+            j = table[j]
+        return self.cells[(p, len(alpha) - 1)][j]
+
+    def _steps(self, alpha, horizontal, p, q):
+        """The index tables that apply alpha to the cells at (p, q), in
+        the outer direction when horizontal, in the order they act."""
+        if horizontal:
+            return [(self.h_face if is_face else self.h_degen)[(k, q, i)]
+                    for is_face, k, i in _generator_walk(alpha, p)]
+        return [(self.v_face if is_face else self.v_degen)[(p, k, j)]
+                for is_face, k, j in _generator_walk(alpha, q)]
+
+    def _table(self, alpha, horizontal, p, q):
+        """alpha on every cell at (p, q) as one index table: the
+        composite of its generator steps."""
+        steps = self._steps(alpha, horizontal, p, q)
+        if not steps:
+            return range(len(self.cells[(p, q)]))
+        table = steps[0]
+        for step in steps[1:]:
+            table = list(map(step.__getitem__, table))
+        return table
 
     def row(self, p):
         """Row p as a SimplicialSet (inner direction)."""
-        levels = [list(self.level(p, q)) for q in range(self.n_trunc + 1)]
-        position = {}
-        for q in range(self.n_trunc + 1):
-            for x in self.level(p, q):
-                position[x] = q
+        # an element of the row is (q, index of the cell at (p, q))
+        levels = [[(q, j) for j in range(len(self.level(p, q)))]
+                  for q in range(self.n_trunc + 1)]
 
         def action(alpha, x):
-            return self.v_map(alpha, p, position[x], x)
+            q, j = x
+            for table in self._steps(alpha, False, p, q):
+                j = table[j]
+            return (len(alpha) - 1, j)
 
-        return sset.from_presheaf(self.n_trunc, levels, action,
-                                  name_fn=lambda q, x: str(x))
+        return sset.from_presheaf(
+            self.n_trunc, levels, action,
+            name_fn=lambda q, x: str(self.cells[(p, q)][x[1]]))
 
     def validate(self):
         if self.m_trunc < 0 or self.n_trunc < 0:
             raise InputError("negative truncation")
-        members = {}  # (p, q) -> set of the cells there, for O(1) lookups
         for p in range(self.m_trunc + 1):
             for q in range(self.n_trunc + 1):
                 if (p, q) not in self.cells:
                     raise InputError("missing level (%d, %d)" % (p, q))
-                level = self.cells[(p, q)]
-                members[(p, q)] = set(level)
-                if len(members[(p, q)]) != len(level):
+                if len(self._index[(p, q)]) != len(self.cells[(p, q)]):
                     raise InputError("duplicate cells at (%d, %d)"
                                      % (p, q))
-        self._validate_direction(True, members)
-        self._validate_direction(False, members)
+        # the tables checked here, as index tables, replace the given
+        # ones; a table outside the truncation is not kept
+        self.h_face, self.h_degen = self._validate_direction(
+            True, self.h_face, self.h_degen)
+        self.v_face, self.v_degen = self._validate_direction(
+            False, self.v_face, self.v_degen)
         # the two directions commute, on faces and degeneracies alike:
         # for each (p, q) the squares a[b[x]] == c[d[x]] to check, in the
-        # order (i, j, faces / degeneracies / mixed), then every cell
+        # order (i, j, faces / degeneracies / mixed); a failure names the
+        # square that fails on the first cell, as a cell-by-cell scan
+        # would
         M, N = self.m_trunc, self.n_trunc
         hf, hd, vf, vd = self.h_face, self.h_degen, self.v_face, self.v_degen
         for p in range(M + 1):
@@ -103,86 +143,99 @@ class BisimplicialSet:
                                 vd[(p - 1, q, j)], hf[(p, q, i)],
                                 hf[(p, q + 1, i)], vd[(p, q, j)],
                                 "mixed structure maps do not commute"))
-                for x in self.cells[(p, q)]:
-                    for a, b, c, d, what in squares:
-                        if a[b[x]] != c[d[x]]:
-                            raise InputError("%s at (%d, %d)"
-                                             % (what, p, q))
+                first = None  # (cell, message) of the first failure
+                for a, b, c, d, what in squares:
+                    left = list(map(a.__getitem__, b))
+                    right = list(map(c.__getitem__, d))
+                    if left != right:
+                        x = next(x for x, (u, v) in enumerate(
+                            zip(left, right)) if u != v)
+                        if first is None or x < first[0]:
+                            first = (x, what)
+                if first is not None:
+                    raise InputError("%s at (%d, %d)" % (first[1], p, q))
 
-    def _validate_direction(self, horizontal, members):
-        faces = self.h_face if horizontal else self.v_face
-        degens = self.h_degen if horizontal else self.v_degen
+    def _validate_direction(self, horizontal, faces, degens):
+        """Check the face and degeneracy tables of one direction and its
+        simplicial identities; returns them as index tables."""
         M = self.m_trunc if horizontal else self.n_trunc
         N = self.n_trunc if horizontal else self.m_trunc
+        out_faces, out_degens = {}, {}
 
         for other in range(N + 1):
             def pos(p):
                 return (p, other) if horizontal else (other, p)
 
-            # the tables of this row or column, fetched once: d[(p, i)]
+            # the tables of this row or column, as index tables: d[(p, i)]
             # and s[(p, i)] are the face and degeneracy i at pos(p)
             d, s = {}, {}
             for p in range(1, M + 1):
-                cells, target = self.cells[pos(p)], members[pos(p - 1)]
+                cells, target = self.cells[pos(p)], self._index[pos(p - 1)]
                 for i in range(p + 1):
-                    table = d[(p, i)] = faces.get(pos(p) + (i,))
+                    key = pos(p) + (i,)
+                    table = faces.get(key)
                     if table is None:
                         raise InputError("missing face table")
-                    if not _maps_into(table, cells, target):
+                    table = _indexed(table, cells, target)
+                    if table is None:
                         raise InputError("face table broken at level %d"
                                          % p)
+                    d[(p, i)] = out_faces[key] = table
             for p in range(M):
-                cells, target = self.cells[pos(p)], members[pos(p + 1)]
+                cells, target = self.cells[pos(p)], self._index[pos(p + 1)]
                 for i in range(p + 1):
-                    table = s[(p, i)] = degens.get(pos(p) + (i,))
+                    key = pos(p) + (i,)
+                    table = degens.get(key)
                     if table is None:
                         raise InputError("missing degeneracy table")
-                    if not _maps_into(table, cells, target):
+                    table = _indexed(table, cells, target)
+                    if table is None:
                         raise InputError("degeneracy table broken")
-            # simplicial identities via the tables directly
+                    s[(p, i)] = out_degens[key] = table
+            # simplicial identities, each compared as whole tables
             for p in range(2, M + 1):
-                cells = self.cells[pos(p)]
                 for j in range(1, p + 1):
                     for i in range(j):
                         if not _commutes(d[(p - 1, i)], d[(p, j)],
-                                         d[(p - 1, j - 1)], d[(p, i)],
-                                         cells):
+                                         d[(p - 1, j - 1)], d[(p, i)]):
                             raise InputError("face identity fails")
             for p in range(M - 1):
-                cells = self.cells[pos(p)]
                 for j in range(p + 1):
                     for i in range(j + 1):
                         if not _commutes(s[(p + 1, i)], s[(p, j)],
-                                         s[(p + 1, j + 1)], s[(p, i)],
-                                         cells):
+                                         s[(p + 1, j + 1)], s[(p, i)]):
                             raise InputError("degeneracy identity fails")
             for p in range(M):
-                cells = self.cells[pos(p)]
+                identity = list(range(len(self.cells[pos(p)])))
                 for j in range(p + 1):
                     for i in range(p + 2):
                         di, sj = d[(p + 1, i)], s[(p, j)]
                         if i == j or i == j + 1:
-                            ok = all(di[sj[x]] == x for x in cells)
+                            ok = list(map(di.__getitem__, sj)) == identity
                         elif i < j:
                             ok = _commutes(di, sj, s[(p - 1, j - 1)],
-                                           d[(p, i)], cells)
+                                           d[(p, i)])
                         else:
                             ok = _commutes(di, sj, s[(p - 1, j)],
-                                           d[(p, i - 1)], cells)
+                                           d[(p, i - 1)])
                         if not ok:
                             raise InputError("mixed identity fails")
+        return out_faces, out_degens
 
     def as_dict(self):
-        def tbl(d):
-            return {"%d,%d,%d" % k: dict(v) for k, v in sorted(d.items())}
+        def tbl(tables, dp, dq):
+            return {"%d,%d,%d" % (p, q, i): dict(zip(
+                self.cells[(p, q)],
+                map(self.cells[(p + dp, q + dq)].__getitem__, table)))
+                for (p, q, i), table in sorted(tables.items())}
         return {
             "truncation": [self.m_trunc, self.n_trunc],
             "cells": {"%d,%d" % k: list(v)
                       for k, v in sorted(self.cells.items())},
-            "h_faces": tbl(self.h_face),
-            "h_degens": tbl(self.h_degen),
-            "v_faces": tbl(self.v_face),
-            "v_degens": tbl(self.v_degen),
+            "h_faces": tbl(self.h_face, -1, 0),
+            "h_degens": tbl(self.h_degen, 1, 0),
+            "v_faces": tbl(self.v_face, 0, -1),
+            "v_degens": tbl(self.v_degen, 0, 1),
         }
 
     def __repr__(self):
@@ -200,20 +253,31 @@ def _generator_walk(alpha, n):
                     for k, j in degeneracy_decomposition(epi)])
 
 
-def _maps_into(table, cells, target):
-    """Whether table sends every cell to a member of target.  A boolean
-    is refused, as True == 1 would find the cell 1, and so is an
-    unhashable value."""
-    try:
-        return all(type(table[x]) is not bool and table[x] in target
-                   for x in cells)
-    except (KeyError, TypeError):  # a cell missing, an unhashable value
-        return False
+def _indexed(table, cells, target):
+    """table as an index table on cells, target being the index of the
+    target level (cell name -> position), or None when it misses a cell
+    or leaves the target.  A name table (a dict) refuses a boolean, as
+    True == 1 would find the cell 1, and an unhashable value; an index
+    table must hold one int in range per cell."""
+    if isinstance(table, dict):
+        try:
+            values = list(map(table.__getitem__, cells))
+            if bool in set(map(type, values)):
+                return None
+            return tuple(map(target.__getitem__, values))
+        except (KeyError, TypeError):  # a cell missing, an unhashable value
+            return None
+    if len(table) != len(cells) or not set(map(type, table)) <= {int}:
+        return None
+    if table and not 0 <= min(table) <= max(table) < len(target):
+        return None
+    return tuple(table)
 
 
-def _commutes(a, b, c, d, cells):
-    """Whether the tables agree on every cell: a[b[x]] == c[d[x]]."""
-    return all(a[b[x]] == c[d[x]] for x in cells)
+def _commutes(a, b, c, d):
+    """Whether a[b[x]] == c[d[x]] for every cell x, b and d being index
+    tables on the same cells."""
+    return list(map(a.__getitem__, b)) == list(map(c.__getitem__, d))
 
 
 # ---------------------------------------------------------------------------
@@ -332,117 +396,207 @@ def rezk_nerve(R, M, N):
                          "for the classification diagram")
     W = R.weak
 
-    # A row is a p-chain (source, arrows); a grid is (rows, verts): rows
-    # are q+1 rows, verts one tuple of W-arrows (one per column) for each
-    # gap between consecutive rows.  Everything a grid's structure maps
-    # need is computed once per row or per pair of rows, in the memo
-    # dicts below, which live only as long as this call.
+    # A row is a p-chain (source, arrows), numbered densely within its
+    # level p.  An edge of level p is a commuting tuple of W-verticals
+    # from one row (top) to another (bottom), numbered densely in the
+    # order the cells at (p, 1) are listed: a (p, 0) cell is a row id, a
+    # (p, q) cell for q >= 1 a q-tuple of edge ids, each edge's bottom
+    # the next one's top.  The structure maps act edge by edge, through
+    # per-edge arrays built once; every table lives only in this call.
+    # Names are made last.
+
+    # rows[p] lists the rows that extend each row of level p - 1 by one
+    # arrow, together and in the order of the rows they extend:
+    # extensions[p - 1][r] is the range of those extending row r
     rows = [[(x, ()) for x in C.objects]]
+    extensions = []
     for p in range(1, M + 1):
-        rows.append([(x, chain + (a,)) for x, chain in rows[-1]
-                     for a in C.arrows
-                     if C.src[a] == (C.dst[chain[-1]] if chain else x)])
-    vertices = {row: (row[0],) + tuple(C.dst[a] for a in row[1])
-                for level in rows for row in level}
-    # per row and index i: the row's i-th face and i-th degeneracy
-    row_faces = {row: tuple(_chain_face(C, row, vertices[row], i)
-                            for i in range(p + 1))
-                 for p in range(1, M + 1) for row in rows[p]}
-    row_degens = {row: tuple((row[0], row[1][:i] + (C.ident[v],)
-                              + row[1][i:])
-                             for i, v in enumerate(vertices[row]))
-                  for level in rows[:M] for row in level}
-    id_verts = {row: tuple(C.ident[v] for v in vx)
-                for row, vx in vertices.items()}
+        level, spans = [], []
+        for x, chain in rows[-1]:
+            tail = C.dst[chain[-1]] if chain else x
+            start = len(level)
+            level.extend((x, chain + (a,)) for a in C.arrows
+                         if C.src[a] == tail)
+            spans.append(range(start, len(level)))
+        rows.append(level)
+        extensions.append(spans)
+    row_id = [{row: r for r, row in enumerate(level)} for level in rows]
+    vertices = [[(row[0],) + tuple(C.dst[a] for a in row[1])
+                 for row in level] for level in rows]
+    # row_face[p][i][r] and row_degen[p][i][r]: the row ids of the i-th
+    # face and degeneracy of row r at level p
+    row_face = [None] + [
+        [[row_id[p - 1][_chain_face(C, row, vx, i)]
+          for row, vx in zip(rows[p], vertices[p])]
+         for i in range(p + 1)] for p in range(1, M + 1)]
+    row_degen = [
+        [[row_id[p + 1][(row[0], row[1][:i] + (C.ident[vx[i]],)
+                         + row[1][i:])]
+          for row, vx in zip(rows[p], vertices[p])]
+         for i in range(p + 1)] for p in range(M)]
+    comp = C.comp  # (g, f) -> g after f
     weak_homs = {}
 
-    def compatible_verticals(top, bottom):
-        """All W-vertical tuples making the squares commute."""
-        partial = [()]
-        for i, (a, b) in enumerate(zip(vertices[top], vertices[bottom])):
-            if (a, b) not in weak_homs:
-                weak_homs[(a, b)] = [w for w in C.hom(a, b) if w in W]
-            partial = [acc + (w,) for acc in partial
-                       for w in weak_homs[(a, b)]
-                       if i == 0 or C.compose(w, top[1][i - 1])
-                       == C.compose(bottom[1][i - 1], acc[-1])]
-        return partial
+    def weak_hom(a, b):
+        if (a, b) not in weak_homs:
+            weak_homs[(a, b)] = [w for w in C.hom(a, b) if w in W]
+        return weak_homs[(a, b)]
 
-    def gname(grid):
-        rs, vs = grid
-        row_part = ";".join("%s:%s" % (x, ",".join(chain))
-                            for x, chain in rs)
-        vert_part = ";".join(",".join(v) for v in vs)
-        return "[%s|%s]" % (row_part, vert_part)
+    # per level p: each edge's top row, bottom row and verticals, the id
+    # of each (top, bottom, verticals), the edges leaving each row, and
+    # the identity edge of each row.  The verticals from top to bottom
+    # are those between the rows they extend, each followed by every
+    # last W-arrow w that closes the last square; listed for each top,
+    # bottom by bottom, they come in the order the cells at (p, 1) do.
+    tops, bottoms, verts, edge_id, leaving, id_edge = [], [], [], [], [], []
+    below = None  # the level before: top -> [(bottom, its verticals)]
+    for p in range(M + 1 if N >= 1 else 0):
+        top_p, bottom_p, vert_p, out_p, below_p = [], [], [], [], []
+        for top, (x, chain) in enumerate(rows[p]):
+            start = len(vert_p)
+            found = []
+            if p == 0:
+                pairs = [(bottom, [(w,) for w in weak_hom(x, y)])
+                         for bottom, y in enumerate(C.objects)]
+            else:
+                a = chain[-1]
+                pairs = []
+                for prev, accs in below[row_face[p][p][top]]:
+                    for bottom in extensions[p - 1][prev]:
+                        b = rows[p][bottom][1][-1]
+                        ws = weak_hom(C.dst[a], C.dst[b])
+                        vs = []
+                        for acc in accs:
+                            closes = comp[(b, acc[-1])]
+                            vs.extend(acc + (w,) for w in ws
+                                      if comp[(w, a)] == closes)
+                        pairs.append((bottom, vs))
+            for bottom, vs in pairs:
+                if vs:
+                    found.append((bottom, vs))
+                    top_p.extend([top] * len(vs))
+                    bottom_p.extend([bottom] * len(vs))
+                    vert_p.extend(vs)
+            below_p.append(found)
+            out_p.append(range(start, len(vert_p)))
+        ids = {key: e for e, key in enumerate(zip(top_p, bottom_p, vert_p))}
+        tops.append(top_p)
+        bottoms.append(bottom_p)
+        verts.append(vert_p)
+        edge_id.append(ids)
+        leaving.append(out_p)
+        id_edge.append([ids[(r, r, tuple(C.ident[v] for v in vx))]
+                        for r, vx in enumerate(vertices[p])])
+        below = below_p
+    # edge_face[p][i][e] and edge_degen[p][i][e]: the edge ids of the
+    # i-th face and degeneracy of edge e at level p
+    edge_face = [None] + [
+        [[edge_id[p - 1][(rf[t], rf[b], v[:i] + v[i + 1:])]
+          for t, b, v in zip(tops[p], bottoms[p], verts[p])]
+         for i, rf in enumerate(row_face[p])] for p in range(1, len(verts))]
+    edge_degen = [
+        [[edge_id[p + 1][(rd[t], rd[b], v[:i + 1] + v[i:])]
+          for t, b, v in zip(tops[p], bottoms[p], verts[p])]
+         for i, rd in enumerate(row_degen[p])]
+        for p in range(min(M, len(verts)))]
 
-    names = {}  # (p, q) -> {grid: its cell name}, in enumeration order
+    # the cells of each bidegree in enumeration order, and for q >= 2 the
+    # index of each cell's edge tuple; at q = 1 the edge id is the index
+    grids, index = {}, {}
     for p in range(M + 1):
-        level = [((row,), ()) for row in rows[p]]
-        names[(p, 0)] = {g: gname(g) for g in level}
-        if N < 1:
-            continue
-        below = {top: [(bottom, vert) for bottom in rows[p]
-                       for vert in compatible_verticals(top, bottom)]
-                 for top in rows[p]}
-        for q in range(1, N + 1):
-            level = [(rs + (bottom,), vs + (vert,))
-                     for rs, vs in level for bottom, vert in below[rs[-1]]]
-            names[(p, q)] = {g: gname(g) for g in level}
+        grids[(p, 0)] = range(len(rows[p]))
+        if N >= 1:
+            grids[(p, 1)] = [(e,) for e in range(len(verts[p]))]
+        for q in range(2, N + 1):
+            out_p, bottom_p = leaving[p], bottoms[p]
+            grids[(p, q)] = [c + (e,) for c in grids[(p, q - 1)]
+                             for e in out_p[bottom_p[c[-1]]]]
+            index[(p, q)] = dict(zip(grids[(p, q)],
+                                     range(len(grids[(p, q)]))))
 
-    def h_face_of(grid, i):
-        rs, vs = grid
-        return (tuple(row_faces[r][i] for r in rs),
-                tuple(v[:i] + v[i + 1:] for v in vs))
+    def lookup(p, q, cells):
+        """The indices at (p, q), q >= 1, of cells given as edge tuples."""
+        if q == 1:
+            return [c[0] for c in cells]
+        return list(map(index[(p, q)].__getitem__, cells))
 
-    def h_degen_of(grid, i):
-        rs, vs = grid
-        return (tuple(row_degens[r][i] for r in rs),
-                tuple(v[:i + 1] + v[i:] for v in vs))
+    def edgewise(per_edge, p, q, level):
+        """The indices at (p, q) of the cells of level, q >= 1, with each
+        edge sent through the array per_edge."""
+        if q == 1:
+            return per_edge
+        return lookup(p, q, [tuple(map(per_edge.__getitem__, c))
+                             for c in level])
 
-    def v_face_of(grid, q, j):
-        rs, vs = grid
-        if j == 0:
-            vs = vs[1:]
-        elif j == q:
-            vs = vs[:-1]
-        else:
-            merged = tuple(C.compose(b, a)
-                           for a, b in zip(vs[j - 1], vs[j]))
-            vs = vs[:j - 1] + (merged,) + vs[j + 1:]
-        return (rs[:j] + rs[j + 1:], vs)
-
-    def v_degen_of(grid, j):
-        rs, vs = grid
-        return (rs[:j + 1] + rs[j:], vs[:j] + (id_verts[rs[j]],) + vs[j:])
-
-    cells = {key: tuple(named.values()) for key, named in names.items()}
-    h_face = {}
-    h_degen = {}
-    v_face = {}
-    v_degen = {}
-    for (p, q), named in names.items():
-        if not named:
+    # a level without cells has no tables
+    h_face, h_degen, v_face, v_degen = {}, {}, {}, {}
+    composite = [{} for _ in verts]  # (edge, edge below) -> composite
+    for (p, q), level in grids.items():
+        if not level:
             continue
         if p >= 1:
-            target = names[(p - 1, q)]
             for i in range(p + 1):
-                h_face[(p, q, i)] = {n: target[h_face_of(g, i)]
-                                     for g, n in named.items()}
+                h_face[(p, q, i)] = row_face[p][i] if q == 0 else \
+                    edgewise(edge_face[p][i], p - 1, q, level)
         if p < M:
-            target = names[(p + 1, q)]
             for i in range(p + 1):
-                h_degen[(p, q, i)] = {n: target[h_degen_of(g, i)]
-                                      for g, n in named.items()}
+                h_degen[(p, q, i)] = row_degen[p][i] if q == 0 else \
+                    edgewise(edge_degen[p][i], p + 1, q, level)
         if q >= 1:
-            target = names[(p, q - 1)]
+            # drop the top or bottom row, or compose the verticals on
+            # either side of row j
+            top_p, bottom_p, vert_p = tops[p], bottoms[p], verts[p]
             for j in range(q + 1):
-                v_face[(p, q, j)] = {n: target[v_face_of(g, q, j)]
-                                     for g, n in named.items()}
+                if j == 0:
+                    v_face[(p, q, j)] = bottom_p if q == 1 else \
+                        lookup(p, q - 1, [c[1:] for c in level])
+                    continue
+                if j == q:
+                    v_face[(p, q, j)] = top_p if q == 1 else \
+                        lookup(p, q - 1, [c[:-1] for c in level])
+                    continue
+                faces = []
+                for c in level:
+                    pair = c[j - 1:j + 1]
+                    if pair not in composite[p]:
+                        e1, e2 = pair
+                        composite[p][pair] = edge_id[p][(
+                            top_p[e1], bottom_p[e2], tuple(map(
+                                comp.__getitem__,
+                                zip(vert_p[e2], vert_p[e1]))))]
+                    faces.append(c[:j - 1] + (composite[p][pair],)
+                                 + c[j + 1:])
+                v_face[(p, q, j)] = lookup(p, q - 1, faces)
         if q < N:
-            target = names[(p, q + 1)]
+            # insert the identity edge of row j: the top row of edge 0,
+            # or the bottom row of edge j - 1
             for j in range(q + 1):
-                v_degen[(p, q, j)] = {n: target[v_degen_of(g, j)]
-                                      for g, n in named.items()}
+                if q == 0:
+                    v_degen[(p, 0, 0)] = id_edge[p]
+                    continue
+                ends, k = (tops[p], 0) if j == 0 else (bottoms[p], j - 1)
+                v_degen[(p, q, j)] = lookup(p, q + 1, [
+                    c[:j] + (id_edge[p][ends[c[k]]],) + c[j:]
+                    for c in level])
+
+    # names last, in enumeration order: "[rows|verticals]", rows joined
+    # by ";" as "source:arrows", each vertical tuple joined by ","
+    cells = {}
+    for p in range(M + 1):
+        row_names = ["%s:%s" % (x, ",".join(map(str, chain)))
+                     for x, chain in rows[p]]
+        cells[(p, 0)] = tuple("[%s|]" % name for name in row_names)
+        if N < 1:
+            continue
+        lower_names = [";" + row_names[b] for b in bottoms[p]]
+        vert_names = [",".join(map(str, v)) for v in verts[p]]
+        top_p = tops[p]
+        for q in range(1, N + 1):
+            cells[(p, q)] = tuple(
+                "[%s%s|%s]" % (row_names[top_p[c[0]]],
+                               "".join(map(lower_names.__getitem__, c)),
+                               ";".join(map(vert_names.__getitem__, c)))
+                for c in grids[(p, q)])
     return BisimplicialSet(M, N, cells, h_face, h_degen, v_face, v_degen)
 
 
@@ -475,7 +629,7 @@ def chain_transformation_category(R, n):
                     nxt.append((x, chain + (a,)))
         frontier = nxt
     for x, chain in frontier:
-        name = "%s:%s" % (x, ",".join(chain))
+        name = "%s:%s" % (x, ",".join(map(str, chain)))
         objects.append(name)
         chain_of[name] = (x, chain)
 
@@ -511,7 +665,7 @@ def chain_transformation_category(R, n):
                     yield from rec(i + 1, acc + [w])
 
             for tr in rec(0, []):
-                a = "%s=>%s:%s" % (n1, n2, ",".join(tr))
+                a = "%s=>%s:%s" % (n1, n2, ",".join(map(str, tr)))
                 arrows.append(a)
                 src[a] = n1
                 dst[a] = n2
@@ -524,12 +678,12 @@ def chain_transformation_category(R, n):
             tr = tuple(C.compose(w2, w1)
                        for w1, w2 in zip(data[a1], data[a2]))
             comp[(a2, a1)] = "%s=>%s:%s" % (src[a1], dst[a2],
-                                            ",".join(tr))
+                                            ",".join(map(str, tr)))
     ident = {}
     for n1 in objects:
         tv = vertices(chain_of[n1])
-        ident[n1] = "%s=>%s:%s" % (n1, n1,
-                                   ",".join(C.ident[v] for v in tv))
+        ident[n1] = "%s=>%s:%s" % (n1, n1, ",".join(
+            str(C.ident[v]) for v in tv))
     return FinCategory(objects, arrows, src, dst, comp, ident)
 
 
@@ -557,19 +711,14 @@ def strict_segal_check(X):
         raise InputError("need outer truncation >= 2")
     failures = []
     for p in range(2, X.m_trunc + 1):
-        spine_maps = [(i, i + 1) for i in range(p)]
         for q in range(X.n_trunc + 1):
-            image = {}
-            injective = True
-            for x in X.level(p, q):
-                key = tuple(X.h_map(a, p, q, x) for a in spine_maps)
-                if key in image:
-                    failures.append({"p": p, "q": q,
-                                     "reason": "not injective"})
-                    injective = False
-                    break
-                image[key] = x
-            if not injective:
+            # the spine of each cell: its p edges (i, i + 1), as indices
+            # at (1, q), one composed table per edge
+            spines = list(zip(*[X._table((i, i + 1), True, p, q)
+                                for i in range(p)]))
+            image = set(spines)
+            if len(image) != len(spines):
+                failures.append({"p": p, "q": q, "reason": "not injective"})
                 continue
             for combo in _spine_tuples(X, p, q):
                 if combo not in image:
@@ -580,19 +729,20 @@ def strict_segal_check(X):
 
 
 def _spine_tuples(X, p, q):
-    """All compatible p-tuples of level-(1, q) cells, generated lazily
-    in lexicographic order."""
-    level1 = X.level(1, q)
+    """All compatible p-tuples of level-(1, q) cells, as indices,
+    generated lazily in lexicographic order."""
+    source = X._table((0,), True, 1, q)
+    target = X._table((1,), True, 1, q)
     by_source = {}
-    for e in level1:
-        by_source.setdefault(X.h_map((0,), 1, q, e), []).append(e)
+    for e, v in enumerate(source):
+        by_source.setdefault(v, []).append(e)
     # a chain of generators, not a recursive closure: a closure that
-    # calls itself is a reference cycle, which would keep X alive until
-    # the cyclic garbage collector runs
-    tuples = ((e,) for e in level1)
+    # calls itself is a reference cycle, which would keep its tables
+    # alive until the cyclic garbage collector runs
+    tuples = ((e,) for e in range(len(source)))
     for _ in range(p - 1):
         tuples = (t + (e,) for t in tuples
-                  for e in by_source.get(X.h_map((1,), 1, q, t[-1]), ()))
+                  for e in by_source.get(target[t[-1]], ()))
     return tuples
 
 
@@ -650,11 +800,10 @@ def completeness_check(X):
     if C0 is None:
         return NotDecidable("row 0: %s" % why)
     # homotopy category of the Segal object: objects X_{0,0}, arrows
-    # pi_0 of the strict mapping fibers inside row 1
+    # pi_0 of the strict mapping fibers inside row 1; cells are indices
     vertices1 = X.level(1, 0)
-    endpoints = {f: (X.h_map((0,), 1, 0, f), X.h_map((1,), 1, 0, f))
-                 for f in vertices1}
-    parent = {f: f for f in vertices1}
+    source, target = (X._table((k,), True, 1, 0) for k in (0, 1))
+    parent = list(range(len(vertices1)))
 
     def find(a):
         while parent[a] != a:
@@ -664,44 +813,38 @@ def completeness_check(X):
 
     # fiber edges: inner edges of row 1 whose horizontal faces are
     # vertically degenerate edges of row 0 (identity shadows)
-    degenerate_edges0 = set(X.v_degen[(0, 0, 0)].values())
-    for e in X.level(1, 1):
-        h1 = X.h_map((0,), 1, 1, e)
-        h0 = X.h_map((1,), 1, 1, e)
-        if h1 in degenerate_edges0 and h0 in degenerate_edges0:
-            f = X.v_map((0,), 1, 1, e)
-            g = X.v_map((1,), 1, 1, e)
-            ra, rb = find(f), find(g)
+    degenerate_edges0 = set(X.v_degen[(0, 0, 0)])
+    h1, h0, f1, g1 = (X._table((k,), horizontal, 1, 1)
+                      for horizontal in (True, False) for k in (0, 1))
+    for e in range(len(X.level(1, 1))):
+        if h1[e] in degenerate_edges0 and h0[e] in degenerate_edges0:
+            ra, rb = find(f1[e]), find(g1[e])
             if ra != rb:
                 parent[ra] = rb
     # composition through the strict Segal bijection at (2, 0)
     comp_table = {}
-    for sigma in X.level(2, 0):
-        f = X.h_map((0, 1), 2, 0, sigma)
-        g = X.h_map((1, 2), 2, 0, sigma)
-        h = X.h_map((0, 2), 2, 0, sigma)
+    for f, g, h in zip(*[X._table(a, True, 2, 0)
+                         for a in ((0, 1), (1, 2), (0, 2))]):
         key = (find(f), find(g))
         if key in comp_table and comp_table[key] != find(h):
             return NotDecidable("composition not single-valued on "
                                 "homotopy classes")
         comp_table[key] = find(h)
-    classes = sorted({find(f) for f in vertices1})
+    classes = sorted({find(f) for f in range(len(vertices1))})
     # identities: classes of degenerate vertices
-    ident_class = {}
-    for x in X.level(0, 0):
-        ident_class[x] = find(X.h_degen[(0, 0, 0)][x])
+    ident_class = [find(f) for f in X.h_degen[(0, 0, 0)]]
     invertible = set()
     for c in classes:
-        sc, tc = endpoints[c]
+        sc, tc = source[c], target[c]
         for d in classes:
-            sd, td = endpoints[d]
+            sd, td = source[d], target[d]
             if sd != tc or td != sc:
                 continue
             if comp_table.get((c, d)) == ident_class[sc] and \
                     comp_table.get((d, c)) == ident_class[sd]:
                 invertible.add(c)
                 break
-    equivalence_vertices = {f for f in vertices1
+    equivalence_vertices = {vertices1[f] for f in range(len(vertices1))
                             if find(f) in invertible}
     # row-1 category and its full subcategory on equivalence vertices
     C1, why = category_or_reason(row1)
@@ -713,7 +856,7 @@ def completeness_check(X):
     # the degeneracy functor row0 -> E
     obj_map = {}
     for x in C0.objects:
-        obj_map[x] = X.h_degen[(0, 0, 0)][x]
+        obj_map[x] = X.h_map((0, 0), 0, 0, x)
         if obj_map[x] not in E.objects:
             return NotDecidable("degeneracy image is not an equivalence")
 
@@ -730,7 +873,7 @@ def completeness_check(X):
         if C0.is_identity(a) and a not in row0.cells(1):
             arr_map[a] = E.ident[obj_map[C0.src[a]]]
         else:
-            arr_map[a] = row1_arrow_of(X.h_degen[(0, 1, 0)][a])
+            arr_map[a] = row1_arrow_of(X.h_map((0, 0), 0, 1, a))
     try:
         S = Functor(C0, E, obj_map, arr_map)
     except InputError as e:

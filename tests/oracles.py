@@ -858,6 +858,145 @@ def smith_normal_form_all_transforms(A):
     return D, S, T, Sinv, Tinv
 
 
+# -- Rezk nerves on grids of arrow names, every table entry looked up by grid
+
+
+def rezk_nerve_by_grids(R, M, N):
+    """segal.rezk_nerve by hashing grids: a (p, q) cell is kept as its
+    grid (rows, verticals) of arrow names, named as it is enumerated, and
+    every table entry looks its target's name up by grid."""
+    C = R.category
+    if not R.is_composition_closed():
+        raise InputError("weak arrows must be closed under composition "
+                         "for the classification diagram")
+    W = R.weak
+
+    # A row is a p-chain (source, arrows); a grid is (rows, verts): rows
+    # are q+1 rows, verts one tuple of W-arrows (one per column) for each
+    # gap between consecutive rows.  Everything a grid's structure maps
+    # need is computed once per row or per pair of rows, in the memo
+    # dicts below, which live only as long as this call.
+    rows = [[(x, ()) for x in C.objects]]
+    for p in range(1, M + 1):
+        rows.append([(x, chain + (a,)) for x, chain in rows[-1]
+                     for a in C.arrows
+                     if C.src[a] == (C.dst[chain[-1]] if chain else x)])
+    vertices = {row: (row[0],) + tuple(C.dst[a] for a in row[1])
+                for level in rows for row in level}
+    # per row and index i: the row's i-th face and i-th degeneracy
+    row_faces = {row: tuple(_chain_face_by_grids(C, row, vertices[row], i)
+                            for i in range(p + 1))
+                 for p in range(1, M + 1) for row in rows[p]}
+    row_degens = {row: tuple((row[0], row[1][:i] + (C.ident[v],)
+                              + row[1][i:])
+                             for i, v in enumerate(vertices[row]))
+                  for level in rows[:M] for row in level}
+    id_verts = {row: tuple(C.ident[v] for v in vx)
+                for row, vx in vertices.items()}
+    weak_homs = {}
+
+    def compatible_verticals(top, bottom):
+        """All W-vertical tuples making the squares commute."""
+        partial = [()]
+        for i, (a, b) in enumerate(zip(vertices[top], vertices[bottom])):
+            if (a, b) not in weak_homs:
+                weak_homs[(a, b)] = [w for w in C.hom(a, b) if w in W]
+            partial = [acc + (w,) for acc in partial
+                       for w in weak_homs[(a, b)]
+                       if i == 0 or C.compose(w, top[1][i - 1])
+                       == C.compose(bottom[1][i - 1], acc[-1])]
+        return partial
+
+    def gname(grid):
+        rs, vs = grid
+        row_part = ";".join("%s:%s" % (x, ",".join(chain))
+                            for x, chain in rs)
+        vert_part = ";".join(",".join(v) for v in vs)
+        return "[%s|%s]" % (row_part, vert_part)
+
+    names = {}  # (p, q) -> {grid: its cell name}, in enumeration order
+    for p in range(M + 1):
+        level = [((row,), ()) for row in rows[p]]
+        names[(p, 0)] = {g: gname(g) for g in level}
+        if N < 1:
+            continue
+        below = {top: [(bottom, vert) for bottom in rows[p]
+                       for vert in compatible_verticals(top, bottom)]
+                 for top in rows[p]}
+        for q in range(1, N + 1):
+            level = [(rs + (bottom,), vs + (vert,))
+                     for rs, vs in level for bottom, vert in below[rs[-1]]]
+            names[(p, q)] = {g: gname(g) for g in level}
+
+    def h_face_of(grid, i):
+        rs, vs = grid
+        return (tuple(row_faces[r][i] for r in rs),
+                tuple(v[:i] + v[i + 1:] for v in vs))
+
+    def h_degen_of(grid, i):
+        rs, vs = grid
+        return (tuple(row_degens[r][i] for r in rs),
+                tuple(v[:i + 1] + v[i:] for v in vs))
+
+    def v_face_of(grid, q, j):
+        rs, vs = grid
+        if j == 0:
+            vs = vs[1:]
+        elif j == q:
+            vs = vs[:-1]
+        else:
+            merged = tuple(C.compose(b, a)
+                           for a, b in zip(vs[j - 1], vs[j]))
+            vs = vs[:j - 1] + (merged,) + vs[j + 1:]
+        return (rs[:j] + rs[j + 1:], vs)
+
+    def v_degen_of(grid, j):
+        rs, vs = grid
+        return (rs[:j + 1] + rs[j:], vs[:j] + (id_verts[rs[j]],) + vs[j:])
+
+    cells = {key: tuple(named.values()) for key, named in names.items()}
+    h_face = {}
+    h_degen = {}
+    v_face = {}
+    v_degen = {}
+    for (p, q), named in names.items():
+        if not named:
+            continue
+        if p >= 1:
+            target = names[(p - 1, q)]
+            for i in range(p + 1):
+                h_face[(p, q, i)] = {n: target[h_face_of(g, i)]
+                                     for g, n in named.items()}
+        if p < M:
+            target = names[(p + 1, q)]
+            for i in range(p + 1):
+                h_degen[(p, q, i)] = {n: target[h_degen_of(g, i)]
+                                      for g, n in named.items()}
+        if q >= 1:
+            target = names[(p, q - 1)]
+            for j in range(q + 1):
+                v_face[(p, q, j)] = {n: target[v_face_of(g, q, j)]
+                                     for g, n in named.items()}
+        if q < N:
+            target = names[(p, q + 1)]
+            for j in range(q + 1):
+                v_degen[(p, q, j)] = {n: target[v_degen_of(g, j)]
+                                      for g, n in named.items()}
+    return BisimplicialSet(M, N, cells, h_face, h_degen, v_face, v_degen)
+
+
+def _chain_face_by_grids(C, row, vertices, i):
+    """The i-th face of the chain row = (source, arrows) of a category C:
+    drop the first or last vertex, or compose across vertex i."""
+    x, chain = row
+    if i == 0:
+        return (vertices[1], chain[1:])
+    if i == len(chain):
+        return (x, chain[:-1])
+    return (x, chain[:i - 1] + (C.compose(chain[i], chain[i - 1]),)
+            + chain[i + 1:])
+
+
 # -- document loaders that shape-check every item ------------------------------
 #
 # The loaders of simplicial sets, bisimplicial sets and simplicial

@@ -30,6 +30,8 @@ def _objects():
         "z3": hcnerve.one_object_from_abelian_group(cyclic_table(3), 3, 3),
         "bis": segal.rezk_nerve(RelativeCategory(
             ordinal_category(2), set(ordinal_category(2).arrows)), 2, 1),
+        "iso-bis": segal.rezk_nerve(RelativeCategory(
+            C, {a for a in C.arrows if C.is_iso(a)}), 3, 2),
         "cx": free_complex("Z", (0, 2), {0: 2, 1: 3, 2: 1},
                            {1: Mat(2, 3, [[2, 0, 4], [0, 3, 0]]),
                             2: Mat(3, 1, [[2], [0], [-1]])}),
@@ -61,6 +63,9 @@ def _jobs(obj):
         segal.rezk_nerve(obj["rel"], 2, 2))))
     jobs.append(("segal-check", lambda: vars(
         segal.strict_segal_check(obj["bis"]))))
+    # reads the index tables of the shared nerve and builds its rows
+    jobs.append(("completeness", lambda: vars(
+        segal.completeness_check(obj["iso-bis"]))))
     jobs.append(("homology", lambda: {
         str(n): list(H.invariant_factors)
         for n, H in homology(obj["cx"]).items()}))

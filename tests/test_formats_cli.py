@@ -136,6 +136,47 @@ def test_cli_nerve_and_ho_with_integer_arrow_names(tmp_path):
     assert len(formats.load_object(hpath).arrows) == 3
 
 
+def _iso_pair_doc(ia, ib, u, v):
+    """Objects a and b with identities ia and ib, joined by inverse
+    arrows u: a -> b and v: b -> a, every arrow weak."""
+    return {"kind": "category", "objects": ["a", "b"],
+            "arrows": [{"name": ia, "src": "a", "dst": "a"},
+                       {"name": ib, "src": "b", "dst": "b"},
+                       {"name": u, "src": "a", "dst": "b"},
+                       {"name": v, "src": "b", "dst": "a"}],
+            "compose": [[ia, ia, ia], [ib, ib, ib], [u, ia, u], [ib, u, u],
+                        [v, ib, v], [ia, v, v], [v, u, ia], [u, v, ib]],
+            "identities": {"a": ia, "b": ib}, "weak": [ia, ib, u, v]}
+
+
+def test_cli_rezk_nerve_with_integer_arrow_names(tmp_path, capsys):
+    # cells are named through str of each arrow, so integer names write
+    # the bytes their string twins do
+    written = []
+    for names in ([1, 2, 3, 4], ["1", "2", "3", "4"]):
+        cpath = write(tmp_path, "c.cat", _iso_pair_doc(*names))
+        bpath = str(tmp_path / "c.bis")
+        assert run_cli(tmp_path, "rezk-nerve", cpath, "--dim", "3",
+                       "--dim2", "2", "--out", bpath) == 0
+        for command in ("segal-check", "completeness"):
+            assert run_cli(tmp_path, command, bpath) in (0, 1, 2)
+        written.append(open(bpath).read())
+    assert written[0] == written[1]
+    out = capsys.readouterr().out
+    assert out.count("strict Segal condition holds") == 2
+    assert out.count("complete: ") == 2
+
+
+def test_cli_localize_with_integer_and_mixed_arrow_names(tmp_path):
+    for names in ([1, 2, 3, 4], [1, "ib", 3, "v"]):
+        rpath = write(tmp_path, "rel.cat", _iso_pair_doc(*names))
+        lpath = str(tmp_path / "loc.cat")
+        assert run_cli(tmp_path, "localize", rpath, "--fuel", "4",
+                       "--out", lpath) == 0
+        Q = formats.load_object(lpath)
+        assert Q.is_groupoid() and len(Q.arrows) == 4, names
+
+
 def test_cli_pi1(tmp_path):
     N = nerve(bg(cyclic_table(3)), 3)
     path = write(tmp_path, "bz3.sset", formats.sset_to_dict(N))

@@ -177,6 +177,33 @@ def test_localize_groupoid_fixed():
     assert find_category_isomorphism(result.category, B) is not None
 
 
+def _iso_pair_named(ia, ib, u, v):
+    """Objects a and b with identities ia and ib, joined by inverse
+    arrows u: a -> b and v: b -> a."""
+    return FinCategory(
+        ["a", "b"], [ia, ib, u, v], {ia: "a", ib: "b", u: "a", v: "b"},
+        {ia: "a", ib: "b", u: "b", v: "a"},
+        {(ia, ia): ia, (ib, ib): ib, (u, ia): u, (ib, u): u, (v, ib): v,
+         (ia, v): v, (v, u): ia, (u, v): ib}, {"a": ia, "b": ib})
+
+
+def test_localize_and_functors_on_integer_and_mixed_names():
+    # arrow names may be integers, or integers and strings in one
+    # category; the answers are those of the same category with every
+    # arrow renamed to str of its name
+    for names in ([1, 2, 3, 4], [1, "ib", 3, "v"]):
+        C = _iso_pair_named(*names)
+        S = _iso_pair_named(*map(str, names))
+        for W in ({C.ident[x] for x in C.objects}, set(C.arrows)):
+            result = localize(RelativeCategory(C, W), fuel=4)
+            want = localize(RelativeCategory(S, set(map(str, W))), fuel=4)
+            assert result.category.as_dict() == want.category.as_dict()
+        assert [({x: y for x, y in F.obj_map.items()},
+                 {str(a): str(b) for a, b in F.arr_map.items()})
+                for F in all_functors(C, C)] == _functor_tables(
+                    all_functors(S, S))
+
+
 def test_localize_poset_chain():
     # inverting one leg of [2] keeps a finite category
     C = ordinal_category(2)

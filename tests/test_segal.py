@@ -9,7 +9,8 @@ from simpcat import formats, sset
 from simpcat.errors import InputError, NotDecidable
 from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table,
                                find_category_isomorphism, nerve,
-                               ordinal_category, poset_category)
+                               ordinal_category, poset_category,
+                               product_category)
 from simpcat.segal import (BisimplicialSet, chain_transformation_category,
                            completeness_check, embed, rezk_nerve,
                            standard_bisimplex, strict_segal_check)
@@ -292,8 +293,11 @@ def test_completeness_invariant_under_renaming():
 
 
 def _structure(X):
-    """The constructor arguments of X, as fresh dicts to corrupt."""
-    tables = {t: {k: dict(v) for k, v in getattr(X, t).items()}
+    """The constructor arguments of X, with name tables read from its
+    document, as fresh dicts to corrupt."""
+    d = X.as_dict()
+    tables = {t: {tuple(map(int, k.split(","))): dict(v)
+                  for k, v in d[t + "s"].items()}
               for t in ("h_face", "h_degen", "v_face", "v_degen")}
     return dict(tables, m_trunc=X.m_trunc, n_trunc=X.n_trunc,
                 cells=dict(X.cells))
@@ -389,3 +393,51 @@ def test_rezk_nerve_output_bytes_pinned():
         text = formats.dumps(formats.bisimplicial_to_dict(
             rezk_nerve(R, 3, 2)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_rezk_nerve_matches_the_grid_oracle():
+    # the documents of eight categories, each with W the identities,
+    # the isomorphisms and all arrows (a W met twice counted once), at
+    # six truncations, are those the construction on grids of arrow
+    # names writes, byte for byte
+    from families import min_monoid_table
+    from oracles import rezk_nerve_by_grids
+    vee = poset_category(["r", "s", "t"], lambda x, y: x == y or x == "r")
+    categories = [ordinal_category(1), ordinal_category(2),
+                  iso_pair_category(), bg(cyclic_table(2)),
+                  bg(cyclic_table(3)), vee, bg(min_monoid_table(2)),
+                  product_category(bg(cyclic_table(2)),
+                                   ordinal_category(1))]
+    documents = 0
+    for C in categories:
+        weak_sets = []
+        for W in ({C.ident[x] for x in C.objects},
+                  {a for a in C.arrows if C.is_iso(a)}, set(C.arrows)):
+            if W not in weak_sets:
+                weak_sets.append(W)
+        for W in weak_sets:
+            R = RelativeCategory(C, W)
+            for M, N in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 2), (3, 1)]:
+                got = formats.dumps(rezk_nerve(R, M, N).as_dict())
+                want = formats.dumps(rezk_nerve_by_grids(R, M, N).as_dict())
+                assert got == want, (C, sorted(W, key=str), M, N)
+                documents += 1
+    assert documents == 108
+
+
+def test_index_tables_are_checked_like_name_tables():
+    # a structure map may be given as indices into its target level; one
+    # out of range, of the wrong length or holding a boolean is broken
+    X = standard_bisimplex(1, 1, 1, 1)
+    table = X.h_face[(1, 0, 0)]
+    assert [type(v) for v in table] == [int] * len(table)
+    for broken in ([len(X.level(0, 0))] + list(table[1:]), table[:-1],
+                   [True] + list(table[1:])):
+        structure = _structure(X)
+        structure["h_face"][(1, 0, 0)] = broken
+        with pytest.raises(InputError) as info:
+            BisimplicialSet(**structure)
+        assert str(info.value) == "face table broken at level 1"
+    structure = _structure(X)
+    structure["h_face"][(1, 0, 0)] = list(table)
+    assert BisimplicialSet(**structure).as_dict() == X.as_dict()
