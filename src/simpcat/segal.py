@@ -74,13 +74,10 @@ class BisimplicialSet:
                 for is_face, k, j in _generator_walk(alpha, q)]
 
     def _table(self, alpha, horizontal, p, q):
-        """alpha on every cell at (p, q) as one index table: the
-        composite of its generator steps."""
-        steps = self._steps(alpha, horizontal, p, q)
-        if not steps:
-            return range(len(self.cells[(p, q)]))
-        table = steps[0]
-        for step in steps[1:]:
+        """alpha, not an identity, on every cell at (p, q) as one index
+        table: the composite of its generator steps."""
+        table, *steps = self._steps(alpha, horizontal, p, q)
+        for step in steps:
             table = list(map(step.__getitem__, table))
         return table
 
