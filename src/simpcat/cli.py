@@ -308,7 +308,7 @@ def cmd_export_dot(args):
             C = C.category
         for x in C.objects:
             lines.append('  "%s";' % x)
-        for a in sorted(C.arrows):
+        for a in sorted(C.arrows, key=nerve_cat._name_key):
             if not C.is_identity(a):
                 lines.append('  "%s" -> "%s" [label="%s"];'
                              % (C.src[a], C.dst[a], a))

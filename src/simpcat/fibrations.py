@@ -480,35 +480,38 @@ def join(C, D):
     arrows = []
     src = {}
     dst = {}
-    for a in C.arrows:
-        arrows.append("L.%s" % a)
-        src["L.%s" % a] = "L.%s" % C.src[a]
-        dst["L.%s" % a] = "L.%s" % C.dst[a]
-    for b in D.arrows:
-        arrows.append("R.%s" % b)
-        src["R.%s" % b] = "R.%s" % D.src[b]
-        dst["R.%s" % b] = "R.%s" % D.dst[b]
+    # new name -> ("L", arrow of C), ("R", arrow of D) or ("X", (x, y));
+    # arrow names may be integers, so they are never read back from names
+    origin = {}
+    for side, K in (("L", C), ("R", D)):
+        for a in K.arrows:
+            name = "%s.%s" % (side, a)
+            arrows.append(name)
+            src[name] = "%s.%s" % (side, K.src[a])
+            dst[name] = "%s.%s" % (side, K.dst[a])
+            origin[name] = (side, a)
     for x in C.objects:
         for y in D.objects:
             a = "X.%s->%s" % (x, y)
             arrows.append(a)
             src[a] = "L.%s" % x
             dst[a] = "R.%s" % y
+            origin[a] = ("X", (x, y))
     comp = {}
     for g in arrows:
+        gside, ga = origin[g]
         for f in arrows:
             if dst[f] != src[g]:
                 continue
-            if g.startswith("L.") and f.startswith("L."):
-                comp[(g, f)] = "L.%s" % C.compose(g[2:], f[2:])
-            elif g.startswith("R.") and f.startswith("R."):
-                comp[(g, f)] = "R.%s" % D.compose(g[2:], f[2:])
-            elif g.startswith("X.") and f.startswith("L."):
-                comp[(g, f)] = "X.%s->%s" % (src[f][2:],
-                                             g.split("->", 1)[1])
-            elif g.startswith("R.") and f.startswith("X."):
-                comp[(g, f)] = "X.%s->%s" % (f[2:].split("->", 1)[0],
-                                             dst[g][2:])
+            fside, fa = origin[f]
+            if gside == fside == "L":
+                comp[(g, f)] = "L.%s" % C.compose(ga, fa)
+            elif gside == fside == "R":
+                comp[(g, f)] = "R.%s" % D.compose(ga, fa)
+            elif gside == "X" and fside == "L":
+                comp[(g, f)] = "X.%s->%s" % (C.src[fa], ga[1])
+            elif gside == "R" and fside == "X":
+                comp[(g, f)] = "X.%s->%s" % (fa[0], D.dst[ga])
     ident = {}
     for x in C.objects:
         ident["L.%s" % x] = "L.%s" % C.ident[x]

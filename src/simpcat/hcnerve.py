@@ -121,9 +121,9 @@ class SimplicialCategory:
             gspace = self.mapspaces[(x, y)]
             fspace = self.mapspaces[(w, x)]
             for q in range(self.level_bound + 1):
-                fblocks = _doubled_blocks(fspace, q)
-                for hmask, hs in _doubled_blocks(hspace, q):
-                    for gmask, gs in _doubled_blocks(gspace, q):
+                fblocks = sset._doubled_blocks(fspace, q)
+                for hmask, hs in sset._doubled_blocks(hspace, q):
+                    for gmask, gs in sset._doubled_blocks(gspace, q):
                         both = hmask & gmask
                         for fmask, fs in fblocks:
                             if both & fmask:
@@ -151,22 +151,11 @@ def _simplex_set(space, q):
                       lambda X: frozenset(X.simplices(q)))
 
 
-def _doubled_blocks(space, q):
-    """The q-simplices of space as (doubled-index mask, simplices) blocks,
-    one per surjection, in the order of simplices(q)."""
-    def build(X):
-        blocks = {}
-        for x in X.simplices(q):
-            blocks.setdefault(sset._doubled(x[0]), []).append(x)
-        return list(blocks.items())
-    return space.memo(("doubled_blocks", q), build)
-
-
 def _nondegenerate_pairs(gspace, fspace, q):
     """The nondegenerate q-simplices (g, f) of gspace x fspace, in the
     order of simplices(q) x simplices(q)."""
-    fblocks = _doubled_blocks(fspace, q)
-    return [(g, f) for gmask, gs in _doubled_blocks(gspace, q)
+    fblocks = sset._doubled_blocks(fspace, q)
+    return [(g, f) for gmask, gs in sset._doubled_blocks(gspace, q)
             for g in gs
             for fmask, fs in fblocks if not gmask & fmask
             for f in fs]
@@ -237,13 +226,16 @@ def _subset_name(U):
 def frak_c(n):
     """The simplicial category with objects 0..n and Map(i, j) the nerve
     of the poset of subsets of {i..j} containing both endpoints;
-    composition is union of subsets."""
+    composition is union of subsets.
+
+    The result keeps chains[(i, j)] = (levels, index), the strict chains
+    of subsets that poset_nerve returned for Map(i, j): levels[k][idx] is
+    the k-cell idx, and index[k] finds a chain's cell."""
     if n < 0:
         raise InputError("need n >= 0")
     objects = [str(j) for j in range(n + 1)]
     mapspaces = {}
-    indexes = {}
-    chain_levels = {}
+    chains = {}
     for i in range(n + 1):
         for j in range(n + 1):
             if i > j:
@@ -259,19 +251,20 @@ def frak_c(n):
             space, index, levels = poset_nerve(
                 elements, lambda a, b: a <= b, _subset_name)
             mapspaces[(str(i), str(j))] = space
-            indexes[(str(i), str(j))] = index
-            chain_levels[(str(i), str(j))] = levels
+            chains[(str(i), str(j))] = (levels, index)
 
     def compose_fn(x, y, z, q, g, f):
-        gc = _chain_of_simplex(chain_levels[(y, z)], g)
-        fc = _chain_of_simplex(chain_levels[(x, y)], f)
+        gc = _chain_of_simplex(chains[(y, z)][0], g)
+        fc = _chain_of_simplex(chains[(x, y)][0], f)
         union = tuple(a | b for a, b in zip(gc, fc))
-        return _simplex_of_chain(indexes[(x, z)], union)
+        return _simplex_of_chain(chains[(x, z)][1], union)
 
     identities = {str(j): _subset_name(frozenset([j]))
                   for j in range(n + 1)}
-    return SimplicialCategory(objects, mapspaces, identities, compose_fn,
-                              level_bound=max(1, n - 1))
+    F = SimplicialCategory(objects, mapspaces, identities, compose_fn,
+                           level_bound=max(1, n - 1))
+    F.chains = chains
+    return F
 
 
 def horn_mapspace(n, i):
@@ -292,7 +285,7 @@ def horn_mapspace(n, i):
     def name_of(v):
         return "".join(str(b) for b in v) if v else "()"
 
-    ambient, _, _ = poset_nerve(vectors, leq, name_of)
+    ambient, _, levels = poset_nerve(vectors, leq, name_of)
 
     def in_sub(chain):
         for j in range(m):
@@ -305,16 +298,9 @@ def horn_mapspace(n, i):
     names = []
     faces = []
     keep = []
-    for k in range(len(ambient.names)):
-        level_keep = []
-        for idx, name in enumerate(ambient.cells(k)):
-            chain = [tuple(int(c) for c in part)
-                     for part in name.split("<")]
-            if m == 0:
-                chain = [()]
-            if in_sub(chain):
-                level_keep.append(idx)
-        keep.append(level_keep)
+    for level in levels:
+        keep.append([idx for idx, chain in enumerate(level)
+                     if in_sub(chain)])
     new_index = [{idx: j for j, idx in enumerate(level)} for level in keep]
     for k in range(len(keep)):
         names.append(tuple(ambient.names[k][idx] for idx in keep[k]))
@@ -337,14 +323,22 @@ def horn_mapspace(n, i):
 
 def simplicial_functors(F, C):
     """All simplicial functors from frak_c(n) (given) to C, as pairs
-    (object assignment, cell image dict)."""
+    (object assignment, cell image dict).
+
+    The pairs (i, j) are assigned in order of length, one map of map
+    spaces each; a triple a < b < c is checked once its last pair (a, c)
+    is assigned, on its generating pairs only (_generating_pairs): the
+    composites F(g.f) and F(g).F(f) are simplicial maps out of Map(b, c)
+    x Map(a, b), so they agree once they agree there."""
     n = len(F.objects) - 1
     pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     pairs.sort(key=lambda p: (p[1] - p[0], p[0]))
+    bound = min(C.level_bound, F.level_bound)
+    checks = {(a, c): [(b, _generating_pairs(F, a, b, c, bound))
+                       for b in range(a + 1, c)] for a, c in pairs}
     out = []
-    obj_names = list(C.objects)
     map_cache = {}
-    triples = {}
+    images = {}  # (i, j) -> the assignment of the map chosen for Map(i, j)
 
     def space_maps(i, j, x, y):
         key = (i, j, x, y)
@@ -354,69 +348,61 @@ def simplicial_functors(F, C):
             map_cache[key] = [m.assignment for m in maps]
         return map_cache[key]
 
-    def nondegenerate_triples(a, b, c):
-        """(g, f, g.f) in frak_c(n) for the nondegenerate simplices (g, f)
-        of Map(b, c) x Map(a, b) up to the level bound: the two
-        composites compared are simplicial maps out of that product, so
-        they agree once they agree there."""
-        if (a, b, c) not in triples:
-            bound = min(C.level_bound, F.level_bound)
-            triples[(a, b, c)] = [
-                (g, f, h)
-                for (g, f), h in F.comp[(str(a), str(b), str(c))].items()
-                if len(g[0]) <= bound + 1]
-        return triples[(a, b, c)]
-
-    def composition_ok(objs, images, pos):
-        """Check every composition constraint whose participating pairs
-        are all assigned (those at positions <= pos)."""
-        done = set(pairs[:pos + 1])
-        i, j = pairs[pos]
-        for k in range(n + 1):
-            for a, b, c in [(i, j, k), (k, i, j), (i, k, j)]:
-                if not (a < b < c) or (a, b) not in done or \
-                        (b, c) not in done or (a, c) not in done:
-                    continue
-                for g, f, h in nondegenerate_triples(a, b, c):
-                    if _functor_apply(images, (a, c), h) != C.compose(
-                            objs[a], objs[b], objs[c],
-                            _functor_apply(images, (b, c), g),
-                            _functor_apply(images, (a, b), f)):
-                        return False
+    def composition_ok(objs, a, c):
+        """Check the triples a < b < c, whose pairs are all assigned."""
+        x, z = objs[a], objs[c]
+        hmap = images[(a, c)]
+        for b, generating in checks[(a, c)]:
+            y = objs[b]
+            gmap, fmap = images[(b, c)], images[(a, b)]
+            for g, f, h in generating:
+                if _map_apply(hmap, h) != C.compose(
+                        x, y, z, _map_apply(gmap, g), _map_apply(fmap, f)):
+                    return False
         return True
 
-    def assign_objects(pos, objs):
-        if pos == n + 1:
-            assign_pairs(0, objs, {})
-            return
-        for o in obj_names:
-            assign_objects(pos + 1, objs + [o])
-
-    def assign_pairs(pos, objs, images):
+    def assign_pairs(pos, objs):
         if pos == len(pairs):
-            out.append((tuple(objs), dict(images)))
+            out.append((objs, {(pair, k, idx): value for pair in pairs
+                               for k, level in enumerate(images[pair])
+                               for idx, value in enumerate(level)}))
             return
         i, j = pairs[pos]
-        source = F.mapspaces[(str(i), str(j))]
         if C.mapspaces[(objs[i], objs[j])].n_cells(0) == 0:
             return
         for assignment in space_maps(i, j, objs[i], objs[j]):
-            images2 = dict(images)
-            for k in range(len(source.names)):
-                for idx in range(source.n_cells(k)):
-                    images2[((i, j), k, idx)] = assignment[k][idx]
-            if composition_ok(objs, images2, pos):
-                assign_pairs(pos + 1, objs, images2)
+            images[(i, j)] = assignment
+            if composition_ok(objs, i, j):
+                assign_pairs(pos + 1, objs)
+        del images[(i, j)]
 
-    assign_objects(0, [])
+    for objs in product(C.objects, repeat=n + 1):
+        assign_pairs(0, objs)
     return out
 
 
-def _functor_apply(images, pair, simplex):
-    """Image of a possibly degenerate map-space simplex under a functor
+def _generating_pairs(F, a, b, c, bound):
+    """(g, f, g.f) for the generating pairs (g, f) of Map(b, c) x Map(a, b)
+    in F = frak_c(n) up to level bound: the nondegenerate pairs of level
+    <= bound that are no face of another such pair, in the order of
+    F.comp.  Every nondegenerate pair up to the bound is an iterated face
+    of a generating one, and every other pair a degeneracy of one."""
+    gspace = F.mapspaces[(str(b), str(c))]
+    fspace = F.mapspaces[(str(a), str(b))]
+    table = F.comp[(str(a), str(b), str(c))]
+    faces = set()
+    for g, f in table:
+        if 0 < len(g[0]) - 1 <= bound:
+            faces.update(zip(gspace.simplex_faces(g), fspace.simplex_faces(f)))
+    return [(g, f, h) for (g, f), h in table.items()
+            if len(g[0]) <= bound + 1 and (g, f) not in faces]
+
+
+def _map_apply(assignment, simplex):
+    """Image of a possibly degenerate simplex under a simplicial map
     recorded by its nondegenerate cell images."""
     s, idx = simplex
-    t, w = images[(pair, s[-1], idx)]
+    t, w = assignment[s[-1]][idx]
     return (tcompose(t, s), w)
 
 
@@ -456,12 +442,14 @@ def coherent_nerve(C, d):
                for objs, images in simplicial_functors(gadgets[n], C)]
               for n in range(d + 1)]
     tables = {}
+    units = {}
 
     def table(alpha, n):
         """Rows (t_i, k, s, p) for the cells ((i, j), k, idx) of
         frak_c(m): the cell goes to the simplex (s, cell p) of
-        frak_c(n), or, when t_i = alpha[i] = alpha[j], to the point
-        Map(t_i, t_i) (s and p are None)."""
+        frak_c(n), with s None when it is the identity, or, when t_i =
+        alpha[i] = alpha[j], to the point Map(t_i, t_i) (s and p are
+        None)."""
         if (alpha, n) not in tables:
             Fm = gadgets[len(alpha) - 1]
             rows = []
@@ -470,12 +458,13 @@ def coherent_nerve(C, d):
                 if ti == tj:
                     rows.append((ti, k, None, None))
                     continue
-                chain = _chain_from_name(
-                    Fm.mapspaces[(str(i), str(j))].names[k][idx])
-                s, w = _poset_simplex_of_chain(
-                    gadgets[n], ti, tj,
-                    [frozenset(alpha[v] for v in U) for U in chain])
-                rows.append((ti, k, s, position[n][((ti, tj), s[-1], w)]))
+                chains, _ = Fm.chains[(str(i), str(j))]
+                _, index = gadgets[n].chains[(str(ti), str(tj))]
+                s, w = _simplex_of_chain(index, [
+                    frozenset([alpha[v] for v in U])
+                    for U in chains[k][idx]])
+                p = position[n][((ti, tj), s[-1], w)]
+                rows.append((ti, k, None if s[-1] == k else s, p))
             tables[(alpha, n)] = rows
         return tables[(alpha, n)]
 
@@ -483,8 +472,13 @@ def coherent_nerve(C, d):
         objs, images = element
         out = []
         for ti, k, s, p in table(alpha, len(objs) - 1):
-            if s is None:
-                out.append(C.identity_simplex(objs[ti], k))
+            if p is None:
+                x = objs[ti]
+                if (x, k) not in units:
+                    units[(x, k)] = C.identity_simplex(x, k)
+                out.append(units[(x, k)])
+            elif s is None:
+                out.append(images[p])
             else:
                 t, w = images[p]
                 out.append((tcompose(t, s), w))
@@ -493,27 +487,6 @@ def coherent_nerve(C, d):
     index = [{x: j for j, x in enumerate(level)} for level in levels]
     return sset.from_presheaf(d, levels, action,
                               name_fn=lambda n, x: "F%d" % index[n][x])
-
-
-def _chain_from_name(name):
-    return tuple(frozenset(int(ch) for ch in part)
-                 for part in name.split("<"))
-
-
-def _poset_simplex_of_chain(F, i, j, chain):
-    """E-Z simplex of Map(i, j) in a frak_c gadget from a weak chain of
-    subsets."""
-    space = F.mapspaces[(str(i), str(j))]
-    strict = []
-    word = []
-    for U in chain:
-        if strict and strict[-1] == U:
-            word.append(word[-1])
-        else:
-            strict.append(U)
-            word.append(len(strict) - 1)
-    name = "<".join(_subset_name(U) for U in strict)
-    return (tuple(word), space.cell_index(len(strict) - 1, name))
 
 
 # ---------------------------------------------------------------------------

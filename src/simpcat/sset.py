@@ -501,7 +501,12 @@ def product(X, Y, truncation=None):
     splitting off the coarsest common surjection (Goerss-Jardine,
     Simplicial Homotopy Theory, IV.1).  Cells are named "(a|b)" and
     listed in the order of X.simplices(n) x Y.simplices(n).  Returns the
-    product with its two projections."""
+    product with its two projections.
+
+    Each factor simplex's faces and name are read once per level, and
+    each pair of face surjections is split once per call.  The cell
+    ((s, x), (t, y)) of a level sits at start + x * width + y, with
+    start and width fixed by (s, t), so a face is found by arithmetic."""
     if truncation is None:
         if X.truncation is None and Y.truncation is None:
             truncation = X.dim_max + Y.dim_max if X.dim_max >= 0 and \
@@ -513,25 +518,46 @@ def product(X, Y, truncation=None):
     X._require_dim(truncation)
     Y._require_dim(truncation)
     D = truncation
-    cells, index = [], []
+    names, faces, cells = [], [], []
+    starts = []  # per level, (s, t) -> (position of ((s, 0), (t, 0)), width)
+    split = {}   # (s, t) -> (sigma, start, width) of their split pair
     for n in range(D + 1):
-        ys = [(b, _doubled(b[0])) for b in Y.simplices(n)]
-        level = [(a, b) for a in X.simplices(n) for mask in [_doubled(a[0])]
-                 for b, other in ys if not mask & other]
+        yblocks = _doubled_blocks(Y, n)
+        ycells = {}  # the Y blocks read so far, by mask
+        start, level, level_names, level_faces = {}, [], [], []
+        for xmask, xs in _doubled_blocks(X, n):
+            row = []
+            for ymask, ys in yblocks:
+                if not xmask & ymask:
+                    if ymask not in ycells:
+                        ycells[ymask] = _named_with_faces(Y, ys)
+                    row.append((ys[0][0], ycells[ymask]))
+            width = sum(len(block) for _, block in row)
+            offset = len(level)
+            for t, block in row:
+                start[(xs[0][0], t)] = (offset, width)
+                offset += len(block)
+            for a, aname, fa in _named_with_faces(X, xs) if row else ():
+                for _, block in row:
+                    for b, bname, fb in block:
+                        level.append((a, b))
+                        level_names.append("(%s|%s)" % (aname, bname))
+                        if not n:
+                            level_faces.append(())
+                            continue
+                        entry = []
+                        for (s, x), (t, y) in zip(fa, fb):
+                            found = split.get((s, t))
+                            if found is None:
+                                sigma, s2, t2 = _split_common(s, t)
+                                found = split[(s, t)] = (
+                                    sigma,) + starts[sigma[-1]][(s2, t2)]
+                            sigma, first, w = found
+                            entry.append((sigma, first + x * w + y))
+                        level_faces.append(tuple(entry))
+        starts.append(start)
         cells.append(level)
-        index.append({pair: j for j, pair in enumerate(level)})
-    names = [tuple("(%s|%s)" % (X.describe(a), Y.describe(b))
-                   for a, b in level) for level in cells]
-    faces = [[()] * len(cells[0])]
-    for n in range(1, D + 1):
-        level_faces = []
-        for a, b in cells[n]:
-            entry = []
-            for i in range(n + 1):
-                (s, x), (t, y) = X.face_of(i, a), Y.face_of(i, b)
-                sigma, s, t = _split_common(s, t)
-                entry.append((sigma, index[sigma[-1]][((s, x), (t, y))]))
-            level_faces.append(tuple(entry))
+        names.append(level_names)
         faces.append(level_faces)
     result_trunc = None if (X.truncation is None and Y.truncation is None
                             and D >= X.dim_max + Y.dim_max) else D
@@ -544,9 +570,27 @@ def product(X, Y, truncation=None):
                       validate=False))
 
 
+def _named_with_faces(X, simplices):
+    """Each simplex of X with its name and, above dimension 0, its
+    faces."""
+    return [(x, X.describe(x), X.simplex_faces(x) if len(x[0]) > 1 else ())
+            for x in simplices]
+
+
 def _doubled(s):
     """Bit mask of the indices i with s(i) = s(i+1)."""
     return sum(1 << i for i in range(len(s) - 1) if s[i] == s[i + 1])
+
+
+def _doubled_blocks(X, q):
+    """The q-simplices of X as (doubled-index mask, simplices) blocks, one
+    per surjection, in the order of simplices(q)."""
+    def build(X):
+        blocks = {}
+        for x in X.simplices(q):
+            blocks.setdefault(_doubled(x[0]), []).append(x)
+        return list(blocks.items())
+    return X.memo(("doubled_blocks", q), build)
 
 
 def _split_common(s, t):

@@ -177,6 +177,33 @@ def test_cli_localize_with_integer_and_mixed_arrow_names(tmp_path):
         assert Q.is_groupoid() and len(Q.arrows) == 4, names
 
 
+def test_cli_join_with_integer_arrow_names(tmp_path):
+    # join reads each new arrow's side and old name from a table, not back
+    # from the new name, so integer names write the bytes their string
+    # twins do
+    written = []
+    for names in ([1, 2, 3, 4], ["1", "2", "3", "4"]):
+        cpath = write(tmp_path, "c.cat", _iso_pair_doc(*names))
+        jpath = str(tmp_path / "j.cat")
+        assert run_cli(tmp_path, "join", cpath, cpath, "--out", jpath) == 0
+        J = formats.load_object(jpath)
+        assert len(J.objects) == 4 and len(J.arrows) == 12, names
+        written.append(open(jpath).read())
+    assert written[0] == written[1]
+
+
+def test_cli_export_dot_with_mixed_arrow_names(tmp_path, capsys):
+    # integers sort before strings, each kind in its own order
+    path = write(tmp_path, "mixed.cat", _iso_pair_doc(1, 2, "i", "g"))
+    assert run_cli(tmp_path, "export-dot", path) == 0
+    out = capsys.readouterr().out
+    assert out.index('[label="g"]') < out.index('[label="i"]')
+    path = write(tmp_path, "int.cat", _iso_pair_doc(1, 2, 30, 4))
+    assert run_cli(tmp_path, "export-dot", path) == 0
+    out = capsys.readouterr().out
+    assert out.index('[label="4"]') < out.index('[label="30"]')
+
+
 def test_cli_pi1(tmp_path):
     N = nerve(bg(cyclic_table(3)), 3)
     path = write(tmp_path, "bz3.sset", formats.sset_to_dict(N))

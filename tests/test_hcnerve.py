@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,6 +202,66 @@ def test_simplicial_functors_match_all_pairs_check():
             functors = hcnerve.simplicial_functors(F, C)
             assert functors == simplicial_functors_all_pairs(F, C), (name, n)
             assert functors, (name, n)
+
+
+def test_generating_pair_counts():
+    # both composites commute with faces, so the check runs on the
+    # nondegenerate pairs that are no face of another one up to the bound
+    for top, level_bound, generating, nondegenerate in [(4, 3, 18, 57),
+                                                        (3, 2, 5, 9)]:
+        counts = [0, 0]
+        for n in range(top + 1):
+            F = frak_c(n)
+            bound = min(level_bound, F.level_bound)
+            for a, b, c in combinations(range(n + 1), 3):
+                counts[0] += len(hcnerve._generating_pairs(F, a, b, c,
+                                                           bound))
+                counts[1] += sum(
+                    1 for g, _ in F.comp[(str(a), str(b), str(c))]
+                    if len(g[0]) <= bound + 1)
+        assert counts == [generating, nondegenerate], top
+
+
+def test_simplicial_functors_match_all_pairs_check_on_frak_c4():
+    # frak_c(4) has generating pairs at levels 1 and 2; the oracle takes
+    # seconds on the other builders' categories, so only ord2 runs here
+    F = frak_c(4)
+    for name, C in _composition_cases():
+        if name == "ord2":
+            functors = hcnerve.simplicial_functors(F, C)
+            assert functors == simplicial_functors_all_pairs(F, C)
+            assert len(functors) == 21
+
+
+def test_horn_mapspace_bytes_pinned():
+    # SHA-256 of the canonical document of each inner horn subobject,
+    # read from the chains poset_nerve returns rather than cell names
+    pins = {
+        (2, 1): "6ff65709c7cd2cb42d0c1ec2746ed655"
+                "ea1b515b926288a909fcdf3aa675a86a",
+        (3, 1): "31e30a8c12b51285115d7f3ae710cdff"
+                "62b418d73079bee3d583ccdc268b8911",
+        (3, 2): "a43e4fc09083b2ef10e5d1bf001bc8bf"
+                "78e6bdca888d4d4cbf6397d37746ae61",
+        (4, 1): "7d2851488e9365bf1d2fc3a7535fae34"
+                "481965234720a6b6ee0f2e417e5f716e",
+        (4, 2): "69178625eb8a26c9647d2d0b7b4e80ab"
+                "c65090f29e56caf58ff0c569737c4c7a",
+        (4, 3): "9b752e1e2c594c8aab24ef30f3d7a72b"
+                "92391261d98b09980e7dc162069c9082",
+        (5, 1): "19609e4e19b15d362bffcda094869da1"
+                "62184e8c643669fa705cccfc0f0b3ddc",
+        (5, 2): "f19518601bd892ad0bd9d58b002ad990"
+                "c4c1f8f1eed2908c39434edc7c772dea",
+        (5, 3): "3ebc61b15b5103f154c4b47a5b2f37fb"
+                "40530b61e96b64af4314cd1d14515849",
+        (5, 4): "8857cea52c1d30bc51f2420166afc11d"
+                "bf310a89263eef6dcba2eb83ff2ba45b",
+    }
+    for (n, i), pin in pins.items():
+        sub, _, _ = horn_mapspace(n, i)
+        text = formats.dumps(sub.as_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == pin, (n, i)
 
 
 def test_coherent_nerve_bytes_pinned():

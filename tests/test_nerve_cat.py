@@ -315,6 +315,27 @@ def test_find_category_isomorphism_reads_back_a_renamed_copy(data):
     assert F.is_isomorphism()
 
 
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_category_from_nerve_of_nerve_is_isomorphic(data):
+    # the 2-truncated nerve determines the category: objects are its
+    # vertices, arrows its edges and composition its 2-simplices
+    import random
+    from families import category_family, random_thin_category
+    if data.draw(st.booleans()):
+        name, C = data.draw(st.sampled_from(category_family()))
+    else:
+        seed = data.draw(st.integers(0, 10 ** 6))
+        name = "thin-%d" % seed
+        C = random_thin_category(random.Random(seed),
+                                 data.draw(st.integers(1, 4)))
+    D = category_from_nerve(nerve(C, 2))
+    F = find_category_isomorphism(D, C)
+    assert F is not None, name
+    F.validate()
+    assert F.is_isomorphism()
+
+
 def test_find_category_isomorphism_matches_backtracking():
     from families import category_family
     from oracles import category_isomorphism_by_backtracking
