@@ -410,9 +410,8 @@ def _chain_segment(C, x, chain, a, b):
 
 def category_from_nerve(X):
     """Reconstruct a category from a simplicial set that is nerve-like
-    (unique inner fillers); returns (category, comparison) where the
-    comparison verifies levelwise agreement with the nerve, or raises
-    InputError when the 2-skeleton is not a category."""
+    (unique inner fillers) and return it; raises InputError when the
+    2-skeleton is not a category."""
     if X.truncation is not None and X.truncation < 2:
         raise InputError("need at least the 2-truncation")
     objects = list(X.cells(0))

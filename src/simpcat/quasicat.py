@@ -73,31 +73,11 @@ class HornReport:
             self.mode, self.dimension_bound, self.passed())
 
 
-def _ranked(X, m):
-    """Dense ids for the m-simplices of X: (order, rank, faces, natural).
-
-    order lists the m-simplices in sorted E-Z tuple order and rank is
-    its inverse, so sorting ranks sorts the simplices; faces[i][r] is
-    the rank of d_i order[r] among the (m-1)-simplices; natural lists
-    the ranks in simplices(m) order."""
-    def build(X):
-        simplices = X.simplices(m)
-        order = sorted(simplices)
-        rank = {w: r for r, w in enumerate(order)}
-        faces = []
-        if m:
-            below = _ranked(X, m - 1)[1]
-            faces = [[below[X.face_of(i, w)] for w in order]
-                     for i in range(m + 1)]
-        return order, rank, faces, [rank[w] for w in simplices]
-    return X.memo(("ranked", m), build)
-
-
 def _join_index(X, m, positions):
     """{(d_i w for i in positions): the ranks w, ascending} over the
     m-simplices w of X."""
     def build(X):
-        faces = _ranked(X, m)[2]
+        faces = X.ranked(m)[1]
         index = {}
         for w, key in enumerate(zip(*[faces[i] for i in positions])):
             index.setdefault(key, []).append(w)
@@ -116,13 +96,13 @@ def _horn_stats(X, n, k):
     candidates come in ascending rank.  Horns are counted against the
     fillers as their last facet comes, never listed."""
     J = [j for j in range(n + 1) if j != k]
-    order, _, faces, natural = _ranked(X, n - 1)
+    order, faces, natural = X.ranked(n - 1)
     steps = [(faces[J[p] - 1].__getitem__,
               _join_index(X, n - 1, tuple(J[:p])).get)
              for p in range(1, n)]
     # fillers[facets but the last] = {last facet: number of n-simplices}
     fillers = {}
-    top = _ranked(X, n)[2]
+    top = X.ranked(n)[1]
     for key, w in zip(zip(*[top[j] for j in J[:-1]]), top[J[-1]]):
         row = fillers.setdefault(key, {})
         row[w] = row.get(w, 0) + 1

@@ -10,11 +10,15 @@ Everything downstream (horn classification, nerves, hom spaces, rows of
 bisimplicial sets) reduces to ``SimplicialSet.face_of``, one face of an
 E-Z pair read off the stored faces, and ``SimplicialSet.apply``, which
 evaluates an arbitrary operator of the simplex category through face
-steps.
+steps.  Validation and the horn search read faces a block at a time:
+the m-simplices with one surjection s form a block, and each face of a
+whole block is one index range or one column of stored faces
+(``SimplicialSet.face_block``).
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, chain, combinations
+from operator import add, itemgetter
 
 from .delta import all_surjections, face, tcompose, tfactorize, tidentity
 from .errors import InputError
@@ -137,6 +141,71 @@ class SimplicialSet:
             return index
         return self.memo(("face_index", n), build)
 
+    def block_bases(self, m):
+        """{s: rank of (s, 0)} over the surjections s: [m] ->> [k], k at
+        most the top dimension, in sorted order.  The simplex (s, idx)
+        has rank base[s] + idx in the sorted order of the m-simplices."""
+        def build(X):
+            sizes = list(map(len, X.names))
+            surjections, dims = _sorted_surjections(m, len(sizes) - 1)
+            return dict(zip(surjections, accumulate(
+                map(sizes.__getitem__, dims), initial=0)))
+        return self.memo(("bases", m), build)
+
+    def face_block(self, s):
+        """The faces of the block of s: [m] ->> [k], m >= 1, as columns:
+        cols[i][idx] is the rank of d_i (s, idx) among the (m-1)-simplices.
+
+        When s[i] occurs twice the column is one index range; otherwise
+        it is the stored face d_{s[i]} of each k-cell composed with s
+        lowered past s[i] (see face_of)."""
+        def build(X):
+            below = X.block_bases(len(s) - 2)
+            n = len(X.names[s[-1]])
+            stored = list(zip(*X.faces[s[-1]]))  # stored[v][idx] = d_v idx
+            cols = []
+            for i in range(len(s)):
+                v, rest = _dropped(s, i)
+                if v < 0:
+                    b = below[rest]
+                    cols.append(range(b, b + n))
+                else:
+                    ts, subs = zip(*stored[v])
+                    if rest[-1] == len(rest) - 1:  # s is an identity
+                        base = below.__getitem__
+                    else:
+                        base = {t: below[tuple([t[u] for u in rest])]
+                                for t in set(ts)}.__getitem__
+                    cols.append(list(map(add, map(base, ts), subs)))
+            return cols
+        return self.memo(("block", s), build)
+
+    def ranked(self, m):
+        """The m-simplices on dense ids: (order, faces, natural).
+
+        order lists them in sorted E-Z order, one block after another;
+        faces[i][r] is the rank of d_i order[r] among the (m-1)-simplices;
+        natural lists the ranks in simplices(m) order."""
+        self._require_dim(m)
+
+        def build(X):
+            bases = X.block_bases(m)
+            sizes = list(map(len, X.names))
+            order = [(s, idx) for s in bases for idx in range(sizes[s[-1]])]
+            faces = []
+            if m:
+                blocks = [X.face_block(s) for s in bases if sizes[s[-1]]]
+                for i in range(m + 1):
+                    col = []
+                    for cols in blocks:
+                        col.extend(cols[i])
+                    faces.append(col)
+            natural = [r for k in range(min(m, len(sizes) - 1) + 1)
+                       for s in all_surjections(m, k)
+                       for r in range(bases[s], bases[s] + sizes[k])]
+            return order, faces, natural
+        return self.memo(("ranked", m), build)
+
     def memo(self, key, build):
         """build(self), computed once and kept on this object."""
         if key not in self._memo:
@@ -189,19 +258,41 @@ class SimplicialSet:
         self.check_identities()
 
     def check_identities(self):
-        """d_i d_j = d_{j-1} d_i for i < j, read off the stored faces.
+        """d_i d_j = d_{j-1} d_i for i < j, a whole column at a time.
 
-        The faces of each face are read once: the stored tuple of a
-        nondegenerate face, or one face step per index of a degenerate
-        one."""
+        Per dimension k, the surjections among the stored faces of the
+        k-cells are numbered block by block, so each stored face d_j is a
+        column of numbers and d_i of each numbered (k-1)-simplex is read
+        off its face block.  Each identity is one comparison of two
+        columns; on a failure the cells are searched in order, then j,
+        then i, for the first one that fails."""
         for k in range(2, len(self.names)):
-            below = self.faces[k - 1]
-            for idx, entry in enumerate(self.faces[k]):
-                ff = [below[sub] if s[-1] == k - 1
-                      else self.simplex_faces((s, sub)) for s, sub in entry]
+            entries = self.faces[k]
+            if not entries:
+                continue
+            columns = [tuple(zip(*col)) for col in zip(*entries)]
+            occurring = set(chain.from_iterable(ss for ss, _ in columns))
+            if len(occurring) == 1:  # its block is numbered as the cells
+                down = self.face_block(occurring.pop())
+                stored = [subs for _, subs in columns]
+            else:
+                first = {}  # surjection -> the number of its first simplex
+                down = [[] for _ in range(k)]  # down[i][number]: d_i
+                for s in occurring:
+                    first[s] = len(down[0])
+                    for col, block in zip(down, self.face_block(s)):
+                        col.extend(block)
+                stored = [list(map(add, map(first.__getitem__, ss), subs))
+                          for ss, subs in columns]
+            gather = [itemgetter(*col) for col in stored]
+            if all(gather[j](down[i]) == gather[i](down[j - 1])
+                   for j in range(1, k + 1) for i in range(j)):
+                continue
+            for idx in range(len(entries)):
                 for j in range(1, k + 1):
                     for i in range(j):
-                        if ff[j][i] != ff[i][j - 1]:
+                        if down[i][stored[j][idx]] != \
+                                down[j - 1][stored[i][idx]]:
                             raise InputError(
                                 "simplicial identity fails at cell %s "
                                 "(i=%d, j=%d)" % (self.names[k][idx], i, j))
@@ -234,6 +325,15 @@ def _dropped(s, i):
     if v in rest:
         return -1, rest
     return v, tuple(u if u < v else u - 1 for u in rest)
+
+
+@lru_cache(maxsize=None)
+def _sorted_surjections(m, top):
+    """The surjections s: [m] ->> [k], k <= top, in sorted order, and
+    the k of each."""
+    surjections = sorted(s for k in range(min(m, top) + 1)
+                         for s in all_surjections(m, k))
+    return tuple(surjections), tuple(s[-1] for s in surjections)
 
 
 @lru_cache(maxsize=4096)

@@ -144,6 +144,41 @@ def _restrict(X, image, k, idx):
     return (tcompose(u, epi), w)
 
 
+# -- faces of every simplex, one face_of at a time
+
+
+def check_identities_by_cells(X):
+    """SimplicialSet.check_identities one cell at a time: the faces of
+    each stored face (the stored tuple of a nondegenerate face, one
+    face_of per index of a degenerate one) are compared per identity
+    d_i d_j = d_{j-1} d_i, i < j, in the order cell, j, i."""
+    for k in range(2, len(X.names)):
+        below = X.faces[k - 1]
+        for idx, entry in enumerate(X.faces[k]):
+            ff = [below[sub] if s[-1] == k - 1
+                  else X.simplex_faces((s, sub)) for s, sub in entry]
+            for j in range(1, k + 1):
+                for i in range(j):
+                    if ff[j][i] != ff[i][j - 1]:
+                        raise InputError(
+                            "simplicial identity fails at cell %s "
+                            "(i=%d, j=%d)" % (X.names[k][idx], i, j))
+
+
+def ranked_by_face_of(X, m):
+    """SimplicialSet.ranked(m) by sorting X.simplices(m) and ranking one
+    face_of per simplex per face: (order, faces, natural)."""
+    simplices = X.simplices(m)
+    order = sorted(simplices)
+    rank = {w: r for r, w in enumerate(order)}
+    faces = []
+    if m:
+        below = {w: r for r, w in enumerate(sorted(X.simplices(m - 1)))}
+        faces = [[below[X.face_of(i, w)] for w in order]
+                 for i in range(m + 1)]
+    return order, faces, [rank[w] for w in simplices]
+
+
 # -- horn search: candidates by intersecting single-face indexes
 
 

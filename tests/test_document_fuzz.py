@@ -113,6 +113,7 @@ KEYS = ["0", "1", "2", "01", "00", "-0", "-1", "+1", " 1", "1_0", "٢",
 
 JSON_VALUES = st.one_of(
     st.booleans(),
+    st.integers(-1, 3),
     st.sampled_from([0.0, 1.0, 2.5]),
     st.floats(allow_nan=False, allow_infinity=False),
     st.none(),

@@ -473,6 +473,12 @@ def _validation_cases():
         names[1].append("g1")
         faces[1].append(faces[1][0])
 
+    def both(first, second):
+        def change(names, faces):
+            first(names, faces)
+            second(names, faces)
+        return change
+
     return [
         (S3, rename(1, 1, "0-1"), "duplicate cell names in dimension 1"),
         (S3, drop_cell_faces(2), "face entries missing in dimension 2"),
@@ -490,6 +496,16 @@ def _validation_cases():
         # d_3 of 0-1-2-3 made 0-1-3: d_0 d_3 = 1-3 but d_2 d_0 = 1-2
         (S3, _set_face(3, 0, 3, ((0, 1, 2), 1)),
          "simplicial identity fails at cell 0-1-2-3 (i=0, j=3)"),
+        # two broken cells: 1-2-3 fails from (i=0, j=1) on, 0-1-2 only
+        # from (i=0, j=2) on, and the lower cell is named
+        (S3, both(_set_face(2, 3, 0, ((0, 1), 0)),
+                  _set_face(2, 0, 2, ((0, 1), 3))),
+         "simplicial identity fails at cell 0-1-2 (i=0, j=2)"),
+        # d_0 of 0-1-2-3 made s_0(2-3) and d_2 made 1-2-3: (i=1, j=2),
+        # (i=0, j=3) and (i=2, j=3) fail, and j is compared first
+        (S3, both(_set_face(3, 0, 0, ((0, 0, 1), 5)),
+                  _set_face(3, 0, 2, ((0, 1, 2), 3))),
+         "simplicial identity fails at cell 0-1-2-3 (i=1, j=2)"),
         (B, duplicate_cell, "duplicate cell names in dimension 1"),
         (B, drop_cell_faces(3), "face entries missing in dimension 3"),
         (B, truncate_entry(2, 0), "cell g1|g1 needs 3 faces"),
@@ -560,6 +576,95 @@ def test_apply_matches_factorization_oracle():
                 for alpha in maps:
                     assert X.apply(alpha, x) == \
                         apply_by_factorization(X, alpha, x), (name, alpha, x)
+
+
+# -- face blocks against one face_of per simplex
+
+
+def _block_objects():
+    from random import Random
+    from families import random_thin_category
+    from simpcat.hcnerve import frak_c
+    from simpcat.nerve_cat import (bg, cyclic_table, klein_table, nerve,
+                                   ordinal_category, symmetric3_table)
+    S = standard_simplex
+    yield "BZ/3", nerve(bg(cyclic_table(3)), 4)
+    yield "BS3", nerve(bg(symmetric3_table()), 3)
+    yield "Bklein", nerve(bg(klein_table()), 3)
+    yield "[3]", nerve(ordinal_category(3), 4)
+    rng = Random(16)
+    for q in range(2):
+        yield "thin-%d" % q, nerve(random_thin_category(rng, 4), 4)
+    yield "D2xD2", product(S(2), S(2))[0]
+    yield "BZ2xD1", product(nerve(bg(cyclic_table(2)), 3), S(1))[0]
+    F = frak_c(4)
+    for x, y in [("0", "4"), ("1", "3")]:
+        yield "frak_c(4)(%s,%s)" % (x, y), F.mapspace(x, y)
+    for n, k in [(2, 1), (3, 0), (4, 2)]:
+        yield "horn(%d,%d)" % (n, k), horn(n, k)
+    yield "boundary(3)", boundary(3)
+    yield "spine(3)", spine(3)
+    yield "opposite(thin)", opposite(nerve(random_thin_category(rng, 4), 3))
+    yield "opposite(BZ/3)", opposite(nerve(bg(cyclic_table(3)), 3))
+    yield "skeleton(BZ/3, 2)", skeleton(nerve(bg(cyclic_table(3)), 4), 2)
+    yield "skeleton(D3, 1)", skeleton(S(3), 1)
+
+
+def test_ranked_matches_face_of_oracle():
+    # every level up to the truncation, or one above the top cells
+    from oracles import ranked_by_face_of
+    for name, X in _block_objects():
+        top = X.dim_max + 1 if X.truncation is None else X.truncation
+        for m in range(top + 1):
+            order, faces, natural = X.ranked(m)
+            assert (order, [list(col) for col in faces], natural) == \
+                ranked_by_face_of(X, m), (name, m)
+
+
+def _repoint_objects():
+    from simpcat.nerve_cat import bg, cyclic_table, nerve, ordinal_category
+    BZ2 = nerve(bg(cyclic_table(2)), 3)
+    return [standard_simplex(3), BZ2, nerve(ordinal_category(2), 3),
+            product(BZ2, standard_simplex(1), 3)[0], horn(3, 1)]
+
+
+REPOINT_OBJECTS = _repoint_objects()
+
+
+@st.composite
+def repointed_faces(draw):
+    """The tables of an object with one or two stored faces pointed at
+    another E-Z pair of the right dimension."""
+    X = draw(st.sampled_from(REPOINT_OBJECTS))
+    cells = [(k, idx) for k in range(1, len(X.names))
+             for idx in range(X.n_cells(k))]
+    changes = []
+    for _ in range(draw(st.integers(1, 2))):
+        k, idx = draw(st.sampled_from(cells))
+        changes.append(_set_face(k, idx, draw(st.integers(0, k)),
+                                 draw(st.sampled_from(X.simplices(k - 1)))))
+
+    def change(names, faces):
+        for c in changes:
+            c(names, faces)
+    return X.truncation, _corrupted(X, change)
+
+
+@settings(deadline=None, max_examples=80)
+@given(repointed_faces())
+def test_repointed_faces_fail_as_the_cell_oracle_says(case):
+    from oracles import check_identities_by_cells
+    truncation, (names, faces) = case
+
+    def outcome(check):
+        try:
+            check()
+        except InputError as e:
+            return str(e)
+        return None
+    oracle = SimplicialSet(truncation, names, faces, validate=False)
+    assert outcome(lambda: SimplicialSet(truncation, names, faces)) == \
+        outcome(lambda: check_identities_by_cells(oracle))
 
 
 @st.composite
