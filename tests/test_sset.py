@@ -449,6 +449,14 @@ def _set_face(k, idx, i, value):
     return change
 
 
+def _each(*changes):
+    """One change that applies each of changes in turn."""
+    def change(names, faces):
+        for c in changes:
+            c(names, faces)
+    return change
+
+
 def _validation_cases():
     from simpcat.nerve_cat import bg, cyclic_table, nerve
     S3 = standard_simplex(3)
@@ -473,12 +481,6 @@ def _validation_cases():
         names[1].append("g1")
         faces[1].append(faces[1][0])
 
-    def both(first, second):
-        def change(names, faces):
-            first(names, faces)
-            second(names, faces)
-        return change
-
     return [
         (S3, rename(1, 1, "0-1"), "duplicate cell names in dimension 1"),
         (S3, drop_cell_faces(2), "face entries missing in dimension 2"),
@@ -496,16 +498,6 @@ def _validation_cases():
         # d_3 of 0-1-2-3 made 0-1-3: d_0 d_3 = 1-3 but d_2 d_0 = 1-2
         (S3, _set_face(3, 0, 3, ((0, 1, 2), 1)),
          "simplicial identity fails at cell 0-1-2-3 (i=0, j=3)"),
-        # two broken cells: 1-2-3 fails from (i=0, j=1) on, 0-1-2 only
-        # from (i=0, j=2) on, and the lower cell is named
-        (S3, both(_set_face(2, 3, 0, ((0, 1), 0)),
-                  _set_face(2, 0, 2, ((0, 1), 3))),
-         "simplicial identity fails at cell 0-1-2 (i=0, j=2)"),
-        # d_0 of 0-1-2-3 made s_0(2-3) and d_2 made 1-2-3: (i=1, j=2),
-        # (i=0, j=3) and (i=2, j=3) fail, and j is compared first
-        (S3, both(_set_face(3, 0, 0, ((0, 0, 1), 5)),
-                  _set_face(3, 0, 2, ((0, 1, 2), 3))),
-         "simplicial identity fails at cell 0-1-2-3 (i=1, j=2)"),
         (B, duplicate_cell, "duplicate cell names in dimension 1"),
         (B, drop_cell_faces(3), "face entries missing in dimension 3"),
         (B, truncate_entry(2, 0), "cell g1|g1 needs 3 faces"),
@@ -521,6 +513,16 @@ def _validation_cases():
          "simplicial identity fails at cell g1|g1|g1 (i=0, j=2)"),
         (B, _set_face(3, 0, 3, ((0, 1, 1), 0)),
          "simplicial identity fails at cell g1|g1|g1 (i=0, j=3)"),
+        # two broken cells: 1-2-3 fails from (i=0, j=1) on, 0-1-2 only
+        # from (i=0, j=2) on, and the lower cell is named
+        (S3, _each(_set_face(2, 3, 0, ((0, 1), 0)),
+                   _set_face(2, 0, 2, ((0, 1), 3))),
+         "simplicial identity fails at cell 0-1-2 (i=0, j=2)"),
+        # d_0 of 0-1-2-3 made s_0(2-3) and d_2 made 1-2-3: (i=1, j=2),
+        # (i=0, j=3) and (i=2, j=3) fail, and j is compared first
+        (S3, _each(_set_face(3, 0, 0, ((0, 0, 1), 5)),
+                   _set_face(3, 0, 2, ((0, 1, 2), 3))),
+         "simplicial identity fails at cell 0-1-2-3 (i=1, j=2)"),
     ]
 
 
@@ -643,11 +645,7 @@ def repointed_faces(draw):
         k, idx = draw(st.sampled_from(cells))
         changes.append(_set_face(k, idx, draw(st.integers(0, k)),
                                  draw(st.sampled_from(X.simplices(k - 1)))))
-
-    def change(names, faces):
-        for c in changes:
-            c(names, faces)
-    return X.truncation, _corrupted(X, change)
+    return X.truncation, _corrupted(X, _each(*changes))
 
 
 @settings(deadline=None, max_examples=80)
