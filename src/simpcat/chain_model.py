@@ -4,30 +4,58 @@ variables, and the two factorization constructions (split-acyclic middle
 summand; staged cycle-killing toward a trivial fibration).
 """
 
-from .doldkan import (ChainComplex, boundaries_matrix, chain_map_between,
-                      cycles_matrix, homology_at, maps_equal,
+from .doldkan import (ChainComplex, boundaries_matrix, cycles_matrix,
+                      homology_at, map_respects_relations, maps_equal,
                       relation_matrix)
 from .errors import FuelExhausted, InputError
 from .intlinalg import Mat, from_columns, kernel_basis, solve_matrix
 
 
 class ChainMap:
-    """A map of complexes over a shared ring and window."""
+    """A map of complexes over a shared ring and window; like
+    ChainComplex, a record that validate() checks."""
 
-    def __init__(self, source, target, components, validate=True):
+    def __init__(self, source, target, components):
         if source.modulus != target.modulus:
             raise InputError("ring mismatch")
         if source.window != target.window:
             raise InputError("window mismatch")
         self.source = source
         self.target = target
-        if validate:
-            self.components = chain_map_between(source, target, components)
-        else:
-            self.components = {n: components[n] for n in components}
+        self.components = dict(components)
 
     def at(self, n):
         return self.components[n]
+
+    def reduced(self):
+        """The same map with each component of the window reduced modulo
+        the target's annihilators: the form of a loaded map and of the
+        maps composition, join_variable and factor_trivcofib_fib build.
+        The staged maps of factor_cofib_trivfib keep their matrices as
+        given, and their documents show them so."""
+        return ChainMap(self.source, self.target, {
+            n: self.at(n).reduced(self.target.coeffs[n])
+            for n in range(self.source.lo, self.source.hi + 1)})
+
+    def validate(self):
+        """Each component is present, shaped and respects annihilators;
+        the components commute with the differentials."""
+        X, Y = self.source, self.target
+        for n in range(X.lo, X.hi + 1):
+            F = self.components.get(n)
+            if F is None:
+                raise InputError("component %d missing" % n)
+            if F.rows != Y.rank(n) or F.cols != X.rank(n):
+                raise InputError("component %d misshaped" % n)
+            if not map_respects_relations(F, X.coeffs[n], Y.coeffs[n]):
+                raise InputError("component %d ignores annihilators" % n)
+        for n in range(X.lo + 1, X.hi + 1):
+            lhs = Y.differential(n) * self.components[n]
+            rhs = self.components[n - 1] * X.differential(n)
+            if not maps_equal(lhs, rhs, Y.coeffs[n - 1]):
+                raise InputError("map does not commute with d at degree %d"
+                                 % n)
+        return self
 
     def __repr__(self):
         return "ChainMap(%r -> %r)" % (self.source, self.target)
@@ -35,8 +63,7 @@ class ChainMap:
 
 def identity_chain_map(C):
     return ChainMap(C, C, {n: Mat.identity(C.rank(n))
-                           for n in range(C.lo, C.hi + 1)},
-                    validate=False)
+                           for n in range(C.lo, C.hi + 1)})
 
 
 def compose_chain_maps(g, f):
@@ -45,7 +72,7 @@ def compose_chain_maps(g, f):
         raise InputError("chain maps do not compose")
     return ChainMap(f.source, g.target,
                     {n: g.at(n) * f.at(n)
-                     for n in range(f.source.lo, f.source.hi + 1)})
+                     for n in range(f.source.lo, f.source.hi + 1)}).reduced()
 
 
 def extend_window(C, lo, hi):
@@ -66,7 +93,7 @@ def extend_map(f, lo, hi):
             comps[n] = f.at(n)
         else:
             comps[n] = Mat(dst.rank(n), src.rank(n))
-    return ChainMap(src, dst, comps, validate=False)
+    return ChainMap(src, dst, comps)
 
 
 def mapping_cone(f):
@@ -149,9 +176,10 @@ def is_quasi_iso(f):
 
 
 def join_variable(X, z, n, annihilator=None):
-    """X<u; du = z> for a cycle z in degree n: one new free generator in
-    degree n+1.  Returns (extended complex, inclusion chain map); the
-    window grows upward when needed."""
+    """X<u; du = z> for a cycle z in degree n: one new generator in
+    degree n+1, free unless annihilator is given, in which case
+    validate() decides whether d respects it.  Returns (extended complex,
+    inclusion chain map); the window grows upward when needed."""
     if not X.lo <= n <= X.hi:
         raise InputError("degree %d outside the window" % n)
     z = list(z)
@@ -181,14 +209,14 @@ def join_variable(X, z, n, annihilator=None):
             diff[m] = M
         else:
             diff[m] = base
-    E = ChainComplex(X.modulus, (lo, hi), coeffs, diff)
+    E = ChainComplex(X.modulus, (lo, hi), coeffs, diff).validate()
     incl = {}
     for m in range(lo, hi + 1):
         M = Mat(E.rank(m), Xe.rank(m))
         for j in range(M.cols):
             M.data[j][j] = 1
         incl[m] = M
-    return E, ChainMap(Xe, E, incl)
+    return E, ChainMap(Xe, E, incl).reduced()
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +413,8 @@ def factor_trivcofib_fib(f):
             for j in range(dY.cols):
                 P.data[i][rx + ru + j] = dY.data[i][j]
         second[n] = P
-    i_map = ChainMap(Xe, middle, first)
-    p_map = ChainMap(middle, Ye, second)
+    i_map = ChainMap(Xe, middle, first).reduced()
+    p_map = ChainMap(middle, Ye, second).reduced()
     added = _added_summand_complex(Ye, lo, hi)
     checks = {
         "second_degreewise_surjective": degreewise_surjective(p_map),
@@ -438,12 +466,11 @@ class _Stage:
         return extend_window(self.Y0, self.M.lo, self.M.hi)
 
     def p_map(self):
-        return ChainMap(self.M, self.Y(), self.p, validate=False)
+        return ChainMap(self.M, self.Y(), self.p)
 
     def i_map(self):
         lo, hi = self.M.lo, self.M.hi
-        return ChainMap(extend_window(self.X0, lo, hi), self.M, self.i,
-                        validate=False)
+        return ChainMap(extend_window(self.X0, lo, hi), self.M, self.i)
 
     def add_generator(self, n, z, eta_degree, eta):
         """Join u in degree n+1 with du = z (a cycle in M_n) and

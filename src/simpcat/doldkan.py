@@ -125,9 +125,11 @@ class FGAbGroup:
 
 class ChainComplex:
     """A bounded complex of presented modules, homological indexing:
-    diff[n] maps degree n to degree n-1."""
+    diff[n] maps degree n to degree n-1.  The constructor normalizes
+    annihilators and reduces differentials, and checks nothing else: the
+    loader in formats, and a caller who writes matrices, call validate()."""
 
-    def __init__(self, ring, window, coeffs, diff, validate=True):
+    def __init__(self, ring, window, coeffs, diff):
         self.modulus = parse_ring(ring) if isinstance(ring, str) else ring
         self.lo, self.hi = window
         if self.lo > self.hi:
@@ -142,8 +144,6 @@ class ChainComplex:
             if d is None:
                 d = Mat(self.rank(n - 1), self.rank(n))
             self.diff[n] = d.reduced(self.coeffs[n - 1])
-        if validate:
-            self.validate()
 
     @property
     def ring(self):
@@ -181,6 +181,7 @@ class ChainComplex:
             square = self.diff[n - 1] * self.diff[n]
             if not square.reduced(self.coeffs[n - 2]).is_zero():
                 raise InputError("d.d is nonzero at degree %d" % n)
+        return self
 
     def as_dict(self):
         return {
@@ -201,10 +202,11 @@ class ChainComplex:
 
 
 def free_complex(ring, window, ranks, diff):
-    """A complex of free modules given by ranks per degree."""
+    """A complex of free modules given by ranks per degree, checked to
+    be a complex."""
     modulus = parse_ring(ring) if isinstance(ring, str) else ring
     coeffs = {n: tuple(0 for _ in range(r)) for n, r in ranks.items()}
-    return ChainComplex(modulus, window, coeffs, diff)
+    return ChainComplex(modulus, window, coeffs, diff).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +259,10 @@ def homology_at(C, n):
 
 class SimplicialAbGroup:
     """A truncated simplicial object in presented abelian groups; face
-    and degeneracy homomorphisms are matrices."""
+    and degeneracy homomorphisms are matrices.  Like ChainComplex, a
+    record once normalized, that validate() checks."""
 
-    def __init__(self, ring, truncation, coeffs, face, degen,
-                 validate=True):
+    def __init__(self, ring, truncation, coeffs, face, degen):
         self.modulus = parse_ring(ring) if isinstance(ring, str) else ring
         self.truncation = truncation
         self.coeffs = {n: _normalize_coeffs(coeffs.get(n, ()),
@@ -270,8 +272,6 @@ class SimplicialAbGroup:
                      for k, v in face.items()}
         self.degen = {k: v.reduced(self.coeffs[k[0] + 1])
                       for k, v in degen.items()}
-        if validate:
-            self.validate()
 
     @property
     def ring(self):
@@ -348,6 +348,7 @@ class SimplicialAbGroup:
                         raise InputError(
                             "mixed identity fails at n=%d i=%d j=%d"
                             % (n, i, j))
+        return self
 
     def __repr__(self):
         return "SimplicialAbGroup(%s, ranks=%s)" % (
@@ -358,6 +359,8 @@ class SimplicialAbGroup:
 def free_simplicial_abelian_group(X, D, ring="Z"):
     """The levelwise-free simplicial module on the simplices of a
     simplicial set."""
+    if D < 0:
+        raise InputError("negative truncation")
     X._require_dim(D)
     modulus = parse_ring(ring) if isinstance(ring, str) else ring
     bases = [list(X.simplices(n)) for n in range(D + 1)]
@@ -385,6 +388,8 @@ def free_simplicial_abelian_group(X, D, ring="Z"):
 
 def constant_simplicial_group(coeffs, D, ring="Z"):
     """The constant simplicial module on one presented module."""
+    if D < 0:
+        raise InputError("negative truncation")
     modulus = parse_ring(ring) if isinstance(ring, str) else ring
     r = len(coeffs)
     face = {(n, i): Mat.identity(r)
@@ -478,6 +483,8 @@ def dold_kan_gamma(C, D, return_layout=False):
     zero."""
     if C.lo < 0:
         raise InputError("terms in negative degrees")
+    if D < 0:
+        raise InputError("negative truncation")
     summands = {}
     offsets = {}
     coeffs = {}
@@ -603,28 +610,6 @@ def dold_kan_roundtrip(C):
         if not maps_equal(lhs, rhs, N.coeffs[n - 1]):
             return False
     return True
-
-
-def chain_map_between(C1, C2, matrices):
-    """Validate a degreewise map as a chain map; returns reduced
-    matrices."""
-    out = {}
-    for n in range(C1.lo, C1.hi + 1):
-        F = matrices.get(n)
-        if F is None:
-            raise InputError("component %d missing" % n)
-        if F.rows != C2.rank(n) or F.cols != C1.rank(n):
-            raise InputError("component %d misshaped" % n)
-        if not map_respects_relations(F, C1.coeffs[n], C2.coeffs[n]):
-            raise InputError("component %d ignores annihilators" % n)
-        out[n] = F.reduced(C2.coeffs[n])
-    for n in range(C1.lo + 1, C1.hi + 1):
-        lhs = C2.differential(n) * out[n]
-        rhs = out[n - 1] * C1.differential(n)
-        if not maps_equal(lhs, rhs, C2.coeffs[n - 1]):
-            raise InputError("map does not commute with d at degree %d"
-                             % n)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Structured-text (JSON) formats for every object kind, with
 bit-exact round-trips on normal forms: canonical key order, fixed
 separators, no floats, no timestamps.
+
+The loaders are where documents enter, so each one calls validate() on
+the object it builds; the constructors themselves check nothing.
 """
 
 import json
@@ -12,7 +15,7 @@ from .errors import InputError
 from .fibrations import SplitFunctorToCat
 from .hcnerve import SimplicialCategory
 from .intlinalg import Mat
-from .nerve_cat import FinCategory, Functor, RelativeCategory
+from .nerve_cat import FinCategory, Functor, RelativeCategory, _name_key
 from .segal import BisimplicialSet
 from .sset import SimplicialSet
 
@@ -66,7 +69,7 @@ def sset_from_dict(d):
             except (TypeError, ValueError, LookupError):
                 raise InputError("missing or malformed face entry for %s"
                                  % key) from None
-    return SimplicialSet(truncation, names, faces)
+    return SimplicialSet(truncation, names, faces).validate()
 
 
 def _face(item, index):
@@ -132,7 +135,7 @@ def category_to_dict(C, weak=None):
     d = C.as_dict()
     d["kind"] = "category"
     if weak is not None:
-        d["weak"] = sorted(weak)
+        d["weak"] = sorted(weak, key=_name_key)
     return d
 
 
@@ -167,7 +170,10 @@ def category_from_dict(d):
         raise InputError("the composition table names %s, which is not "
                          "an arrow" % unknown[0])
     comp = {(g, f): c for g, f, c in comp_doc}
-    C = FinCategory(d["objects"], arrows, src, dst, comp, ident)
+    # an identity is keyed by the string of its object's name
+    by_key = {str(x): x for x in d["objects"]}
+    ident = {by_key.get(k, k): e for k, e in ident.items()}
+    C = FinCategory(d["objects"], arrows, src, dst, comp, ident).validate()
     if weak is not None:
         return RelativeCategory(C, set(weak))
     return C
@@ -192,7 +198,7 @@ def functor_from_dict(d):
                          "must be category documents, objects and arrows "
                          "objects of names")
     return Functor(_category(d["source"]), _category(d["target"]),
-                   d["objects"], d["arrows"])
+                   d["objects"], d["arrows"]).validate()
 
 
 def _category(d):
@@ -239,7 +245,7 @@ def split_functor_from_dict(d):
                              "between fibers" % phi)
     return SplitFunctorToCat(base, fibers, {
         phi: Functor(fibers[base.src[phi]], fibers[base.dst[phi]],
-                     m["objects"], m["arrows"])
+                     m["objects"], m["arrows"]).validate()
         for phi, m in transports.items()})
 
 
@@ -271,7 +277,7 @@ def complex_from_dict(d):
     coeffs = {n: (0,) * v if ranked else tuple(v) for n, v in levels.items()}
     diff = {n: Mat(len(coeffs.get(n - 1, ())), len(coeffs.get(n, ())), rows)
             for n, rows in diffs.items()}
-    return ChainComplex(d["ring"], tuple(window), coeffs, diff)
+    return ChainComplex(d["ring"], tuple(window), coeffs, diff).validate()
 
 
 def _is_matrix(v):
@@ -302,7 +308,7 @@ def chain_map_from_dict(d):
     X = complex_from_dict(d["source"])
     Y = complex_from_dict(d["target"])
     return ChainMap(X, Y, {n: Mat(Y.rank(n), X.rank(n), rows)
-                           for n, rows in comps.items()})
+                           for n, rows in comps.items()}).validate().reduced()
 
 
 def simplicial_ab_to_dict(A):
@@ -342,7 +348,7 @@ def simplicial_ab_from_dict(d):
             for (n, i), rows in face.items()}
     degen = {(n, i): Mat(shape(n + 1), shape(n), rows)
              for (n, i), rows in degen.items()}
-    return SimplicialAbGroup(d["ring"], D, coeffs, face, degen)
+    return SimplicialAbGroup(d["ring"], D, coeffs, face, degen).validate()
 
 
 # -- bisimplicial sets -------------------------------------------------------
@@ -369,7 +375,8 @@ def bisimplicial_from_dict(d):
                          "must be two integers, cells an object from "
                          "\"p,q\" to name lists, and %s objects from "
                          "\"p,q,i\" to name tables" % ", ".join(table_keys))
-    return BisimplicialSet(truncation[0], truncation[1], cells, *tables)
+    return BisimplicialSet(truncation[0], truncation[1], cells,
+                           *tables).validate()
 
 
 # -- simplicial categories ---------------------------------------------------
@@ -468,7 +475,7 @@ def simplicial_category_from_dict(d):
     C = SimplicialCategory(
         objects, mapspaces, d["identities"],
         lambda x, y, z, q, g, f: tables[(x, y, z)][(g, f)],
-        d["level_bound"])
+        d["level_bound"]).validate()
     for key, g, f, h in listed:
         if (g, f) not in C.comp[key] and C.compose(*key, g, f) != h:
             raise InputError("composition is not simplicial at level %d"

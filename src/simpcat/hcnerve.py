@@ -32,10 +32,12 @@ class SimplicialCategory:
     Simplicial Homotopy Theory, IV.1).  comp holds compose_fn on those
     pairs, q <= level_bound, in the order of simplices(q) x simplices(q).
     Any other pair is sigma^*(g', f') for a nondegenerate (g', f') and
-    the common surjection sigma, and composes to sigma^*(g'.f')."""
+    the common surjection sigma, and composes to sigma^*(g'.f').  The
+    constructor checks nothing: the loader in formats, and a caller with
+    a compose_fn of its own, call validate()."""
 
     def __init__(self, objects, mapspaces, identities, compose_fn,
-                 level_bound, validate=True):
+                 level_bound):
         self.objects = tuple(objects)
         self.mapspaces = dict(mapspaces)
         self.identities = dict(identities)
@@ -54,8 +56,6 @@ class SimplicialCategory:
         # values fixed by comp
         self._composites = {key: dict(table)
                             for key, table in self.comp.items()}
-        if validate:
-            self.validate()
 
     def mapspace(self, x, y):
         return self.mapspaces[(x, y)]
@@ -139,6 +139,7 @@ class SimplicialCategory:
                                                 "composition is not "
                                                 "associative at level %d"
                                                 % q)
+        return self
 
     def __repr__(self):
         return "SimplicialCategory(%d objects, level_bound=%d)" % (
@@ -513,7 +514,8 @@ def from_fincategory(C, level_bound=2):
 
 def one_object_from_abelian_group(table, trunc=3, level_bound=2):
     """One object whose endomorphism space is the nerve of the delooping
-    of an abelian group, with entrywise multiplication as composition."""
+    of an abelian group, with entrywise multiplication as composition;
+    validate() decides whether the table makes one."""
     from .nerve_cat import bg, nerve
     B = bg(table)
     N = nerve(B, trunc)
@@ -539,7 +541,7 @@ def one_object_from_abelian_group(table, trunc=3, level_bound=2):
         return compress(prod)
 
     return SimplicialCategory(("*",), {("*", "*"): N}, {"*": "*"},
-                              compose_fn, level_bound)
+                              compose_fn, level_bound).validate()
 
 
 def two_object_arrow_space(space, level_bound=2):

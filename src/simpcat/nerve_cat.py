@@ -14,18 +14,17 @@ from .errors import FuelExhausted, InputError
 
 class FinCategory:
     """A finite category: indexed objects and arrows, a total composition
-    table on composable pairs, identities."""
+    table on composable pairs, identities.  The constructor checks
+    nothing: the loaders in formats, and a caller who writes the tables
+    by hand, call validate()."""
 
-    def __init__(self, objects, arrows, src, dst, comp, ident,
-                 validate=True):
+    def __init__(self, objects, arrows, src, dst, comp, ident):
         self.objects = tuple(objects)
         self.arrows = tuple(arrows)
         self.src = dict(src)
         self.dst = dict(dst)
         self.comp = dict(comp)
         self.ident = dict(ident)
-        if validate:
-            self.validate()
 
     def compose(self, g, f):
         """f then g."""
@@ -95,36 +94,46 @@ class FinCategory:
                         raise InputError(
                             "associativity fails on (%s, %s, %s)"
                             % (h, g, f))
+        return self
 
     def opposite(self):
         comp = {(f, g): c for (g, f), c in self.comp.items()}
         swapped_src = dict(self.dst)
         swapped_dst = dict(self.src)
         return FinCategory(self.objects, self.arrows, swapped_src,
-                           swapped_dst, comp, self.ident, validate=False)
+                           swapped_dst, comp, self.ident)
 
     def __repr__(self):
         return "FinCategory(%d objects, %d arrows)" % (len(self.objects),
                                                        len(self.arrows))
 
     def as_dict(self):
+        """The document form: identities keyed by str(object), triples
+        sorted by _name_key, so integer and string names may mix, but no
+        two objects or two arrows written alike by str."""
+        if sset._written_alike(self.objects):
+            raise InputError("duplicate object names")
+        if sset._written_alike(self.arrows):
+            raise InputError("duplicate arrow names")
         return {
             "objects": list(self.objects),
             "arrows": [{"name": a, "src": self.src[a], "dst": self.dst[a]}
                        for a in self.arrows],
-            "identities": {x: self.ident[x] for x in self.objects},
-            "compose": sorted([g, f, c] for (g, f), c in self.comp.items()),
+            "identities": {str(x): self.ident[x] for x in self.objects},
+            "compose": sorted(([g, f, c] for (g, f), c in self.comp.items()),
+                              key=lambda t: list(map(_name_key, t))),
         }
 
 
 class Functor:
-    def __init__(self, source, target, obj_map, arr_map, validate=True):
+    """A functor by its object and arrow maps; like FinCategory, a
+    record that validate() checks."""
+
+    def __init__(self, source, target, obj_map, arr_map):
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
         self.arr_map = dict(arr_map)
-        if validate:
-            self.validate()
 
     def validate(self):
         C, D = self.source, self.target
@@ -146,6 +155,7 @@ class Functor:
                     D.compose(self.arr_map[g], self.arr_map[f]):
                 raise InputError("functor breaks composition at (%s, %s)"
                                  % (g, f))
+        return self
 
     def is_isomorphism(self):
         return (len(set(self.obj_map.values())) == len(self.target.objects)
@@ -170,7 +180,7 @@ class Functor:
 
 def identity_functor(C):
     return Functor(C, C, {x: x for x in C.objects},
-                   {a: a for a in C.arrows}, validate=False)
+                   {a: a for a in C.arrows})
 
 
 def compose_functors(G, F):
@@ -178,8 +188,7 @@ def compose_functors(G, F):
         raise InputError("functors do not compose")
     return Functor(F.source, G.target,
                    {x: G.obj_map[F.obj_map[x]] for x in F.source.objects},
-                   {a: G.arr_map[F.arr_map[a]] for a in F.source.arrows},
-                   validate=False)
+                   {a: G.arr_map[F.arr_map[a]] for a in F.source.arrows})
 
 
 class RelativeCategory:
@@ -221,13 +230,12 @@ def discrete_category(objects):
     src = {ident[x]: x for x in objects}
     dst = dict(src)
     comp = {(ident[x], ident[x]): ident[x] for x in objects}
-    return FinCategory(objects, arrows, src, dst, comp, ident,
-                       validate=False)
+    return FinCategory(objects, arrows, src, dst, comp, ident)
 
 
 def poset_category(elements, leq):
     """The thin category of a finite preorder: one arrow x->y when
-    leq(x, y)."""
+    leq(x, y), checked to be a category."""
     elements = tuple(elements)
     arrows = []
     src = {}
@@ -245,7 +253,7 @@ def poset_category(elements, leq):
             if dst[f] == src[g]:
                 comp[(g, f)] = "%s<=%s" % (src[f], dst[g])
     ident = {x: "%s<=%s" % (x, x) for x in elements}
-    return FinCategory(elements, arrows, src, dst, comp, ident)
+    return FinCategory(elements, arrows, src, dst, comp, ident).validate()
 
 
 def ordinal_category(n):
@@ -288,7 +296,7 @@ def bg(table, names=None):
     # compose(g, f) = "f then g" = table[(f, g)]
     comp = {(g, f): table[(f, g)] for g in elements for f in elements}
     return FinCategory((obj,), tuple(elements), src, dst, comp,
-                       {obj: unit})
+                       {obj: unit}).validate()
 
 
 def cyclic_table(m):
@@ -337,8 +345,7 @@ def product_category(C, D):
                 "(%s,%s)" % (C.compose(a2, a1), D.compose(b2, b1))
     ident = {"(%s,%s)" % (x, y): "(%s,%s)" % (C.ident[x], D.ident[y])
              for x in C.objects for y in D.objects}
-    return FinCategory(objects, arrows, src, dst, comp, ident,
-                       validate=False)
+    return FinCategory(objects, arrows, src, dst, comp, ident)
 
 
 def full_subcategory(C, objects):
@@ -350,8 +357,7 @@ def full_subcategory(C, objects):
     return FinCategory(objects, arrows,
                        {a: C.src[a] for a in arrows},
                        {a: C.dst[a] for a in arrows},
-                       comp, {x: C.ident[x] for x in objects},
-                       validate=False)
+                       comp, {x: C.ident[x] for x in objects})
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +417,7 @@ def _chain_segment(C, x, chain, a, b):
 def category_from_nerve(X):
     """Reconstruct a category from a simplicial set that is nerve-like
     (unique inner fillers) and return it; raises InputError when the
-    2-skeleton is not a category."""
+    2-skeleton is not a category, which validate() decides."""
     if X.truncation is not None and X.truncation < 2:
         raise InputError("need at least the 2-truncation")
     objects = list(X.cells(0))
@@ -457,7 +463,7 @@ def category_from_nerve(X):
                     "object is not nerve-like: %d composites for (%s, %s)"
                     % (len(found), g, f))
             comp[(g, f)] = arrow_of_simplex[found.pop()]
-    return FinCategory(objects, arrows, src, dst, comp, ident)
+    return FinCategory(objects, arrows, src, dst, comp, ident).validate()
 
 
 def nerve_functor_map(F, d, NC=None, ND=None):
@@ -516,8 +522,7 @@ def max_subgroupoid(C):
             if g in arrows and f in arrows}
     return FinCategory(C.objects, arrows,
                        {a: C.src[a] for a in arrows},
-                       {a: C.dst[a] for a in arrows}, comp, dict(C.ident),
-                       validate=False)
+                       {a: C.dst[a] for a in arrows}, comp, dict(C.ident))
 
 
 def _functor_of_nerve_map(f, C, D):
@@ -533,7 +538,7 @@ def _functor_of_nerve_map(f, C, D):
     for name, (t, j) in zip(NC.names[1], f.assignment[1]):
         amap[src_arrow[name]] = (dst_arrow[ND.names[1][j]] if t[-1]
                                  else D.ident[ND.names[0][j]])
-    return Functor(C, D, omap, amap, validate=False)
+    return Functor(C, D, omap, amap)
 
 
 def find_category_isomorphism(C, D):
@@ -547,8 +552,7 @@ def find_category_isomorphism(C, D):
     f = sset.find_isomorphism(nerve(C, 2), nerve(D, 2))
     if f is None:
         return None
-    F = _functor_of_nerve_map(f, C, D)
-    F.validate()
+    F = _functor_of_nerve_map(f, C, D).validate()
     return F if F.is_isomorphism() else None
 
 
@@ -746,7 +750,7 @@ def localize(R, fuel):
             nf = normalize(w1 + w2)
             comp[(n2, n1)] = lookup[(nf, x1)]
     ident = {x: lookup[((), x)] for x in C.objects}
-    Q = FinCategory(C.objects, arrows, src, dst, comp, ident)
+    Q = FinCategory(C.objects, arrows, src, dst, comp, ident).validate()
     obj_map = {x: x for x in C.objects}
     arr_map = {}
     for a in C.arrows:
@@ -755,5 +759,4 @@ def localize(R, fuel):
         else:
             nf = normalize((("a", a),))
             arr_map[a] = lookup[(nf, C.src[a])]
-    F = Functor(C, Q, obj_map, arr_map)
-    return Localization(Q, F, rounds)
+    return Localization(Q, Functor(C, Q, obj_map, arr_map).validate(), rounds)

@@ -196,7 +196,8 @@ def classify(X, d, mode):
 
 def witness_to_map(X, witness):
     """Rebuild the witness horn map as a SimplicialMap Lambda^n_k -> X,
-    for replaying a failure through the lifting engine."""
+    for replaying a failure through the lifting engine; a witness that
+    is no map fails validate()."""
     n, k = witness["n"], witness["k"]
     L = sset.horn(n, k)
     cells = {name: (tuple(s), X.cell_index(tuple(s)[-1], nm))
@@ -205,7 +206,7 @@ def witness_to_map(X, witness):
     if n == 1:
         (name, simplex), = cells.items()
         images[(0, name)] = simplex
-        return sset.map_from_cells(L, X, images)
+        return sset.map_from_cells(L, X, images).validate()
     facet_names = {}
     for j_str, simplex in cells.items():
         j = int(j_str)
@@ -223,7 +224,7 @@ def witness_to_map(X, witness):
                     break
             else:
                 raise InputError("witness cell %s lies in no facet" % name)
-    return sset.map_from_cells(L, X, images)
+    return sset.map_from_cells(L, X, images).validate()
 
 
 def count_extensions(X, witness):
@@ -340,6 +341,10 @@ def homotopy_category(X, _return_classes=False):
                 raise LiftingObstruction(
                     "no inner-horn filler for a composable pair", None)
             comp[(arrow_name[grep], arrow_name[frep])] = arrow_name[value]
+    # the tables above are keyed by arrow names made from the caller's:
+    # an edge named "s00(a)" and the identity of a clash
+    if sset._written_alike(list(arrow_name.values())):
+        raise InputError("duplicate arrow names")
     Ho = FinCategory(objects, [arrow_name[r] for r in reps], src, dst,
                      comp, ident)
     if _return_classes:

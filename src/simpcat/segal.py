@@ -27,25 +27,24 @@ class BisimplicialSet:
     structure map h_face[(p, q, i)], h_degen[(p, q, i)], v_face[(p, q, j)]
     and v_degen[(p, q, j)] holds one entry per cell at (p, q): the index
     of its image in the target level.  The constructor takes such index
-    sequences or name tables (dicts from cell names to cell names);
-    validate checks each and keeps it as a tuple of indices, so with
-    validate=False every table must be an index table already.  Names
-    come back in h_map, v_map, row and as_dict.
+    sequences or name tables (dicts from cell names to cell names) and
+    keeps each table inside the truncation as a tuple of indices (None
+    for a broken name table), and checks nothing: the loader in formats calls
+    validate(), as must a caller who writes tables by hand.  Names come
+    back in h_map, v_map, row and as_dict.
     """
 
     def __init__(self, m_trunc, n_trunc, cells, h_face, h_degen, v_face,
-                 v_degen, validate=True):
+                 v_degen):
         self.m_trunc = m_trunc
         self.n_trunc = n_trunc
         self.cells = {k: tuple(v) for k, v in cells.items()}
         self._index = {k: dict(zip(v, range(len(v))))
                        for k, v in self.cells.items()}
-        self.h_face = dict(h_face)
-        self.h_degen = dict(h_degen)
-        self.v_face = dict(v_face)
-        self.v_degen = dict(v_degen)
-        if validate:
-            self.validate()
+        self.h_face = self._indexed_tables(h_face, -1, 0)
+        self.h_degen = self._indexed_tables(h_degen, 1, 0)
+        self.v_face = self._indexed_tables(v_face, 0, -1)
+        self.v_degen = self._indexed_tables(v_degen, 0, 1)
 
     def level(self, p, q):
         return self.cells.get((p, q), ())
@@ -107,12 +106,8 @@ class BisimplicialSet:
                 if len(self._index[(p, q)]) != len(self.cells[(p, q)]):
                     raise InputError("duplicate cells at (%d, %d)"
                                      % (p, q))
-        # the tables checked here, as index tables, replace the given
-        # ones; a table outside the truncation is not kept
-        self.h_face, self.h_degen = self._validate_direction(
-            True, self.h_face, self.h_degen)
-        self.v_face, self.v_degen = self._validate_direction(
-            False, self.v_face, self.v_degen)
+        self._validate_direction(True, self.h_face, self.h_degen)
+        self._validate_direction(False, self.v_face, self.v_degen)
         # the two directions commute, on faces and degeneracies alike:
         # for each (p, q) the squares a[b[x]] == c[d[x]] to check, in the
         # order (i, j, faces / degeneracies / mixed); a failure names the
@@ -151,44 +146,51 @@ class BisimplicialSet:
                             first = (x, what)
                 if first is not None:
                     raise InputError("%s at (%d, %d)" % (first[1], p, q))
+        return self
+
+    def _indexed_tables(self, tables, dp, dq):
+        """The tables inside the truncation, each from the cells at (p, q)
+        to those at (p + dp, q + dq), as _indexed keeps them."""
+        def inside(p, q):
+            return 0 <= p <= self.m_trunc and 0 <= q <= self.n_trunc
+        return {(p, q, i): _indexed(table, self.cells.get((p, q), ()),
+                                    self._index.get((p + dp, q + dq), {}))
+                for (p, q, i), table in tables.items()
+                if inside(p, q) and inside(p + dp, q + dq)
+                and 0 <= i <= (p if dq == 0 else q)}
 
     def _validate_direction(self, horizontal, faces, degens):
         """Check the face and degeneracy tables of one direction and its
-        simplicial identities; returns them as index tables."""
+        simplicial identities."""
         M = self.m_trunc if horizontal else self.n_trunc
         N = self.n_trunc if horizontal else self.m_trunc
-        out_faces, out_degens = {}, {}
 
         for other in range(N + 1):
             def pos(p):
                 return (p, other) if horizontal else (other, p)
 
-            # the tables of this row or column, as index tables: d[(p, i)]
-            # and s[(p, i)] are the face and degeneracy i at pos(p)
+            # the tables of this row or column: d[(p, i)] and s[(p, i)]
+            # are the face and degeneracy i at pos(p)
             d, s = {}, {}
             for p in range(1, M + 1):
-                cells, target = self.cells[pos(p)], self._index[pos(p - 1)]
+                cells, target = self.cells[pos(p)], self.cells[pos(p - 1)]
                 for i in range(p + 1):
                     key = pos(p) + (i,)
-                    table = faces.get(key)
-                    if table is None:
+                    if key not in faces:
                         raise InputError("missing face table")
-                    table = _indexed(table, cells, target)
-                    if table is None:
+                    if not _fits(faces[key], cells, target):
                         raise InputError("face table broken at level %d"
                                          % p)
-                    d[(p, i)] = out_faces[key] = table
+                    d[(p, i)] = faces[key]
             for p in range(M):
-                cells, target = self.cells[pos(p)], self._index[pos(p + 1)]
+                cells, target = self.cells[pos(p)], self.cells[pos(p + 1)]
                 for i in range(p + 1):
                     key = pos(p) + (i,)
-                    table = degens.get(key)
-                    if table is None:
+                    if key not in degens:
                         raise InputError("missing degeneracy table")
-                    table = _indexed(table, cells, target)
-                    if table is None:
+                    if not _fits(degens[key], cells, target):
                         raise InputError("degeneracy table broken")
-                    s[(p, i)] = out_degens[key] = table
+                    s[(p, i)] = degens[key]
             # simplicial identities, each compared as whole tables
             for p in range(2, M + 1):
                 for j in range(1, p + 1):
@@ -217,9 +219,14 @@ class BisimplicialSet:
                                            d[(p, i - 1)])
                         if not ok:
                             raise InputError("mixed identity fails")
-        return out_faces, out_degens
 
     def as_dict(self):
+        """The document form, whose tables key cells by name: no two
+        cells at one (p, q) may be written alike by str."""
+        for p, q in sorted(self.cells):
+            if sset._written_alike(self.cells[(p, q)]):
+                raise InputError("duplicate cells at (%d, %d)" % (p, q))
+
         def tbl(tables, dp, dq):
             return {"%d,%d,%d" % (p, q, i): dict(zip(
                 self.cells[(p, q)],
@@ -251,24 +258,28 @@ def _generator_walk(alpha, n):
 
 
 def _indexed(table, cells, target):
-    """table as an index table on cells, target being the index of the
-    target level (cell name -> position), or None when it misses a cell
-    or leaves the target.  A name table (a dict) refuses a boolean, as
-    True == 1 would find the cell 1, and an unhashable value; an index
-    table must hold one int in range per cell."""
-    if isinstance(table, dict):
-        try:
-            values = list(map(table.__getitem__, cells))
-            if bool in set(map(type, values)):
-                return None
-            return tuple(map(target.__getitem__, values))
-        except (KeyError, TypeError):  # a cell missing, an unhashable value
+    """table as a tuple of indices.  A name table (a dict) is read on
+    cells through target, the index of the target level (cell name ->
+    position), and gives None when it misses a cell or names a boolean,
+    as True == 1 would find the cell 1, or an unhashable value; an index
+    table is kept as given, for _fits to check."""
+    if not isinstance(table, dict):
+        return tuple(table)
+    try:
+        values = list(map(table.__getitem__, cells))
+        if bool in set(map(type, values)):
             return None
-    if len(table) != len(cells) or not set(map(type, table)) <= {int}:
+        return tuple(map(target.__getitem__, values))
+    except (KeyError, TypeError):  # a cell missing, an unhashable value
         return None
-    if table and not 0 <= min(table) <= max(table) < len(target):
-        return None
-    return tuple(table)
+
+
+def _fits(table, cells, target):
+    """Whether table, as _indexed keeps it, holds one int per cell that
+    is a position in the target level."""
+    return (table is not None and len(table) == len(cells)
+            and set(map(type, table)) <= {int}
+            and (not table or 0 <= min(table) <= max(table) < len(target)))
 
 
 def _commutes(a, b, c, d):
@@ -286,6 +297,8 @@ def embed(kind, X, N):
     row is X itself."""
     if kind == "discrete":
         M = X.truncation if X.truncation is not None else X.dim_max
+        if M < 0 or N < 0:
+            raise InputError("negative truncation")
         cells = {}
         h_face = {}
         h_degen = {}
@@ -323,19 +336,19 @@ def embed(kind, X, N):
 def _transposed(X):
     """X with its two directions swapped: the cell at (p, q) moves to
     (q, p), and the horizontal tables trade places with the vertical
-    ones.  The transpose of a bisimplicial set is one, so it is not
-    validated again."""
+    ones.  The transpose of a bisimplicial set is one."""
     def swap(table):
         return {(q, p, i): m for (p, q, i), m in table.items()}
     return BisimplicialSet(
         X.n_trunc, X.m_trunc, {(q, p): c for (p, q), c in X.cells.items()},
-        swap(X.v_face), swap(X.v_degen), swap(X.h_face), swap(X.h_degen),
-        validate=False)
+        swap(X.v_face), swap(X.v_degen), swap(X.h_face), swap(X.h_degen))
 
 
 def standard_bisimplex(m, n, M, N):
     """The representable presheaf at ([m], [n]), truncated at (M, N):
     cells (p, q) are pairs of monotone maps."""
+    if M < 0 or N < 0:
+        raise InputError("negative truncation")
     cells = {}
     h_face = {}
     h_degen = {}
@@ -387,6 +400,8 @@ def rezk_nerve(R, M, N):
     """The classification diagram of a relative category: a (p, q) cell
     is a commuting grid of p-chains stacked q+1 deep with vertical legs
     in the weak subcategory."""
+    if M < 0 or N < 0:
+        raise InputError("negative truncation")
     C = R.category
     if not R.is_composition_closed():
         raise InputError("weak arrows must be closed under composition "
@@ -872,7 +887,7 @@ def completeness_check(X):
         else:
             arr_map[a] = row1_arrow_of(X.h_map((0, 0), 0, 1, a))
     try:
-        S = Functor(C0, E, obj_map, arr_map)
+        Functor(C0, E, obj_map, arr_map).validate()
     except InputError as e:
         return NotDecidable("degeneracy is not a functor: %s" % e)
     # essential surjectivity

@@ -33,15 +33,25 @@ def is_degenerate(simplex):
     return len(s) - 1 > s[-1]
 
 
+def _written_alike(names):
+    """Whether two of names are written alike by str, as documents
+    write names in keys: 1 and "1", or "[f|g]" twice."""
+    return len(set(map(str, names))) != len(names)
+
+
 class SimplicialSet:
     """A finite or dimension-truncated simplicial set.
 
     truncation: None when the listed nondegenerate cells are all there
     are; an integer D when data above dimension D is unknown (implicitly
     degenerate only up to D).
+
+    The constructor checks nothing: the loaders in formats, and a
+    caller who writes the tables by hand, call validate(), which raises
+    InputError or returns the object, as it does on every class here.
     """
 
-    def __init__(self, truncation, names, faces, validate=True):
+    def __init__(self, truncation, names, faces):
         self.truncation = truncation
         self.names = [tuple(level) for level in names]
         self.faces = [list(level) for level in faces]
@@ -52,8 +62,6 @@ class SimplicialSet:
         self._index = [
             {name: j for j, name in enumerate(level)} for level in self.names]
         self._memo = {}
-        if validate:
-            self.validate()
 
     # -- basic queries ---------------------------------------------------
 
@@ -256,6 +264,7 @@ class SimplicialSet:
                         raise InputError("face of %s points at a missing "
                                          "cell" % (level[idx],))
         self.check_identities()
+        return self
 
     def check_identities(self):
         """d_i d_j = d_{j-1} d_i for i < j, a whole column at a time.
@@ -300,6 +309,13 @@ class SimplicialSet:
     # -- helpers ---------------------------------------------------------
 
     def as_dict(self):
+        """The document form.  It keys faces by the cell names written
+        through str, and so refuses names that str writes alike in one
+        dimension: built from a caller's names (nerve, product, hom_space),
+        two cells can get one name."""
+        for k, level in enumerate(self.names):
+            if _written_alike(level):
+                raise InputError("duplicate cell names in dimension %d" % k)
         cells = {str(k): list(self.names[k]) for k in range(len(self.names))}
         faces = {}
         for k in range(1, len(self.names)):
@@ -363,7 +379,8 @@ def from_presheaf(D, levels, action, name_fn=None, truncation="auto"):
     once, so the unrecorded elements are the nondegenerate n-cells (kept
     in level order) and each face is normalized by one lookup.  That is
     one action per degenerate element and one per face of a
-    nondegenerate cell; the tables are local to the call.
+    nondegenerate cell; the tables are local to the call.  A caller
+    with an action of its own calls validate() on the result.
     """
     names = []
     faces = []
@@ -389,6 +406,8 @@ def from_presheaf(D, levels, action, name_fn=None, truncation="auto"):
         below = table
     if truncation == "auto":
         truncation = D
+    if truncation is not None and truncation < 0:
+        raise InputError("negative truncation")
     return SimplicialSet(truncation, names, faces)
 
 
@@ -400,7 +419,7 @@ def _subset_name(verts):
     return "-".join(str(v) for v in verts)
 
 
-def _subset_complex(n, keep, truncation=None):
+def _subset_complex(n, keep):
     """Simplicial subset of the standard n-simplex spanned by the vertex
     subsets for which keep(verts) is true."""
     names = []
@@ -424,7 +443,7 @@ def _subset_complex(n, keep, truncation=None):
     while names and not names[-1]:
         names.pop()
         faces.pop()
-    return SimplicialSet(truncation, names, faces)
+    return SimplicialSet(None, names, faces)
 
 
 def standard_simplex(n):
@@ -482,9 +501,10 @@ def point():
 
 
 def discrete_sset(names):
-    """The discrete simplicial set on a finite vertex set."""
+    """The discrete simplicial set on a finite vertex set, which must
+    name each vertex once."""
     names = tuple(names)
-    return SimplicialSet(None, [names], [[() for _ in names]])
+    return SimplicialSet(None, [names], [[() for _ in names]]).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +515,13 @@ class SimplicialMap:
     """A map of simplicial sets, recorded on nondegenerate source cells.
 
     assignment[k][idx] is the E-Z image of the k-cell idx in the target.
+    Like SimplicialSet, a record that validate() checks.
     """
 
-    def __init__(self, source, target, assignment, validate=True):
+    def __init__(self, source, target, assignment):
         self.source = source
         self.target = target
         self.assignment = tuple(tuple(level) for level in assignment)
-        if validate:
-            self.validate()
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialMap)
@@ -544,6 +563,7 @@ class SimplicialMap:
                         raise InputError(
                             "map does not commute with face %d of %s"
                             % (i, src.names[k][idx]))
+        return self
 
     def is_injective(self):
         for k in range(len(self.source.names)):
@@ -561,11 +581,12 @@ class SimplicialMap:
 def identity_map(X):
     assignment = [[(tidentity(k), idx) for idx in range(X.n_cells(k))]
                   for k in range(len(X.names))]
-    return SimplicialMap(X, X, assignment, validate=False)
+    return SimplicialMap(X, X, assignment)
 
 
 def inclusion_by_names(A, X):
-    """The inclusion of A into X matching cells by name."""
+    """The inclusion of A into X matching cells by name, checked to be a
+    map."""
     assignment = []
     for k in range(len(A.names)):
         level = []
@@ -575,10 +596,10 @@ def inclusion_by_names(A, X):
                                  % name)
             level.append((tidentity(k), X.cell_index(k, name)))
         assignment.append(level)
-    return SimplicialMap(A, X, assignment)
+    return SimplicialMap(A, X, assignment).validate()
 
 
-def map_from_cells(A, X, images, validate=True):
+def map_from_cells(A, X, images):
     """Build a map from a dict {(dim, name): target simplex}."""
     assignment = []
     for k in range(len(A.names)):
@@ -586,7 +607,7 @@ def map_from_cells(A, X, images, validate=True):
         for name in A.names[k]:
             level.append(images[(k, name)])
         assignment.append(level)
-    return SimplicialMap(A, X, assignment, validate=validate)
+    return SimplicialMap(A, X, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -661,13 +682,12 @@ def product(X, Y, truncation=None):
         faces.append(level_faces)
     result_trunc = None if (X.truncation is None and Y.truncation is None
                             and D >= X.dim_max + Y.dim_max) else D
+    if result_trunc is not None and result_trunc < 0:
+        raise InputError("negative truncation")
     P = SimplicialSet(result_trunc, names, faces)
     cells = cells[:len(P.names)]
-    return P, (
-        SimplicialMap(P, X, [[a for a, _ in lv] for lv in cells],
-                      validate=False),
-        SimplicialMap(P, Y, [[b for _, b in lv] for lv in cells],
-                      validate=False))
+    return P, (SimplicialMap(P, X, [[a for a, _ in lv] for lv in cells]),
+               SimplicialMap(P, Y, [[b for _, b in lv] for lv in cells]))
 
 
 def _named_with_faces(X, simplices):
@@ -800,14 +820,14 @@ def pushout(f, g):
     P = SimplicialSet(trunc, names, faces)
     leg_y = SimplicialMap(Y, P, [
         [(tidentity(k), idx) for idx in range(Y.n_cells(k))]
-        for k in range(len(Y.names))], validate=False)
+        for k in range(len(Y.names))])
     leg_x_assign = []
     for k in range(len(X.names)):
         level = []
         for idx in range(X.n_cells(k)):
             level.append(reroute((tidentity(k), idx)))
         leg_x_assign.append(level)
-    leg_x = SimplicialMap(X, P, leg_x_assign, validate=False)
+    leg_x = SimplicialMap(X, P, leg_x_assign)
     return P, leg_x, leg_y
 
 
@@ -955,15 +975,14 @@ def lift_extensions(i, f):
              for p in _placements(B, X, fixed, False)]
     # X.simplices(k) lists (t, w) by cell dimension, then t, then w
     found.sort(key=lambda a: [(t[-1], t, w) for level in a for t, w in level])
-    return [SimplicialMap(B, X, a, validate=False) for a in found]
+    return [SimplicialMap(B, X, a) for a in found]
 
 
 def enumerate_maps(B, X):
     """All simplicial maps B -> X, in the order of lift_extensions."""
     A = empty_sset()
-    incl = SimplicialMap(A, B, [[]], validate=False)
-    part = SimplicialMap(A, X, [[]], validate=False)
-    return lift_extensions(incl, part)
+    return lift_extensions(SimplicialMap(A, B, [[]]),
+                           SimplicialMap(A, X, [[]]))
 
 
 def find_isomorphism(X, Y):
@@ -979,7 +998,7 @@ def find_isomorphism(X, Y):
         return None
     assignment = [[p[(k, idx)] for idx in range(X.n_cells(k))]
                   for k in range(len(X.names))]
-    return SimplicialMap(X, Y, assignment, validate=False)
+    return SimplicialMap(X, Y, assignment)
 
 
 def is_isomorphic(X, Y):

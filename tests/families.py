@@ -116,4 +116,6 @@ def functor_family():
     cases.append(("vee-inclusion", Functor(
         C, V, {"0": "r", "1": "s"},
         {"0<=0": "r<=r", "1<=1": "s<=s", "0<=1": "r<=s"})))
+    for _, F in cases:
+        F.validate()
     return cases

@@ -9,11 +9,11 @@ from itertools import combinations, product
 from simpcat.delta import degeneracy, face, tcompose, tfactorize, tidentity
 from simpcat.doldkan import boundaries_matrix, cycles_matrix
 from simpcat.errors import InputError
-from simpcat.fibrations import base_change_to_ordinal, fiber_category
+from simpcat.fibrations import fiber_category
 from simpcat.formats import sset_to_dict
 from simpcat.hcnerve import SimplicialCategory
 from simpcat.intlinalg import Mat, from_columns, kernel_basis, solve_matrix
-from simpcat.nerve_cat import Functor
+from simpcat.nerve_cat import FinCategory, Functor, ordinal_category
 from simpcat.quasicat import equivalences
 from simpcat.segal import BisimplicialSet
 from simpcat.sset import (SimplicialMap, SimplicialSet, empty_sset,
@@ -57,7 +57,7 @@ def from_presheaf_by_collapse(D, levels, action, name_fn=None,
         faces.append(level_faces)
     if truncation == "auto":
         truncation = D
-    return SimplicialSet(truncation, names, faces)
+    return SimplicialSet(truncation, names, faces).validate()
 
 
 def _degeneracy_collapse(action, n, x):
@@ -110,8 +110,11 @@ def product_by_presheaf(X, Y, truncation):
               for n, level in enumerate(levels) for pair in level}
     pairs = [[lookup[(k, cell)] for cell in P.names[k]]
              for k in range(len(P.names))]
-    return P, (SimplicialMap(P, X, [[a for a, _ in lv] for lv in pairs]),
-               SimplicialMap(P, Y, [[b for _, b in lv] for lv in pairs]))
+    legs = (SimplicialMap(P, X, [[a for a, _ in lv] for lv in pairs]),
+            SimplicialMap(P, Y, [[b for _, b in lv] for lv in pairs]))
+    for leg in legs:
+        leg.validate()
+    return P, legs
 
 
 def apply_by_factorization(X, alpha, simplex):
@@ -303,12 +306,12 @@ def _check_triple(F, C, objs, images, a, b, c):
 class SimplicialCategoryAllPairs:
     """hcnerve.SimplicialCategory with compose_fn tabulated on every pair
     (g, f) of q-simplices, degenerate ones included, and validated on
-    all of them: q+1 face and q+1 degeneracy checks per pair, and
-    associativity on every triple.  Same arguments as the library
-    class."""
+    all of them by validate(): q+1 face and q+1 degeneracy checks per
+    pair, and associativity on every triple.  Same arguments as the
+    library class, and like it a record."""
 
     def __init__(self, objects, mapspaces, identities, compose_fn,
-                 level_bound, validate=True):
+                 level_bound):
         self.objects = tuple(objects)
         self.mapspaces = dict(mapspaces)
         self.identities = dict(identities)
@@ -327,8 +330,6 @@ class SimplicialCategoryAllPairs:
                             for f in fspace.simplices(q):
                                 table[(g, f)] = compose_fn(x, y, z, q, g, f)
                     self.comp[(x, y, z)] = table
-        if validate:
-            self.validate()
 
     def mapspace(self, x, y):
         return self.mapspaces[(x, y)]
@@ -406,6 +407,7 @@ class SimplicialCategoryAllPairs:
                                                 "composition is not "
                                                 "associative at level %d"
                                                 % q)
+        return self
 
     def __repr__(self):
         return "SimplicialCategoryAllPairs(%d objects, level_bound=%d)" % (
@@ -434,6 +436,73 @@ def all_pairs_to_dict(C):
 
 
 # -- cocartesian analysis: definition unfolding through base changes
+
+
+def base_change_to_ordinal(F, chain):
+    """Pullback of F along the functor [k] -> D picking a composable
+    chain of base arrows; returns (category, projection-to-[k]-functor,
+    object embedding map).  Each arrow (g@i->j) keeps (g, i, j) in a
+    table, so arrows of F's source may be named by integers."""
+    C, D = F.source, F.target
+    k = len(chain)
+    if not chain:
+        raise InputError("base chain must be nonempty")
+    vs = [D.src[chain[0]]]
+    for a in chain:
+        vs.append(D.dst[a])
+
+    def seg(i, j):
+        if i == j:
+            return D.ident[vs[i]]
+        out = chain[i]
+        for t in range(i + 1, j):
+            out = D.compose(chain[t], out)
+        return out
+
+    objects = []
+    src = {}
+    dst = {}
+    arrows = []
+    omap = {}
+    lifted = {}  # arrow name -> (g, i, j)
+    for i in range(k + 1):
+        for c in C.objects:
+            if F.obj_map[c] == vs[i]:
+                name = "(%s@%d)" % (c, i)
+                objects.append(name)
+                omap[name] = (c, i)
+    for n1 in objects:
+        c1, i1 = omap[n1]
+        for n2 in objects:
+            c2, i2 = omap[n2]
+            if i1 > i2:
+                continue
+            for g in C.hom(c1, c2):
+                if F.arr_map[g] == seg(i1, i2):
+                    a = "(%s@%d->%d)" % (g, i1, i2)
+                    arrows.append(a)
+                    src[a] = n1
+                    dst[a] = n2
+                    lifted[a] = (g, i1, i2)
+    comp = {}
+    for a2 in arrows:
+        g2, _, i2 = lifted[a2]
+        for a1 in arrows:
+            if dst[a1] != src[a2]:
+                continue
+            g1, i1, _ = lifted[a1]
+            comp[(a2, a1)] = "(%s@%d->%d)" % (C.compose(g2, g1), i1, i2)
+    ident = {}
+    for n1 in objects:
+        c1, i1 = omap[n1]
+        ident[n1] = "(%s@%d->%d)" % (C.ident[c1], i1, i1)
+    P = FinCategory(objects, arrows, src, dst, comp, ident)
+    P.validate()
+    proj = Functor(P, ordinal_category(k),
+                   {n: str(omap[n][1]) for n in objects},
+                   {a: "%d<=%d" % lifted[a][1:] for a in arrows})
+    proj.validate()
+    return P, proj, omap
 
 
 def locally_cocartesian_oracle(F, alpha):
@@ -643,7 +712,7 @@ def category_isomorphism_by_backtracking(C, D):
 
         def rec(pos):
             if pos == len(order):
-                F = Functor(C, D, dict(omap), dict(amap), validate=False)
+                F = Functor(C, D, dict(omap), dict(amap))
                 try:
                     F.validate()
                 except InputError:
@@ -705,7 +774,7 @@ def lift_extensions_by_dimension_order(i, f):
             assignment = [
                 [current[(k, idx)] for idx in range(B.n_cells(k))]
                 for k in range(len(B.names))]
-            results.append(SimplicialMap(B, X, assignment, validate=False))
+            results.append(SimplicialMap(B, X, assignment))
             return
         k, idx = todo[pos]
         for w in candidates_for(k, idx, current):
@@ -721,8 +790,7 @@ def maps_by_dimension_order(B, X):
     """sset.enumerate_maps: the extensions along the empty subobject."""
     A = empty_sset()
     return lift_extensions_by_dimension_order(
-        SimplicialMap(A, B, [[]], validate=False),
-        SimplicialMap(A, X, [[]], validate=False))
+        SimplicialMap(A, B, [[]]), SimplicialMap(A, X, [[]]))
 
 
 # -- functors by backtracking over objects, then arrows
@@ -740,7 +808,7 @@ def all_functors_by_backtracking(C, D):
             full = dict(amap)
             for x in objs:
                 full[C.ident[x]] = D.ident[omap[x]]
-            F = Functor(C, D, dict(omap), full, validate=False)
+            F = Functor(C, D, dict(omap), full)
             try:
                 F.validate()
             except InputError:
@@ -786,7 +854,7 @@ def max_kan_subset_by_edges(X):
              for k, level in enumerate(keep)]
     faces = [[tuple((s, new_index[s[-1]][sub]) for s, sub in X.faces[k][idx])
               for idx in level] for k, level in enumerate(keep)]
-    return SimplicialSet(X.truncation, names, faces)
+    return SimplicialSet(X.truncation, names, faces).validate()
 
 
 def smith_normal_form_all_transforms(A):
@@ -1017,7 +1085,8 @@ def rezk_nerve_by_grids(R, M, N):
             for j in range(q + 1):
                 v_degen[(p, q, j)] = {n: target[v_degen_of(g, j)]
                                       for g, n in named.items()}
-    return BisimplicialSet(M, N, cells, h_face, h_degen, v_face, v_degen)
+    return BisimplicialSet(M, N, cells, h_face, h_degen, v_face,
+                           v_degen).validate()
 
 
 def _chain_face_by_grids(C, row, vertices, i):
@@ -1071,7 +1140,7 @@ def sset_from_dict_by_shape_check(d):
                                  % key)
             faces[k][idx] = tuple((tuple(s), index[s[-1]][sub])
                                   for s, sub in entry)
-    return SimplicialSet(truncation, names, faces)
+    return SimplicialSet(truncation, names, faces).validate()
 
 
 def _is_name(v):
@@ -1128,7 +1197,7 @@ def bisimplicial_from_dict_by_shape_check(d):
     h_face, h_degen, v_face, v_degen = (
         {_index_key(k, 3): m for k, m in d[t].items()} for t in table_keys)
     return BisimplicialSet(truncation[0], truncation[1], cells, h_face,
-                           h_degen, v_face, v_degen)
+                           h_degen, v_face, v_degen).validate()
 
 
 def simplicial_category_from_dict_by_shape_check(d):
@@ -1190,7 +1259,7 @@ def simplicial_category_from_dict_by_shape_check(d):
     C = SimplicialCategory(
         d["objects"], mapspaces, d["identities"],
         lambda x, y, z, q, g, f: tables[(x, y, z)][(g, f)],
-        d["level_bound"])
+        d["level_bound"]).validate()
     for key, g, f, h in listed:
         if (g, f) not in C.comp[key] and C.compose(*key, g, f) != h:
             raise InputError("composition is not simplicial at level %d"

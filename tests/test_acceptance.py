@@ -80,7 +80,9 @@ def random_chain_map(rng, X, Y, tries=30):
             if n > lo and lhs.data != rhs.data:
                 return None
         comps[n] = found
-    return ChainMap(X, Y, comps)
+    f = ChainMap(X, Y, comps)
+    f.validate()
+    return f
 
 
 # -- criterion 1 -------------------------------------------------------------
@@ -321,7 +323,9 @@ def test_criterion_9_factorizations():
     # classical free resolution of Z/2 within 3 stages
     X = free_complex("Z", (0, 1), {}, {})
     Y = ChainComplex(0, (0, 1), {0: (2,)}, {})
+    Y.validate()
     f = ChainMap(X, Y, {0: Mat(1, 0), 1: Mat(0, 0)})
+    f.validate()
     result = factor_cofib_trivfib(f, fuel=3)
     assert isinstance(result, FactorizationCertificate)
     kill_rounds = [s for s in result.stages
@@ -406,6 +410,7 @@ def test_criterion_10_fibration_suite():
     H = bg(cyclic_table(2))
     F = Functor(G, H, {"*": "*"},
                 {"g0": "g0", "g1": "g1", "g2": "g0", "g3": "g1"})
+    F.validate()
     assert is_left_fibration(F).verdict
     # the square-over-triangle functor: locally cocartesian, not
     # cocartesian, with exactly the three listed nonidentity arrows
@@ -455,6 +460,7 @@ def test_criterion_10_fibration_suite():
                                                 T_split.obj_map[x2])])
             T_expected = Functor(readout.fibers[d], fib2, obj_map,
                                  arr_map)
+            T_expected.validate()
             assert functors_naturally_isomorphic(T_read, T_expected) \
                 is not None, (bname, phi)
     # twisted arrows over the category family
@@ -576,6 +582,7 @@ def test_criterion_12_oracle_equivalence():
         if not good:
             continue
         f = ChainMap(Xe, Ye, comps)
+        f.validate()
         assert bool(is_quasi_iso(f)) == \
             quasi_iso_by_homology_comparison(f)
         checked += 1

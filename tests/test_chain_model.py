@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from simpcat import formats
 from simpcat.chain_model import (ChainMap, FactorizationCertificate,
                                  compose_chain_maps, degreewise_surjective,
                                  extend_window, factor_cofib_trivfib,
@@ -33,9 +34,11 @@ def test_projection_to_torsion_quotient():
     # away from the window edges after padding)
     X = free_complex("Z", (-2, 2), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])})
     Y = ChainComplex(0, (-2, 2), {0: (2,)}, {})
+    Y.validate()
     f = ChainMap(X, Y, {
         -2: Mat(0, 0), -1: Mat(0, 0), 0: Mat(1, 1, [[1]]),
         1: Mat(0, 1), 2: Mat(0, 0)})
+    f.validate()
     report = is_quasi_iso(f)
     assert 0 in report.conclusive_degrees
     assert report.verdict
@@ -48,6 +51,7 @@ def test_quasi_iso_negative():
     Y = free_complex("Z", (-2, 3), {0: 1, 1: 1}, {})
     f = ChainMap(X, Y, {n: Mat(Y.rank(n), X.rank(n))
                         for n in range(-2, 4)})
+    f.validate()
     report = is_quasi_iso(f)
     assert not report.verdict
     assert not quasi_iso_by_homology_comparison(f)
@@ -56,8 +60,14 @@ def test_quasi_iso_negative():
 def test_quasi_iso_ring_mismatch():
     X = two_term_mult(2, "Z")
     Y = two_term_mult(2, "Z/4")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as direct:
         ChainMap(X, Y, {0: Mat(1, 1, [[1]]), 1: Mat(1, 1, [[1]])})
+    with pytest.raises(InputError) as loaded:
+        formats.chain_map_from_dict({
+            "kind": "chain-map", "source": formats.complex_to_dict(X),
+            "target": formats.complex_to_dict(Y),
+            "components": {"0": [[1]], "1": [[1]]}})
+    assert str(loaded.value) == str(direct.value) == "ring mismatch"
 
 
 def test_quasi_iso_z4_complex_to_zero():
@@ -67,7 +77,9 @@ def test_quasi_iso_z4_complex_to_zero():
     diff = {n: Mat(1, 1, [[2]]) for n in range(1, 5)}
     X = free_complex("Z/4", (0, 4), ranks, diff)
     Y = ChainComplex(4, (0, 4), {}, {})
+    Y.validate()
     f = ChainMap(X, Y, {n: Mat(0, 1) for n in range(5)})
+    f.validate()
     report = is_quasi_iso(f)
     assert report.verdict
     assert set(report.conclusive_degrees) == {2, 3}
@@ -104,6 +116,7 @@ def test_factor_4a_single_generator():
     X = free_complex("Z", (0, 0), {}, {})
     Y = free_complex("Z", (0, 0), {0: 1}, {})
     f = ChainMap(X, Y, {0: Mat(1, 0)})
+    f.validate()
     cert = factor_trivcofib_fib(f)
     assert cert.checks["second_degreewise_surjective"]
     assert cert.checks["added_summand_acyclic"]
@@ -132,6 +145,7 @@ def test_factor_4a_random():
         Ye = extend_window(Y, lo, hi)
         f = ChainMap(Xe, Ye, {n: Mat(Ye.rank(n), Xe.rank(n))
                               for n in range(lo, hi + 1)})
+        f.validate()
         cert = factor_trivcofib_fib(f)
         assert cert.checks["second_degreewise_surjective"]
         assert cert.checks["added_summand_acyclic"]
@@ -152,7 +166,9 @@ def test_factor_4b_free_resolution_of_z2():
     # 3 killing rounds
     X = free_complex("Z", (0, 1), {}, {})
     Y = ChainComplex(0, (0, 1), {0: (2,)}, {})
+    Y.validate()
     f = ChainMap(X, Y, {0: Mat(1, 0), 1: Mat(0, 0)})
+    f.validate()
     result = factor_cofib_trivfib(f, fuel=3)
     assert isinstance(result, FactorizationCertificate)
     rounds = [s for s in result.stages if s.get("stage") == "kill-cycles"]
@@ -171,6 +187,7 @@ def test_factor_4b_acyclic_target():
     X = free_complex("Z", (0, 1), {}, {})
     T = free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[1]])})
     f = ChainMap(X, T, {0: Mat(1, 0), 1: Mat(1, 0)})
+    f.validate()
     result = factor_cofib_trivfib(f, fuel=3)
     assert isinstance(result, FactorizationCertificate)
     rounds = [s for s in result.stages if s.get("stage") == "kill-cycles"]
@@ -180,7 +197,9 @@ def test_factor_4b_acyclic_target():
 def test_factor_4b_fuel_validation():
     X = free_complex("Z", (0, 1), {}, {})
     Y = ChainComplex(0, (0, 1), {0: (2,)}, {})
+    Y.validate()
     f = ChainMap(X, Y, {0: Mat(1, 0), 1: Mat(0, 0)})
+    f.validate()
     with pytest.raises(InputError):
         factor_cofib_trivfib(f, fuel=0)
 
@@ -232,6 +251,7 @@ def test_quasi_iso_agrees_with_oracle_random():
         if not ok:
             continue
         f = ChainMap(Ce, De, comps)
+        f.validate()
         assert bool(is_quasi_iso(f)) == quasi_iso_by_homology_comparison(f)
         agree += 1
     assert agree >= 15

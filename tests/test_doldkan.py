@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from simpcat import sset
+from simpcat import formats, sset
 from simpcat.doldkan import (ChainComplex, FGAbGroup,
                              constant_simplicial_group, dold_kan_gamma,
                              dold_kan_roundtrip, free_complex,
@@ -21,10 +21,17 @@ def test_fgabgroup_normal_form():
 
 
 def test_chain_complex_validation():
-    # d.d != 0 must be rejected
-    with pytest.raises(InputError):
+    # d.d != 0 must be rejected, by free_complex and by the loader
+    with pytest.raises(InputError) as direct:
         free_complex("Z", (0, 2), {0: 1, 1: 1, 2: 1},
                      {1: Mat(1, 1, [[1]]), 2: Mat(1, 1, [[1]])})
+    with pytest.raises(InputError) as loaded:
+        formats.complex_from_dict({
+            "kind": "chain-complex", "ring": "Z", "window": [0, 2],
+            "ranks": {"0": 1, "1": 1, "2": 1},
+            "differentials": {"1": [[1]], "2": [[1]]}})
+    assert str(loaded.value) == str(direct.value) == \
+        "d.d is nonzero at degree 2"
     C = free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])})
     assert C.rank(0) == 1
 
@@ -60,6 +67,7 @@ def test_homology_circle_model():
     f = sset.inclusion_by_names(A, D1)
     g = sset.SimplicialMap(A, sset.point(), [
         [((0,), 0), ((0,), 0)]])
+    g.validate()
     circle, _, _ = sset.pushout(f, g)
     FA = free_simplicial_abelian_group(circle, 3)
     N = normalized_chains(FA)
@@ -108,8 +116,15 @@ def test_gamma_rejects_negative_degrees():
 
 def test_gamma_rejects_negative_truncation():
     C = free_complex("Z", (0, 0), {0: 1}, {})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as direct:
         dold_kan_gamma(C, -1)
+    # a simplicial-group document truncated below 0 is refused alike
+    with pytest.raises(InputError) as loaded:
+        formats.simplicial_ab_from_dict({
+            "kind": "simplicial-abelian-group", "ring": "Z",
+            "truncation": -1, "coefficients": {}, "faces": {},
+            "degeneracies": {}})
+    assert str(loaded.value) == str(direct.value) == "negative truncation"
 
 
 def random_complex(rng, modulus=0, max_rank=3, lo=0, span=3, free=False):
@@ -159,7 +174,9 @@ def random_complex(rng, modulus=0, max_rank=3, lo=0, span=3, free=False):
             break
         diff[n] = F
         prev = F
-    return ChainComplex(modulus, (lo, hi), coeffs, diff)
+    C = ChainComplex(modulus, (lo, hi), coeffs, diff)
+    C.validate()
+    return C
 
 
 def test_dold_kan_roundtrip_random():
@@ -176,6 +193,7 @@ def test_dold_kan_roundtrip_random():
 def test_dold_kan_roundtrip_torsion_over_z():
     C = ChainComplex(0, (0, 1), {0: (2,), 1: (0,)},
                      {1: Mat(1, 1, [[1]])})
+    C.validate()
     assert dold_kan_roundtrip(C)
 
 
@@ -193,6 +211,7 @@ def test_universal_coefficients_consistency():
             Cp = ChainComplex(p, C.window, coeffs_p,
                               {n: C.diff[n]
                                for n in range(C.lo + 1, C.hi + 1)})
+            Cp.validate()
             Hp = homology(Cp)
             for n in range(C.lo, C.hi + 1):
                 want = H[n].rank + sum(1 for f in H[n].torsion

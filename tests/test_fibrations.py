@@ -1,8 +1,7 @@
 import pytest
 
 from simpcat.errors import InputError
-from simpcat.fibrations import (SplitFunctorToCat, base_change_to_ordinal,
-                                cocart_analyze,
+from simpcat.fibrations import (SplitFunctorToCat, cocart_analyze,
                                 fiber_category, grothendieck_build,
                                 grothendieck_read, is_left_fibration,
                                 join, twisted_arrows)
@@ -12,7 +11,7 @@ from simpcat.nerve_cat import (FinCategory, Functor, bg, cyclic_table,
                                identity_functor, ordinal_category,
                                poset_category, product_category)
 
-from oracles import cocart_analyze_oracle
+from oracles import base_change_to_ordinal, cocart_analyze_oracle
 from test_nerve_cat import iso_pair_category
 
 
@@ -20,7 +19,9 @@ def group_hom_functor(table_g, table_h, mapping):
     """Functor BG -> BH from an element mapping."""
     G = bg(table_g)
     H = bg(table_h)
-    return G, H, Functor(G, H, {"*": "*"}, dict(mapping))
+    F = Functor(G, H, {"*": "*"}, dict(mapping))
+    F.validate()
+    return G, H, F
 
 
 def z4_to_z2():
@@ -43,7 +44,9 @@ def square_to_triangle():
     for a in S.arrows:
         x, y = S.src[a], S.dst[a]
         arr_map[a] = "%s<=%s" % (obj_map[x], obj_map[y])
-    return S, T, Functor(S, T, obj_map, arr_map)
+    F = Functor(S, T, obj_map, arr_map)
+    F.validate()
+    return S, T, F
 
 
 def test_left_fibration_bg_surjection():
@@ -57,6 +60,7 @@ def test_left_fibration_failure_witness():
     C = ordinal_category(0)
     D = ordinal_category(1)
     F = Functor(C, D, {"0": "0"}, {"0<=0": "0<=0"})
+    F.validate()
     report = is_left_fibration(F)
     assert not report.verdict
     assert any(w["kind"] == "no-lift" for w in report.witnesses)
@@ -71,6 +75,7 @@ def test_left_fibration_projection_iff_groupoid():
         proj = Functor(P, D,
                        {o: o.rsplit(",", 1)[1][:-1] for o in P.objects},
                        {a: a[1:-1].rsplit(",", 1)[1] for a in P.arrows})
+        proj.validate()
         assert is_left_fibration(proj).verdict == expect
 
 
@@ -80,6 +85,7 @@ def test_left_fibration_to_terminal():
                       (iso_pair_category(), False)]:
         F = Functor(C, T, {x: "0" for x in C.objects},
                     {a: "0<=0" for a in C.arrows})
+        F.validate()
         assert is_left_fibration(F).verdict == expect
 
 
@@ -116,6 +122,35 @@ def test_left_fibration_input_cocartesian_with_groupoid_fibers():
     assert fib.is_groupoid()
 
 
+def _integer_named(C, first):
+    """C with its arrows renamed first, first + 1, ... in order, and the
+    renaming."""
+    new = {a: first + k for k, a in enumerate(C.arrows)}
+    D = FinCategory(C.objects, list(new.values()),
+                    {new[a]: x for a, x in C.src.items()},
+                    {new[a]: y for a, y in C.dst.items()},
+                    {(new[g], new[f]): new[c]
+                     for (g, f), c in C.comp.items()},
+                    {x: new[e] for x, e in C.ident.items()})
+    D.validate()
+    return D, new
+
+
+def _integer_named_vee():
+    """The vee x <= y, x <= z onto [1], x to 0, with arrows named by
+    integers: neither arrow out of x is (locally) cocartesian, so the
+    local test runs on arrows over a non-identity."""
+    vee = poset_category(["x", "y", "z"], lambda a, b: a == b or a == "x")
+    (S, s), (T, t) = _integer_named(vee, 0), _integer_named(
+        ordinal_category(1), 10)
+    omap = {"x": "0", "y": "1", "z": "1"}
+    F = Functor(S, T, omap, {s[a]: t["%s<=%s" % (omap[vee.src[a]],
+                                                 omap[vee.dst[a]])]
+                             for a in vee.arrows})
+    F.validate()
+    return F
+
+
 def test_oracle_agreement():
     cases = []
     G, H, F = z4_to_z2()
@@ -127,6 +162,7 @@ def test_oracle_agreement():
     cases.append(Functor(ordinal_category(1), ordinal_category(1),
                          {"0": "0", "1": "1"},
                          {a: a for a in ordinal_category(1).arrows}))
+    cases.append(_integer_named_vee())
     for F in cases:
         analysis = cocart_analyze(F)
         oracle = cocart_analyze_oracle(F)
@@ -143,6 +179,7 @@ def split_example():
     F0 = bg(cyclic_table(2))
     F1 = discrete_category(["p", "q"])
     T = Functor(F0, F1, {"*": "p"}, {"g0": "id_p", "g1": "id_p"})
+    T.validate()
     transports = {
         base.ident["0"]: identity_functor(F0),
         base.ident["1"]: identity_functor(F1),
@@ -187,6 +224,7 @@ def test_grothendieck_read_rejects_non_fibration():
     C = ordinal_category(0)
     D = ordinal_category(1)
     F = Functor(C, D, {"0": "0"}, {"0<=0": "0<=0"})
+    F.validate()
     with pytest.raises(InputError):
         grothendieck_read(F)
 
@@ -208,6 +246,7 @@ def test_bg_reconstruction_from_split_data():
     fiber = bg(cyclic_table(2))
     swap = Functor(fiber, fiber, {"*": "*"},
                    {"g0": "g0", "g1": "g1"})
+    swap.validate()
     S = SplitFunctorToCat(base, {"*": fiber},
                           {"g0": identity_functor(fiber), "g1": swap})
     proj = grothendieck_build(S)
@@ -226,6 +265,7 @@ def test_join_ordinals():
 
 def test_join_unit():
     empty = FinCategory((), (), {}, {}, {}, {})
+    empty.validate()
     D = iso_pair_category()
     J = join(empty, D)
     assert find_category_isomorphism(J, D) is not None

@@ -12,8 +12,9 @@ from simpcat.delta import all_surjections
 from simpcat.doldkan import free_complex, free_simplicial_abelian_group
 from simpcat.hcnerve import frak_c
 from simpcat.intlinalg import Mat
-from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table,
-                               discrete_category, nerve, ordinal_category)
+from simpcat.nerve_cat import (FinCategory, RelativeCategory, bg,
+                               cyclic_table, discrete_category, nerve,
+                               ordinal_category)
 from simpcat.segal import embed, rezk_nerve
 from simpcat.sset import SimplicialSet
 
@@ -204,6 +205,90 @@ def test_cli_export_dot_with_mixed_arrow_names(tmp_path, capsys):
     assert out.index('[label="4"]') < out.index('[label="30"]')
 
 
+@pytest.mark.parametrize("vertices", [[1, 2], ["e", 2]])
+def test_cli_ho_then_nerve_with_integer_vertex_names(tmp_path, vertices):
+    # the one edge a -> b of Delta^1 on integer or mixed vertex names:
+    # ho writes identities keyed by the string of each object's name,
+    # and nerve reads such a key as the object it names
+    a, b = vertices
+    X = {"kind": "simplicial-set", "truncation": None,
+         "cells": {"0": vertices, "1": ["f"]},
+         "faces": {"1:f": [[[0], b], [[0], a]]}}
+    xpath = write(tmp_path, "x.sset", X)
+    hpath, npath = str(tmp_path / "ho.cat"), str(tmp_path / "n.sset")
+    assert run_cli(tmp_path, "ho", xpath, "--out", hpath) == 0
+    Ho = formats.load_object(hpath)
+    assert Ho.objects == (a, b) and len(Ho.arrows) == 3
+    assert formats.dumps(formats.category_to_dict(Ho)) == \
+        open(hpath).read()
+    assert run_cli(tmp_path, "nerve", hpath, "--dim", "2",
+                   "--out", npath) == 0
+    N = formats.load_object(npath)
+    assert N.cells(0) == (a, b) and N.cells(1) == ("[f]",)
+
+
+def test_cli_names_written_alike_exit_3(tmp_path, capsys):
+    # names built from the caller's can coincide, and a document keys by
+    # names written through str: the writers and homotopy_category refuse
+    # them with the messages validate() gives for duplicates
+    def refused(message, *argv):
+        assert run_cli(tmp_path, *argv) == 3, argv
+        assert "input error: %s" % message in capsys.readouterr().err
+
+    # arrows 1 and "1" form a category, whose constructions do not
+    doc = {"kind": "category", "objects": ["a", "b"],
+           "arrows": [{"name": n, "src": x, "dst": y} for n, x, y in (
+               ("ia", "a", "a"), ("ib", "b", "b"), (1, "a", "b"),
+               ("1", "a", "b"))],
+           "compose": [["ia", "ia", "ia"], ["ib", "ib", "ib"]] + [
+               t for u in (1, "1") for t in (
+                   [u, "ia", u], ["ib", u, u])],
+           "identities": {"a": "ia", "b": "ib"}, "weak": ["ia", "ib"]}
+    path = write(tmp_path, "alike.cat", doc)
+    for message, argv in (
+            ("duplicate cell names in dimension 1", ["nerve", path]),
+            ("duplicate arrow names", ["join", path, path]),
+            ("duplicate object names", ["twisted-arrows", path]),
+            ("duplicate cells at (1, 0)", ["rezk-nerve", path]),
+            ("duplicate arrow names", ["localize", path])):
+        refused(message, *argv)
+    X = {"kind": "simplicial-set", "truncation": None,
+         "cells": {"0": ["a", "b"], "1": [1, "1"]},
+         "faces": {"1:1": [[[0], "b"], [[0], "a"]]}}
+    refused("duplicate arrow names", "ho", write(tmp_path, "alike.sset", X))
+    # x -a-> y -b|c-> w and x -a|b-> z -c-> w both compose to u, and the
+    # nerve writes both 2-cells [a|b|c]
+    ident = {x: "1" + x for x in "xyzw"}
+    ends = {"a": "xy", "b|c": "yw", "a|b": "xz", "c": "zw", "u": "xw"}
+    ends.update({e: x + x for x, e in ident.items()})
+    comp = {(g, f): f if g in ident.values() else
+            g if f in ident.values() else "u"
+            for g in ends for f in ends if ends[f][1] == ends[g][0]}
+    C = FinCategory("xyzw", list(ends), {a: e[0] for a, e in ends.items()},
+                    {a: e[1] for a, e in ends.items()}, comp, ident)
+    C.validate()
+    refused("duplicate cell names in dimension 2", "nerve",
+            write(tmp_path, "paths.cat", formats.category_to_dict(C)),
+            "--dim", "2")
+    # an edge of B(Z/2) named as the identity of its vertex is written
+    N = nerve(bg(cyclic_table(2)), 3)
+    renamed = SimplicialSet(N.truncation, [N.names[0], ("s00(*)",)]
+                            + N.names[2:], N.faces)
+    renamed.validate()
+    path = write(tmp_path, "bz2.sset", formats.sset_to_dict(renamed))
+    for command in ("ho", "equivalences", "max-kan"):
+        refused("duplicate arrow names", command, path)
+
+
+def test_category_document_with_mixed_arrow_names_roundtrips():
+    # the composition triples are sorted integers first, then strings
+    C = formats.category_from_dict(_iso_pair_doc(1, 2, "i", "g"))
+    d = formats.category_to_dict(C.category, weak=C.weak)
+    assert d["compose"][0] == [1, 1, 1] and d["weak"] == [1, 2, "g", "i"]
+    back = formats.category_from_dict(json.loads(formats.dumps(d)))
+    assert formats.category_to_dict(back.category, weak=back.weak) == d
+
+
 def test_cli_pi1(tmp_path):
     N = nerve(bg(cyclic_table(3)), 3)
     path = write(tmp_path, "bz3.sset", formats.sset_to_dict(N))
@@ -262,6 +347,7 @@ def test_cli_factorizations(tmp_path):
     X = free_complex("Z", (0, 1), {}, {})
     Y = free_complex("Z", (0, 1), {0: 1}, {})
     f = ChainMap(X, Y, {0: Mat(1, 0), 1: Mat(0, 0)})
+    f.validate()
     fpath = write(tmp_path, "f.cm", formats.chain_map_to_dict(f))
     out = str(tmp_path / "cert.json")
     assert run_cli(tmp_path, "factor-4a", fpath, "--out", out) == 0
@@ -708,6 +794,7 @@ def test_sset_loader_skips_empty_levels():
                    cells={"0": ["p"], "1": [], "2": [], "3": []})
         want = SimplicialSet(truncation, [("p",), (), (), ()],
                              [[()], [], [], []])
+        want.validate()
         assert formats.sset_from_dict(doc).as_dict() == want.as_dict()
 
 

@@ -149,9 +149,10 @@ def _two_component_monoid():
             return (tuple(0 for _ in g[0]), extra)
         return of_chain([max(v[a], v[b]) for a, b in zip(cg, cf)])
 
-    return hcnerve.SimplicialCategory(("*",), {("*", "*"): space},
-                                      {"*": "X.0"}, compose_fn,
-                                      level_bound=1)
+    C = hcnerve.SimplicialCategory(("*",), {("*", "*"): space},
+                                   {"*": "X.0"}, compose_fn, level_bound=1)
+    C.validate()
+    return C
 
 
 def test_pi0_category_two_component_monoid():
@@ -296,7 +297,9 @@ def test_simplicial_category_dicts_match_all_pairs_oracle(monkeypatch):
                       SimplicialCategoryAllPairs)
             m.setattr(formats, "SimplicialCategory",
                       SimplicialCategoryAllPairs)
-            assert all_pairs_to_dict(build()) == doc, name
+            built = build()
+            built.validate()
+            assert all_pairs_to_dict(built) == doc, name
             oracle = formats.simplicial_category_from_dict(doc)
         assert all_pairs_to_dict(oracle) == doc, name
 

@@ -82,6 +82,7 @@ def algebra_documents(tmp_path):
     D1 = sset.standard_simplex(1)
     A = sset.boundary(1)
     g = sset.SimplicialMap(A, sset.point(), [[((0,), 0), ((0,), 0)]])
+    g.validate()
     circle = sset.pushout(sset.inclusion_by_names(A, D1), g)[0]
     FA = free_simplicial_abelian_group(circle, 3)
     complexes.append(normalized_chains(FA))
@@ -101,6 +102,7 @@ def algebra_documents(tmp_path):
         Xe, Ye = extend_window(X, lo, hi), extend_window(Y, lo, hi)
         f = ChainMap(Xe, Ye, {n: Mat(Ye.rank(n), Xe.rank(n))
                               for n in range(lo, hi + 1)})
+        f.validate()
         docs.append(("factor", write(tmp_path, "f%d.cm" % i,
                                      formats.chain_map_to_dict(f))))
     return docs

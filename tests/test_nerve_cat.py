@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simpcat import nerve_cat, sset
+from simpcat import formats, nerve_cat, sset
 from simpcat.errors import FuelExhausted, InputError
 from simpcat.nerve_cat import (FinCategory, Functor, RelativeCategory,
                                all_functors, bg, category_from_nerve,
@@ -43,15 +43,26 @@ def iso_pair_category():
         for f in arrows:
             if dst[f] == src[g]:
                 comp[(g, f)] = compose(g, f)
-    return FinCategory(objects, arrows, src, dst, comp, ident)
+    C = FinCategory(objects, arrows, src, dst, comp, ident)
+    C.validate()
+    return C
 
 
 def test_category_validation():
     C = ordinal_category(2)
     assert len(C.objects) == 3
     assert len(C.arrows) == 6
-    with pytest.raises(InputError):
-        FinCategory(["x"], ["f"], {"f": "x"}, {"f": "x"}, {}, {"x": "f"})
+    with pytest.raises(InputError) as direct:
+        FinCategory(["x"], ["f"], {"f": "x"}, {"f": "x"}, {},
+                    {"x": "f"}).validate()
+    # the same table as a document, through its loader
+    with pytest.raises(InputError) as loaded:
+        formats.category_from_dict({
+            "kind": "category", "objects": ["x"],
+            "arrows": [{"name": "f", "src": "x", "dst": "x"}],
+            "compose": [], "identities": {"x": "f"}})
+    assert str(loaded.value) == str(direct.value) == \
+        "missing composite f after f"
 
 
 def test_bg_counts():
@@ -180,11 +191,13 @@ def test_localize_groupoid_fixed():
 def _iso_pair_named(ia, ib, u, v):
     """Objects a and b with identities ia and ib, joined by inverse
     arrows u: a -> b and v: b -> a."""
-    return FinCategory(
+    C = FinCategory(
         ["a", "b"], [ia, ib, u, v], {ia: "a", ib: "b", u: "a", v: "b"},
         {ia: "a", ib: "b", u: "b", v: "a"},
         {(ia, ia): ia, (ib, ib): ib, (u, ia): u, (ib, u): u, (v, ib): v,
          (ia, v): v, (v, u): ia, (u, v): ib}, {"a": ia, "b": ib})
+    C.validate()
+    return C
 
 
 def test_localize_and_functors_on_integer_and_mixed_names():
@@ -272,6 +285,7 @@ def test_localize_infinite_refuses():
             elif a2 == ident[dst[a1]]:
                 comp[(a2, a1)] = a1
     C = FinCategory(objects, arrows, src, dst, comp, ident)
+    C.validate()
     R = RelativeCategory(C, {"ix", "iy", "f"})
     result = localize(R, fuel=4)
     assert isinstance(result, FuelExhausted)
@@ -293,12 +307,14 @@ def _renamed_copy(C, objects, arrows):
     in the given orders, listed in those orders."""
     obj = {x: "o%d" % i for i, x in enumerate(objects)}
     arr = {a: "a%d" % i for i, a in enumerate(arrows)}
-    return FinCategory([obj[x] for x in objects], [arr[a] for a in arrows],
-                       {arr[a]: obj[C.src[a]] for a in arrows},
-                       {arr[a]: obj[C.dst[a]] for a in arrows},
-                       {(arr[g], arr[f]): arr[c]
-                        for (g, f), c in C.comp.items()},
-                       {obj[x]: arr[e] for x, e in C.ident.items()})
+    D = FinCategory([obj[x] for x in objects], [arr[a] for a in arrows],
+                    {arr[a]: obj[C.src[a]] for a in arrows},
+                    {arr[a]: obj[C.dst[a]] for a in arrows},
+                    {(arr[g], arr[f]): arr[c]
+                     for (g, f), c in C.comp.items()},
+                    {obj[x]: arr[e] for x, e in C.ident.items()})
+    D.validate()
+    return D
 
 
 @settings(deadline=None, max_examples=40)
@@ -384,6 +400,7 @@ def test_integer_names_read_back_through_the_nerve():
                     {10: 0, 11: 1, 12: 1},
                     {(10, 10): 10, (11, 11): 11, (12, 10): 12,
                      (11, 12): 12}, {0: 10, 1: 11})
+    C.validate()
     F = find_category_isomorphism(C, C)
     assert (F.obj_map, F.arr_map) == ({0: 0, 1: 1},
                                       {10: 10, 11: 11, 12: 12})

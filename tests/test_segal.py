@@ -287,6 +287,7 @@ def test_completeness_invariant_under_renaming():
     vf = remap_table(d["v_faces"], lambda p, q, i: "%d,%d" % (p, q - 1))
     vd = remap_table(d["v_degens"], lambda p, q, i: "%d,%d" % (p, q + 1))
     Y = BisimplicialSet(B.m_trunc, B.n_trunc, cells, hf, hd, vf, vd)
+    Y.validate()
     r1 = completeness_check(B)
     r2 = completeness_check(Y)
     assert bool(r1) == bool(r2)
@@ -344,10 +345,34 @@ VALIDATION_CASES = [
 @pytest.mark.parametrize("shape, corrupt, message", VALIDATION_CASES)
 def test_validate_names_each_broken_check(shape, corrupt, message):
     structure = _structure(standard_bisimplex(*shape))
-    BisimplicialSet(**structure)  # valid before the corruption
+    BisimplicialSet(**structure).validate()  # valid before the corruption
     corrupt(structure)
     with pytest.raises(InputError) as info:
-        BisimplicialSet(**structure)
+        BisimplicialSet(**structure).validate()
+    assert str(info.value) == message
+
+
+def _document(structure):
+    """The bisimplicial-set document of a structure of name tables."""
+    def keyed(tables):
+        return {",".join(map(str, k)): v for k, v in tables.items()}
+    return {"kind": "bisimplicial-set",
+            "truncation": [structure["m_trunc"], structure["n_trunc"]],
+            "cells": {k: list(v) for k, v in keyed(
+                structure["cells"]).items()},
+            "h_faces": keyed(structure["h_face"]),
+            "h_degens": keyed(structure["h_degen"]),
+            "v_faces": keyed(structure["v_face"]),
+            "v_degens": keyed(structure["v_degen"])}
+
+
+@pytest.mark.parametrize("shape, corrupt, message", VALIDATION_CASES)
+def test_loader_names_each_broken_check(shape, corrupt, message):
+    structure = _structure(standard_bisimplex(*shape))
+    formats.bisimplicial_from_dict(_document(structure))
+    corrupt(structure)
+    with pytest.raises(InputError) as info:
+        formats.bisimplicial_from_dict(_document(structure))
     assert str(info.value) == message
 
 
@@ -359,7 +384,7 @@ def test_validate_degeneracy_directions_commute():
                                  1))
     structure["h_degen"][(0, 0, 0)]["*"] = "g1"
     with pytest.raises(InputError) as info:
-        BisimplicialSet(**structure)
+        BisimplicialSet(**structure).validate()
     assert str(info.value) == "degeneracy directions do not commute at " \
         "(0, 0)"
 
@@ -371,7 +396,7 @@ def test_validate_rejects_missing_table_entries():
         structure = _structure(standard_bisimplex(1, 1, 1, 1))
         del structure[table][key][cell]
         with pytest.raises(InputError, match="table broken"):
-            BisimplicialSet(**structure)
+            BisimplicialSet(**structure).validate()
 
 
 def test_rezk_nerve_output_bytes_pinned():
@@ -436,7 +461,7 @@ def test_index_tables_are_checked_like_name_tables():
         structure = _structure(X)
         structure["h_face"][(1, 0, 0)] = broken
         with pytest.raises(InputError) as info:
-            BisimplicialSet(**structure)
+            BisimplicialSet(**structure).validate()
         assert str(info.value) == "face table broken at level 1"
     structure = _structure(X)
     structure["h_face"][(1, 0, 0)] = list(table)

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from simpcat import sset
+from simpcat import formats, sset
 from simpcat.delta import tidentity
 from simpcat.sset import (InputError, boundary, disjoint_union,
                           empty_sset, enumerate_maps, find_isomorphism,
@@ -139,7 +139,9 @@ def test_pushout_wedge():
     D1 = standard_simplex(1)
     A = point()
     f = SimplicialMap(A, D1, [[(tidentity(0), D1.cell_index(0, "1"))]])
+    f.validate()
     g = SimplicialMap(A, D1, [[(tidentity(0), D1.cell_index(0, "0"))]])
+    g.validate()
     P, lx, ly = pushout(f, g)
     assert is_isomorphic(P, spine(2))
 
@@ -152,6 +154,7 @@ def test_pushout_collapse_hr1():
     f = inclusion_by_names(D1, D2)  # names 0,1,0-1 all present in Delta^2
     g = SimplicialMap(D1, point(), [
         [(tidentity(0), 0), (tidentity(0), 0)], [((0, 0), 0)]])
+    g.validate()
     P, lx, ly = pushout(f, g)
     assert cell_counts(P) == [2, 2, 1]
 
@@ -176,7 +179,9 @@ def test_pushout_legs_jointly_surjective_and_agree():
     D1 = standard_simplex(1)
     A = point()
     f = SimplicialMap(A, D2, [[(tidentity(0), D2.cell_index(0, "0"))]])
+    f.validate()
     g = SimplicialMap(A, D1, [[(tidentity(0), D1.cell_index(0, "1"))]])
+    g.validate()
     P, lx, ly = pushout(f, g)
     covered = set()
     for k in range(len(P.names)):
@@ -205,6 +210,7 @@ def test_pushout_requires_injective_first_leg():
     D1 = standard_simplex(1)
     g = SimplicialMap(D1, point(), [
         [(tidentity(0), 0), (tidentity(0), 0)], [((0, 0), 0)]])
+    g.validate()
     with pytest.raises(InputError):
         pushout(g, g)
 
@@ -227,6 +233,7 @@ def test_lift_extensions_terminal_target():
     i = inclusion_by_names(A, B)
     X = point()
     f = SimplicialMap(A, X, [[(tidentity(0), 0), (tidentity(0), 0)]])
+    f.validate()
     exts = lift_extensions(i, f)
     assert len(exts) == 1
     exts[0].validate()
@@ -242,6 +249,7 @@ def test_enumerate_maps_counts():
 
 def test_truncation_guard():
     X = SimplicialSet(1, [("a",), ()], [[()], []])
+    X.validate()
     with pytest.raises(InputError):
         X.simplices(2)
 
@@ -257,7 +265,7 @@ def test_identity_violation_detected():
     ]
     # d_0 T = e, d_1 T = f, d_2 T = e: vertices clash
     with pytest.raises(InputError):
-        SimplicialSet(None, names, faces)
+        SimplicialSet(None, names, faces).validate()
 
 
 def test_apply_against_nerve_closed_form():
@@ -369,6 +377,7 @@ def _product_cases():
     bz3 = nerve(bg(cyclic_table(3)), 3)
     d3 = boundary(3)
     d3_trunc = SimplicialSet(2, d3.names, d3.faces)
+    d3_trunc.validate()
     return cases + [(bz2, S(1), None), (S(2), bz3, None), (bz2, bz3, 2),
                     (horn(2, 1), horn(3, 0), None), (d3_trunc, S(2), None),
                     (spine(3), spine(2), None), (S(2), S(1), 5)]
@@ -392,8 +401,10 @@ def test_find_isomorphism_negative_cases():
     a, b = ((0,), 0), ((0,), 1)
     parallel = SimplicialSet(None, [("a", "b"), ("e", "f")],
                              [[(), ()], [(b, a), (b, a)]])
+    parallel.validate()
     loop = SimplicialSet(None, [("a", "b"), ("e", "f")],
                          [[(), ()], [(a, a), (b, a)]])
+    loop.validate()
     assert find_isomorphism(parallel, loop) is None
     assert find_isomorphism(loop, parallel) is None
     assert find_isomorphism(parallel, parallel) is not None
@@ -406,7 +417,9 @@ def _permuted_copy(X, perms):
     names = [[X.names[k][old] for old in perm] for k, perm in enumerate(perms)]
     faces = [[tuple((s, new[s[-1]][sub]) for s, sub in X.faces[k][old])
               for old in perm] for k, perm in enumerate(perms)]
-    return SimplicialSet(X.truncation, names, faces)
+    Y = SimplicialSet(X.truncation, names, faces)
+    Y.validate()
+    return Y
 
 
 @st.composite
@@ -426,7 +439,7 @@ def test_find_isomorphism_of_permuted_copy(pair):
     X, Y = pair
     f = find_isomorphism(X, Y)
     assert f is not None
-    SimplicialMap(X, Y, f.assignment, validate=True)
+    SimplicialMap(X, Y, f.assignment).validate()
     assert f.is_injective()
 
 
@@ -528,11 +541,48 @@ def _validation_cases():
 
 @pytest.mark.parametrize("X, change, message", _validation_cases())
 def test_validate_names_each_broken_check(X, change, message):
-    SimplicialSet(X.truncation, X.names, X.faces)
+    SimplicialSet(X.truncation, X.names, X.faces).validate()
     names, faces = _corrupted(X, change)
     with pytest.raises(InputError) as err:
-        SimplicialSet(X.truncation, names, faces)
+        SimplicialSet(X.truncation, names, faces).validate()
     assert str(err.value) == message
+
+
+# the document form names every cell's faces by cell names, so the loader
+# refuses a missing face entry, or one that names no cell, before
+# validate() can; its own message names the entry
+LOADER_MESSAGES = {
+    "face entries missing in dimension 2":
+        "missing or malformed face entry for 2:1-2-3",
+    "face of 0-1-2-3 points at a missing cell":
+        "missing or malformed face entry for 3:0-1-2-3",
+    "face entries missing in dimension 3":
+        "missing or malformed face entry for 3:g1|g1|g1",
+    "face of g1|g1|g1 points at a missing cell":
+        "missing or malformed face entry for 3:g1|g1|g1",
+}
+
+
+def _document(truncation, names, faces):
+    """The simplicial-set document of the tables, written entry by entry
+    as by hand: a face past the end of its level names the cell "?"."""
+    def name(k, sub):
+        return names[k][sub] if sub < len(names[k]) else "?"
+    return {"kind": "simplicial-set", "truncation": truncation,
+            "cells": {str(k): list(level) for k, level in enumerate(names)},
+            "faces": {"%d:%s" % (k, names[k][idx]):
+                      [[list(s), name(s[-1], sub)] for s, sub in entry]
+                      for k in range(1, len(names))
+                      for idx, entry in enumerate(faces[k])}}
+
+
+@pytest.mark.parametrize("X, change, message", _validation_cases())
+def test_loader_names_each_broken_check(X, change, message):
+    formats.sset_from_dict(_document(X.truncation, X.names, X.faces))
+    names, faces = _corrupted(X, change)
+    with pytest.raises(InputError) as err:
+        formats.sset_from_dict(_document(X.truncation, names, faces))
+    assert str(err.value) == LOADER_MESSAGES.get(message, message)
 
 
 def test_validate_checks_each_dimensions_surjections():
@@ -541,7 +591,7 @@ def test_validate_checks_each_dimensions_surjections():
     names, faces = _corrupted(standard_simplex(3),
                               _set_face(3, 0, 0, ((0, 1), 0)))
     with pytest.raises(InputError) as err:
-        SimplicialSet(None, names, faces)
+        SimplicialSet(None, names, faces).validate()
     assert str(err.value) == "face entry (0, 1) is not a surjection"
 
 
@@ -660,9 +710,9 @@ def test_repointed_faces_fail_as_the_cell_oracle_says(case):
         except InputError as e:
             return str(e)
         return None
-    oracle = SimplicialSet(truncation, names, faces, validate=False)
-    assert outcome(lambda: SimplicialSet(truncation, names, faces)) == \
-        outcome(lambda: check_identities_by_cells(oracle))
+    X = SimplicialSet(truncation, names, faces)
+    assert outcome(X.validate) == \
+        outcome(lambda: check_identities_by_cells(X))
 
 
 @st.composite
@@ -678,6 +728,28 @@ def subsets_and_products(draw):
     if draw(st.booleans()):
         return subset(3)
     return product(subset(2), subset(2))[0]
+
+
+@settings(deadline=None, max_examples=30)
+@given(subsets_and_products(), subsets_and_products(), st.integers(0, 3))
+def test_constructions_on_random_subsets_validate(X, Y, k):
+    # constructors check nothing, so the constructions are checked here:
+    # products (X and Y may be products themselves), skeleta, opposites,
+    # and pushouts along the vertices, glued to X or collapsed to a point
+    X.validate()
+    if X.dim_max + Y.dim_max <= 5:
+        P, legs = product(X, Y)
+        for Z in (P,) + legs:
+            Z.validate()
+    skeleton(X, k).validate()
+    opposite(X).validate()
+    A = skeleton(X, 0)
+    f = inclusion_by_names(A, X)
+    collapse = SimplicialMap(A, point(), [[((0,), 0)] * A.n_cells(0)])
+    collapse.validate()
+    for g in (f, collapse):
+        for Z in pushout(f, g):
+            Z.validate()
 
 
 @settings(deadline=None, max_examples=40)
