@@ -5,7 +5,7 @@ summand; staged cycle-killing toward a trivial fibration).
 """
 
 from .doldkan import (ChainComplex, boundaries_matrix, cycles_matrix,
-                      homology_at, map_respects_relations, maps_equal,
+                      homology, map_respects_relations, maps_equal,
                       relation_matrix)
 from .errors import FuelExhausted, InputError
 from .intlinalg import Mat, from_columns, kernel_basis, solve_matrix
@@ -166,7 +166,7 @@ def is_quasi_iso(f):
     conclusive = list(range(cone.lo + 2, cone.hi - 1))
     inconclusive = [n for n in range(cone.lo, cone.hi + 1)
                     if n not in conclusive]
-    hom = {n: homology_at(cone, n) for n in range(cone.lo, cone.hi + 1)}
+    hom = homology(cone)
     verdict = all(hom[n].is_trivial() for n in conclusive)
     return QuasiIsoReport(verdict, hom, conclusive, inconclusive)
 
@@ -419,8 +419,7 @@ def factor_trivcofib_fib(f):
     checks = {
         "second_degreewise_surjective": degreewise_surjective(p_map),
         "added_summand_acyclic": all(
-            homology_at(added, n).is_trivial()
-            for n in range(added.lo, added.hi + 1)),
+            H.is_trivial() for H in homology(added).values()),
         "first_is_standard_extension": is_standard_extension(Xe, middle),
     }
     cert = FactorizationCertificate(
@@ -603,8 +602,8 @@ def _trivial_fibration_reached(p):
     if not surjective_on_cycles(p):
         return False
     cone = mapping_cone(p)
-    return all(homology_at(cone, n).is_trivial()
-               for n in range(cone.lo + 1, cone.hi))
+    return all(H.is_trivial() for H in
+               homology(cone, range(cone.lo + 1, cone.hi)).values())
 
 
 def _preimage_boundary(Y, n, target):

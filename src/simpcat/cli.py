@@ -105,7 +105,8 @@ def cmd_pi0(args):
     X = formats.load_object(args.input, "simplicial-set")
     report = quasicat.homotopy_group(X, None, 0)
     emit(args, {"kind": "pi0", "count": report.count,
-                "classes": [sorted(c) for c in report.classes]})
+                "classes": [sorted(c, key=nerve_cat._name_key)
+                            for c in report.classes]})
     return 0
 
 

@@ -215,12 +215,39 @@ def free_complex(ring, window, ranks, diff):
 
 def homology(C, degrees=None):
     """Per-degree invariant factors, treating the complex as zero outside
-    its window."""
-    out = {}
+    its window.
+
+    At a degree n where C_n and C_{n-1} carry no annihilators, H_n is
+    Z^(g_n - rank d_n - rank d_{n+1}) plus Z/e for each invariant factor
+    e > 1 of d_{n+1}: a generator of C_{n+1} with an annihilator has a
+    zero image in the free C_n.  Each differential this needs gets one
+    Smith form without transforms, shared by the two degrees it touches
+    and dropped when the call returns.  Other degrees take the quotient
+    of the cycle lattice by the boundary lattice."""
     if degrees is None:
         degrees = range(C.lo, C.hi + 1)
+    divisors = {}
+
+    def divisors_of(k):
+        # the nonzero diagonal of the Smith form of d_k
+        if k not in divisors:
+            D = smith_normal_form(C.differential(k))[0]
+            diagonal = (D.data[i][i] for i in range(min(D.rows, D.cols)))
+            divisors[k] = [e for e in diagonal if e]
+        return divisors[k]
+
+    out = {}
     for n in degrees:
-        out[n] = homology_at(C, n)
+        g = C.rank(n)
+        if g == 0:
+            factors = []
+        elif any(C.coeffs[n]) or any(C.coeffs.get(n - 1, ())):
+            factors = quotient_invariant_factors(cycles_matrix(C, n),
+                                                 boundaries_matrix(C, n))
+        else:
+            below, above = divisors_of(n), divisors_of(n + 1)
+            factors = above + [0] * (g - len(below) - len(above))
+        out[n] = FGAbGroup(factors)
     return out
 
 
@@ -246,11 +273,7 @@ def boundaries_matrix(C, n):
 
 
 def homology_at(C, n):
-    if C.rank(n) == 0:
-        return FGAbGroup([])
-    Z = cycles_matrix(C, n)
-    B = boundaries_matrix(C, n)
-    return FGAbGroup(quotient_invariant_factors(Z, B))
+    return homology(C, [n])[n]
 
 
 # ---------------------------------------------------------------------------

@@ -51,15 +51,14 @@ class Mat:
             if self.cols != other.rows:
                 raise InputError("shape mismatch in product")
             out = Mat(self.rows, other.cols)
-            for i in range(self.rows):
-                row = self.data[i]
-                orow = out.data[i]
-                for k in range(self.cols):
-                    a = row[k]
+            # both factors are mostly zero: walk the nonzero entries only
+            support = [[(j, b) for j, b in enumerate(brow) if b]
+                       for brow in other.data]
+            for row, orow in zip(self.data, out.data):
+                for a, bsupp in zip(row, support):
                     if a:
-                        brow = other.data[k]
-                        for j in range(other.cols):
-                            orow[j] += a * brow[j]
+                        for j, b in bsupp:
+                            orow[j] += a * b
             return out
         raise TypeError
 

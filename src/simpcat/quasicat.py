@@ -560,6 +560,10 @@ def homotopy_group(X, x, n, budget=100000):
                 products.setdefault((a, b), c)
     classes = sorted({find(z) for z in spheres})
     label = {rep: "[%s]" % X.describe(rep) for rep in classes}
+    # labels are made from the caller's names: an edge named "s00(*)"
+    # and the unit would clash
+    if sset._written_alike(list(label.values())):
+        raise InputError("duplicate arrow names")
     table = {}
     ok = True
     for a in classes:

@@ -135,6 +135,11 @@ class BisimplicialSet:
                                 vd[(p - 1, q, j)], hf[(p, q, i)],
                                 hf[(p, q + 1, i)], vd[(p, q, j)],
                                 "mixed structure maps do not commute"))
+                        if p < M and q >= 1:
+                            squares.append((
+                                vf[(p + 1, q, j)], hd[(p, q, i)],
+                                hd[(p, q - 1, i)], vf[(p, q, j)],
+                                "mixed structure maps do not commute"))
                 first = None  # (cell, message) of the first failure
                 for a, b, c, d, what in squares:
                     left = list(map(a.__getitem__, b))

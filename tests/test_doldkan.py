@@ -1,15 +1,18 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simpcat import formats, sset
-from simpcat.doldkan import (ChainComplex, FGAbGroup,
-                             constant_simplicial_group, dold_kan_gamma,
-                             dold_kan_roundtrip, free_complex,
-                             free_simplicial_abelian_group, homology,
-                             normalized_chains, simplicial_group_kan_fill)
+from simpcat.doldkan import (ChainComplex, FGAbGroup, boundaries_matrix,
+                             constant_simplicial_group, cycles_matrix,
+                             dold_kan_gamma, dold_kan_roundtrip,
+                             free_complex, free_simplicial_abelian_group,
+                             homology, homology_at, normalized_chains,
+                             simplicial_group_kan_fill)
 from simpcat.errors import InputError
-from simpcat.intlinalg import Mat
+from simpcat.intlinalg import Mat, quotient_invariant_factors
 
 
 def test_fgabgroup_normal_form():
@@ -220,6 +223,86 @@ def test_universal_coefficients_consistency():
                     want += sum(1 for f in H[n - 1].torsion if f % p == 0)
                 got = sum(1 for f in Hp[n].invariant_factors)
                 assert got == want, (n, p, H, Hp)
+
+
+@st.composite
+def block_and_changed_complexes(draw):
+    """(C, C'): C over Z a direct sum of one-generator terms and two-term
+    blocks, free or with annihilators 0, 2 and 3 mixed, in a window that
+    starts anywhere in -2..2, some degrees of rank 0; C' is C after a
+    unimodular base change of each degree that keeps the annihilators
+    diagonal (swaps, and adding a multiple of one generator to another
+    with the same annihilator)."""
+    lo = draw(st.integers(-2, 2))
+    hi = lo + draw(st.integers(0, 3))
+    annihilator = st.just(0) if draw(st.booleans()) else \
+        st.sampled_from((0, 0, 2, 3))
+    coeffs = {n: [] for n in range(lo, hi + 1)}
+    entries = {n: {} for n in range(lo + 1, hi + 1)}
+    for _ in range(draw(st.integers(0, 7))):
+        n = draw(st.integers(lo, hi))
+        c = draw(annihilator)
+        coeffs[n].append(c)
+        if n < hi and draw(st.booleans()):
+            # a generator of degree n + 1 onto this one, times e, with
+            # c_up * e = 0 in Z/c
+            c_up = draw(annihilator)
+            e = draw(st.integers(-4, 4))
+            if c == 0 and c_up:
+                e = 0
+            elif c:
+                e *= c // gcd(c_up, c)
+            entries[n + 1][(len(coeffs[n]) - 1, len(coeffs[n + 1]))] = e
+            coeffs[n + 1].append(c_up)
+    diff = {}
+    for n, block in entries.items():
+        d = Mat(len(coeffs[n - 1]), len(coeffs[n]))
+        for (i, j), e in block.items():
+            d.data[i][j] = e
+        diff[n] = d
+    C = ChainComplex(0, (lo, hi), coeffs, diff).validate()
+    U, Uinv, changed = {}, {}, {}
+    for n, cs in coeffs.items():
+        g = len(cs)
+        U[n], Uinv[n], changed[n] = Mat.identity(g), Mat.identity(g), list(cs)
+        for _ in range(draw(st.integers(0, 6)) if g > 1 else 0):
+            i, j = draw(st.lists(st.integers(0, g - 1), min_size=2,
+                                 max_size=2, unique=True))
+            E, Einv = Mat.identity(g), Mat.identity(g)
+            if changed[n][i] == changed[n][j] and draw(st.booleans()):
+                k = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+                E.data[i][j], Einv.data[i][j] = k, -k
+            else:
+                for M in (E, Einv):
+                    M.data[i], M.data[j] = M.data[j], M.data[i]
+                changed[n][i], changed[n][j] = changed[n][j], changed[n][i]
+            U[n], Uinv[n] = E * U[n], Uinv[n] * Einv
+    C2 = ChainComplex(0, (lo, hi), changed,
+                      {n: U[n - 1] * d * Uinv[n] for n, d in diff.items()})
+    return C, C2.validate()
+
+
+@settings(deadline=None, max_examples=60)
+@given(block_and_changed_complexes())
+def test_homology_is_the_quotient_of_cycles_by_boundaries(complexes):
+    # one Smith form per differential at free degrees, the lattice
+    # quotient elsewhere: both agree with the lattice quotient everywhere
+    for C in complexes:
+        H = homology(C)
+        assert list(H) == list(range(C.lo, C.hi + 1))
+        for n in range(C.lo, C.hi + 1):
+            want = FGAbGroup(quotient_invariant_factors(
+                cycles_matrix(C, n), boundaries_matrix(C, n)))
+            assert H[n] == homology_at(C, n) == want, (n, C.as_dict())
+
+
+@settings(deadline=None, max_examples=60)
+@given(block_and_changed_complexes())
+def test_homology_is_invariant_under_unimodular_base_change(complexes):
+    C, changed = complexes
+    assert homology(changed) == homology(C)
+    degrees = list(range(C.hi, C.lo - 2, -1))
+    assert homology(changed, degrees) == homology(C, degrees)
 
 
 def test_kan_fill_constant():

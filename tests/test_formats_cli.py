@@ -278,6 +278,7 @@ def test_cli_names_written_alike_exit_3(tmp_path, capsys):
     path = write(tmp_path, "bz2.sset", formats.sset_to_dict(renamed))
     for command in ("ho", "equivalences", "max-kan"):
         refused("duplicate arrow names", command, path)
+    refused("duplicate arrow names", "pi1", path, "--base", "*")
 
 
 def test_category_document_with_mixed_arrow_names_roundtrips():
@@ -311,6 +312,18 @@ def test_cli_pin_and_pi0(tmp_path):
     out0 = str(tmp_path / "pi0.json")
     assert run_cli(tmp_path, "pi0", path, "--out", out0) == 0
     assert json.loads(open(out0).read())["count"] == 1
+
+
+def test_cli_pi0_with_mixed_vertex_names(tmp_path):
+    # a component mixing integer and string vertex names sorts integers
+    # first, as documents sort mixed names
+    X = {"kind": "simplicial-set", "truncation": None,
+         "cells": {"0": ["e", 2], "1": ["f"]},
+         "faces": {"1:f": [[[0], 2], [[0], "e"]]}}
+    out = str(tmp_path / "pi0.json")
+    assert run_cli(tmp_path, "pi0", write(tmp_path, "mixed.sset", X),
+                   "--out", out) == 0
+    assert json.loads(open(out).read())["classes"] == [[2, "e"]]
 
 
 def test_cli_bg_and_localize(tmp_path):

@@ -304,8 +304,28 @@ def _structure(X):
                 cells=dict(X.cells))
 
 
+def _one_vertex_squares():
+    """A valid (1, 1)-truncated bisimplicial set on one vertex a, with
+    vertical edges alpha, beta, horizontal edges A = hd(a), B, and
+    squares P = hd(alpha) = vd(A), G = hd(beta), E = vd(B).  Every face
+    at (0, 0) is a, so the face directions commute whatever the faces of
+    G are."""
+    both = (0, 1)
+    return BisimplicialSet(
+        1, 1, {(0, 0): ["a"], (0, 1): ["alpha", "beta"], (1, 0): ["A", "B"],
+               (1, 1): ["P", "G", "E"]},
+        {(1, 0, i): {"A": "a", "B": "a"} for i in both} | {
+            (1, 1, i): {"P": "alpha", "G": "beta", "E": "alpha"}
+            for i in both},
+        {(0, 0, 0): {"a": "A"}, (0, 1, 0): {"alpha": "P", "beta": "G"}},
+        {(0, 1, j): {"alpha": "a", "beta": "a"} for j in both} | {
+            (1, 1, j): {"P": "A", "G": "A", "E": "B"} for j in both},
+        {(0, 0, 0): {"a": "alpha"}, (1, 0, 0): {"A": "P", "B": "E"}})
+
+
 # one corruption per check of BisimplicialSet.validate, each of a valid
-# standard bisimplex (m, n) truncated at (M, N), and the message it gives
+# standard bisimplex (m, n) truncated at (M, N) or of a valid bisimplicial
+# set, and the message it gives
 VALIDATION_CASES = [
     ((1, 1, 1, 1), lambda s: s.update(n_trunc=-1), "negative truncation"),
     ((1, 1, 1, 1), lambda s: s["cells"].pop((1, 1)),
@@ -339,12 +359,22 @@ VALIDATION_CASES = [
     ((1, 1, 1, 1),
      lambda s: s["h_face"][(1, 1, 0)].update({"01|00": "0|00"}),
      "mixed structure maps do not commute at (1, 0)"),
+    # vf(hd(beta)) = B but hd(vf(beta)) = A: horizontal degeneracies and
+    # vertical faces do not commute
+    (_one_vertex_squares(),
+     lambda s: s["v_face"][(1, 1, 0)].update({"G": "B"}),
+     "mixed structure maps do not commute at (0, 1)"),
 ]
+
+
+def _valid(base):
+    return base if isinstance(base, BisimplicialSet) else \
+        standard_bisimplex(*base)
 
 
 @pytest.mark.parametrize("shape, corrupt, message", VALIDATION_CASES)
 def test_validate_names_each_broken_check(shape, corrupt, message):
-    structure = _structure(standard_bisimplex(*shape))
+    structure = _structure(_valid(shape))
     BisimplicialSet(**structure).validate()  # valid before the corruption
     corrupt(structure)
     with pytest.raises(InputError) as info:
@@ -368,7 +398,7 @@ def _document(structure):
 
 @pytest.mark.parametrize("shape, corrupt, message", VALIDATION_CASES)
 def test_loader_names_each_broken_check(shape, corrupt, message):
-    structure = _structure(standard_bisimplex(*shape))
+    structure = _structure(_valid(shape))
     formats.bisimplicial_from_dict(_document(structure))
     corrupt(structure)
     with pytest.raises(InputError) as info:
