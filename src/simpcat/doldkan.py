@@ -64,6 +64,13 @@ def relation_matrix(coeffs):
 
 
 def maps_equal(F, G, target_coeffs):
+    """Whether F and G agree modulo the target's annihilators, one per
+    row; over a free target (every annihilator 0) the matrices are
+    compared as they are, without the reduced copies."""
+    if not any(target_coeffs):
+        if not len(target_coeffs) == F.rows == G.rows:
+            raise InputError("need one modulus per row")
+        return F == G
     return F.reduced(target_coeffs) == G.reduced(target_coeffs)
 
 

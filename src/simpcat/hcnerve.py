@@ -3,7 +3,7 @@ necklace posets, the homotopy-coherent nerve at bounded dimension, and the
 pi_0 homotopy category of a simplicial category.
 """
 
-from itertools import combinations, product
+from itertools import accumulate, chain, product
 
 from . import sset
 from .delta import tcompose, tidentity
@@ -156,55 +156,48 @@ def _nondegenerate_pairs(gspace, fspace, q):
     """The nondegenerate q-simplices (g, f) of gspace x fspace, in the
     order of simplices(q) x simplices(q)."""
     fblocks = sset._doubled_blocks(fspace, q)
-    return [(g, f) for gmask, gs in sset._doubled_blocks(gspace, q)
-            for g in gs
-            for fmask, fs in fblocks if not gmask & fmask
-            for f in fs]
+    pairs = []
+    for gmask, gs in sset._doubled_blocks(gspace, q):
+        free = [fs for fmask, fs in fblocks if not gmask & fmask]
+        pairs.extend((g, f) for g in gs for fs in free for f in fs)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
 # poset nerves and the cosimplicial simplicial category
 
 
-def poset_nerve(elements, leq, name_of):
-    """The finite nerve of a poset: k-cells are strict chains."""
-    elements = sorted(elements, key=name_of)
-    levels = []
-    index = []
-    level0 = [tuple([e]) for e in elements]
-    levels.append(level0)
-    while levels[-1]:
-        nxt = []
-        for c in levels[-1]:
-            for e in elements:
-                if c[-1] != e and leq(c[-1], e):
-                    nxt.append(c + (e,))
+def _chain_nerve(elements, leq):
+    """(levels, index, faces) of the nerve of a finite poset listed in
+    order: levels[k] lists the strict chains of k + 1 elements, each
+    chain of levels[k - 1] followed by its extensions in element order;
+    index[k] finds a chain's cell and faces[k] holds the face entries."""
+    above = {a: [b for b in elements if a != b and leq(a, b)]
+             for a in elements}
+    levels = [[(e,) for e in elements]]
+    while True:
+        nxt = [c + (e,) for c in levels[-1] for e in above[c[-1]]]
         if not nxt:
             break
         levels.append(nxt)
-    names = []
-    faces = []
-    for k, level in enumerate(levels):
-        index.append({c: j for j, c in enumerate(level)})
-        names.append(tuple("<".join(name_of(e) for e in c) for c in level))
-        entry = []
-        for c in level:
-            if k == 0:
-                entry.append(())
-            else:
-                entry.append(tuple(
-                    (tidentity(k - 1), index[k - 1][c[:i] + c[i + 1:]])
-                    for i in range(k + 1)))
-        faces.append(entry)
-    return SimplicialSet(None, names, faces), \
-        [dict((c, j) for c, j in idx.items()) for idx in index], levels
+    index = [{c: j for j, c in enumerate(level)} for level in levels]
+    faces = [[()] * len(levels[0])]
+    for k in range(1, len(levels)):
+        ident, below = tidentity(k - 1), index[k - 1]
+        faces.append([tuple((ident, below[c[:i] + c[i + 1:]])
+                            for i in range(k + 1)) for c in levels[k]])
+    return levels, index, faces
 
 
-def _chain_of_simplex(levels, simplex):
-    """Expand an E-Z simplex of a poset nerve to its weak chain."""
-    s, idx = simplex
-    strict = levels[s[-1]][idx]
-    return tuple(strict[v] for v in s)
+def poset_nerve(elements, leq, name_of):
+    """The finite nerve of a poset and its chains: k-cells are strict
+    chains, listed as _chain_nerve lists them with the elements sorted
+    by name."""
+    elements = sorted(elements, key=name_of)
+    levels, _, faces = _chain_nerve(elements, leq)
+    names = [tuple("<".join(name_of(e) for e in c) for c in level)
+             for level in levels]
+    return SimplicialSet(None, names, faces), levels
 
 
 def _simplex_of_chain(index, chain):
@@ -224,48 +217,112 @@ def _subset_name(U):
     return "".join(str(v) for v in sorted(U))
 
 
+def _pair_key(i, j):
+    """Map(i, j) and Map(i', j') list their cells in one order and have
+    one face table when they share this key: the length j - i while
+    j <= 9, else the pair itself.  Cells are ordered by name, and names
+    of one-digit points compare like the points ("0123" < "013"); with
+    two digits they do not ("81011" < "811")."""
+    return j - i if j <= 9 else (i, j)
+
+
+def _vertex_names(i, j):
+    """The vertices of Map(i, j), i <= j, as {bit mask: name}: the
+    subset of {i..j} containing both ends with bit b standing for the
+    point i + 1 + b."""
+    inner = j - i - 1
+    return {m: _subset_name({i, j} | {i + 1 + b for b in range(inner)
+                                      if m >> b & 1})
+            for m in range(1 << max(0, inner))}
+
+
+class _CubeFamily:
+    """The map spaces and compositions of frak_c(0), frak_c(1), ...,
+    built for one frak_c or coherent_nerve call and shared by every
+    category it makes (see frak_c)."""
+
+    def __init__(self):
+        self.cubes = {}    # _pair_key -> _chain_nerve of the cube's masks
+        self.spaces = {}   # (i, j) -> Map(i, j)
+        self.tables = {}   # shape -> {(g, f): g.f}, filled by compose_fn
+        self.triples = {}  # (x, y, z) -> what compose_fn reads for it
+
+    def cube(self, i, j):
+        key = _pair_key(i, j)
+        if key not in self.cubes:
+            names = _vertex_names(i, j)
+            self.cubes[key] = _chain_nerve(sorted(names, key=names.get),
+                                           lambda a, b: a & b == a)
+        return self.cubes[key]
+
+    def mapspace(self, i, j):
+        """Map(i, j): the cube's face table under the pair's own names."""
+        if (i, j) not in self.spaces:
+            if i > j:
+                self.spaces[(i, j)] = sset.empty_sset()
+            else:
+                levels, _, faces = self.cube(i, j)
+                name = _vertex_names(i, j).__getitem__
+                self.spaces[(i, j)] = SimplicialSet(None, [
+                    tuple(["<".join(map(name, c)) for c in level])
+                    for level in levels], faces)
+        return self.spaces[(i, j)]
+
+    def _triple(self, i, j, k):
+        """(table, chains of Map(j, k), chains of Map(i, j), index of
+        Map(i, k), shift, middle bit) for the triple i <= j <= k.  The
+        table is shared by the triples of one shape (j - i, k - j), or
+        of one (i, j, k) once k has two digits (_pair_key)."""
+        p = j - i
+        shape = (p, k - j) if k <= 9 else (i, j, k)
+        return (self.tables.setdefault(shape, {}), self.cube(j, k)[0],
+                self.cube(i, j)[0], self.cube(i, k)[1], p,
+                1 << (p - 1) if p and k > j else 0)
+
+    def compose_fn(self, x, y, z, q, g, f):
+        """g.f, computed once per shape: on cube coordinates the vertex
+        masks of g sit above a 1 at j above those of f, so a nondegenerate
+        pair goes to the strict chain of the combined masks."""
+        found = self.triples.get((x, y, z))
+        if found is None:
+            found = self.triples[(x, y, z)] = self._triple(
+                int(x), int(y), int(z))
+        table, gcells, fcells, index, p, mid = found
+        h = table.get((g, f))
+        if h is None:
+            (s, a), (t, b) = g, f
+            gc, fc = gcells[s[-1]][a], fcells[t[-1]][b]
+            vertices = tuple([fc[u] | gc[v] << p | mid
+                              for v, u in zip(s, t)])
+            w = index[q].get(vertices) if q < len(index) else None
+            h = table[(g, f)] = (tidentity(q), w) if w is not None \
+                else _simplex_of_chain(index, vertices)
+        return h
+
+    def category(self, n):
+        """frak_c(n), n >= 0."""
+        objects = [str(j) for j in range(n + 1)]
+        mapspaces = {(str(i), str(j)): self.mapspace(i, j)
+                     for i in range(n + 1) for j in range(n + 1)}
+        return SimplicialCategory(objects, mapspaces,
+                                  {x: x for x in objects}, self.compose_fn,
+                                  level_bound=max(1, n - 1))
+
+
 def frak_c(n):
     """The simplicial category with objects 0..n and Map(i, j) the nerve
     of the poset of subsets of {i..j} containing both endpoints;
     composition is union of subsets.
 
-    The result keeps chains[(i, j)] = (levels, index), the strict chains
-    of subsets that poset_nerve returned for Map(i, j): levels[k][idx] is
-    the k-cell idx, and index[k] finds a chain's cell."""
+    Map(i, j) is the nerve of the cube (Delta^1)^(j - i - 1), and union
+    puts the cube coordinates of g: j -> k above a 1 at j above those of
+    f: i -> j (Lurie, Higher Topos Theory, 1.1.5).  So the cube nerves
+    are built once per length, each pair naming the cells of its length's
+    nerve, and each composite is computed once per shape (j - i, k - j),
+    on vertex bit masks, while the endpoints have one digit (_pair_key)."""
     if n < 0:
         raise InputError("need n >= 0")
-    objects = [str(j) for j in range(n + 1)]
-    mapspaces = {}
-    chains = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i > j:
-                mapspaces[(str(i), str(j))] = sset.empty_sset()
-                continue
-            elements = [frozenset(U) | {i, j}
-                        for r in range(j - i)
-                        for U in combinations(range(i + 1, j), r)]
-            if i == j:
-                elements = [frozenset([i])]
-            elements = sorted(set(elements), key=lambda U: (len(U),
-                                                            sorted(U)))
-            space, index, levels = poset_nerve(
-                elements, lambda a, b: a <= b, _subset_name)
-            mapspaces[(str(i), str(j))] = space
-            chains[(str(i), str(j))] = (levels, index)
-
-    def compose_fn(x, y, z, q, g, f):
-        gc = _chain_of_simplex(chains[(y, z)][0], g)
-        fc = _chain_of_simplex(chains[(x, y)][0], f)
-        union = tuple(a | b for a, b in zip(gc, fc))
-        return _simplex_of_chain(chains[(x, z)][1], union)
-
-    identities = {str(j): _subset_name(frozenset([j]))
-                  for j in range(n + 1)}
-    F = SimplicialCategory(objects, mapspaces, identities, compose_fn,
-                           level_bound=max(1, n - 1))
-    F.chains = chains
-    return F
+    return _CubeFamily().category(n)
 
 
 def horn_mapspace(n, i):
@@ -286,7 +343,7 @@ def horn_mapspace(n, i):
     def name_of(v):
         return "".join(str(b) for b in v) if v else "()"
 
-    ambient, _, levels = poset_nerve(vectors, leq, name_of)
+    ambient, levels = poset_nerve(vectors, leq, name_of)
 
     def in_sub(chain):
         for j in range(m):
@@ -331,6 +388,18 @@ def simplicial_functors(F, C):
     is assigned, on its generating pairs only (_generating_pairs): the
     composites F(g.f) and F(g).F(f) are simplicial maps out of Map(b, c)
     x Map(a, b), so they agree once they agree there."""
+    return [(objs, {(pair, k, idx): value for pair, levels in images.items()
+                    for k, level in enumerate(levels)
+                    for idx, value in enumerate(level)})
+            for objs, images in _functors(F, C, {})]
+
+
+def _functors(F, C, map_cache):
+    """The simplicial functors F -> C as pairs (object assignment,
+    {(i, j): the assignment of the map of Map(i, j)}), reading and
+    filling map_cache: the maps Map(i, j) -> Map(x, y) of C, keyed by
+    (_pair_key(i, j), x, y), so one call of coherent_nerve enumerates
+    them once for all its gadgets."""
     n = len(F.objects) - 1
     pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     pairs.sort(key=lambda p: (p[1] - p[0], p[0]))
@@ -338,11 +407,10 @@ def simplicial_functors(F, C):
     checks = {(a, c): [(b, _generating_pairs(F, a, b, c, bound))
                        for b in range(a + 1, c)] for a, c in pairs}
     out = []
-    map_cache = {}
     images = {}  # (i, j) -> the assignment of the map chosen for Map(i, j)
 
     def space_maps(i, j, x, y):
-        key = (i, j, x, y)
+        key = (_pair_key(i, j), x, y)
         if key not in map_cache:
             maps = sset.enumerate_maps(F.mapspaces[(str(i), str(j))],
                                        C.mapspaces[(x, y)])
@@ -364,9 +432,7 @@ def simplicial_functors(F, C):
 
     def assign_pairs(pos, objs):
         if pos == len(pairs):
-            out.append((objs, {(pair, k, idx): value for pair in pairs
-                               for k, level in enumerate(images[pair])
-                               for idx, value in enumerate(level)}))
+            out.append((objs, dict(images)))
             return
         i, j = pairs[pos]
         if C.mapspaces[(objs[i], objs[j])].n_cells(0) == 0:
@@ -403,18 +469,10 @@ def _map_apply(assignment, simplex):
     """Image of a possibly degenerate simplex under a simplicial map
     recorded by its nondegenerate cell images."""
     s, idx = simplex
-    t, w = assignment[s[-1]][idx]
-    return (tcompose(t, s), w)
-
-
-def _gadget_cells(F):
-    """The nondegenerate map-space cells ((i, j), k, idx) of frak_c(n),
-    i < j, in the order an n-cell lists their images."""
-    n = len(F.objects) - 1
-    return [((i, j), k, idx)
-            for i in range(n + 1) for j in range(i + 1, n + 1)
-            for k, level in enumerate(F.mapspaces[(str(i), str(j))].names)
-            for idx in range(len(level))]
+    image = assignment[s[-1]][idx]
+    if len(s) - 1 == s[-1]:
+        return image
+    return (tcompose(image[0], s), image[1])
 
 
 def coherent_nerve(C, d):
@@ -422,10 +480,13 @@ def coherent_nerve(C, d):
     simplicial functors from frak_c(n) to C.
 
     An n-cell is held as (objects, images), with images listing the
-    image of each cell of _gadget_cells(frak_c(n)) in that order.
-    frak_c(alpha) for alpha: [m] -> [n] is tabulated once per (alpha, n)
-    on the cells of frak_c(m), so the action is one lookup and one
-    tcompose per cell."""
+    images of the cells of Map(i, j), 0 <= i < j <= n, pair after pair
+    and level after level.  The gadgets frak_c(0..d) are one
+    _CubeFamily: they share their map spaces, composition tables and
+    maps of map spaces into C.  frak_c(alpha) for alpha: [m] -> [n]
+    sends a vertex of Map(i, j) to the image of its subset under alpha;
+    it is tabulated once per (alpha, n) on the cells of frak_c(m), so
+    the action is one lookup and one tcompose per cell."""
     if d < 0:
         raise InputError("truncation must be nonnegative")
     needed = max(0, d - 1)
@@ -436,14 +497,50 @@ def coherent_nerve(C, d):
         if space.truncation is not None and space.truncation < needed:
             raise InputError("map space (%s, %s) truncated below %d"
                              % (x, y, needed))
-    gadgets = [frak_c(n) for n in range(d + 1)]
-    cells = [_gadget_cells(F) for F in gadgets]
-    position = [{key: p for p, key in enumerate(c)} for c in cells]
-    levels = [[(objs, tuple(images[key] for key in cells[n]))
-               for objs, images in simplicial_functors(gadgets[n], C)]
+    family = _CubeFamily()
+    gadgets = [family.category(n) for n in range(d + 1)]
+    pairs = [[(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+             for n in range(d + 1)]
+    map_cache = {}
+    levels = [[(objs, tuple(chain.from_iterable(chain.from_iterable(
+                   images[pair]) for pair in pairs[n])))
+               for objs, images in _functors(gadgets[n], C, map_cache)]
               for n in range(d + 1)]
+    starts = []  # starts[n][(i, j)]: the position of its first image
+    for n in range(d + 1):
+        sizes = [sum(map(len, family.cube(i, j)[0])) for i, j in pairs[n]]
+        starts.append(dict(zip(pairs[n], accumulate(sizes, initial=0))))
+    pair_rows = {}
     tables = {}
     units = {}
+
+    def rows_of(i, j, values):
+        """(k, s, offset) for the cells (k, idx) of Map(i, j) in order,
+        under the map sending each point v to values[v - i]: the cell
+        goes to the simplex (s, cell offset) of Map(values[0],
+        values[-1]), with s None when it is the identity.  Computed once
+        per _pair_key of both pairs and shape of the map."""
+        ti, tj = values[0], values[-1]
+        key = (_pair_key(i, j), _pair_key(ti, tj),
+               tuple([v - ti for v in values]))
+        if key not in pair_rows:
+            target_levels, index, _ = family.cube(ti, tj)
+            firsts = list(accumulate(map(len, target_levels), initial=0))
+            # bit b of Map(i, j) is the point i + 1 + b, which goes to a
+            # bit of Map(ti, tj) unless it hits an end; image[mask] is
+            # the mask of a vertex's image
+            image = [0]
+            for v in values[1:-1]:
+                bit = 1 << (v - ti - 1) if ti < v < tj else 0
+                image += [m | bit for m in image]
+            rows = []
+            for k, level in enumerate(family.cube(i, j)[0]):
+                for c in level:
+                    s, w = _simplex_of_chain(index, [image[m] for m in c])
+                    rows.append((k, None if s[-1] == k else s,
+                                 firsts[s[-1]] + w))
+            pair_rows[key] = rows
+        return pair_rows[key]
 
     def table(alpha, n):
         """Rows (t_i, k, s, p) for the cells ((i, j), k, idx) of
@@ -452,20 +549,18 @@ def coherent_nerve(C, d):
         alpha[i] = alpha[j], to the point Map(t_i, t_i) (s and p are
         None)."""
         if (alpha, n) not in tables:
-            Fm = gadgets[len(alpha) - 1]
             rows = []
-            for (i, j), k, idx in cells[len(alpha) - 1]:
+            for i, j in pairs[len(alpha) - 1]:
                 ti, tj = alpha[i], alpha[j]
                 if ti == tj:
-                    rows.append((ti, k, None, None))
-                    continue
-                chains, _ = Fm.chains[(str(i), str(j))]
-                _, index = gadgets[n].chains[(str(ti), str(tj))]
-                s, w = _simplex_of_chain(index, [
-                    frozenset([alpha[v] for v in U])
-                    for U in chains[k][idx]])
-                p = position[n][((ti, tj), s[-1], w)]
-                rows.append((ti, k, None if s[-1] == k else s, p))
+                    rows.extend((ti, k, None, None) for k, level in
+                                enumerate(family.cube(i, j)[0])
+                                for _ in level)
+                else:
+                    start = starts[n][(ti, tj)]
+                    rows.extend((ti, k, s, start + offset)
+                                for k, s, offset in rows_of(
+                                    i, j, alpha[i:j + 1]))
             tables[(alpha, n)] = rows
         return tables[(alpha, n)]
 

@@ -704,12 +704,13 @@ def _doubled(s):
 
 def _doubled_blocks(X, q):
     """The q-simplices of X as (doubled-index mask, simplices) blocks, one
-    per surjection, in the order of simplices(q)."""
+    per surjection s: [q] ->> [k] onto a level with cells, in the order
+    of simplices(q): the block of s is (s, idx) for every k-cell idx."""
     def build(X):
-        blocks = {}
-        for x in X.simplices(q):
-            blocks.setdefault(_doubled(x[0]), []).append(x)
-        return list(blocks.items())
+        X._require_dim(q)
+        return [(_doubled(s), [(s, idx) for idx in range(len(level))])
+                for k, level in enumerate(X.names[:q + 1]) if level
+                for s in all_surjections(q, k)]
     return X.memo(("doubled_blocks", q), build)
 
 

@@ -11,7 +11,7 @@ from simpcat.doldkan import boundaries_matrix, cycles_matrix
 from simpcat.errors import InputError
 from simpcat.fibrations import fiber_category
 from simpcat.formats import sset_to_dict
-from simpcat.hcnerve import SimplicialCategory
+from simpcat.hcnerve import SimplicialCategory, simplicial_functors
 from simpcat.intlinalg import Mat, from_columns, kernel_basis, solve_matrix
 from simpcat.nerve_cat import FinCategory, Functor, ordinal_category
 from simpcat.quasicat import equivalences
@@ -182,6 +182,19 @@ def ranked_by_face_of(X, m):
     return order, faces, [rank[w] for w in simplices]
 
 
+# -- blocks of simplices by grouping every simplex
+
+
+def doubled_blocks_by_grouping(X, q):
+    """sset._doubled_blocks by grouping every q-simplex of X by the mask
+    of its doubled indices, in order of first appearance."""
+    blocks = {}
+    for s, idx in X.simplices(q):
+        mask = sum(1 << i for i in range(q) if s[i] == s[i + 1])
+        blocks.setdefault(mask, []).append((s, idx))
+    return list(blocks.items())
+
+
 # -- horn search: candidates by intersecting single-face indexes
 
 
@@ -298,6 +311,151 @@ def _check_triple(F, C, objs, images, a, b, c):
                 if lhs != rhs:
                     return False
     return True
+
+
+# -- frak_c and the coherent nerve: one poset nerve per pair of objects
+
+
+def poset_nerve_by_chains(elements, leq, name_of):
+    """The finite nerve of a poset: k-cells are strict chains, each
+    extended by every element in name order; returns the nerve, the
+    chain index of each level and the chains."""
+    elements = sorted(elements, key=name_of)
+    levels = []
+    index = []
+    level0 = [tuple([e]) for e in elements]
+    levels.append(level0)
+    while levels[-1]:
+        nxt = []
+        for c in levels[-1]:
+            for e in elements:
+                if c[-1] != e and leq(c[-1], e):
+                    nxt.append(c + (e,))
+        if not nxt:
+            break
+        levels.append(nxt)
+    names = []
+    faces = []
+    for k, level in enumerate(levels):
+        index.append({c: j for j, c in enumerate(level)})
+        names.append(tuple("<".join(name_of(e) for e in c) for c in level))
+        entry = []
+        for c in level:
+            if k == 0:
+                entry.append(())
+            else:
+                entry.append(tuple(
+                    (tidentity(k - 1), index[k - 1][c[:i] + c[i + 1:]])
+                    for i in range(k + 1)))
+        faces.append(entry)
+    return SimplicialSet(None, names, faces), index, levels
+
+
+def _chain_of_simplex(levels, simplex):
+    """Expand an E-Z simplex of a poset nerve to its weak chain."""
+    s, idx = simplex
+    strict = levels[s[-1]][idx]
+    return tuple(strict[v] for v in s)
+
+
+def _simplex_of_chain(index, chain):
+    """E-Z normal form of a weak chain in a poset nerve."""
+    strict = []
+    word = []
+    for e in chain:
+        if strict and strict[-1] == e:
+            word.append(word[-1])
+        else:
+            strict.append(e)
+            word.append(len(strict) - 1)
+    return (tuple(word), index[len(strict) - 1][tuple(strict)])
+
+
+def _subset_name(U):
+    return "".join(str(v) for v in sorted(U))
+
+
+def pair_subsets(i, j):
+    """The subsets of {i..j} containing both ends, i <= j, as frozensets
+    in order of size, then of their sorted points."""
+    if i == j:
+        return [frozenset([i])]
+    elements = [frozenset(U) | {i, j} for r in range(j - i)
+                for U in combinations(range(i + 1, j), r)]
+    return sorted(set(elements), key=lambda U: (len(U), sorted(U)))
+
+
+def frak_c_by_pairs(n):
+    """hcnerve.frak_c with one poset nerve of subsets per pair (i, j) and
+    each composite the union of the two chains of subsets, per triple.
+    Keeps chains[(i, j)] = (levels, index) of Map(i, j) for
+    coherent_nerve_by_pairs."""
+    if n < 0:
+        raise InputError("need n >= 0")
+    objects = [str(j) for j in range(n + 1)]
+    mapspaces = {}
+    chains = {}
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if i > j:
+                mapspaces[(str(i), str(j))] = empty_sset()
+                continue
+            space, index, levels = poset_nerve_by_chains(
+                pair_subsets(i, j), lambda a, b: a <= b, _subset_name)
+            mapspaces[(str(i), str(j))] = space
+            chains[(str(i), str(j))] = (levels, index)
+
+    def compose_fn(x, y, z, q, g, f):
+        gc = _chain_of_simplex(chains[(y, z)][0], g)
+        fc = _chain_of_simplex(chains[(x, y)][0], f)
+        union = tuple(a | b for a, b in zip(gc, fc))
+        return _simplex_of_chain(chains[(x, z)][1], union)
+
+    identities = {str(j): _subset_name(frozenset([j]))
+                  for j in range(n + 1)}
+    F = SimplicialCategory(objects, mapspaces, identities, compose_fn,
+                           level_bound=max(1, n - 1))
+    F.chains = chains
+    return F
+
+
+def coherent_nerve_by_pairs(C, d):
+    """hcnerve.coherent_nerve over the gadgets frak_c_by_pairs(0..d),
+    each built on its own, with frak_c(alpha) read off the chains of
+    subsets: a cell's chain goes to the chain of its images under alpha.
+    The simplicial functors come from hcnerve.simplicial_functors."""
+    gadgets = [frak_c_by_pairs(n) for n in range(d + 1)]
+    cells = [[((i, j), k, idx)
+              for i in range(n + 1) for j in range(i + 1, n + 1)
+              for k, level in enumerate(
+                  F.mapspaces[(str(i), str(j))].names)
+              for idx in range(len(level))]
+             for n, F in enumerate(gadgets)]
+    position = [{key: p for p, key in enumerate(c)} for c in cells]
+    levels = [[(objs, tuple(images[key] for key in cells[n]))
+               for objs, images in simplicial_functors(gadgets[n], C)]
+              for n in range(d + 1)]
+
+    def action(alpha, element):
+        objs, images = element
+        n = len(objs) - 1
+        out = []
+        for (i, j), k, idx in cells[len(alpha) - 1]:
+            ti, tj = alpha[i], alpha[j]
+            if ti == tj:
+                out.append(C.identity_simplex(objs[ti], k))
+                continue
+            chain = gadgets[len(alpha) - 1].chains[(str(i), str(j))][0]
+            _, index = gadgets[n].chains[(str(ti), str(tj))]
+            s, w = _simplex_of_chain(index, [
+                frozenset([alpha[v] for v in U]) for U in chain[k][idx]])
+            t, u = images[position[n][((ti, tj), s[-1], w)]]
+            out.append((tcompose(t, s), u))
+        return tuple(objs[v] for v in alpha), tuple(out)
+
+    index = [{x: j for j, x in enumerate(level)} for level in levels]
+    return from_presheaf_by_collapse(
+        d, levels, action, name_fn=lambda n, x: "F%d" % index[n][x])
 
 
 # -- simplicial categories: composition tabulated and checked on every pair

@@ -9,8 +9,8 @@ from simpcat.doldkan import (ChainComplex, FGAbGroup, boundaries_matrix,
                              constant_simplicial_group, cycles_matrix,
                              dold_kan_gamma, dold_kan_roundtrip,
                              free_complex, free_simplicial_abelian_group,
-                             homology, homology_at, normalized_chains,
-                             simplicial_group_kan_fill)
+                             homology, homology_at, maps_equal,
+                             normalized_chains, simplicial_group_kan_fill)
 from simpcat.errors import InputError
 from simpcat.intlinalg import Mat, quotient_invariant_factors
 
@@ -368,3 +368,19 @@ def test_kan_fill_rejects_inconsistent():
     zero = tuple(0 for _ in range(FA.rank(1)))
     with pytest.raises(InputError):
         simplicial_group_kan_fill(FA, {0: v, 2: zero}, 2, 1)
+
+
+def test_maps_equal_over_free_and_torsion_targets():
+    F = Mat(2, 2, [[1, 4], [0, -3]])
+    G = Mat(2, 2, [[1, 4], [0, 3]])
+    # a free target compares the entries as they are
+    assert maps_equal(F, F, (0, 0))
+    assert not maps_equal(F, G, (0, 0))
+    # Z/6 on the second row identifies -3 with 3
+    assert maps_equal(F, G, (0, 6))
+    assert not maps_equal(F, G, (0, 4))
+    for coeffs in [(0,), (0, 0, 0), (2,)]:
+        with pytest.raises(InputError, match="need one modulus per row"):
+            maps_equal(F, G, coeffs)
+    with pytest.raises(InputError, match="need one modulus per row"):
+        maps_equal(F, Mat(3, 2), (0, 0))

@@ -19,7 +19,8 @@ from simpcat.sset import (find_isomorphism, is_isomorphic, product,
 
 from families import category_family, random_thin_category
 from oracles import (SimplicialCategoryAllPairs, all_pairs_to_dict,
-                     simplicial_functors_all_pairs)
+                     coherent_nerve_by_pairs, frak_c_by_pairs, pair_subsets,
+                     poset_nerve_by_chains, simplicial_functors_all_pairs)
 
 
 def test_frak_c_small():
@@ -335,3 +336,80 @@ def test_composition_is_simplicial_on_random_pairs(data):
             assert C.mapspace(x, z).face_of(i, h) == C.compose(
                 x, y, z, C.mapspace(y, z).face_of(i, g),
                 C.mapspace(x, y).face_of(i, f))
+
+
+# -- frak_c built by cube shape against one poset nerve per pair
+
+
+def test_frak_c_documents_match_the_by_pairs_oracle():
+    for n in range(6):
+        assert formats.dumps(formats.simplicial_category_to_dict(
+            frak_c(n))) == formats.dumps(
+                formats.simplicial_category_to_dict(frak_c_by_pairs(n))), n
+
+
+def test_coherent_nerve_matches_the_by_pairs_oracle():
+    for C in (bg(cyclic_table(3)), ordinal_category(3)):
+        SC = from_fincategory(C, level_bound=3)
+        assert formats.dumps(formats.sset_to_dict(coherent_nerve(SC, 4))) \
+            == formats.dumps(formats.sset_to_dict(
+                coherent_nerve_by_pairs(SC, 4)))
+
+
+def _subset_nerve(i, j):
+    return poset_nerve_by_chains(pair_subsets(i, j), lambda a, b: a <= b,
+                                 lambda U: "".join(map(str, sorted(U))))
+
+
+def test_map_spaces_past_one_digit_keep_their_own_order():
+    # cells are ordered by name: Map(8, 11) lists "81011" before "811",
+    # so it cannot share Map(0, 3)'s order; Map(2, 5) can
+    family = hcnerve._CubeFamily()
+    assert family.mapspace(2, 5).faces == family.mapspace(0, 3).faces
+    assert family.mapspace(8, 11).names[0] == (
+        "81011", "811", "891011", "8911")
+    assert family.mapspace(8, 11).faces != family.mapspace(0, 3).faces
+    for i, j in [(8, 11), (9, 12), (7, 10)]:
+        space = family.mapspace(i, j)
+        oracle, _, _ = _subset_nerve(i, j)
+        nerve, _ = hcnerve.poset_nerve(pair_subsets(i, j),
+                                       lambda a, b: a <= b,
+                                       hcnerve._subset_name)
+        for other in (oracle, nerve):
+            assert space.names == other.names, (i, j)
+            assert space.faces == other.faces, (i, j)
+    # composition across the boundary is still the union of subsets
+    for i, j, k in [(8, 9, 11), (8, 10, 12), (7, 9, 11), (9, 11, 12)]:
+        (_, _, hchains), (gspace, _, gchains), (fspace, _, fchains) = [
+            _subset_nerve(a, b) for a, b in [(i, k), (j, k), (i, j)]]
+        for q in range(k - i - 1):
+            for g in gspace.simplices(q):
+                for f in fspace.simplices(q):
+                    h = family.compose_fn(str(i), str(j), str(k), q, g, f)
+                    union = [gchains[g[0][-1]][g[1]][a] |
+                             fchains[f[0][-1]][f[1]][b]
+                             for a, b in zip(g[0], f[0])]
+                    got = [hchains[h[0][-1]][h[1]][c] for c in h[0]]
+                    assert got == union, (i, j, k, g, f)
+
+
+def test_work_counts_pinned(monkeypatch):
+    # one cube nerve per length, and the maps of map spaces into C
+    # enumerated once per (length, x, y) across the gadgets of one call
+    counts = {"nerves": 0, "maps": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(hcnerve, "_chain_nerve",
+                        counting("nerves", hcnerve._chain_nerve))
+    monkeypatch.setattr(sset, "enumerate_maps",
+                        counting("maps", sset.enumerate_maps))
+    frak_c(5)
+    assert counts["nerves"] == 6
+    for C, maps in [(ordinal_category(3), 40), (bg(cyclic_table(3)), 4)]:
+        counts["maps"] = 0
+        coherent_nerve(from_fincategory(C, level_bound=3), 4)
+        assert counts["maps"] == maps

@@ -820,3 +820,62 @@ def test_horn_extensions_follow_the_dimension_order_oracle():
                 for f in horns:
                     assert _assignments(lift_extensions(i, f)) == \
                         _assignments(lift_extensions_by_dimension_order(i, f))
+
+
+# -- blocks of simplices, one per surjection
+
+
+def _empty_middle_level():
+    """One vertex, no nondegenerate edge, and one 2-cell whose faces are
+    all s0(*)."""
+    point_edge = ((0, 0), 0)
+    return SimplicialSet(None, [("*",), (), ("u",)],
+                         [[()], [], [(point_edge,) * 3]]).validate()
+
+
+def test_doubled_blocks_match_grouping_by_simplex():
+    from oracles import doubled_blocks_by_grouping
+    from simpcat.hcnerve import frak_c
+    from simpcat.nerve_cat import bg, cyclic_table, nerve
+    objects = [("frak_c(%d)(%s,%s)" % (n, x, y), space)
+               for n in range(6)
+               for (x, y), space in frak_c(n).mapspaces.items()]
+    objects += [("D%dxD%d" % (n, m), product(standard_simplex(n),
+                                             standard_simplex(m))[0])
+                for n, m in [(0, 2), (1, 1), (1, 3), (2, 2)]]
+    objects.append(("BZ/2 at 3", nerve(bg(cyclic_table(2)), 3)))
+    objects.append(("empty middle", _empty_middle_level()))
+    for name, X in objects:
+        top = X.dim_max + 1 if X.truncation is None else X.truncation
+        for q in range(top + 1):
+            assert sset._doubled_blocks(X, q) == \
+                doubled_blocks_by_grouping(X, q), (name, q)
+    X = nerve(bg(cyclic_table(2)), 3)
+    with pytest.raises(InputError):
+        sset._doubled_blocks(X, 4)
+    # level 1 has no cells, so its surjections make no block
+    assert sset._doubled_blocks(_empty_middle_level(), 2) == [
+        (0b11, [((0, 0, 0), 0)]), (0, [((0, 1, 2), 0)])]
+
+
+@st.composite
+def small_subsets(draw, top):
+    """A simplicial subset of Delta^n, n <= top, spanned by a few vertex
+    sets, or one of its skeleta."""
+    n = draw(st.integers(0, top))
+    spans = draw(st.lists(st.frozensets(st.integers(0, n), min_size=1),
+                          min_size=1, max_size=3))
+    X = sset._subset_complex(
+        n, lambda c: any(span.issuperset(c) for span in spans))
+    if draw(st.booleans()):
+        return skeleton(X, draw(st.integers(0, max(0, X.dim_max - 1))))
+    return X
+
+
+@settings(deadline=None, max_examples=30)
+@given(small_subsets(2), small_subsets(2), small_subsets(2))
+def test_product_universal_property_on_generated_objects(X, Y, A):
+    # maps A -> X x Y biject with pairs of maps A -> X, A -> Y
+    P, _ = product(X, Y)
+    assert len(enumerate_maps(A, P)) == \
+        len(enumerate_maps(A, X)) * len(enumerate_maps(A, Y))
