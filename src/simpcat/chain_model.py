@@ -5,10 +5,10 @@ summand; staged cycle-killing toward a trivial fibration).
 """
 
 from .doldkan import (ChainComplex, boundaries_matrix, cycles_matrix,
-                      homology, map_respects_relations, maps_equal,
-                      relation_matrix)
+                      homology, map_respects_relations, maps_equal)
 from .errors import FuelExhausted, InputError
-from .intlinalg import Mat, from_columns, kernel_basis, solve_matrix
+from .intlinalg import (Mat, block_matrix, from_columns, kernel_basis,
+                        solve_matrix, solve_modulo)
 
 
 class ChainMap:
@@ -110,21 +110,13 @@ def mapping_cone(f):
         ry = len(Y.coeffs.get(n - 1, ()))
         cy = len(Y.coeffs.get(n, ()))
         cx = len(X.coeffs.get(n - 1, ()))
-        M = Mat(len(coeffs[n - 1]), cy + cx)
-        dY = Y.differential(n)
-        for i in range(dY.rows):
-            for j in range(dY.cols):
-                M.data[i][j] = dY.data[i][j]
-        if X.lo <= n - 1 <= X.hi:
-            F = f.at(n - 1)
-            for i in range(F.rows):
-                for j in range(F.cols):
-                    M.data[i][cy + j] = F.data[i][j]
         dX = X.differential(n - 1)
-        for i in range(dX.rows):
-            for j in range(dX.cols):
-                M.data[ry + i][cy + j] = -dX.data[i][j]
-        diff[n] = M
+        blocks = [(0, 0, Y.differential(n)),
+                  (ry, cy, Mat(dX.rows, dX.cols,
+                               [[-a for a in row] for row in dX.data]))]
+        if X.lo <= n - 1 <= X.hi:
+            blocks.append((0, cy, f.at(n - 1)))
+        diff[n] = block_matrix(len(coeffs[n - 1]), cy + cx, blocks)
     return ChainComplex(X.modulus, (lo, hi), coeffs, diff)
 
 
@@ -199,23 +191,15 @@ def join_variable(X, z, n, annihilator=None):
     for m in range(lo + 1, hi + 1):
         base = Xe.differential(m)
         if m == n + 1:
-            M = Mat(base.rows, base.cols + 1, [r + [0] for r in base.data])
-            for i in range(len(z)):
-                M.data[i][base.cols] = z[i]
-            diff[m] = M
+            diff[m] = base.hstack(from_columns([z], base.rows))
         elif m == n + 2:
-            M = Mat(base.rows + 1, base.cols,
-                    [list(r) for r in base.data] + [[0] * base.cols])
-            diff[m] = M
+            diff[m] = block_matrix(base.rows + 1, base.cols, [(0, 0, base)])
         else:
             diff[m] = base
     E = ChainComplex(X.modulus, (lo, hi), coeffs, diff).validate()
-    incl = {}
-    for m in range(lo, hi + 1):
-        M = Mat(E.rank(m), Xe.rank(m))
-        for j in range(M.cols):
-            M.data[j][j] = 1
-        incl[m] = M
+    incl = {m: block_matrix(E.rank(m), Xe.rank(m),
+                            [(0, 0, Mat.identity(Xe.rank(m)))])
+            for m in range(lo, hi + 1)}
     return E, ChainMap(Xe, E, incl).reduced()
 
 
@@ -283,19 +267,14 @@ def is_standard_extension(X, M):
             return False
         for j in range(rx, M.rank(n)):
             added.append((n, j))
-        # X's differentials must be the upper-left blocks
+        # X's differentials must be the upper-left blocks, with zeros
+        # below them
         if X.lo < n <= X.hi:
-            dM = M.differential(n)
             dX = X.differential(n)
-            for i in range(dX.rows):
-                for j in range(dX.cols):
-                    if dM.data[i][j] != dX.data[i][j]:
-                        return False
-            rx1 = X.rank(n - 1)
-            for i in range(rx1, M.rank(n - 1)):
-                for j in range(dX.cols):
-                    if dM.data[i][j] != 0:
-                        return False
+            left = [row[:dX.cols] for row in M.differential(n).data]
+            if left != block_matrix(M.rank(n - 1), dX.cols,
+                                    [(0, 0, dX)]).data:
+                return False
     # dependency edges between added generators
     index = {g: t for t, g in enumerate(added)}
     deps = {g: set() for g in added}
@@ -327,12 +306,8 @@ def is_standard_extension(X, M):
 def degreewise_surjective(p):
     Y = p.target
     for n in range(Y.lo, Y.hi + 1):
-        if Y.rank(n) == 0:
-            continue
-        F = p.at(n)
-        R = relation_matrix(Y.coeffs[n])
-        solver = F.hstack(R) if R.cols else F
-        if solve_matrix(solver, Mat.identity(Y.rank(n))) is None:
+        if Y.rank(n) and solve_modulo(p.at(n), Y.coeffs[n],
+                                      Mat.identity(Y.rank(n))) is None:
             return False
     return True
 
@@ -343,12 +318,8 @@ def surjective_on_cycles(p):
         ZY = cycles_matrix(Y, n)
         if ZY.cols == 0:
             continue
-        ZX = cycles_matrix(X, n)
-        F = p.at(n)
-        cols = [F.apply(ZX.column(j)) for j in range(ZX.cols)] + \
-            relation_matrix(Y.coeffs[n]).columns()
-        span = from_columns(cols, Y.rank(n)) if cols else Mat(Y.rank(n), 0)
-        if solve_matrix(span, ZY) is None:
+        if solve_modulo(p.at(n) * cycles_matrix(X, n), Y.coeffs[n],
+                        ZY) is None:
             return False
     return True
 
@@ -375,44 +346,23 @@ def factor_trivcofib_fib(f):
             + tuple(free for _ in Ye.coeffs.get(n + 1, ()))
     diff = {}
     for n in range(lo + 1, hi + 1):
-        rows = len(coeffs[n - 1])
-        cols = len(coeffs[n])
-        M = Mat(rows, cols)
-        dX = Xe.differential(n)
-        for i in range(dX.rows):
-            for j in range(dX.cols):
-                M.data[i][j] = dX.data[i][j]
         # u_y block of degree n (indexed by gens of Y_n) maps to the v
         # block of degree n-1, which is also indexed by gens of Y_n
-        rx = Xe.rank(n)
-        rx1 = Xe.rank(n - 1)
-        ru1 = Ye.rank(n - 1)
-        for j in range(Ye.rank(n)):
-            M.data[rx1 + ru1 + j][rx + j] = 1
-        diff[n] = M
+        diff[n] = block_matrix(len(coeffs[n - 1]), len(coeffs[n]), [
+            (0, 0, Xe.differential(n)),
+            (Xe.rank(n - 1) + Ye.rank(n - 1), Xe.rank(n),
+             Mat.identity(Ye.rank(n)))])
     middle = ChainComplex(X.modulus, (lo, hi), coeffs, diff)
     first = {}
     second = {}
     for n in range(lo, hi + 1):
         rx = Xe.rank(n)
         ru = Ye.rank(n)
-        rv = Ye.rank(n + 1)
-        inc = Mat(len(coeffs[n]), rx)
-        for j in range(rx):
-            inc.data[j][j] = 1
-        first[n] = inc
-        P = Mat(Ye.rank(n), len(coeffs[n]))
-        F = fe.at(n)
-        for i in range(F.rows):
-            for j in range(F.cols):
-                P.data[i][j] = F.data[i][j]
-        for j in range(ru):
-            P.data[j][rx + j] = 1
-        dY = Ye.differential(n + 1)
-        for i in range(dY.rows):
-            for j in range(dY.cols):
-                P.data[i][rx + ru + j] = dY.data[i][j]
-        second[n] = P
+        first[n] = block_matrix(len(coeffs[n]), rx,
+                                [(0, 0, Mat.identity(rx))])
+        second[n] = block_matrix(ru, len(coeffs[n]), [
+            (0, 0, fe.at(n)), (0, rx, Mat.identity(ru)),
+            (0, rx + ru, Ye.differential(n + 1))])
     i_map = ChainMap(Xe, middle, first).reduced()
     p_map = ChainMap(middle, Ye, second).reduced()
     added = _added_summand_complex(Ye, lo, hi)
@@ -440,11 +390,8 @@ def _added_summand_complex(Ye, lo, hi):
             + tuple(free for _ in Ye.coeffs.get(n + 1, ()))
     diff = {}
     for n in range(lo + 1, hi + 1):
-        ru1 = Ye.rank(n - 1)
-        M = Mat(len(coeffs[n - 1]), len(coeffs[n]))
-        for j in range(Ye.rank(n)):
-            M.data[ru1 + j][j] = 1
-        diff[n] = M
+        diff[n] = block_matrix(len(coeffs[n - 1]), len(coeffs[n]),
+                               [(Ye.rank(n - 1), 0, Mat.identity(Ye.rank(n)))])
     return ChainComplex(Ye.modulus, (lo, hi), coeffs, diff)
 
 
@@ -479,24 +426,13 @@ class _Stage:
         new_i = {}
         for m in range(E.lo, E.hi + 1):
             yr = self.Y0.rank(m) if self.Y0.lo <= m <= self.Y0.hi else 0
-            P = Mat(yr, E.rank(m))
-            base = self.p.get(m)
-            if base is not None:
-                for r in range(base.rows):
-                    for c in range(base.cols):
-                        P.data[r][c] = base.data[r][c]
+            blocks = [(0, 0, self.p[m])] if m in self.p else []
             if m == eta_degree:
-                for r in range(yr):
-                    P.data[r][E.rank(m) - 1] = eta[r]
-            new_p[m] = P
+                blocks.append((0, E.rank(m) - 1, from_columns([eta], yr)))
+            new_p[m] = block_matrix(yr, E.rank(m), blocks)
             xr = self.X0.rank(m) if self.X0.lo <= m <= self.X0.hi else 0
-            I = Mat(E.rank(m), xr)
-            base = self.i.get(m)
-            if base is not None:
-                for r in range(base.rows):
-                    for c in range(base.cols):
-                        I.data[r][c] = base.data[r][c]
-            new_i[m] = I
+            blocks = [(0, 0, self.i[m])] if m in self.i else []
+            new_i[m] = block_matrix(E.rank(m), xr, blocks)
         self.M = E
         self.p = new_p
         self.i = new_i
@@ -525,13 +461,8 @@ def factor_cofib_trivfib(f, fuel):
             continue
         for j in range(ZY.cols):
             zeta = ZY.column(j)
-            ZM = cycles_matrix(state.M, n)
-            F = state.p[n]
-            cols = [F.apply(ZM.column(q)) for q in range(ZM.cols)] + \
-                relation_matrix(Y.coeffs[n]).columns()
-            span = from_columns(cols, Y.rank(n)) if cols else \
-                Mat(Y.rank(n), 0)
-            if solve_matrix(span, from_columns([zeta], Y.rank(n))) \
+            if solve_modulo(state.p[n] * cycles_matrix(state.M, n),
+                            Y.coeffs[n], from_columns([zeta], Y.rank(n))) \
                     is not None:
                 continue
             # join u in degree n with du = 0 and p(u) = zeta
@@ -564,14 +495,8 @@ def factor_cofib_trivfib(f, fuel):
             ZM = cycles_matrix(state.M, n)
             if ZM.cols == 0:
                 continue
-            yr = Y.rank(n)
-            F = state.p[n]
-            fz = from_columns([F.apply(ZM.column(j))
-                               for j in range(ZM.cols)], yr) \
-                if yr else Mat(0, ZM.cols)
-            BY = boundaries_matrix(Y, n) if yr else Mat(0, 0)
-            big = fz.hstack(BY) if BY.cols else fz
-            for col in kernel_basis(big):
+            BY = boundaries_matrix(Y, n) if Y.rank(n) else Mat(0, 0)
+            for col in kernel_basis((state.p[n] * ZM).hstack(BY)):
                 a = col[:ZM.cols]
                 z = ZM.apply(a)
                 if not any(z):
@@ -585,7 +510,6 @@ def factor_cofib_trivfib(f, fuel):
                 state.add_generator(n, z, n + 1, eta)
                 killed += 1
                 ZM = cycles_matrix(state.M, n)
-                F = state.p[n]
         stages.append({"stage": "kill-cycles", "round": round_no,
                        "joined": killed})
     cert = FactorizationCertificate(
@@ -608,10 +532,8 @@ def _trivial_fibration_reached(p):
 
 def _preimage_boundary(Y, n, target):
     """eta with d_{n+1}(eta) = target modulo relations."""
-    dY = Y.differential(n + 1)
-    R = relation_matrix(Y.coeffs[n])
-    solver = dY.hstack(R) if R.cols else dY
-    sol = solve_matrix(solver, from_columns([list(target)], Y.rank(n)))
+    sol = solve_modulo(Y.differential(n + 1), Y.coeffs[n],
+                       from_columns([list(target)], Y.rank(n)))
     if sol is None:
         raise InputError("image cycle is not a boundary after all")
-    return [sol.data[i][0] for i in range(dY.cols)]
+    return sol.column(0)

@@ -114,6 +114,9 @@ def cmd_pin(args, n=None):
     X = formats.load_object(args.input, "simplicial-set")
     n = n if n is not None else args.n
     group = quasicat.homotopy_group(X, args.base, n)
+    if isinstance(group, FuelExhausted):
+        report_line("fuel exhausted: %s" % group.reason)
+        return 2
     emit(args, {"kind": "pi%d" % n, "order": group.order,
                 "structure": group.structure,
                 "elements": list(group.elements),

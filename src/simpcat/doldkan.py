@@ -9,9 +9,9 @@ the ring Z/m every annihilator divides m; the ring Z is modulus 0.
 
 from . import delta
 from .errors import InputError
-from .intlinalg import (Mat, from_columns, kernel_basis, preimage_lattice,
-                        quotient_invariant_factors, smith_normal_form,
-                        solve_matrix)
+from .intlinalg import (Mat, block_matrix, from_columns, kernel_modulo,
+                        preimage_lattice, quotient_invariant_factors,
+                        relation_matrix, smith_normal_form, solve_modulo)
 
 
 def parse_ring(ring):
@@ -49,18 +49,6 @@ def _normalize_coeffs(coeffs, modulus):
 
 def _reduce_vec(vec, coeffs):
     return tuple(a % c if c else a for a, c in zip(vec, coeffs))
-
-
-def relation_matrix(coeffs):
-    """Columns c_i * e_i for the nonzero annihilators."""
-    cols = []
-    n = len(coeffs)
-    for i, c in enumerate(coeffs):
-        if c:
-            col = [0] * n
-            col[i] = c
-            cols.append(col)
-    return from_columns(cols, n) if cols else Mat(n, 0)
 
 
 def maps_equal(F, G, target_coeffs):
@@ -261,22 +249,12 @@ def homology(C, degrees=None):
 def cycles_matrix(C, n):
     """Columns generating the lattice {x : d_n x = 0 modulo relations}
     inside the degree-n coordinate module."""
-    g = C.rank(n)
-    d_n = C.differential(n)
-    rel_below = relation_matrix(C.coeffs[n - 1]) if n - 1 >= C.lo else \
-        Mat(d_n.rows, 0)
-    stacked = d_n.hstack(rel_below) if rel_below.cols else d_n
-    K = kernel_basis(stacked)
-    zcols = [col[:g] for col in K]
-    return from_columns(zcols, g) if zcols else Mat(g, 0)
+    return kernel_modulo(C.differential(n), C.coeffs.get(n - 1, ()))
 
 
 def boundaries_matrix(C, n):
     """Columns generating boundaries plus relations at degree n."""
-    g = C.rank(n)
-    d_up = C.differential(n + 1)
-    bcols = d_up.columns() + relation_matrix(C.coeffs[n]).columns()
-    return from_columns(bcols, g) if bcols else Mat(g, 0)
+    return C.differential(n + 1).hstack(relation_matrix(C.coeffs[n]))
 
 
 def homology_at(C, n):
@@ -298,10 +276,14 @@ class SimplicialAbGroup:
         self.coeffs = {n: _normalize_coeffs(coeffs.get(n, ()),
                                             self.modulus)
                        for n in range(truncation + 1)}
-        self.face = {k: v.reduced(self.coeffs[k[0] - 1])
-                     for k, v in face.items()}
-        self.degen = {k: v.reduced(self.coeffs[k[0] + 1])
-                      for k, v in degen.items()}
+        # a document may list tables outside the truncation; they name
+        # no structure map and are dropped
+        self.face = {(n, i): v.reduced(self.coeffs[n - 1])
+                     for (n, i), v in face.items()
+                     if 1 <= n <= truncation and 0 <= i <= n}
+        self.degen = {(n, i): v.reduced(self.coeffs[n + 1])
+                      for (n, i), v in degen.items()
+                      if 0 <= n < truncation and 0 <= i <= n}
 
     @property
     def ring(self):
@@ -450,23 +432,10 @@ def normalized_chains(A, return_inclusions=False):
         if n == 0:
             L = Mat.identity(g)
         else:
-            blocks = [A.d(n, i) for i in range(1, n + 1)]
-            total_rows = sum(b.rows for b in blocks)
-            F = Mat(total_rows, g)
-            r0 = 0
-            for b in blocks:
-                for i in range(b.rows):
-                    F.data[r0 + i] = list(b.data[i])
-                r0 += b.rows
-            # relations of the stacked target
-            rel_coeffs = []
-            for _ in range(n):
-                rel_coeffs.extend(A.coeffs[n - 1])
-            R_target = relation_matrix(tuple(rel_coeffs))
-            stacked = F.hstack(R_target) if R_target.cols else F
-            K = kernel_basis(stacked)
-            cols = [col[:g] for col in K]
-            L = from_columns(cols, g) if cols else Mat(g, 0)
+            h = A.rank(n - 1)
+            F = block_matrix(n * h, g, [((i - 1) * h, 0, A.d(n, i))
+                                        for i in range(1, n + 1)])
+            L = kernel_modulo(F, A.coeffs[n - 1] * n)
         # present L / (ambient relations) with diagonal annihilators
         R_n = relation_matrix(A.coeffs[n])
         if L.cols == 0:
@@ -484,19 +453,13 @@ def normalized_chains(A, return_inclusions=False):
             factors.append(abs(d))
         keep = [i for i, f in enumerate(factors) if f != 1]
         new_coeffs[n] = tuple(factors[i] for i in keep)
-        inclusions[n] = from_columns([gens.column(i) for i in keep], g) \
-            if keep else Mat(g, 0)
+        inclusions[n] = from_columns([gens.column(i) for i in keep], g)
     diff = {}
     for n in range(1, D + 1):
-        image = A.d(n, 0) * inclusions[n]
-        target_rels = relation_matrix(A.coeffs[n - 1])
-        solver = inclusions[n - 1].hstack(target_rels) \
-            if target_rels.cols else inclusions[n - 1]
-        G = solve_matrix(solver, image)
-        if G is None:
+        diff[n] = solve_modulo(inclusions[n - 1], A.coeffs[n - 1],
+                               A.d(n, 0) * inclusions[n])
+        if diff[n] is None:
             raise InputError("d_0 does not restrict to the Moore complex")
-        diff[n] = Mat(len(new_coeffs[n - 1]), len(new_coeffs[n]),
-                      G.data[:len(new_coeffs[n - 1])])
     C = ChainComplex(A.modulus, (0, D), new_coeffs, diff)
     if return_inclusions:
         return C, inclusions
@@ -536,7 +499,7 @@ def dold_kan_gamma(C, D, return_layout=False):
         coeffs[n] = tuple(cs)
 
     def structure_matrix(alpha_values, m, n):
-        M = Mat(len(coeffs[m]), len(coeffs[n]))
+        blocks = []
         for eta, k in summands[n]:
             col0 = offsets[n][(eta, k)]
             comp = delta.tcompose(eta, alpha_values)
@@ -546,16 +509,10 @@ def dold_kan_gamma(C, D, return_layout=False):
                 continue
             row0 = offsets[m][(epi_vals, kp)]
             if kp == k:
-                block = Mat.identity(C.rank(k))
+                blocks.append((row0, col0, Mat.identity(C.rank(k))))
             elif kp == k - 1 and image == tuple(range(1, k + 1)):
-                block = C.differential(k)
-            else:
-                continue
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    if block.data[i][j]:
-                        M.data[row0 + i][col0 + j] = block.data[i][j]
-        return M
+                blocks.append((row0, col0, C.differential(k)))
+        return block_matrix(len(coeffs[m]), len(coeffs[n]), blocks)
 
     face = {}
     degen = {}
@@ -579,23 +536,10 @@ def is_presented_iso(F, src_coeffs, dst_coeffs):
     relations), injective (kernel inside the source relations)."""
     if not map_respects_relations(F, src_coeffs, dst_coeffs):
         return False
-    R_dst = relation_matrix(dst_coeffs)
-    solver = F.hstack(R_dst) if R_dst.cols else F
-    if solve_matrix(solver, Mat.identity(len(dst_coeffs))) is None:
+    if solve_modulo(F, dst_coeffs, Mat.identity(len(dst_coeffs))) is None:
         return False
-    # kernel of F as a module map
-    K = kernel_basis(solver)
-    R_src = relation_matrix(src_coeffs)
-    for col in K:
-        x = col[:len(src_coeffs)]
-        if any(x):
-            if R_src.cols == 0:
-                if any(x):
-                    return False
-            elif solve_matrix(R_src, from_columns([x], len(src_coeffs))) \
-                    is None:
-                return False
-    return True
+    # the kernel of F as a module map lies in the source relations
+    return kernel_modulo(F, dst_coeffs).reduced(src_coeffs).is_zero()
 
 
 def dold_kan_roundtrip(C):
@@ -610,33 +554,23 @@ def dold_kan_roundtrip(C):
     N, incl = normalized_chains(A, return_inclusions=True)
     comparison = {}
     for n in range(0, levels + 1):
-        rank_c = C.rank(n) if C.lo <= n <= C.hi else 0
+        rank_c = C.rank(n)
         if rank_c == 0:
             # a zero term of C must give a zero Moore term
             if len(N.coeffs.get(n, ())) != 0:
                 return False
             comparison[n] = Mat(0, 0)
             continue
-        iota = Mat(A.rank(n), rank_c)
         off = offsets[n][(delta.tidentity(n), n)]
-        for j in range(rank_c):
-            iota.data[off + j][j] = 1
-        R_amb = relation_matrix(A.coeffs[n])
-        solver = incl[n].hstack(R_amb) if R_amb.cols else incl[n]
-        G = solve_matrix(solver, iota)
-        if G is None:
-            return False
-        G = Mat(len(N.coeffs[n]), rank_c, G.data[:len(N.coeffs[n])])
-        if not is_presented_iso(G, C.coeffs[n], N.coeffs[n]):
+        iota = block_matrix(A.rank(n), rank_c,
+                            [(off, 0, Mat.identity(rank_c))])
+        G = solve_modulo(incl[n], A.coeffs[n], iota)
+        if G is None or not is_presented_iso(G, C.coeffs[n], N.coeffs[n]):
             return False
         comparison[n] = G
     for n in range(1, levels + 1):
-        rank_n = C.rank(n) if C.lo <= n <= C.hi else 0
-        rank_dn = C.rank(n - 1) if C.lo <= n - 1 <= C.hi else 0
-        dC = C.differential(n) if rank_n and rank_dn else \
-            Mat(rank_dn, rank_n)
         lhs = N.differential(n) * comparison[n]
-        rhs = comparison[n - 1] * dC
+        rhs = comparison[n - 1] * C.differential(n)
         if not maps_equal(lhs, rhs, N.coeffs[n - 1]):
             return False
     return True

@@ -102,6 +102,44 @@ def from_columns(cols, rows):
     return M
 
 
+def block_matrix(rows, cols, blocks):
+    """The rows x cols matrix holding each block B of (i, j, B) with its
+    top-left entry at (i, j), and zeros elsewhere.  A block that does not
+    fit is refused: slice assignment would grow the row instead."""
+    M = Mat(rows, cols)
+    for i, j, B in blocks:
+        if i < 0 or j < 0 or i + B.rows > rows or j + B.cols > cols:
+            raise InputError("a %dx%d block at (%d, %d) does not fit a "
+                             "%dx%d matrix" % (B.rows, B.cols, i, j,
+                                               rows, cols))
+        for row, brow in zip(M.data[i:], B.data):
+            row[j:j + B.cols] = brow
+    return M
+
+
+def relation_matrix(moduli):
+    """Columns c_i * e_i for the nonzero annihilators."""
+    n = len(moduli)
+    return from_columns([[c if k == i else 0 for k in range(n)]
+                         for i, c in enumerate(moduli) if c], n)
+
+
+def solve_modulo(A, moduli, B):
+    """X with A X = B modulo the per-row annihilators (0 = none), or
+    None: the first A.cols rows of a solution of [A | relations] Y = B."""
+    Y = solve_matrix(A.hstack(relation_matrix(moduli)), B)
+    if Y is None:
+        return None
+    return Mat(A.cols, B.cols, Y.data[:A.cols])
+
+
+def kernel_modulo(A, moduli):
+    """Columns generating {x : A x = 0 modulo the per-row annihilators}:
+    the first A.cols entries of each kernel column of [A | relations]."""
+    K = kernel_basis(A.hstack(relation_matrix(moduli)))
+    return from_columns([col[:A.cols] for col in K], A.cols)
+
+
 def smith_normal_form(A, s=False, t=False, sinv=False):
     """(D, S, T, Sinv) with D = S * A * T diagonal in divisor-chain form
     and S, T unimodular.  Only the transforms asked for (s, t, sinv) are

@@ -8,7 +8,7 @@ unbounded lifting.
 
 from . import sset
 from .delta import tidentity
-from .errors import InputError
+from .errors import FuelExhausted, InputError
 from .nerve_cat import FinCategory, bg, find_category_isomorphism
 from .sset import is_degenerate, simplex_dim
 
@@ -505,10 +505,14 @@ class GroupPresentation:
                                                     self.structure)
 
 
-def homotopy_group(X, x, n, budget=100000):
+CANDIDATE_BUDGET = 100000
+
+
+def homotopy_group(X, x, n):
     """pi_n(X, x) for a finite Kan object: n = 0 gives the set of vertex
     classes; n >= 1 gives homotopy classes of spheres with horn-filler
-    multiplication.  Kan-ness up to dimension n+2 is certified first."""
+    multiplication.  Kan-ness up to dimension n+2 is certified first.
+    FuelExhausted when X has more than CANDIDATE_BUDGET (n+1)-simplices."""
     if n < 0:
         raise InputError("pi_%d: the degree must be nonnegative" % n)
     if n == 0:
@@ -538,10 +542,10 @@ def homotopy_group(X, x, n, budget=100000):
 
     deg_up = (tuple(0 for _ in range(n + 1)), xi)
     candidates = X.simplices(n + 1)
-    if len(candidates) > budget:
-        raise InputError("candidate budget exceeded: %d > %d; raise the "
-                         "budget to compute this group"
-                         % (len(candidates), budget))
+    if len(candidates) > CANDIDATE_BUDGET:
+        return FuelExhausted("%d candidate %d-simplices exceed the "
+                             "budget of %d" % (len(candidates), n + 1,
+                                               CANDIDATE_BUDGET))
     products = {}
     for u in candidates:
         fu = X.simplex_faces(u)

@@ -9,7 +9,8 @@ from simpcat.doldkan import (ChainComplex, FGAbGroup, boundaries_matrix,
                              constant_simplicial_group, cycles_matrix,
                              dold_kan_gamma, dold_kan_roundtrip,
                              free_complex, free_simplicial_abelian_group,
-                             homology, homology_at, maps_equal,
+                             homology, homology_at, is_presented_iso,
+                             map_respects_relations, maps_equal,
                              normalized_chains, simplicial_group_kan_fill)
 from simpcat.errors import InputError
 from simpcat.intlinalg import Mat, quotient_invariant_factors
@@ -149,19 +150,12 @@ def random_complex(rng, modulus=0, max_rank=3, lo=0, span=3, free=False):
     prev = None
     for n in range(lo + 1, hi + 1):
         rows, cols = len(coeffs[n - 1]), len(coeffs[n])
-        F = Mat(rows, cols)
-        for j in range(cols):
-            # build d so that d.d = 0 and annihilators are respected:
-            # compose a random map through the previous differential's
-            # kernel is overkill at this scale; instead draw randomly and
-            # retry until the two conditions hold
-            pass
+        # draw d until it respects annihilators and d.d = 0
         attempts = 0
         while True:
             attempts += 1
             F = Mat(rows, cols, [[rng.randint(-2, 2) for _ in range(cols)]
                                  for _ in range(rows)])
-            from simpcat.doldkan import map_respects_relations, maps_equal
             if not map_respects_relations(F, coeffs[n], coeffs[n - 1]):
                 if attempts > 200:
                     F = Mat(rows, cols)
@@ -191,6 +185,63 @@ def test_dold_kan_roundtrip_random():
         assert dold_kan_roundtrip(C), "roundtrip failed on %r" % C
         count += 1
     assert count == 12
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes in a window inside 0..2 with at most two generators per
+    degree: free over Z, over Z with annihilators 0, 2 and 3, or over Z/4
+    with annihilators 4 and 2.  A generator maps only onto the cycles of
+    the degree below, so d.d = 0, with entries that respect annihilators
+    (c * e = 0 in Z/b for an entry e from annihilator c to b)."""
+    modulus, annihilator = draw(st.sampled_from([
+        (0, st.just(0)), (0, st.sampled_from((0, 2, 3))),
+        (4, st.sampled_from((4, 2)))]))
+    lo, hi = sorted(draw(st.lists(st.integers(0, 2), min_size=2,
+                                  max_size=2)))
+    coeffs, diff, cycles_below = {}, {}, []
+    for n in range(lo, hi + 1):
+        rank = draw(st.sampled_from((1, 2, 0)))
+        cs = [draw(annihilator) for _ in range(rank)]
+        d = Mat(len(coeffs.get(n - 1, ())), len(cs))
+        cycles = []
+        for j, c in enumerate(cs):
+            # most generators above a cycle map onto it
+            if cycles_below and draw(st.integers(0, 3)):
+                for i in cycles_below:
+                    b = coeffs[n - 1][i]
+                    e = draw(st.sampled_from((1, -1, 2, -3, 0)))
+                    d.data[i][j] = e * (b // gcd(c, b)) % b if b else \
+                        (0 if c else e)
+            if not any(row[j] for row in d.data):
+                cycles.append(j)
+        coeffs[n] = cs
+        if n > lo:
+            diff[n] = d
+        cycles_below = cycles
+    return ChainComplex(modulus, (lo, hi), coeffs, diff).validate()
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_complexes())
+def test_dold_kan_roundtrip_and_homology_on_generated_complexes(C):
+    assert dold_kan_roundtrip(C), C.as_dict()
+    N = normalized_chains(dold_kan_gamma(C, C.hi + 1))
+    assert homology(N, range(C.lo, C.hi + 1)) == homology(C), C.as_dict()
+
+
+def test_is_presented_iso_decides_each_condition():
+    one, two = Mat(1, 1, [[1]]), Mat(1, 1, [[2]])
+    assert is_presented_iso(one, (2,), (2,))
+    assert is_presented_iso(Mat(2, 2, [[0, 1], [1, 0]]), (0, 3), (3, 0))
+    # not well defined: Z/2 -> Z
+    assert not is_presented_iso(one, (2,), (0,))
+    # not surjective: 2 on Z
+    assert not is_presented_iso(two, (0,), (0,))
+    # surjective with a kernel outside the source relations
+    assert not is_presented_iso(one, (0,), (2,))
+    assert not is_presented_iso(one, (4,), (2,))
+    assert is_presented_iso(Mat(1, 2, [[1, 0]]), (0, 1), (0,))
 
 
 def test_dold_kan_roundtrip_torsion_over_z():

@@ -301,6 +301,25 @@ def test_cli_pi1(tmp_path):
     assert d["structure"] == "cyclic order 3"
 
 
+def test_cli_pi1_over_the_candidate_budget_exits_2(tmp_path, capsys,
+                                                  monkeypatch):
+    # nerve(BZ/3, 3) has 9 candidate 2-simplices
+    N = nerve(bg(cyclic_table(3)), 3)
+    path = write(tmp_path, "bz3.sset", formats.sset_to_dict(N))
+    out = tmp_path / "pi1.json"
+    monkeypatch.setattr(quasicat, "CANDIDATE_BUDGET", 8)
+    assert quasicat.homotopy_group(N, "*", 1).reason == \
+        "9 candidate 2-simplices exceed the budget of 8"
+    for argv in (["pi1", path], ["pin", path, "--n", "1"]):
+        assert run_cli(tmp_path, *argv, "--base", "*",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().out == "fuel exhausted: 9 candidate " \
+            "2-simplices exceed the budget of 8\n"
+        assert not out.exists()
+    monkeypatch.setattr(quasicat, "CANDIDATE_BUDGET", 9)
+    assert run_cli(tmp_path, "pi1", path, "--base", "*") == 0
+
+
 def test_cli_pin_and_pi0(tmp_path):
     N = nerve(bg(cyclic_table(2)), 4)
     path = write(tmp_path, "bz2.sset", formats.sset_to_dict(N))
@@ -504,6 +523,25 @@ def test_cli_dold_kan_pipeline(tmp_path):
                    "--out", npath) == 0
     N = formats.load_object(npath)
     assert N.rank(0) == 1 and N.rank(1) == 1
+
+
+def test_cli_normalized_chains_ignores_tables_outside_the_truncation(
+        tmp_path, capsys):
+    # a face at level 0, a degeneracy at the top level and a face above
+    # the truncation name no structure map, and are dropped on load
+    doc = {"kind": "simplicial-abelian-group", "ring": "Z",
+           "truncation": 0, "coefficients": {"0": [0]}, "faces": {},
+           "degeneracies": {}}
+    out = str(tmp_path / "n.cx")
+    assert run_cli(tmp_path, "normalized-chains",
+                   write(tmp_path, "a.sab", doc), "--out", out) == 0
+    want = (capsys.readouterr().out, open(out, "rb").read())
+    for table, key in [("faces", "0,0"), ("degeneracies", "0,0"),
+                       ("faces", "5,0")]:
+        stray = dict(doc, **{table: {key: []}})
+        assert run_cli(tmp_path, "normalized-chains",
+                       write(tmp_path, "b.sab", stray), "--out", out) == 0
+        assert (capsys.readouterr().out, open(out, "rb").read()) == want
 
 
 def test_cli_input_error(tmp_path):

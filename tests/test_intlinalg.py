@@ -1,13 +1,17 @@
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from simpcat import doldkan, formats, intlinalg, sset
 from simpcat.chain_model import ChainMap, extend_window, identity_chain_map
 from simpcat.doldkan import (free_complex, free_simplicial_abelian_group,
                              normalized_chains)
-from simpcat.intlinalg import Mat, smith_normal_form
+from simpcat.errors import InputError
+from simpcat.intlinalg import (Mat, block_matrix, kernel_modulo,
+                               relation_matrix, smith_normal_form,
+                               solve_matrix, solve_modulo)
 
 from oracles import smith_normal_form_all_transforms
 from test_doldkan import random_complex
@@ -66,6 +70,91 @@ def test_smith_normal_form_unit_and_non_unit_pivots():
     assert [D.data[0][0], D.data[1][1]] == [1, 2]
     B = Mat(2, 2, [[6, 4], [4, 10]])
     assert smith_normal_form(B)[0] == Mat(2, 2, [[2, 0], [0, 22]])
+
+
+def small_matrices(rows, cols):
+    entry = st.integers(-3, 3)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda data: Mat(rows, cols, data))
+
+
+@st.composite
+def presented_maps(draw):
+    """(A, moduli): A of at most 3 x 3 entries -3..3, and one annihilator
+    from {0, 2, 3} per row."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    moduli = tuple(draw(st.lists(st.sampled_from((0, 2, 3)),
+                                 min_size=rows, max_size=rows)))
+    return draw(small_matrices(rows, cols)), moduli
+
+
+def congruent(F, G, moduli):
+    return F.reduced(moduli) == G.reduced(moduli)
+
+
+@settings(deadline=None, max_examples=100)
+@given(presented_maps(), st.data())
+def test_solve_modulo_solves_what_has_a_solution(presented, data):
+    A, moduli = presented
+    # B = A X0 + relations Y0, for X0 and Y0 stacked in one matrix
+    R = relation_matrix(moduli)
+    k = data.draw(st.integers(0, 2))
+    B = A.hstack(R) * data.draw(small_matrices(A.cols + R.cols, k))
+    X = solve_modulo(A, moduli, B)
+    assert (X.rows, X.cols) == (A.cols, k)
+    assert congruent(A * X, B, moduli)
+
+
+@settings(deadline=None, max_examples=100)
+@given(presented_maps())
+def test_kernel_modulo_spans_the_kernel(presented):
+    A, moduli = presented
+    K = kernel_modulo(A, moduli)
+    assert K.rows == A.cols
+    assert (A * K).reduced(moduli).is_zero()
+    for x in product(range(-2, 3), repeat=A.cols):
+        x = Mat(A.cols, 1, [[v] for v in x])
+        if (A * x).reduced(moduli).is_zero():
+            assert solve_matrix(K, x) is not None, x.data
+
+
+@st.composite
+def placed_blocks(draw):
+    """(rows, cols, blocks): a matrix cut into a grid of bands, with at
+    most one block of entries -3..3 inside each cell."""
+    heights = draw(st.lists(st.integers(0, 3), max_size=3))
+    widths = draw(st.lists(st.integers(0, 3), max_size=3))
+    blocks = []
+    for r, h in enumerate(heights):
+        for c, w in enumerate(widths):
+            if draw(st.booleans()):
+                bh, bw = draw(st.integers(0, h)), draw(st.integers(0, w))
+                blocks.append((sum(heights[:r]) + draw(st.integers(0, h - bh)),
+                               sum(widths[:c]) + draw(st.integers(0, w - bw)),
+                               draw(small_matrices(bh, bw))))
+    return sum(heights), sum(widths), blocks
+
+
+@settings(deadline=None, max_examples=100)
+@given(placed_blocks())
+def test_block_matrix_places_each_block(placed):
+    rows, cols, blocks = placed
+    M = block_matrix(rows, cols, blocks)
+    assert (M.rows, M.cols) == (rows, cols)
+    covered = set()
+    for i, j, B in blocks:
+        assert [r[j:j + B.cols] for r in M.data[i:i + B.rows]] == B.data
+        covered.update((i + a, j + b) for a in range(B.rows)
+                       for b in range(B.cols))
+    assert all(M.data[a][b] == 0 for a in range(rows) for b in range(cols)
+               if (a, b) not in covered)
+    # a block one step past an edge, or before one, is refused
+    for i, j, B in blocks:
+        for at in ((rows - B.rows + 1, j), (i, cols - B.cols + 1),
+                   (-1, j), (i, -1)):
+            with pytest.raises(InputError, match="does not fit"):
+                block_matrix(rows, cols, [(*at, B)])
 
 
 def algebra_documents(tmp_path):
