@@ -66,15 +66,6 @@ def identity_chain_map(C):
                            for n in range(C.lo, C.hi + 1)})
 
 
-def compose_chain_maps(g, f):
-    if f.target.window != g.source.window or \
-            f.target.modulus != g.source.modulus:
-        raise InputError("chain maps do not compose")
-    return ChainMap(f.source, g.target,
-                    {n: g.at(n) * f.at(n)
-                     for n in range(f.source.lo, f.source.hi + 1)}).reduced()
-
-
 def extend_window(C, lo, hi):
     """The same complex viewed in a larger window, zero outside."""
     if lo > C.lo or hi < C.hi:

@@ -9,6 +9,7 @@ face/degeneracy decompositions are computed on demand.
 
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 
 class DeltaError(ValueError):
@@ -20,7 +21,13 @@ def tidentity(n):
 
 
 def tcompose(g, f):
-    """Value tuple of g after f; no validation."""
+    """Value tuple of g after f, the tuple g[f[x]] for each x; no
+    validation.  This is the one composition of index tables: f is a
+    sequence, and g any container its entries index (a tuple, a list, a
+    dict keyed by them)."""
+    if len(f) > 1:
+        return itemgetter(*f)(g)
+    # itemgetter() raises, and itemgetter(v) returns g[v] bare
     return tuple([g[v] for v in f])
 
 
@@ -83,6 +90,47 @@ def degeneracy_decomposition(f):
     doubled = [j for j in range(len(f) - 1) if f[j] == f[j + 1]]
     # sigma^{j_1} . ... . sigma^{j_s} with j_1 < ... < j_s, outermost first.
     return [(f[-1] + 1 + t, i) for t, i in enumerate(doubled)]
+
+
+@lru_cache(maxsize=None)
+def simplicial_identities(top):
+    """The simplicial identities of a simplicial object truncated at level
+    top, as a tuple of (kind, n, i, j, lhs, rhs): the words lhs and rhs
+    are equal maps out of X_n.
+
+    A word is a tuple of generators (is_face, k, i), the face d_i: X_k ->
+    X_{k-1} or the degeneracy s_i: X_k -> X_{k+1}, written as a composite
+    (the last acts first); the empty word is the identity of X_n.  kind
+    is "face" for d_i d_j = d_{j-1} d_i (i < j), "degeneracy" for s_i s_j
+    = s_{j+1} s_i (i <= j) and "mixed" for d_i s_j = s_{j-1} d_i (i < j),
+    1 (i = j, j + 1) or s_j d_{i-1} (i > j + 1).  The face identities come
+    first, then the degeneracy and the mixed ones, each by n, then j,
+    then i."""
+    out = []
+    for n in range(2, top + 1):
+        for j in range(1, n + 1):
+            for i in range(j):
+                out.append(("face", n, i, j,
+                            ((True, n - 1, i), (True, n, j)),
+                            ((True, n - 1, j - 1), (True, n, i))))
+    for n in range(top - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                out.append(("degeneracy", n, i, j,
+                            ((False, n + 1, i), (False, n, j)),
+                            ((False, n + 1, j + 1), (False, n, i))))
+    for n in range(top):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                if i < j:
+                    rhs = ((False, n - 1, j - 1), (True, n, i))
+                elif i <= j + 1:
+                    rhs = ()
+                else:
+                    rhs = ((False, n - 1, j), (True, n, i - 1))
+                out.append(("mixed", n, i, j,
+                            ((True, n + 1, i), (False, n, j)), rhs))
+    return tuple(out)
 
 
 def normalize_ordered_set(labels):

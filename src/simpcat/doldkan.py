@@ -53,12 +53,7 @@ def _reduce_vec(vec, coeffs):
 
 def maps_equal(F, G, target_coeffs):
     """Whether F and G agree modulo the target's annihilators, one per
-    row; over a free target (every annihilator 0) the matrices are
-    compared as they are, without the reduced copies."""
-    if not any(target_coeffs):
-        if not len(target_coeffs) == F.rows == G.rows:
-            raise InputError("need one modulus per row")
-        return F == G
+    row."""
     return F.reduced(target_coeffs) == G.reduced(target_coeffs)
 
 
@@ -324,42 +319,23 @@ class SimplicialAbGroup:
                                               self.coeffs[n + 1]):
                     raise InputError("degeneracy (%d, %d) ignores "
                                      "annihilators" % (n, i))
-        eq = maps_equal
-        # d_i d_j = d_{j-1} d_i for i < j
-        for n in range(2, D + 1):
-            for j in range(1, n + 1):
-                for i in range(j):
-                    lhs = self.d(n - 1, i) * self.d(n, j)
-                    rhs = self.d(n - 1, j - 1) * self.d(n, i)
-                    if not eq(lhs, rhs, self.coeffs[n - 2]):
-                        raise InputError(
-                            "face identity fails at n=%d i=%d j=%d"
-                            % (n, i, j))
-        # s_i s_j = s_{j+1} s_i for i <= j
-        for n in range(D - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    lhs = self.s(n + 1, i) * self.s(n, j)
-                    rhs = self.s(n + 1, j + 1) * self.s(n, i)
-                    if not eq(lhs, rhs, self.coeffs[n + 2]):
-                        raise InputError(
-                            "degeneracy identity fails at n=%d i=%d j=%d"
-                            % (n, i, j))
-        # mixed identities
-        for n in range(D):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    lhs = self.d(n + 1, i) * self.s(n, j)
-                    if i < j:
-                        rhs = self.s(n - 1, j - 1) * self.d(n, i)
-                    elif i in (j, j + 1):
-                        rhs = Mat.identity(self.rank(n))
-                    else:
-                        rhs = self.s(n - 1, j) * self.d(n, i - 1)
-                    if not eq(lhs, rhs, self.coeffs[n]):
-                        raise InputError(
-                            "mixed identity fails at n=%d i=%d j=%d"
-                            % (n, i, j))
+        # the simplicial identities, each side a product of matrices,
+        # compared modulo the annihilators of the level it lands in
+        def matrix(word, n):
+            if not word:
+                return Mat.identity(self.rank(n))
+            (is_face, k, i), *inner = word
+            out = (self.d if is_face else self.s)(k, i)
+            for is_face, k, i in inner:
+                out = out * (self.d if is_face else self.s)(k, i)
+            return out
+        for kind, n, i, j, lhs, rhs in delta.simplicial_identities(D):
+            is_face, k, _ = lhs[0]
+            target = k - 1 if is_face else k + 1
+            if not maps_equal(matrix(lhs, n), matrix(rhs, n),
+                              self.coeffs[target]):
+                raise InputError("%s identity fails at n=%d i=%d j=%d"
+                                 % (kind, n, i, j))
         return self
 
     def __repr__(self):

@@ -262,9 +262,9 @@ class _CubeFamily:
                 self.spaces[(i, j)] = sset.empty_sset()
             else:
                 levels, _, faces = self.cube(i, j)
-                name = _vertex_names(i, j).__getitem__
+                names = _vertex_names(i, j)
                 self.spaces[(i, j)] = SimplicialSet(None, [
-                    tuple(["<".join(map(name, c)) for c in level])
+                    tuple(["<".join(tcompose(names, c)) for c in level])
                     for level in levels], faces)
         return self.spaces[(i, j)]
 

@@ -84,9 +84,13 @@ class Mat:
                    [r1 + r2 for r1, r2 in zip(self.data, other.data)])
 
     def reduced(self, moduli):
-        """Rows reduced modulo per-row annihilators (0 = no reduction)."""
+        """Rows reduced modulo per-row annihilators (0 = no reduction):
+        the matrix itself when every annihilator is 0, a new one
+        otherwise.  No caller writes to the result."""
         if len(moduli) != self.rows:
             raise InputError("need one modulus per row")
+        if not any(moduli):
+            return self
         return Mat(self.rows, self.cols,
                    [[a % m if m else a for a in row]
                     for row, m in zip(self.data, moduli)])

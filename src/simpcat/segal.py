@@ -8,13 +8,15 @@ Index convention: a cell sits in bidegree (p, q) with p the outer
 """
 
 from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from operator import add, sub
 
 from . import sset
 from .delta import (all_maps, degeneracy, degeneracy_decomposition, face,
-                    face_decomposition, tcompose, tfactorize)
+                    face_decomposition, simplicial_identities, tcompose,
+                    tfactorize)
 from .errors import InputError, NotDecidable
-from .nerve_cat import (FinCategory, Functor, category_from_nerve,
-                        full_subcategory, nerve)
+from .nerve_cat import Functor, category_from_nerve, full_subcategory, nerve
 from .quasicat import classify
 
 
@@ -29,7 +31,7 @@ class BisimplicialSet:
     of its image in the target level.  The constructor takes such index
     sequences or name tables (dicts from cell names to cell names) and
     keeps each table inside the truncation as a tuple of indices (None
-    for a broken name table), and checks nothing: the loader in formats calls
+    for a broken table), and raises nothing: the loader in formats calls
     validate(), as must a caller who writes tables by hand.  Names come
     back in h_map, v_map, row and as_dict.
     """
@@ -77,7 +79,7 @@ class BisimplicialSet:
         table: the composite of its generator steps."""
         table, *steps = self._steps(alpha, horizontal, p, q)
         for step in steps:
-            table = list(map(step.__getitem__, table))
+            table = tcompose(step, table)
         return table
 
     def row(self, p):
@@ -142,8 +144,7 @@ class BisimplicialSet:
                                 "mixed structure maps do not commute"))
                 first = None  # (cell, message) of the first failure
                 for a, b, c, d, what in squares:
-                    left = list(map(a.__getitem__, b))
-                    right = list(map(c.__getitem__, d))
+                    left, right = tcompose(a, b), tcompose(c, d)
                     if left != right:
                         x = next(x for x, (u, v) in enumerate(
                             zip(left, right)) if u != v)
@@ -174,56 +175,39 @@ class BisimplicialSet:
             def pos(p):
                 return (p, other) if horizontal else (other, p)
 
-            # the tables of this row or column: d[(p, i)] and s[(p, i)]
-            # are the face and degeneracy i at pos(p)
-            d, s = {}, {}
+            # the tables of this row or column: maps[(True, p, i)] and
+            # maps[(False, p, i)] are the face and degeneracy i at pos(p)
+            maps = {}
             for p in range(1, M + 1):
-                cells, target = self.cells[pos(p)], self.cells[pos(p - 1)]
                 for i in range(p + 1):
                     key = pos(p) + (i,)
                     if key not in faces:
                         raise InputError("missing face table")
-                    if not _fits(faces[key], cells, target):
+                    if faces[key] is None:
                         raise InputError("face table broken at level %d"
                                          % p)
-                    d[(p, i)] = faces[key]
+                    maps[(True, p, i)] = faces[key]
             for p in range(M):
-                cells, target = self.cells[pos(p)], self.cells[pos(p + 1)]
                 for i in range(p + 1):
                     key = pos(p) + (i,)
                     if key not in degens:
                         raise InputError("missing degeneracy table")
-                    if not _fits(degens[key], cells, target):
+                    if degens[key] is None:
                         raise InputError("degeneracy table broken")
-                    s[(p, i)] = degens[key]
-            # simplicial identities, each compared as whole tables
-            for p in range(2, M + 1):
-                for j in range(1, p + 1):
-                    for i in range(j):
-                        if not _commutes(d[(p - 1, i)], d[(p, j)],
-                                         d[(p - 1, j - 1)], d[(p, i)]):
-                            raise InputError("face identity fails")
-            for p in range(M - 1):
-                for j in range(p + 1):
-                    for i in range(j + 1):
-                        if not _commutes(s[(p + 1, i)], s[(p, j)],
-                                         s[(p + 1, j + 1)], s[(p, i)]):
-                            raise InputError("degeneracy identity fails")
-            for p in range(M):
-                identity = list(range(len(self.cells[pos(p)])))
-                for j in range(p + 1):
-                    for i in range(p + 2):
-                        di, sj = d[(p + 1, i)], s[(p, j)]
-                        if i == j or i == j + 1:
-                            ok = list(map(di.__getitem__, sj)) == identity
-                        elif i < j:
-                            ok = _commutes(di, sj, s[(p - 1, j - 1)],
-                                           d[(p, i)])
-                        else:
-                            ok = _commutes(di, sj, s[(p - 1, j)],
-                                           d[(p, i - 1)])
-                        if not ok:
-                            raise InputError("mixed identity fails")
+                    maps[(False, p, i)] = degens[key]
+
+            # the simplicial identities, each compared as whole tables
+            def table(word, p):
+                if not word:
+                    return tuple(range(len(self.cells[pos(p)])))
+                *outer, first = word
+                out = maps[first]
+                for g in reversed(outer):
+                    out = tcompose(maps[g], out)
+                return out
+            for kind, p, _, _, lhs, rhs in simplicial_identities(M):
+                if table(lhs, p) != table(rhs, p):
+                    raise InputError("%s identity fails" % kind)
 
     def as_dict(self):
         """The document form, whose tables key cells by name: no two
@@ -235,7 +219,7 @@ class BisimplicialSet:
         def tbl(tables, dp, dq):
             return {"%d,%d,%d" % (p, q, i): dict(zip(
                 self.cells[(p, q)],
-                map(self.cells[(p + dp, q + dq)].__getitem__, table)))
+                tcompose(self.cells[(p + dp, q + dq)], table)))
                 for (p, q, i), table in sorted(tables.items())}
         return {
             "truncation": [self.m_trunc, self.n_trunc],
@@ -263,34 +247,25 @@ def _generator_walk(alpha, n):
 
 
 def _indexed(table, cells, target):
-    """table as a tuple of indices.  A name table (a dict) is read on
-    cells through target, the index of the target level (cell name ->
-    position), and gives None when it misses a cell or names a boolean,
-    as True == 1 would find the cell 1, or an unhashable value; an index
-    table is kept as given, for _fits to check."""
-    if not isinstance(table, dict):
-        return tuple(table)
-    try:
-        values = list(map(table.__getitem__, cells))
-        if bool in set(map(type, values)):
+    """table as a tuple of indices, one per cell, each a position in the
+    target level, or None when it is broken.  A name table (a dict) is
+    read on cells through target, the index of the target level (cell
+    name -> position), and is broken when it misses a cell or names a
+    boolean, as True == 1 would find the cell 1, or an unhashable value;
+    an index table is broken unless it holds one int per cell, each below
+    len(target)."""
+    if isinstance(table, dict):
+        try:
+            values = tcompose(table, cells)
+            if bool in set(map(type, values)):
+                return None
+            return tcompose(target, values)
+        except (KeyError, TypeError):  # a cell missing, an unhashable value
             return None
-        return tuple(map(target.__getitem__, values))
-    except (KeyError, TypeError):  # a cell missing, an unhashable value
-        return None
-
-
-def _fits(table, cells, target):
-    """Whether table, as _indexed keeps it, holds one int per cell that
-    is a position in the target level."""
-    return (table is not None and len(table) == len(cells)
-            and set(map(type, table)) <= {int}
+    table = tuple(table)
+    fits = (len(table) == len(cells) and set(map(type, table)) <= {int}
             and (not table or 0 <= min(table) <= max(table) < len(target)))
-
-
-def _commutes(a, b, c, d):
-    """Whether a[b[x]] == c[d[x]] for every cell x, b and d being index
-    tables on the same cells."""
-    return list(map(a.__getitem__, b)) == list(map(c.__getitem__, d))
+    return table if fits else None
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +404,10 @@ def rezk_nerve(R, M, N):
     extensions = []
     for p in range(1, M + 1):
         level, spans = [], []
-        for x, chain in rows[-1]:
-            tail = C.dst[chain[-1]] if chain else x
+        for x, path in rows[-1]:
+            tail = C.dst[path[-1]] if path else x
             start = len(level)
-            level.extend((x, chain + (a,)) for a in C.arrows
+            level.extend((x, path + (a,)) for a in C.arrows
                          if C.src[a] == tail)
             spans.append(range(start, len(level)))
         rows.append(level)
@@ -452,12 +427,21 @@ def rezk_nerve(R, M, N):
           for row, vx in zip(rows[p], vertices[p])]
          for i in range(p + 1)] for p in range(M)]
     comp = C.comp  # (g, f) -> g after f
-    weak_homs = {}
+    weak_homs, closing = {}, {}
 
     def weak_hom(a, b):
         if (a, b) not in weak_homs:
             weak_homs[(a, b)] = [w for w in C.hom(a, b) if w in W]
         return weak_homs[(a, b)]
+
+    def closers(a, y):
+        """{h: the W-arrows w into y with w after a equal to h, in order,
+        each as a 1-tuple}"""
+        if (a, y) not in closing:
+            by = closing[(a, y)] = {}
+            for w in weak_hom(C.dst[a], y):
+                by.setdefault(comp[(w, a)], []).append((w,))
+        return closing[(a, y)]
 
     # per level p: each edge's top row, bottom row and verticals, the id
     # of each (top, bottom, verticals), the edges leaving each row, and
@@ -469,24 +453,23 @@ def rezk_nerve(R, M, N):
     below = None  # the level before: top -> [(bottom, its verticals)]
     for p in range(M + 1 if N >= 1 else 0):
         top_p, bottom_p, vert_p, out_p, below_p = [], [], [], [], []
-        for top, (x, chain) in enumerate(rows[p]):
+        for top, (x, path) in enumerate(rows[p]):
             start = len(vert_p)
             found = []
             if p == 0:
                 pairs = [(bottom, [(w,) for w in weak_hom(x, y)])
                          for bottom, y in enumerate(C.objects)]
             else:
-                a = chain[-1]
+                a = path[-1]
                 pairs = []
                 for prev, accs in below[row_face[p][p][top]]:
                     for bottom in extensions[p - 1][prev]:
                         b = rows[p][bottom][1][-1]
-                        ws = weak_hom(C.dst[a], C.dst[b])
+                        by = closers(a, C.dst[b])
                         vs = []
                         for acc in accs:
-                            closes = comp[(b, acc[-1])]
-                            vs.extend(acc + (w,) for w in ws
-                                      if comp[(w, a)] == closes)
+                            for w in by.get(comp[(b, acc[-1])], ()):
+                                vs.append(acc + w)
                         pairs.append((bottom, vs))
             for bottom, vs in pairs:
                 if vs:
@@ -496,7 +479,7 @@ def rezk_nerve(R, M, N):
                     vert_p.extend(vs)
             below_p.append(found)
             out_p.append(range(start, len(vert_p)))
-        ids = {key: e for e, key in enumerate(zip(top_p, bottom_p, vert_p))}
+        ids = dict(zip(zip(top_p, bottom_p, vert_p), range(len(vert_p))))
         tops.append(top_p)
         bottoms.append(bottom_p)
         verts.append(vert_p)
@@ -506,114 +489,141 @@ def rezk_nerve(R, M, N):
                         for r, vx in enumerate(vertices[p])])
         below = below_p
     # edge_face[p][i][e] and edge_degen[p][i][e]: the edge ids of the
-    # i-th face and degeneracy of edge e at level p
+    # i-th face and degeneracy of edge e at level p, which drop or repeat
+    # the i-th vertical; vert_cols[p][k] lists the k-th vertical of each
+    # edge
+    vert_cols = [list(zip(*vs)) for vs in verts]
+
+    def edges_through(rows_to, p, verticals, q):
+        """The ids at level q of the edges that run, for each edge at
+        level p, between the rows rows_to sends its ends to, with the
+        columns of verticals given."""
+        return tcompose(edge_id[q], list(zip(
+            tcompose(rows_to, tops[p]), tcompose(rows_to, bottoms[p]),
+            zip(*verticals))))
     edge_face = [None] + [
-        [[edge_id[p - 1][(rf[t], rf[b], v[:i] + v[i + 1:])]
-          for t, b, v in zip(tops[p], bottoms[p], verts[p])]
+        [edges_through(rf, p, vert_cols[p][:i] + vert_cols[p][i + 1:], p - 1)
          for i, rf in enumerate(row_face[p])] for p in range(1, len(verts))]
     edge_degen = [
-        [[edge_id[p + 1][(rd[t], rd[b], v[:i + 1] + v[i:])]
-          for t, b, v in zip(tops[p], bottoms[p], verts[p])]
+        [edges_through(rd, p, vert_cols[p][:i + 1] + vert_cols[p][i:], p + 1)
          for i, rd in enumerate(row_degen[p])]
         for p in range(min(M, len(verts)))]
 
-    # the cells of each bidegree in enumeration order, and for q >= 2 the
-    # index of each cell's edge tuple; at q = 1 the edge id is the index
-    grids, index = {}, {}
+    # the cells of each bidegree in enumeration order, a (p, q) cell for
+    # q >= 1 held by columns: cols[(p, q)][k] lists the k-th edge of each
+    # cell.  A cell at (p, q), q >= 2, extends a cell x at (p, q - 1) by
+    # an edge e leaving the bottom row of x; the cells extending x come
+    # together, in the order of those edges, which are numbered densely,
+    # so the cell sits at base[(p, q)][x] + e.  At q = 1 the edge id is
+    # the index
+    sizes, cols, base = {}, {}, {}
     for p in range(M + 1):
-        grids[(p, 0)] = range(len(rows[p]))
+        sizes[(p, 0)] = len(rows[p])
         if N >= 1:
-            grids[(p, 1)] = [(e,) for e in range(len(verts[p]))]
+            sizes[(p, 1)] = len(verts[p])
+            cols[(p, 1)] = [range(len(verts[p]))]
         for q in range(2, N + 1):
-            out_p, bottom_p = leaving[p], bottoms[p]
-            grids[(p, q)] = [c + (e,) for c in grids[(p, q - 1)]
-                             for e in out_p[bottom_p[c[-1]]]]
-            index[(p, q)] = dict(zip(grids[(p, q)],
-                                     range(len(grids[(p, q)]))))
+            below = cols[(p, q - 1)]
+            ends = tcompose(bottoms[p], below[-1])
+            first = tcompose([edges.start for edges in leaving[p]], ends)
+            nexts = tcompose(leaving[p], ends)
+            counts = list(map(len, nexts))
+            cols[(p, q)] = [list(chain.from_iterable(map(repeat, c, counts)))
+                            for c in below] + [
+                list(chain.from_iterable(nexts))]
+            sizes[(p, q)] = len(cols[(p, q)][-1])
+            base[(p, q)] = list(map(sub, accumulate(counts, initial=0),
+                                    first))
 
-    def lookup(p, q, cells):
-        """The indices at (p, q), q >= 1, of cells given as edge tuples."""
-        if q == 1:
-            return [c[0] for c in cells]
-        return list(map(index[(p, q)].__getitem__, cells))
+    def lookup(p, q, columns):
+        """The indices at (p, q), q >= 1, of the cells whose edges are
+        given by columns."""
+        index = columns[0]
+        for k in range(2, q + 1):
+            index = list(map(add, tcompose(base[(p, k)], index),
+                             columns[k - 1]))
+        return index
 
-    def edgewise(per_edge, p, q, level):
-        """The indices at (p, q) of the cells of level, q >= 1, with each
-        edge sent through the array per_edge."""
-        if q == 1:
-            return per_edge
-        return lookup(p, q, [tuple(map(per_edge.__getitem__, c))
-                             for c in level])
+    # composite[p][x]: the id of the edge that composes the two stacked
+    # edges of the cell x at (p, 2); it runs from the top of the first to
+    # the bottom of the second, its k-th vertical the k-th of the second
+    # after the k-th of the first
+    composite = {}
+    for p in range(M + 1 if N >= 2 else 0):
+        firsts, seconds = cols[(p, 2)]
+        composed = zip(*[tcompose(comp, list(zip(
+            tcompose(vs, seconds), tcompose(vs, firsts))))
+            for vs in vert_cols[p]])
+        composite[p] = tcompose(edge_id[p], list(zip(
+            tcompose(tops[p], firsts), tcompose(bottoms[p], seconds),
+            composed)))
 
     # a level without cells has no tables
     h_face, h_degen, v_face, v_degen = {}, {}, {}, {}
-    composite = [{} for _ in verts]  # (edge, edge below) -> composite
-    for (p, q), level in grids.items():
-        if not level:
+    for (p, q), size in sizes.items():
+        if not size:
             continue
-        if p >= 1:
+        if q == 0:
             for i in range(p + 1):
-                h_face[(p, q, i)] = row_face[p][i] if q == 0 else \
-                    edgewise(edge_face[p][i], p - 1, q, level)
-        if p < M:
-            for i in range(p + 1):
-                h_degen[(p, q, i)] = row_degen[p][i] if q == 0 else \
-                    edgewise(edge_degen[p][i], p + 1, q, level)
-        if q >= 1:
-            # drop the top or bottom row, or compose the verticals on
-            # either side of row j
-            top_p, bottom_p, vert_p = tops[p], bottoms[p], verts[p]
-            for j in range(q + 1):
-                if j == 0:
-                    v_face[(p, q, j)] = bottom_p if q == 1 else \
-                        lookup(p, q - 1, [c[1:] for c in level])
-                    continue
-                if j == q:
-                    v_face[(p, q, j)] = top_p if q == 1 else \
-                        lookup(p, q - 1, [c[:-1] for c in level])
-                    continue
-                faces = []
-                for c in level:
-                    pair = c[j - 1:j + 1]
-                    if pair not in composite[p]:
-                        e1, e2 = pair
-                        composite[p][pair] = edge_id[p][(
-                            top_p[e1], bottom_p[e2], tuple(map(
-                                comp.__getitem__,
-                                zip(vert_p[e2], vert_p[e1]))))]
-                    faces.append(c[:j - 1] + (composite[p][pair],)
-                                 + c[j + 1:])
-                v_face[(p, q, j)] = lookup(p, q - 1, faces)
+                if p >= 1:
+                    h_face[(p, 0, i)] = row_face[p][i]
+                if p < M:
+                    h_degen[(p, 0, i)] = row_degen[p][i]
+            if N >= 1:
+                v_degen[(p, 0, 0)] = id_edge[p]
+            continue
+        # the horizontal maps send each edge through a per-edge array
+        level = cols[(p, q)]
+        for i in range(p + 1):
+            if p >= 1:
+                h_face[(p, q, i)] = lookup(p - 1, q, [
+                    tcompose(edge_face[p][i], c) for c in level])
+            if p < M:
+                h_degen[(p, q, i)] = lookup(p + 1, q, [
+                    tcompose(edge_degen[p][i], c) for c in level])
+        # drop the top or bottom row, or compose the verticals on either
+        # side of row j
+        top_p, bottom_p = tops[p], bottoms[p]
+        v_face[(p, q, 0)] = bottom_p if q == 1 else \
+            lookup(p, q - 1, level[1:])
+        v_face[(p, q, q)] = top_p if q == 1 else \
+            lookup(p, q - 1, level[:-1])
+        for j in range(1, q):
+            merged = tcompose(composite[p], lookup(p, 2, level[j - 1:j + 1]))
+            v_face[(p, q, j)] = lookup(p, q - 1, level[:j - 1] + [merged]
+                                       + level[j + 1:])
         if q < N:
             # insert the identity edge of row j: the top row of edge 0,
             # or the bottom row of edge j - 1
             for j in range(q + 1):
-                if q == 0:
-                    v_degen[(p, 0, 0)] = id_edge[p]
-                    continue
-                ends, k = (tops[p], 0) if j == 0 else (bottoms[p], j - 1)
-                v_degen[(p, q, j)] = lookup(p, q + 1, [
-                    c[:j] + (id_edge[p][ends[c[k]]],) + c[j:]
-                    for c in level])
+                ends, k = (top_p, 0) if j == 0 else (bottom_p, j - 1)
+                v_degen[(p, q, j)] = lookup(p, q + 1, level[:j] + [
+                    tcompose(id_edge[p], tcompose(ends, level[k]))]
+                    + level[j:])
 
     # names last, in enumeration order: "[rows|verticals]", rows joined
     # by ";" as "source:arrows", each vertical tuple joined by ","
     cells = {}
     for p in range(M + 1):
-        row_names = ["%s:%s" % (x, ",".join(map(str, chain)))
-                     for x, chain in rows[p]]
+        row_names = ["%s:%s" % (x, ",".join(map(str, path)))
+                     for x, path in rows[p]]
         cells[(p, 0)] = tuple("[%s|]" % name for name in row_names)
         if N < 1:
             continue
         lower_names = [";" + row_names[b] for b in bottoms[p]]
-        vert_names = [",".join(map(str, v)) for v in verts[p]]
-        top_p = tops[p]
+        vert_names = list(map(",".join, zip(*[map(str, c)
+                                              for c in vert_cols[p]])))
         for q in range(1, N + 1):
-            cells[(p, q)] = tuple(
-                "[%s%s|%s]" % (row_names[top_p[c[0]]],
-                               "".join(map(lower_names.__getitem__, c)),
-                               ";".join(map(vert_names.__getitem__, c)))
-                for c in grids[(p, q)])
+            level = cols[(p, q)]
+            if not sizes[(p, q)]:
+                cells[(p, q)] = ()
+                continue
+            cells[(p, q)] = tuple(map("[%s%s|%s]".__mod__, zip(
+                tcompose(row_names, tcompose(tops[p], level[0])),
+                map("".join, zip(*[tcompose(lower_names, c)
+                                   for c in level])),
+                map(";".join, zip(*[tcompose(vert_names, c)
+                                    for c in level])))))
     return BisimplicialSet(M, N, cells, h_face, h_degen, v_face, v_degen)
 
 
@@ -627,81 +637,6 @@ def _chain_face(C, row, vertices, i):
         return (x, chain[:-1])
     return (x, chain[:i - 1] + (C.compose(chain[i], chain[i - 1]),)
             + chain[i + 1:])
-
-
-def chain_transformation_category(R, n):
-    """Independent construction of Fun([n], (C, W)): objects are the
-    n-chains, arrows the pointwise-W transformations."""
-    C = R.category
-    W = R.weak
-    objects = []
-    chain_of = {}
-    frontier = [(x, ()) for x in C.objects]
-    for _ in range(n):
-        nxt = []
-        for x, chain in frontier:
-            tail = C.dst[chain[-1]] if chain else x
-            for a in C.arrows:
-                if C.src[a] == tail:
-                    nxt.append((x, chain + (a,)))
-        frontier = nxt
-    for x, chain in frontier:
-        name = "%s:%s" % (x, ",".join(map(str, chain)))
-        objects.append(name)
-        chain_of[name] = (x, chain)
-
-    def vertices(rc):
-        x, chain = rc
-        out = [x]
-        for a in chain:
-            out.append(C.dst[a])
-        return out
-
-    arrows = []
-    src = {}
-    dst = {}
-    data = {}
-    for n1 in objects:
-        for n2 in objects:
-            tv = vertices(chain_of[n1])
-            bv = vertices(chain_of[n2])
-            top = chain_of[n1]
-            bottom = chain_of[n2]
-
-            def rec(i, acc):
-                if i == n + 1:
-                    yield tuple(acc)
-                    return
-                for w in C.hom(tv[i], bv[i]):
-                    if w not in W:
-                        continue
-                    if i > 0:
-                        if C.compose(w, top[1][i - 1]) != \
-                                C.compose(bottom[1][i - 1], acc[-1]):
-                            continue
-                    yield from rec(i + 1, acc + [w])
-
-            for tr in rec(0, []):
-                a = "%s=>%s:%s" % (n1, n2, ",".join(map(str, tr)))
-                arrows.append(a)
-                src[a] = n1
-                dst[a] = n2
-                data[a] = tr
-    comp = {}
-    for a2 in arrows:
-        for a1 in arrows:
-            if dst[a1] != src[a2]:
-                continue
-            tr = tuple(C.compose(w2, w1)
-                       for w1, w2 in zip(data[a1], data[a2]))
-            comp[(a2, a1)] = "%s=>%s:%s" % (src[a1], dst[a2],
-                                            ",".join(map(str, tr)))
-    ident = {}
-    for n1 in objects:
-        tv = vertices(chain_of[n1])
-        ident[n1] = "%s=>%s:%s" % (n1, n1, ",".join(
-            str(C.ident[v]) for v in tv))
-    return FinCategory(objects, arrows, src, dst, comp, ident)
 
 
 # ---------------------------------------------------------------------------
@@ -731,36 +666,34 @@ def strict_segal_check(X):
         for q in range(X.n_trunc + 1):
             # the spine of each cell: its p edges (i, i + 1), as indices
             # at (1, q), one composed table per edge
-            spines = list(zip(*[X._table((i, i + 1), True, p, q)
-                                for i in range(p)]))
-            image = set(spines)
-            if len(image) != len(spines):
+            edges = [X._table((i, i + 1), True, p, q) for i in range(p)]
+            spines = list(zip(*edges))
+            if len(set(spines)) != len(spines):
                 failures.append({"p": p, "q": q, "reason": "not injective"})
                 continue
-            for combo in _spine_tuples(X, p, q):
-                if combo not in image:
-                    failures.append({"p": p, "q": q,
-                                     "reason": "not surjective"})
-                    break
+            # by the simplicial identities every spine chains, each edge
+            # ending where the next one starts, and the spines are
+            # distinct: the map is onto the chained p-tuples of edges
+            # exactly when there are as many of them as cells
+            source = X._table((0,), True, 1, q)
+            target = X._table((1,), True, 1, q)
+            if len(spines) != _paths(source, target, len(X.level(0, q)), p):
+                failures.append({"p": p, "q": q, "reason": "not surjective"})
     return SegalReport(not failures, failures)
 
 
-def _spine_tuples(X, p, q):
-    """All compatible p-tuples of level-(1, q) cells, as indices,
-    generated lazily in lexicographic order."""
-    source = X._table((0,), True, 1, q)
-    target = X._table((1,), True, 1, q)
-    by_source = {}
-    for e, v in enumerate(source):
-        by_source.setdefault(v, []).append(e)
-    # a chain of generators, not a recursive closure: a closure that
-    # calls itself is a reference cycle, which would keep its tables
-    # alive until the cyclic garbage collector runs
-    tuples = ((e,) for e in range(len(source)))
+def _paths(source, target, vertices, p):
+    """The number of p-tuples of edges, given by their source and target
+    vertices, each ending where the next one starts."""
+    ending = [0] * vertices  # at each vertex, the tuples so far ending there
+    for v in target:
+        ending[v] += 1
     for _ in range(p - 1):
-        tuples = (t + (e,) for t in tuples
-                  for e in by_source.get(target[t[-1]], ()))
-    return tuples
+        longer = [0] * vertices
+        for v, n in zip(target, tcompose(ending, source)):
+            longer[v] += n
+        ending = longer
+    return sum(ending)
 
 
 class CompletenessReport:

@@ -18,9 +18,10 @@ whole block is one index range or one column of stored faces
 
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
-from operator import add, itemgetter
+from operator import add
 
-from .delta import all_surjections, face, tcompose, tfactorize, tidentity
+from .delta import (all_surjections, face, simplicial_identities, tcompose,
+                    tfactorize, tidentity)
 from .errors import InputError
 
 
@@ -157,7 +158,7 @@ class SimplicialSet:
             sizes = list(map(len, X.names))
             surjections, dims = _sorted_surjections(m, len(sizes) - 1)
             return dict(zip(surjections, accumulate(
-                map(sizes.__getitem__, dims), initial=0)))
+                tcompose(sizes, dims), initial=0)))
         return self.memo(("bases", m), build)
 
     def face_block(self, s):
@@ -180,11 +181,11 @@ class SimplicialSet:
                 else:
                     ts, subs = zip(*stored[v])
                     if rest[-1] == len(rest) - 1:  # s is an identity
-                        base = below.__getitem__
+                        base = below
                     else:
-                        base = {t: below[tuple([t[u] for u in rest])]
-                                for t in set(ts)}.__getitem__
-                    cols.append(list(map(add, map(base, ts), subs)))
+                        base = {t: below[tcompose(t, rest)]
+                                for t in set(ts)}
+                    cols.append(list(map(add, tcompose(base, ts), subs)))
             return cols
         return self.memo(("block", s), build)
 
@@ -267,7 +268,8 @@ class SimplicialSet:
         return self
 
     def check_identities(self):
-        """d_i d_j = d_{j-1} d_i for i < j, a whole column at a time.
+        """The face identities d_i d_j = d_{j-1} d_i for i < j, as
+        delta.simplicial_identities lists them, a whole column at a time.
 
         Per dimension k, the surjections among the stored faces of the
         k-cells are numbered block by block, so each stored face d_j is a
@@ -275,7 +277,9 @@ class SimplicialSet:
         off its face block.  Each identity is one comparison of two
         columns; on a failure the cells are searched in order, then j,
         then i, for the first one that fails."""
-        for k in range(2, len(self.names)):
+        top = len(self.names) - 1
+        identities = _face_identities(top)
+        for k in range(2, top + 1):
             entries = self.faces[k]
             if not entries:
                 continue
@@ -291,20 +295,17 @@ class SimplicialSet:
                     first[s] = len(down[0])
                     for col, block in zip(down, self.face_block(s)):
                         col.extend(block)
-                stored = [list(map(add, map(first.__getitem__, ss), subs))
+                stored = [list(map(add, tcompose(first, ss), subs))
                           for ss, subs in columns]
-            gather = [itemgetter(*col) for col in stored]
-            if all(gather[j](down[i]) == gather[i](down[j - 1])
-                   for j in range(1, k + 1) for i in range(j)):
+            if all(tcompose(down[a], stored[b]) == tcompose(down[c], stored[e])
+                   for _, _, a, b, c, e in identities[k]):
                 continue
             for idx in range(len(entries)):
-                for j in range(1, k + 1):
-                    for i in range(j):
-                        if down[i][stored[j][idx]] != \
-                                down[j - 1][stored[i][idx]]:
-                            raise InputError(
-                                "simplicial identity fails at cell %s "
-                                "(i=%d, j=%d)" % (self.names[k][idx], i, j))
+                for i, j, a, b, c, e in identities[k]:
+                    if down[a][stored[b][idx]] != down[c][stored[e][idx]]:
+                        raise InputError(
+                            "simplicial identity fails at cell %s "
+                            "(i=%d, j=%d)" % (self.names[k][idx], i, j))
 
     # -- helpers ---------------------------------------------------------
 
@@ -330,6 +331,20 @@ class SimplicialSet:
                           for k in range(len(self.names)))
         t = "inf" if self.truncation is None else str(self.truncation)
         return "SimplicialSet(cells=[%s], truncation=%s)" % (counts, t)
+
+
+@lru_cache(maxsize=None)
+def _face_identities(top):
+    """At each k <= top, the face identities d_a d_b = d_c d_e on the
+    k-simplices as (i, j, a, b, c, e), each listed for d_i d_j = d_{j-1}
+    d_i, in the order of delta.simplicial_identities(top)."""
+    out = [[] for _ in range(top + 1)]
+    for kind, k, i, j, lhs, rhs in simplicial_identities(top):
+        if kind == "face":
+            (_, _, a), (_, _, b) = lhs
+            (_, _, c), (_, _, e) = rhs
+            out[k].append((i, j, a, b, c, e))
+    return tuple(map(tuple, out))
 
 
 @lru_cache(maxsize=4096)

@@ -1122,6 +1122,105 @@ def smith_normal_form_all_transforms(A):
 # -- Rezk nerves on grids of arrow names, every table entry looked up by grid
 
 
+def chain_transformation_category(R, n):
+    """Fun([n], (C, W)) built directly: objects are the n-chains, arrows
+    the pointwise-W transformations.  Each row p of segal.rezk_nerve(R)
+    is the nerve of this category at n = p."""
+    C = R.category
+    W = R.weak
+    objects = []
+    chain_of = {}
+    frontier = [(x, ()) for x in C.objects]
+    for _ in range(n):
+        nxt = []
+        for x, chain in frontier:
+            tail = C.dst[chain[-1]] if chain else x
+            for a in C.arrows:
+                if C.src[a] == tail:
+                    nxt.append((x, chain + (a,)))
+        frontier = nxt
+    for x, chain in frontier:
+        name = "%s:%s" % (x, ",".join(map(str, chain)))
+        objects.append(name)
+        chain_of[name] = (x, chain)
+
+    def vertices(rc):
+        x, chain = rc
+        out = [x]
+        for a in chain:
+            out.append(C.dst[a])
+        return out
+
+    arrows = []
+    src = {}
+    dst = {}
+    data = {}
+    for n1 in objects:
+        for n2 in objects:
+            tv = vertices(chain_of[n1])
+            bv = vertices(chain_of[n2])
+            top = chain_of[n1]
+            bottom = chain_of[n2]
+
+            def rec(i, acc):
+                if i == n + 1:
+                    yield tuple(acc)
+                    return
+                for w in C.hom(tv[i], bv[i]):
+                    if w not in W:
+                        continue
+                    if i > 0:
+                        if C.compose(w, top[1][i - 1]) != \
+                                C.compose(bottom[1][i - 1], acc[-1]):
+                            continue
+                    yield from rec(i + 1, acc + [w])
+
+            for tr in rec(0, []):
+                a = "%s=>%s:%s" % (n1, n2, ",".join(map(str, tr)))
+                arrows.append(a)
+                src[a] = n1
+                dst[a] = n2
+                data[a] = tr
+    comp = {}
+    for a2 in arrows:
+        for a1 in arrows:
+            if dst[a1] != src[a2]:
+                continue
+            tr = tuple(C.compose(w2, w1)
+                       for w1, w2 in zip(data[a1], data[a2]))
+            comp[(a2, a1)] = "%s=>%s:%s" % (src[a1], dst[a2],
+                                            ",".join(map(str, tr)))
+    ident = {}
+    for n1 in objects:
+        tv = vertices(chain_of[n1])
+        ident[n1] = "%s=>%s:%s" % (n1, n1, ",".join(
+            str(C.ident[v]) for v in tv))
+    return FinCategory(objects, arrows, src, dst, comp, ident)
+
+
+def strict_segal_check_by_enumeration(X):
+    """The failures of segal.strict_segal_check, found on cell names:
+    each spine read through h_map, and every p-tuple of edges ending
+    where the next one starts listed and looked up among the spines."""
+    failures = []
+    for p in range(2, X.m_trunc + 1):
+        for q in range(X.n_trunc + 1):
+            spines = [tuple(X.h_map((i, i + 1), p, q, x) for i in range(p))
+                      for x in X.level(p, q)]
+            if len(set(spines)) != len(spines):
+                failures.append({"p": p, "q": q, "reason": "not injective"})
+                continue
+            ends = {e: (X.h_map((0,), 1, q, e), X.h_map((1,), 1, q, e))
+                    for e in X.level(1, q)}
+            chains = [(e,) for e in X.level(1, q)]
+            for _ in range(p - 1):
+                chains = [c + (e,) for c in chains for e in X.level(1, q)
+                          if ends[c[-1]][1] == ends[e][0]]
+            if not set(chains) <= set(spines):
+                failures.append({"p": p, "q": q, "reason": "not surjective"})
+    return failures
+
+
 def rezk_nerve_by_grids(R, M, N):
     """segal.rezk_nerve by hashing grids: a (p, q) cell is kept as its
     grid (rows, verticals) of arrow names, named as it is enumerated, and

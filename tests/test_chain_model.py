@@ -4,10 +4,10 @@ import pytest
 
 from simpcat import formats
 from simpcat.chain_model import (ChainMap, FactorizationCertificate,
-                                 compose_chain_maps, degreewise_surjective,
-                                 extend_window, factor_cofib_trivfib,
-                                 factor_trivcofib_fib, identity_chain_map,
-                                 is_quasi_iso, join_variable, mapping_cone,
+                                 degreewise_surjective, extend_window,
+                                 factor_cofib_trivfib, factor_trivcofib_fib,
+                                 identity_chain_map, is_quasi_iso,
+                                 join_variable, mapping_cone,
                                  surjective_on_cycles)
 from simpcat.doldkan import (ChainComplex, FGAbGroup, free_complex,
                              homology, homology_at)

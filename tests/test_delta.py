@@ -97,6 +97,64 @@ def test_compose_mismatch():
         tcompose(face(2, 0), face(3, 0))
 
 
+@pytest.mark.parametrize("target", [
+    ("a", "b", "c"), ["a", "b", "c"], {0: "a", 1: "b", 2: "c"}])
+def test_compose_index_tables_of_every_length(target):
+    # itemgetter takes at least one item and returns one entry bare, so
+    # lengths 0 and 1 are built apart; every length gives a tuple
+    for table, want in [((), ()), ((2,), ("c",)), ([1], ("b",)),
+                        ((2, 0), ("c", "a")), ([0, 0, 2, 1], "aacb"),
+                        (range(3), "abc")]:
+        got = tcompose(target, table)
+        assert type(got) is tuple
+        assert got == tuple(want) == tuple(target[v] for v in table)
+
+
+def test_compose_index_tables_raises_as_lookups_do():
+    for target, table, error in [(("a",), (0, 1), IndexError),
+                                 (("a",), (1,), IndexError),
+                                 ({"x": 0}, ("x", "y"), KeyError),
+                                 ({"x": 0}, ("y",), KeyError),
+                                 ({"x": 0}, ("x", ["y"]), TypeError),
+                                 ({"x": 0}, ([],), TypeError)]:
+        with pytest.raises(error):
+            tcompose(target, table)
+
+
+def _delta_map(word, n):
+    """The map of the simplex category that the word of generators acts
+    by on X_n: a simplicial object turns composites around."""
+    out = tidentity(n)
+    for is_face, k, i in reversed(word):
+        out = tcompose(out, face(k, i) if is_face else degeneracy(k + 1, i))
+    return out
+
+
+def test_listed_simplicial_identities_hold_in_delta():
+    # each listed identity is an equation of maps in the simplex category,
+    # each word composes (every generator lands where the next one
+    # starts), and the list runs face, degeneracy, mixed, then n, j, i
+    for top in range(6):
+        listed = delta.simplicial_identities(top)
+        for kind, n, i, j, lhs, rhs in listed:
+            for word in (lhs, rhs):
+                level = n
+                for is_face, k, _ in reversed(word):
+                    assert k == level and 0 <= k <= top
+                    level = k - 1 if is_face else k + 1
+                    assert 0 <= level <= top
+            assert _delta_map(lhs, n) == _delta_map(rhs, n), (kind, n, i, j)
+        kinds = ("face", "degeneracy", "mixed")
+        keys = [(kinds.index(kind), n, j, i)
+                for kind, n, i, j, _, _ in listed]
+        assert keys == sorted(set(keys))
+        # d_i d_j for i < j, s_i s_j for i <= j, d_i s_j for every i, j
+        assert [len([x for x in listed if x[0] == kind]) for kind in kinds] \
+            == [sum(n * (n + 1) // 2 for n in range(2, top + 1)),
+                sum((n + 1) * (n + 2) // 2 for n in range(top - 1)),
+                sum((n + 1) * (n + 2) for n in range(top))]
+
+
 def face_face_identity_holds(n):
     # delta^j . delta^i = delta^i . delta^{j-1}, 0 <= i < j <= n; the
     # composites are maps [n-2] -> [n] so n >= 2 is needed.

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simpcat import formats, sset
-from simpcat.doldkan import (ChainComplex, FGAbGroup, boundaries_matrix,
-                             constant_simplicial_group, cycles_matrix,
-                             dold_kan_gamma, dold_kan_roundtrip,
-                             free_complex, free_simplicial_abelian_group,
-                             homology, homology_at, is_presented_iso,
+from simpcat.doldkan import (ChainComplex, FGAbGroup, SimplicialAbGroup,
+                             boundaries_matrix, constant_simplicial_group,
+                             cycles_matrix, dold_kan_gamma,
+                             dold_kan_roundtrip, free_complex,
+                             free_simplicial_abelian_group, homology,
+                             homology_at, is_presented_iso,
                              map_respects_relations, maps_equal,
                              normalized_chains, simplicial_group_kan_fill)
 from simpcat.errors import InputError
@@ -419,6 +420,31 @@ def test_kan_fill_rejects_inconsistent():
     zero = tuple(0 for _ in range(FA.rank(1)))
     with pytest.raises(InputError):
         simplicial_group_kan_fill(FA, {0: v, 2: zero}, 2, 1)
+
+
+@pytest.mark.parametrize("kind, key, message", [
+    ("face", (2, 0), "face identity fails at n=2 i=0 j=1"),
+    ("face", (1, 0), "face identity fails at n=2 i=0 j=1"),
+    ("face", (3, 1), "face identity fails at n=3 i=0 j=1"),
+    ("degen", (1, 1), "degeneracy identity fails at n=0 i=0 j=0"),
+    ("degen", (2, 2), "degeneracy identity fails at n=1 i=0 j=1"),
+    ("degen", (0, 0), "mixed identity fails at n=0 i=0 j=0")])
+def test_simplicial_ab_group_names_the_first_identity_that_fails(
+        kind, key, message):
+    # the free group on Delta^2 with the first and last columns of one
+    # structure map swapped; identities are checked face, degeneracy,
+    # mixed, each by n, j, i, and an identity that composes the swapped
+    # map on both sides on the right still holds
+    FA = free_simplicial_abelian_group(sset.standard_simplex(2), 3)
+    FA.validate()  # valid before the swap
+    tables = {"face": dict(FA.face), "degen": dict(FA.degen)}
+    M = tables[kind][key]
+    tables[kind][key] = Mat(M.rows, M.cols, [row[-1:] + row[1:-1] + row[:1]
+                                             for row in M.data])
+    with pytest.raises(InputError) as info:
+        SimplicialAbGroup(FA.ring, 3, FA.coeffs, tables["face"],
+                          tables["degen"]).validate()
+    assert str(info.value) == message
 
 
 def test_maps_equal_over_free_and_torsion_targets():

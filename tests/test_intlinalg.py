@@ -72,6 +72,24 @@ def test_smith_normal_form_unit_and_non_unit_pivots():
     assert smith_normal_form(B)[0] == Mat(2, 2, [[2, 0], [0, 22]])
 
 
+def test_reduced_for_zero_mixed_and_nonzero_moduli():
+    # rows reduce modulo their own annihilator, 0 leaving a row as it is;
+    # with every annihilator 0 the matrix itself comes back, uncopied,
+    # and otherwise a new one, the input untouched
+    A = Mat(3, 2, [[-7, 5], [4, -1], [9, 12]])
+    before = A.copy()
+    assert A.reduced((0, 0, 0)) is A
+    mixed = A.reduced((0, 3, 0))
+    assert mixed == Mat(3, 2, [[-7, 5], [1, 2], [9, 12]])
+    nonzero = A.reduced((2, 3, 5))
+    assert nonzero == Mat(3, 2, [[1, 1], [1, 2], [4, 2]])
+    assert mixed is not A and nonzero is not A and A == before
+    assert Mat(0, 4).reduced(()) == Mat(0, 4)
+    for moduli in [(0, 0), (0, 0, 0, 0), (2,)]:
+        with pytest.raises(InputError, match="need one modulus per row"):
+            A.reduced(moduli)
+
+
 def small_matrices(rows, cols):
     entry = st.integers(-3, 3)
     return st.lists(st.lists(entry, min_size=cols, max_size=cols),

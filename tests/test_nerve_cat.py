@@ -261,6 +261,29 @@ def test_localize_universal_property_brute_force():
                 assert len(factorizations) == 1
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_localize_is_idempotent_on_its_answers(data):
+    # the canonical functor makes every weak arrow invertible, and
+    # inverting isomorphisms changes nothing: localizing the answer at
+    # the images of the weak arrows gives it back, through a canonical
+    # functor that is an isomorphism
+    from families import category_family
+    name, C = data.draw(st.sampled_from(category_family()))
+    W = {C.ident[x] for x in C.objects} | set(data.draw(
+        st.lists(st.sampled_from(C.arrows), max_size=4)))
+    first = localize(RelativeCategory(C, W), fuel=6)
+    if isinstance(first, FuelExhausted):
+        return  # only answers are certified
+    Q, eta = first.category, first.functor
+    again = localize(RelativeCategory(Q, {eta.arr_map[w] for w in W}
+                                      | set(Q.ident.values())), fuel=6)
+    assert not isinstance(again, FuelExhausted), name
+    assert again.functor.source is Q
+    again.functor.validate()
+    assert again.functor.is_isomorphism(), name
+
+
 def test_localize_fuel_validation():
     C = ordinal_category(1)
     with pytest.raises(InputError):

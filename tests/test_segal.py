@@ -11,10 +11,10 @@ from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table,
                                find_category_isomorphism, nerve,
                                ordinal_category, poset_category,
                                product_category)
-from simpcat.segal import (BisimplicialSet, chain_transformation_category,
-                           completeness_check, embed, rezk_nerve,
-                           standard_bisimplex, strict_segal_check)
+from simpcat.segal import (BisimplicialSet, completeness_check, embed,
+                           rezk_nerve, standard_bisimplex, strict_segal_check)
 
+from oracles import chain_transformation_category
 from test_nerve_cat import iso_pair_category
 
 
@@ -192,6 +192,39 @@ def test_rezk_nerve_point():
     for p in range(3):
         for q in range(3):
             assert len(B.level(p, q)) == 1
+
+
+def _two_triangles():
+    """Two 2-simplices A and B glued along their whole boundary."""
+    edges = {"01": (1, 0), "12": (2, 1), "02": (2, 0)}
+    faces = {"1:%s" % e: [[[0], v] for v in ends]
+             for e, ends in edges.items()}
+    for cell in "AB":
+        faces["2:" + cell] = [[[0, 1], e] for e in ("12", "02", "01")]
+    return formats.sset_from_dict({"truncation": 2, "cells": {
+        "0": [0, 1, 2], "1": list(edges), "2": ["A", "B"]}, "faces": faces})
+
+
+def test_strict_segal_check_matches_enumerating_the_spines():
+    # counting the chained edge tuples finds the failures that listing
+    # them all and looking each up among the spines finds
+    from oracles import strict_segal_check_by_enumeration
+    L = sset.horn(2, 1)
+    L3 = sset.from_presheaf(3, [L.simplices(q) for q in range(4)], L.apply,
+                            name_fn=lambda q, s: L.describe(s))
+    cases = [embed("discrete", L3, 2), embed("discrete", _two_triangles(), 1),
+             embed("discrete", nerve(bg(cyclic_table(3)), 3), 1),
+             embed("constant", _two_triangles(), 3),
+             standard_bisimplex(2, 1, 3, 1),
+             rezk_nerve(iso_relative(iso_pair_category()), 3, 1),
+             rezk_nerve(RelativeCategory(bg(cyclic_table(2)), set(
+                 bg(cyclic_table(2)).arrows)), 2, 2)]
+    reasons = set()
+    for X in cases:
+        failures = strict_segal_check(X).failures
+        assert failures == strict_segal_check_by_enumeration(X), X
+        reasons.update(f["reason"] for f in failures)
+    assert reasons == {"not injective", "not surjective"}
 
 
 def test_segal_passes_on_rezk_nerves():
@@ -417,6 +450,40 @@ def test_validate_degeneracy_directions_commute():
         BisimplicialSet(**structure).validate()
     assert str(info.value) == "degeneracy directions do not commute at " \
         "(0, 0)"
+
+
+def test_loader_reads_broken_name_tables_as_broken():
+    # a name table that misses a cell, or names a boolean or an
+    # unhashable value, breaks its table
+    for corrupt in (lambda t: t.pop("01|0"), lambda t: t.update({
+            "01|0": True}), lambda t: t.update({"01|0": ["1|0"]})):
+        structure = _structure(standard_bisimplex(1, 0, 1, 0))
+        corrupt(structure["h_face"][(1, 0, 0)])
+        with pytest.raises(InputError) as info:
+            formats.bisimplicial_from_dict(_document(structure))
+        assert str(info.value) == "face table broken at level 1"
+
+
+def test_a_boolean_does_not_name_the_cell_1():
+    # True == 1, so without its own check a name table would read True
+    # as the cell named 1; here every cell is named by its position
+    structure = _structure(standard_bisimplex(1, 0, 1, 0))
+    position = {k: {c: x for x, c in enumerate(v)}
+                for k, v in structure["cells"].items()}
+    for t, (dp, dq) in [("h_face", (-1, 0)), ("h_degen", (1, 0)),
+                        ("v_face", (0, -1)), ("v_degen", (0, 1))]:
+        structure[t] = {(p, q, i): {
+            position[(p, q)][c]: position[(p + dp, q + dq)][v]
+            for c, v in table.items()}
+            for (p, q, i), table in structure[t].items()}
+    structure["cells"] = {k: tuple(range(len(v)))
+                          for k, v in structure["cells"].items()}
+    BisimplicialSet(**structure).validate()
+    assert structure["h_face"][(1, 0, 0)][1] == 1  # d_0 of 01 is 1
+    structure["h_face"][(1, 0, 0)][1] = True
+    with pytest.raises(InputError) as info:
+        BisimplicialSet(**structure).validate()
+    assert str(info.value) == "face table broken at level 1"
 
 
 def test_validate_rejects_missing_table_entries():
