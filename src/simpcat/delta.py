@@ -92,10 +92,9 @@ def degeneracy_decomposition(f):
     return [(f[-1] + 1 + t, i) for t, i in enumerate(doubled)]
 
 
-@lru_cache(maxsize=None)
 def simplicial_identities(top):
     """The simplicial identities of a simplicial object truncated at level
-    top, as a tuple of (kind, n, i, j, lhs, rhs): the words lhs and rhs
+    top, generated as (kind, n, i, j, lhs, rhs): the words lhs and rhs
     are equal maps out of X_n.
 
     A word is a tuple of generators (is_face, k, i), the face d_i: X_k ->
@@ -105,20 +104,16 @@ def simplicial_identities(top):
     = s_{j+1} s_i (i <= j) and "mixed" for d_i s_j = s_{j-1} d_i (i < j),
     1 (i = j, j + 1) or s_j d_{i-1} (i > j + 1).  The face identities come
     first, then the degeneracy and the mixed ones, each by n, then j,
-    then i."""
-    out = []
+    then i.  Nothing is kept between calls."""
     for n in range(2, top + 1):
-        for j in range(1, n + 1):
-            for i in range(j):
-                out.append(("face", n, i, j,
-                            ((True, n - 1, i), (True, n, j)),
-                            ((True, n - 1, j - 1), (True, n, i))))
+        for i, j, lhs, rhs in face_identities(n):
+            yield "face", n, i, j, lhs, rhs
     for n in range(top - 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                out.append(("degeneracy", n, i, j,
-                            ((False, n + 1, i), (False, n, j)),
-                            ((False, n + 1, j + 1), (False, n, i))))
+                yield ("degeneracy", n, i, j,
+                       ((False, n + 1, i), (False, n, j)),
+                       ((False, n + 1, j + 1), (False, n, i)))
     for n in range(top):
         for j in range(n + 1):
             for i in range(n + 2):
@@ -128,9 +123,18 @@ def simplicial_identities(top):
                     rhs = ()
                 else:
                     rhs = ((False, n - 1, j), (True, n, i - 1))
-                out.append(("mixed", n, i, j,
-                            ((True, n + 1, i), (False, n, j)), rhs))
-    return tuple(out)
+                yield ("mixed", n, i, j,
+                       ((True, n + 1, i), (False, n, j)), rhs)
+
+
+def face_identities(n):
+    """The face identities out of X_n, n >= 2, generated as (i, j, lhs,
+    rhs) by j, then i: the words of d_i d_j = d_{j-1} d_i for i < j, as
+    simplicial_identities lists them."""
+    for j in range(1, n + 1):
+        for i in range(j):
+            yield (i, j, ((True, n - 1, i), (True, n, j)),
+                   ((True, n - 1, j - 1), (True, n, i)))
 
 
 def normalize_ordered_set(labels):

@@ -615,9 +615,6 @@ def rezk_nerve(R, M, N):
                                               for c in vert_cols[p]])))
         for q in range(1, N + 1):
             level = cols[(p, q)]
-            if not sizes[(p, q)]:
-                cells[(p, q)] = ()
-                continue
             cells[(p, q)] = tuple(map("[%s%s|%s]".__mod__, zip(
                 tcompose(row_names, tcompose(tops[p], level[0])),
                 map("".join, zip(*[tcompose(lower_names, c)
@@ -666,34 +663,36 @@ def strict_segal_check(X):
         for q in range(X.n_trunc + 1):
             # the spine of each cell: its p edges (i, i + 1), as indices
             # at (1, q), one composed table per edge
-            edges = [X._table((i, i + 1), True, p, q) for i in range(p)]
-            spines = list(zip(*edges))
-            if len(set(spines)) != len(spines):
+            spines = list(zip(*[X._table((i, i + 1), True, p, q)
+                                for i in range(p)]))
+            image = set(spines)
+            if len(image) != len(spines):
                 failures.append({"p": p, "q": q, "reason": "not injective"})
                 continue
-            # by the simplicial identities every spine chains, each edge
-            # ending where the next one starts, and the spines are
-            # distinct: the map is onto the chained p-tuples of edges
-            # exactly when there are as many of them as cells
-            source = X._table((0,), True, 1, q)
-            target = X._table((1,), True, 1, q)
-            if len(spines) != _paths(source, target, len(X.level(0, q)), p):
-                failures.append({"p": p, "q": q, "reason": "not surjective"})
+            for combo in _spine_tuples(X, p, q):
+                if combo not in image:
+                    failures.append({"p": p, "q": q,
+                                     "reason": "not surjective"})
+                    break
     return SegalReport(not failures, failures)
 
 
-def _paths(source, target, vertices, p):
-    """The number of p-tuples of edges, given by their source and target
-    vertices, each ending where the next one starts."""
-    ending = [0] * vertices  # at each vertex, the tuples so far ending there
-    for v in target:
-        ending[v] += 1
+def _spine_tuples(X, p, q):
+    """All compatible p-tuples of level-(1, q) cells, as indices,
+    generated lazily in lexicographic order."""
+    source = X._table((0,), True, 1, q)
+    target = X._table((1,), True, 1, q)
+    by_source = {}
+    for e, v in enumerate(source):
+        by_source.setdefault(v, []).append(e)
+    # a chain of generators, not a recursive closure: a closure that
+    # calls itself is a reference cycle, which would keep its tables
+    # alive until the cyclic garbage collector runs
+    tuples = ((e,) for e in range(len(source)))
     for _ in range(p - 1):
-        longer = [0] * vertices
-        for v, n in zip(target, tcompose(ending, source)):
-            longer[v] += n
-        ending = longer
-    return sum(ending)
+        tuples = (t + (e,) for t in tuples
+                  for e in by_source.get(target[t[-1]], ()))
+    return tuples
 
 
 class CompletenessReport:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, combinations
 from operator import add
 
-from .delta import (all_surjections, face, simplicial_identities, tcompose,
+from .delta import (all_surjections, face, face_identities, tcompose,
                     tfactorize, tidentity)
 from .errors import InputError
 
@@ -269,7 +269,7 @@ class SimplicialSet:
 
     def check_identities(self):
         """The face identities d_i d_j = d_{j-1} d_i for i < j, as
-        delta.simplicial_identities lists them, a whole column at a time.
+        delta.face_identities lists them, a whole column at a time.
 
         Per dimension k, the surjections among the stored faces of the
         k-cells are numbered block by block, so each stored face d_j is a
@@ -277,9 +277,7 @@ class SimplicialSet:
         off its face block.  Each identity is one comparison of two
         columns; on a failure the cells are searched in order, then j,
         then i, for the first one that fails."""
-        top = len(self.names) - 1
-        identities = _face_identities(top)
-        for k in range(2, top + 1):
+        for k in range(2, len(self.names)):
             entries = self.faces[k]
             if not entries:
                 continue
@@ -297,11 +295,14 @@ class SimplicialSet:
                         col.extend(block)
                 stored = [list(map(add, tcompose(first, ss), subs))
                           for ss, subs in columns]
+            # d_a d_b = d_c d_e, read off the words of each identity
+            identities = [(i, j, a, b, c, e) for i, j, ((_, _, a), (_, _, b)),
+                          ((_, _, c), (_, _, e)) in face_identities(k)]
             if all(tcompose(down[a], stored[b]) == tcompose(down[c], stored[e])
-                   for _, _, a, b, c, e in identities[k]):
+                   for _, _, a, b, c, e in identities):
                 continue
             for idx in range(len(entries)):
-                for i, j, a, b, c, e in identities[k]:
+                for i, j, a, b, c, e in identities:
                     if down[a][stored[b][idx]] != down[c][stored[e][idx]]:
                         raise InputError(
                             "simplicial identity fails at cell %s "
@@ -331,20 +332,6 @@ class SimplicialSet:
                           for k in range(len(self.names)))
         t = "inf" if self.truncation is None else str(self.truncation)
         return "SimplicialSet(cells=[%s], truncation=%s)" % (counts, t)
-
-
-@lru_cache(maxsize=None)
-def _face_identities(top):
-    """At each k <= top, the face identities d_a d_b = d_c d_e on the
-    k-simplices as (i, j, a, b, c, e), each listed for d_i d_j = d_{j-1}
-    d_i, in the order of delta.simplicial_identities(top)."""
-    out = [[] for _ in range(top + 1)]
-    for kind, k, i, j, lhs, rhs in simplicial_identities(top):
-        if kind == "face":
-            (_, _, a), (_, _, b) = lhs
-            (_, _, c), (_, _, e) = rhs
-            out[k].append((i, j, a, b, c, e))
-    return tuple(map(tuple, out))
 
 
 @lru_cache(maxsize=4096)

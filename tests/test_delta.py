@@ -135,7 +135,7 @@ def test_listed_simplicial_identities_hold_in_delta():
     # each word composes (every generator lands where the next one
     # starts), and the list runs face, degeneracy, mixed, then n, j, i
     for top in range(6):
-        listed = delta.simplicial_identities(top)
+        listed = list(delta.simplicial_identities(top))
         for kind, n, i, j, lhs, rhs in listed:
             for word in (lhs, rhs):
                 level = n

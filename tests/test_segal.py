@@ -206,8 +206,8 @@ def _two_triangles():
 
 
 def test_strict_segal_check_matches_enumerating_the_spines():
-    # counting the chained edge tuples finds the failures that listing
-    # them all and looking each up among the spines finds
+    # the index-table check finds the failures that reading each spine
+    # and each chained edge tuple by cell name finds
     from oracles import strict_segal_check_by_enumeration
     L = sset.horn(2, 1)
     L3 = sset.from_presheaf(3, [L.simplices(q) for q in range(4)], L.apply,

@@ -879,3 +879,25 @@ def test_product_universal_property_on_generated_objects(X, Y, A):
     P, _ = product(X, Y)
     assert len(enumerate_maps(A, P)) == \
         len(enumerate_maps(A, X)) * len(enumerate_maps(A, Y))
+
+
+def test_sparse_high_truncation_asks_only_nonempty_levels(monkeypatch):
+    # the face identities are listed level by level, only where there are
+    # cells: a point truncated at 300 has none to check, and a 12-sphere
+    # (one vertex, one 12-cell on it) truncated at 300 only those out of
+    # level 12.  Listing every identity up to the truncation would make
+    # millions of tuples here
+    asked = []
+    listed = sset.face_identities
+
+    def recording(n):
+        asked.append(n)
+        return listed(n)
+    monkeypatch.setattr(sset, "face_identities", recording)
+    X = formats.sset_from_dict(
+        {"cells": {"0": ["v"], "300": []}, "truncation": 300})
+    assert cell_counts(X) == [1] + [0] * 300 and asked == []
+    X = formats.sset_from_dict(
+        {"cells": {"0": ["v"], "12": ["c"], "300": []}, "truncation": 300,
+         "faces": {"12:c": [[[0] * 12, "v"]] * 13}})
+    assert cell_counts(X)[12] == 1 and asked == [12]
