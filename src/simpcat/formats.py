@@ -21,7 +21,9 @@ from .sset import SimplicialSet
 
 
 def dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    # documents are fresh trees from a writer or from JSON: no cycles
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      check_circular=False) + "\n"
 
 
 def load(path):
@@ -386,25 +388,29 @@ def simplicial_category_to_dict(C):
     """Every pair of simplices up to the level bound, degenerate ones
     included: the pairs sigma^*(g, f) = (g sigma, f sigma) for each
     stored nondegenerate (g, f) and each surjection sigma, composing to
-    (g.f) sigma."""
+    (g.f) sigma.  Triples that share one table (those of one cube shape
+    in frak_c) share its rows."""
     comp = {}
+    written = {}  # id of a table -> its rows
     for (x, y, z), table in sorted(C.comp.items()):
-        shapes = {}
-        for ((s, gi), (t, fi)), (u, hi) in table.items():
-            shapes.setdefault((s, t, u), []).append((gi, fi, hi))
-        rows = []
-        for (s, t, u), cells in shapes.items():
-            k = len(s) - 1
-            for q in range(k, C.level_bound + 1):
-                for sigma in all_surjections(q, k):
-                    g, f, h = (tcompose(s, sigma), tcompose(t, sigma),
-                               tcompose(u, sigma))
-                    rows.extend((g, gi, f, fi, h, hi)
-                                for gi, fi, hi in cells)
-        rows.sort()
-        comp["%s|%s|%s" % (x, y, z)] = [
-            [[list(g), gi], [list(f), fi], [list(h), hi]]
-            for g, gi, f, fi, h, hi in rows]
+        rows = written.get(id(table))
+        if rows is None:
+            shapes = {}
+            for ((s, gi), (t, fi)), (u, hi) in table.items():
+                shapes.setdefault((s, t, u), []).append((gi, fi, hi))
+            rows = written[id(table)] = []
+            for (s, t, u), cells in shapes.items():
+                k = len(s) - 1
+                for q in range(k, C.level_bound + 1):
+                    for sigma in all_surjections(q, k):
+                        # one list per surjection, shared by its rows
+                        g, f, h = (list(tcompose(s, sigma)),
+                                   list(tcompose(t, sigma)),
+                                   list(tcompose(u, sigma)))
+                        rows.extend([[g, gi], [f, fi], [h, hi]]
+                                    for gi, fi, hi in cells)
+            rows.sort()
+        comp["%s|%s|%s" % (x, y, z)] = rows
     return {
         "kind": "simplicial-category",
         "objects": list(C.objects),

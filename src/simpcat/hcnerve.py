@@ -34,7 +34,9 @@ class SimplicialCategory:
     Any other pair is sigma^*(g', f') for a nondegenerate (g', f') and
     the common surjection sigma, and composes to sigma^*(g'.f').  The
     constructor checks nothing: the loader in formats, and a caller with
-    a compose_fn of its own, call validate()."""
+    a compose_fn of its own, call validate().  A _CubeFamily as compose_fn
+    hands out the comp table and composite cache of each triple, shared
+    by the triples (and categories) of one cube shape."""
 
     def __init__(self, objects, mapspaces, identities, compose_fn,
                  level_bound):
@@ -43,19 +45,24 @@ class SimplicialCategory:
         self.identities = dict(identities)
         self.level_bound = level_bound
         self.comp = {}
+        # every composite computed so far; filled only by compose (and
+        # by a family's compose_fn), with values fixed by comp
+        self._composites = {}
         for x, y, z in product(self.objects, repeat=3):
             gspace = self.mapspaces[(y, z)]
             fspace = self.mapspaces[(x, y)]
             if gspace.n_cells(0) == 0 or fspace.n_cells(0) == 0:
                 continue
-            self.comp[(x, y, z)] = {
+            key = (x, y, z)
+            if isinstance(compose_fn, _CubeFamily):
+                self.comp[key], self._composites[key] = compose_fn.tables(
+                    x, y, z)
+                continue
+            self.comp[key] = {
                 (g, f): compose_fn(x, y, z, q, g, f)
                 for q in range(level_bound + 1)
                 for g, f in _nondegenerate_pairs(gspace, fspace, q)}
-        # every composite computed so far; filled only by compose, with
-        # values fixed by comp
-        self._composites = {key: dict(table)
-                            for key, table in self.comp.items()}
+            self._composites[key] = dict(self.comp[key])
 
     def mapspace(self, x, y):
         return self.mapspaces[(x, y)]
@@ -239,12 +246,13 @@ def _vertex_names(i, j):
 class _CubeFamily:
     """The map spaces and compositions of frak_c(0), frak_c(1), ...,
     built for one frak_c or coherent_nerve call and shared by every
-    category it makes (see frak_c)."""
+    category it makes (see frak_c).  Called as compose_fn, it is one."""
 
     def __init__(self):
         self.cubes = {}    # _pair_key -> _chain_nerve of the cube's masks
         self.spaces = {}   # (i, j) -> Map(i, j)
-        self.tables = {}   # shape -> {(g, f): g.f}, filled by compose_fn
+        self.cache = {}    # shape -> {(g, f): g.f}, every composite found
+        self.comps = {}    # shape -> {(g, f): g.f} on the nondegenerate pairs
         self.triples = {}  # (x, y, z) -> what compose_fn reads for it
 
     def cube(self, i, j):
@@ -268,26 +276,27 @@ class _CubeFamily:
                     for level in levels], faces)
         return self.spaces[(i, j)]
 
-    def _triple(self, i, j, k):
-        """(table, chains of Map(j, k), chains of Map(i, j), index of
-        Map(i, k), shift, middle bit) for the triple i <= j <= k.  The
-        table is shared by the triples of one shape (j - i, k - j), or
-        of one (i, j, k) once k has two digits (_pair_key)."""
-        p = j - i
-        shape = (p, k - j) if k <= 9 else (i, j, k)
-        return (self.tables.setdefault(shape, {}), self.cube(j, k)[0],
+    def _triple(self, x, y, z):
+        """(shape, cache, chains of Map(j, k), chains of Map(i, j), index
+        of Map(i, k), shift, middle bit) for the triple i <= j <= k.  The
+        triples of one shape (j - i, k - j) compose alike, while k has
+        one digit (_pair_key); past it the shape is (i, j, k)."""
+        found = self.triples.get((x, y, z))
+        if found is None:
+            i, j, k = int(x), int(y), int(z)
+            p = j - i
+            shape = (p, k - j) if k <= 9 else (i, j, k)
+            found = self.triples[(x, y, z)] = (
+                shape, self.cache.setdefault(shape, {}), self.cube(j, k)[0],
                 self.cube(i, j)[0], self.cube(i, k)[1], p,
                 1 << (p - 1) if p and k > j else 0)
+        return found
 
     def compose_fn(self, x, y, z, q, g, f):
         """g.f, computed once per shape: on cube coordinates the vertex
         masks of g sit above a 1 at j above those of f, so a nondegenerate
         pair goes to the strict chain of the combined masks."""
-        found = self.triples.get((x, y, z))
-        if found is None:
-            found = self.triples[(x, y, z)] = self._triple(
-                int(x), int(y), int(z))
-        table, gcells, fcells, index, p, mid = found
+        _, table, gcells, fcells, index, p, mid = self._triple(x, y, z)
         h = table.get((g, f))
         if h is None:
             (s, a), (t, b) = g, f
@@ -299,13 +308,31 @@ class _CubeFamily:
                 else _simplex_of_chain(index, vertices)
         return h
 
+    __call__ = compose_fn
+
+    def tables(self, x, y, z):
+        """(comp table, composite cache) of the triple x <= y <= z, shared
+        by the triples of its shape.  A nondegenerate pair of Map(j, k) x
+        Map(i, j) has level at most dim Map(j, k) + dim Map(i, j) <=
+        max(0, k - i - 1), which the level bound max(1, n - 1) of
+        frak_c(n) never falls below, so one table serves every gadget."""
+        shape, cache = self._triple(x, y, z)[:2]
+        if shape not in self.comps:
+            gspace = self.mapspace(int(y), int(z))
+            fspace = self.mapspace(int(x), int(y))
+            self.comps[shape] = {
+                (g, f): self.compose_fn(x, y, z, q, g, f)
+                for q in range(gspace.dim_max + fspace.dim_max + 1)
+                for g, f in _nondegenerate_pairs(gspace, fspace, q)}
+        return self.comps[shape], cache
+
     def category(self, n):
         """frak_c(n), n >= 0."""
         objects = [str(j) for j in range(n + 1)]
         mapspaces = {(str(i), str(j)): self.mapspace(i, j)
                      for i in range(n + 1) for j in range(n + 1)}
         return SimplicialCategory(objects, mapspaces,
-                                  {x: x for x in objects}, self.compose_fn,
+                                  {x: x for x in objects}, self,
                                   level_bound=max(1, n - 1))
 
 

@@ -88,9 +88,14 @@ class BisimplicialSet:
         levels = [[(q, j) for j in range(len(self.level(p, q)))]
                   for q in range(self.n_trunc + 1)]
 
+        steps = {}  # (alpha, q) -> its index tables on the row
+
         def action(alpha, x):
             q, j = x
-            for table in self._steps(alpha, False, p, q):
+            walk = steps.get((alpha, q))
+            if walk is None:
+                walk = steps[(alpha, q)] = self._steps(alpha, False, p, q)
+            for table in walk:
                 j = table[j]
             return (len(alpha) - 1, j)
 

@@ -129,9 +129,9 @@ class SimplicialSet:
         """All n-simplices (E-Z pairs), degenerate included."""
         self._require_dim(n)
         return self.memo(("simplices", n), lambda X: tuple(
-            (s, idx) for k in range(min(n, len(X.names) - 1) + 1)
+            (s, idx) for k, level in enumerate(X.names[:n + 1]) if level
             for s in all_surjections(n, k)
-            for idx in range(len(X.names[k]))))
+            for idx in range(len(level))))
 
     def simplex_faces(self, simplex):
         return tuple(self.face_of(i, simplex) for i in range(len(simplex[0])))
@@ -151,12 +151,14 @@ class SimplicialSet:
         return self.memo(("face_index", n), build)
 
     def block_bases(self, m):
-        """{s: rank of (s, 0)} over the surjections s: [m] ->> [k], k at
-        most the top dimension, in sorted order.  The simplex (s, idx)
-        has rank base[s] + idx in the sorted order of the m-simplices."""
+        """{s: rank of (s, 0)} over the surjections s: [m] ->> [k] onto
+        the levels k that have cells, in sorted order.  The simplex
+        (s, idx) has rank base[s] + idx in the sorted order of the
+        m-simplices."""
         def build(X):
             sizes = list(map(len, X.names))
-            surjections, dims = _sorted_surjections(m, len(sizes) - 1)
+            surjections, dims = _sorted_surjections(m, tuple(
+                k for k, size in enumerate(sizes[:m + 1]) if size))
             return dict(zip(surjections, accumulate(
                 tcompose(sizes, dims), initial=0)))
         return self.memo(("bases", m), build)
@@ -203,15 +205,15 @@ class SimplicialSet:
             order = [(s, idx) for s in bases for idx in range(sizes[s[-1]])]
             faces = []
             if m:
-                blocks = [X.face_block(s) for s in bases if sizes[s[-1]]]
+                blocks = list(map(X.face_block, bases))
                 for i in range(m + 1):
                     col = []
                     for cols in blocks:
                         col.extend(cols[i])
                     faces.append(col)
-            natural = [r for k in range(min(m, len(sizes) - 1) + 1)
+            natural = [r for k, size in enumerate(sizes[:m + 1]) if size
                        for s in all_surjections(m, k)
-                       for r in range(bases[s], bases[s] + sizes[k])]
+                       for r in range(bases[s], bases[s] + size)]
             return order, faces, natural
         return self.memo(("ranked", m), build)
 
@@ -345,12 +347,11 @@ def _dropped(s, i):
     return v, tuple(u if u < v else u - 1 for u in rest)
 
 
-@lru_cache(maxsize=None)
-def _sorted_surjections(m, top):
-    """The surjections s: [m] ->> [k], k <= top, in sorted order, and
+@lru_cache(maxsize=256)
+def _sorted_surjections(m, dims):
+    """The surjections s: [m] ->> [k], k in dims, in sorted order, and
     the k of each."""
-    surjections = sorted(s for k in range(min(m, top) + 1)
-                         for s in all_surjections(m, k))
+    surjections = sorted(s for k in dims for s in all_surjections(m, k))
     return tuple(surjections), tuple(s[-1] for s in surjections)
 
 
@@ -391,7 +392,7 @@ def from_presheaf(D, levels, action, name_fn=None, truncation="auto"):
     for n in range(D + 1):
         table = {}
         for k in range(n):
-            for s in all_surjections(n, k):
+            for s in all_surjections(n, k) if nondeg[k] else ():
                 for j, y in enumerate(nondeg[k]):
                     table[action(s, y)] = (s, j)
         nd = [x for x in levels[n] if x not in table]

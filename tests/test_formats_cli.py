@@ -916,3 +916,35 @@ def test_cli_entrypoint_subprocess(tmp_path):
          path, "--dim", "3"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "quasicategory" in proc.stdout
+
+
+def test_dumps_matches_the_encoder_with_its_cycle_check():
+    # dumps turns the cycle check off; on every kind of document the
+    # writers make, shared sublists included, the bytes are the same
+    from simpcat.nerve_cat import identity_functor
+    C = iso_pair_category()
+    K = free_complex("Z/4", (0, 2), {0: 1, 1: 2, 2: 1},
+                     {1: Mat(1, 2, [[2, 0]]), 2: Mat(2, 1, [[0], [2]])})
+    shared = [[0, 1], "x"]
+    docs = [
+        formats.sset_to_dict(nerve(C, 3)),
+        formats.category_to_dict(C, weak=C.arrows[:1]),
+        formats.functor_to_dict(identity_functor(C)),
+        formats.complex_to_dict(K),
+        formats.chain_map_to_dict(identity_chain_map(K)),
+        formats.simplicial_ab_to_dict(
+            free_simplicial_abelian_group(sset.standard_simplex(1), 2)),
+        formats.bisimplicial_to_dict(
+            embed("discrete", nerve(ordinal_category(1), 2), 2)),
+        formats.bisimplicial_to_dict(
+            rezk_nerve(RelativeCategory(C, set(C.arrows)), 2, 1)),
+        formats.simplicial_category_to_dict(frak_c(4)),
+        {"a": shared, "b": [shared, shared],
+         "c": {"d": shared, "\u00e9": -1}},
+    ]
+    assert docs[8]["compositions"]["0|1|2"] is \
+        docs[8]["compositions"]["1|2|3"]
+    for doc in docs:
+        assert formats.dumps(doc) == json.dumps(
+            doc, sort_keys=True, separators=(",", ":"),
+            check_circular=True) + "\n"

@@ -413,3 +413,86 @@ def test_work_counts_pinned(monkeypatch):
         counts["maps"] = 0
         coherent_nerve(from_fincategory(C, level_bound=3), 4)
         assert counts["maps"] == maps
+
+
+# -- one composition table per cube shape and level
+
+
+def _by_constructor(F):
+    """F rebuilt by SimplicialCategory on a fresh family's compose_fn:
+    one walk of the nondegenerate pairs per triple and level."""
+    return hcnerve.SimplicialCategory(F.objects, F.mapspaces, F.identities,
+                                      hcnerve._CubeFamily().compose_fn,
+                                      F.level_bound)
+
+
+def test_shared_gadget_tables_match_the_constructor():
+    # frak_c(0..6) on their own, and the gadgets frak_c(0..4) of one
+    # coherent_nerve call (level bounds 1, 1, 1, 2, 3) on one family
+    family = hcnerve._CubeFamily()
+    gadgets = [family.category(n) for n in range(5)]
+    assert [F.level_bound for F in gadgets] == [1, 1, 1, 2, 3]
+    for F in [frak_c(n) for n in range(7)] + gadgets:
+        ref = _by_constructor(F)
+        assert F.comp.keys() == ref.comp.keys()
+        for key, table in ref.comp.items():
+            assert list(F.comp[key].items()) == list(table.items()), key
+        bound = F.level_bound
+        for a, b, c in combinations(range(len(F.objects)), 3):
+            assert hcnerve._generating_pairs(F, a, b, c, bound) == \
+                hcnerve._generating_pairs(ref, a, b, c, bound), (a, b, c)
+    # degenerate pairs compose alike through the shared cache
+    for F in gadgets[3:]:
+        ref = _by_constructor(F)
+        for (x, y, z) in F.comp:
+            for q in range(F.level_bound + 1):
+                for g in F.mapspace(y, z).simplices(q):
+                    for f in F.mapspace(x, y).simplices(q):
+                        assert F.compose(x, y, z, g, f) == \
+                            ref.compose(x, y, z, g, f)
+
+
+def _walks(n):
+    """One walk per shape (p, r), p + r <= n, and level up to the top
+    one of a nondegenerate pair, dim Map(j, k) + dim Map(i, j)."""
+    return sum(max(0, p - 1) + max(0, r - 1) + 1
+               for p in range(n + 1) for r in range(n + 1 - p))
+
+
+def test_triples_of_one_shape_share_one_table(monkeypatch):
+    walks = [0]
+    walk = hcnerve._nondegenerate_pairs
+
+    def counting(*args):
+        walks[0] += 1
+        return walk(*args)
+    monkeypatch.setattr(hcnerve, "_nondegenerate_pairs", counting)
+    F = frak_c(5)
+    assert walks[0] == _walks(5) == 61
+    assert F.comp[("0", "1", "3")] is F.comp[("2", "3", "5")]
+    assert F.comp[("0", "1", "3")] is not F.comp[("0", "2", "3")]
+    assert F._composites[("0", "1", "3")] is F._composites[("2", "3", "5")]
+    doc = formats.simplicial_category_to_dict(F)["compositions"]
+    assert doc["0|1|3"] is doc["2|3|5"]
+    # the gadgets of one call, level bounds 1 to 3, share them too
+    walks[0] = 0
+    family = hcnerve._CubeFamily()
+    gadgets = [family.category(n) for n in range(5)]
+    assert walks[0] == _walks(4) == 35
+    assert gadgets[2].comp[("0", "1", "2")] is gadgets[4].comp[
+        ("2", "3", "4")]
+
+
+def test_tables_past_one_digit_are_per_triple():
+    # past the digit boundary a shape is the triple itself
+    family = hcnerve._CubeFamily()
+    fresh = hcnerve._CubeFamily()
+    for i, j, k in [(8, 9, 11), (7, 9, 11), (9, 11, 12), (0, 1, 3)]:
+        x, y, z = str(i), str(j), str(k)
+        table, _ = family.tables(x, y, z)
+        assert list(table.items()) == [
+            ((g, f), fresh.compose_fn(x, y, z, q, g, f)) for q in range(3)
+            for g, f in hcnerve._nondegenerate_pairs(
+                fresh.mapspace(j, k), fresh.mapspace(i, j), q)], (i, j, k)
+    assert family.tables("8", "9", "11")[0] is not \
+        family.tables("0", "1", "3")[0]

@@ -563,3 +563,36 @@ def test_index_tables_are_checked_like_name_tables():
     structure = _structure(X)
     structure["h_face"][(1, 0, 0)] = list(table)
     assert BisimplicialSet(**structure).as_dict() == X.as_dict()
+
+
+def test_row_asks_for_each_operator_tables_once(monkeypatch):
+    # a row's presheaf action reads one list of index tables per
+    # (alpha, q), however many cells it acts on
+    X = rezk_nerve(iso_relative(iso_pair_category()), 2, 2)
+    asked = []
+    steps = BisimplicialSet._steps
+
+    def recording(self, alpha, horizontal, p, q):
+        asked.append((alpha, horizontal, p, q))
+        return steps(self, alpha, horizontal, p, q)
+    monkeypatch.setattr(BisimplicialSet, "_steps", recording)
+    for p in range(3):
+        row = X.row(p)
+        assert formats.sset_to_dict(row) == formats.sset_to_dict(
+            from_presheaf_rows(X, p, steps)), p
+    assert asked and len(asked) == len(set(asked))
+
+
+def from_presheaf_rows(X, p, steps):
+    """X.row(p), the action walking the generator steps per element."""
+    levels = [[(q, j) for j in range(len(X.level(p, q)))]
+              for q in range(X.n_trunc + 1)]
+
+    def action(alpha, x):
+        q, j = x
+        for table in steps(X, alpha, False, p, q):
+            j = table[j]
+        return (len(alpha) - 1, j)
+    return sset.from_presheaf(
+        X.n_trunc, levels, action,
+        name_fn=lambda q, x: str(X.cells[(p, q)][x[1]]))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from simpcat import formats, sset
-from simpcat.delta import tidentity
+from simpcat.delta import all_surjections, tidentity
 from simpcat.sset import (InputError, boundary, disjoint_union,
                           empty_sset, enumerate_maps, find_isomorphism,
                           from_presheaf, horn, identity_map,
@@ -901,3 +901,51 @@ def test_sparse_high_truncation_asks_only_nonempty_levels(monkeypatch):
         {"cells": {"0": ["v"], "12": ["c"], "300": []}, "truncation": 300,
          "faces": {"12:c": [[[0] * 12, "v"]] * 13}})
     assert cell_counts(X)[12] == 1 and asked == [12]
+
+
+def _sphere_doc(m):
+    # one vertex and one m-cell whose faces all sit on it
+    return {"cells": {"0": ["v"], str(m): ["c"]},
+            "faces": {"%d:c" % m: [[[0] * m, "v"]] * (m + 1)}}
+
+
+def test_sparse_levels_load_without_listing_empty_blocks():
+    # the blocks of the m-simplices are listed only onto levels with
+    # cells: all surjections [199] ->> [k] would be 2^199 of them
+    import time
+    start = time.perf_counter()
+    X = formats.sset_from_dict(_sphere_doc(200))
+    assert time.perf_counter() - start < 1.0
+    assert cell_counts(X) == [1] + [0] * 199 + [1]
+    assert list(X.block_bases(199)) == [(0,) * 200]
+    assert list(X.block_bases(200)) == [(0,) * 201, tidentity(200)]
+
+
+def _sparse_objects():
+    # a cell glued along the boundary of a degenerate simplex of X leaves
+    # the levels between empty
+    for m in range(2, 6):
+        yield "sphere(%d)" % m, formats.sset_from_dict(_sphere_doc(m))
+    for X, w in [(standard_simplex(1), ((0, 0, 1, 1, 1), 0)),
+                 (standard_simplex(1), ((0, 1, 1, 1, 1, 1), 0)),
+                 (standard_simplex(2), ((0, 1, 1, 2, 2), 0))]:
+        m = len(w[0]) - 1
+        names = list(X.names) + [()] * (m + 1 - len(X.names))
+        faces = list(X.faces) + [[]] * (m + 1 - len(X.faces))
+        names[m] += ("c",)
+        faces[m] = faces[m] + [X.simplex_faces(w)]
+        yield "%r + %d-cell" % (X, m), SimplicialSet(None, names,
+                                                     faces).validate()
+
+
+def test_ranked_matches_face_of_oracle_on_sparse_levels():
+    from oracles import ranked_by_face_of
+    for name, X in _sparse_objects():
+        for m in range(X.dim_max + 2):
+            order, faces, natural = X.ranked(m)
+            assert (order, [list(col) for col in faces], natural) == \
+                ranked_by_face_of(X, m), (name, m)
+            assert X.simplices(m) == tuple(
+                (s, idx) for k in range(m + 1)
+                for s in all_surjections(m, k)
+                for idx in range(X.n_cells(k))), (name, m)
