@@ -61,11 +61,6 @@ class ChainMap:
         return "ChainMap(%r -> %r)" % (self.source, self.target)
 
 
-def identity_chain_map(C):
-    return ChainMap(C, C, {n: Mat.identity(C.rank(n))
-                           for n in range(C.lo, C.hi + 1)})
-
-
 def extend_window(C, lo, hi):
     """The same complex viewed in a larger window, zero outside."""
     if lo > C.lo or hi < C.hi:

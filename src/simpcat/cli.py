@@ -444,25 +444,5 @@ def main(argv=None):
         return 4
 
 
-def run(job):
-    """Programmatic job runner.
-
-    job: {"command": str, "inputs": [paths], "parameters": {dim, dim2,
-    fuel, mode, base, n}, "out": path}.  Parameters are checked by the
-    same parser as the command line, so a parameter the command does not
-    read is rejected.  Returns the exit status (0 ok, 1 false verdict, 2
-    refusal, 3 input error or bad parameter, 4 internal error)."""
-    if job.get("command") not in COMMANDS:
-        return 3
-    params = job.get("parameters", {})
-    argv = [job["command"]] + [str(p) for p in job.get("inputs", ())]
-    for key in ("dim", "dim2", "fuel", "n", "mode", "base"):
-        if key in params:
-            argv += ["--%s" % key, str(params[key])]
-    if job.get("out"):
-        argv += ["--out", job["out"]]
-    return main(argv)
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -137,17 +137,6 @@ def face_identities(n):
                    ((True, n - 1, j - 1), (True, n, i)))
 
 
-def normalize_ordered_set(labels):
-    """The canonical isomorphism from a finite totally ordered set of
-    labels to an ordinal: returns (n, label -> position)."""
-    labels = list(labels)
-    if not labels:
-        raise DeltaError("ordinals are nonempty")
-    if len(set(labels)) != len(labels):
-        raise DeltaError("labels must be distinct")
-    return len(labels) - 1, {lab: i for i, lab in enumerate(labels)}
-
-
 def all_maps(m, n):
     """All monotone maps [m] -> [n], in lexicographic order of values."""
     # weakly increasing sequences of length m+1 in [0, n] correspond to

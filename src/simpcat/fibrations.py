@@ -167,9 +167,6 @@ def cocart_analyze(F):
     for a in C.arrows:
         coc = is_cocartesian_arrow(F, a)
         loc = coc or is_locally_cocartesian_arrow(F, a)
-        if coc and not loc:
-            raise InputError("cocartesian arrow fails to be locally "
-                             "cocartesian: %s" % a)
         arrow_flags[a] = {"cocartesian": coc, "locally_cocartesian": loc}
     pair_flags = {}
     for g, f in C.composable_pairs():

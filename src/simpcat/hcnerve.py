@@ -4,6 +4,7 @@ pi_0 homotopy category of a simplicial category.
 """
 
 from itertools import accumulate, chain, product
+from operator import le
 
 from . import sset
 from .delta import tcompose, tidentity
@@ -174,37 +175,16 @@ def _nondegenerate_pairs(gspace, fspace, q):
 # poset nerves and the cosimplicial simplicial category
 
 
-def _chain_nerve(elements, leq):
-    """(levels, index, faces) of the nerve of a finite poset listed in
-    order: levels[k] lists the strict chains of k + 1 elements, each
-    chain of levels[k - 1] followed by its extensions in element order;
-    index[k] finds a chain's cell and faces[k] holds the face entries."""
-    above = {a: [b for b in elements if a != b and leq(a, b)]
-             for a in elements}
-    levels = [[(e,) for e in elements]]
-    while True:
-        nxt = [c + (e,) for c in levels[-1] for e in above[c[-1]]]
-        if not nxt:
-            break
-        levels.append(nxt)
-    index = [{c: j for j, c in enumerate(level)} for level in levels]
-    faces = [[()] * len(levels[0])]
-    for k in range(1, len(levels)):
-        ident, below = tidentity(k - 1), index[k - 1]
-        faces.append([tuple((ident, below[c[:i] + c[i + 1:]])
-                            for i in range(k + 1)) for c in levels[k]])
-    return levels, index, faces
-
-
-def poset_nerve(elements, leq, name_of):
-    """The finite nerve of a poset and its chains: k-cells are strict
-    chains, listed as _chain_nerve lists them with the elements sorted
-    by name."""
-    elements = sorted(elements, key=name_of)
-    levels, _, faces = _chain_nerve(elements, leq)
-    names = [tuple("<".join(name_of(e) for e in c) for c in level)
+def poset_nerve(elements, leq, name_of, keep=None):
+    """The finite nerve of a poset: k-cells are the strict chains keep
+    accepts, listed as sset.chain_nerve lists them with the elements
+    sorted by name, each named by its elements' names joined by "<"."""
+    label = {e: name_of(e) for e in elements}
+    elements = sorted(elements, key=label.get)
+    levels, _, faces = sset.chain_nerve(elements, leq, keep)
+    names = [tuple(["<".join(tcompose(label, c)) for c in level])
              for level in levels]
-    return SimplicialSet(None, names, faces), levels
+    return SimplicialSet(None, names, faces)
 
 
 def _simplex_of_chain(index, chain):
@@ -249,7 +229,7 @@ class _CubeFamily:
     category it makes (see frak_c).  Called as compose_fn, it is one."""
 
     def __init__(self):
-        self.cubes = {}    # _pair_key -> _chain_nerve of the cube's masks
+        self.cubes = {}    # _pair_key -> chain_nerve of the cube's masks
         self.spaces = {}   # (i, j) -> Map(i, j)
         self.cache = {}    # shape -> {(g, f): g.f}, every composite found
         self.comps = {}    # shape -> {(g, f): g.f} on the nondegenerate pairs
@@ -259,8 +239,8 @@ class _CubeFamily:
         key = _pair_key(i, j)
         if key not in self.cubes:
             names = _vertex_names(i, j)
-            self.cubes[key] = _chain_nerve(sorted(names, key=names.get),
-                                           lambda a, b: a & b == a)
+            self.cubes[key] = sset.chain_nerve(
+                sorted(names, key=names.get), lambda a, b: a & b == a)
         return self.cubes[key]
 
     def mapspace(self, i, j):
@@ -365,12 +345,10 @@ def horn_mapspace(n, i):
     vectors = list(product((0, 1), repeat=m))
 
     def leq(a, b):
-        return all(p <= q for p, q in zip(a, b))
+        return all(map(le, a, b))
 
     def name_of(v):
         return "".join(str(b) for b in v) if v else "()"
-
-    ambient, levels = poset_nerve(vectors, leq, name_of)
 
     def in_sub(chain):
         for j in range(m):
@@ -380,26 +358,9 @@ def horn_mapspace(n, i):
                 return True
         return False
 
-    names = []
-    faces = []
-    keep = []
-    for level in levels:
-        keep.append([idx for idx, chain in enumerate(level)
-                     if in_sub(chain)])
-    new_index = [{idx: j for j, idx in enumerate(level)} for level in keep]
-    for k in range(len(keep)):
-        names.append(tuple(ambient.names[k][idx] for idx in keep[k]))
-        entry = []
-        for idx in keep[k]:
-            if k == 0:
-                entry.append(())
-            else:
-                entry.append(tuple((s, new_index[s[-1]][sub])
-                                   for s, sub in ambient.faces[k][idx]))
-        faces.append(entry)
-    sub = SimplicialSet(None, names, faces)
-    incl = sset.inclusion_by_names(sub, ambient)
-    return sub, ambient, incl
+    ambient = poset_nerve(vectors, leq, name_of)
+    sub = poset_nerve(vectors, leq, name_of, keep=in_sub)
+    return sub, ambient, sset.inclusion_by_names(sub, ambient)
 
 
 # ---------------------------------------------------------------------------

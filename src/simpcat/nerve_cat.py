@@ -30,9 +30,6 @@ class FinCategory:
         """f then g."""
         return self.comp[(g, f)]
 
-    def id(self, x):
-        return self.ident[x]
-
     def is_identity(self, a):
         return self.ident.get(self.src[a]) == a
 
@@ -178,19 +175,6 @@ class Functor:
         return "Functor(%r -> %r)" % (self.source, self.target)
 
 
-def identity_functor(C):
-    return Functor(C, C, {x: x for x in C.objects},
-                   {a: a for a in C.arrows})
-
-
-def compose_functors(G, F):
-    if F.target is not G.source:
-        raise InputError("functors do not compose")
-    return Functor(F.source, G.target,
-                   {x: G.obj_map[F.obj_map[x]] for x in F.source.objects},
-                   {a: G.arr_map[F.arr_map[a]] for a in F.source.arrows})
-
-
 class RelativeCategory:
     """A category with a collection of weak arrows containing the
     identities; optionally certified closed under composition."""
@@ -221,16 +205,6 @@ class RelativeCategory:
 
 # ---------------------------------------------------------------------------
 # builders
-
-
-def discrete_category(objects):
-    objects = tuple(objects)
-    ident = {x: "id_%s" % x for x in objects}
-    arrows = tuple(ident[x] for x in objects)
-    src = {ident[x]: x for x in objects}
-    dst = dict(src)
-    comp = {(ident[x], ident[x]): ident[x] for x in objects}
-    return FinCategory(objects, arrows, src, dst, comp, ident)
 
 
 def poset_category(elements, leq):
@@ -297,34 +271,6 @@ def bg(table, names=None):
     comp = {(g, f): table[(f, g)] for g in elements for f in elements}
     return FinCategory((obj,), tuple(elements), src, dst, comp,
                        {obj: unit}).validate()
-
-
-def cyclic_table(m):
-    """Multiplication table of Z/m, elements g0..g{m-1}."""
-    name = lambda k: "g%d" % k
-    return {(name(a), name(b)): name((a + b) % m)
-            for a in range(m) for b in range(m)}
-
-
-def symmetric3_table():
-    """Multiplication table of the symmetric group on 3 letters; element
-    names are one-line permutation words, composed left-then-right."""
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
-             (2, 1, 0)]
-    name = {p: "".join(str(v) for v in p) for p in perms}
-    table = {}
-    for p in perms:
-        for q in perms:
-            pq = tuple(q[p[i]] for i in range(3))  # p then q
-            table[(name[p], name[q])] = name[pq]
-    return table
-
-
-def klein_table():
-    els = ["e", "a", "b", "c"]
-    idx = {e: i for i, e in enumerate(els)}
-    mul = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
-    return {(g, h): els[mul[idx[g]][idx[h]]] for g in els for h in els}
 
 
 def product_category(C, D):

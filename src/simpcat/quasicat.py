@@ -532,20 +532,14 @@ def homotopy_group(X, x, n):
             spheres.append(z)
     # homotopy relation via (n+1)-simplices, then symmetric-transitive
     # closure
-    parent = {z: z for z in spheres}
-
-    def find(z):
-        while parent[z] != z:
-            parent[z] = parent[parent[z]]
-            z = parent[z]
-        return z
-
     deg_up = (tuple(0 for _ in range(n + 1)), xi)
     candidates = X.simplices(n + 1)
     if len(candidates) > CANDIDATE_BUDGET:
         return FuelExhausted("%d candidate %d-simplices exceed the "
                              "budget of %d" % (len(candidates), n + 1,
                                                CANDIDATE_BUDGET))
+    parent = {z: z for z in spheres}
+    related = []
     products = {}
     for u in candidates:
         fu = X.simplex_faces(u)
@@ -553,15 +547,14 @@ def homotopy_group(X, x, n):
         if all(fu[i] == deg_up for i in range(n)):
             a, b = fu[n], fu[n + 1]
             if a in parent and b in parent:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+                related.append((a, b))
         # multiplication: faces below n-1 degenerate, d_{n-1} = a,
         # d_{n+1} = b, product = d_n
         if all(fu[i] == deg_up for i in range(n - 1)):
             a, b, c = fu[n - 1], fu[n + 1], fu[n]
             if a in parent and b in parent and c in parent:
                 products.setdefault((a, b), c)
+    find = sset.union_find(parent, related)
     classes = sorted({find(z) for z in spheres})
     label = {rep: "[%s]" % X.describe(rep) for rep in classes}
     # labels are made from the caller's names: an edge named "s00(*)"

@@ -215,16 +215,17 @@ class BisimplicialSet:
                     raise InputError("%s identity fails" % kind)
 
     def as_dict(self):
-        """The document form, whose tables key cells by name: no two
-        cells at one (p, q) may be written alike by str."""
-        for p, q in sorted(self.cells):
-            if sset._written_alike(self.cells[(p, q)]):
+        """The document form, whose tables key cells by their names
+        written through str: no two cells at one (p, q) may be written
+        alike."""
+        keys = {k: tuple(map(str, v)) for k, v in self.cells.items()}
+        for p, q in sorted(keys):
+            if len(set(keys[(p, q)])) != len(keys[(p, q)]):
                 raise InputError("duplicate cells at (%d, %d)" % (p, q))
 
         def tbl(tables, dp, dq):
             return {"%d,%d,%d" % (p, q, i): dict(zip(
-                self.cells[(p, q)],
-                tcompose(self.cells[(p + dp, q + dq)], table)))
+                keys[(p, q)], tcompose(self.cells[(p + dp, q + dq)], table)))
                 for (p, q, i), table in sorted(tables.items())}
         return {
             "truncation": [self.m_trunc, self.n_trunc],
@@ -757,24 +758,14 @@ def completeness_check(X):
     # pi_0 of the strict mapping fibers inside row 1; cells are indices
     vertices1 = X.level(1, 0)
     source, target = (X._table((k,), True, 1, 0) for k in (0, 1))
-    parent = list(range(len(vertices1)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     # fiber edges: inner edges of row 1 whose horizontal faces are
     # vertically degenerate edges of row 0 (identity shadows)
     degenerate_edges0 = set(X.v_degen[(0, 0, 0)])
     h1, h0, f1, g1 = (X._table((k,), horizontal, 1, 1)
                       for horizontal in (True, False) for k in (0, 1))
-    for e in range(len(X.level(1, 1))):
-        if h1[e] in degenerate_edges0 and h0[e] in degenerate_edges0:
-            ra, rb = find(f1[e]), find(g1[e])
-            if ra != rb:
-                parent[ra] = rb
+    find = sset.union_find(list(range(len(vertices1))), [
+        (f1[e], g1[e]) for e in range(len(X.level(1, 1)))
+        if h1[e] in degenerate_edges0 and h0[e] in degenerate_edges0])
     # composition through the strict Segal bijection at (2, 0)
     comp_table = {}
     for f, g, h in zip(*[X._table(a, True, 2, 0)

@@ -17,11 +17,11 @@ whole block is one index range or one column of stored faces
 """
 
 from functools import lru_cache
-from itertools import accumulate, chain, combinations
-from operator import add
+from itertools import accumulate, chain
+from operator import add, le
 
-from .delta import (all_surjections, face, face_identities, tcompose,
-                    tfactorize, tidentity)
+from .delta import (all_surjections, face, face_identities,
+                    opposite as reversal, tcompose, tfactorize, tidentity)
 from .errors import InputError
 
 
@@ -422,35 +422,45 @@ def _subset_name(verts):
     return "-".join(str(v) for v in verts)
 
 
+def chain_nerve(elements, leq, keep=None):
+    """(levels, index, faces) of the nerve of a finite poset listed in
+    order, on the strict chains that keep accepts (every chain when keep
+    is None; keep must accept each face of a chain it accepts): levels[k]
+    lists the kept chains of k + 1 elements, each chain of levels[k - 1]
+    followed by its kept extensions in element order; index[k] finds a
+    chain's cell and faces[k] holds the face entries.  For range(n + 1)
+    the chains come in lexicographic order."""
+    above = {a: [b for b in elements if a != b and leq(a, b)]
+             for a in elements}
+    levels = []
+    level = [(e,) for e in elements]
+    while True:
+        if keep is not None:
+            level = list(filter(keep, level))
+        if not level:
+            break
+        levels.append(level)
+        level = [c + (e,) for c in level for e in above[c[-1]]]
+    index = [{c: j for j, c in enumerate(level)} for level in levels]
+    faces = [[()] * len(level) for level in levels[:1]]
+    for k in range(1, len(levels)):
+        ident, below = tidentity(k - 1), index[k - 1]
+        faces.append([tuple((ident, below[c[:i] + c[i + 1:]])
+                            for i in range(k + 1)) for c in levels[k]])
+    return levels, index, faces
+
+
 def _subset_complex(n, keep):
     """Simplicial subset of the standard n-simplex spanned by the vertex
-    subsets for which keep(verts) is true."""
-    names = []
-    faces = []
-    index = []
-    for j in range(n + 1):
-        level = [c for c in combinations(range(n + 1), j + 1) if keep(c)]
-        index.append({c: i for i, c in enumerate(level)})
-        names.append(tuple(_subset_name(c) for c in level))
-        entry = []
-        for c in level:
-            if j == 0:
-                entry.append(())
-                continue
-            row = []
-            for i in range(j + 1):
-                sub = c[:i] + c[i + 1:]
-                row.append((tidentity(j - 1), index[j - 1][sub]))
-            entry.append(tuple(row))
-        faces.append(entry)
-    while names and not names[-1]:
-        names.pop()
-        faces.pop()
-    return SimplicialSet(None, names, faces)
+    subsets for which keep(verts) is true (all of them when keep is
+    None)."""
+    levels, _, faces = chain_nerve(range(n + 1), le, keep)
+    return SimplicialSet(None, [tuple(map(_subset_name, level))
+                                for level in levels], faces)
 
 
 def standard_simplex(n):
-    return _subset_complex(n, lambda c: True)
+    return _subset_complex(n, None)
 
 
 def boundary(n):
@@ -480,27 +490,8 @@ def spine(n):
     return _subset_complex(n, keep)
 
 
-def standard_object(kind, n, k=None):
-    """Dispatch on kind in {simplex, boundary, horn, spine}."""
-    if kind == "simplex":
-        return standard_simplex(n)
-    if kind == "boundary":
-        return boundary(n)
-    if kind == "horn":
-        if k is None:
-            raise InputError("horn needs the index k")
-        return horn(n, k)
-    if kind == "spine":
-        return spine(n)
-    raise InputError("unknown standard object %r" % (kind,))
-
-
 def empty_sset():
     return SimplicialSet(None, [()], [[]])
-
-
-def point():
-    return standard_simplex(0)
 
 
 def discrete_sset(names):
@@ -579,12 +570,6 @@ class SimplicialMap:
                     return False
                 seen.add((s, w))
         return True
-
-
-def identity_map(X):
-    assignment = [[(tidentity(k), idx) for idx in range(X.n_cells(k))]
-                  for k in range(len(X.names))]
-    return SimplicialMap(X, X, assignment)
 
 
 def inclusion_by_names(A, X):
@@ -851,9 +836,7 @@ def opposite(X, D=None):
     levels = [X.simplices(n) for n in range(D + 1)]
 
     def action(alpha, simplex):
-        m, n = len(alpha) - 1, simplex_dim(simplex)
-        opp = tuple(n - alpha[m - k] for k in range(m + 1))
-        return X.apply(opp, simplex)
+        return X.apply(reversal(alpha, simplex_dim(simplex)), simplex)
 
     def name_fn(n, simplex):
         return X.describe(simplex)
@@ -863,23 +846,31 @@ def opposite(X, D=None):
                          else D)
 
 
-def pi0(X):
-    """Vertex classes under edge connectivity; returns a list of frozen
-    vertex-name sets."""
-    parent = list(range(X.n_cells(0)))
-
+def union_find(parent, pairs):
+    """Merge the classes of each pair (a, b) in turn, putting the root of
+    a's class under the root of b's, and return find, which gives the
+    root of a key's class.  parent maps each key to its parent (a root to
+    itself) and is updated in place."""
     def find(a):
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    for idx in range(X.n_cells(1)):
-        x = (tidentity(1), idx)
-        (s0, v0), (s1, v1) = X.face_of(1, x), X.face_of(0, x)
-        ra, rb = find(v0), find(v1)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
+    return find
+
+
+def pi0(X):
+    """Vertex classes under edge connectivity; returns a list of frozen
+    vertex-name sets."""
+    edges = [(tidentity(1), idx) for idx in range(X.n_cells(1))]
+    find = union_find(list(range(X.n_cells(0))),
+                      [(X.face_of(1, x)[1], X.face_of(0, x)[1])
+                       for x in edges])
     classes = {}
     for v in range(X.n_cells(0)):
         classes.setdefault(find(v), []).append(X.names[0][v])

@@ -1,15 +1,106 @@
 """Deterministic families of small categories and functors shared by the
 acceptance suite: named posets, deloopings, monoids, products, and seeded
-random thin categories."""
+random thin categories; and the fixtures the tests build them from: group
+tables, discrete categories, identity and composite functors, identity
+chain maps."""
 
 import random
 
-from simpcat.nerve_cat import (FinCategory, bg, cyclic_table,
-                               discrete_category, klein_table,
-                               poset_category, product_category,
-                               symmetric3_table)
+from simpcat.chain_model import ChainMap
+from simpcat.errors import InputError
+from simpcat.intlinalg import Mat
+from simpcat.nerve_cat import (FinCategory, Functor, bg, poset_category,
+                               product_category)
 
-from test_nerve_cat import iso_pair_category
+
+def compose_functors(G, F):
+    if F.target is not G.source:
+        raise InputError("functors do not compose")
+    return Functor(F.source, G.target,
+                   {x: G.obj_map[F.obj_map[x]] for x in F.source.objects},
+                   {a: G.arr_map[F.arr_map[a]] for a in F.source.arrows})
+
+
+def cyclic_table(m):
+    """Multiplication table of Z/m, elements g0..g{m-1}."""
+    name = lambda k: "g%d" % k
+    return {(name(a), name(b)): name((a + b) % m)
+            for a in range(m) for b in range(m)}
+
+
+def discrete_category(objects):
+    objects = tuple(objects)
+    ident = {x: "id_%s" % x for x in objects}
+    arrows = tuple(ident[x] for x in objects)
+    src = {ident[x]: x for x in objects}
+    dst = dict(src)
+    comp = {(ident[x], ident[x]): ident[x] for x in objects}
+    return FinCategory(objects, arrows, src, dst, comp, ident)
+
+
+def identity_chain_map(C):
+    return ChainMap(C, C, {n: Mat.identity(C.rank(n))
+                           for n in range(C.lo, C.hi + 1)})
+
+
+def identity_functor(C):
+    return Functor(C, C, {x: x for x in C.objects},
+                   {a: a for a in C.arrows})
+
+
+def iso_pair_category():
+    """Two objects joined by an isomorphism pair, plus a third object
+    with one non-invertible arrow into it."""
+    objects = ["a", "b", "c"]
+    arrows = ["ia", "ib", "ic", "u", "v", "w", "wu"]
+    src = {"ia": "a", "ib": "b", "ic": "c", "u": "a", "v": "b", "w": "b",
+           "wu": "a"}
+    dst = {"ia": "a", "ib": "b", "ic": "c", "u": "b", "v": "a", "w": "c",
+           "wu": "c"}
+    comp = {}
+    ident = {"a": "ia", "b": "ib", "c": "ic"}
+    table = {
+        ("v", "u"): "ia", ("u", "v"): "ib",
+        ("w", "u"): "wu", ("wu", "v"): "w",
+    }
+
+    def compose(g, f):
+        if src[g] != dst[f]:
+            return None
+        if f == ident[src[f]]:
+            return g
+        if g == ident[dst[f]]:
+            return f
+        return table[(g, f)]
+
+    for g in arrows:
+        for f in arrows:
+            if dst[f] == src[g]:
+                comp[(g, f)] = compose(g, f)
+    C = FinCategory(objects, arrows, src, dst, comp, ident)
+    C.validate()
+    return C
+
+
+def klein_table():
+    els = ["e", "a", "b", "c"]
+    idx = {e: i for i, e in enumerate(els)}
+    mul = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    return {(g, h): els[mul[idx[g]][idx[h]]] for g in els for h in els}
+
+
+def symmetric3_table():
+    """Multiplication table of the symmetric group on 3 letters; element
+    names are one-line permutation words, composed left-then-right."""
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
+             (2, 1, 0)]
+    name = {p: "".join(str(v) for v in p) for p in perms}
+    table = {}
+    for p in perms:
+        for q in perms:
+            pq = tuple(q[p[i]] for i in range(3))  # p then q
+            table[(name[p], name[q])] = name[pq]
+    return table
 
 
 def min_monoid_table(n):
@@ -96,7 +187,6 @@ def functor_family():
     """Functors for the fibration oracle checks, within small arrow
     counts."""
     from test_fibrations import square_to_triangle, z4_to_z2
-    from simpcat.nerve_cat import Functor, identity_functor
 
     cases = []
     G, H, F = z4_to_z2()

@@ -313,6 +313,37 @@ def _check_triple(F, C, objs, images, a, b, c):
     return True
 
 
+# -- standard objects: subcomplexes of a simplex by vertex subsets
+
+
+def subset_complex_by_combinations(n, keep):
+    """The simplicial subset of the standard n-simplex spanned by the
+    vertex subsets keep accepts, listed level by level in the order of
+    combinations, each face looked up among the subsets one level down."""
+    names = []
+    faces = []
+    index = []
+    for j in range(n + 1):
+        level = [c for c in combinations(range(n + 1), j + 1) if keep(c)]
+        index.append({c: i for i, c in enumerate(level)})
+        names.append(tuple("-".join(str(v) for v in c) for c in level))
+        entry = []
+        for c in level:
+            if j == 0:
+                entry.append(())
+                continue
+            row = []
+            for i in range(j + 1):
+                sub = c[:i] + c[i + 1:]
+                row.append((tidentity(j - 1), index[j - 1][sub]))
+            entry.append(tuple(row))
+        faces.append(entry)
+    while names and not names[-1]:
+        names.pop()
+        faces.pop()
+    return SimplicialSet(None, names, faces)
+
+
 # -- frak_c and the coherent nerve: one poset nerve per pair of objects
 
 
@@ -1451,8 +1482,15 @@ def bisimplicial_from_dict_by_shape_check(d):
                          "\"p,q\" to name lists, and %s objects from "
                          "\"p,q,i\" to name tables" % ", ".join(table_keys))
     cells = {_index_key(k, 2): v for k, v in cell_doc.items()}
+    for (p, q), names in sorted(cells.items()):
+        if len({str(c) for c in names}) < len(names):
+            raise InputError("duplicate cells at (%d, %d)" % (p, q))
+    # table keys are cell names written through str
     h_face, h_degen, v_face, v_degen = (
-        {_index_key(k, 3): m for k, m in d[t].items()} for t in table_keys)
+        {_index_key(k, 3): {c: m[str(c)]
+                            for c in cells.get(_index_key(k, 3)[:2], ())
+                            if str(c) in m}
+         for k, m in d[t].items()} for t in table_keys)
     return BisimplicialSet(truncation[0], truncation[1], cells, h_face,
                            h_degen, v_face, v_degen).validate()
 

@@ -10,8 +10,7 @@ import pytest
 from simpcat import delta, quasicat, sset
 from simpcat.chain_model import (ChainMap, FactorizationCertificate,
                                  degreewise_surjective, extend_window,
-                                 factor_cofib_trivfib,
-                                 factor_trivcofib_fib, identity_chain_map,
+                                 factor_cofib_trivfib, factor_trivcofib_fib,
                                  is_quasi_iso, surjective_on_cycles)
 from simpcat.delta import (all_injections, all_maps, all_surjections, face,
                            tcompose, tfactorize)
@@ -26,18 +25,18 @@ from simpcat.hcnerve import (coherent_nerve, frak_c, from_fincategory,
                              one_object_from_abelian_group,
                              two_object_arrow_space)
 from simpcat.intlinalg import Mat
-from simpcat.nerve_cat import (Functor, RelativeCategory, all_functors,
-                               bg, cyclic_table, discrete_category,
-                               find_category_isomorphism,
-                               identity_functor, nerve, ordinal_category,
-                               poset_category, symmetric3_table)
+from simpcat.nerve_cat import (Functor, RelativeCategory, all_functors, bg,
+                               find_category_isomorphism, nerve,
+                               ordinal_category, poset_category)
 from simpcat.quasicat import classify, homotopy_category, homotopy_group
 from simpcat.segal import (completeness_check, embed, rezk_nerve,
                            strict_segal_check)
 from simpcat.sset import (enumerate_maps, from_presheaf, is_isomorphic,
                           product, spine, standard_simplex)
 
-from families import category_family, functor_family
+from families import (category_family, cyclic_table, discrete_category,
+                      functor_family, identity_chain_map, identity_functor,
+                      symmetric3_table)
 from oracles import (cocart_analyze_oracle, functors_naturally_isomorphic,
                      quasi_iso_by_homology_comparison)
 from test_doldkan import random_complex
@@ -394,7 +393,7 @@ def split_inputs(rng):
                 for g, f in B.composable_pairs():
                     c = B.compose(g, f)
                     if c not in transports:
-                        from simpcat.nerve_cat import compose_functors
+                        from families import compose_functors
                         transports[c] = compose_functors(transports[g],
                                                          transports[f])
                 S = SplitFunctorToCat(B, assign, transports)

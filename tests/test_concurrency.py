@@ -9,10 +9,9 @@ from concurrent.futures import ThreadPoolExecutor
 from simpcat import formats, hcnerve, quasicat, segal, sset
 from simpcat.doldkan import free_complex, homology
 from simpcat.intlinalg import Mat
-from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table, nerve,
-                               ordinal_category, symmetric3_table)
+from simpcat.nerve_cat import RelativeCategory, bg, nerve, ordinal_category
 
-from test_nerve_cat import iso_pair_category
+from families import cyclic_table, iso_pair_category, symmetric3_table
 
 
 def _objects():

@@ -11,7 +11,7 @@ import pytest
 
 from simpcat import sset
 from simpcat.chain_model import (factor_cofib_trivfib, factor_trivcofib_fib,
-                                 identity_chain_map, mapping_cone)
+                                 mapping_cone)
 from simpcat.doldkan import (dold_kan_gamma, free_complex,
                              free_simplicial_abelian_group,
                              normalized_chains)
@@ -19,13 +19,12 @@ from simpcat.errors import FuelExhausted
 from simpcat.fibrations import grothendieck_build, join, twisted_arrows
 from simpcat.hcnerve import coherent_nerve, frak_c, from_fincategory
 from simpcat.intlinalg import Mat
-from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table, nerve,
-                               ordinal_category)
+from simpcat.nerve_cat import RelativeCategory, bg, nerve, ordinal_category
 from simpcat.quasicat import homotopy_category, hom_space, max_kan_subset
 from simpcat.segal import embed, rezk_nerve, standard_bisimplex
 
+from families import cyclic_table, identity_chain_map, iso_pair_category
 from test_fibrations import split_example
-from test_nerve_cat import iso_pair_category
 
 
 def _complex():

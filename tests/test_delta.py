@@ -294,16 +294,6 @@ def test_join():
     assert join(f, 2, g) == (0, 2, 4)
 
 
-def test_normalize_ordered_set():
-    n, pos = delta.normalize_ordered_set(["a", "c", "x"])
-    assert n == 2
-    assert pos == {"a": 0, "c": 1, "x": 2}
-    with pytest.raises(DeltaError):
-        delta.normalize_ordered_set([])
-    with pytest.raises(DeltaError):
-        delta.normalize_ordered_set(["a", "a"])
-
-
 def test_map_counts():
     # |Hom([m],[n])| = binom(m+n+1, m+1)
     from math import comb

@@ -21,16 +21,15 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from simpcat import formats, sset
-from simpcat.chain_model import identity_chain_map
 from simpcat.cli import main
 from simpcat.doldkan import free_complex, free_simplicial_abelian_group
 from simpcat.errors import InputError
 from simpcat.hcnerve import frak_c
 from simpcat.intlinalg import Mat
-from simpcat.nerve_cat import (Functor, bg, cyclic_table, nerve,
-                               ordinal_category)
+from simpcat.nerve_cat import Functor, bg, nerve, ordinal_category
 from simpcat.segal import embed
 
+from families import cyclic_table, identity_chain_map
 from oracles import (bisimplicial_from_dict_by_shape_check,
                      simplicial_category_from_dict_by_shape_check,
                      sset_from_dict_by_shape_check)

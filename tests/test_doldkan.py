@@ -70,7 +70,7 @@ def test_homology_circle_model():
     D1 = sset.standard_simplex(1)
     A = sset.boundary(1)
     f = sset.inclusion_by_names(A, D1)
-    g = sset.SimplicialMap(A, sset.point(), [
+    g = sset.SimplicialMap(A, sset.standard_simplex(0), [
         [((0,), 0), ((0,), 0)]])
     g.validate()
     circle, _, _ = sset.pushout(f, g)

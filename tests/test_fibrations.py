@@ -5,14 +5,13 @@ from simpcat.fibrations import (SplitFunctorToCat, cocart_analyze,
                                 fiber_category, grothendieck_build,
                                 grothendieck_read, is_left_fibration,
                                 join, twisted_arrows)
-from simpcat.nerve_cat import (FinCategory, Functor, bg, cyclic_table,
-                               discrete_category,
-                               find_category_isomorphism,
-                               identity_functor, ordinal_category,
+from simpcat.nerve_cat import (FinCategory, Functor, bg,
+                               find_category_isomorphism, ordinal_category,
                                poset_category, product_category)
 
+from families import (cyclic_table, discrete_category, identity_functor,
+                      iso_pair_category)
 from oracles import base_change_to_ordinal, cocart_analyze_oracle
-from test_nerve_cat import iso_pair_category
 
 
 def group_hom_functor(table_g, table_h, mapping):

@@ -7,18 +7,18 @@ import pytest
 
 import simpcat
 from simpcat import formats, quasicat, sset
-from simpcat.chain_model import ChainMap, identity_chain_map
+from simpcat.chain_model import ChainMap
 from simpcat.delta import all_surjections
 from simpcat.doldkan import free_complex, free_simplicial_abelian_group
 from simpcat.hcnerve import frak_c
 from simpcat.intlinalg import Mat
-from simpcat.nerve_cat import (FinCategory, RelativeCategory, bg,
-                               cyclic_table, discrete_category, nerve,
+from simpcat.nerve_cat import (FinCategory, RelativeCategory, bg, nerve,
                                ordinal_category)
 from simpcat.segal import embed, rezk_nerve
 from simpcat.sset import SimplicialSet
 
-from test_nerve_cat import iso_pair_category
+from families import (cyclic_table, discrete_category, identity_chain_map,
+                      iso_pair_category)
 
 
 def roundtrip(to_dict, from_dict, obj):
@@ -872,9 +872,8 @@ def test_cli_rejects_options_the_command_ignores(tmp_path):
                   formats.category_to_dict(ordinal_category(1)))
     assert run_cli(tmp_path, "nerve", cpath, "--fuel", "3") == 3
     assert run_cli(tmp_path, "ho", cpath, "--dim", "3") == 3
-    from simpcat.cli import run
-    assert run({"command": "nerve", "inputs": [cpath],
-                "parameters": {"base": "*"}}) == 3
+    assert run_cli(tmp_path, "nerve", cpath, "--base", "*") == 3
+    assert run_cli(tmp_path, "no-such-command") == 3
 
 
 def test_cli_determinism(tmp_path):
@@ -885,22 +884,6 @@ def test_cli_determinism(tmp_path):
     run_cli(tmp_path, "nerve", cpath, "--dim", "3", "--out", out1)
     run_cli(tmp_path, "nerve", cpath, "--dim", "3", "--out", out2)
     assert open(out1, "rb").read() == open(out2, "rb").read()
-
-
-def test_run_job_api(tmp_path):
-    from simpcat.cli import run
-    N = nerve(ordinal_category(2), 3)
-    path = write(tmp_path, "n2.sset", formats.sset_to_dict(N))
-    assert run({"command": "check-quasicategory", "inputs": [path],
-                "parameters": {"dim": 3}}) == 0
-    assert run({"command": "no-such-command", "inputs": []}) == 3
-    assert run({"command": "localize", "inputs": [path],
-                "parameters": {"fuel": 0}}) == 3
-    assert run({"command": "check-quasicategory", "inputs": [path],
-                "parameters": {"dim": "2"}}) == 0
-    assert run({"command": "check-quasicategory", "inputs": [path],
-                "parameters": {"dim": -1}}) == 3
-    assert run({"command": "nerve", "inputs": []}) == 3
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
@@ -921,7 +904,7 @@ def test_cli_entrypoint_subprocess(tmp_path):
 def test_dumps_matches_the_encoder_with_its_cycle_check():
     # dumps turns the cycle check off; on every kind of document the
     # writers make, shared sublists included, the bytes are the same
-    from simpcat.nerve_cat import identity_functor
+    from families import identity_functor
     C = iso_pair_category()
     K = free_complex("Z/4", (0, 2), {0: 1, 1: 2, 2: 1},
                      {1: Mat(1, 2, [[2, 0]]), 2: Mat(2, 1, [[0], [2]])})

@@ -11,13 +11,13 @@ from simpcat.errors import InputError
 from simpcat.hcnerve import (coherent_nerve, frak_c, from_fincategory,
                              horn_mapspace, one_object_from_abelian_group,
                              pi0_category, two_object_arrow_space)
-from simpcat.nerve_cat import (bg, cyclic_table, find_category_isomorphism,
-                               nerve, ordinal_category)
+from simpcat.nerve_cat import (bg, find_category_isomorphism, nerve,
+                               ordinal_category)
 from simpcat.quasicat import classify
 from simpcat.sset import (find_isomorphism, is_isomorphic, product,
                           standard_simplex)
 
-from families import category_family, random_thin_category
+from families import category_family, cyclic_table, random_thin_category
 from oracles import (SimplicialCategoryAllPairs, all_pairs_to_dict,
                      coherent_nerve_by_pairs, frak_c_by_pairs, pair_subsets,
                      poset_nerve_by_chains, simplicial_functors_all_pairs)
@@ -122,7 +122,7 @@ def _two_component_monoid():
     """One object, Map = Delta^1 disjoint union a point.  Composition:
     pointwise max on the interval component (unit = vertex 0), the extra
     point absorbing."""
-    space = sset.disjoint_union(standard_simplex(1), sset.point())
+    space = sset.disjoint_union(standard_simplex(1), standard_simplex(0))
     extra = space.cell_index(0, "Y.0")
     v = {space.cell_index(0, "X.0"): 0, space.cell_index(0, "X.1"): 1}
 
@@ -372,9 +372,8 @@ def test_map_spaces_past_one_digit_keep_their_own_order():
     for i, j in [(8, 11), (9, 12), (7, 10)]:
         space = family.mapspace(i, j)
         oracle, _, _ = _subset_nerve(i, j)
-        nerve, _ = hcnerve.poset_nerve(pair_subsets(i, j),
-                                       lambda a, b: a <= b,
-                                       hcnerve._subset_name)
+        nerve = hcnerve.poset_nerve(pair_subsets(i, j), lambda a, b: a <= b,
+                                    hcnerve._subset_name)
         for other in (oracle, nerve):
             assert space.names == other.names, (i, j)
             assert space.faces == other.faces, (i, j)
@@ -403,8 +402,8 @@ def test_work_counts_pinned(monkeypatch):
             counts[key] += 1
             return fn(*args)
         return wrapper
-    monkeypatch.setattr(hcnerve, "_chain_nerve",
-                        counting("nerves", hcnerve._chain_nerve))
+    monkeypatch.setattr(sset, "chain_nerve",
+                        counting("nerves", sset.chain_nerve))
     monkeypatch.setattr(sset, "enumerate_maps",
                         counting("maps", sset.enumerate_maps))
     frak_c(5)

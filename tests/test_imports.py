@@ -1,10 +1,12 @@
 import ast
 import pathlib
+import re
 import sys
 
 import simpcat
 
 MODULES = sorted(pathlib.Path(simpcat.__file__).parent.glob("*.py"))
+README = pathlib.Path(simpcat.__file__).parents[2] / "README.md"
 
 
 def imported_names(tree):
@@ -52,3 +54,36 @@ def test_segal_composes_index_tables_only_through_tcompose():
         "y = list(map(a.__getitem__, b))\nget = c.__getitem__\n")) == [1, 2]
     path = pathlib.Path(simpcat.__file__).parent / "segal.py"
     assert getitem_lines(ast.parse(path.read_text())) == []
+
+
+def unreached(sources, readme):
+    """(file, name) for each top-level function and class of sources
+    ({file name: source}) that no other top-level statement of sources
+    uses and no code span of readme names."""
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`",
+                                                        readme))))
+    users = {}  # name -> the top-level statements that use it
+    definitions = []
+    for name, source in sorted(sources.items()):
+        for statement in ast.parse(source).body:
+            for node in ast.walk(statement):
+                used = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                users.setdefault(used, set()).add(statement)
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((name, statement))
+    return [(name, node.name) for name, node in definitions
+            if node.name not in named
+            and not users.get(node.name, set()) - {node}]
+
+
+def test_src_keeps_only_what_the_system_reaches():
+    # every top-level function and class is used elsewhere in src/ or
+    # named in the README tour, so code that nothing reaches cannot stay
+    example = ("def f():\n    return f()\n\n\ndef g():\n    return h()\n"
+               "\n\ndef h():\n    pass\n\n\nclass K:\n    pass\n")
+    assert unreached({"m.py": example}, "") == [("m.py", "f"), ("m.py", "g"),
+                                                ("m.py", "K")]
+    assert unreached({"m.py": example}, "`f()`, `g` and `K`") == []
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert unreached(sources, README.read_text()) == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simpcat import doldkan, formats, intlinalg, sset
-from simpcat.chain_model import ChainMap, extend_window, identity_chain_map
+from simpcat.chain_model import ChainMap, extend_window
 from simpcat.doldkan import (free_complex, free_simplicial_abelian_group,
                              normalized_chains)
 from simpcat.errors import InputError
@@ -13,6 +13,7 @@ from simpcat.intlinalg import (Mat, block_matrix, kernel_modulo,
                                relation_matrix, smith_normal_form,
                                solve_matrix, solve_modulo)
 
+from families import identity_chain_map
 from oracles import smith_normal_form_all_transforms
 from test_doldkan import random_complex
 from test_formats_cli import run_cli, write
@@ -188,7 +189,8 @@ def algebra_documents(tmp_path):
                                         span=2))
     D1 = sset.standard_simplex(1)
     A = sset.boundary(1)
-    g = sset.SimplicialMap(A, sset.point(), [[((0,), 0), ((0,), 0)]])
+    g = sset.SimplicialMap(A, sset.standard_simplex(0),
+                           [[((0,), 0), ((0,), 0)]])
     g.validate()
     circle = sset.pushout(sset.inclusion_by_names(A, D1), g)[0]
     FA = free_simplicial_abelian_group(circle, 3)

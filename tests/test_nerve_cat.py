@@ -5,47 +5,14 @@ from simpcat import formats, nerve_cat, sset
 from simpcat.errors import FuelExhausted, InputError
 from simpcat.nerve_cat import (FinCategory, Functor, RelativeCategory,
                                all_functors, bg, category_from_nerve,
-                               cyclic_table, discrete_category,
                                find_category_isomorphism, full_subcategory,
-                               klein_table, localize, max_subgroupoid,
-                               nerve, nerve_functor_map, ordinal_category,
-                               poset_category, product_category,
-                               symmetric3_table)
+                               localize, max_subgroupoid, nerve,
+                               nerve_functor_map, ordinal_category,
+                               poset_category, product_category)
 from simpcat.sset import enumerate_maps, spine
 
-
-def iso_pair_category():
-    """Two objects joined by an isomorphism pair, plus a third object
-    with one non-invertible arrow into it."""
-    objects = ["a", "b", "c"]
-    arrows = ["ia", "ib", "ic", "u", "v", "w", "wu"]
-    src = {"ia": "a", "ib": "b", "ic": "c", "u": "a", "v": "b", "w": "b",
-           "wu": "a"}
-    dst = {"ia": "a", "ib": "b", "ic": "c", "u": "b", "v": "a", "w": "c",
-           "wu": "c"}
-    comp = {}
-    ident = {"a": "ia", "b": "ib", "c": "ic"}
-    table = {
-        ("v", "u"): "ia", ("u", "v"): "ib",
-        ("w", "u"): "wu", ("wu", "v"): "w",
-    }
-
-    def compose(g, f):
-        if src[g] != dst[f]:
-            return None
-        if f == ident[src[f]]:
-            return g
-        if g == ident[dst[f]]:
-            return f
-        return table[(g, f)]
-
-    for g in arrows:
-        for f in arrows:
-            if dst[f] == src[g]:
-                comp[(g, f)] = compose(g, f)
-    C = FinCategory(objects, arrows, src, dst, comp, ident)
-    C.validate()
-    return C
+from families import (cyclic_table, discrete_category, iso_pair_category,
+                      klein_table, symmetric3_table)
 
 
 def test_category_validation():

@@ -5,12 +5,11 @@ import ast
 import pathlib
 
 from simpcat import hcnerve, sset
-from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table, nerve,
-                               ordinal_category, symmetric3_table)
+from simpcat.nerve_cat import RelativeCategory, bg, nerve, ordinal_category
 from simpcat.quasicat import hom_space
 from simpcat.segal import rezk_nerve
 
-from families import category_family
+from families import category_family, cyclic_table, symmetric3_table
 from oracles import from_presheaf_by_collapse
 
 

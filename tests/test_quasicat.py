@@ -3,16 +3,16 @@ from hypothesis import given, settings, strategies as st
 
 from simpcat import quasicat, sset
 from simpcat.errors import InputError
-from simpcat.nerve_cat import (bg, cyclic_table, find_category_isomorphism,
-                               klein_table, max_subgroupoid, nerve,
-                               ordinal_category, symmetric3_table)
+from simpcat.nerve_cat import (bg, find_category_isomorphism, max_subgroupoid,
+                               nerve, ordinal_category)
 from simpcat.quasicat import (LiftingObstruction, classify,
                               count_extensions, equivalences, hom_space,
                               homotopy_category, homotopy_group,
                               max_kan_subset, witness_to_map)
 from simpcat.sset import is_isomorphic, opposite, standard_simplex
 
-from test_nerve_cat import iso_pair_category
+from families import (cyclic_table, iso_pair_category, klein_table,
+                      symmetric3_table)
 from test_sset import subsets_and_products
 
 
@@ -52,7 +52,7 @@ def test_classify_argument_checks():
 
 def test_classify_non_quasicategory():
     # a horn itself is not a quasicategory: its defining horn cannot fill
-    L, _ = sset.product(sset.horn(2, 1), sset.point())
+    L, _ = sset.product(sset.horn(2, 1), sset.standard_simplex(0))
     L = sset.horn(2, 1)
     levels = [L.simplices(n) for n in range(4)]
     L3 = sset.from_presheaf(3, levels, L.apply,
@@ -188,7 +188,7 @@ def test_hom_space_left_via_op():
 
 
 def test_pi0():
-    X = sset.disjoint_union(sset.point(), sset.point())
+    X = sset.disjoint_union(sset.standard_simplex(0), sset.standard_simplex(0))
     report = homotopy_group(X, None, 0)
     assert report.count == 2
 

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import weakref
 from itertools import combinations_with_replacement
 
@@ -7,15 +8,15 @@ import pytest
 
 from simpcat import formats, sset
 from simpcat.errors import InputError, NotDecidable
-from simpcat.nerve_cat import (RelativeCategory, bg, cyclic_table,
-                               find_category_isomorphism, nerve,
-                               ordinal_category, poset_category,
+from simpcat.nerve_cat import (RelativeCategory, bg, find_category_isomorphism,
+                               nerve, ordinal_category, poset_category,
                                product_category)
 from simpcat.segal import (BisimplicialSet, completeness_check, embed,
                            rezk_nerve, standard_bisimplex, strict_segal_check)
 
+from families import cyclic_table, iso_pair_category
 from oracles import chain_transformation_category
-from test_nerve_cat import iso_pair_category
+from test_formats_cli import run_cli, write
 
 
 def iso_relative(C):
@@ -484,6 +485,46 @@ def test_a_boolean_does_not_name_the_cell_1():
     with pytest.raises(InputError) as info:
         BisimplicialSet(**structure).validate()
     assert str(info.value) == "face table broken at level 1"
+
+
+def _renamed_to_positions(X):
+    return BisimplicialSet(X.m_trunc, X.n_trunc,
+                           {k: tuple(range(len(v)))
+                            for k, v in X.cells.items()},
+                           X.h_face, X.h_degen, X.v_face,
+                           X.v_degen).validate()
+
+
+def test_integer_cell_names_round_trip(tmp_path):
+    # tables key cells by their names written through str, and the loader
+    # reads them back the same way: d(X) mixes integer and string names
+    # (X has vertices 0, 1 and the edge 2), and a representable renamed
+    # to positions has integer names only
+    X = sset.SimplicialSet(None, [(0, 1), (2,)], [
+        [(), ()], [(((0,), 1), ((0,), 0))]]).validate()
+    S = standard_bisimplex(1, 0, 2, 1)
+    for B in (embed("discrete", X, 1), _renamed_to_positions(S)):
+        text = formats.dumps(formats.bisimplicial_to_dict(B))
+        again = formats.bisimplicial_from_dict(json.loads(text))
+        assert again.cells == B.cells
+        assert formats.dumps(formats.bisimplicial_to_dict(again)) == text
+    # the checks read the renamed document as they read the named one
+    named = write(tmp_path, "named.bis", formats.bisimplicial_to_dict(S))
+    renamed = write(tmp_path, "renamed.bis", formats.bisimplicial_to_dict(
+        _renamed_to_positions(S)))
+    for command, code in [("segal-check", 0), ("completeness", 2)]:
+        assert run_cli(tmp_path, command, named) == code
+        assert run_cli(tmp_path, command, renamed) == code
+
+
+def test_loader_refuses_cells_written_alike():
+    # 0 and "0" would read the same table keys
+    d = formats.bisimplicial_to_dict(_renamed_to_positions(
+        standard_bisimplex(1, 0, 1, 0)))
+    d["cells"]["0,0"] = [0, "0"]
+    with pytest.raises(InputError) as info:
+        formats.bisimplicial_from_dict(d)
+    assert str(info.value) == "duplicate cells at (0, 0)"
 
 
 def test_validate_rejects_missing_table_entries():

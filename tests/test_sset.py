@@ -7,10 +7,9 @@ from simpcat import formats, sset
 from simpcat.delta import all_surjections, tidentity
 from simpcat.sset import (InputError, boundary, disjoint_union,
                           empty_sset, enumerate_maps, find_isomorphism,
-                          from_presheaf, horn, identity_map,
-                          inclusion_by_names, is_isomorphic, lift_extensions,
-                          opposite, pi0, point, product, pushout,
-                          simplex_dim, skeleton, spine, standard_object,
+                          from_presheaf, horn, inclusion_by_names,
+                          is_isomorphic, lift_extensions, opposite, pi0,
+                          product, pushout, simplex_dim, skeleton, spine,
                           standard_simplex, SimplicialMap, SimplicialSet)
 
 
@@ -38,15 +37,46 @@ def test_boundary_and_horn_counts():
     assert cell_counts(horn(3, 1)) == [4, 6, 3]
     with pytest.raises(InputError):
         horn(2, 3)
-    with pytest.raises(InputError):
-        standard_object("horn", 2, None)
 
 
 def test_spine():
     S = spine(3)
     assert cell_counts(S) == [4, 3]
     assert set(S.cells(1)) == {"0-1", "1-2", "2-3"}
-    assert cell_counts(standard_object("spine", 1)) == [2, 1]
+    assert cell_counts(spine(1)) == [2, 1]
+
+
+@st.composite
+def face_closed_chains(draw):
+    """(n, keep) for n <= 5 and keep a random face-closed set of vertex
+    sets of Delta^n: the faces of a few random spans."""
+    n = draw(st.integers(0, 5))
+    spans = draw(st.lists(st.frozensets(st.integers(0, n), min_size=1),
+                          max_size=4))
+    return n, lambda c: any(span.issuperset(c) for span in spans)
+
+
+@settings(deadline=None, max_examples=60)
+@given(face_closed_chains())
+def test_chain_nerve_matches_the_combinations_oracle(case):
+    # the one chain builder lists the kept chains of [n] in the order of
+    # combinations, with the faces the oracle looks up
+    from oracles import subset_complex_by_combinations
+    n, keep = case
+    X, oracle = sset._subset_complex(n, keep), \
+        subset_complex_by_combinations(n, keep)
+    assert X.names == oracle.names
+    assert X.faces == oracle.faces
+    standard = [(standard_simplex(n), lambda c: True),
+                (spine(n), lambda c: len(c) == 1 or
+                 len(c) == 2 and c[1] == c[0] + 1)]
+    if n >= 1:
+        standard.append((boundary(n), lambda c: len(c) <= n))
+        standard.extend((horn(n, k), lambda c, k=k: len(c) < n or
+                         len(c) == n and k in c) for k in range(n + 1))
+    for X, keep in standard:
+        oracle = subset_complex_by_combinations(n, keep)
+        assert (X.names, X.faces) == (oracle.names, oracle.faces)
 
 
 def test_simplices_enumeration():
@@ -121,7 +151,7 @@ def test_product_shuffle_counts():
 
 def test_product_unit():
     X = boundary(3)
-    P, (px, py) = product(X, point())
+    P, (px, py) = product(X, standard_simplex(0))
     assert is_isomorphic(P, X)
     px.validate()
     py.validate()
@@ -137,7 +167,7 @@ def test_product_projections_commute():
 def test_pushout_wedge():
     # gluing two segments end to start gives the 2-spine
     D1 = standard_simplex(1)
-    A = point()
+    A = standard_simplex(0)
     f = SimplicialMap(A, D1, [[(tidentity(0), D1.cell_index(0, "1"))]])
     f.validate()
     g = SimplicialMap(A, D1, [[(tidentity(0), D1.cell_index(0, "0"))]])
@@ -152,7 +182,7 @@ def test_pushout_collapse_hr1():
     D2 = standard_simplex(2)
     D1 = standard_simplex(1)
     f = inclusion_by_names(D1, D2)  # names 0,1,0-1 all present in Delta^2
-    g = SimplicialMap(D1, point(), [
+    g = SimplicialMap(D1, standard_simplex(0), [
         [(tidentity(0), 0), (tidentity(0), 0)], [((0, 0), 0)]])
     g.validate()
     P, lx, ly = pushout(f, g)
@@ -177,7 +207,7 @@ def test_product_associative_commutative_up_to_iso():
 def test_pushout_legs_jointly_surjective_and_agree():
     D2 = standard_simplex(2)
     D1 = standard_simplex(1)
-    A = point()
+    A = standard_simplex(0)
     f = SimplicialMap(A, D2, [[(tidentity(0), D2.cell_index(0, "0"))]])
     f.validate()
     g = SimplicialMap(A, D1, [[(tidentity(0), D1.cell_index(0, "1"))]])
@@ -201,14 +231,14 @@ def test_pushout_legs_jointly_surjective_and_agree():
 
 def test_pushout_identity():
     X = boundary(2)
-    i = identity_map(X)
+    i = inclusion_by_names(X, X)
     P, lx, ly = pushout(i, i)
     assert is_isomorphic(P, X)
 
 
 def test_pushout_requires_injective_first_leg():
     D1 = standard_simplex(1)
-    g = SimplicialMap(D1, point(), [
+    g = SimplicialMap(D1, standard_simplex(0), [
         [(tidentity(0), 0), (tidentity(0), 0)], [((0, 0), 0)]])
     g.validate()
     with pytest.raises(InputError):
@@ -231,7 +261,7 @@ def test_lift_extensions_terminal_target():
     B = standard_simplex(1)
     A = boundary(1)
     i = inclusion_by_names(A, B)
-    X = point()
+    X = standard_simplex(0)
     f = SimplicialMap(A, X, [[(tidentity(0), 0), (tidentity(0), 0)]])
     f.validate()
     exts = lift_extensions(i, f)
@@ -275,7 +305,7 @@ def test_apply_against_nerve_closed_form():
     import random as _random
     from simpcat.delta import all_maps
     from simpcat.nerve_cat import nerve
-    from test_nerve_cat import iso_pair_category
+    from families import iso_pair_category
     C = iso_pair_category()
     N = nerve(C, 3)
     rng = _random.Random(2024)
@@ -335,7 +365,7 @@ def test_product_universal_property_counts():
 
 def test_opposite_of_nerve_is_nerve_of_opposite():
     from simpcat.nerve_cat import nerve
-    from test_nerve_cat import iso_pair_category
+    from families import iso_pair_category
     for C in [iso_pair_category()]:
         lhs = opposite(nerve(C, 3))
         rhs = nerve(C.opposite(), 3)
@@ -355,7 +385,7 @@ def test_opposite_horn_swap():
 
 
 def test_pi0_and_disjoint_union():
-    X = disjoint_union(point(), point())
+    X = disjoint_union(standard_simplex(0), standard_simplex(0))
     assert len(pi0(X)) == 2
     assert len(pi0(standard_simplex(3))) == 1
     assert pi0(empty_sset()) == []
@@ -369,7 +399,8 @@ def test_serialization_dict():
 
 
 def _product_cases():
-    from simpcat.nerve_cat import bg, cyclic_table, nerve
+    from simpcat.nerve_cat import bg, nerve
+    from families import cyclic_table
     S = standard_simplex
     cases = [(S(n), S(total - n), None)
              for total in range(2, 6) for n in range(1, total)]
@@ -424,7 +455,8 @@ def _permuted_copy(X, perms):
 
 @st.composite
 def permuted_pairs(draw):
-    from simpcat.nerve_cat import bg, cyclic_table, nerve
+    from simpcat.nerve_cat import bg, nerve
+    from families import cyclic_table
     X = draw(st.sampled_from([
         horn(3, 1), boundary(3), spine(4), product(spine(2), horn(2, 0))[0],
         nerve(bg(cyclic_table(2)), 3), standard_simplex(3)]))
@@ -471,7 +503,8 @@ def _each(*changes):
 
 
 def _validation_cases():
-    from simpcat.nerve_cat import bg, cyclic_table, nerve
+    from simpcat.nerve_cat import bg, nerve
+    from families import cyclic_table
     S3 = standard_simplex(3)
     B = nerve(bg(cyclic_table(2)), 3)
 
@@ -600,7 +633,8 @@ def test_validate_checks_each_dimensions_surjections():
 
 def _agreement_objects():
     from families import category_family
-    from simpcat.nerve_cat import bg, cyclic_table, nerve
+    from simpcat.nerve_cat import bg, nerve
+    from families import cyclic_table
     for name, C in category_family():
         # nerves of the categories with more than three arrows stop at
         # dimension 3, which keeps the whole check within seconds
@@ -637,8 +671,8 @@ def _block_objects():
     from random import Random
     from families import random_thin_category
     from simpcat.hcnerve import frak_c
-    from simpcat.nerve_cat import (bg, cyclic_table, klein_table, nerve,
-                                   ordinal_category, symmetric3_table)
+    from simpcat.nerve_cat import bg, nerve, ordinal_category
+    from families import cyclic_table, klein_table, symmetric3_table
     S = standard_simplex
     yield "BZ/3", nerve(bg(cyclic_table(3)), 4)
     yield "BS3", nerve(bg(symmetric3_table()), 3)
@@ -674,7 +708,8 @@ def test_ranked_matches_face_of_oracle():
 
 
 def _repoint_objects():
-    from simpcat.nerve_cat import bg, cyclic_table, nerve, ordinal_category
+    from simpcat.nerve_cat import bg, nerve, ordinal_category
+    from families import cyclic_table
     BZ2 = nerve(bg(cyclic_table(2)), 3)
     return [standard_simplex(3), BZ2, nerve(ordinal_category(2), 3),
             product(BZ2, standard_simplex(1), 3)[0], horn(3, 1)]
@@ -745,7 +780,8 @@ def test_constructions_on_random_subsets_validate(X, Y, k):
     opposite(X).validate()
     A = skeleton(X, 0)
     f = inclusion_by_names(A, X)
-    collapse = SimplicialMap(A, point(), [[((0,), 0)] * A.n_cells(0)])
+    collapse = SimplicialMap(A, standard_simplex(0),
+                             [[((0,), 0)] * A.n_cells(0)])
     collapse.validate()
     for g in (f, collapse):
         for Z in pushout(f, g):
@@ -836,7 +872,8 @@ def _empty_middle_level():
 def test_doubled_blocks_match_grouping_by_simplex():
     from oracles import doubled_blocks_by_grouping
     from simpcat.hcnerve import frak_c
-    from simpcat.nerve_cat import bg, cyclic_table, nerve
+    from simpcat.nerve_cat import bg, nerve
+    from families import cyclic_table
     objects = [("frak_c(%d)(%s,%s)" % (n, x, y), space)
                for n in range(6)
                for (x, y), space in frak_c(n).mapspaces.items()]
