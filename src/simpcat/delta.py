@@ -62,12 +62,6 @@ def opposite(f, n):
     return tuple(n - v for v in reversed(f))
 
 
-def join(f, n, g):
-    """The ordinal join [m]*[m'] = [m+m'+1] applied to f: [m] -> [n] and
-    g: f on the initial block, g shifted onto the final block."""
-    return f + tuple(v + n + 1 for v in g)
-
-
 def face_decomposition(f, n):
     """Write an injection f: [m] -> [n] as a composite of faces,
     outermost first, indices strictly decreasing.  Returns the list of

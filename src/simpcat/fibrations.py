@@ -5,7 +5,7 @@ arrow categories.
 """
 
 from .errors import InputError
-from .nerve_cat import FinCategory, Functor, product_category
+from .nerve_cat import FinCategory, Functor, product_category, subcategory
 
 
 class LeftFibrationReport:
@@ -28,17 +28,8 @@ def is_left_fibration(F):
     object lifts with prescribed source, and lifts against the outer
     2-horn are in bijection with their shadows."""
     C, D = F.source, F.target
-    witnesses = []
-    for x in C.objects:
-        fx = F.obj_map[x]
-        for phi in D.arrows:
-            if D.src[phi] != fx:
-                continue
-            lifts = [a for a in C.arrows
-                     if C.src[a] == x and F.arr_map[a] == phi]
-            if not lifts:
-                witnesses.append({"kind": "no-lift", "object": x,
-                                  "base_arrow": phi})
+    witnesses = [{"kind": "no-lift", "object": x, "base_arrow": phi}
+                 for (x, phi), lifts in _lifts(F).items() if not lifts]
     for a in C.arrows:
         for b in C.arrows:
             if C.src[a] != C.src[b]:
@@ -55,6 +46,17 @@ def is_left_fibration(F):
                                   "fillers": sorted(fillers),
                                   "shadows": sorted(shadows)})
     return LeftFibrationReport(not witnesses, witnesses)
+
+
+def _lifts(F):
+    """{(x, phi): the arrows out of x over phi, in C's order} for each
+    object x of C and each arrow phi of D out of F(x), in that order."""
+    C, D = F.source, F.target
+    lifts = {(x, phi): [] for x in C.objects for phi in D.arrows
+             if D.src[phi] == F.obj_map[x]}
+    for a in C.arrows:
+        lifts.get((C.src[a], F.arr_map[a]), []).append(a)
+    return lifts
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +111,9 @@ def fiber_category(F, d):
     mapping to its identity."""
     C, D = F.source, F.target
     objects = [c for c in C.objects if F.obj_map[c] == d]
-    arrows = [a for a in C.arrows
-              if F.arr_map[a] == D.ident[d] and C.src[a] in objects]
-    comp = {(g, f): c for (g, f), c in C.comp.items()
-            if g in arrows and f in arrows}
-    return FinCategory(objects, arrows,
-                       {a: C.src[a] for a in arrows},
-                       {a: C.dst[a] for a in arrows},
-                       comp, {x: C.ident[x] for x in objects})
+    return subcategory(C, objects, [
+        a for a in C.arrows
+        if F.arr_map[a] == D.ident[d] and C.src[a] in objects])
 
 
 class CocartAnalysis:
@@ -162,7 +159,7 @@ def cocart_analyze(F):
     """Flag every arrow of the source as (locally) cocartesian, check
     closure of locally cocartesian arrows under composition, and decide
     the three fibration verdicts."""
-    C, D = F.source, F.target
+    C = F.source
     arrow_flags = {}
     for a in C.arrows:
         coc = is_cocartesian_arrow(F, a)
@@ -177,24 +174,16 @@ def cocart_analyze(F):
     lift_tables = {"cocartesian": {}, "locally_cocartesian": {}}
     coc_fib = True
     loc_fib = True
-    for x in C.objects:
-        fx = F.obj_map[x]
-        for phi in D.arrows:
-            if D.src[phi] != fx:
-                continue
-            lifts = [a for a in C.arrows
-                     if C.src[a] == x and F.arr_map[a] == phi]
-            coc_lifts = [a for a in lifts
-                         if arrow_flags[a]["cocartesian"]]
-            loc_lifts = [a for a in lifts
-                         if arrow_flags[a]["locally_cocartesian"]]
-            lift_tables["cocartesian"][(x, phi)] = sorted(coc_lifts)
-            lift_tables["locally_cocartesian"][(x, phi)] = \
-                sorted(loc_lifts)
-            if not coc_lifts:
-                coc_fib = False
-            if not loc_lifts:
-                loc_fib = False
+    for key, lifts in _lifts(F).items():
+        coc_lifts = [a for a in lifts if arrow_flags[a]["cocartesian"]]
+        loc_lifts = [a for a in lifts
+                     if arrow_flags[a]["locally_cocartesian"]]
+        lift_tables["cocartesian"][key] = sorted(coc_lifts)
+        lift_tables["locally_cocartesian"][key] = sorted(loc_lifts)
+        if not coc_lifts:
+            coc_fib = False
+        if not loc_lifts:
+            loc_fib = False
     left = is_left_fibration(F).verdict
     verdicts = {
         "is_cocartesian_fibration": coc_fib,

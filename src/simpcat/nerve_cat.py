@@ -5,10 +5,9 @@ Composition convention throughout: compose(g, f) means "f then g",
 matching Hom(y,z) x Hom(x,y) -> Hom(x,z).
 """
 
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 from . import sset
-from .delta import degeneracy, tcompose
 from .errors import FuelExhausted, InputError
 
 
@@ -294,16 +293,22 @@ def product_category(C, D):
     return FinCategory(objects, arrows, src, dst, comp, ident)
 
 
+def subcategory(C, objects, arrows):
+    """The subcategory of C on the given objects and arrows, which hold
+    the identities of the objects and are closed under composition."""
+    arrows = tuple(arrows)
+    kept = set(arrows)
+    comp = {(g, f): c for (g, f), c in C.comp.items()
+            if g in kept and f in kept}
+    return FinCategory(objects, arrows, {a: C.src[a] for a in arrows},
+                       {a: C.dst[a] for a in arrows}, comp,
+                       {x: C.ident[x] for x in objects})
+
+
 def full_subcategory(C, objects):
     objects = tuple(objects)
-    arrows = tuple(a for a in C.arrows
-                   if C.src[a] in objects and C.dst[a] in objects)
-    comp = {(g, f): c for (g, f), c in C.comp.items()
-            if g in arrows and f in arrows}
-    return FinCategory(objects, arrows,
-                       {a: C.src[a] for a in arrows},
-                       {a: C.dst[a] for a in arrows},
-                       comp, {x: C.ident[x] for x in objects})
+    return subcategory(C, objects, [
+        a for a in C.arrows if C.src[a] in objects and C.dst[a] in objects])
 
 
 # ---------------------------------------------------------------------------
@@ -367,48 +372,31 @@ def category_from_nerve(X):
     if X.truncation is not None and X.truncation < 2:
         raise InputError("need at least the 2-truncation")
     objects = list(X.cells(0))
-    arrows = []
-    src = {}
-    dst = {}
-    for idx, name in enumerate(X.cells(1)):
-        e = X.cell_simplex(1, name)
-        (s1, v1) = X.face_of(1, e)
-        (s0, v0) = X.face_of(0, e)
-        arrows.append(name)
-        src[name] = X.names[0][v1]
-        dst[name] = X.names[0][v0]
-    ident = {}
-    arrow_of_simplex = {}
-    for name in arrows:
-        arrow_of_simplex[X.cell_simplex(1, name)] = name
-    for idx, obj in enumerate(objects):
-        dg = ((0, 0), idx)
-        nm = "id_%s" % obj
-        arrow_of_simplex[dg] = nm
-        arrows.append(nm)
-        src[nm] = obj
-        dst[nm] = obj
-        ident[obj] = nm
+    # the 1-simplices in rank order are the identities (degenerate),
+    # then the nondegenerate edges; the arrows list the edges first
+    by_rank = ["id_%s" % x for x in objects] + list(X.cells(1))
+    ranks = list(range(len(objects), len(by_rank))) + \
+        list(range(len(objects)))
+    arrows = [by_rank[r] for r in ranks]
+    to_dst, to_src = X.ranked(1)[1]
+    src = {a: objects[to_src[r]] for a, r in zip(arrows, ranks)}
+    dst = {a: objects[to_dst[r]] for a, r in zip(arrows, ranks)}
+    rank = dict(zip(arrows, ranks))
+    ident = {x: "id_%s" % x for x in objects}
     # composition via the unique 2-simplex with d_2 = f, d_0 = g
-    by_faces = {}
-    for w in X.simplices(2):
-        f2 = X.face_of(2, w)
-        f0 = X.face_of(0, w)
-        f1 = X.face_of(1, w)
-        by_faces.setdefault((f2, f0), set()).add(f1)
+    fillers, long_edge = X.face_index(2, (2, 0)), X.ranked(2)[1][1]
     comp = {}
-    simplex_of_arrow = {v: k for k, v in arrow_of_simplex.items()}
     for g in arrows:
         for f in arrows:
             if dst[f] != src[g]:
                 continue
-            key = (simplex_of_arrow[f], simplex_of_arrow[g])
-            found = by_faces.get(key, set())
+            found = {long_edge[u]
+                     for u in fillers.get((rank[f], rank[g]), ())}
             if len(found) != 1:
                 raise InputError(
                     "object is not nerve-like: %d composites for (%s, %s)"
                     % (len(found), g, f))
-            comp[(g, f)] = arrow_of_simplex[found.pop()]
+            comp[(g, f)] = by_rank[found.pop()]
     return FinCategory(objects, arrows, src, dst, comp, ident).validate()
 
 
@@ -431,19 +419,11 @@ def nerve_functor_map(F, d, NC=None, ND=None):
 
 
 def _nerve_simplex_of_chain(C, NC, chain, source_obj):
-    """E-Z form in the nerve of a possibly degenerate chain of arrows."""
-    word = tuple(range(len(chain) + 1))
-    core = list(chain)
-    n = len(core)
-    while True:
-        for i, a in enumerate(core):
-            if C.is_identity(a):
-                word = tcompose(degeneracy(n, i), word)
-                del core[i]
-                n -= 1
-                break
-        else:
-            break
+    """E-Z form in the nerve of a possibly degenerate chain of arrows:
+    vertex j goes to the number of non-identity links before it."""
+    word = tuple(accumulate((not C.is_identity(a) for a in chain),
+                            initial=0))
+    core = [a for a in chain if not C.is_identity(a)]
     if not core:
         return (word, NC.cell_index(0, source_obj))
     return (word, NC.cell_index(len(core), _chain_name(core)))
@@ -463,12 +443,7 @@ def _chain_name(chain):
 
 def max_subgroupoid(C):
     """Wide-on-invertibles subcategory: same objects, invertible arrows."""
-    arrows = tuple(a for a in C.arrows if C.is_iso(a))
-    comp = {(g, f): c for (g, f), c in C.comp.items()
-            if g in arrows and f in arrows}
-    return FinCategory(C.objects, arrows,
-                       {a: C.src[a] for a in arrows},
-                       {a: C.dst[a] for a in arrows}, comp, dict(C.ident))
+    return subcategory(C, C.objects, [a for a in C.arrows if C.is_iso(a)])
 
 
 def _functor_of_nerve_map(f, C, D):

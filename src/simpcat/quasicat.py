@@ -73,32 +73,20 @@ class HornReport:
             self.mode, self.dimension_bound, self.passed())
 
 
-def _join_index(X, m, positions):
-    """{(d_i w for i in positions): the ranks w, ascending} over the
-    m-simplices w of X."""
-    def build(X):
-        faces = X.ranked(m)[1]
-        index = {}
-        for w, key in enumerate(zip(*[faces[i] for i in positions])):
-            index.setdefault(key, []).append(w)
-        return index
-    return X.memo(("join", m, positions), build)
-
-
 def _horn_stats(X, n, k):
     """(tested, unfillable, nonunique, first unfillable horn) over the
     horn maps Lambda^n_k -> X, n >= 2.
 
     A horn is the tuple of its facet images (d_j for j != k), pairwise
     compatible: d_i w_j = d_{j-1} w_i for i < j.  The first facet runs
-    over simplices(n-1); each later facet j is one join-index lookup
+    over simplices(n-1); each later facet j is one X.face_index lookup
     keyed by the faces d_{j-1} of the facets already chosen, and its
     candidates come in ascending rank.  Horns are counted against the
     fillers as their last facet comes, never listed."""
     J = [j for j in range(n + 1) if j != k]
     order, faces, natural = X.ranked(n - 1)
     steps = [(faces[J[p] - 1].__getitem__,
-              _join_index(X, n - 1, tuple(J[:p])).get)
+              X.face_index(n - 1, tuple(J[:p])).get)
              for p in range(1, n)]
     # fillers[facets but the last] = {last facet: number of n-simplices}
     fillers = {}
@@ -171,14 +159,11 @@ def classify(X, d, mode):
         for k in MODES[mode](n):
             if n == 1:
                 tested = unfillable = nonunique = 0
-                fillers = {}
-                for e in X.simplices(1):
-                    key = X.face_of(1 - k, e)  # vertex k of e
-                    fillers[key] = fillers.get(key, 0) + 1
+                fillers = X.face_index(1, (1 - k,))  # edges by vertex k
                 for idx in range(X.n_cells(0)):
                     v = (tidentity(0), idx)
                     tested += 1
-                    c = fillers.get(v, 0)
+                    c = len(fillers.get((idx,), ()))
                     if c == 0:
                         unfillable += 1
                         witnesses.setdefault(
@@ -281,19 +266,6 @@ def _ho_classes(X):
     return classes
 
 
-def _lambda21_fillers(X, f, g):
-    """All u in X_2 with d_2 u = f and d_0 u = g, in enumeration order."""
-    return X.memo("lambda21", _lambda21_table).get((f, g), [])
-
-
-def _lambda21_table(X):
-    table = {}
-    for u in X.simplices(2):
-        pair = (X.face_of(2, u), X.face_of(0, u))
-        table.setdefault(pair, []).append(u)
-    return table
-
-
 def homotopy_category(X, _return_classes=False):
     """Ho(X) for a quasicategory presented up to dimension >= 3: objects
     are the vertices, arrows are homotopy classes of 1-simplices,
@@ -304,9 +276,10 @@ def homotopy_category(X, _return_classes=False):
     require_quasicategory(X, 3)
     classes = _ho_classes(X)
     reps = sorted(set(classes.values()))
-    by_rep = {}
-    for e, rep in classes.items():
-        by_rep.setdefault(rep, []).append(e)
+    bases = X.block_bases(1)
+    by_rep = {}  # the ranks of the 1-simplices in each class
+    for (s, idx), rep in classes.items():
+        by_rep.setdefault(rep, []).append(bases[s] + idx)
     objects = list(X.cells(0))
     arrow_name = {rep: "[%s]" % X.describe(rep) for rep in reps}
     src = {}
@@ -321,6 +294,9 @@ def homotopy_category(X, _return_classes=False):
     for idx, x in enumerate(objects):
         e = ((0, 0), idx)
         ident[x] = arrow_name[classes[e]]
+    # the 2-simplices u by the ranks of d_2 u and d_0 u, and d_1 u
+    fillers = X.face_index(2, (2, 0))
+    edges, long_edge = X.ranked(1)[0], X.ranked(2)[1][1]
     comp = {}
     for grep in reps:
         for frep in reps:
@@ -329,8 +305,8 @@ def homotopy_category(X, _return_classes=False):
             value = None
             for f in by_rep[frep]:
                 for g in by_rep[grep]:
-                    for u in _lambda21_fillers(X, f, g):
-                        c = classes[X.face_of(1, u)]
+                    for u in fillers.get((f, g), ()):
+                        c = classes[edges[long_edge[u]]]
                         if value is None:
                             value = c
                         elif c != value:

@@ -13,7 +13,8 @@ evaluates an arbitrary operator of the simplex category through face
 steps.  Validation and the horn search read faces a block at a time:
 the m-simplices with one surjection s form a block, and each face of a
 whole block is one index range or one column of stored faces
-(``SimplicialSet.face_block``).
+(``SimplicialSet.face_block``).  Simplices are looked up by their faces
+in one index on those ranks (``SimplicialSet.face_index``).
 """
 
 from functools import lru_cache
@@ -136,19 +137,19 @@ class SimplicialSet:
     def simplex_faces(self, simplex):
         return tuple(self.face_of(i, simplex) for i in range(len(simplex[0])))
 
-    def face_table(self, n):
-        """{w: simplex_faces(w)} over all n-simplices w, n >= 1."""
-        return self.memo(("faces", n), lambda X: {
-            w: X.simplex_faces(w) for w in X.simplices(n)})
-
-    def face_index(self, n):
-        """Map from face tuples to the n-simplices with those faces."""
+    def face_index(self, m, positions):
+        """{(d_i w for i in positions): the ranks of the m-simplices w
+        with those faces, ascending}, m >= 1 and positions nonempty; w
+        and its faces are ranks of ranked(m) and ranked(m - 1).  The one
+        index of simplices by their faces: the map search, the horn
+        search, Ho(X) and nerve_cat.category_from_nerve read it."""
         def build(X):
+            faces = X.ranked(m)[1]
             index = {}
-            for w, fw in X.face_table(n).items():
-                index.setdefault(fw, []).append(w)
+            for w, key in enumerate(zip(*[faces[i] for i in positions])):
+                index.setdefault(key, []).append(w)
             return index
-        return self.memo(("face_index", n), build)
+        return self.memo(("face_index", m, positions), build)
 
     def block_bases(self, m):
         """{s: rank of (s, 0)} over the surjections s: [m] ->> [k] onto
@@ -763,7 +764,6 @@ def pushout(f, g):
                     if t is not None)
     # image of A in X, per dimension
     image = []
-    preim = []
     for k in range(len(X.names)):
         img = {}
         if k < len(A.names):
@@ -771,7 +771,6 @@ def pushout(f, g):
                 s, w = f.assignment[k][idx]
                 img[w] = idx
         image.append(img)
-        preim.append(img)
     D = max(len(X.names), len(Y.names))
     names = []
     keep_x = []  # per dim, list of kept X indices
@@ -888,8 +887,9 @@ def _placements(B, X, fixed, iso):
 
     Each cell is placed right after the last cell under its faces, which
     prunes a wrong vertex choice early, and its candidates are one
-    X.face_index(k) lookup by the images of its faces.  With iso, images
-    are nondegenerate and pairwise distinct."""
+    X.face_index lookup by the ranks of the images of its faces, in
+    ascending rank.  With iso, images are nondegenerate and pairwise
+    distinct."""
     # a cell is ready once every cell under its faces is placed
     cofaces, missing = {}, {}
     for k in range(1, len(B.names)):
@@ -910,10 +910,13 @@ def _placements(B, X, fixed, iso):
                 if not missing[d]:
                     stack.append(d)
 
-    # per placement: the cell, the index its candidates come from, and
-    # its faces as (surjection, cell under the face)
-    steps = [((k, idx), X.face_index(k) if k else None,
-              [(s, (s[-1], sub)) for s, sub in B.faces[k][idx]] if k else ())
+    # per placement above dimension 0: the cell, its faces as
+    # (surjection, cell under the face), the index its candidates come
+    # from, the block bases that rank a face image and the simplices by
+    # rank
+    steps = [((k, idx), [(s, (s[-1], sub)) for s, sub in B.faces[k][idx]],
+              X.face_index(k, tuple(range(k + 1))).get, X.block_bases(k - 1),
+              X.ranked(k)[0]) if k else ((k, idx), (), None, None, None)
              for k, idx in order]
     assign = dict(fixed)
     used = set()
@@ -924,17 +927,17 @@ def _placements(B, X, fixed, iso):
             yield dict(assign)
             pos -= 1
             continue
-        cell, index, under = steps[pos]
+        cell, under, index, bases, simplices = steps[pos]
         if pending[pos] is None:
             if index is None:
-                cands = X.simplices(0)
+                pending[pos] = iter(X.simplices(0))
             else:
                 want = []
                 for s, c in under:
                     t, w = assign[c]
-                    want.append((tcompose(t, s), w))
-                cands = index.get(tuple(want), ())
-            pending[pos] = iter(cands)
+                    want.append(bases[tcompose(t, s)] + w)
+                pending[pos] = map(simplices.__getitem__,
+                                   index(tuple(want), ()))
         elif iso:
             used.discard(assign[cell])
         for w in pending[pos]:

@@ -182,6 +182,18 @@ def ranked_by_face_of(X, m):
     return order, faces, [rank[w] for w in simplices]
 
 
+def face_index_by_face_of(X, m, positions):
+    """SimplicialSet.face_index(m, positions) by sorting X.simplices(m)
+    and X.simplices(m - 1), as ranked_by_face_of does, and reading one
+    face_of per simplex per position."""
+    below = {w: r for r, w in enumerate(sorted(X.simplices(m - 1)))}
+    index = {}
+    for r, w in enumerate(sorted(X.simplices(m))):
+        key = tuple(below[X.face_of(i, w)] for i in positions)
+        index.setdefault(key, []).append(r)
+    return index
+
+
 # -- blocks of simplices by grouping every simplex
 
 
@@ -195,6 +207,28 @@ def doubled_blocks_by_grouping(X, q):
     return list(blocks.items())
 
 
+# -- simplices by their faces, one face_of per face
+
+
+def faces_by_simplex(X, n):
+    """{w: (d_0 w, ..., d_n w)} over the n-simplices w of X, n >= 1,
+    kept on X under a key of its own."""
+    return X.memo(("faces_by_simplex", n), lambda X: {
+        w: tuple(X.face_of(i, w) for i in range(n + 1))
+        for w in X.simplices(n)})
+
+
+def simplices_by_faces(X, n):
+    """{face tuple: the n-simplices with those faces, in simplices(n)
+    order}, kept on X under a key of its own."""
+    def build(X):
+        index = {}
+        for w, fw in faces_by_simplex(X, n).items():
+            index.setdefault(fw, []).append(w)
+        return index
+    return X.memo(("simplices_by_faces", n), build)
+
+
 # -- horn search: candidates by intersecting single-face indexes
 
 
@@ -202,7 +236,7 @@ def facet_tuples_by_intersection(X, n, k):
     """All horn maps Lambda^n_k -> X for n >= 2, each given by the tuple
     of its facet images (d_j for j != k), pairwise compatible."""
     J = [j for j in range(n + 1) if j != k]
-    faces_of = X.face_table(n - 1)
+    faces_of = faces_by_simplex(X, n - 1)
     index = X.memo(("cofaces", n - 1), lambda X: _coface_index(faces_of))
     results = []
     assignment = {}
@@ -247,7 +281,7 @@ def horn_stats_by_intersection(X, n, k):
     of n-simplices by face tuple.  Same result as quasicat._horn_stats."""
     J, horns = facet_tuples_by_intersection(X, n, k)
     counter = {}
-    for fw, ws in X.face_index(n).items():
+    for fw, ws in simplices_by_faces(X, n).items():
         key = tuple(fw[j] for j in J)
         counter[key] = counter.get(key, 0) + len(ws)
     unfillable = nonunique = 0
@@ -932,7 +966,8 @@ def category_isomorphism_by_backtracking(C, D):
 def lift_extensions_by_dimension_order(i, f):
     """sset.lift_extensions by recursing over the cells of B outside
     i(A) in (k, idx) order, each candidate image looked up by the images
-    of its faces in X.face_index(k), in the order listed there."""
+    of its faces in simplices_by_faces(X, k), in the order listed
+    there."""
     if not i.is_injective():
         raise InputError("extension problems need an injective inclusion")
     if i.source is not f.source:
@@ -956,7 +991,7 @@ def lift_extensions_by_dimension_order(i, f):
         for s, sub in B.faces[k][idx]:
             t, w = current[(s[-1], sub)]
             forced.append((tcompose(t, s), w))
-        return X.face_index(k).get(tuple(forced), ())
+        return simplices_by_faces(X, k).get(tuple(forced), ())
 
     def extend(pos, current):
         if pos == len(todo):

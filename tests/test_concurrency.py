@@ -50,7 +50,8 @@ def _jobs(obj):
             quasicat.homotopy_category(X))))
         jobs.append(("max-kan/" + x, lambda X=X: formats.sset_to_dict(
             quasicat.max_kan_subset(X))))
-    # the map searches read the targets' face_index and simplices tables
+    # the map searches read the targets' face_index, block bases and rank
+    # tables, which each object builds on first use and keeps
     for x in ("bz5", "iso"):
         jobs.append(("maps/" + x, lambda X=obj[x]: [
             m.assignment for m in sset.enumerate_maps(sset.horn(3, 1), X)]))

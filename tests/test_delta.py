@@ -5,7 +5,7 @@ from simpcat import delta
 from simpcat.delta import (DeltaError, all_injections, all_maps,
                            all_surjections, degeneracy,
                            degeneracy_decomposition, face,
-                           face_decomposition, join, opposite, tcompose,
+                           face_decomposition, opposite, tcompose,
                            tfactorize, tidentity)
 
 
@@ -284,14 +284,6 @@ def test_decompositions_exhaustive():
                 indices = [i for (_, i) in word]
                 assert indices == sorted(indices)
                 assert compose_word([degeneracy(*a) for a in word]) == f
-
-
-def test_join():
-    # [0] * [0] = [1]
-    assert join(tidentity(0), 0, tidentity(0)) == tidentity(1)
-    f = (0, 2)  # [1] -> [2]
-    g = (1,)  # [0] -> [1]
-    assert join(f, 2, g) == (0, 2, 4)
 
 
 def test_map_counts():

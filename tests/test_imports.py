@@ -59,22 +59,43 @@ def test_segal_composes_index_tables_only_through_tcompose():
 def unreached(sources, readme):
     """(file, name) for each top-level function and class of sources
     ({file name: source}) that no other top-level statement of sources
-    uses and no code span of readme names."""
+    uses and no code span of readme names.
+
+    A Name uses the definition its module binds to it: its own, or the
+    one a `from .m import name [as alias]` brings in.  An Attribute m.name
+    uses name of m only where `from . import m` binds m, so a method or
+    attribute that shares a function's name does not count."""
     named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`",
                                                         readme))))
-    users = {}  # name -> the top-level statements that use it
+    users = {}  # (module, name) -> the top-level statements that use it
     definitions = []
     for name, source in sorted(sources.items()):
-        for statement in ast.parse(source).body:
+        module, tree = name[:-3], ast.parse(source)
+        bound, modules = {}, {}  # local name -> (module, name); -> module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        bound[alias.asname or alias.name] = (node.module,
+                                                             alias.name)
+        for statement in tree.body:
             for node in ast.walk(statement):
-                used = node.id if isinstance(node, ast.Name) else \
-                    node.attr if isinstance(node, ast.Attribute) else None
+                if isinstance(node, ast.Name):
+                    used = bound.get(node.id, (module, node.id))
+                elif isinstance(node, ast.Attribute) and \
+                        isinstance(node.value, ast.Name) and \
+                        node.value.id in modules:
+                    used = (modules[node.value.id], node.attr)
+                else:
+                    continue
                 users.setdefault(used, set()).add(statement)
             if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
                 definitions.append((name, statement))
     return [(name, node.name) for name, node in definitions
             if node.name not in named
-            and not users.get(node.name, set()) - {node}]
+            and not users.get((name[:-3], node.name), set()) - {node}]
 
 
 def test_src_keeps_only_what_the_system_reaches():
@@ -85,5 +106,16 @@ def test_src_keeps_only_what_the_system_reaches():
     assert unreached({"m.py": example}, "") == [("m.py", "f"), ("m.py", "g"),
                                                 ("m.py", "K")]
     assert unreached({"m.py": example}, "`f()`, `g` and `K`") == []
+    # a function is not used by a method, or a call of one, that shares
+    # its name, nor by a name of another module; it is used through an
+    # import, under an alias too, and as an attribute of its module
+    shadowed = ("def size():\n    pass\n\n\ndef top():\n    pass\n\n\n"
+                "def low():\n    pass\n")
+    user = ("from . import m\nfrom .m import low as floor\n\n\n"
+            "class K:\n    def size(self):\n        return self.size()\n"
+            "\n    def top(self):\n        return floor(), m.top\n\n\n"
+            "def size():\n    return K().size(), K.top\n")
+    assert unreached({"m.py": shadowed, "n.py": user}, "`K`") == [
+        ("m.py", "size"), ("n.py", "size")]
     sources = {path.name: path.read_text() for path in MODULES}
     assert unreached(sources, README.read_text()) == []

@@ -89,12 +89,16 @@ def test_oracles_do_not_import_the_normalizer():
             assert "from_presheaf" not in [a.name for a in node.names]
         if isinstance(node, ast.Attribute):
             assert node.attr != "from_presheaf"
-    # nor may the backtracking oracles for maps, extensions and functors
-    # reach the face-ordered search they check
+    # nor may the backtracking oracles for maps, extensions, functors
+    # and horns reach the face-ordered searches they check or the rank
+    # tables and face index those read
     engine = {"lift_extensions", "enumerate_maps", "find_isomorphism",
-              "_placements", "all_functors"}
+              "_placements", "all_functors", "face_index", "ranked",
+              "_horn_stats"}
     oracles = {"lift_extensions_by_dimension_order",
-               "maps_by_dimension_order", "all_functors_by_backtracking"}
+               "maps_by_dimension_order", "all_functors_by_backtracking",
+               "facet_tuples_by_intersection", "horn_stats_by_intersection",
+               "faces_by_simplex", "simplices_by_faces"}
     found = set()
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.FunctionDef) and node.name in oracles:

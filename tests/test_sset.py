@@ -986,3 +986,42 @@ def test_ranked_matches_face_of_oracle_on_sparse_levels():
                 (s, idx) for k in range(m + 1)
                 for s in all_surjections(m, k)
                 for idx in range(X.n_cells(k))), (name, m)
+
+
+@st.composite
+def indexed_levels(draw):
+    """A nerve, a product or a horn, a level m >= 1 of it and a nonempty
+    list of distinct face positions in [0, m], in any order."""
+    from random import Random
+    from families import cyclic_table, random_thin_category
+    from simpcat.nerve_cat import bg, nerve, ordinal_category
+    kind = draw(st.sampled_from(["group", "ordinal", "thin", "product",
+                                 "horn"]))
+    if kind == "group":
+        X = nerve(bg(cyclic_table(draw(st.integers(1, 3)))), 3)
+    elif kind == "ordinal":
+        X = nerve(ordinal_category(draw(st.integers(0, 3))), 3)
+    elif kind == "thin":
+        X = nerve(random_thin_category(Random(draw(st.integers(0, 99))), 3),
+                  3)
+    elif kind == "product":
+        X = draw(subsets_and_products())
+    else:
+        n = draw(st.integers(1, 4))
+        X = horn(n, draw(st.integers(0, n)))
+    top = X.dim_max + 1 if X.truncation is None else X.truncation
+    m = draw(st.integers(1, min(top, 4)))
+    positions = draw(st.lists(st.integers(0, m), min_size=1, max_size=m + 1,
+                              unique=True))
+    return X, m, tuple(positions)
+
+
+@settings(deadline=None, max_examples=60)
+@given(indexed_levels())
+def test_face_index_matches_face_of_oracle(case):
+    # the one index of simplices by their faces, against one face_of per
+    # face over the sorted simplices, for the positions in the order given
+    from oracles import face_index_by_face_of
+    X, m, positions = case
+    assert X.face_index(m, positions) == \
+        face_index_by_face_of(X, m, positions)
