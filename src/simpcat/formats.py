@@ -17,7 +17,7 @@ from .hcnerve import SimplicialCategory
 from .intlinalg import Mat
 from .nerve_cat import FinCategory, Functor, RelativeCategory, _name_key
 from .segal import BisimplicialSet
-from .sset import SimplicialSet, _written_alike
+from .sset import SimplicialSet
 
 
 def dumps(obj):
@@ -377,21 +377,8 @@ def bisimplicial_from_dict(d):
                          "must be two integers, cells an object from "
                          "\"p,q\" to name lists, and %s objects from "
                          "\"p,q,i\" to name tables" % ", ".join(table_keys))
-    # tables key cells by their names written through str: a string is
-    # its own key, so only a level with an integer name is read back
-    read = {}  # (p, q) -> {key: name} for such a level
-    for (p, q), names in cells.items():
-        if int in set(map(type, names)):
-            if _written_alike(names):
-                raise InputError("duplicate cells at (%d, %d)" % (p, q))
-            read[(p, q)] = dict(zip(map(str, names), names))
-    for t in tables:
-        for key, m in t.items():
-            if key[:2] in read:
-                name = read[key[:2]]
-                t[key] = {name[k]: v for k, v in m.items() if k in name}
-    return BisimplicialSet(truncation[0], truncation[1], cells,
-                           *tables).validate()
+    return BisimplicialSet.from_names(truncation[0], truncation[1], cells,
+                                      *tables).validate()
 
 
 # -- simplicial categories ---------------------------------------------------

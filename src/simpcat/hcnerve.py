@@ -385,9 +385,9 @@ def simplicial_functors(F, C):
 def _functors(F, C, map_cache):
     """The simplicial functors F -> C as pairs (object assignment,
     {(i, j): the assignment of the map of Map(i, j)}), reading and
-    filling map_cache: the maps Map(i, j) -> Map(x, y) of C, keyed by
-    (_pair_key(i, j), x, y), so one call of coherent_nerve enumerates
-    them once for all its gadgets."""
+    filling map_cache: the simplicial maps Map(i, j) -> Map(x, y) of C,
+    keyed by (_pair_key(i, j), x, y), so one call of coherent_nerve
+    enumerates them once for all its gadgets."""
     n = len(F.objects) - 1
     pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     pairs.sort(key=lambda p: (p[1] - p[0], p[0]))
@@ -395,14 +395,13 @@ def _functors(F, C, map_cache):
     checks = {(a, c): [(b, _generating_pairs(F, a, b, c, bound))
                        for b in range(a + 1, c)] for a, c in pairs}
     out = []
-    images = {}  # (i, j) -> the assignment of the map chosen for Map(i, j)
+    images = {}  # (i, j) -> the map chosen for Map(i, j)
 
     def space_maps(i, j, x, y):
         key = (_pair_key(i, j), x, y)
         if key not in map_cache:
-            maps = sset.enumerate_maps(F.mapspaces[(str(i), str(j))],
-                                       C.mapspaces[(x, y)])
-            map_cache[key] = [m.assignment for m in maps]
+            map_cache[key] = sset.enumerate_maps(
+                F.mapspaces[(str(i), str(j))], C.mapspaces[(x, y)])
         return map_cache[key]
 
     def composition_ok(objs, a, c):
@@ -413,20 +412,21 @@ def _functors(F, C, map_cache):
             y = objs[b]
             gmap, fmap = images[(b, c)], images[(a, b)]
             for g, f, h in generating:
-                if _map_apply(hmap, h) != C.compose(
-                        x, y, z, _map_apply(gmap, g), _map_apply(fmap, f)):
+                if hmap.apply(h) != C.compose(x, y, z, gmap.apply(g),
+                                              fmap.apply(f)):
                     return False
         return True
 
     def assign_pairs(pos, objs):
         if pos == len(pairs):
-            out.append((objs, dict(images)))
+            out.append((objs, {pair: f.assignment
+                               for pair, f in images.items()}))
             return
         i, j = pairs[pos]
         if C.mapspaces[(objs[i], objs[j])].n_cells(0) == 0:
             return
-        for assignment in space_maps(i, j, objs[i], objs[j]):
-            images[(i, j)] = assignment
+        for f in space_maps(i, j, objs[i], objs[j]):
+            images[(i, j)] = f
             if composition_ok(objs, i, j):
                 assign_pairs(pos + 1, objs)
         del images[(i, j)]
@@ -451,16 +451,6 @@ def _generating_pairs(F, a, b, c, bound):
             faces.update(zip(gspace.simplex_faces(g), fspace.simplex_faces(f)))
     return [(g, f, h) for (g, f), h in table.items()
             if len(g[0]) <= bound + 1 and (g, f) not in faces]
-
-
-def _map_apply(assignment, simplex):
-    """Image of a possibly degenerate simplex under a simplicial map
-    recorded by its nondegenerate cell images."""
-    s, idx = simplex
-    image = assignment[s[-1]][idx]
-    if len(s) - 1 == s[-1]:
-        return image
-    return (tcompose(image[0], s), image[1])
 
 
 def coherent_nerve(C, d):

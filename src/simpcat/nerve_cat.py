@@ -372,9 +372,19 @@ def category_from_nerve(X):
     if X.truncation is not None and X.truncation < 2:
         raise InputError("need at least the 2-truncation")
     objects = list(X.cells(0))
+    # the identity of x is named by the first of id_x, id_id_x, ... that
+    # no edge and no identity before it has
+    taken = set(X.cells(1))
+    ident = {}
+    for x in objects:
+        name = "id_%s" % x
+        while name in taken:
+            name = "id_" + name
+        taken.add(name)
+        ident[x] = name
     # the 1-simplices in rank order are the identities (degenerate),
     # then the nondegenerate edges; the arrows list the edges first
-    by_rank = ["id_%s" % x for x in objects] + list(X.cells(1))
+    by_rank = [ident[x] for x in objects] + list(X.cells(1))
     ranks = list(range(len(objects), len(by_rank))) + \
         list(range(len(objects)))
     arrows = [by_rank[r] for r in ranks]
@@ -382,7 +392,6 @@ def category_from_nerve(X):
     src = {a: objects[to_src[r]] for a, r in zip(arrows, ranks)}
     dst = {a: objects[to_dst[r]] for a, r in zip(arrows, ranks)}
     rank = dict(zip(arrows, ranks))
-    ident = {x: "id_%s" % x for x in objects}
     # composition via the unique 2-simplex with d_2 = f, d_0 = g
     fillers, long_edge = X.face_index(2, (2, 0)), X.ranked(2)[1][1]
     comp = {}

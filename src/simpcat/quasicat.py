@@ -132,11 +132,6 @@ def _horn_stats(X, n, k):
 
 
 def _witness(X, n, k, facets):
-    if n == 1:
-        # the horn Lambda^1_k is the single vertex k
-        v = facets[0]
-        return {"n": n, "k": k,
-                "cells": {str(k): [list(v[0]), X.names[0][v[1]]]}}
     J = [j for j in range(n + 1) if j != k]
     cells = {}
     for j, w in zip(J, facets):
@@ -158,19 +153,12 @@ def classify(X, d, mode):
     for n in range(1, d + 1):
         for k in MODES[mode](n):
             if n == 1:
-                tested = unfillable = nonunique = 0
+                # every vertex v fills Lambda^1_k with s_0 v, so no horn
+                # is unfillable
                 fillers = X.face_index(1, (1 - k,))  # edges by vertex k
-                for idx in range(X.n_cells(0)):
-                    v = (tidentity(0), idx)
-                    tested += 1
-                    c = len(fillers.get((idx,), ()))
-                    if c == 0:
-                        unfillable += 1
-                        witnesses.setdefault(
-                            (n, k), _witness(X, n, k, (v,)))
-                    elif c > 1:
-                        nonunique += 1
-                stats[(n, k)] = (tested, unfillable, nonunique)
+                stats[(n, k)] = (X.n_cells(0), 0, sum(
+                    len(fillers.get((idx,), ())) > 1
+                    for idx in range(X.n_cells(0))))
                 continue
             tested, unfillable, nonunique, first = _horn_stats(X, n, k)
             if first is not None:

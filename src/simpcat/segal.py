@@ -29,11 +29,12 @@ class BisimplicialSet:
     structure map h_face[(p, q, i)], h_degen[(p, q, i)], v_face[(p, q, j)]
     and v_degen[(p, q, j)] holds one entry per cell at (p, q): the index
     of its image in the target level.  The constructor takes such index
-    sequences or name tables (dicts from cell names to cell names) and
-    keeps each table inside the truncation as a tuple of indices (None
-    for a broken table), and raises nothing: the loader in formats calls
-    validate(), as must a caller who writes tables by hand.  Names come
-    back in h_map, v_map, row and as_dict.
+    sequences (None for a table known to be broken) and keeps each table
+    inside the truncation as a tuple of indices (None for a broken
+    table), and raises nothing: the loader in formats calls validate(),
+    as must a caller who writes tables by hand.  Names come back in
+    h_map, v_map, row and as_dict, and from_names reads what as_dict
+    writes.
     """
 
     def __init__(self, m_trunc, n_trunc, cells, h_face, h_degen, v_face,
@@ -43,10 +44,28 @@ class BisimplicialSet:
         self.cells = {k: tuple(v) for k, v in cells.items()}
         self._index = {k: dict(zip(v, range(len(v))))
                        for k, v in self.cells.items()}
-        self.h_face = self._indexed_tables(h_face, -1, 0)
-        self.h_degen = self._indexed_tables(h_degen, 1, 0)
-        self.v_face = self._indexed_tables(v_face, 0, -1)
-        self.v_degen = self._indexed_tables(v_degen, 0, 1)
+        self._keep_tables(_indexed, self.cells,
+                          (h_face, h_degen, v_face, v_degen))
+
+    @classmethod
+    def from_names(cls, m_trunc, n_trunc, cells, h_face, h_degen, v_face,
+                   v_degen):
+        """The set as_dict writes, whose name tables key the cells at
+        (p, q) by their names written through str and name their images.
+        A table that misses a cell or names a boolean (True == 1 would
+        find the cell 1) or an unhashable value is broken.  Raises only
+        for two cells written alike on a level with an integer name."""
+        X = cls(m_trunc, n_trunc, cells, {}, {}, {}, {})
+        # a string is its own key, so only a level with an integer name
+        # is written through str
+        keys = dict(X.cells)
+        for (p, q), names in X.cells.items():
+            if int in set(map(type, names)):
+                if sset._written_alike(names):
+                    raise InputError("duplicate cells at (%d, %d)" % (p, q))
+                keys[(p, q)] = tuple(map(str, names))
+        X._keep_tables(_read_names, keys, (h_face, h_degen, v_face, v_degen))
+        return X
 
     def level(self, p, q):
         return self.cells.get((p, q), ())
@@ -159,16 +178,20 @@ class BisimplicialSet:
                     raise InputError("%s at (%d, %d)" % (first[1], p, q))
         return self
 
-    def _indexed_tables(self, tables, dp, dq):
-        """The tables inside the truncation, each from the cells at (p, q)
-        to those at (p + dp, q + dq), as _indexed keeps them."""
+    def _keep_tables(self, read, sources, tables):
+        """Keep as h_face, h_degen, v_face and v_degen the four tables
+        inside the truncation, each from the cells at (p, q) to those at
+        (p + dp, q + dq), as read(table, sources[(p, q)], the index of
+        the target level) gives it."""
         def inside(p, q):
             return 0 <= p <= self.m_trunc and 0 <= q <= self.n_trunc
-        return {(p, q, i): _indexed(table, self.cells.get((p, q), ()),
-                                    self._index.get((p + dp, q + dq), {}))
-                for (p, q, i), table in tables.items()
-                if inside(p, q) and inside(p + dp, q + dq)
-                and 0 <= i <= (p if dq == 0 else q)}
+        self.h_face, self.h_degen, self.v_face, self.v_degen = (
+            {(p, q, i): read(table, sources.get((p, q), ()),
+                             self._index.get((p + dp, q + dq), {}))
+             for (p, q, i), table in maps.items()
+             if inside(p, q) and inside(p + dp, q + dq)
+             and 0 <= i <= (p if dq == 0 else q)}
+            for maps, (dp, dq) in zip(tables, _DIRECTIONS))
 
     def _validate_direction(self, horizontal, faces, degens):
         """Check the face and degeneracy tables of one direction and its
@@ -241,6 +264,10 @@ class BisimplicialSet:
         return "BisimplicialSet(%dx%d)" % (self.m_trunc, self.n_trunc)
 
 
+# the step (dp, dq) of h_face, h_degen, v_face and v_degen
+_DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+
 @lru_cache(maxsize=None)
 def _generator_walk(alpha, n):
     """The generator steps (is_face, level, index) that apply alpha:
@@ -254,24 +281,27 @@ def _generator_walk(alpha, n):
 
 def _indexed(table, cells, target):
     """table as a tuple of indices, one per cell, each a position in the
-    target level, or None when it is broken.  A name table (a dict) is
-    read on cells through target, the index of the target level (cell
-    name -> position), and is broken when it misses a cell or names a
-    boolean, as True == 1 would find the cell 1, or an unhashable value;
-    an index table is broken unless it holds one int per cell, each below
-    len(target)."""
-    if isinstance(table, dict):
-        try:
-            values = tcompose(table, cells)
-            if bool in set(map(type, values)):
-                return None
-            return tcompose(target, values)
-        except (KeyError, TypeError):  # a cell missing, an unhashable value
-            return None
+    target level; None when it is None or does not hold one int below
+    len(target) per cell."""
+    if table is None:
+        return None
     table = tuple(table)
     fits = (len(table) == len(cells) and set(map(type, table)) <= {int}
             and (not table or 0 <= min(table) <= max(table) < len(target)))
     return table if fits else None
+
+
+def _read_names(table, keys, target):
+    """The name table read on keys, those of the cells at its source,
+    through target, the index of its target level (cell name ->
+    position), or None when it is broken."""
+    try:
+        values = tcompose(table, keys)
+        if bool in set(map(type, values)):
+            return None
+        return tcompose(target, values)
+    except (KeyError, TypeError):  # a cell missing, an unhashable value
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -281,101 +311,49 @@ def _indexed(table, cells, target):
 def embed(kind, X, N):
     """d(X): rows are the discrete sets of simplices of X; c(X): every
     row is X itself."""
+    M = X.truncation if X.truncation is not None else X.dim_max
     if kind == "discrete":
-        M = X.truncation if X.truncation is not None else X.dim_max
-        if M < 0 or N < 0:
-            raise InputError("negative truncation")
-        cells = {}
-        h_face = {}
-        h_degen = {}
-        v_face = {}
-        v_degen = {}
-        for p in range(M + 1):
-            names = [X.describe(s) for s in X.simplices(p)]
-            for q in range(N + 1):
-                cells[(p, q)] = tuple(names)
-                for j in range(q + 1):
-                    if q >= 1:
-                        v_face[(p, q, j)] = {n: n for n in names}
-                    if q < N:
-                        v_degen[(p, q, j)] = {n: n for n in names}
-            for q in range(N + 1):
-                if p >= 1:
-                    for i in range(p + 1):
-                        h_face[(p, q, i)] = {
-                            X.describe(s): X.describe(
-                                X.face_of(i, s))
-                            for s in X.simplices(p)}
-                if p < M:
-                    for i in range(p + 1):
-                        h_degen[(p, q, i)] = {
-                            X.describe(s): X.describe(
-                                X.apply(degeneracy(p + 1, i), s))
-                            for s in X.simplices(p)}
-        return BisimplicialSet(M, N, cells, h_face, h_degen, v_face,
-                               v_degen)
+        return _bisimplicial(M, N, lambda p, q: X.simplices(p), X.apply,
+                             lambda alpha, x: x, X.describe)
     if kind == "constant":
-        return _transposed(embed("discrete", X, N))
+        return _bisimplicial(N, M, lambda p, q: X.simplices(q),
+                             lambda alpha, x: x, X.apply, X.describe)
     raise InputError("embed kind must be 'discrete' or 'constant'")
-
-
-def _transposed(X):
-    """X with its two directions swapped: the cell at (p, q) moves to
-    (q, p), and the horizontal tables trade places with the vertical
-    ones.  The transpose of a bisimplicial set is one."""
-    def swap(table):
-        return {(q, p, i): m for (p, q, i), m in table.items()}
-    return BisimplicialSet(
-        X.n_trunc, X.m_trunc, {(q, p): c for (p, q), c in X.cells.items()},
-        swap(X.v_face), swap(X.v_degen), swap(X.h_face), swap(X.h_degen))
 
 
 def standard_bisimplex(m, n, M, N):
     """The representable presheaf at ([m], [n]), truncated at (M, N):
-    cells (p, q) are pairs of monotone maps."""
+    cells (p, q) are pairs of monotone maps, acted on by precomposition."""
+    def name(fg):
+        return "%s|%s" % tuple("".join(map(str, h)) for h in fg)
+    return _bisimplicial(
+        M, N, lambda p, q: [(f, g) for f in all_maps(p, m)
+                            for g in all_maps(q, n)],
+        lambda alpha, fg: (tcompose(fg[0], alpha), fg[1]),
+        lambda alpha, fg: (fg[0], tcompose(fg[1], alpha)), name)
+
+
+def _bisimplicial(M, N, level, h_act, v_act, name):
+    """The bisimplicial set truncated at (M, N) whose cells at (p, q) are
+    the hashable elements level(p, q), named by name: the outer operator
+    alpha sends x to h_act(alpha, x) and the inner one to v_act(alpha,
+    x).  Each table holds the positions of the images of one face or
+    degeneracy."""
     if M < 0 or N < 0:
         raise InputError("negative truncation")
-    cells = {}
-    h_face = {}
-    h_degen = {}
-    v_face = {}
-    v_degen = {}
-
-    def name(fg):
-        f, g = fg
-        return "%s|%s" % ("".join(str(v) for v in f),
-                          "".join(str(v) for v in g))
-
-    level_elems = {}
-    for p in range(M + 1):
-        for q in range(N + 1):
-            elems = [(f, g) for f in all_maps(p, m) for g in all_maps(q, n)]
-            level_elems[(p, q)] = elems
-            cells[(p, q)] = tuple(name(e) for e in elems)
-    for p in range(M + 1):
-        for q in range(N + 1):
-            for (f, g) in level_elems[(p, q)]:
-                if p >= 1:
-                    for i in range(p + 1):
-                        nf = tcompose(f, face(p, i))
-                        h_face.setdefault((p, q, i), {})[
-                            name((f, g))] = name((nf, g))
-                if p < M:
-                    for i in range(p + 1):
-                        nf = tcompose(f, degeneracy(p + 1, i))
-                        h_degen.setdefault((p, q, i), {})[
-                            name((f, g))] = name((nf, g))
-                if q >= 1:
-                    for j in range(q + 1):
-                        ng = tcompose(g, face(q, j))
-                        v_face.setdefault((p, q, j), {})[
-                            name((f, g))] = name((f, ng))
-                if q < N:
-                    for j in range(q + 1):
-                        ng = tcompose(g, degeneracy(q + 1, j))
-                        v_degen.setdefault((p, q, j), {})[
-                            name((f, g))] = name((f, ng))
-    return BisimplicialSet(M, N, cells, h_face, h_degen, v_face, v_degen)
+    elems = {(p, q): level(p, q) for p in range(M + 1) for q in range(N + 1)}
+    index = {k: {x: j for j, x in enumerate(xs)} for k, xs in elems.items()}
+    tables = ({}, {}, {}, {})  # h_face, h_degen, v_face, v_degen
+    for (p, q), xs in elems.items():
+        for table, (dp, dq) in zip(tables, _DIRECTIONS):
+            target = index.get((p + dp, q + dq))
+            k, act = (p, h_act) if dp else (q, v_act)
+            for i in range(k + 1) if target is not None else ():
+                alpha = face(k, i) if dp + dq < 0 else degeneracy(k + 1, i)
+                table[(p, q, i)] = tcompose(target,
+                                            [act(alpha, x) for x in xs])
+    cells = {k: tuple(map(name, xs)) for k, xs in elems.items()}
+    return BisimplicialSet(M, N, cells, *tables)
 
 
 # ---------------------------------------------------------------------------

@@ -369,13 +369,14 @@ def _factored(alpha, n):
 # presheaf normalizer
 
 
-def from_presheaf(D, levels, action, name_fn=None, truncation="auto"):
+def from_presheaf(D, levels, action, name_fn, truncation="auto"):
     """Build the E-Z normal form of a truncated simplicial set presented
     by abstract level sets.
 
     levels: list of iterables, levels[n] the n-simplices (hashable).
     action(alpha, x): the contravariant action, alpha a value tuple
     [m] -> [n] and x in levels[n]; returns an element of levels[m].
+    name_fn(n, x): the name of the nondegenerate n-cell x.
 
     Level n pushes every nondegenerate k-cell y, k < n, along every
     surjection s: [n] ->> [k] and records s^*(y) as (s, y).  By the
@@ -400,10 +401,7 @@ def from_presheaf(D, levels, action, name_fn=None, truncation="auto"):
         ident = tidentity(n)
         table.update((x, (ident, j)) for j, x in enumerate(nd))
         nondeg.append(nd)
-        if name_fn is None:
-            names.append(tuple(str(j) for j in range(len(nd))))
-        else:
-            names.append(tuple(name_fn(n, x) for x in nd))
+        names.append(tuple(name_fn(n, x) for x in nd))
         faces.append([tuple(below[action(face(n, i), x)]
                             for i in range(n + 1)) if n else ()
                       for x in nd])
@@ -531,10 +529,13 @@ class SimplicialMap:
         return "SimplicialMap(%r -> %r)" % (self.source, self.target)
 
     def apply(self, simplex):
-        """Image of an arbitrary E-Z simplex of the source."""
+        """Image of an arbitrary E-Z simplex of the source: the stored
+        image itself for a nondegenerate one."""
         s, idx = simplex
-        t, w = self.assignment[s[-1]][idx]
-        return (tcompose(t, s), w)
+        image = self.assignment[s[-1]][idx]
+        if len(s) - 1 == s[-1]:
+            return image
+        return (tcompose(image[0], s), image[1])
 
     def validate(self):
         src, tgt = self.source, self.target
@@ -618,13 +619,10 @@ def product(X, Y, truncation=None):
     ((s, x), (t, y)) of a level sits at start + x * width + y, with
     start and width fixed by (s, t), so a face is found by arithmetic."""
     if truncation is None:
-        if X.truncation is None and Y.truncation is None:
-            truncation = X.dim_max + Y.dim_max if X.dim_max >= 0 and \
-                Y.dim_max >= 0 else 0
-        else:
-            candidates = [t for t in (X.truncation, Y.truncation)
-                          if t is not None]
-            truncation = min(candidates)
+        truncation = _least_truncation(X, Y)
+    if truncation is None:
+        truncation = X.dim_max + Y.dim_max if X.dim_max >= 0 and \
+            Y.dim_max >= 0 else 0
     X._require_dim(truncation)
     Y._require_dim(truncation)
     D = truncation
@@ -716,12 +714,15 @@ def _split_common(s, t):
             tuple(t[j] for j in starts))
 
 
+def _least_truncation(X, Y):
+    """The lesser truncation of X and Y, or None when neither is
+    truncated."""
+    return min((t for t in (X.truncation, Y.truncation) if t is not None),
+               default=None)
+
+
 def disjoint_union(X, Y):
-    if X.truncation is None and Y.truncation is None:
-        trunc = None
-    else:
-        trunc = min(t if t is not None else 10 ** 9
-                    for t in (X.truncation, Y.truncation))
+    trunc = _least_truncation(X, Y)
     D = max(len(X.names), len(Y.names))
     names = []
     faces = []
@@ -757,11 +758,7 @@ def pushout(f, g):
         raise InputError("the first pushout leg must be injective on "
                          "nondegenerate cells")
     A, X, Y = f.source, f.target, g.target
-    if X.truncation is None and Y.truncation is None:
-        trunc = None
-    else:
-        trunc = min(t for t in (X.truncation, Y.truncation)
-                    if t is not None)
+    trunc = _least_truncation(X, Y)
     # image of A in X, per dimension
     image = []
     for k in range(len(X.names)):

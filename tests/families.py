@@ -89,6 +89,24 @@ def klein_table():
     return {(g, h): els[mul[idx[g]][idx[h]]] for g in els for h in els}
 
 
+def parallel_pair_category():
+    """The walking parallel pair f, g: x -> y, identities ix and iy."""
+    arrows = ["ix", "iy", "f", "g"]
+    src = {"ix": "x", "iy": "y", "f": "x", "g": "x"}
+    dst = {"ix": "x", "iy": "y", "f": "y", "g": "y"}
+    ident = {"x": "ix", "y": "iy"}
+    comp = {}
+    for a2 in arrows:
+        for a1 in arrows:
+            if dst[a1] != src[a2]:
+                continue
+            if a1 == ident[src[a1]]:
+                comp[(a2, a1)] = a2
+            elif a2 == ident[dst[a1]]:
+                comp[(a2, a1)] = a1
+    return FinCategory(["x", "y"], arrows, src, dst, comp, ident).validate()
+
+
 def symmetric3_table():
     """Multiplication table of the symmetric group on 3 letters; element
     names are one-line permutation words, composed left-then-right."""

@@ -1381,6 +1381,9 @@ def rezk_nerve_by_grids(R, M, N):
         return (rs[:j + 1] + rs[j:], vs[:j] + (id_verts[rs[j]],) + vs[j:])
 
     cells = {key: tuple(named.values()) for key, named in names.items()}
+    # each grid's position in its level
+    position = {key: {g: x for x, g in enumerate(named)}
+                for key, named in names.items()}
     h_face = {}
     h_degen = {}
     v_face = {}
@@ -1389,25 +1392,25 @@ def rezk_nerve_by_grids(R, M, N):
         if not named:
             continue
         if p >= 1:
-            target = names[(p - 1, q)]
+            target = position[(p - 1, q)]
             for i in range(p + 1):
-                h_face[(p, q, i)] = {n: target[h_face_of(g, i)]
-                                     for g, n in named.items()}
+                h_face[(p, q, i)] = [target[h_face_of(g, i)]
+                                     for g in named]
         if p < M:
-            target = names[(p + 1, q)]
+            target = position[(p + 1, q)]
             for i in range(p + 1):
-                h_degen[(p, q, i)] = {n: target[h_degen_of(g, i)]
-                                      for g, n in named.items()}
+                h_degen[(p, q, i)] = [target[h_degen_of(g, i)]
+                                      for g in named]
         if q >= 1:
-            target = names[(p, q - 1)]
+            target = position[(p, q - 1)]
             for j in range(q + 1):
-                v_face[(p, q, j)] = {n: target[v_face_of(g, q, j)]
-                                     for g, n in named.items()}
+                v_face[(p, q, j)] = [target[v_face_of(g, q, j)]
+                                     for g in named]
         if q < N:
-            target = names[(p, q + 1)]
+            target = position[(p, q + 1)]
             for j in range(q + 1):
-                v_degen[(p, q, j)] = {n: target[v_degen_of(g, j)]
-                                      for g, n in named.items()}
+                v_degen[(p, q, j)] = [target[v_degen_of(g, j)]
+                                      for g in named]
     return BisimplicialSet(M, N, cells, h_face, h_degen, v_face,
                            v_degen).validate()
 
@@ -1520,12 +1523,23 @@ def bisimplicial_from_dict_by_shape_check(d):
     for (p, q), names in sorted(cells.items()):
         if len({str(c) for c in names}) < len(names):
             raise InputError("duplicate cells at (%d, %d)" % (p, q))
-    # table keys are cell names written through str
+    # table keys are cell names written through str; each table becomes
+    # the positions of its values in the target level, or None when it
+    # misses a cell or names one that is not there
+    position = {k: {c: x for x, c in enumerate(v)} for k, v in cells.items()}
+
+    def positions(key, m, dp, dq):
+        p, q, _ = key
+        target = position.get((p + dp, q + dq), {})
+        names = [m.get(str(c)) for c in cells.get((p, q), ())]
+        if not all(n in target for n in names):
+            return None
+        return [target[n] for n in names]
     h_face, h_degen, v_face, v_degen = (
-        {_index_key(k, 3): {c: m[str(c)]
-                            for c in cells.get(_index_key(k, 3)[:2], ())
-                            if str(c) in m}
-         for k, m in d[t].items()} for t in table_keys)
+        {_index_key(k, 3): positions(_index_key(k, 3), m, dp, dq)
+         for k, m in d[t].items()}
+        for t, (dp, dq) in zip(table_keys, [(-1, 0), (1, 0), (0, -1),
+                                            (0, 1)]))
     return BisimplicialSet(truncation[0], truncation[1], cells, h_face,
                            h_degen, v_face, v_degen).validate()
 

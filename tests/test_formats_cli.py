@@ -9,16 +9,18 @@ import simpcat
 from simpcat import formats, quasicat, sset
 from simpcat.chain_model import ChainMap
 from simpcat.delta import all_surjections
-from simpcat.doldkan import free_complex, free_simplicial_abelian_group
+from simpcat.doldkan import (ChainComplex, free_complex,
+                             free_simplicial_abelian_group)
+from simpcat.fibrations import SplitFunctorToCat
 from simpcat.hcnerve import frak_c
 from simpcat.intlinalg import Mat
-from simpcat.nerve_cat import (FinCategory, RelativeCategory, bg, nerve,
-                               ordinal_category)
+from simpcat.nerve_cat import (FinCategory, Functor, RelativeCategory, bg,
+                               nerve, ordinal_category)
 from simpcat.segal import embed, rezk_nerve
 from simpcat.sset import SimplicialSet
 
 from families import (cyclic_table, discrete_category, identity_chain_map,
-                      iso_pair_category)
+                      iso_pair_category, parallel_pair_category)
 
 
 def roundtrip(to_dict, from_dict, obj):
@@ -727,6 +729,12 @@ def split_functor_doc():
     maps = {"0<=0": ({"p": "p"}, {"id_p": "id_p"}),
             "1<=1": ({"q": "q", "r": "r"}, {"id_q": "id_q", "id_r": "id_r"}),
             "0<=1": ({"p": "r"}, {"id_p": "id_r"})}
+    return _split_doc(base, fibers, maps)
+
+
+def _split_doc(base, fibers, maps):
+    """The split-functor document of fibers over base, each transport
+    given by its object and arrow maps."""
     return {"kind": "split-functor",
             "base": formats.category_to_dict(base),
             "fibers": {x: formats.category_to_dict(F)
@@ -742,6 +750,93 @@ def test_cli_grothendieck_build(tmp_path):
     proj = formats.load_object(out, "functor")
     assert len(proj.source.objects) == 3
     assert len(proj.target.objects) == 2
+
+
+def test_cli_grothendieck_build_names_each_broken_split_functor(
+        tmp_path, capsys):
+    # each check of SplitFunctorToCat.validate that a document can fail
+    # exits 3 with its message and no traceback
+    doc = split_functor_doc()
+    flipped = {"objects": {"q": "r", "r": "q"},
+               "arrows": {"id_q": "id_r", "id_r": "id_q"}}
+    cases = [
+        (dict(doc, fibers={"0": doc["fibers"]["0"]},
+              transports={"0<=0": doc["transports"]["0<=0"]}),
+         "fiber missing over 1"),
+        (dict(doc, transports={k: v for k, v in doc["transports"].items()
+                               if k != "0<=1"}),
+         "transport missing for 0<=1"),
+        (dict(doc, transports=dict(doc["transports"], **{"1<=1": flipped})),
+         "identity transport is not the identity")]
+    # over [2]: 0<=2 sends p elsewhere than 1<=2 after 0<=1 does, or
+    # sends g1 of BZ/2 to the unit
+    O2, B = ordinal_category(2), bg(cyclic_table(2))
+    point, pair, twin = (discrete_category(names)
+                         for names in (["p"], ["q", "r"], ["s", "t"]))
+
+    def identities(fibers):
+        return {"%s<=%s" % (x, x): ({o: o for o in F.objects},
+                                    {a: a for a in F.arrows})
+                for x, F in fibers.items()}
+    fibers = {"0": point, "1": pair, "2": twin}
+    cases.append((_split_doc(O2, fibers, dict(identities(fibers), **{
+        "0<=1": ({"p": "q"}, {"id_p": "id_q"}),
+        "1<=2": ({"q": "s", "r": "t"}, {"id_q": "id_s", "id_r": "id_t"}),
+        "0<=2": ({"p": "t"}, {"id_p": "id_t"})})),
+        "splitness fails on objects at (1<=2, 0<=1)"))
+    fibers = {"0": B, "1": B, "2": B}
+    same = ({"*": "*"}, {"g0": "g0", "g1": "g1"})
+    cases.append((_split_doc(O2, fibers, dict(identities(fibers), **{
+        "0<=1": same, "1<=2": same,
+        "0<=2": ({"*": "*"}, {"g0": "g0", "g1": "g0"})})),
+        "splitness fails on arrows at (1<=2, 0<=1)"))
+    for payload, message in cases:
+        path = write(tmp_path, "bad.split", payload)
+        assert run_cli(tmp_path, "grothendieck-build", path) == 3, message
+        assert capsys.readouterr().err == "input error: %s\n" % message
+    # the loader builds each transport between its fibers, so only a
+    # caller of the library can give one with the wrong endpoints
+    fibers = {"0": point, "1": pair}
+    transports = {
+        "0<=0": Functor(point, point, {"p": "p"}, {"id_p": "id_p"}),
+        "1<=1": Functor(pair, pair, {"q": "q", "r": "r"},
+                        {"id_q": "id_q", "id_r": "id_r"}),
+        "0<=1": Functor(discrete_category(["p"]), pair, {"p": "r"},
+                        {"id_p": "id_r"})}
+    with pytest.raises(simpcat.errors.InputError) as info:
+        SplitFunctorToCat(ordinal_category(1), fibers, transports)
+    assert str(info.value) == "transport for 0<=1 has wrong endpoints"
+
+
+def test_cli_refusals_and_failures_exit_2_and_1(tmp_path, capsys):
+    # 0 -> Z/2 needs more than one cycle-killing round: exit 2, and --out
+    # keeps the partial certificate
+    X = free_complex("Z", (0, 1), {}, {})
+    Y = ChainComplex(0, (0, 1), {0: (2,)}, {}).validate()
+    fpath = write(tmp_path, "f.cm", formats.chain_map_to_dict(
+        ChainMap(X, Y, {0: Mat(1, 0), 1: Mat(0, 0)})))
+    out = str(tmp_path / "partial.json")
+    assert run_cli(tmp_path, "factor-4b", fpath, "--fuel", "1",
+                   "--out", out) == 2
+    assert capsys.readouterr().out == "fuel exhausted: cycle-killing " \
+        "still productive after 1 rounds\n"
+    assert json.loads(open(out).read())["kind"] == \
+        "factorization-certificate-partial"
+    # the parallel pair with one leg inverted has a free endomorphism
+    C = parallel_pair_category()
+    rpath = write(tmp_path, "pair.cat", formats.category_to_dict(
+        C, weak={"ix", "iy", "f"}))
+    assert run_cli(tmp_path, "localize", rpath, "--fuel", "4") == 2
+    assert capsys.readouterr().out.startswith("fuel exhausted: ")
+    # d(Lambda^3_1) has the spine 0-2, 2-3 but no 2-simplex 023
+    bpath = write(tmp_path, "horn.bis", formats.bisimplicial_to_dict(
+        embed("discrete", sset.horn(3, 1), 2)))
+    out = str(tmp_path / "segal.json")
+    assert run_cli(tmp_path, "segal-check", bpath, "--out", out) == 1
+    witness = json.loads(open(out).read())
+    assert witness["kind"] == "segal-witness"
+    assert {"p": 2, "q": 0, "reason": "not surjective"} in \
+        witness["failures"]
 
 
 def test_cli_integer_edge_names(tmp_path, capsys):

@@ -12,7 +12,7 @@ from simpcat.nerve_cat import (FinCategory, Functor, RelativeCategory,
 from simpcat.sset import enumerate_maps, spine
 
 from families import (cyclic_table, discrete_category, iso_pair_category,
-                      klein_table, symmetric3_table)
+                      klein_table, parallel_pair_category, symmetric3_table)
 
 
 def test_category_validation():
@@ -94,6 +94,22 @@ def test_category_from_nerve_roundtrip():
               bg(cyclic_table(3))]:
         C2 = category_from_nerve(nerve(C, 3))
         assert find_category_isomorphism(C, C2) is not None
+
+
+def test_category_from_nerve_names_identities_apart_from_edges():
+    # the arrow id_a: a -> b has the name id_a would give the identity of
+    # a; b keeps id_b
+    C = FinCategory(
+        ["a", "b"], ["1a", "1b", "id_a"], {"1a": "a", "1b": "b", "id_a": "a"},
+        {"1a": "a", "1b": "b", "id_a": "b"},
+        {("1a", "1a"): "1a", ("1b", "1b"): "1b", ("id_a", "1a"): "id_a",
+         ("1b", "id_a"): "id_a"}, {"a": "1a", "b": "1b"}).validate()
+    D = category_from_nerve(nerve(C, 3))
+    assert D.ident == {"a": "id_id_a", "b": "id_b"}
+    F = find_category_isomorphism(C, D)
+    assert F is not None
+    F.validate()
+    assert F.is_isomorphism()
 
 
 def test_max_subgroupoid():
@@ -260,23 +276,7 @@ def test_localize_fuel_validation():
 def test_localize_infinite_refuses():
     # the walking parallel pair with one leg inverted localizes to a
     # category with a free endomorphism monoid: the engine must refuse
-    objects = ["x", "y"]
-    arrows = ["ix", "iy", "f", "g"]
-    src = {"ix": "x", "iy": "y", "f": "x", "g": "x"}
-    dst = {"ix": "x", "iy": "y", "f": "y", "g": "y"}
-    comp = {}
-    ident = {"x": "ix", "y": "iy"}
-    for a2 in arrows:
-        for a1 in arrows:
-            if dst[a1] != src[a2]:
-                continue
-            if a1 == ident[src[a1]]:
-                comp[(a2, a1)] = a2
-            elif a2 == ident[dst[a1]]:
-                comp[(a2, a1)] = a1
-    C = FinCategory(objects, arrows, src, dst, comp, ident)
-    C.validate()
-    R = RelativeCategory(C, {"ix", "iy", "f"})
+    R = RelativeCategory(parallel_pair_category(), {"ix", "iy", "f"})
     result = localize(R, fuel=4)
     assert isinstance(result, FuelExhausted)
 

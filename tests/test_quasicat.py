@@ -281,8 +281,6 @@ def test_classify_agrees_with_generic_engine():
             report = classify(X, 3, mode)
             for (n, k), (tested, unfillable, nonunique) in \
                     report.stats.items():
-                if n == 1:
-                    continue
                 L = sset.horn(n, k)
                 horns = sset.enumerate_maps(L, X)
                 assert len(horns) == tested, (n, k)

@@ -320,7 +320,8 @@ def test_completeness_invariant_under_renaming():
     hd = remap_table(d["h_degens"], lambda p, q, i: "%d,%d" % (p + 1, q))
     vf = remap_table(d["v_faces"], lambda p, q, i: "%d,%d" % (p, q - 1))
     vd = remap_table(d["v_degens"], lambda p, q, i: "%d,%d" % (p, q + 1))
-    Y = BisimplicialSet(B.m_trunc, B.n_trunc, cells, hf, hd, vf, vd)
+    Y = BisimplicialSet.from_names(B.m_trunc, B.n_trunc, cells, hf, hd, vf,
+                                   vd)
     Y.validate()
     r1 = completeness_check(B)
     r2 = completeness_check(Y)
@@ -328,8 +329,8 @@ def test_completeness_invariant_under_renaming():
 
 
 def _structure(X):
-    """The constructor arguments of X, with name tables read from its
-    document, as fresh dicts to corrupt."""
+    """The arguments of BisimplicialSet.from_names for X, with name
+    tables read from its document, as fresh dicts to corrupt."""
     d = X.as_dict()
     tables = {t: {tuple(map(int, k.split(","))): dict(v)
                   for k, v in d[t + "s"].items()}
@@ -345,7 +346,7 @@ def _one_vertex_squares():
     at (0, 0) is a, so the face directions commute whatever the faces of
     G are."""
     both = (0, 1)
-    return BisimplicialSet(
+    return BisimplicialSet.from_names(
         1, 1, {(0, 0): ["a"], (0, 1): ["alpha", "beta"], (1, 0): ["A", "B"],
                (1, 1): ["P", "G", "E"]},
         {(1, 0, i): {"A": "a", "B": "a"} for i in both} | {
@@ -409,10 +410,11 @@ def _valid(base):
 @pytest.mark.parametrize("shape, corrupt, message", VALIDATION_CASES)
 def test_validate_names_each_broken_check(shape, corrupt, message):
     structure = _structure(_valid(shape))
-    BisimplicialSet(**structure).validate()  # valid before the corruption
+    # valid before the corruption
+    BisimplicialSet.from_names(**structure).validate()
     corrupt(structure)
     with pytest.raises(InputError) as info:
-        BisimplicialSet(**structure).validate()
+        BisimplicialSet.from_names(**structure).validate()
     assert str(info.value) == message
 
 
@@ -448,7 +450,7 @@ def test_validate_degeneracy_directions_commute():
                                  1))
     structure["h_degen"][(0, 0, 0)]["*"] = "g1"
     with pytest.raises(InputError) as info:
-        BisimplicialSet(**structure).validate()
+        BisimplicialSet.from_names(**structure).validate()
     assert str(info.value) == "degeneracy directions do not commute at " \
         "(0, 0)"
 
@@ -467,23 +469,24 @@ def test_loader_reads_broken_name_tables_as_broken():
 
 def test_a_boolean_does_not_name_the_cell_1():
     # True == 1, so without its own check a name table would read True
-    # as the cell named 1; here every cell is named by its position
+    # as the cell named 1; here every cell is named by its position, and
+    # keyed by it written through str
     structure = _structure(standard_bisimplex(1, 0, 1, 0))
     position = {k: {c: x for x, c in enumerate(v)}
                 for k, v in structure["cells"].items()}
     for t, (dp, dq) in [("h_face", (-1, 0)), ("h_degen", (1, 0)),
                         ("v_face", (0, -1)), ("v_degen", (0, 1))]:
         structure[t] = {(p, q, i): {
-            position[(p, q)][c]: position[(p + dp, q + dq)][v]
+            str(position[(p, q)][c]): position[(p + dp, q + dq)][v]
             for c, v in table.items()}
             for (p, q, i), table in structure[t].items()}
     structure["cells"] = {k: tuple(range(len(v)))
                           for k, v in structure["cells"].items()}
-    BisimplicialSet(**structure).validate()
-    assert structure["h_face"][(1, 0, 0)][1] == 1  # d_0 of 01 is 1
-    structure["h_face"][(1, 0, 0)][1] = True
+    BisimplicialSet.from_names(**structure).validate()
+    assert structure["h_face"][(1, 0, 0)]["1"] == 1  # d_0 of 01 is 1
+    structure["h_face"][(1, 0, 0)]["1"] = True
     with pytest.raises(InputError) as info:
-        BisimplicialSet(**structure).validate()
+        BisimplicialSet.from_names(**structure).validate()
     assert str(info.value) == "face table broken at level 1"
 
 
@@ -534,7 +537,7 @@ def test_validate_rejects_missing_table_entries():
         structure = _structure(standard_bisimplex(1, 1, 1, 1))
         del structure[table][key][cell]
         with pytest.raises(InputError, match="table broken"):
-            BisimplicialSet(**structure).validate()
+            BisimplicialSet.from_names(**structure).validate()
 
 
 def test_rezk_nerve_output_bytes_pinned():
@@ -588,22 +591,31 @@ def test_rezk_nerve_matches_the_grid_oracle():
     assert documents == 108
 
 
+def _index_structure(X):
+    """The constructor arguments of X, its index tables in fresh dicts."""
+    return dict(m_trunc=X.m_trunc, n_trunc=X.n_trunc, cells=dict(X.cells),
+                h_face=dict(X.h_face), h_degen=dict(X.h_degen),
+                v_face=dict(X.v_face), v_degen=dict(X.v_degen))
+
+
 def test_index_tables_are_checked_like_name_tables():
-    # a structure map may be given as indices into its target level; one
-    # out of range, of the wrong length or holding a boolean is broken
+    # a structure map is given as indices into its target level; one out
+    # of range, of the wrong length, holding a boolean or None is broken,
+    # as a name table that names no cell is (VALIDATION_CASES)
     X = standard_bisimplex(1, 1, 1, 1)
     table = X.h_face[(1, 0, 0)]
     assert [type(v) for v in table] == [int] * len(table)
     for broken in ([len(X.level(0, 0))] + list(table[1:]), table[:-1],
-                   [True] + list(table[1:])):
-        structure = _structure(X)
+                   [True] + list(table[1:]), None):
+        structure = _index_structure(X)
         structure["h_face"][(1, 0, 0)] = broken
         with pytest.raises(InputError) as info:
             BisimplicialSet(**structure).validate()
         assert str(info.value) == "face table broken at level 1"
-    structure = _structure(X)
+    structure = _index_structure(X)
     structure["h_face"][(1, 0, 0)] = list(table)
-    assert BisimplicialSet(**structure).as_dict() == X.as_dict()
+    assert BisimplicialSet(**structure).as_dict() == X.as_dict() == \
+        BisimplicialSet.from_names(**_structure(X)).as_dict()
 
 
 def test_row_asks_for_each_operator_tables_once(monkeypatch):

@@ -391,6 +391,25 @@ def test_pi0_and_disjoint_union():
     assert pi0(empty_sset()) == []
 
 
+def test_disjoint_union_offsets_the_second_summand():
+    # the faces of a second summand with edges point past the vertices of
+    # the first, so either order gives the same set
+    X = disjoint_union(standard_simplex(1), boundary(2)).validate()
+    assert X.truncation is None and cell_counts(X) == [5, 4]
+    edge = (tidentity(1), X.cell_index(1, "Y.1-2"))
+    assert [X.describe(X.face_of(i, edge)) for i in (0, 1)] == ["Y.2", "Y.1"]
+    assert len(pi0(X)) == 2
+    assert is_isomorphic(X, disjoint_union(boundary(2), standard_simplex(1)))
+    # the union is truncated where a summand is, at the least truncation
+    T3, T2 = (SimplicialSet(t, boundary(2).names, boundary(2).faces)
+              .validate() for t in (3, 2))
+    for Y, Z, t, counts in [(standard_simplex(2), T3, 3, [6, 6, 1]),
+                            (T3, standard_simplex(2), 3, [6, 6, 1]),
+                            (T3, T2, 2, [6, 6])]:
+        U = disjoint_union(Y, Z).validate()
+        assert U.truncation == t and cell_counts(U) == counts
+
+
 def test_serialization_dict():
     X = horn(2, 1)
     d = X.as_dict()
