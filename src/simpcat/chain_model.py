@@ -57,9 +57,6 @@ class ChainMap:
                                  % n)
         return self
 
-    def __repr__(self):
-        return "ChainMap(%r -> %r)" % (self.source, self.target)
-
 
 def extend_window(C, lo, hi):
     """The same complex viewed in a larger window, zero outside."""
@@ -119,10 +116,6 @@ class QuasiIsoReport:
     def __bool__(self):
         return self.verdict
 
-    def __repr__(self):
-        return "QuasiIsoReport(verdict=%s, inconclusive=%s)" % (
-            self.verdict, self.inconclusive_degrees)
-
     def as_dict(self):
         return {
             "verdict": self.verdict,
@@ -153,11 +146,10 @@ def is_quasi_iso(f):
 # joining variables
 
 
-def join_variable(X, z, n, annihilator=None):
-    """X<u; du = z> for a cycle z in degree n: one new generator in
-    degree n+1, free unless annihilator is given, in which case
-    validate() decides whether d respects it.  Returns (extended complex,
-    inclusion chain map); the window grows upward when needed."""
+def join_variable(X, z, n):
+    """X<u; du = z> for a cycle z in degree n: one new free generator
+    in degree n+1.  Returns (extended complex, inclusion chain map); the
+    window grows upward when needed."""
     if not X.lo <= n <= X.hi:
         raise InputError("degree %d outside the window" % n)
     z = list(z)
@@ -170,9 +162,8 @@ def join_variable(X, z, n, annihilator=None):
             raise InputError("du must be a cycle: d(z) is nonzero")
     lo, hi = X.lo, max(X.hi, n + 1)
     Xe = extend_window(X, lo, hi) if hi > X.hi else X
-    coeff_new = X.modulus if annihilator is None else annihilator
     coeffs = {m: Xe.coeffs[m] for m in range(lo, hi + 1)}
-    coeffs[n + 1] = coeffs[n + 1] + (coeff_new,)
+    coeffs[n + 1] = coeffs[n + 1] + (X.modulus,)
     diff = {}
     for m in range(lo + 1, hi + 1):
         base = Xe.differential(m)
@@ -232,10 +223,6 @@ class FactorizationCertificate:
             "stages": self.stages,
             "checks": self.checks,
         }
-
-    def __repr__(self):
-        return "FactorizationCertificate(%s, stages=%d)" % (
-            self.kind, len(self.stages))
 
 
 def is_standard_extension(X, M):

@@ -2,7 +2,8 @@
 constructions, emit deterministic reports, witnesses, and graph exports.
 
 Exit codes: 0 verdict true / construction succeeded; 1 verdict false
-(with a machine-readable witness); 2 not decidable or fuel exhausted;
+(with a machine-readable witness) or a failed precondition (one stderr
+line, no output); 2 not decidable or fuel exhausted;
 3 malformed input or a usage error; 4 internal error (a bug in simpcat,
 reported in one line).
 """

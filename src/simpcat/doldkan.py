@@ -88,21 +88,9 @@ class FGAbGroup:
     def is_trivial(self):
         return not self.invariant_factors
 
-    @property
-    def order(self):
-        if self.rank:
-            return 0
-        out = 1
-        for f in self.torsion:
-            out *= f
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, FGAbGroup)
                 and self.invariant_factors == other.invariant_factors)
-
-    def __hash__(self):
-        return hash(self.invariant_factors)
 
     def __repr__(self):
         if self.is_trivial():
@@ -184,11 +172,6 @@ class ChainComplex:
             "differentials": {str(n): self.diff[n].data
                               for n in range(self.lo + 1, self.hi + 1)},
         }
-
-    def __repr__(self):
-        return "ChainComplex(%s, [%d..%d], ranks=%s)" % (
-            self.ring, self.lo, self.hi,
-            [self.rank(n) for n in range(self.lo, self.hi + 1)])
 
 
 def free_complex(ring, window, ranks, diff):
@@ -338,19 +321,13 @@ class SimplicialAbGroup:
                                  % (kind, n, i, j))
         return self
 
-    def __repr__(self):
-        return "SimplicialAbGroup(%s, ranks=%s)" % (
-            self.ring, [self.rank(n)
-                        for n in range(self.truncation + 1)])
 
-
-def free_simplicial_abelian_group(X, D, ring="Z"):
-    """The levelwise-free simplicial module on the simplices of a
-    simplicial set."""
+def free_simplicial_abelian_group(X, D):
+    """Z[X]: the levelwise-free simplicial abelian group on the
+    simplices of a simplicial set."""
     if D < 0:
         raise InputError("negative truncation")
     X._require_dim(D)
-    modulus = parse_ring(ring) if isinstance(ring, str) else ring
     bases = [list(X.simplices(n)) for n in range(D + 1)]
     index = [{s: i for i, s in enumerate(b)} for b in bases]
 
@@ -371,7 +348,7 @@ def free_simplicial_abelian_group(X, D, ring="Z"):
             degen[(n, i)] = operator_matrix(
                 delta.degeneracy(n + 1, i), n, n + 1)
     coeffs = {n: tuple(0 for _ in bases[n]) for n in range(D + 1)}
-    return SimplicialAbGroup(modulus, D, coeffs, face, degen)
+    return SimplicialAbGroup(0, D, coeffs, face, degen)
 
 
 def constant_simplicial_group(coeffs, D, ring="Z"):

@@ -20,15 +20,9 @@ class FuelExhausted:
         self.reason = reason
         self.partial = partial
 
-    def __repr__(self):
-        return "FuelExhausted(%r)" % (self.reason,)
-
 
 class NotDecidable:
     """An exact decision procedure was asked outside its decidable class."""
 
     def __init__(self, reason):
         self.reason = reason
-
-    def __repr__(self):
-        return "NotDecidable(%r)" % (self.reason,)

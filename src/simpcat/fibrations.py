@@ -13,15 +13,6 @@ class LeftFibrationReport:
         self.verdict = verdict
         self.witnesses = witnesses
 
-    def __bool__(self):
-        return self.verdict
-
-    def as_dict(self):
-        return {"verdict": self.verdict, "witnesses": self.witnesses}
-
-    def __repr__(self):
-        return "LeftFibrationReport(%s)" % self.verdict
-
 
 def is_left_fibration(F):
     """A functor is a left fibration when every arrow out of an image
@@ -150,9 +141,6 @@ class CocartAnalysis:
                                  sorted(self.pair_flags.items())},
             "verdicts": dict(self.verdicts),
         }
-
-    def __repr__(self):
-        return "CocartAnalysis(%r)" % (self.verdicts,)
 
 
 def cocart_analyze(F):
@@ -307,12 +295,11 @@ class GrothendieckReadout:
         self.all_theta_iso = all_theta_iso
 
 
-def grothendieck_read(F, analysis=None):
+def grothendieck_read(F):
     """Fibers, transports (first locally cocartesian lifts in sorted
     arrow order), and all comparison maps theta_{a,b}: (ba)_! -> b_! a_!
-    with the isomorphism verdict, cross-checked against the analysis."""
-    if analysis is None:
-        analysis = cocart_analyze(F)
+    with the isomorphism verdict, cross-checked against cocart_analyze."""
+    analysis = cocart_analyze(F)
     if not analysis.is_locally_cocartesian_fibration:
         bad = [key for key, lifts in
                analysis.lift_tables["locally_cocartesian"].items()

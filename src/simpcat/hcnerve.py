@@ -14,12 +14,8 @@ from .sset import SimplicialSet
 
 
 class CompositionInconsistency(Exception):
-    """Induced composition on classes is not single-valued; carries a
-    witness pair."""
-
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
+    """Induced composition on classes is not single-valued; the message
+    names the pair of classes and its two composites."""
 
 
 class SimplicialCategory:
@@ -148,10 +144,6 @@ class SimplicialCategory:
                                                 "associative at level %d"
                                                 % q)
         return self
-
-    def __repr__(self):
-        return "SimplicialCategory(%d objects, level_bound=%d)" % (
-            len(self.objects), self.level_bound)
 
 
 def _simplex_set(space, q):
@@ -585,13 +577,13 @@ def from_fincategory(C, level_bound=2):
                               level_bound)
 
 
-def one_object_from_abelian_group(table, trunc=3, level_bound=2):
+def one_object_from_abelian_group(table, level_bound=2):
     """One object whose endomorphism space is the nerve of the delooping
-    of an abelian group, with entrywise multiplication as composition;
-    validate() decides whether the table makes one."""
+    of an abelian group, truncated at 3, with entrywise multiplication as
+    composition; validate() decides whether the table makes one."""
     from .nerve_cat import bg, nerve
     B = bg(table)
-    N = nerve(B, trunc)
+    N = nerve(B, 3)
 
     def expand(simplex):
         q = len(simplex[0]) - 1
@@ -617,9 +609,9 @@ def one_object_from_abelian_group(table, trunc=3, level_bound=2):
                               compose_fn, level_bound).validate()
 
 
-def two_object_arrow_space(space, level_bound=2):
+def two_object_arrow_space(space):
     """Two objects 0, 1 with Map(0, 1) a given simplicial set, points as
-    endomorphism spaces, and no maps back."""
+    endomorphism spaces, and no maps back, composing up to level 2."""
     mapspaces = {
         ("0", "0"): sset.discrete_sset(["id0"]),
         ("1", "1"): sset.discrete_sset(["id1"]),
@@ -633,8 +625,7 @@ def two_object_arrow_space(space, level_bound=2):
         return f
 
     return SimplicialCategory(("0", "1"), mapspaces,
-                              {"0": "id0", "1": "id1"}, compose_fn,
-                              level_bound)
+                              {"0": "id0", "1": "id1"}, compose_fn, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -678,12 +669,12 @@ def pi0_category(C):
                 fn = class_of_vertex[(x, y, fspace.names[0][fi])]
                 hn = class_of_vertex[(x, z, hspace.names[0][h[1]])]
                 key = (name_of[(y, z, gn)], name_of[(x, y, fn)])
-                existing = comp_table.get(key)
-                if existing is not None and existing != name_of[(x, z, hn)]:
+                existing, hc = comp_table.get(key), name_of[(x, z, hn)]
+                if existing is not None and existing != hc:
                     raise CompositionInconsistency(
-                        "composition is not single-valued on pi_0 classes",
-                        witness=(key, existing, name_of[(x, z, hn)]))
-                comp_table[key] = name_of[(x, z, hn)]
+                        "composition is not single-valued on pi_0 classes: "
+                        "%s . %s is both %s and %s" % (key + (existing, hc)))
+                comp_table[key] = hc
     ident = {}
     for x in C.objects:
         rep = class_of_vertex[(x, x, C.identities[x])]

@@ -39,13 +39,6 @@ class Mat:
         return (isinstance(other, Mat) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols,
-                     tuple(tuple(r) for r in self.data)))
-
-    def __repr__(self):
-        return "Mat(%dx%d)" % (self.rows, self.cols)
-
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.cols != other.rows:

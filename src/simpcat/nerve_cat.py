@@ -99,10 +99,6 @@ class FinCategory:
         return FinCategory(self.objects, self.arrows, swapped_src,
                            swapped_dst, comp, self.ident)
 
-    def __repr__(self):
-        return "FinCategory(%d objects, %d arrows)" % (len(self.objects),
-                                                       len(self.arrows))
-
     def as_dict(self):
         """The document form: identities keyed by str(object), triples
         sorted by _name_key, so integer and string names may mix, but no
@@ -160,40 +156,21 @@ class Functor:
                 == len(self.target.arrows)
                 and len(self.arr_map) == len(self.target.arrows))
 
-    def __eq__(self, other):
-        return (isinstance(other, Functor) and self.source is other.source
-                and self.target is other.target
-                and self.obj_map == other.obj_map
-                and self.arr_map == other.arr_map)
-
-    def __hash__(self):
-        return hash((tuple(sorted(self.obj_map.items())),
-                     tuple(sorted(self.arr_map.items()))))
-
-    def __repr__(self):
-        return "Functor(%r -> %r)" % (self.source, self.target)
-
 
 class RelativeCategory:
     """A category with a collection of weak arrows containing the
-    identities; optionally certified closed under composition."""
+    identities; is_composition_closed() says whether they form a
+    subcategory."""
 
-    def __init__(self, category, weak, subcategory=False):
+    def __init__(self, category, weak):
         self.category = category
         self.weak = frozenset(weak)
-        self.subcategory = subcategory
         for x in category.objects:
             if category.ident[x] not in self.weak:
                 raise InputError("weak arrows must contain the identities")
         for w in self.weak:
             if w not in category.arrows:
                 raise InputError("weak arrow %s is not an arrow" % w)
-        if subcategory:
-            for g, f in category.composable_pairs():
-                if g in self.weak and f in self.weak and \
-                        category.compose(g, f) not in self.weak:
-                    raise InputError("weak arrows are not closed under "
-                                     "composition")
 
     def is_composition_closed(self):
         C = self.category

@@ -21,11 +21,7 @@ MODES = {
 
 
 class LiftingObstruction(Exception):
-    """A required lifting property failed; carries the witness horn."""
-
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
+    """A required lifting property failed; the message says which."""
 
 
 class HornReport:
@@ -67,10 +63,6 @@ class HornReport:
             "passed": self.passed(),
             "witness": self.first_witness(),
         }
-
-    def __repr__(self):
-        return "HornReport(mode=%s, d=%d, passed=%s)" % (
-            self.mode, self.dimension_bound, self.passed())
 
 
 def _horn_stats(X, n, k):
@@ -208,13 +200,9 @@ def count_extensions(X, witness):
     return len(sset.lift_extensions(incl, f))
 
 
-def require_quasicategory(X, d=3):
-    report = classify(X, d, "inner")
-    if not report.is_quasicategory():
-        raise LiftingObstruction(
-            "not a quasicategory up to dimension %d" % d,
-            report.first_witness())
-    return report
+def require_quasicategory(X):
+    if not classify(X, 3, "inner").is_quasicategory():
+        raise LiftingObstruction("not a quasicategory up to dimension 3")
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +230,11 @@ def _ho_classes(X):
         for g in related[f]:
             if f not in related[g]:
                 raise LiftingObstruction(
-                    "homotopy relation is not symmetric", None)
+                    "homotopy relation is not symmetric")
             for h in related[g]:
                 if h not in related[f]:
                     raise LiftingObstruction(
-                        "homotopy relation is not transitive", None)
+                        "homotopy relation is not transitive")
     classes = {}
     for e in edges:
         rep = min(related[e])
@@ -261,7 +249,7 @@ def homotopy_category(X, _return_classes=False):
     checked to agree)."""
     if X.truncation is not None and X.truncation < 3:
         raise InputError("homotopy category needs a 3-truncation")
-    require_quasicategory(X, 3)
+    require_quasicategory(X)
     classes = _ho_classes(X)
     reps = sorted(set(classes.values()))
     bases = X.block_bases(1)
@@ -300,10 +288,10 @@ def homotopy_category(X, _return_classes=False):
                         elif c != value:
                             raise LiftingObstruction(
                                 "composition not well defined on homotopy "
-                                "classes", None)
+                                "classes")
             if value is None:
                 raise LiftingObstruction(
-                    "no inner-horn filler for a composable pair", None)
+                    "no inner-horn filler for a composable pair")
             comp[(arrow_name[grep], arrow_name[frep])] = arrow_name[value]
     # the tables above are keyed by arrow names made from the caller's:
     # an edge named "s00(a)" and the identity of a clash
@@ -324,11 +312,8 @@ def equivalences(X):
     eqs = {e for e, rep in classes.items() if arrow_name[rep] in iso_arrows}
     for u in X.simplices(2):
         sides = X.simplex_faces(u)
-        flags = [e in eqs for e in sides]
-        if sum(flags) == 2:
-            if not all(flags):
-                raise LiftingObstruction(
-                    "two-out-of-three fails on a 2-simplex", None)
+        if sum(e in eqs for e in sides) == 2:
+            raise LiftingObstruction("two-out-of-three fails on a 2-simplex")
     return eqs
 
 
@@ -404,19 +389,15 @@ class SetReport:
         self.classes = list(classes)
         self.count = len(self.classes)
 
-    def __repr__(self):
-        return "SetReport(count=%d)" % self.count
-
 
 class GroupPresentation:
     """A finite group read off a multiplication table of homotopy
     classes, plus a recognized-structure tag."""
 
-    def __init__(self, elements, unit, table, verified=True):
+    def __init__(self, elements, unit, table):
         self.elements = list(elements)
         self.unit = unit
         self.table = dict(table)
-        self.verified = verified
         self.structure = self._recognize()
 
     @property
@@ -464,10 +445,6 @@ class GroupPresentation:
         return find_category_isomorphism(
             bg(self.table, self.elements), bg(table)) is not None
 
-    def __repr__(self):
-        return "GroupPresentation(order=%d, %s)" % (self.order,
-                                                    self.structure)
-
 
 CANDIDATE_BUDGET = 100000
 
@@ -486,8 +463,7 @@ def homotopy_group(X, x, n):
         raise InputError("pi_%d needs truncation >= %d" % (n, bound))
     report = classify(X, bound, "kan")
     if not report.passed():
-        raise LiftingObstruction("not Kan up to dimension %d" % bound,
-                                 report.first_witness())
+        raise LiftingObstruction("not Kan up to dimension %d" % bound)
     xi = X.cell_index(0, x)
     deg = (tuple(0 for _ in range(n)), xi)
     spheres = []
@@ -526,7 +502,6 @@ def homotopy_group(X, x, n):
     if sset._written_alike(list(label.values())):
         raise InputError("duplicate arrow names")
     table = {}
-    ok = True
     for a in classes:
         for b in classes:
             got = None
@@ -536,12 +511,9 @@ def homotopy_group(X, x, n):
                         got = find(c)
                     elif find(c) != got:
                         raise LiftingObstruction(
-                            "homotopy multiplication ill-defined", None)
-            if got is None:
-                ok = False
-            else:
+                            "homotopy multiplication ill-defined")
+            if got is not None:
                 table[(label[a], label[b])] = label[got]
     # the degenerate sphere at the basepoint is the unit
     unit = label[find((tuple(0 for _ in range(n + 1)), xi))]
-    return GroupPresentation([label[c] for c in classes], unit, table,
-                             verified=ok)
+    return GroupPresentation([label[c] for c in classes], unit, table)

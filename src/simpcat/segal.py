@@ -260,9 +260,6 @@ class BisimplicialSet:
             "v_degens": tbl(self.v_degen, 0, 1),
         }
 
-    def __repr__(self):
-        return "BisimplicialSet(%dx%d)" % (self.m_trunc, self.n_trunc)
-
 
 # the step (dp, dq) of h_face, h_degen, v_face and v_degen
 _DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -629,13 +626,6 @@ class SegalReport:
         self.verdict = verdict
         self.failures = failures
 
-    def __bool__(self):
-        return self.verdict
-
-    def __repr__(self):
-        return "SegalReport(%s, failures=%r)" % (self.verdict,
-                                                 self.failures)
-
 
 def strict_segal_check(X):
     """Levelwise bijectivity of the spine-restriction map on rows, for
@@ -688,17 +678,12 @@ class CompletenessReport:
     def __bool__(self):
         return bool(self.verdict)
 
-    def __repr__(self):
-        return "CompletenessReport(%r, %r)" % (self.verdict, self.reason)
 
-
-def _recognize_groupoid_nerve(row, bound=3):
-    """(category, None) when the row is the nerve of a groupoid up to
-    the available truncation; (None, reason) otherwise."""
-    d = min(bound, row.truncation if row.truncation is not None
-            else max(2, row.dim_max))
-    if d < 2:
-        return None, "row truncated below 2"
+def _recognize_groupoid_nerve(row):
+    """(category, None) when the row, truncated at 2 or more, is the
+    nerve of a groupoid up to dimension 3 or its truncation;
+    (None, reason) otherwise."""
+    d = min(3, row.truncation)
     report = classify(row, d, "inner")
     if not report.all_unique():
         return None, "row is not nerve-like (inner fillers not unique)"

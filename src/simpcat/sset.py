@@ -516,18 +516,6 @@ class SimplicialMap:
         self.target = target
         self.assignment = tuple(tuple(level) for level in assignment)
 
-    def __eq__(self, other):
-        return (isinstance(other, SimplicialMap)
-                and self.source is other.source
-                and self.target is other.target
-                and self.assignment == other.assignment)
-
-    def __hash__(self):
-        return hash(self.assignment)
-
-    def __repr__(self):
-        return "SimplicialMap(%r -> %r)" % (self.source, self.target)
-
     def apply(self, simplex):
         """Image of an arbitrary E-Z simplex of the source: the stored
         image itself for a nondegenerate one."""
@@ -721,8 +709,17 @@ def _least_truncation(X, Y):
                default=None)
 
 
-def disjoint_union(X, Y):
+def _union_truncation(X, Y):
+    """The truncation of a set holding every cell of X and of Y: their
+    lesser truncation, refused when either has cells above it."""
     trunc = _least_truncation(X, Y)
+    if trunc is not None and max(len(X.names), len(Y.names)) > trunc + 1:
+        raise InputError("cells above the least truncation %d" % trunc)
+    return trunc
+
+
+def disjoint_union(X, Y):
+    trunc = _union_truncation(X, Y)
     D = max(len(X.names), len(Y.names))
     names = []
     faces = []
@@ -758,7 +755,7 @@ def pushout(f, g):
         raise InputError("the first pushout leg must be injective on "
                          "nondegenerate cells")
     A, X, Y = f.source, f.target, g.target
-    trunc = _least_truncation(X, Y)
+    trunc = _union_truncation(X, Y)
     # image of A in X, per dimension
     image = []
     for k in range(len(X.names)):

@@ -26,7 +26,7 @@ def _objects():
         "cube": sset.product(sset.standard_simplex(1),
                              sset.standard_simplex(1))[0],
         "gadget": hcnerve.frak_c(3).mapspaces[("0", "3")],
-        "z3": hcnerve.one_object_from_abelian_group(cyclic_table(3), 3, 3),
+        "z3": hcnerve.one_object_from_abelian_group(cyclic_table(3), 3),
         "bis": segal.rezk_nerve(RelativeCategory(
             ordinal_category(2), set(ordinal_category(2).arrows)), 2, 1),
         "iso-bis": segal.rezk_nerve(RelativeCategory(

@@ -183,7 +183,7 @@ def test_dold_kan_roundtrip_random():
     for trial in range(12):
         modulus = rng.choice([0, 0, 4, 5])
         C = random_complex(rng, modulus=modulus, max_rank=2, span=2)
-        assert dold_kan_roundtrip(C), "roundtrip failed on %r" % C
+        assert dold_kan_roundtrip(C), C.as_dict()
         count += 1
     assert count == 12
 

@@ -839,6 +839,52 @@ def test_cli_refusals_and_failures_exit_2_and_1(tmp_path, capsys):
         witness["failures"]
 
 
+def test_cli_failed_precondition_exits_1_and_writes_nothing(tmp_path,
+                                                            capsys):
+    # the boundary of Delta^2 has an inner 2-horn with no filler, and the
+    # nerve of [1] an outer one: Ho, the equivalences, the maximal Kan
+    # subset and pi_1 refuse them with exit 1 and one stderr line, and
+    # write no witness to stdout or to --out
+    bd2 = write(tmp_path, "bd2.sset", formats.sset_to_dict(sset.boundary(2)))
+    n1 = write(tmp_path, "n1.sset",
+               formats.sset_to_dict(nerve(ordinal_category(1), 3)))
+    quasi = "not a quasicategory up to dimension 3"
+    for command, path, message in [
+            (("ho",), bd2, quasi), (("equivalences",), bd2, quasi),
+            (("max-kan",), bd2, quasi),
+            (("pi1", "--base", "0"), n1, "not Kan up to dimension 3")]:
+        out = tmp_path / "out.json"
+        for argv in [command + (path,),
+                     command + (path, "--out", str(out))]:
+            assert run_cli(tmp_path, *argv) == 1, argv
+            assert capsys.readouterr() == (
+                "", "precondition failed: %s\n" % message), argv
+        assert not out.exists()
+
+
+def test_cli_documents_of_another_kind_exit_3(tmp_path, capsys):
+    # a command, or a functor or chain map for its source, is given a
+    # document of another kind: exit 3, naming the kind it wanted
+    from test_fibrations import z4_to_z2
+    simplex = formats.sset_to_dict(sset.standard_simplex(1))
+    cat = formats.category_to_dict(ordinal_category(1))
+    functor = formats.functor_to_dict(z4_to_z2()[2])
+    cmap = formats.chain_map_to_dict(identity_chain_map(
+        free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])})))
+    for command, doc, message in [
+            ("nerve", simplex, "expected a category document"),
+            ("localize", cat,
+             "expected a category document with a weak list"),
+            ("left-fibration", dict(functor, source=simplex),
+             "expected a category document"),
+            ("quasi-iso", dict(cmap, source=cat),
+             "expected a chain-complex document")]:
+        path = write(tmp_path, "doc.json", doc)
+        assert run_cli(tmp_path, command, path) == 3, command
+        assert capsys.readouterr() == ("", "input error: %s\n" % message), \
+            command
+
+
 def test_cli_integer_edge_names(tmp_path, capsys):
     # an integer cell name is a name, not the index of a cell: edge 0 runs
     # from vertex 1 to vertex 2 and edge 2 from vertex 2 to vertex 1

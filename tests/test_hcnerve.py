@@ -94,14 +94,13 @@ def test_coherent_nerve_arrow_space_counts():
     # 2 objects, Map(0,1) = Delta^1, trivial endomorphisms: the 2-cells
     # of the coherent nerve were counted by hand: F in {000,001,011,111}
     # object patterns contribute 1 + 3 + 3 + 1 = 8 functors.
-    SC = two_object_arrow_space(standard_simplex(1), level_bound=2)
+    SC = two_object_arrow_space(standard_simplex(1))
     N = coherent_nerve(SC, 2)
     assert len(N.simplices(2)) == 8
 
 
 def test_coherent_nerve_kan_mapspaces_quasicategory():
-    SC = one_object_from_abelian_group(cyclic_table(2), trunc=3,
-                                       level_bound=2)
+    SC = one_object_from_abelian_group(cyclic_table(2), level_bound=2)
     N = coherent_nerve(SC, 3)
     report = classify(N, 3, "inner")
     assert report.is_quasicategory()
@@ -163,14 +162,32 @@ def test_pi0_category_two_component_monoid():
     assert len(P.arrows) == 2
 
 
+def test_pi0_category_refuses_composition_that_splits_a_component():
+    # built without validate(): on Map = Delta^1 + a point, X.0 . X.0 is
+    # X.0 but X.1 . X.0 is the extra point, so two vertices of one
+    # component compose into different components
+    space = sset.disjoint_union(standard_simplex(1), standard_simplex(0))
+    one, extra = (space.cell_index(0, name) for name in ("X.1", "Y.0"))
+
+    def compose_fn(x, y, z, q, g, f):
+        return (g[0], extra if g[1] == one else f[1])
+    C = hcnerve.SimplicialCategory(("*",), {("*", "*"): space},
+                                   {"*": "X.0"}, compose_fn, level_bound=0)
+    with pytest.raises(hcnerve.CompositionInconsistency) as err:
+        pi0_category(C)
+    assert str(err.value) == (
+        "composition is not single-valued on pi_0 classes: "
+        "pi0[*->*:X.0] . pi0[*->*:X.0] is both pi0[*->*:X.0] and "
+        "pi0[*->*:Y.0]")
+
+
 def test_pi0_category_matches_ho_of_coherent_nerve():
     from simpcat.nerve_cat import find_category_isomorphism as catiso
     from simpcat.quasicat import homotopy_category
     cases = [
         from_fincategory(ordinal_category(2), level_bound=2),
         from_fincategory(bg(cyclic_table(2)), level_bound=2),
-        one_object_from_abelian_group(cyclic_table(2), trunc=3,
-                                      level_bound=2),
+        one_object_from_abelian_group(cyclic_table(2), level_bound=2),
     ]
     for SC in cases:
         P = pi0_category(SC)

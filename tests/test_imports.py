@@ -5,8 +5,12 @@ import sys
 
 import simpcat
 
+ROOT = pathlib.Path(simpcat.__file__).parents[2]
 MODULES = sorted(pathlib.Path(simpcat.__file__).parent.glob("*.py"))
-README = pathlib.Path(simpcat.__file__).parents[2] / "README.md"
+README = ROOT / "README.md"
+# the code outside src/ that calls the library and reads its fields
+READERS = [path for directory in ("tests", "perfbench")
+           for path in sorted((ROOT / directory).glob("*.py"))]
 
 
 def imported_names(tree):
@@ -119,3 +123,114 @@ def test_src_keeps_only_what_the_system_reaches():
         ("m.py", "size"), ("n.py", "size")]
     sources = {path.name: path.read_text() for path in MODULES}
     assert unreached(sources, README.read_text()) == []
+
+
+def methods(tree):
+    """{method node: its class} for each function defined in a class
+    body."""
+    return {node: cls for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def unset_defaults(sources, readers):
+    """(file, function, parameter) for each parameter default of the
+    functions and methods of sources ({file name: source}) that no call
+    in sources or readers sets to another value.
+
+    A call names its function by the last name of its callee: f(...),
+    m.f(...) and x.f(...) call every f, and K(...) calls K.__init__.  It
+    sets a parameter by keyword, by position (self and cls not counted),
+    or through *args or **kwargs; passing the default's own expression
+    does not set it."""
+    calls = {}  # callee name -> the calls of that name
+    for source in list(sources.values()) + list(readers.values()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                calls.setdefault(name, []).append(node)
+
+    def sets(call, position, name, default):
+        if any(k.arg is None for k in call.keywords) or \
+                any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        given = [k.value for k in call.keywords if k.arg == name]
+        if position is not None:
+            given += call.args[position:position + 1]
+        return any(ast.dump(v) != ast.dump(default) for v in given)
+    found = []
+    for file, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        owner = methods(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            name, callee = node.name, node.name
+            if node in owner:
+                positional = positional[1:]
+                name = "%s.%s" % (owner[node].name, node.name)
+                if node.name == "__init__":
+                    callee = owner[node].name
+            first = len(positional) - len(args.defaults)
+            defaults = [(first + i, arg.arg, default) for i, (arg, default)
+                        in enumerate(zip(positional[first:], args.defaults))]
+            defaults += [(None, arg.arg, default) for arg, default
+                         in zip(args.kwonlyargs, args.kw_defaults)
+                         if default is not None]
+            found += [(file, name, arg) for position, arg, default in defaults
+                      if not any(sets(call, position, arg, default)
+                                 for call in calls.get(callee, ()))]
+    return found
+
+
+def test_src_has_no_parameter_default_that_no_call_sets():
+    # a default that every call leaves alone is a constant in disguise
+    toy = ("def f(a, b=1, *, c=None):\n    pass\n\n\n"
+           "class K:\n    def __init__(self, x, y=0):\n        pass\n\n"
+           "    def m(self, z=2):\n        pass\n")
+    assert unset_defaults({"m.py": toy}, {"t.py": "f(0, 1, c=None)\nK(1)\n"}
+                          ) == [("m.py", "f", "b"), ("m.py", "f", "c"),
+                                ("m.py", "K.__init__", "y"),
+                                ("m.py", "K.m", "z")]
+    assert unset_defaults({"m.py": toy}, {"t.py": "f(0, 2)\nf(0, **kw)\n"
+                                          "K(1, *rest)\nk.m(z=3)\n"}) == []
+    sources = {path.name: path.read_text() for path in MODULES}
+    readers = {str(path): path.read_text() for path in READERS}
+    assert unset_defaults(sources, readers) == []
+
+
+def unread_fields(sources, readers):
+    """(file, class, attribute) for each attribute that a method of
+    sources stores on self and that no code of sources or readers loads,
+    on any object."""
+    loaded = {node.attr
+              for source in list(sources.values()) + list(readers.values())
+              for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    found = set()
+    for file, source in sorted(sources.items()):
+        for method, cls in methods(ast.parse(source)).items():
+            found.update((file, cls.name, node.attr)
+                         for node in ast.walk(method)
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Store)
+                         and getattr(node.value, "id", None) == "self"
+                         and node.attr not in loaded)
+    return sorted(found)
+
+
+def test_src_stores_no_field_that_nothing_reads():
+    # a field nothing loads is data the system carries for no one
+    toy = ("class K:\n    def __init__(self, a):\n        self.a = a\n"
+           "        self.b = a\n        self.c = 0\n\n"
+           "    def f(self):\n        self.c += 1\n        return self.a\n")
+    assert unread_fields({"m.py": toy}, {}) == [("m.py", "K", "b"),
+                                                ("m.py", "K", "c")]
+    assert unread_fields({"m.py": toy}, {"t.py": "print(k.b, k.c)\n"}) == []
+    sources = {path.name: path.read_text() for path in MODULES}
+    readers = {str(path): path.read_text() for path in READERS}
+    assert unread_fields(sources, readers) == []

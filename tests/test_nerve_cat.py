@@ -134,7 +134,7 @@ def test_relative_category_validation():
     with pytest.raises(InputError):
         RelativeCategory(C, set())  # identities missing
     W = set(C.arrows)
-    R = RelativeCategory(C, W, subcategory=True)
+    R = RelativeCategory(C, W)
     assert R.is_composition_closed()
 
 

@@ -34,7 +34,7 @@ def _caller_cases():
     for name, C in [("bz2", bg(cyclic_table(2))),
                     ("ord2", ordinal_category(2))]:
         W = {a for a in C.arrows if C.is_iso(a)}
-        X = rezk_nerve(RelativeCategory(C, W, subcategory=True), 2, 2)
+        X = rezk_nerve(RelativeCategory(C, W), 2, 2)
         for p in range(3):
             cases.append(("row/%s/%d" % (name, p), lambda X=X, p=p: X.row(p)))
     for name, C in [

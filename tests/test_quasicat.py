@@ -236,6 +236,13 @@ def test_pi1_not_isomorphic_to_another_group_of_its_order():
     assert not pi1.isomorphic_to_table(klein_table())
 
 
+def test_pi1_of_a_group_neither_cyclic_nor_s3_is_unrecognized():
+    pi1 = homotopy_group(nerve(bg(klein_table()), 3), "*", 1)
+    assert pi1.order == 4 and pi1.is_group() and pi1.is_abelian()
+    assert pi1.structure == "unrecognized"
+    assert pi1.isomorphic_to_table(klein_table())
+
+
 def test_pi1_against_a_table_without_unit_raises():
     # the left-zero table x * y = x has no unit; comparing against it
     # must refuse rather than search for an element order forever

@@ -21,7 +21,7 @@ from test_formats_cli import run_cli, write
 
 def iso_relative(C):
     W = {a for a in C.arrows if C.is_iso(a)}
-    return RelativeCategory(C, W, subcategory=True)
+    return RelativeCategory(C, W)
 
 
 def test_embed_discrete_levels():
@@ -148,7 +148,7 @@ def test_rezk_nerve_rows_match_functor_categories():
 
 def test_rezk_nerve_row0_of_bg_all_weak():
     B = bg(cyclic_table(2))
-    R = RelativeCategory(B, set(B.arrows), subcategory=True)
+    R = RelativeCategory(B, set(B.arrows))
     X = rezk_nerve(R, 2, 2)
     row0 = X.row(0)
     NB = nerve(B, 2)
@@ -168,8 +168,7 @@ def test_rezk_nerve_identity_isos_collapse():
     # with only identity weak arrows the Rezk nerve is the discrete
     # embedding of the ordinary nerve
     C = ordinal_category(2)
-    R = RelativeCategory(C, {C.ident[x] for x in C.objects},
-                         subcategory=True)
+    R = RelativeCategory(C, {C.ident[x] for x in C.objects})
     B = rezk_nerve(R, 2, 2)
     D = embed("discrete", nerve(C, 2), 2)
     for p in range(3):
@@ -188,7 +187,7 @@ def test_rezk_nerve_rejects_negative_truncation():
 
 def test_rezk_nerve_point():
     C = ordinal_category(0)
-    R = RelativeCategory(C, {C.ident["0"]}, subcategory=True)
+    R = RelativeCategory(C, {C.ident["0"]})
     B = rezk_nerve(R, 2, 2)
     for p in range(3):
         for q in range(3):
@@ -223,7 +222,7 @@ def test_strict_segal_check_matches_enumerating_the_spines():
     reasons = set()
     for X in cases:
         failures = strict_segal_check(X).failures
-        assert failures == strict_segal_check_by_enumeration(X), X
+        assert failures == strict_segal_check_by_enumeration(X), X.as_dict()
         reasons.update(f["reason"] for f in failures)
     assert reasons == {"not injective", "not surjective"}
 

@@ -410,6 +410,28 @@ def test_disjoint_union_offsets_the_second_summand():
         assert U.truncation == t and cell_counts(U) == counts
 
 
+def test_union_and_pushout_refuse_cells_above_the_least_truncation():
+    # both keep every cell of both inputs under their lesser truncation,
+    # so an input with cells above the other's truncation is refused, in
+    # either order
+    T2 = SimplicialSet(2, boundary(2).names, boundary(2).faces).validate()
+    point = standard_simplex(0)
+
+    def vertex(X):
+        return SimplicialMap(point, X, [[(tidentity(0), 0)]]).validate()
+    for X, Y in [(standard_simplex(3), T2), (T2, standard_simplex(3))]:
+        with pytest.raises(InputError) as err:
+            disjoint_union(X, Y)
+        assert str(err.value) == "cells above the least truncation 2"
+        with pytest.raises(InputError) as err:
+            pushout(vertex(X), vertex(Y))
+        assert str(err.value) == "cells above the least truncation 2"
+    # cells up to the truncation are kept: a wedge at one vertex
+    for X, Y in [(standard_simplex(2), T2), (T2, standard_simplex(2))]:
+        P = pushout(vertex(X), vertex(Y))[0].validate()
+        assert P.truncation == 2 and cell_counts(P) == [5, 6, 1]
+
+
 def test_serialization_dict():
     X = horn(2, 1)
     d = X.as_dict()
