@@ -308,9 +308,7 @@ def cmd_export_dot(args):
     kind = d.get("kind")
     lines = ["digraph G {"]
     if kind == "category":
-        C = formats.category_from_dict(d)
-        if isinstance(C, nerve_cat.RelativeCategory):
-            C = C.category
+        C = formats._category(d)
         for x in C.objects:
             lines.append('  "%s";' % x)
         for a in sorted(C.arrows, key=nerve_cat._name_key):

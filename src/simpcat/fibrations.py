@@ -5,7 +5,7 @@ arrow categories.
 """
 
 from .errors import InputError
-from .nerve_cat import FinCategory, Functor, product_category, subcategory
+from .nerve_cat import Functor, generated, product_category, subcategory
 
 
 class LeftFibrationReport:
@@ -241,10 +241,12 @@ def grothendieck_build(S):
             name = "(%s|%s)" % (d, x)
             objects.append(name)
             locate[name] = (d, x)
+
+    def arrow(phi, alpha, n1, n2):
+        return "(%s|%s:%s->%s)" % (phi, alpha, n1, n2)
+
+    # an arrow's data is (phi, alpha, source, target)
     arrows = []
-    src = {}
-    dst = {}
-    data = {}
     for n1 in objects:
         d, x = locate[n1]
         for phi in B.arrows:
@@ -257,33 +259,24 @@ def grothendieck_build(S):
                 if d2b != d2:
                     continue
                 for alpha in S.fibers[d2].hom(tx, y):
-                    a = "(%s|%s:%s->%s)" % (phi, alpha, n1, n2)
-                    arrows.append(a)
-                    src[a] = n1
-                    dst[a] = n2
-                    data[a] = (phi, alpha)
-    comp = {}
-    for a2 in arrows:
-        for a1 in arrows:
-            if dst[a1] != src[a2]:
-                continue
-            phi1, alpha1 = data[a1]
-            phi2, alpha2 = data[a2]
-            phi = B.compose(phi2, phi1)
-            mid = S.fibers[B.dst[phi2]]
-            alpha = mid.compose(alpha2,
-                                S.transports[phi2].arr_map[alpha1])
-            comp[(a2, a1)] = "(%s|%s:%s->%s)" % (phi, alpha, src[a1],
-                                                 dst[a2])
+                    arrows.append((arrow(phi, alpha, n1, n2), n1, n2,
+                                   (phi, alpha, n1, n2)))
+
+    def compose(g, f):
+        phi2, alpha2, _, n3 = g
+        phi1, alpha1, n1, _ = f
+        alpha = S.fibers[B.dst[phi2]].compose(
+            alpha2, S.transports[phi2].arr_map[alpha1])
+        return arrow(B.compose(phi2, phi1), alpha, n1, n3)
+
     ident = {}
     for n1 in objects:
         d, x = locate[n1]
-        ident[n1] = "(%s|%s:%s->%s)" % (B.ident[d],
-                                        S.fibers[d].ident[x], n1, n1)
-    total = FinCategory(objects, arrows, src, dst, comp, ident)
+        ident[n1] = arrow(B.ident[d], S.fibers[d].ident[x], n1, n1)
+    total = generated(objects, arrows, ident, compose)
     proj = Functor(total, B,
                    {n: locate[n][0] for n in objects},
-                   {a: data[a][0] for a in arrows})
+                   {a: phi for a, _, _, (phi, _, _, _) in arrows})
     return proj
 
 
@@ -380,47 +373,28 @@ def join(C, D):
     each C-object to each D-object."""
     objects = ["L.%s" % x for x in C.objects] + \
               ["R.%s" % y for y in D.objects]
-    arrows = []
-    src = {}
-    dst = {}
-    # new name -> ("L", arrow of C), ("R", arrow of D) or ("X", (x, y));
-    # arrow names may be integers, so they are never read back from names
-    origin = {}
-    for side, K in (("L", C), ("R", D)):
-        for a in K.arrows:
-            name = "%s.%s" % (side, a)
-            arrows.append(name)
-            src[name] = "%s.%s" % (side, K.src[a])
-            dst[name] = "%s.%s" % (side, K.dst[a])
-            origin[name] = (side, a)
-    for x in C.objects:
-        for y in D.objects:
-            a = "X.%s->%s" % (x, y)
-            arrows.append(a)
-            src[a] = "L.%s" % x
-            dst[a] = "R.%s" % y
-            origin[a] = ("X", (x, y))
-    comp = {}
-    for g in arrows:
-        gside, ga = origin[g]
-        for f in arrows:
-            if dst[f] != src[g]:
-                continue
-            fside, fa = origin[f]
-            if gside == fside == "L":
-                comp[(g, f)] = "L.%s" % C.compose(ga, fa)
-            elif gside == fside == "R":
-                comp[(g, f)] = "R.%s" % D.compose(ga, fa)
-            elif gside == "X" and fside == "L":
-                comp[(g, f)] = "X.%s->%s" % (C.src[fa], ga[1])
-            elif gside == "R" and fside == "X":
-                comp[(g, f)] = "X.%s->%s" % (fa[0], D.dst[ga])
-    ident = {}
-    for x in C.objects:
-        ident["L.%s" % x] = "L.%s" % C.ident[x]
-    for y in D.objects:
-        ident["R.%s" % y] = "R.%s" % D.ident[y]
-    return FinCategory(objects, arrows, src, dst, comp, ident)
+    # an arrow's data is ("L", arrow of C), ("R", arrow of D) or
+    # ("X", (x, y)); arrow names may be integers, so they are never read
+    # back from names
+    arrows = [("%s.%s" % (side, a), "%s.%s" % (side, K.src[a]),
+               "%s.%s" % (side, K.dst[a]), (side, a))
+              for side, K in (("L", C), ("R", D)) for a in K.arrows]
+    arrows += [("X.%s->%s" % (x, y), "L.%s" % x, "R.%s" % y, ("X", (x, y)))
+               for x in C.objects for y in D.objects]
+
+    def compose(g, f):
+        (gside, ga), (fside, fa) = g, f
+        if gside == fside == "L":
+            return "L.%s" % C.compose(ga, fa)
+        if gside == fside == "R":
+            return "R.%s" % D.compose(ga, fa)
+        if gside == "X":  # a cross arrow after an arrow of C
+            return "X.%s->%s" % (C.src[fa], ga[1])
+        return "X.%s->%s" % (fa[0], D.dst[ga])  # D's after a cross arrow
+
+    ident = {"L.%s" % x: "L.%s" % C.ident[x] for x in C.objects}
+    ident.update({"R.%s" % y: "R.%s" % D.ident[y] for y in D.objects})
+    return generated(objects, arrows, ident, compose)
 
 
 def twisted_arrows(C):
@@ -428,10 +402,8 @@ def twisted_arrows(C):
     (u, v) with g = v . f . u, contravariant in u.  Returns Tw(C) and
     the projection to C^op x C sending f: x -> y to (x, y)."""
     objects = ["tw[%s]" % f for f in C.arrows]
+    # an arrow's data is (u, v, f)
     arrows = []
-    src = {}
-    dst = {}
-    data = {}
     for f in C.arrows:
         for u in C.arrows:
             if C.dst[u] != C.src[f]:
@@ -440,30 +412,17 @@ def twisted_arrows(C):
                 if C.src[v] != C.dst[f]:
                     continue
                 g = C.compose(v, C.compose(f, u))
-                name = "(%s|%s)@%s" % (u, v, f)
-                arrows.append(name)
-                src[name] = "tw[%s]" % f
-                dst[name] = "tw[%s]" % g
-                data[name] = (u, v, f, g)
-    comp = {}
-    for a2 in arrows:
-        for a1 in arrows:
-            if dst[a1] != src[a2]:
-                continue
-            u1, v1, f1, g1 = data[a1]
-            u2, v2, f2, g2 = data[a2]
-            comp[(a2, a1)] = "(%s|%s)@%s" % (C.compose(u1, u2),
-                                             C.compose(v2, v1), f1)
-    ident = {}
-    for f in C.arrows:
-        ident["tw[%s]" % f] = "(%s|%s)@%s" % (C.ident[C.src[f]],
-                                              C.ident[C.dst[f]], f)
-    Tw = FinCategory(objects, arrows, src, dst, comp, ident)
+                arrows.append(("(%s|%s)@%s" % (u, v, f), "tw[%s]" % f,
+                               "tw[%s]" % g, (u, v, f)))
+    ident = {"tw[%s]" % f: "(%s|%s)@%s" % (C.ident[C.src[f]],
+                                          C.ident[C.dst[f]], f)
+             for f in C.arrows}
+    Tw = generated(objects, arrows, ident, lambda g, f: "(%s|%s)@%s" % (
+        C.compose(f[0], g[0]), C.compose(g[1], f[1]), f[2]))
     Cop = C.opposite()
     base = product_category(Cop, C)
     proj = Functor(Tw, base,
                    {("tw[%s]" % f): "(%s,%s)" % (C.src[f], C.dst[f])
                     for f in C.arrows},
-                   {a: "(%s,%s)" % (data[a][0], data[a][1])
-                    for a in arrows})
+                   {a: "(%s,%s)" % (u, v) for a, _, _, (u, v, _) in arrows})
     return Tw, proj

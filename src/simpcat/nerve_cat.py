@@ -40,10 +40,15 @@ class FinCategory:
         return tuple(a for a in self.arrows if not self.is_identity(a))
 
     def composable_pairs(self):
+        """Each (g, f) with f's target g's source: g in arrow order, then
+        f in arrow order, as the error messages of validate() and of the
+        builders expect."""
+        into = {}
+        for f in self.arrows:
+            into.setdefault(self.dst[f], []).append(f)
         for g in self.arrows:
-            for f in self.arrows:
-                if self.dst[f] == self.src[g]:
-                    yield g, f
+            for f in into.get(self.src[g], ()):
+                yield g, f
 
     def inverse(self, a):
         """The two-sided inverse of a, or None."""
@@ -60,10 +65,7 @@ class FinCategory:
         return all(self.is_iso(a) for a in self.arrows)
 
     def validate(self):
-        if len(set(self.objects)) != len(self.objects):
-            raise InputError("duplicate object names")
-        if len(set(self.arrows)) != len(self.arrows):
-            raise InputError("duplicate arrow names")
+        _check_unique_names(self.objects, self.arrows)
         for a in self.arrows:
             if self.src[a] not in self.objects or \
                     self.dst[a] not in self.objects:
@@ -115,6 +117,13 @@ class FinCategory:
             "compose": sorted(([g, f, c] for (g, f), c in self.comp.items()),
                               key=lambda t: list(map(_name_key, t))),
         }
+
+
+def _check_unique_names(objects, arrows):
+    if len(set(objects)) != len(objects):
+        raise InputError("duplicate object names")
+    if len(set(arrows)) != len(arrows):
+        raise InputError("duplicate arrow names")
 
 
 class Functor:
@@ -187,23 +196,11 @@ def poset_category(elements, leq):
     """The thin category of a finite preorder: one arrow x->y when
     leq(x, y), checked to be a category."""
     elements = tuple(elements)
-    arrows = []
-    src = {}
-    dst = {}
-    for x in elements:
-        for y in elements:
-            if leq(x, y):
-                a = "%s<=%s" % (x, y)
-                arrows.append(a)
-                src[a] = x
-                dst[a] = y
-    comp = {}
-    for g in arrows:
-        for f in arrows:
-            if dst[f] == src[g]:
-                comp[(g, f)] = "%s<=%s" % (src[f], dst[g])
-    ident = {x: "%s<=%s" % (x, x) for x in elements}
-    return FinCategory(elements, arrows, src, dst, comp, ident).validate()
+    return generated(
+        elements, [("%s<=%s" % (x, y), x, y, (x, y)) for x in elements
+                   for y in elements if leq(x, y)],
+        {x: "%s<=%s" % (x, x) for x in elements},
+        lambda g, f: "%s<=%s" % (f[0], g[1])).validate()
 
 
 def ordinal_category(n):
@@ -240,34 +237,39 @@ def bg(table, names=None):
     for a, b, c in iproduct(elements, repeat=3):
         if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
             raise InputError("multiplication table is not associative")
-    obj = "*"
-    src = {g: obj for g in elements}
-    dst = dict(src)
     # compose(g, f) = "f then g" = table[(f, g)]
-    comp = {(g, f): table[(f, g)] for g in elements for f in elements}
-    return FinCategory((obj,), tuple(elements), src, dst, comp,
-                       {obj: unit}).validate()
+    return generated(("*",), [(g, "*", "*", g) for g in elements],
+                     {"*": unit}, lambda g, f: table[(f, g)]).validate()
 
 
 def product_category(C, D):
-    objects = ["(%s,%s)" % (x, y) for x in C.objects for y in D.objects]
-    arrows = []
-    src = {}
-    dst = {}
-    for a in C.arrows:
-        for b in D.arrows:
-            n = "(%s,%s)" % (a, b)
-            arrows.append(n)
-            src[n] = "(%s,%s)" % (C.src[a], D.src[b])
-            dst[n] = "(%s,%s)" % (C.dst[a], D.dst[b])
-    comp = {}
-    for a2, a1 in C.composable_pairs():
-        for b2, b1 in D.composable_pairs():
-            comp[("(%s,%s)" % (a2, b2), "(%s,%s)" % (a1, b1))] = \
-                "(%s,%s)" % (C.compose(a2, a1), D.compose(b2, b1))
-    ident = {"(%s,%s)" % (x, y): "(%s,%s)" % (C.ident[x], D.ident[y])
-             for x in C.objects for y in D.objects}
-    return FinCategory(objects, arrows, src, dst, comp, ident)
+    def pair(x, y):
+        return "(%s,%s)" % (x, y)
+
+    return generated(
+        [pair(x, y) for x in C.objects for y in D.objects],
+        [(pair(a, b), pair(C.src[a], D.src[b]), pair(C.dst[a], D.dst[b]),
+          (a, b)) for a in C.arrows for b in D.arrows],
+        {pair(x, y): pair(C.ident[x], D.ident[y])
+         for x in C.objects for y in D.objects},
+        lambda g, f: pair(C.compose(g[0], f[0]), D.compose(g[1], f[1])))
+
+
+def generated(objects, arrows, ident, compose):
+    """The category on objects whose arrows are the (name, src, dst,
+    data) entries, in order, where g after f is the arrow named
+    compose(data of g, data of f), asked once for each pair that
+    composable_pairs() lists, in its order.  The composites are keyed by
+    name, so duplicate names are refused first, with validate()'s
+    messages.  Like the constructor, this checks no law."""
+    names = [a for a, _, _, _ in arrows]
+    _check_unique_names(objects, names)
+    C = FinCategory(objects, names, {a: x for a, x, _, _ in arrows},
+                    {a: y for a, _, y, _ in arrows}, {}, ident)
+    data = {a: v for a, _, _, v in arrows}
+    C.comp = {(g, f): compose(data[g], data[f])
+              for g, f in C.composable_pairs()}
+    return C
 
 
 def subcategory(C, objects, arrows):
@@ -299,15 +301,7 @@ def nerve(C, d):
     A level element is (source object, tuple of arrows)."""
     if d < 0:
         raise InputError("nerve truncation must be nonnegative")
-    levels = [[(x, ()) for x in C.objects]]
-    for n in range(1, d + 1):
-        level = []
-        for x, chain in levels[n - 1]:
-            tail = C.dst[chain[-1]] if chain else x
-            for a in C.arrows:
-                if C.src[a] == tail:
-                    level.append((x, chain + (a,)))
-        levels.append(level)
+    levels, _ = chains(C, d)
 
     def action(alpha, element):
         x, chain = element
@@ -322,6 +316,29 @@ def nerve(C, d):
         return x if n == 0 else _chain_name(chain)
 
     return sset.from_presheaf(d, levels, action, name_fn=name_fn)
+
+
+def chains(C, d):
+    """The composable chains of C of length at most d, each as (source
+    object, tuple of arrows), by level, and the spans of extensions.
+    Level n lists, for each chain of level n - 1 in order, that chain
+    followed by every arrow out of its tail, in arrow order; spans[n - 1]
+    gives, for each chain of level n - 1, the range of level n extending
+    it."""
+    out_of = {}
+    for a in C.arrows:
+        out_of.setdefault(C.src[a], []).append(a)
+    levels, spans = [[(x, ()) for x in C.objects]], []
+    for _ in range(d):
+        level, span = [], []
+        for x, chain in levels[-1]:
+            start = len(level)
+            level.extend((x, chain + (a,)) for a in out_of.get(
+                C.dst[chain[-1]] if chain else x, ()))
+            span.append(range(start, len(level)))
+        levels.append(level)
+        spans.append(span)
+    return levels, spans
 
 
 def _chain_vertices(C, x, chain):
@@ -364,26 +381,22 @@ def category_from_nerve(X):
     by_rank = [ident[x] for x in objects] + list(X.cells(1))
     ranks = list(range(len(objects), len(by_rank))) + \
         list(range(len(objects)))
-    arrows = [by_rank[r] for r in ranks]
     to_dst, to_src = X.ranked(1)[1]
-    src = {a: objects[to_src[r]] for a, r in zip(arrows, ranks)}
-    dst = {a: objects[to_dst[r]] for a, r in zip(arrows, ranks)}
-    rank = dict(zip(arrows, ranks))
-    # composition via the unique 2-simplex with d_2 = f, d_0 = g
+    # composition via the unique 2-simplex with d_2 = f, d_0 = g; an
+    # arrow's data is its rank
     fillers, long_edge = X.face_index(2, (2, 0)), X.ranked(2)[1][1]
-    comp = {}
-    for g in arrows:
-        for f in arrows:
-            if dst[f] != src[g]:
-                continue
-            found = {long_edge[u]
-                     for u in fillers.get((rank[f], rank[g]), ())}
-            if len(found) != 1:
-                raise InputError(
-                    "object is not nerve-like: %d composites for (%s, %s)"
-                    % (len(found), g, f))
-            comp[(g, f)] = by_rank[found.pop()]
-    return FinCategory(objects, arrows, src, dst, comp, ident).validate()
+
+    def compose(g, f):
+        found = {long_edge[u] for u in fillers.get((f, g), ())}
+        if len(found) != 1:
+            raise InputError(
+                "object is not nerve-like: %d composites for (%s, %s)"
+                % (len(found), by_rank[g], by_rank[f]))
+        return by_rank[found.pop()]
+
+    return generated(objects, [
+        (by_rank[r], objects[to_src[r]], objects[to_dst[r]], r)
+        for r in ranks], ident, compose).validate()
 
 
 def nerve_functor_map(F, d, NC=None, ND=None):
@@ -636,34 +649,20 @@ def localize(R, fuel):
         return ".".join(str(a) if kind == "a" else "%s~" % a
                         for kind, a in word)
 
-    arrows = []
-    src = {}
-    dst = {}
-    names = {}
-    for word, x in all_words:
-        nm = word_name(word, x)
-        names[(word, x)] = nm
-        arrows.append(nm)
-        src[nm] = x
-        dst[nm] = ldst[word[-1]] if word else x
-    lookup = {}
-    for (word, x), nm in names.items():
-        lookup[(word, x)] = nm
-    comp = {}
-    for (w2, x2), n2 in names.items():
-        for (w1, x1), n1 in names.items():
-            if dst[n1] != x2:
-                continue
-            nf = normalize(w1 + w2)
-            comp[(n2, n1)] = lookup[(nf, x1)]
-    ident = {x: lookup[((), x)] for x in C.objects}
-    Q = FinCategory(C.objects, arrows, src, dst, comp, ident).validate()
+    # an arrow's data is its word and source; g after f reads f's word,
+    # then g's
+    names = {(word, x): word_name(word, x) for word, x in all_words}
+    Q = generated(
+        C.objects, [(names[(word, x)], x, ldst[word[-1]] if word else x,
+                     (word, x)) for word, x in all_words],
+        {x: names[((), x)] for x in C.objects},
+        lambda g, f: names[(normalize(f[0] + g[0]), f[1])]).validate()
     obj_map = {x: x for x in C.objects}
     arr_map = {}
     for a in C.arrows:
         if C.is_identity(a):
-            arr_map[a] = ident[C.src[a]]
+            arr_map[a] = Q.ident[C.src[a]]
         else:
             nf = normalize((("a", a),))
-            arr_map[a] = lookup[(nf, C.src[a])]
+            arr_map[a] = names[(nf, C.src[a])]
     return Localization(Q, Functor(C, Q, obj_map, arr_map).validate(), rounds)

@@ -16,7 +16,8 @@ from .delta import (all_maps, degeneracy, degeneracy_decomposition, face,
                     face_decomposition, simplicial_identities, tcompose,
                     tfactorize)
 from .errors import InputError, NotDecidable
-from .nerve_cat import Functor, category_from_nerve, full_subcategory, nerve
+from .nerve_cat import (Functor, category_from_nerve, chains,
+                        full_subcategory, nerve)
 from .quasicat import classify
 
 
@@ -381,18 +382,7 @@ def rezk_nerve(R, M, N):
     # rows[p] lists the rows that extend each row of level p - 1 by one
     # arrow, together and in the order of the rows they extend:
     # extensions[p - 1][r] is the range of those extending row r
-    rows = [[(x, ()) for x in C.objects]]
-    extensions = []
-    for p in range(1, M + 1):
-        level, spans = [], []
-        for x, path in rows[-1]:
-            tail = C.dst[path[-1]] if path else x
-            start = len(level)
-            level.extend((x, path + (a,)) for a in C.arrows
-                         if C.src[a] == tail)
-            spans.append(range(start, len(level)))
-        rows.append(level)
-        extensions.append(spans)
+    rows, extensions = chains(C, M)
     row_id = [{row: r for r, row in enumerate(level)} for level in rows]
     vertices = [[(row[0],) + tuple(C.dst[a] for a in row[1])
                  for row in level] for level in rows]

@@ -235,7 +235,8 @@ def test_cli_names_written_alike_exit_3(tmp_path, capsys):
     # them with the messages validate() gives for duplicates
     def refused(message, *argv):
         assert run_cli(tmp_path, *argv) == 3, argv
-        assert "input error: %s" % message in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and err == "input error: %s\n" % message, argv
 
     # arrows 1 and "1" form a category, whose constructions do not
     doc = {"kind": "category", "objects": ["a", "b"],
@@ -254,6 +255,15 @@ def test_cli_names_written_alike_exit_3(tmp_path, capsys):
             ("duplicate cells at (1, 0)", ["rezk-nerve", path]),
             ("duplicate arrow names", ["localize", path])):
         refused(message, *argv)
+    # the names of C^op x C and of the cross arrows of a join are built
+    # from pairs of names, and (a,b,c) and X.a->b->c pair two ways
+    objects = write(tmp_path, "objects.cat", formats.category_to_dict(
+        discrete_category(["a", "b,c", "a,b", "c"])))
+    refused("duplicate object names", "twisted-arrows", objects)
+    left, right = (write(tmp_path, "%s.cat" % side, formats.category_to_dict(
+        discrete_category(names))) for side, names in (
+            ("left", ["a", "a->b"]), ("right", ["b->c", "c"])))
+    refused("duplicate arrow names", "join", left, right)
     X = {"kind": "simplicial-set", "truncation": None,
          "cells": {"0": ["a", "b"], "1": [1, "1"]},
          "faces": {"1:1": [[[0], "b"], [[0], "a"]]}}

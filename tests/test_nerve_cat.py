@@ -342,6 +342,24 @@ def test_category_from_nerve_of_nerve_is_isomorphic(data):
     assert F.is_isomorphism()
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_composable_pairs_in_the_order_of_a_double_scan(data):
+    # validate(), Functor.validate() and category_from_nerve name the
+    # first failing pair in this order
+    import random
+    from families import category_family, random_thin_category
+    if data.draw(st.booleans()):
+        _, C = data.draw(st.sampled_from(category_family()))
+    else:
+        C = random_thin_category(random.Random(data.draw(
+            st.integers(0, 10 ** 6))), data.draw(st.integers(1, 4)))
+    C = _renamed_copy(C, data.draw(st.permutations(C.objects)),
+                      data.draw(st.permutations(C.arrows)))
+    assert list(C.composable_pairs()) == [
+        (g, f) for g in C.arrows for f in C.arrows if C.dst[f] == C.src[g]]
+
+
 def test_find_category_isomorphism_matches_backtracking():
     from families import category_family
     from oracles import category_isomorphism_by_backtracking
