@@ -9,7 +9,7 @@ from operator import le
 from . import sset
 from .delta import tcompose, tidentity
 from .errors import InputError
-from .nerve_cat import FinCategory
+from .nerve_cat import generated
 from .sset import SimplicialSet
 
 
@@ -634,49 +634,35 @@ def two_object_arrow_space(space):
 
 def pi0_category(C):
     """The category with the same objects and Hom = pi_0 of the map
-    spaces; induced composition checked to be single-valued on classes."""
-    classes = {}
-    class_of_vertex = {}
-    for (x, y), space in C.mapspaces.items():
-        comps = sset.pi0(space)
-        classes[(x, y)] = comps
-        for comp in comps:
-            for vname in comp:
-                class_of_vertex[(x, y, vname)] = min(comp)
+    spaces; induced composition checked to be single-valued on classes.
+    An arrow's data is (x, y, the vertex indices of its class)."""
     arrows = []
-    src = {}
-    dst = {}
-    name_of = {}
-    for (x, y), comps in sorted(classes.items()):
-        for comp in comps:
-            rep = min(comp)
-            nm = "pi0[%s->%s:%s]" % (x, y, rep)
-            name_of[(x, y, rep)] = nm
-            arrows.append(nm)
-            src[nm] = x
-            dst[nm] = y
-    comp_table = {}
-    for (x, y, z), table in C.comp.items():
-        gspace = C.mapspaces[(y, z)]
-        fspace = C.mapspaces[(x, y)]
-        hspace = C.mapspaces[(x, z)]
-        for gi in range(gspace.n_cells(0)):
-            for fi in range(fspace.n_cells(0)):
-                g = (tidentity(0), gi)
-                f = (tidentity(0), fi)
-                h = table[(g, f)]
-                gn = class_of_vertex[(y, z, gspace.names[0][gi])]
-                fn = class_of_vertex[(x, y, fspace.names[0][fi])]
-                hn = class_of_vertex[(x, z, hspace.names[0][h[1]])]
-                key = (name_of[(y, z, gn)], name_of[(x, y, fn)])
-                existing, hc = comp_table.get(key), name_of[(x, z, hn)]
-                if existing is not None and existing != hc:
-                    raise CompositionInconsistency(
-                        "composition is not single-valued on pi_0 classes: "
-                        "%s . %s is both %s and %s" % (key + (existing, hc)))
-                comp_table[key] = hc
-    ident = {}
-    for x in C.objects:
-        rep = class_of_vertex[(x, x, C.identities[x])]
-        ident[x] = name_of[(x, x, rep)]
-    return FinCategory(C.objects, arrows, src, dst, comp_table, ident)
+    name_at = {}  # (x, y): the arrow name of each vertex of Map(x, y)
+    for x, y in sorted(C.mapspaces):
+        space = C.mapspaces[(x, y)]
+        name_at[(x, y)] = names = [None] * space.n_cells(0)
+        for comp in sset.pi0(space):
+            nm = "pi0[%s->%s:%s]" % (x, y, min(comp))
+            cells = sorted(space.cell_index(0, v) for v in comp)
+            for i in cells:
+                names[i] = nm
+            arrows.append((nm, x, y, (x, y, cells)))
+
+    def compose(g, f):
+        (y, z, gcells), (x, _, fcells) = g, f
+        table, names = C.comp[(x, y, z)], name_at[(x, z)]
+        # the distinct composites, in the order the vertex pairs give them
+        values = list(dict.fromkeys(
+            names[table[((tidentity(0), gi), (tidentity(0), fi))][1]]
+            for gi, fi in product(gcells, fcells)))
+        if len(values) > 1:
+            raise CompositionInconsistency(
+                "composition is not single-valued on pi_0 classes: "
+                "%s . %s is both %s and %s"
+                % (name_at[(y, z)][gcells[0]], name_at[(x, y)][fcells[0]],
+                   values[0], values[1]))
+        return values[0]
+
+    return generated(C.objects, arrows,
+                     {x: name_at[(x, x)][C.identity_simplex(x, 0)[1]]
+                      for x in C.objects}, compose)

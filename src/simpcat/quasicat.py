@@ -9,7 +9,7 @@ unbounded lifting.
 from . import sset
 from .delta import tidentity
 from .errors import FuelExhausted, InputError
-from .nerve_cat import FinCategory, bg, find_category_isomorphism
+from .nerve_cat import bg, find_category_isomorphism, generated
 from .sset import is_degenerate, simplex_dim
 
 MODES = {
@@ -209,10 +209,6 @@ def require_quasicategory(X):
 # homotopy category
 
 
-def _edge_endpoints(X, e):
-    return X.face_of(1, e), X.face_of(0, e)
-
-
 def _ho_classes(X):
     """Equivalence classes of 1-simplices under the 2-simplex relation:
     f ~ g when some u in X_2 has d_0 u = f, d_1 u = g and degenerate
@@ -242,11 +238,17 @@ def _ho_classes(X):
     return classes
 
 
-def homotopy_category(X, _return_classes=False):
+def homotopy_category(X):
     """Ho(X) for a quasicategory presented up to dimension >= 3: objects
     are the vertices, arrows are homotopy classes of 1-simplices,
     composition via inner-horn fillers (first filler used, all fillers
     checked to agree)."""
+    return _homotopy_category(X)[0]
+
+
+def _homotopy_category(X):
+    """(Ho(X), the class of each 1-simplex, the arrow name of each
+    class)."""
     if X.truncation is not None and X.truncation < 3:
         raise InputError("homotopy category needs a 3-truncation")
     require_quasicategory(X)
@@ -256,58 +258,40 @@ def homotopy_category(X, _return_classes=False):
     by_rep = {}  # the ranks of the 1-simplices in each class
     for (s, idx), rep in classes.items():
         by_rep.setdefault(rep, []).append(bases[s] + idx)
-    objects = list(X.cells(0))
     arrow_name = {rep: "[%s]" % X.describe(rep) for rep in reps}
-    src = {}
-    dst = {}
-    for rep in reps:
-        s, t = _edge_endpoints(X, rep)
-        # source of an edge is its vertex 0 (the d_1 face), target vertex 1
-        src[arrow_name[rep]] = X.names[0][s[1]]
-        dst[arrow_name[rep]] = X.names[0][t[1]]
-    # degenerate edge at a vertex represents the identity
-    ident = {}
-    for idx, x in enumerate(objects):
-        e = ((0, 0), idx)
-        ident[x] = arrow_name[classes[e]]
     # the 2-simplices u by the ranks of d_2 u and d_0 u, and d_1 u
     fillers = X.face_index(2, (2, 0))
     edges, long_edge = X.ranked(1)[0], X.ranked(2)[1][1]
-    comp = {}
-    for grep in reps:
-        for frep in reps:
-            if src[arrow_name[grep]] != dst[arrow_name[frep]]:
-                continue
-            value = None
-            for f in by_rep[frep]:
-                for g in by_rep[grep]:
-                    for u in fillers.get((f, g), ()):
-                        c = classes[edges[long_edge[u]]]
-                        if value is None:
-                            value = c
-                        elif c != value:
-                            raise LiftingObstruction(
-                                "composition not well defined on homotopy "
-                                "classes")
-            if value is None:
-                raise LiftingObstruction(
-                    "no inner-horn filler for a composable pair")
-            comp[(arrow_name[grep], arrow_name[frep])] = arrow_name[value]
-    # the tables above are keyed by arrow names made from the caller's:
-    # an edge named "s00(a)" and the identity of a clash
-    if sset._written_alike(list(arrow_name.values())):
-        raise InputError("duplicate arrow names")
-    Ho = FinCategory(objects, [arrow_name[r] for r in reps], src, dst,
-                     comp, ident)
-    if _return_classes:
-        return Ho, classes, arrow_name
-    return Ho
+
+    def compose(grep, frep):
+        values = {classes[edges[long_edge[u]]] for f in by_rep[frep]
+                  for g in by_rep[grep] for u in fillers.get((f, g), ())}
+        if not values:
+            raise LiftingObstruction(
+                "no inner-horn filler for a composable pair")
+        if len(values) > 1:
+            raise LiftingObstruction(
+                "composition not well defined on homotopy classes")
+        return arrow_name[values.pop()]
+
+    # an edge runs from its vertex 0 (the d_1 face) to its vertex 1, and
+    # the degenerate edge at a vertex is the identity; generated refuses
+    # names that clash, such as an edge "s00(a)" and the identity of a
+    vertices = X.cells(0)
+    Ho = generated(
+        vertices,
+        [(arrow_name[rep], vertices[X.face_of(1, rep)[1]],
+          vertices[X.face_of(0, rep)[1]], rep) for rep in reps],
+        {x: arrow_name[classes[((0, 0), idx)]]
+         for idx, x in enumerate(vertices)},
+        compose)
+    return Ho, classes, arrow_name
 
 
 def equivalences(X):
     """The 1-simplices whose homotopy class is invertible in Ho(X);
     closure under two-out-of-three on 2-simplices is checked."""
-    Ho, classes, arrow_name = homotopy_category(X, _return_classes=True)
+    Ho, classes, arrow_name = _homotopy_category(X)
     iso_arrows = {a for a in Ho.arrows if Ho.is_iso(a)}
     eqs = {e for e, rep in classes.items() if arrow_name[rep] in iso_arrows}
     for u in X.simplices(2):
@@ -501,19 +485,13 @@ def homotopy_group(X, x, n):
     # and the unit would clash
     if sset._written_alike(list(label.values())):
         raise InputError("duplicate arrow names")
-    table = {}
-    for a in classes:
-        for b in classes:
-            got = None
-            for (p, q), c in products.items():
-                if find(p) == a and find(q) == b:
-                    if got is None:
-                        got = find(c)
-                    elif find(c) != got:
-                        raise LiftingObstruction(
-                            "homotopy multiplication ill-defined")
-            if got is not None:
-                table[(label[a], label[b])] = label[got]
+    got = {}  # (class of p, class of q): class of the product
+    for (p, q), c in products.items():
+        h = find(c)
+        if got.setdefault((find(p), find(q)), h) != h:
+            raise LiftingObstruction("homotopy multiplication ill-defined")
+    table = {(label[a], label[b]): label[got[(a, b)]]
+             for a, b in sorted(got)}
     # the degenerate sphere at the basepoint is the unit
     unit = label[find((tuple(0 for _ in range(n + 1)), xi))]
     return GroupPresentation([label[c] for c in classes], unit, table)

@@ -17,7 +17,7 @@ from .delta import (all_maps, degeneracy, degeneracy_decomposition, face,
                     tfactorize)
 from .errors import InputError, NotDecidable
 from .nerve_cat import (Functor, category_from_nerve, chains,
-                        full_subcategory, nerve)
+                        full_subcategory, generated, nerve)
 from .quasicat import classify
 
 
@@ -723,25 +723,19 @@ def completeness_check(X):
     comp_table = {}
     for f, g, h in zip(*[X._table(a, True, 2, 0)
                          for a in ((0, 1), (1, 2), (0, 2))]):
-        key = (find(f), find(g))
-        if key in comp_table and comp_table[key] != find(h):
+        if comp_table.setdefault((find(f), find(g)), find(h)) != find(h):
             return NotDecidable("composition not single-valued on "
                                 "homotopy classes")
-        comp_table[key] = find(h)
-    classes = sorted({find(f) for f in range(len(vertices1))})
-    # identities: classes of degenerate vertices
-    ident_class = [find(f) for f in X.h_degen[(0, 0, 0)]]
-    invertible = set()
-    for c in classes:
-        sc, tc = source[c], target[c]
-        for d in classes:
-            sd, td = source[d], target[d]
-            if sd != tc or td != sc:
-                continue
-            if comp_table.get((c, d)) == ident_class[sc] and \
-                    comp_table.get((d, c)) == ident_class[sd]:
-                invertible.add(c)
-                break
+    # the class category: every composable pair of class roots is the
+    # spine of a 2-cell by strict Segal at (2, 0), so comp_table holds
+    # each composite; identities are the classes of degenerate vertices
+    ident = [find(f) for f in X.h_degen[(0, 0, 0)]]
+    Ho = generated(
+        range(len(ident)),
+        [(c, source[c], target[c], c)
+         for c in sorted({find(f) for f in range(len(vertices1))})],
+        dict(enumerate(ident)), lambda g, f: comp_table[(f, g)])
+    invertible = {c for c in Ho.arrows if Ho.is_iso(c)}
     equivalence_vertices = {vertices1[f] for f in range(len(vertices1))
                             if find(f) in invertible}
     # row-1 category and its full subcategory on equivalence vertices

@@ -435,6 +435,20 @@ def test_cli_segal_and_completeness(tmp_path, capsys):
     assert run_cli(tmp_path, "completeness", xpath, "--out", out) == 1
 
 
+def test_cli_completeness_refuses_a_row_with_unfilled_inner_horns(
+        tmp_path, capsys):
+    # the boundary of Delta^2 declared complete up to dimension 2 has no
+    # filler for its inner 2-horn, so row 0 of its constant bisimplicial
+    # set is not the nerve of a category
+    B = sset.boundary(2)
+    X = embed("constant", SimplicialSet(2, B.names, B.faces), 2)
+    path = write(tmp_path, "c.bis", formats.bisimplicial_to_dict(X))
+    assert run_cli(tmp_path, "completeness", path) == 2
+    out, err = capsys.readouterr()
+    assert out == ("not decidable: row 0: row is not nerve-like (inner "
+                   "fillers not unique)\n") and err == ""
+
+
 def test_cli_join_twisted_export(tmp_path):
     C = ordinal_category(1)
     cpath = write(tmp_path, "c.cat", formats.category_to_dict(C))

@@ -181,6 +181,22 @@ def test_pi0_category_refuses_composition_that_splits_a_component():
         "pi0[*->*:Y.0]")
 
 
+def test_pi0_category_refuses_two_classes_written_alike():
+    # Map(a->b, c) and Map(a, b->c) are one point p each, and both
+    # classes would be the arrow pi0[a->b->c:p]
+    objects = ("a->b", "c", "a", "b->c")
+    mapspaces = {(x, y): sset.discrete_sset(["id"]) if x == y
+                 else sset.empty_sset() for x in objects for y in objects}
+    for pair in (("a->b", "c"), ("a", "b->c")):
+        mapspaces[pair] = sset.discrete_sset(["p"])
+    C = hcnerve.SimplicialCategory(
+        objects, mapspaces, {x: "id" for x in objects},
+        lambda x, y, z, q, g, f: g if x == y else f, 0)
+    C.validate()
+    with pytest.raises(InputError, match="^duplicate arrow names$"):
+        pi0_category(C)
+
+
 def test_pi0_category_matches_ho_of_coherent_nerve():
     from simpcat.nerve_cat import find_category_isomorphism as catiso
     from simpcat.quasicat import homotopy_category

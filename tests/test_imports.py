@@ -234,3 +234,36 @@ def test_src_stores_no_field_that_nothing_reads():
     sources = {path.name: path.read_text() for path in MODULES}
     readers = {str(path): path.read_text() for path in READERS}
     assert unread_fields(sources, readers) == []
+
+
+def fincategory_calls(sources):
+    """(file, line) for each call of FinCategory in sources ({file name:
+    source}) outside nerve_cat.py and the loader category_from_dict of
+    formats.py, by its callee's last name."""
+    found = []
+    for file, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        allowed = set()
+        for node in tree.body:
+            if file == "nerve_cat.py" or (
+                    file == "formats.py" and
+                    getattr(node, "name", None) == "category_from_dict"):
+                allowed.update(ast.walk(node))
+        found += [(file, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and node not in allowed
+                  and getattr(node.func, "id", getattr(
+                      node.func, "attr", None)) == "FinCategory"]
+    return found
+
+
+def test_only_nerve_cat_and_the_loader_build_a_fincategory():
+    # a category given by a composition rule is built by
+    # nerve_cat.generated, and a document by formats.category_from_dict;
+    # a composition table filled by hand elsewhere may not come back
+    toy = ("def category_from_dict(d):\n    return FinCategory(d)\n\n\n"
+           "def f():\n    return nerve_cat.FinCategory()\n")
+    assert fincategory_calls({"formats.py": toy, "nerve_cat.py": toy,
+                              "m.py": toy}) == [("formats.py", 6),
+                                                ("m.py", 2), ("m.py", 6)]
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert fincategory_calls(sources) == []
