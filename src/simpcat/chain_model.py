@@ -228,52 +228,23 @@ class FactorizationCertificate:
 def is_standard_extension(X, M):
     """Is the block inclusion of X into M an iterated variable join?
 
-    The first rank(X_n) generators of each degree of M must be X's, and
-    the differentials of the added generators must form an acyclic
-    dependency graph among themselves (each added generator's boundary
-    involves only X and other added generators that can come earlier),
-    which is exactly reachability by successive join_variable steps."""
-    added = []
+    The first rank(X_n) generators of each degree of M must be X's, with
+    X's differentials as the upper-left blocks and zeros below them.
+    Nothing else is needed: the boundary of an added generator of degree
+    n lies in degree n - 1, so joining the added generators degree by
+    degree, lowest first, joins each after every generator its boundary
+    involves, which is reachability by successive join_variable steps."""
     for n in range(M.lo, M.hi + 1):
         rx = X.rank(n) if X.lo <= n <= X.hi else 0
         if M.coeffs[n][:rx] != tuple(X.coeffs.get(n, ())):
             return False
-        for j in range(rx, M.rank(n)):
-            added.append((n, j))
-        # X's differentials must be the upper-left blocks, with zeros
-        # below them
         if X.lo < n <= X.hi:
             dX = X.differential(n)
             left = [row[:dX.cols] for row in M.differential(n).data]
             if left != block_matrix(M.rank(n - 1), dX.cols,
                                     [(0, 0, dX)]).data:
                 return False
-    # dependency edges between added generators
-    index = {g: t for t, g in enumerate(added)}
-    deps = {g: set() for g in added}
-    for (n, j) in added:
-        dM = M.differential(n)
-        for i in range(dM.rows):
-            if dM.data[i][j] == 0:
-                continue
-            rx1 = X.rank(n - 1) if X.lo <= n - 1 <= X.hi else 0
-            if i >= rx1:
-                deps[(n, j)].add((n - 1, i))
-    state = {}
-
-    def acyclic(g):
-        if state.get(g) == "done":
-            return True
-        if state.get(g) == "busy":
-            return False
-        state[g] = "busy"
-        for h in deps[g]:
-            if h in index and not acyclic(h):
-                return False
-        state[g] = "done"
-        return True
-
-    return all(acyclic(g) for g in added)
+    return True
 
 
 def degreewise_surjective(p):
@@ -446,11 +417,10 @@ def factor_cofib_trivfib(f, fuel):
     for round_no in range(1, fuel + 1):
         p_map = state.p_map()
         if _trivial_fibration_reached(p_map):
+            # _trivial_fibration_reached has checked both surjectivities
             checks = {
-                "second_degreewise_surjective":
-                    degreewise_surjective(p_map),
-                "second_surjective_on_cycles":
-                    surjective_on_cycles(p_map),
+                "second_degreewise_surjective": True,
+                "second_surjective_on_cycles": True,
                 "second_quasi_iso_interior": True,
                 "first_is_standard_extension": is_standard_extension(
                     extend_window(state.X0, state.M.lo, state.M.hi),

@@ -52,6 +52,13 @@ def load_relative(path):
     raise InputError("expected a category document with a weak list")
 
 
+def vertex(X, name):
+    """The vertex of X that a command line names: the one whose name
+    written through str is name, as documents key names; name itself
+    when there is none."""
+    return {str(v): v for v in X.cells(0)}.get(name, name)
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -83,7 +90,8 @@ def cmd_equivalences(args):
     X = formats.load_object(args.input, "simplicial-set")
     eqs = quasicat.equivalences(X)
     emit(args, {"kind": "equivalences",
-                "edges": sorted(X.describe(e) for e in eqs)})
+                "edges": sorted((X.describe(e) for e in eqs),
+                                key=nerve_cat._name_key)})
     return 0
 
 
@@ -96,8 +104,9 @@ def cmd_max_kan(args):
 
 def cmd_hom_space(args):
     X = formats.load_object(args.input, "simplicial-set")
-    H = quasicat.hom_space(X, args.source, args.target,
-                           args.mode or "right", args.dim)
+    H = quasicat.hom_space(X, vertex(X, args.source),
+                           vertex(X, args.target), args.mode or "right",
+                           args.dim)
     emit(args, formats.sset_to_dict(H))
     return 0
 
@@ -114,7 +123,7 @@ def cmd_pi0(args):
 def cmd_pin(args, n=None):
     X = formats.load_object(args.input, "simplicial-set")
     n = n if n is not None else args.n
-    group = quasicat.homotopy_group(X, args.base, n)
+    group = quasicat.homotopy_group(X, vertex(X, args.base), n)
     if isinstance(group, FuelExhausted):
         report_line("fuel exhausted: %s" % group.reason)
         return 2

@@ -370,13 +370,19 @@ def constant_simplicial_group(coeffs, D, ring="Z"):
 # normalized chains (Moore kernels) and the inverse construction
 
 
-def normalized_chains(A, return_inclusions=False):
+def normalized_chains(A):
     """The Moore complex: degree n is the intersection of the kernels of
-    d_1..d_n, with differential the restriction of d_0.
+    d_1..d_n, with differential the restriction of d_0."""
+    return _moore_complex(A)[0]
+
+
+def _moore_complex(A):
+    """The Moore complex of A and, by degree, the inclusion matrices of
+    its generators into the levels of A.
 
     Each kernel is re-presented with diagonal annihilators via Smith
-    reduction of its relation lattice; inclusion matrices into the
-    ambient levels witness the construction."""
+    reduction of its relation lattice; the inclusions witness the
+    construction."""
     D = A.truncation
     new_coeffs = {}
     inclusions = {}
@@ -413,13 +419,10 @@ def normalized_chains(A, return_inclusions=False):
                                A.d(n, 0) * inclusions[n])
         if diff[n] is None:
             raise InputError("d_0 does not restrict to the Moore complex")
-    C = ChainComplex(A.modulus, (0, D), new_coeffs, diff)
-    if return_inclusions:
-        return C, inclusions
-    return C
+    return ChainComplex(A.modulus, (0, D), new_coeffs, diff), inclusions
 
 
-def dold_kan_gamma(C, D, return_layout=False):
+def dold_kan_gamma(C, D):
     """The simplicial module with level n the direct sum over surjections
     [n] ->> [k] of the degree-k terms.
 
@@ -477,10 +480,7 @@ def dold_kan_gamma(C, D, return_layout=False):
         for i in range(n + 1):
             degen[(n, i)] = structure_matrix(
                 delta.degeneracy(n + 1, i), n + 1, n)
-    A = SimplicialAbGroup(C.modulus, D, coeffs, face, degen)
-    if return_layout:
-        return A, offsets
-    return A
+    return SimplicialAbGroup(C.modulus, D, coeffs, face, degen)
 
 
 def is_presented_iso(F, src_coeffs, dst_coeffs):
@@ -503,8 +503,8 @@ def dold_kan_roundtrip(C):
     differentials.  The Moore complex must also vanish one level above
     the window."""
     levels = C.hi + 1
-    A, offsets = dold_kan_gamma(C, levels, return_layout=True)
-    N, incl = normalized_chains(A, return_inclusions=True)
+    A = dold_kan_gamma(C, levels)
+    N, incl = _moore_complex(A)
     comparison = {}
     for n in range(0, levels + 1):
         rank_c = C.rank(n)
@@ -514,9 +514,10 @@ def dold_kan_roundtrip(C):
                 return False
             comparison[n] = Mat(0, 0)
             continue
-        off = offsets[n][(delta.tidentity(n), n)]
+        # a level lists its summands by (k, s), so the identity summand
+        # of degree n comes last
         iota = block_matrix(A.rank(n), rank_c,
-                            [(off, 0, Mat.identity(rank_c))])
+                            [(A.rank(n) - rank_c, 0, Mat.identity(rank_c))])
         G = solve_modulo(incl[n], A.coeffs[n], iota)
         if G is None or not is_presented_iso(G, C.coeffs[n], N.coeffs[n]):
             return False

@@ -9,7 +9,8 @@ from operator import le
 from . import sset
 from .delta import tcompose, tidentity
 from .errors import InputError
-from .nerve_cat import generated
+from .nerve_cat import (_nerve_cells, _nerve_simplex_of_chain, bg, generated,
+                        nerve)
 from .sset import SimplicialSet
 
 
@@ -581,9 +582,8 @@ def one_object_from_abelian_group(table, level_bound=2):
     """One object whose endomorphism space is the nerve of the delooping
     of an abelian group, truncated at 3, with entrywise multiplication as
     composition; validate() decides whether the table makes one."""
-    from .nerve_cat import bg, nerve
     B = bg(table)
-    N = nerve(B, 3)
+    N, cells = nerve(B, 3), _nerve_cells(B, 3)
 
     def expand(simplex):
         q = len(simplex[0]) - 1
@@ -595,8 +595,7 @@ def one_object_from_abelian_group(table, level_bound=2):
         return out
 
     def compress(chain):
-        from .nerve_cat import _nerve_simplex_of_chain
-        return _nerve_simplex_of_chain(B, N, tuple(chain), "*")
+        return _nerve_simplex_of_chain(B, cells, "*", tuple(chain))
 
     def compose_fn(x, y, z, q, g, f):
         gc, fc = expand(g), expand(f)

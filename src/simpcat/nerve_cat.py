@@ -403,29 +403,31 @@ def nerve_functor_map(F, d, NC=None, ND=None):
     """The simplicial map N(F): N(C) -> N(D) at truncation d."""
     NC = NC if NC is not None else nerve(F.source, d)
     ND = ND if ND is not None else nerve(F.target, d)
-    images = {}
-    for k in range(len(NC.names)):
-        for name in NC.cells(k):
-            if k == 0:
-                images[(k, name)] = ND.cell_simplex(0, F.obj_map[name])
-            else:
-                chain = tuple(F.arr_map[a] for a in name.split("|"))
-                images[(k, name)] = _nerve_simplex_of_chain(
-                    F.target, ND, chain,
-                    F.obj_map[NC.names[0][NC.apply(
-                        (0,), NC.cell_simplex(k, name))[1]]])
-    return sset.map_from_cells(NC, ND, images)
+    cells = _nerve_cells(F.target, d)
+    return sset.SimplicialMap(NC, ND, [
+        [_nerve_simplex_of_chain(F.target, cells, F.obj_map[x],
+                                 tuple(F.arr_map[a] for a in chain))
+         for x, chain in level] for level in _nerve_cells(F.source, d)])
 
 
-def _nerve_simplex_of_chain(C, NC, chain, source_obj):
-    """E-Z form in the nerve of a possibly degenerate chain of arrows:
-    vertex j goes to the number of non-identity links before it."""
+def _nerve_cells(C, d):
+    """The nondegenerate simplices of nerve(C, d) by level: the chains
+    of chains(C, d) with no identity link, each mapped to its index, in
+    the order of the nerve's cells."""
+    return [{cell: j for j, cell in enumerate(
+        (x, chain) for x, chain in level
+        if not any(map(C.is_identity, chain)))}
+        for level in chains(C, d)[0]]
+
+
+def _nerve_simplex_of_chain(C, cells, source, chain):
+    """E-Z form in the nerve of a possibly degenerate chain of arrows out
+    of source, the cells indexed as _nerve_cells gives them: vertex j
+    goes to the number of non-identity links before it."""
     word = tuple(accumulate((not C.is_identity(a) for a in chain),
                             initial=0))
-    core = [a for a in chain if not C.is_identity(a)]
-    if not core:
-        return (word, NC.cell_index(0, source_obj))
-    return (word, NC.cell_index(len(core), _chain_name(core)))
+    core = tuple(a for a in chain if not C.is_identity(a))
+    return (word, cells[len(core)][(source, core)])
 
 
 def _name_key(name):

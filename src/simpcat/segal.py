@@ -16,7 +16,7 @@ from .delta import (all_maps, degeneracy, degeneracy_decomposition, face,
                     face_decomposition, simplicial_identities, tcompose,
                     tfactorize)
 from .errors import InputError, NotDecidable
-from .nerve_cat import (Functor, category_from_nerve, chains,
+from .nerve_cat import (Functor, _name_key, category_from_nerve, chains,
                         full_subcategory, generated, nerve)
 from .quasicat import classify
 
@@ -121,7 +121,7 @@ class BisimplicialSet:
 
         return sset.from_presheaf(
             self.n_trunc, levels, action,
-            name_fn=lambda q, x: str(self.cells[(p, q)][x[1]]))
+            name_fn=lambda q, x: self.cells[(p, q)][x[1]])
 
     def validate(self):
         if self.m_trunc < 0 or self.n_trunc < 0:
@@ -669,25 +669,20 @@ class CompletenessReport:
         return bool(self.verdict)
 
 
-def _recognize_groupoid_nerve(row):
-    """(category, None) when the row, truncated at 2 or more, is the
-    nerve of a groupoid up to dimension 3 or its truncation;
-    (None, reason) otherwise."""
-    d = min(3, row.truncation)
-    report = classify(row, d, "inner")
-    if not report.all_unique():
+def _row_category(row, d):
+    """(category, None) when the row is the nerve of a category up to
+    dimension d, with the levelwise count check; (None, reason)
+    otherwise."""
+    if not classify(row, d, "inner").all_unique():
         return None, "row is not nerve-like (inner fillers not unique)"
     try:
         C = category_from_nerve(row)
     except InputError as e:
         return None, "row does not assemble to a category: %s" % e
-    # levelwise count check against the nerve of the recognized category
     NC = nerve(C, d)
     for q in range(d + 1):
         if len(NC.simplices(q)) != len(row.simplices(q)):
             return None, "row disagrees with the nerve of its category"
-    if not C.is_groupoid():
-        return None, "row category is not a groupoid"
     return C, None
 
 
@@ -704,9 +699,11 @@ def completeness_check(X):
         return NotDecidable("inner truncation below 2")
     row0 = X.row(0)
     row1 = X.row(1)
-    C0, why = _recognize_groupoid_nerve(row0)
+    C0, why = _row_category(row0, min(3, row0.truncation))
     if C0 is None:
         return NotDecidable("row 0: %s" % why)
+    if not C0.is_groupoid():
+        return NotDecidable("row 0: row category is not a groupoid")
     # homotopy category of the Segal object: objects X_{0,0}, arrows
     # pi_0 of the strict mapping fibers inside row 1; cells are indices
     vertices1 = X.level(1, 0)
@@ -739,10 +736,10 @@ def completeness_check(X):
     equivalence_vertices = {vertices1[f] for f in range(len(vertices1))
                             if find(f) in invertible}
     # row-1 category and its full subcategory on equivalence vertices
-    C1, why = category_or_reason(row1)
+    C1, why = _row_category(row1, 2)
     if C1 is None:
         return NotDecidable("row 1: %s" % why)
-    E = full_subcategory(C1, sorted(equivalence_vertices))
+    E = full_subcategory(C1, sorted(equivalence_vertices, key=_name_key))
     if not E.is_groupoid():
         return NotDecidable("equivalence subobject is not a groupoid")
     # the degeneracy functor row0 -> E
@@ -752,29 +749,23 @@ def completeness_check(X):
         if obj_map[x] not in E.objects:
             return NotDecidable("degeneracy image is not an equivalence")
 
-    def row1_arrow_of(element):
-        """Translate a level-(1,1) element to an arrow of C1: the cell
-        name when nondegenerate, the identity at its vertex otherwise."""
-        if element in C1.arrows:
-            return element
-        vertex = X.v_map((0,), 1, 1, element)
-        return C1.ident[vertex]
-
     arr_map = {}
     for a in C0.arrows:
-        if C0.is_identity(a) and a not in row0.cells(1):
+        if C0.is_identity(a):
             arr_map[a] = E.ident[obj_map[C0.src[a]]]
-        else:
-            arr_map[a] = row1_arrow_of(X.h_map((0, 0), 0, 1, a))
+            continue
+        # a nondegenerate edge of row 1 is an arrow of C1; a degenerate
+        # one is the identity at its vertex
+        e = X.h_map((0, 0), 0, 1, a)
+        arr_map[a] = e if e in C1.arrows else \
+            C1.ident[X.v_map((0,), 1, 1, e)]
     try:
         Functor(C0, E, obj_map, arr_map).validate()
     except InputError as e:
         return NotDecidable("degeneracy is not a functor: %s" % e)
-    # essential surjectivity
+    # essential surjectivity: E is a groupoid, so any arrow is an iso
     for y in E.objects:
-        if not any(E.hom(obj_map[x], y) and
-                   any(E.is_iso(a) for a in E.hom(obj_map[x], y))
-                   for x in C0.objects):
+        if not any(E.hom(obj_map[x], y) for x in C0.objects):
             return CompletenessReport(
                 False, "object class %s not hit up to isomorphism" % y,
                 {"witness": y})
@@ -784,32 +775,10 @@ def completeness_check(X):
             dom = C0.hom(x, y)
             cod = E.hom(obj_map[x], obj_map[y])
             images = [arr_map[a] for a in dom]
-            if len(set(images)) != len(dom) or \
-                    sorted(set(images)) != sorted(cod):
+            if len(set(images)) != len(dom) or set(images) != set(cod):
                 return CompletenessReport(
                     False, "degeneracy not fully faithful at (%s, %s)"
                     % (x, y), {"hom_source": len(dom),
                                "hom_target": len(cod)})
     return CompletenessReport(True, "degeneracy is an equivalence of "
                               "groupoids")
-
-
-def category_or_reason(row):
-    """Recognize a row as the nerve of a category (not necessarily a
-    groupoid), with the levelwise count check."""
-    d = min(2, row.truncation if row.truncation is not None else 2)
-    try:
-        report = classify(row, d, "inner")
-    except InputError as e:
-        return None, str(e)
-    if not report.all_unique():
-        return None, "not nerve-like"
-    try:
-        C = category_from_nerve(row)
-    except InputError as e:
-        return None, str(e)
-    NC = nerve(C, d)
-    for q in range(d + 1):
-        if len(NC.simplices(q)) != len(row.simplices(q)):
-            return None, "row disagrees with the nerve of its category"
-    return C, None

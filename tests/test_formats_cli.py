@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -447,6 +448,90 @@ def test_cli_completeness_refuses_a_row_with_unfilled_inner_horns(
     out, err = capsys.readouterr()
     assert out == ("not decidable: row 0: row is not nerve-like (inner "
                    "fillers not unique)\n") and err == ""
+
+
+# renamed cells are numbered from here, above every count the outputs
+# below hold, so a number this large in an output is a renamed cell
+_FIRST_NUMBER = 1000
+
+
+def _integer_named(doc):
+    """doc, a simplicial or bisimplicial set, with its cells renamed to
+    integers from _FIRST_NUMBER on in the sorted order of their names,
+    and {integer: name}."""
+    names = sorted({x for level in doc["cells"].values() for x in level})
+    new = {x: _FIRST_NUMBER + i for i, x in enumerate(names)}
+    out = dict(doc, cells={k: [new[x] for x in level]
+                           for k, level in doc["cells"].items()})
+    if doc["kind"] == "simplicial-set":
+        out["faces"] = {}
+        for key, faces in doc["faces"].items():
+            k, x = key.split(":", 1)
+            out["faces"]["%s:%d" % (k, new[x])] = [[s, new[y]]
+                                                   for s, y in faces]
+    else:
+        for tables in ("h_faces", "h_degens", "v_faces", "v_degens"):
+            out[tables] = {k: {str(new[x]): new[y] for x, y in t.items()}
+                           for k, t in doc[tables].items()}
+    return out, {i: x for x, i in new.items()}
+
+
+def _named_back(value, names):
+    """value, read from the output of a command on an integer-named
+    document, with each integer of names written back as its name."""
+    if isinstance(value, (list, tuple)):
+        return [_named_back(v, names) for v in value]
+    if isinstance(value, dict):
+        return {_named_back(k, names): _named_back(v, names)
+                for k, v in value.items()}
+    if isinstance(value, str):
+        return re.sub(r"(?<!\w)\d+(?!\w)", lambda m: str(
+            names.get(int(m.group()), m.group())), value)
+    return names.get(value, value)
+
+
+def _result(code, capsys):
+    """The exit code, each output line (a document parsed) and stderr."""
+    out, err = capsys.readouterr()
+    lines = [json.loads(line) if line.startswith("{") else line
+             for line in out.splitlines()]
+    for line in lines:
+        if isinstance(line, dict) and line.get("kind") == "equivalences":
+            # sorted by name, and integers sort apart from strings
+            line["edges"].sort(key=str)
+    return [code, lines, err]
+
+
+def test_cli_integer_names_decide_as_their_string_names_do(tmp_path,
+                                                           capsys):
+    # every kind of verdict: complete, not complete and not decidable;
+    # Kan and not Kan; pi_1 and a failed precondition
+    cases = []
+    for C in (bg(cyclic_table(2)), iso_pair_category(),
+              ordinal_category(2)):
+        for weak in ([C.ident[x] for x in C.objects],
+                     [a for a in C.arrows if C.is_iso(a)], C.arrows):
+            cases.append((formats.bisimplicial_to_dict(rezk_nerve(
+                RelativeCategory(C, weak), 2, 2)), None, [["completeness"]]))
+    for C in (bg(cyclic_table(2)), ordinal_category(2)):
+        # None stands for the first vertex
+        cases.append((formats.sset_to_dict(nerve(C, 3)), C.objects[0], [
+            ["equivalences"], ["check-kan"], ["pi1", "--base", None],
+            ["hom-space", None, None, "--dim", "1"]]))
+    codes = set()
+    for doc, x, commands in cases:
+        int_doc, names = _integer_named(doc)
+        vertices = [x, {name: str(i) for i, name in names.items()}.get(x)]
+        paths = [write(tmp_path, "s.json", doc),
+                 write(tmp_path, "i.json", int_doc)]
+        for argv in commands:
+            string_run, int_run = (_result(run_cli(
+                tmp_path, argv[0], path, *[v if a is None else a
+                                           for a in argv[1:]]), capsys)
+                for path, v in zip(paths, vertices))
+            assert _named_back(int_run, names) == string_run, argv
+            codes.add(string_run[0])
+    assert codes == {0, 1, 2}
 
 
 def test_cli_join_twisted_export(tmp_path):

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from simpcat import formats, nerve_cat, sset
 from simpcat.errors import FuelExhausted, InputError
+from simpcat.fibrations import twisted_arrows
 from simpcat.nerve_cat import (FinCategory, Functor, RelativeCategory,
                                all_functors, bg, category_from_nerve,
                                find_category_isomorphism, full_subcategory,
@@ -71,12 +72,19 @@ def test_nerve_spine_bijection():
 
 
 def test_nerve_fully_faithful():
-    # functors C -> D biject with simplicial maps N(C) -> N(D)
+    # functors C -> D biject with simplicial maps N(C) -> N(D); the
+    # arrows of Tw([1]) are named "(u|v)@f" and those of the last
+    # delooping by integers, so neither can be read back from the
+    # "|"-joined names of the nerve's cells
+    _, proj = twisted_arrows(ordinal_category(1))
+    z2 = bg({(g, h): (g + h) % 2 for g in range(2) for h in range(2)})
     pairs = [
         (ordinal_category(1), ordinal_category(2)),
         (bg(cyclic_table(2)), bg(cyclic_table(4))),
         (discrete_category(["x", "y"]), ordinal_category(1)),
         (ordinal_category(2), bg(cyclic_table(2))),
+        (proj.source, proj.target),
+        (z2, z2),
     ]
     from oracles import all_functors_by_backtracking
     for C, D in pairs:
