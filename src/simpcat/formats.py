@@ -62,27 +62,26 @@ def sset_from_dict(d):
     names = [tuple(levels.get(k, ())) for k in range(depth)]
     index = [{n: i for i, n in enumerate(level)} for level in names]
     faces = [[()] * len(level) for level in names]
+    shared = {}  # one tuple per distinct surjection of the document
     for k in range(1, depth):
         for idx, name in enumerate(names[k]):
             key = "%d:%s" % (k, name)
+            # each face is [surjection values, cell name]: integers and
+            # names only, as a JSON true or 1.0 would find 1 in any
+            # lookup; validate refuses values that are not a surjection
+            # (a negative one included)
             try:
-                faces[k][idx] = tuple([_face(item, index)
-                                       for item in face_doc[key]])
+                entry = []
+                for s, sub in face_doc[key]:
+                    if not (_is_ints(s) and _is_name(sub)):
+                        raise ValueError("not a face")
+                    t = tuple(s)
+                    entry.append((shared.setdefault(t, t), index[s[-1]][sub]))
+                faces[k][idx] = tuple(entry)
             except (TypeError, ValueError, LookupError):
                 raise InputError("missing or malformed face entry for %s"
                                  % key) from None
     return SimplicialSet(truncation, names, faces).validate()
-
-
-def _face(item, index):
-    """[surjection values, cell name] as (tuple, cell index), integers
-    and names only, as a JSON true or 1.0 would find 1 in any lookup;
-    SimplicialSet.validate refuses values that are not a surjection (a
-    negative one included).  Raises TypeError, ValueError or LookupError."""
-    s, sub = item
-    if not (_is_ints(s) and _is_name(sub)):
-        raise ValueError("not a face")
-    return tuple(s), index[s[-1]][sub]
 
 
 def _is_name(v):

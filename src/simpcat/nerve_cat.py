@@ -5,7 +5,7 @@ Composition convention throughout: compose(g, f) means "f then g",
 matching Hom(y,z) x Hom(x,y) -> Hom(x,z).
 """
 
-from itertools import accumulate, product as iproduct
+from itertools import accumulate, pairwise, product as iproduct
 
 from . import sset
 from .errors import FuelExhausted, InputError
@@ -304,12 +304,23 @@ def nerve(C, d):
     levels, _ = chains(C, d)
 
     def action(alpha, element):
+        # the arrow from vertex a to vertex b of the chain, a <= b, is
+        # the link a, the identity of vertex a, or the composite of the
+        # links between them; vertex a > 0 is the target of link a - 1
         x, chain = element
-        verts = _chain_vertices(C, x, chain)
-        m = len(alpha) - 1
-        out = tuple(_chain_segment(C, x, chain, alpha[j - 1], alpha[j])
-                    for j in range(1, m + 1))
-        return (verts[alpha[0]], out)
+        out = []
+        for a, b in pairwise(alpha):
+            if b == a + 1:
+                out.append(chain[a])
+            elif a == b:
+                out.append(C.ident[C.dst[chain[a - 1]] if a else x])
+            else:
+                f = chain[a]
+                for g in chain[a + 1:b]:
+                    f = C.compose(g, f)
+                out.append(f)
+        a = alpha[0]
+        return (C.dst[chain[a - 1]] if a else x, tuple(out))
 
     def name_fn(n, element):
         x, chain = element
@@ -339,24 +350,6 @@ def chains(C, d):
         levels.append(level)
         spans.append(span)
     return levels, spans
-
-
-def _chain_vertices(C, x, chain):
-    verts = [x]
-    for a in chain:
-        verts.append(C.dst[a])
-    return verts
-
-
-def _chain_segment(C, x, chain, a, b):
-    """Composite of the chain links between positions a <= b, as one
-    arrow (identity when a == b)."""
-    if a == b:
-        return C.ident[_chain_vertices(C, x, chain)[a]]
-    out = chain[a]
-    for j in range(a + 1, b):
-        out = C.compose(chain[j], out)
-    return out
 
 
 def category_from_nerve(X):

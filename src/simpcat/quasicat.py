@@ -6,6 +6,8 @@ All verdicts are bounded by an explicit dimension d; nothing here claims
 unbounded lifting.
 """
 
+from collections import Counter
+
 from . import sset
 from .delta import tidentity
 from .errors import FuelExhausted, InputError
@@ -73,54 +75,26 @@ def _horn_stats(X, n, k):
     compatible: d_i w_j = d_{j-1} w_i for i < j.  The first facet runs
     over simplices(n-1); each later facet j is one X.face_index lookup
     keyed by the faces d_{j-1} of the facets already chosen, and its
-    candidates come in ascending rank.  Horns are counted against the
-    fillers as their last facet comes, never listed."""
+    candidates come in ascending rank.  The horns are listed one facet
+    prefix at a time, all of them extended at once and in order, and
+    looked up among the horns of the n-simplices."""
     J = [j for j in range(n + 1) if j != k]
     order, faces, natural = X.ranked(n - 1)
-    steps = [(faces[J[p] - 1].__getitem__,
-              X.face_index(n - 1, tuple(J[:p])).get)
-             for p in range(1, n)]
-    # fillers[facets but the last] = {last facet: number of n-simplices}
-    fillers = {}
+    horns = [(w,) for w in natural]
+    for p in range(1, n):
+        face = faces[J[p] - 1].__getitem__
+        join = X.face_index(n - 1, tuple(J[:p])).get
+        horns = [h + (w,) for h in horns
+                 for w in join(tuple(map(face, h)), ())]
     top = X.ranked(n)[1]
-    for key, w in zip(zip(*[top[j] for j in J[:-1]]), top[J[-1]]):
-        row = fillers.setdefault(key, {})
-        row[w] = row.get(w, 0) + 1
-    face_last, join_last = steps[-1]
-    tested = unfillable = nonunique = 0
+    fillers = Counter(zip(*[top[j] for j in J]))
+    counts = list(map(fillers.get, horns))
+    unfillable = counts.count(None)
     witness = None
-    chosen = []
-
-    def search(p, cands):
-        # chooses facet p among cands, then looks the next one up
-        nonlocal tested, unfillable, nonunique, witness
-        if p < n - 2:
-            face, join = steps[p]
-            for w in cands:
-                chosen.append(w)
-                after = join(tuple(map(face, chosen)))
-                if after:
-                    search(p + 1, after)
-                chosen.pop()
-            return
-        for w in cands:
-            chosen.append(w)
-            last = join_last(tuple(map(face_last, chosen)))
-            if last:
-                tested += len(last)
-                row = fillers.get(tuple(chosen), {})
-                for x in last:
-                    c = row.get(x, 0)
-                    if c == 0:
-                        unfillable += 1
-                        if witness is None:
-                            witness = tuple(order[v] for v in chosen + [x])
-                    elif c > 1:
-                        nonunique += 1
-            chosen.pop()
-
-    search(0, natural)
-    return tested, unfillable, nonunique, witness
+    if unfillable:
+        witness = tuple(order[v] for v in horns[counts.index(None)])
+    return (len(horns), unfillable,
+            len(horns) - unfillable - counts.count(1), witness)
 
 
 def _witness(X, n, k, facets):
@@ -168,10 +142,6 @@ def witness_to_map(X, witness):
     cells = {name: (tuple(s), X.cell_index(tuple(s)[-1], nm))
              for name, (s, nm) in witness["cells"].items()}
     images = {}
-    if n == 1:
-        (name, simplex), = cells.items()
-        images[(0, name)] = simplex
-        return sset.map_from_cells(L, X, images).validate()
     facet_names = {}
     for j_str, simplex in cells.items():
         j = int(j_str)

@@ -754,11 +754,9 @@ def completeness_check(X):
         if C0.is_identity(a):
             arr_map[a] = E.ident[obj_map[C0.src[a]]]
             continue
-        # a nondegenerate edge of row 1 is an arrow of C1; a degenerate
-        # one is the identity at its vertex
-        e = X.h_map((0, 0), 0, 1, a)
-        arr_map[a] = e if e in C1.arrows else \
-            C1.ident[X.v_map((0,), 1, 1, e)]
+        # the outer degeneracy of a nondegenerate edge is nondegenerate in
+        # row 1 (a mixed identity), so an arrow of C1
+        arr_map[a] = X.h_map((0, 0), 0, 1, a)
     try:
         Functor(C0, E, obj_map, arr_map).validate()
     except InputError as e:

@@ -174,7 +174,7 @@ class SimplicialSet:
         def build(X):
             below = X.block_bases(len(s) - 2)
             n = len(X.names[s[-1]])
-            stored = list(zip(*X.faces[s[-1]]))  # stored[v][idx] = d_v idx
+            stored = X.face_columns(s[-1])
             cols = []
             for i in range(len(s)):
                 v, rest = _dropped(s, i)
@@ -182,7 +182,7 @@ class SimplicialSet:
                     b = below[rest]
                     cols.append(range(b, b + n))
                 else:
-                    ts, subs = zip(*stored[v])
+                    ts, subs = stored[v]
                     if rest[-1] == len(rest) - 1:  # s is an identity
                         base = below
                     else:
@@ -191,6 +191,13 @@ class SimplicialSet:
                     cols.append(list(map(add, tcompose(base, ts), subs)))
             return cols
         return self.memo(("block", s), build)
+
+    def face_columns(self, k):
+        """The stored faces of the k-cells, k >= 1, as columns:
+        columns[v] = (ts, subs) with (ts[idx], subs[idx]) = d_v of the
+        cell idx."""
+        return self.memo(("columns", k), lambda X: [
+            tuple(zip(*col)) for col in zip(*X.faces[k])])
 
     def ranked(self, m):
         """The m-simplices on dense ids: (order, faces, natural).
@@ -284,7 +291,7 @@ class SimplicialSet:
             entries = self.faces[k]
             if not entries:
                 continue
-            columns = [tuple(zip(*col)) for col in zip(*entries)]
+            columns = self.face_columns(k)
             occurring = set(chain.from_iterable(ss for ss, _ in columns))
             if len(occurring) == 1:  # its block is numbered as the cells
                 down = self.face_block(occurring.pop())

@@ -1099,6 +1099,22 @@ def test_sset_loader_skips_empty_levels():
         assert formats.sset_from_dict(doc).as_dict() == want.as_dict()
 
 
+def test_loaded_documents_share_equal_surjections():
+    # the loader keeps one tuple per distinct surjection of a document,
+    # and what it loads writes the bytes it read
+    N = nerve(bg(cyclic_table(3)), 4)
+    text = formats.dumps(formats.sset_to_dict(N))
+    X = formats.sset_from_dict(json.loads(text))
+    assert formats.dumps(formats.sset_to_dict(X)) == text
+    shared = {}
+    for level in X.faces:
+        for entry in level:
+            for s, _ in entry:
+                assert shared.setdefault(s, s) is s
+    assert sorted(shared) == sorted({s for level in N.faces
+                                     for entry in level for s, _ in entry})
+
+
 def test_cli_parser_reused_after_a_failed_parse(tmp_path, capsys):
     # the parser is built once per process; a parse that fails must not
     # leave anything behind that the next call sees

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,8 @@ from simpcat.nerve_cat import (FinCategory, Functor, RelativeCategory,
                                poset_category, product_category)
 from simpcat.sset import enumerate_maps, spine
 
-from families import (cyclic_table, discrete_category, iso_pair_category,
+from families import (category_family, cyclic_table, discrete_category,
+                      iso_pair_category,
                       klein_table, parallel_pair_category, symmetric3_table)
 
 
@@ -424,3 +427,19 @@ def test_integer_names_read_back_through_the_nerve():
     assert len(functors) == 3
     assert _functor_tables(functors) == _functor_tables(
         all_functors_by_backtracking(C, C))
+
+
+def test_nerves_write_the_pinned_bytes():
+    # the digest was taken while the nerve's action walked each chain
+    # through per-segment helpers; a rewrite that renames, reorders or
+    # recomposes a simplex or a face in any of the documents changes it
+    digest = hashlib.sha256()
+    count = 0
+    for _, C in category_family():
+        for d in range(5):
+            digest.update(formats.dumps(formats.sset_to_dict(
+                nerve(C, d))).encode())
+            count += 1
+    assert count == 120
+    assert digest.hexdigest() == (
+        "37601751808079710ccbf7b9eb17a2d9925b7b182b5b8265168dc38725316927")

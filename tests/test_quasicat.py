@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -309,8 +311,28 @@ def test_witness_roundtrip_map_valid():
     f.validate()
 
 
+def test_one_dimensional_witnesses_count_their_fillers():
+    # Lambda^1_k is the vertex 1 - k, named by its facet d_k; on N(Z/2)
+    # both edges out of (and into) the one vertex fill it
+    N = nerve(bg(cyclic_table(2)), 2)
+    for k in (0, 1):
+        w = {"n": 1, "k": k, "cells": {str(1 - k): [[0], "*"]}}
+        assert count_extensions(N, w) == 2, k
+
+
+def test_classify_leaves_no_garbage():
+    # a horn search whose tables sit in a reference cycle keeps them
+    # alive until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        classify(nerve(bg(cyclic_table(3)), 4), 4, "kan")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_homotopy_category_keeps_no_reference_to_its_input():
-    import gc
     import weakref
     X = nerve(ordinal_category(2), 3)
     homotopy_category(X)
