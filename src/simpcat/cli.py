@@ -9,8 +9,11 @@ reported in one line).
 """
 
 import argparse
+import gc
 import json
 import sys
+import threading
+from contextlib import contextmanager
 from functools import lru_cache
 
 from . import (chain_model, doldkan, fibrations, formats, hcnerve,
@@ -430,6 +433,34 @@ def build_parser():
     return parser
 
 
+_collector = threading.Lock()
+_running = 0  # commands running now, under _collector
+_resume = False  # whether the collector was on when the first one began
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector while a command runs.  No command
+    leaves a reference cycle (the tests keep it so), so a collection
+    during one would free nothing.  Overlapping commands share one
+    pause: the collector comes back on when the last of them ends, and
+    only if it was on when the first began.  The collector is one per
+    process, so this state is too."""
+    global _running, _resume
+    with _collector:
+        if not _running:
+            _resume = gc.isenabled()
+            gc.disable()
+        _running += 1
+    try:
+        yield
+    finally:
+        with _collector:
+            _running -= 1
+            if not _running and _resume:
+                gc.enable()
+
+
 def main(argv=None):
     """Run one command; usage errors exit 3 like malformed input,
     --help exits 0, and any unplanned exception exits 4 with one line
@@ -439,7 +470,8 @@ def main(argv=None):
     except SystemExit as e:
         return 3 if e.code else 0
     try:
-        return args.fn(args)
+        with _collector_paused():
+            return args.fn(args)
     except (InputError, FileNotFoundError, json.JSONDecodeError) as e:
         sys.stderr.write("input error: %s\n" % (e,))
         return 3

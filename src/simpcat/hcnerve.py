@@ -380,53 +380,55 @@ def _functors(F, C, map_cache):
     {(i, j): the assignment of the map of Map(i, j)}), reading and
     filling map_cache: the simplicial maps Map(i, j) -> Map(x, y) of C,
     keyed by (_pair_key(i, j), x, y), so one call of coherent_nerve
-    enumerates them once for all its gadgets."""
+    enumerates them once for all its gadgets.
+
+    For each object assignment the partial functors are extended one
+    pair at a time, all of them at once and in order, so the functors
+    come in the order of a depth-first search over the pairs."""
     n = len(F.objects) - 1
     pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     pairs.sort(key=lambda p: (p[1] - p[0], p[0]))
+    where = {pair: p for p, pair in enumerate(pairs)}
     bound = min(C.level_bound, F.level_bound)
-    checks = {(a, c): [(b, _generating_pairs(F, a, b, c, bound))
-                       for b in range(a + 1, c)] for a, c in pairs}
+    # checks[p] for pairs[p] = (a, c): (b, the positions of (b, c) and
+    # (a, b), the generating pairs) for each a < b < c
+    checks = [[(b, where[(b, c)], where[(a, b)],
+                _generating_pairs(F, a, b, c, bound))
+               for b in range(a + 1, c)] for a, c in pairs]
     out = []
-    images = {}  # (i, j) -> the map chosen for Map(i, j)
-
-    def space_maps(i, j, x, y):
-        key = (_pair_key(i, j), x, y)
-        if key not in map_cache:
-            map_cache[key] = sset.enumerate_maps(
-                F.mapspaces[(str(i), str(j))], C.mapspaces[(x, y)])
-        return map_cache[key]
-
-    def composition_ok(objs, a, c):
-        """Check the triples a < b < c, whose pairs are all assigned."""
-        x, z = objs[a], objs[c]
-        hmap = images[(a, c)]
-        for b, generating in checks[(a, c)]:
-            y = objs[b]
-            gmap, fmap = images[(b, c)], images[(a, b)]
-            for g, f, h in generating:
-                if hmap.apply(h) != C.compose(x, y, z, gmap.apply(g),
-                                              fmap.apply(f)):
-                    return False
-        return True
-
-    def assign_pairs(pos, objs):
-        if pos == len(pairs):
-            out.append((objs, {pair: f.assignment
-                               for pair, f in images.items()}))
-            return
-        i, j = pairs[pos]
-        if C.mapspaces[(objs[i], objs[j])].n_cells(0) == 0:
-            return
-        for f in space_maps(i, j, objs[i], objs[j]):
-            images[(i, j)] = f
-            if composition_ok(objs, i, j):
-                assign_pairs(pos + 1, objs)
-        del images[(i, j)]
-
     for objs in product(C.objects, repeat=n + 1):
-        assign_pairs(0, objs)
+        partial = [()]  # the maps chosen for the pairs before pairs[p]
+        for p, (i, j) in enumerate(pairs):
+            x, y = objs[i], objs[j]
+            if not partial or C.mapspaces[(x, y)].n_cells(0) == 0:
+                partial = []
+                break
+            key = (_pair_key(i, j), x, y)
+            if key not in map_cache:
+                map_cache[key] = sset.enumerate_maps(
+                    F.mapspaces[(str(i), str(j))], C.mapspaces[(x, y)])
+            partial = [chosen + (h,) for chosen in partial
+                       for h in map_cache[key]
+                       if _commutes(C, objs, i, j, h, chosen, checks[p])]
+        out.extend((objs, {pair: f.assignment
+                           for pair, f in zip(pairs, chosen)})
+                   for chosen in partial)
     return out
+
+
+def _commutes(C, objs, a, c, h, chosen, checks):
+    """Whether h, the map chosen for Map(a, c), agrees with the
+    composites of the maps chosen for Map(b, c) and Map(a, b), on the
+    generating pairs of each triple a < b < c."""
+    x, z = objs[a], objs[c]
+    for b, bc, ab, generating in checks:
+        y = objs[b]
+        gmap, fmap = chosen[bc], chosen[ab]
+        for g, f, gf in generating:
+            if h.apply(gf) != C.compose(x, y, z, gmap.apply(g),
+                                        fmap.apply(f)):
+                return False
+    return True
 
 
 def _generating_pairs(F, a, b, c, bound):

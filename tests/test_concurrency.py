@@ -1,17 +1,24 @@
 """The library is safe to use from concurrent callers: jobs run from a
 thread pool on shared objects write the same bytes as a sequential run.
 The simplicial sets are shared, so their per-object tables
-(SimplicialSet.memo) are filled from several threads at once."""
+(SimplicialSet.memo) are filled from several threads at once.  The
+CLI's pause of the cyclic collector is shared by overlapping commands
+and undone on every exit."""
 
+import gc
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from simpcat import formats, hcnerve, quasicat, segal, sset
+import pytest
+
+from simpcat import cli, formats, hcnerve, quasicat, segal, sset
 from simpcat.doldkan import free_complex, homology
 from simpcat.intlinalg import Mat
 from simpcat.nerve_cat import RelativeCategory, bg, nerve, ordinal_category
 
 from families import cyclic_table, iso_pair_category, symmetric3_table
+from test_formats_cli import write
 
 
 def _objects():
@@ -86,3 +93,69 @@ def test_threads_on_shared_objects_match_a_sequential_run():
                         want[name], name
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_main_restores_the_collector(tmp_path, monkeypatch):
+    kan = write(tmp_path, "bz2.sset",
+                formats.sset_to_dict(nerve(bg(cyclic_table(2)), 3)))
+    arrow = write(tmp_path, "o1.sset",
+                  formats.sset_to_dict(nerve(ordinal_category(1), 3)))
+    bad = write(tmp_path, "bad.sset", {"kind": "simplicial-set"})
+    cases = [(["check-kan", kan], 0), (["check-kan", arrow], 1),
+             (["check-kan", bad], 3), (["check-kan"], 3)]
+    inside = []  # whether the collector was on inside a command
+
+    def raising(error):
+        def broken(*args):
+            inside.append(gc.isenabled())
+            raise error("stop")
+        return broken
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in cases:
+                assert cli.main(argv) == code, argv
+                assert gc.isenabled() is enabled, argv
+            with monkeypatch.context() as m:
+                m.setattr(quasicat, "classify", raising(RuntimeError))
+                assert cli.main(["check-kan", kan]) == 4
+                assert gc.isenabled() is enabled
+                m.setattr(quasicat, "classify", raising(KeyboardInterrupt))
+                with pytest.raises(KeyboardInterrupt):
+                    cli.main(["check-kan", kan])
+                assert gc.isenabled() is enabled
+        assert inside == [False] * 4
+
+        # eight overlapping commands: the collector stays off until the
+        # last one ends, and each writes the bytes of a sequential run
+        gc.enable()
+        path = write(tmp_path, "bz5.sset",
+                     formats.sset_to_dict(nerve(bg(cyclic_table(5)), 3)))
+        want = tmp_path / "want.json"
+        assert cli.main(["ho", path, "--out", str(want)]) == 0
+        load = formats.load_object
+
+        def load_object(*args):
+            inside.append(gc.isenabled())
+            return load(*args)
+        monkeypatch.setattr(formats, "load_object", load_object)
+        start = threading.Barrier(8)
+
+        def run(i):
+            start.wait(timeout=60)
+            out = tmp_path / ("out%d.json" % i)
+            return cli.main(["ho", path, "--out", str(out)]), out
+        del inside[:]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside main
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(run, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        assert gc.isenabled() and inside == [False] * 8
+        for code, out in results:
+            assert code == 0 and out.read_bytes() == want.read_bytes(), out
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

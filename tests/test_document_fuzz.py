@@ -13,6 +13,7 @@ refuses.
 """
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -21,7 +22,7 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from simpcat import formats, sset
-from simpcat.cli import main
+from simpcat.cli import build_parser, main
 from simpcat.doldkan import free_complex, free_simplicial_abelian_group
 from simpcat.errors import InputError
 from simpcat.hcnerve import frak_c
@@ -208,6 +209,29 @@ def test_mutated_documents_exit_0_to_3(case):
         load, oracle, write = ORACLES[kind]
         assert _outcome(load, write, doc) == _outcome(oracle, write, doc), \
             doc
+
+
+def test_commands_leave_no_cyclic_garbage():
+    # the CLI pauses the cyclic collector while a command runs, which
+    # frees everything only while no command leaves a reference cycle
+    build_parser()  # its first build leaves argparse formatters, once
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            for doc, commands in DOCUMENTS:
+                with open(path, "w") as fh:
+                    fh.write(formats.dumps(doc))
+                for argv in commands:
+                    argv = [path if a == "IN" else a for a in argv]
+                    for out in ([], ["--out", os.path.join(tmp, "out")]):
+                        _run(argv + out)
+                        assert gc.collect() == 0, argv + out
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_valid_documents_run():

@@ -388,6 +388,24 @@ def test_cli_homology_and_quasi_iso(tmp_path, capsys):
     assert run_cli(tmp_path, "quasi-iso", fpath) == 0
 
 
+def test_cli_refuses_a_map_off_d_and_a_modulus_below_2(tmp_path, capsys):
+    C = free_complex("Z", (0, 1), {0: 1, 1: 1}, {1: Mat(1, 1, [[2]])})
+    cmap = formats.chain_map_to_dict(identity_chain_map(C))
+    # d sends the generator of degree 1 to twice the one of degree 0, so
+    # f_0 (3) d = 6 and d f_1 (1) = 2 differ
+    path = write(tmp_path, "off-d.cm", dict(cmap, components=dict(
+        cmap["components"], **{"0": [[3]]})))
+    assert run_cli(tmp_path, "quasi-iso", path) == 3
+    assert capsys.readouterr() == (
+        "", "input error: map does not commute with d at degree 1\n")
+    for ring in ("Z/1", "Z/0"):
+        path = write(tmp_path, "ring.cx",
+                     dict(formats.complex_to_dict(C), ring=ring))
+        assert run_cli(tmp_path, "homology", path) == 3, ring
+        assert capsys.readouterr() == (
+            "", "input error: modulus must be >= 2\n"), ring
+
+
 def test_cli_factorizations(tmp_path):
     X = free_complex("Z", (0, 1), {}, {})
     Y = free_complex("Z", (0, 1), {0: 1}, {})

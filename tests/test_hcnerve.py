@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from itertools import combinations
@@ -82,6 +83,20 @@ def test_coherent_nerve_discrete_matches_nerve():
         N1 = coherent_nerve(SC, 3)
         N2 = nerve(C, 3)
         assert find_isomorphism(N1, N2) is not None
+
+
+def test_coherent_nerve_leaves_no_garbage():
+    # a functor search through a recursive closure keeps its map cache,
+    # the enumerated maps and both categories alive until the cyclic
+    # collector runs
+    SC = from_fincategory(ordinal_category(2), level_bound=2)
+    gc.collect()
+    gc.disable()
+    try:
+        coherent_nerve(SC, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_coherent_nerve_dim0():

@@ -20,8 +20,10 @@ def test_paired_compares_a_checkout_with_itself():
     assert out["failed"] == {"base": 0, "changed": 0}
     assert out["pairs"] == 2 and out["jobs_per_pass"] > 0
     assert 0 <= out["wins"] <= 2
-    low, high = out["ratio"]["quartiles"]
-    assert 0 < low <= out["ratio"]["median"] <= high
+    for ratio in (out["ratio"], out["wall"]["ratio"]):
+        low, high = ratio["quartiles"]
+        assert 0 < low <= ratio["median"] <= high
+    assert 0 <= out["wall"]["wins"] <= 2
     assert [line.split(":")[0] for line in proc.stderr.splitlines()
             if line.startswith("pair ")] == ["pair 1", "pair 2"]
 

@@ -311,6 +311,15 @@ def test_witness_roundtrip_map_valid():
     f.validate()
 
 
+def test_witness_that_leaves_out_a_facet_is_refused():
+    # Lambda^2_1 has the facets d_0 and d_2; a witness naming d_0 only
+    # leaves the vertex 0 in no facet it gives
+    N = nerve(bg(cyclic_table(2)), 2)
+    w = {"n": 2, "k": 1, "cells": {"0": [[0, 0], "*"]}}
+    with pytest.raises(InputError, match="^witness cell 0 lies in no facet$"):
+        witness_to_map(N, w)
+
+
 def test_one_dimensional_witnesses_count_their_fillers():
     # Lambda^1_k is the vertex 1 - k, named by its facet d_k; on N(Z/2)
     # both edges out of (and into) the one vertex fill it

@@ -9,14 +9,18 @@ changes nothing under perfbench/.  It generates the workload's inputs
 and runs one untimed warm-up pass.  Then each pair runs one pass on
 each side, and the side that goes first alternates from pair to pair.
 A pass's time is the sum of its jobs' times, unscaled: within a pair
-both sides see the same host.  Every job is checked as perfbench
-checks it (exit code, known answer, committed digest).
+both sides see the same host.  Its wall time is taken around the whole
+pass, so it also counts work that a job leaves for later, such as a
+collection of the cyclic garbage collector that falls between jobs.
+Every job is checked as perfbench checks it (exit code, known answer,
+committed digest).
 
 One line per pair goes to stderr.  The last line of stdout is a JSON
 object: each side's median and quartiles of pass time, the median and
 quartiles of the per-pair ratio CHANGED / BASE, the pairs CHANGED won
-(strictly faster) and the failed jobs of each side.  The exit status
-is 1 when a job failed on either side.  Standard library only.
+(strictly faster), the same ratio and wins for wall time ("wall"), and
+the failed jobs of each side.  The exit status is 1 when a job failed
+on either side.  Standard library only.
 """
 
 import argparse
@@ -26,6 +30,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import time
 
 
 def worker(checkout, workload, seed):
@@ -47,9 +52,11 @@ def worker(checkout, workload, seed):
         reply.write(json.dumps({"jobs": len(jobs)}) + "\n")
         reply.flush()
         for _ in sys.stdin:
+            start = time.perf_counter()
             results = runner.run_pass()
+            wall_s = time.perf_counter() - start
             reply.write(json.dumps({
-                "s": sum(dt for dt, _ in results),
+                "s": sum(dt for dt, _ in results), "wall_s": wall_s,
                 "failed": sum(err is not None for _, err in results)}) + "\n")
             reply.flush()
     finally:
@@ -65,7 +72,7 @@ class Side:
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
             cwd=self.checkout, env=dict(os.environ, PYTHONHASHSEED="0"))
         self.jobs = self.read()["jobs"]
-        self.times, self.failed = [], 0
+        self.times, self.walls, self.failed = [], [], 0
 
     def read(self):
         line = self.proc.stdout.readline()
@@ -79,6 +86,7 @@ class Side:
         self.proc.stdin.flush()
         got = self.read()
         self.times.append(got["s"])
+        self.walls.append(got["wall_s"])
         self.failed += got["failed"]
         return got["s"]
 
@@ -92,6 +100,14 @@ def quartiles(values):
         return [values[0], values[0]]
     q = statistics.quantiles(values, n=4, method="inclusive")
     return [q[0], q[2]]
+
+
+def compare(base, changed):
+    """The per-pair ratios changed / base and the pairs changed won."""
+    ratios = [c / b for b, c in zip(base, changed)]
+    return {"ratio": {"median": statistics.median(ratios),
+                      "quartiles": quartiles(ratios)},
+            "wins": sum(c < b for b, c in zip(base, changed))}
 
 
 def main(argv=None):
@@ -116,18 +132,17 @@ def main(argv=None):
             for side in (sides if i % 2 == 0 else sides[::-1]):
                 side.run_pass()
             sys.stderr.write("pair %d: base %.4f s, changed %.4f s, ratio "
-                             "%.3f\n" % (i + 1, base.times[-1],
-                                         changed.times[-1],
-                                         changed.times[-1] / base.times[-1]))
+                             "%.3f, wall ratio %.3f\n"
+                             % (i + 1, base.times[-1], changed.times[-1],
+                                changed.times[-1] / base.times[-1],
+                                changed.walls[-1] / base.walls[-1]))
     finally:
         for side in sides:
             side.close()
-    ratios = [c / b for b, c in zip(base.times, changed.times)]
     out = {"workload": args.workload, "seed": args.seed,
            "pairs": args.pairs, "jobs_per_pass": base.jobs,
-           "ratio": {"median": statistics.median(ratios),
-                     "quartiles": quartiles(ratios)},
-           "wins": sum(c < b for b, c in zip(base.times, changed.times)),
+           **compare(base.times, changed.times),
+           "wall": compare(base.walls, changed.walls),
            "failed": {"base": base.failed, "changed": changed.failed}}
     for name, side in (("base", base), ("changed", changed)):
         out[name] = {"checkout": side.checkout,
